@@ -23,22 +23,33 @@ def _mix64(x):
         return x ^ (x >> np.uint64(31))
 
 
+def stream_key(seed, stream):
+    """The step-independent half of ``counter_uniform``'s hash.
+
+    A caller that draws many steps of the same streams hashes them once
+    here and finishes each step with ``step_uniform``.
+    """
+    with np.errstate(over="ignore"):
+        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+        return _mix64(s ^ (np.asarray(stream, dtype=np.uint64) + _GOLDEN) * _MIX1)
+
+
+def step_uniform(key, step):
+    """Finish ``stream_key`` output into the uniforms of ``step``."""
+    with np.errstate(over="ignore"):
+        h = _mix64(key ^ (np.asarray(step, dtype=np.uint64) + _GOLDEN) * _MIX2)
+    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+
+
 def counter_uniform(seed, stream, step):
     """Uniform variates in [0, 1) keyed by (seed, stream, step).
 
     ``stream`` and ``step`` may be integers or integer arrays; they broadcast
     against each other.  The same key always returns the same value.
     """
-    with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        h = _mix64(s ^ (np.asarray(stream, dtype=np.uint64) + _GOLDEN) * _MIX1)
-        h = _mix64(h ^ (np.asarray(step, dtype=np.uint64) + _GOLDEN) * _MIX2)
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+    return step_uniform(stream_key(seed, stream), step)
 
 
 def derive_seed(master_seed, index):
     """Derive an independent 63-bit integer seed for substream ``index``."""
-    with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        h = _mix64(s ^ (np.uint64(index) + _GOLDEN) * _MIX1)
-    return int(h >> np.uint64(1))
+    return int(stream_key(master_seed, index) >> np.uint64(1))

@@ -198,15 +198,15 @@ def _parse_dist(text):
 
 
 def _cmd_recover(parser, args):
-    array = read_snapshots(args.input)
-    needs_markov = args.algorithm in ("online", "rates", "mle", "refine", "refine-loo")
     has_markov = None not in (args.mu1, args.nu1, args.p11, args.q11)
     has_categorical = args.f is not None and args.g is not None
-    if needs_markov and not (has_markov or has_categorical):
-        parser.error(
-            f"algorithm {args.algorithm!r} needs interaction parameters "
-            "(--mu1/--nu1/--p11/--q11 or --f/--g)"
-        )
+    if args.algorithm in ("online", "rates") and not has_markov:
+        parser.exit(2, f"error: algorithm {args.algorithm!r} needs Markov chain "
+                    "parameters (--mu1/--nu1/--p11/--q11)\n")
+    if args.algorithm in ("mle", "refine", "refine-loo") and not (has_markov or has_categorical):
+        parser.exit(2, f"error: algorithm {args.algorithm!r} needs interaction parameters "
+                    "(--mu1/--nu1/--p11/--q11 or --f/--g)\n")
+    array = read_snapshots(args.input)
     intra = inter = None
     if has_markov:
         intra, inter = _chains(args, array.N)
@@ -331,7 +331,7 @@ def main(argv=None):
         if args.command == "replicate-figure":
             return _cmd_replicate_figure(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -456,6 +456,8 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
 
         # linear scan streams the transfer recursion, one step per T
         r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
+        if t_max >= 1 and r.sum() == 0.0:
+            return 1  # disjoint initial laws: threshold met at once
         z = r.copy()
         log_scale = 0.0
         for T in range(1, min(t_max, _LINEAR_SCAN_CAP) + 1):

@@ -3,7 +3,13 @@ pair-interaction laws, plus the line-oriented ``tsbm`` snapshot file format.
 
 Pair patterns are drawn from counter-based substreams keyed by
 ``(seed, i, j)``, so generation order (serial, parallel, chunked) never
-changes the output.
+changes the output.  The Markov sampler walks the pairs in fixed-size
+chunks, hashing each pair's stream key once for all T steps, and writes
+only set bits into the tensor.
+
+The reader parses edges into integer arrays and validates them before it
+allocates one ``T x N x N`` tensor: uint8, or int64 only when some symbol
+exceeds 1.
 """
 
 import math
@@ -12,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import counter_uniform
+from ._rng import counter_uniform, step_uniform, stream_key
 from .markov import BinaryMarkovChain
 
 __all__ = [
@@ -115,28 +121,43 @@ def _pair_index(N):
     return iu, ju, iu.astype(np.uint64) * np.uint64(N) + ju.astype(np.uint64)
 
 
+# Pairs per sampler chunk: small enough that a chunk's per-pair arrays stay
+# in cache across all T steps.  Any value gives the same output.
+_CHUNK_PAIRS = 1 << 15
+
+
 def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     """Markov interaction snapshots: each unordered pair's T-bit pattern is
-    an independent chain, ``intra`` within blocks and ``inter`` across."""
+    an independent chain, ``intra`` within blocks and ``inter`` across.
+
+    Pairs are walked in fixed-size chunks in row-major ``i < j`` order; each
+    chunk runs through all T steps and writes only its set bits.
+    """
     if T < 1:
         raise ValueError("need at least one snapshot")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
-    iu, ju, streams = _pair_index(N)
-    same = labels[iu] == labels[ju]
-    mu1 = np.where(same, intra.mu1, inter.mu1)
-    p01 = np.where(same, intra.p01, inter.p01)
-    p11 = np.where(same, intra.p11, inter.p11)
-
     out = np.zeros((T, N, N), dtype=np.uint8)
-    cur = (counter_uniform(seed, streams, 0) < mu1).astype(np.uint8)
-    out[0, iu, ju] = cur
-    out[0, ju, iu] = cur
-    for t in range(1, T):
-        u = counter_uniform(seed, streams, t)
-        cur = (u < np.where(cur == 1, p11, p01)).astype(np.uint8)
-        out[t, iu, ju] = cur
-        out[t, ju, iu] = cur
+    flat = out.reshape(-1)
+    # pair p = (i, j) sits at p - row_start[i] + i + 1 within row i
+    row_start = np.arange(N) * (2 * N - np.arange(N) - 1) // 2
+    n_pairs = N * (N - 1) // 2
+    for lo in range(0, n_pairs, _CHUNK_PAIRS):
+        p = np.arange(lo, min(lo + _CHUNK_PAIRS, n_pairs))
+        i = np.searchsorted(row_start, p, side="right") - 1
+        j = p - row_start[i] + i + 1
+        key = stream_key(seed, i * N + j)
+        same = labels[i] == labels[j]
+        p01 = np.where(same, intra.p01, inter.p01)
+        p11 = np.where(same, intra.p11, inter.p11)
+        upper, lower = i * N + j, j * N + i
+        threshold = np.where(same, intra.mu1, inter.mu1)
+        for t in range(T):
+            cur = step_uniform(key, t) < threshold
+            threshold = np.where(cur, p11, p01)
+            on = np.flatnonzero(cur)
+            flat[t * N * N + upper[on]] = 1
+            flat[t * N * N + lower[on]] = 1
     return SnapshotArray(out, labels=labels)
 
 
@@ -185,27 +206,36 @@ def write_snapshots(path, array, labels=None):
         if labels is not None:
             fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
         for t in range(T):
-            iu, ju = np.nonzero(np.triu(data[t], k=1))
-            vals = data[t][iu, ju]
-            for i, j, v in zip(iu.tolist(), ju.tolist(), vals.tolist()):
-                if v == 1:
-                    fh.write(f"e {t + 1} {i} {j}\n")
-                else:
-                    fh.write(f"e {t + 1} {i} {j} {v}\n")
+            snap = data[t].reshape(-1)
+            idx = np.flatnonzero(snap)
+            iu, ju = np.divmod(idx, N)
+            upper = iu < ju
+            iu, ju, vals = iu[upper], ju[upper], snap[idx[upper]]
+            e = f"e {t + 1} "
+            fh.write("".join([
+                f"{e}{i} {j}\n" if v == 1 else f"{e}{i} {j} {v}\n"
+                for i, j, v in zip(iu.tolist(), ju.tolist(), vals.tolist())
+            ]))
 
 
 def read_snapshots(path):
-    """Read a ``tsbm`` file; the result round-trips bit-exactly."""
+    """Read a ``tsbm`` file; the result round-trips bit-exactly.
+
+    Edges are validated as arrays before the tensor is allocated, and an
+    invalid file reports its first offending line.  The tensor is uint8
+    unless some value exceeds 1, in which case it is int64.
+    """
     header = None
     labels = None
-    edges = []
+    lines, columns = [], ([], [], [], [])  # t, i, j, v of each edge line
+    ts, iss, js, vs = columns
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            tokens = line.split()
             if header is None:
+                line = raw.strip()
                 if len(tokens) != 4 or tokens[0] != _MAGIC or tokens[1] != _VERSION:
                     raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
                 try:
@@ -216,6 +246,20 @@ def read_snapshots(path):
                     raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
                 header = (N, T)
                 continue
+            if tokens[0] == "e":
+                if len(tokens) not in (4, 5):
+                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+                try:
+                    t, i, j = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                    v = int(tokens[4]) if len(tokens) == 5 else 1
+                except ValueError:
+                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+                lines.append(lineno)
+                ts.append(t)
+                iss.append(i)
+                js.append(j)
+                vs.append(v)
+                continue
             if tokens[0] == "labels":
                 if len(tokens) != header[0] + 1:
                     raise MalformedHeaderError(
@@ -225,39 +269,47 @@ def read_snapshots(path):
                 if labels.min() < 0:
                     raise IndexRangeError(f"line {lineno}: labels must be >= 1")
                 continue
-            if tokens[0] == "e":
-                if len(tokens) not in (4, 5):
-                    raise MalformedHeaderError(f"line {lineno}: bad edge line {line!r}")
-                try:
-                    t, i, j = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                    v = int(tokens[4]) if len(tokens) == 5 else 1
-                except ValueError:
-                    raise MalformedHeaderError(f"line {lineno}: bad edge line {line!r}")
-                edges.append((lineno, t, i, j, v))
-                continue
             raise MalformedHeaderError(f"line {lineno}: unknown record {tokens[0]!r}")
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
-    data = np.zeros((T, N, N), dtype=np.int64)
-    seen = set()
-    for lineno, t, i, j, v in edges:
-        if not 1 <= t <= T:
-            raise IndexRangeError(f"line {lineno}: snapshot index {t} outside 1..{T}")
-        if i == j:
-            raise IndexRangeError(f"line {lineno}: self-loop on node {i}")
-        if not (0 <= i < j < N):
-            raise IndexRangeError(f"line {lineno}: need 0 <= i < j < N, got {i}, {j}")
-        if (t, i, j) in seen:
-            raise DuplicateEdgeError(f"line {lineno}: duplicate edge {t} {i} {j}")
-        seen.add((t, i, j))
-        if v == 0:
-            raise IndexRangeError(f"line {lineno}: explicit zero value")
-        data[t - 1, i, j] = v
-        data[t - 1, j, i] = v
-    if data.max(initial=0) <= 1:
-        data = data.astype(np.uint8)
+    # values beyond int64 make an object column, which compares exactly
+    t, i, j, v = (np.array(c) if c else np.zeros(0, np.int64) for c in columns)
+    repeated = _repeats(t, i, j)
+    bad = (t < 1) | (t > T) | (i < 0) | (i >= j) | (j >= N) | repeated | (v == 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
+    dtype = np.int64 if (v > 1).any() else np.uint8
+    data = np.zeros((T, N, N), dtype=dtype)
+    flat = data.reshape(-1)
+    offset = (t - 1) * (N * N)
+    v = v.astype(dtype)
+    flat[offset + i * N + j] = v
+    flat[offset + j * N + i] = v
     return SnapshotArray(data, labels=labels)
+
+
+def _repeats(t, i, j):
+    """Mask of edges whose ``(t, i, j)`` appeared on an earlier line."""
+    order = np.lexsort((j, i, t))  # stable, so equal keys stay in file order
+    t, i, j = t[order], i[order], j[order]
+    repeated = np.zeros(order.size, dtype=bool)
+    repeated[order[1:]] = (t[1:] == t[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+    return repeated
+
+
+def _edge_error(lineno, t, i, j, v, repeated, N, T):
+    """The error for an invalid edge, checks taken in a fixed order."""
+    if not 1 <= t <= T:
+        return IndexRangeError(f"line {lineno}: snapshot index {t} outside 1..{T}")
+    if i == j:
+        return IndexRangeError(f"line {lineno}: self-loop on node {i}")
+    if not (0 <= i < j < N):
+        return IndexRangeError(f"line {lineno}: need 0 <= i < j < N, got {i}, {j}")
+    if repeated:
+        return DuplicateEdgeError(f"line {lineno}: duplicate edge {t} {i} {j}")
+    return IndexRangeError(f"line {lineno}: explicit zero value")
 
 
 def write_labels(path, labels):

@@ -229,6 +229,26 @@ class TestCLI:
             main(["recover", "--input", str(out), "--algorithm", "online"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("algorithm", ["online", "rates"])
+    def test_recover_categorical_params_cannot_drive_chains(self, tmp_path, capsys, algorithm):
+        out = tmp_path / "d.tsbm"
+        out.write_text("tsbm 1 4 2\ne 1 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--input", str(out), "--algorithm", algorithm,
+                  "--f", "0.5,0.5", "--g", "0.9,0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--mu1/--nu1/--p11/--q11" in err
+
+    def test_recover_header_beyond_memory_exit_code(self, tmp_path, capsys):
+        # numpy refuses this 88 PiB request up front and touches no memory
+        path = tmp_path / "huge.tsbm"
+        path.write_text("tsbm 1 10000000 1000\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.tsbm"
         rc = main([

@@ -310,6 +310,11 @@ class TestTStar:
         inter = chain_from_stationary(1.5 * rho, 0.3)
         assert t_star(intra, inter, n, k, "itilde") == 7
 
+    def test_disjoint_initial_laws_cross_at_once(self):
+        off, on = BinaryMarkovChain(0.0, 0.5, 0.5), BinaryMarkovChain(1.0, 0.5, 0.5)
+        assert t_star(off, on, 500, 2, "exact") == 1
+        assert t_star(on, off, 500, 2, "exact") == 1
+
     def test_requires_two_blocks(self):
         c = chain_from_stationary(0.02, 0.5)
         with pytest.raises(ValueError):

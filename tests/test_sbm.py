@@ -5,7 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tsbm import sbm
+from tsbm._rng import counter_uniform
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
 from tsbm.sbm import (
@@ -13,6 +18,7 @@ from tsbm.sbm import (
     IndexRangeError,
     MalformedHeaderError,
     SnapshotArray,
+    SnapshotFormatError,
     balanced_labelling,
     read_labels,
     read_snapshots,
@@ -112,6 +118,43 @@ class TestMarkovSampling:
         assert abs(off.mean()) <= 0.005
 
 
+def _reference_markov(labels, intra, inter, T, seed):
+    """One literal ``counter_uniform`` draw per (pair, snapshot)."""
+    N = labels.size
+    out = np.zeros((T, N, N), dtype=np.uint8)
+    for i in range(N):
+        for j in range(i + 1, N):
+            chain = intra if labels[i] == labels[j] else inter
+            bit = counter_uniform(seed, i * N + j, 0) < chain.mu1
+            out[0, i, j] = out[0, j, i] = bit
+            for t in range(1, T):
+                bit = counter_uniform(seed, i * N + j, t) < (chain.p11 if bit else chain.p01)
+                out[t, i, j] = out[t, j, i] = bit
+    return out
+
+
+_probability = st.floats(0.0, 1.0)
+_chains = st.builds(BinaryMarkovChain, _probability, _probability, _probability)
+
+
+class TestChunkedSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 2), max_size=11).map(np.array),
+        intra=_chains,
+        inter=_chains,
+        T=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+        chunk=st.sampled_from([1, 2, 5, 7, 64, 1 << 15]),
+    )
+    def test_matches_per_pair_reference(self, labels, intra, inter, T, seed, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
+            got = sample_markov_snapshots(labels, intra, inter, T, seed=seed)
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, _reference_markov(labels, intra, inter, T, seed))
+
+
 class TestCategoricalSampling:
     def test_point_mass(self):
         f = FiniteDistribution.point_mass(0, 3)
@@ -200,6 +243,8 @@ class TestSnapshotFiles:
             ("tsbm 1 8 2\ne 1 0 9\n", IndexRangeError),
             ("tsbm 1 8 2\ne 3 0 1\n", IndexRangeError),
             ("tsbm 1 8 2\ne 1 0 1\ne 1 0 1\n", DuplicateEdgeError),
+            ("tsbm 1 8 2\ne 99999999999999999999 0 1\n", IndexRangeError),
+            ("tsbm 1 8 2\ne 1 5 3\nbogus\n", MalformedHeaderError),
         ],
     )
     def test_rejects_malformed(self, tmp_path, content, error):
@@ -208,12 +253,104 @@ class TestSnapshotFiles:
         with pytest.raises(error):
             read_snapshots(path)
 
+    def test_oversized_header_fails_at_allocation(self, tmp_path):
+        path = tmp_path / "huge.tsbm"
+        path.write_text("tsbm 1 10000000 1000\n")
+        with pytest.raises(MemoryError):
+            read_snapshots(path)
+
     def test_labels_sidecar(self, tmp_path):
         labels = np.array([0, 2, 1, 1])
         path = tmp_path / "l.labels"
         write_labels(path, labels)
         assert path.read_text() == "labels 1 3 2 2\n"
         assert np.array_equal(read_labels(path), labels)
+
+
+@st.composite
+def _symmetric_arrays(draw, max_symbol):
+    T, N = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    upper = np.triu(draw(arrays(np.int64, (T, N, N), elements=st.integers(0, max_symbol))), 1)
+    return upper + upper.transpose(0, 2, 1)
+
+
+@st.composite
+def _edge_files(draw):
+    """Header sizes plus edge lines, mostly in range and from a small key
+    space, so that duplicates and explicit zeros are common."""
+    N, T = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    value, comment = st.sampled_from([None, None, 1, 2, 0]), st.booleans()
+    wild = st.tuples(st.integers(-1, T + 1), st.integers(-1, N + 1),
+                     st.integers(-1, N + 1), value, comment)
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    if pairs:
+        valid = st.builds(lambda t, ij, v, c: (t, *ij, v, c), st.integers(1, T),
+                          st.sampled_from(pairs), value, comment)
+        wild = st.one_of(valid, valid, valid, wild)
+    return N, T, draw(st.lists(wild, max_size=12))
+
+
+def _first_error(N, T, edges):
+    """Class and message of the first bad edge, checked line by line."""
+    seen = set()
+    for lineno, t, i, j, v in edges:
+        if not 1 <= t <= T:
+            return IndexRangeError, f"line {lineno}: snapshot index {t} outside 1..{T}"
+        if i == j:
+            return IndexRangeError, f"line {lineno}: self-loop on node {i}"
+        if not (0 <= i < j < N):
+            return IndexRangeError, f"line {lineno}: need 0 <= i < j < N, got {i}, {j}"
+        if (t, i, j) in seen:
+            return DuplicateEdgeError, f"line {lineno}: duplicate edge {t} {i} {j}"
+        seen.add((t, i, j))
+        if v == 0:
+            return IndexRangeError, f"line {lineno}: explicit zero value"
+    return None
+
+
+class TestSnapshotFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.one_of(_symmetric_arrays(1), _symmetric_arrays(4)),
+        with_labels=st.booleans(),
+    )
+    def test_round_trip_and_rewrite(self, tmp_path_factory, data, with_labels):
+        tmp = tmp_path_factory.mktemp("rt")
+        labels = np.arange(data.shape[1]) % 3 if with_labels else None
+        write_snapshots(tmp / "a.tsbm", SnapshotArray(data, labels=labels))
+        back = read_snapshots(tmp / "a.tsbm")
+        assert back.data.dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
+        assert np.array_equal(back.data, data)
+        assert np.array_equal(back.labels, labels) if with_labels else back.labels is None
+        write_snapshots(tmp / "b.tsbm", back)
+        assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(file=_edge_files())
+    def test_reports_first_offending_line(self, tmp_path_factory, file):
+        N, T, edges = file
+        lines, parsed = [f"tsbm 1 {N} {T}"], []
+        for t, i, j, v, comment in edges:
+            if comment:
+                lines.append("# comment")
+            lines.append(f"e {t} {i} {j}" + ("" if v is None else f" {v}"))
+            parsed.append((len(lines), t, i, j, 1 if v is None else v))
+        path = tmp_path_factory.mktemp("bad") / "f.tsbm"
+        path.write_text("\n".join(lines) + "\n")
+        expected = _first_error(N, T, parsed)
+        if expected is None:
+            back = read_snapshots(path)
+            want = np.zeros((T, N, N), dtype=np.int64)
+            for _, t, i, j, v in parsed:
+                want[t - 1, i, j] = want[t - 1, j, i] = v
+            assert back.data.dtype == (np.int64 if want.max() > 1 else np.uint8)
+            assert np.array_equal(back.data, want)
+        else:
+            error, message = expected
+            with pytest.raises(SnapshotFormatError) as exc:
+                read_snapshots(path)
+            assert type(exc.value) is error
+            assert str(exc.value) == message
 
 
 class TestSnapshotArray:
