@@ -139,18 +139,18 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     N = labels.size
     out = np.zeros((T, N, N), dtype=np.uint8)
     flat = out.reshape(-1)
-    # pair p = (i, j) sits at p - row_start[i] + i + 1 within row i
+    # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
     row_start = np.arange(N) * (2 * N - np.arange(N) - 1) // 2
     n_pairs = N * (N - 1) // 2
     for lo in range(0, n_pairs, _CHUNK_PAIRS):
         p = np.arange(lo, min(lo + _CHUNK_PAIRS, n_pairs))
         i = np.searchsorted(row_start, p, side="right") - 1
         j = p - row_start[i] + i + 1
-        key = stream_key(seed, i * N + j)
+        upper, lower = i * N + j, j * N + i  # upper is also the stream id
+        key = stream_key(seed, upper)
         same = labels[i] == labels[j]
         p01 = np.where(same, intra.p01, inter.p01)
         p11 = np.where(same, intra.p11, inter.p11)
-        upper, lower = i * N + j, j * N + i
         threshold = np.where(same, intra.mu1, inter.mu1)
         for t in range(T):
             cur = step_uniform(key, t) < threshold
