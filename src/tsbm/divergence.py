@@ -280,22 +280,14 @@ def upper_bound_error_rate(inputs, kappa=None):
     ``kappa`` defaults to :func:`kappa_correction` on the same inputs.
     The sum may exceed 1, in which case the bound is vacuous.
     """
-    N, K, I = inputs.N, inputs.K, inputs.I
-    if K < 2:
-        raise ValueError("upper bound needs at least two blocks")
-    if kappa is None:
-        kappa = kappa_correction(N, K, I)
-    t1 = 8.0 * math.e * (K - 1) * _exp_clipped(-(1.0 - inputs.zeta - kappa) * N * I / K)
-    t2 = _exp_clipped(
-        N * math.log(K) - 0.25 * (inputs.zeta / (K - 1) - inputs.eps) * (N / K) ** 2 * I
-    )
-    t3 = 2.0 * K * _exp_clipped(-inputs.eps**2 * N / (3.0 * K))
-    return t1 + t2 + t3
+    return sum(upper_bound_terms(inputs, kappa))
 
 
 def upper_bound_terms(inputs, kappa=None):
     """The three summands of :func:`upper_bound_error_rate`, separately."""
     N, K, I = inputs.N, inputs.K, inputs.I
+    if K < 2:
+        raise ValueError("upper bound needs at least two blocks")
     if kappa is None:
         kappa = kappa_correction(N, K, I)
     return (

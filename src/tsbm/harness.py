@@ -204,9 +204,7 @@ def run_trial(config, trial):
         kf, kg = MarkovKernel(intra), MarkovKernel(inter)
         mode = "fast" if alg == "refine" else "loo"
         push(refine_recover(array, kf, kg, config.k, spec_cfg, mode=mode))
-    elif alg == "spectral":
-        push(spectral_cluster(binarize(array), spec_cfg))
-    elif alg == "spectral-union":
+    elif alg in ("spectral", "spectral-union"):
         push(spectral_cluster(binarize(array), spec_cfg))
     elif alg == "spectral-aggregate":
         push(spectral_cluster(_aggregate_matrix(array.data), spec_cfg))

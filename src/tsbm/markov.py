@@ -67,19 +67,6 @@ class BinaryMarkovChain:
             out = out + log_p[2 * x[:, t - 1] + x[:, t]]
         return out
 
-    def sample(self, n, T, uniform_source):
-        """Draw ``n`` paths of length ``T``; ``uniform_source(t)`` must yield
-        a length-``n`` vector of uniforms for each step ``t``."""
-        out = np.empty((T, n), dtype=np.uint8)
-        cur = (uniform_source(0) < self.mu1).astype(np.uint8)
-        out[0] = cur
-        for t in range(1, T):
-            u = uniform_source(t)
-            thresh = np.where(cur == 1, self.p11, self.p01)
-            cur = (u < thresh).astype(np.uint8)
-            out[t] = cur
-        return out
-
 
 def chain_from_stationary(pi1, p11):
     """Chain started from its stationary law ``(1-pi1, pi1)`` with the given

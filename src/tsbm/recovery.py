@@ -217,6 +217,12 @@ class OnlineLikelihoodLearned:
     those laws and are re-estimated from per-pair transition counts averaged
     within (and across) the predicted blocks.  Pairs that have not yet
     visited a state are left out of the averages.
+
+    ``counts[2a + b]`` packs each pair's ``a -> b`` transition count over
+    the pairs ``i < j`` in row-major order.  Re-estimation bins pairs by
+    visit count ``m = n_a`` and block relation, sums their ``n_a1`` per bin
+    as ``hits_m`` and takes the mean of ``n_a1 / n_a`` as
+    ``fsum(hits_m / m) / pairs`` over ``m >= 1``.
     """
 
     def __init__(self, first_snapshot, init_labels, K, refresh_every=1, synchronous=True):
@@ -226,9 +232,11 @@ class OnlineLikelihoodLearned:
         self.synchronous = synchronous
         self.refresh_every = refresh_every
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        self._iu = np.triu_indices(n, k=1)
-        same = self.labels[self._iu[0]] == self.labels[self._iu[1]]
-        vals = x[self._iu]
+        iu = np.triu_indices(n, k=1)
+        self._flat = iu[0] * n + iu[1]  # packed pair -> flat index into an n x n snapshot
+        self._same_labels = None
+        same = self._same_block()
+        vals = x.ravel().take(self._flat)
         self.mu1_hat = float(vals[same].mean()) if same.any() else 0.5
         self.nu1_hat = float(vals[~same].mean()) if (~same).any() else 0.5
         self.P_hat = np.array([[1 - self.mu1_hat, self.mu1_hat]] * 2)
@@ -239,52 +247,51 @@ class OnlineLikelihoodLearned:
         )
         self.M = l_init[x].astype(np.float64)
         np.fill_diagonal(self.M, 0.0)
-        self.counts = np.zeros((4, n, n), dtype=np.uint32)  # index 2a + b
+        self.counts = np.zeros((4, self._flat.size), dtype=np.uint32)  # index 2a + b
         self._prev = x.copy()
+        self._prev_packed = vals
         self.t = 1
+
+    def _same_block(self):
+        """Packed mask of same-block pairs, recomputed only when labels move."""
+        if not np.array_equal(self.labels, self._same_labels):
+            self._same_labels = self.labels.copy()
+            self._same = (self.labels[:, None] == self.labels).ravel().take(self._flat)
+        return self._same
 
     def step(self, snapshot):
         x = np.asarray(snapshot)
-        delta_lookup = _sat_log_ratio(self.P_hat, self.Q_hat).ravel()
-        idx = 2 * self._prev + x
-        delta = delta_lookup[idx]
+        delta = _sat_log_ratio(self.P_hat, self.Q_hat).ravel()[2 * self._prev + x]
         np.fill_diagonal(delta, 0.0)
         self.M += delta
         np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
         self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
+        packed = x.ravel().take(self._flat)
+        idx = 2 * self._prev_packed + packed
         for ab in range(4):
             self.counts[ab] += idx == ab
         self._prev = x.copy()
+        self._prev_packed = packed
         self.t += 1
         if (self.t - 1) % self.refresh_every == 0:
             self._reestimate()
         return self
 
     def _reestimate(self):
-        iu = self._iu
-        same = self.labels[iu[0]] == self.labels[iu[1]]
+        same = self._same_block()
+        m = np.arange(1, self.t, dtype=np.float64)
         for a in (0, 1):
-            n_a = (self.counts[2 * a] + self.counts[2 * a + 1])[iu].astype(np.float64)
-            n_a1 = self.counts[2 * a + 1][iu].astype(np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = n_a1 / n_a
-            ok = n_a > 0
-            if (ok & same).any():
-                p = float(ratio[ok & same].mean())
-                self.P_hat[a] = (1 - p, p)
-            if (ok & ~same).any():
-                q = float(ratio[ok & ~same].mean())
-                self.Q_hat[a] = (1 - q, q)
+            n_a1 = self.counts[2 * a + 1]
+            key = 2 * (self.counts[2 * a] + n_a1) + same  # bin 2m + same; m = n_a < t
+            pairs = np.bincount(key, minlength=2 * self.t).reshape(-1, 2)[1:]
+            hits = np.bincount(key, weights=n_a1, minlength=2 * self.t).reshape(-1, 2)[1:]
+            for s, est in ((1, self.P_hat), (0, self.Q_hat)):
+                total = int(pairs[:, s].sum())
+                if total:
+                    p = math.fsum(hits[:, s] / m) / total
+                    est[a] = (1 - p, p)
 
-    def run(self, array, record=None):
-        data = np.asarray(getattr(array, "data", array))
-        if record is not None:
-            record(1, self.labels)
-        for t in range(1, data.shape[0]):
-            self.step(data[t])
-            if record is not None:
-                record(self.t, self.labels)
-        return self.labels
+    run = OnlineLikelihood.run
 
 
 # ---------------------------------------------------------------------------

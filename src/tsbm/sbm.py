@@ -188,11 +188,12 @@ def sample_categorical_snapshots(labels, f, g, seed=0):
 #   tsbm 1 N T
 #   labels l1 ... lN          (optional; 1-based block labels)
 #   e t i j                   (set bit: 1-based t, 0-based i < j)
-#   e t i j v                 (general symbol v != 1)
+#   e t i j v                 (general symbol 1 <= v <= 2^63 - 1)
 # ---------------------------------------------------------------------------
 
 _MAGIC = "tsbm"
 _VERSION = "1"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def write_snapshots(path, array, labels=None):
@@ -273,10 +274,10 @@ def read_snapshots(path):
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
-    # values beyond int64 make an object column, which compares exactly
-    t, i, j, v = (np.array(c) if c else np.zeros(0, np.int64) for c in columns)
+    t, i, j, v = (_column(c) for c in columns)
     repeated = _repeats(t, i, j)
-    bad = (t < 1) | (t > T) | (i < 0) | (i >= j) | (j >= N) | repeated | (v == 0)
+    bad = (t < 1) | (t > T) | (i < 0) | (i >= j) | (j >= N) | repeated
+    bad = bad | (v < 1) | (v > _INT64_MAX)
     if bad.any():
         k = int(np.argmax(bad))
         raise _edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
@@ -288,6 +289,13 @@ def read_snapshots(path):
     flat[offset + i * N + j] = v
     flat[offset + j * N + i] = v
     return SnapshotArray(data, labels=labels)
+
+
+def _column(values):
+    try:  # values beyond int64 make an object column, which compares exactly
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _repeats(t, i, j):
@@ -309,7 +317,9 @@ def _edge_error(lineno, t, i, j, v, repeated, N, T):
         return IndexRangeError(f"line {lineno}: need 0 <= i < j < N, got {i}, {j}")
     if repeated:
         return DuplicateEdgeError(f"line {lineno}: duplicate edge {t} {i} {j}")
-    return IndexRangeError(f"line {lineno}: explicit zero value")
+    if v == 0:
+        return IndexRangeError(f"line {lineno}: explicit zero value")
+    return IndexRangeError(f"line {lineno}: symbol {v} outside 1..{_INT64_MAX}")
 
 
 def write_labels(path, labels):

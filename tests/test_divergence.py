@@ -271,6 +271,13 @@ class TestBounds:
         assert t2 == pytest.approx(2.0**500, rel=1e-9)
         assert t3 == pytest.approx(4 * math.exp(-0.01**2 * 250 / 3), rel=1e-12)
 
+    def test_upper_bound_needs_two_blocks(self):
+        inputs = BoundInputs(N=500, K=1, I=0.01, J=0.0)
+        with pytest.raises(ValueError):
+            upper_bound_terms(inputs)
+        with pytest.raises(ValueError):
+            upper_bound_error_rate(inputs)
+
     def test_upper_bound_monotone_in_divergence(self):
         values = [
             upper_bound_error_rate(BoundInputs(N=500, K=2, I=i, J=0.0, eps=0.02, zeta=0.04))

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tsbm
 from tsbm.cli import main
 from tsbm.harness import (
     ExperimentConfig,
@@ -248,6 +251,22 @@ class TestCLI:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("symbol", ["-3", "99999999999999999999"])
+    def test_recover_symbol_out_of_range_exit_code(self, tmp_path, capsys, symbol):
+        path = tmp_path / "bad.tsbm"
+        path.write_text(f"tsbm 1 3 1\ne 1 0 1 {symbol}\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_python_m_runs_cli(self):
+        src = os.path.dirname(os.path.dirname(tsbm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "tsbm", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: tsbm")
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.tsbm"

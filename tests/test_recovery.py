@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
 from tsbm.recovery import (
+    LOG_RATIO_SATURATION,
     CategoricalKernel,
     MarkovKernel,
     OnlineLikelihood,
@@ -19,6 +23,8 @@ from tsbm.recovery import (
     persistent_components,
     refine_recover,
     transition_rate_clustering,
+    _relabel_sweep,
+    _sat_log_ratio,
 )
 from tsbm.sbm import sample_categorical_snapshots, sample_labelling, sample_markov_snapshots
 from tsbm.spectral import SpectralConfig
@@ -185,7 +191,7 @@ class TestOnlineLikelihoodLearned:
         state = OnlineLikelihoodLearned(data[0], np.array([0, 0, 1, 1]), 2)
         for t in range(1, 5):
             state.step(data[t])
-        counts = {ab: int(state.counts[ab][0, 1]) for ab in range(4)}
+        counts = {ab: int(state.counts[ab][0]) for ab in range(4)}  # pair (0, 1) packs first
         assert counts == {0: 1, 1: 1, 2: 1, 3: 1}  # 00, 01, 10, 11
         n0 = counts[0] + counts[1]
         n1 = counts[2] + counts[3]
@@ -196,8 +202,8 @@ class TestOnlineLikelihoodLearned:
         state = OnlineLikelihoodLearned(arr.data[0], labels, 2)
         for t in range(1, arr.T):
             state.step(arr.data[t])
-            off = ~np.eye(25, dtype=bool)
-            totals = sum(state.counts[ab] for ab in range(4))[off]
+            totals = sum(state.counts[ab] for ab in range(4))
+            assert totals.shape == (25 * 24 // 2,)
             assert (totals == state.t - 1).all()
 
     def test_estimates_converge_with_oracle_init(self):
@@ -224,6 +230,113 @@ class TestOnlineLikelihoodLearned:
         p_first = state.P_hat.copy()
         state.step(arr.data[1])
         assert np.array_equal(state.P_hat, p_first)  # no refresh yet
+
+
+class _DenseLearned:
+    """Reference learner: a dense ``(4, N, N)`` counter and masked means
+    over upper-triangle gathers, the direct form of the packed counter and
+    binned estimator."""
+
+    def __init__(self, first_snapshot, init_labels, K, refresh_every=1):
+        x = np.asarray(first_snapshot)
+        n = x.shape[0]
+        self.K, self.refresh_every = K, refresh_every
+        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
+        self._iu = np.triu_indices(n, k=1)
+        same = self.labels[self._iu[0]] == self.labels[self._iu[1]]
+        vals = x[self._iu]
+        mu1 = float(vals[same].mean()) if same.any() else 0.5
+        nu1 = float(vals[~same].mean()) if (~same).any() else 0.5
+        self.P_hat = np.array([[1 - mu1, mu1]] * 2)
+        self.Q_hat = np.array([[1 - nu1, nu1]] * 2)
+        l_init = _sat_log_ratio(np.array([1 - mu1, mu1]), np.array([1 - nu1, nu1]))
+        self.M = l_init[x].astype(np.float64)
+        np.fill_diagonal(self.M, 0.0)
+        self.counts = np.zeros((4, n, n), dtype=np.uint32)
+        self._prev = x.copy()
+        self.t = 1
+
+    def step(self, snapshot):
+        x = np.asarray(snapshot)
+        idx = 2 * self._prev + x
+        delta = _sat_log_ratio(self.P_hat, self.Q_hat).ravel()[idx]
+        np.fill_diagonal(delta, 0.0)
+        self.M += delta
+        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
+        self.labels = _relabel_sweep(self.M, self.labels, self.K)
+        for ab in range(4):
+            self.counts[ab] += idx == ab
+        self._prev = x.copy()
+        self.t += 1
+        if (self.t - 1) % self.refresh_every == 0:
+            self._reestimate()
+
+    def _reestimate(self):
+        iu = self._iu
+        same = self.labels[iu[0]] == self.labels[iu[1]]
+        for a in (0, 1):
+            n_a = (self.counts[2 * a] + self.counts[2 * a + 1])[iu].astype(np.float64)
+            n_a1 = self.counts[2 * a + 1][iu].astype(np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = n_a1 / n_a
+            ok = n_a > 0
+            if (ok & same).any():
+                p = float(ratio[ok & same].mean())
+                self.P_hat[a] = (1 - p, p)
+            if (ok & ~same).any():
+                q = float(ratio[ok & ~same].mean())
+                self.Q_hat[a] = (1 - q, q)
+
+
+@st.composite
+def _binary_runs(draw):
+    """Symmetric binary snapshots with a random labelling and refresh period."""
+    n, T = draw(st.integers(1, 9)), draw(st.integers(2, 12))
+    bits = np.triu(draw(arrays(np.uint8, (T, n, n), elements=st.integers(0, 1))), 1)
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return bits + bits.transpose(0, 2, 1), labels, draw(st.integers(1, 4))
+
+
+class TestPackedCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(run=_binary_runs())
+    def test_estimates_match_dense_reference(self, run):
+        # each step starts the reference from the packed learner's M, labels
+        # and estimates, so one differently broken tie cannot fork the two
+        # runs; the counts accumulate independently on both sides
+        data, labels, refresh = run
+        state = OnlineLikelihoodLearned(data[0], labels, 2, refresh_every=refresh)
+        ref = _DenseLearned(data[0], labels, 2, refresh_every=refresh)
+        assert np.array_equal(state.P_hat, ref.P_hat) and np.array_equal(state.Q_hat, ref.Q_hat)
+        iu = np.triu_indices(data.shape[1], 1)
+        for t in range(1, data.shape[0]):
+            ref.M, ref.labels = state.M.copy(), state.labels.copy()
+            ref.P_hat, ref.Q_hat = state.P_hat.copy(), state.Q_hat.copy()
+            state.step(data[t])
+            ref.step(data[t])
+            assert np.array_equal(state.labels, ref.labels)
+            assert np.array_equal(state.counts, ref.counts[:, iu[0], iu[1]])
+            assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
+            assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
+
+    @pytest.mark.parametrize("n,seed", [(60, 0), (150, 1), (300, 2)])
+    def test_labels_match_dense_reference(self, n, seed):
+        intra = chain_from_stationary(0.1, 0.6)
+        inter = chain_from_stationary(0.06, 0.3)
+        labels, arr = markov_instance(n, 15, 40 + seed, intra=intra, inter=inter)
+        init = sample_labelling(n, 2, seed=50 + seed)
+        state = OnlineLikelihoodLearned(arr.data[0], init, 2)
+        ref = _DenseLearned(arr.data[0], init, 2)
+        moved = 0
+        for t in range(1, arr.T):
+            before = state.labels
+            state.step(arr.data[t])
+            ref.step(arr.data[t])
+            moved += int((state.labels != before).sum())
+            assert np.array_equal(state.labels, ref.labels)
+            assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
+            assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
+        assert moved > 0  # the labels changed, so the cached mask was refreshed
 
 
 class TestTransitionRates:

@@ -245,6 +245,8 @@ class TestSnapshotFiles:
             ("tsbm 1 8 2\ne 1 0 1\ne 1 0 1\n", DuplicateEdgeError),
             ("tsbm 1 8 2\ne 99999999999999999999 0 1\n", IndexRangeError),
             ("tsbm 1 8 2\ne 1 5 3\nbogus\n", MalformedHeaderError),
+            ("tsbm 1 3 1\ne 1 0 1 -3\n", IndexRangeError),
+            ("tsbm 1 3 1\ne 1 0 1 99999999999999999999\n", IndexRangeError),
         ],
     )
     def test_rejects_malformed(self, tmp_path, content, error):
@@ -277,9 +279,11 @@ def _symmetric_arrays(draw, max_symbol):
 @st.composite
 def _edge_files(draw):
     """Header sizes plus edge lines, mostly in range and from a small key
-    space, so that duplicates and explicit zeros are common."""
+    space, so that duplicates, explicit zeros and symbols outside the int64
+    range are common."""
     N, T = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    value, comment = st.sampled_from([None, None, 1, 2, 0]), st.booleans()
+    value = st.sampled_from([None, None, 1, 2, 0, -3, 2**63 - 1, 2**63, 10**20])
+    comment = st.booleans()
     wild = st.tuples(st.integers(-1, T + 1), st.integers(-1, N + 1),
                      st.integers(-1, N + 1), value, comment)
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
@@ -305,6 +309,8 @@ def _first_error(N, T, edges):
         seen.add((t, i, j))
         if v == 0:
             return IndexRangeError, f"line {lineno}: explicit zero value"
+        if not 1 <= v <= 2**63 - 1:
+            return IndexRangeError, f"line {lineno}: symbol {v} outside 1..{2**63 - 1}"
     return None
 
 
