@@ -435,6 +435,26 @@ class TestEnemyPaths:
         assert ham_star(shuffled, base[perm])[0] == 0
 
 
+def _dfs_components(adj_bool):
+    """Reference: depth-first components numbered by smallest node."""
+    a = np.asarray(adj_bool, dtype=bool)
+    n = a.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = comp
+        while stack:
+            v = stack.pop()
+            nbrs = np.nonzero(a[v] & (labels < 0))[0]
+            labels[nbrs] = comp
+            stack.extend(nbrs.tolist())
+        comp += 1
+    return labels, comp
+
+
 class TestConnectedComponents:
     def test_path_graph(self):
         a = np.zeros((4, 4), dtype=bool)
@@ -442,6 +462,19 @@ class TestConnectedComponents:
         labels, count = connected_components(a)
         assert count == 2
         assert labels.tolist() == [0, 0, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+    def test_matches_dfs_reference(self, n, density, seed):
+        # symmetric with self-loops; low densities leave isolated nodes
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < density)
+        adj = upper | upper.T
+        labels, count = connected_components(adj)
+        ref_labels, ref_count = _dfs_components(adj)
+        assert labels.dtype == np.int64
+        assert type(count) is int
+        assert count == ref_count
+        assert labels.tolist() == ref_labels.tolist()
 
 
 class TestMLE:
