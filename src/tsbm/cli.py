@@ -7,7 +7,6 @@ runtime failure, 2 on usage errors.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import harness
 from ._rng import derive_seed
 from .divergence import FiniteDistribution
-from .markov import ThresholdConvention, chain_from_stationary, t_star
+from .markov import ThresholdConvention, t_star
 from .metrics import accuracy
 from .recovery import (
     CategoricalKernel,
@@ -48,17 +47,14 @@ def _add_chain_args(p, required=False):
     p.add_argument("--q11", type=float, required=required, help="inter persistence")
     p.add_argument(
         "--units",
-        choices=("absolute", "logn", "inv_n"),
+        choices=harness.UNITS,
         default="logn",
         help="how mu1/nu1 scale with N (default: multiples of log N / N)",
     )
 
 
 def _chains(args, n):
-    scale = {"logn": math.log(n) / n, "inv_n": 1.0 / n, "absolute": 1.0}[args.units]
-    intra = chain_from_stationary(args.mu1 * scale, args.p11)
-    inter = chain_from_stationary(args.nu1 * scale, args.q11)
-    return intra, inter
+    return harness.chains_in_units(n, args.mu1, args.nu1, args.p11, args.q11, args.units)
 
 
 def build_parser():
@@ -140,11 +136,7 @@ def build_parser():
 
 
 def _cmd_generate(args):
-    scale = {"logn": math.log(args.n) / args.n, "inv_n": 1.0 / args.n, "absolute": 1.0}[
-        args.units
-    ]
-    intra = chain_from_stationary(args.mu1 * scale, args.p11)
-    inter = chain_from_stationary(args.nu1 * scale, args.q11)
+    intra, inter = _chains(args, args.n)
     if args.balanced:
         labels = balanced_labelling(args.n, args.k)
     else:
@@ -168,10 +160,8 @@ def _cmd_divergence(args):
 
 def _cmd_threshold(args):
     conv = ThresholdConvention(args.convention)
-    rho = math.log(args.n) / args.n
     if args.p11 is not None and args.q11 is not None:
-        intra = chain_from_stationary(args.mu1 * rho, args.p11)
-        inter = chain_from_stationary(args.nu1 * rho, args.q11)
+        intra, inter = harness.chains_in_units(args.n, args.mu1, args.nu1, args.p11, args.q11)
         ts = t_star(intra, inter, args.n, args.k, conv, args.t_max)
         print("inf" if ts is None else ts)
         return 0
@@ -179,12 +169,7 @@ def _cmd_threshold(args):
     grid = harness.threshold_grid(
         args.n, args.k, args.mu1, args.nu1, values, values, conv, args.t_max
     )
-    lines = ["p11,q11,log10_tstar"]
-    for i, p11 in enumerate(values):
-        for j, q11 in enumerate(values):
-            cell = grid[i, j]
-            lines.append(f"{p11:.4f},{q11:.4f},{'inf' if math.isinf(cell) else f'{cell:.4f}'}")
-    text = "\n".join(lines) + "\n"
+    text = harness.threshold_grid_csv(grid, values, values)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -295,12 +280,7 @@ def _cmd_replicate_figure(args):
             grid = harness.threshold_grid(500, 2, mult, 1.5, values, values)
             path = os.path.join(args.out, name + ".csv")
             with open(path, "w") as fh:
-                fh.write("p11,q11,log10_tstar\n")
-                for i, p11 in enumerate(values):
-                    for j, q11 in enumerate(values):
-                        cell = grid[i, j]
-                        cell_s = "inf" if math.isinf(cell) else f"{cell:.4f}"
-                        fh.write(f"{p11:.4f},{q11:.4f},{cell_s}\n")
+                fh.write(harness.threshold_grid_csv(grid, values, values))
             print(f"wrote {path}")
         return 0
     for config in payload:

@@ -9,14 +9,13 @@ parallel and serial execution produce identical aggregates.
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from ._rng import derive_seed, counter_uniform
 from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_rate
 from .markov import (
-    BinaryMarkovChain,
     ThresholdConvention,
     chain_from_stationary,
     h11_sq,
@@ -28,7 +27,7 @@ from .markov import (
     sparse_renyi_approx,
     t_star,
 )
-from .metrics import accuracy, ham_star
+from .metrics import ham_star
 from .recovery import (
     MarkovKernel,
     OnlineLikelihood,
@@ -52,9 +51,12 @@ __all__ = [
     "records_to_csv",
     "threshold_grid",
     "figure_bundle",
+    "threshold_grid_csv",
+    "chains_in_units",
     "parse_config_text",
     "ONLINE_ALGORITHMS",
     "ALGORITHMS",
+    "UNITS",
 ]
 
 ONLINE_ALGORITHMS = ("online", "online-learn")
@@ -71,16 +73,23 @@ ALGORITHMS = ONLINE_ALGORITHMS + (
     "mle",
 )
 
-_UNITS = ("absolute", "logn", "inv_n")
+UNITS = ("absolute", "logn", "inv_n")
+
+
+def chains_in_units(n, mu1, nu1, p11, q11, units="logn"):
+    """Intra and inter chains with stationary densities ``mu1``/``nu1`` given
+    as raw probabilities (``absolute``), multiples of ``log(N)/N``
+    (``logn``), or multiples of ``1/N`` (``inv_n``)."""
+    scale = {"logn": math.log(n) / n, "inv_n": 1.0 / n, "absolute": 1.0}[units]
+    return chain_from_stationary(mu1 * scale, p11), chain_from_stationary(nu1 * scale, q11)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a Markov block model plus an algorithm selection.
 
-    ``mu1``/``nu1`` are interpreted according to ``units``: raw
-    probabilities (``absolute``), multiples of ``log(N)/N`` (``logn``), or
-    multiples of ``1/N`` (``inv_n``).
+    ``mu1``/``nu1`` are interpreted according to ``units`` as in
+    ``chains_in_units``.
     """
 
     n: int = 500
@@ -105,8 +114,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.units not in _UNITS:
-            raise ValueError(f"units must be one of {_UNITS}")
+        if self.units not in UNITS:
+            raise ValueError(f"units must be one of {UNITS}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.init not in ("spectral", "random", "truth"):
@@ -114,18 +123,8 @@ class ExperimentConfig:
         # validate densities and chain feasibility before any trial runs
         self.chains()
 
-    def density_scale(self):
-        if self.units == "logn":
-            return math.log(self.n) / self.n
-        if self.units == "inv_n":
-            return 1.0 / self.n
-        return 1.0
-
     def chains(self):
-        scale = self.density_scale()
-        intra = chain_from_stationary(self.mu1 * scale, self.p11)
-        inter = chain_from_stationary(self.nu1 * scale, self.q11)
-        return intra, inter
+        return chains_in_units(self.n, self.mu1, self.nu1, self.p11, self.q11, self.units)
 
 
 @dataclass
@@ -392,19 +391,27 @@ def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
                    convention=ThresholdConvention.EXACT, t_max=10**6):
     """log10(T*) over a grid of persistence parameters; cells where the
     search cap is reached (or the chain pair is infeasible) come out inf."""
-    rho = math.log(n) / n
     out = np.full((len(p11_values), len(q11_values)), math.inf)
     for i, p11 in enumerate(p11_values):
         for jdx, q11 in enumerate(q11_values):
             try:
-                intra = chain_from_stationary(mu1_mult * rho, p11)
-                inter = chain_from_stationary(nu1_mult * rho, q11)
+                intra, inter = chains_in_units(n, mu1_mult, nu1_mult, p11, q11)
             except ValueError:
                 continue
             ts = t_star(intra, inter, n, k, convention, t_max)
             if ts is not None:
                 out[i, jdx] = math.log10(ts)
     return out
+
+
+def threshold_grid_csv(grid, p11_values, q11_values):
+    """``p11,q11,log10_tstar`` CSV text of a ``threshold_grid`` result."""
+    lines = ["p11,q11,log10_tstar"]
+    for i, p11 in enumerate(p11_values):
+        for j, q11 in enumerate(q11_values):
+            cell = grid[i, j]
+            lines.append(f"{p11:.4f},{q11:.4f},{'inf' if math.isinf(cell) else f'{cell:.4f}'}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +422,9 @@ def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
 def figure_bundle(figure, trials=None, seed=0):
     """Named experiment set reproducing one of the built-in figures.
 
-    Returns ``(kind, payload)`` where ``kind`` is ``"grid"`` for threshold
-    maps (payload: list of (name, header, csv-text callables)) or
+    Returns ``(kind, payload)`` where ``kind`` is ``"threshold-grid"`` for
+    threshold maps (payload: list of ``(name, mu1 multiple)`` pairs, each
+    a ``threshold_grid`` at N=500, K=2, nu1 multiple 1.5) or
     ``"experiments"`` (payload: list of ExperimentConfig).
     """
     if figure == 2:

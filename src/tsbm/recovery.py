@@ -14,8 +14,8 @@ example a fully persistent intra chain) degrade gracefully.
 import math
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
-from .markov import BinaryMarkovChain
 from .spectral import SpectralConfig, binarize, spectral_cluster, leave_one_out_cluster
 
 __all__ = [
@@ -302,22 +302,10 @@ class OnlineLikelihoodLearned:
 def connected_components(adj_bool):
     """Labels and count of connected components of a boolean adjacency
     matrix; components are numbered in order of their smallest node."""
-    a = np.asarray(adj_bool, dtype=bool)
-    n = a.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = comp
-        while stack:
-            v = stack.pop()
-            nbrs = np.nonzero(a[v] & (labels < 0))[0]
-            labels[nbrs] = comp
-            stack.extend(nbrs.tolist())
-        comp += 1
-    return labels, comp
+    count, labels = csgraph.connected_components(
+        csr_matrix(np.asarray(adj_bool, dtype=bool)), directed=False
+    )
+    return labels.astype(np.int64), int(count)
 
 
 def transition_rate_clustering(array, P, Q):

@@ -12,14 +12,12 @@ allocates one ``T x N x N`` tensor: uint8, or int64 only when some symbol
 exceeds 1.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._rng import counter_uniform, step_uniform, stream_key
-from .markov import BinaryMarkovChain
 
 __all__ = [
     "SnapshotArray",
@@ -266,9 +264,7 @@ def read_snapshots(path):
                     raise MalformedHeaderError(
                         f"line {lineno}: labels line needs {header[0]} entries"
                     )
-                labels = np.array([int(x) - 1 for x in tokens[1:]], dtype=np.int64)
-                if labels.min() < 0:
-                    raise IndexRangeError(f"line {lineno}: labels must be >= 1")
+                labels = _parse_labels(lineno, tokens[1:])
                 continue
             raise MalformedHeaderError(f"line {lineno}: unknown record {tokens[0]!r}")
     if header is None:
@@ -330,15 +326,27 @@ def write_labels(path, labels):
 
 def read_labels(path):
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            tokens = line.split()
             if tokens[0] != "labels":
-                raise MalformedHeaderError(f"expected a labels line, got {tokens[0]!r}")
-            labels = np.array([int(x) - 1 for x in tokens[1:]], dtype=np.int64)
-            if labels.size and labels.min() < 0:
-                raise IndexRangeError("labels must be >= 1")
-            return labels
+                raise MalformedHeaderError(
+                    f"line {lineno}: expected a labels line, got {tokens[0]!r}"
+                )
+            return _parse_labels(lineno, tokens[1:])
     raise MalformedHeaderError("missing labels line")
+
+
+def _parse_labels(lineno, tokens):
+    """0-based int64 labels from the 1-based tokens of a ``labels`` record."""
+    values = []
+    for x in tokens:
+        try:
+            v = int(x)
+        except ValueError:
+            raise MalformedHeaderError(f"line {lineno}: label {x!r} is not an integer")
+        if not 1 <= v <= _INT64_MAX:
+            raise IndexRangeError(f"line {lineno}: label {v} outside 1..{_INT64_MAX}")
+        values.append(v)
+    return np.array(values, dtype=np.int64) - 1

@@ -1,5 +1,5 @@
-"""Adjacency spectral clustering: degree trimming, top-K eigenpairs by an
-iterative solver with deflation, and seeded k-means on the eigen embedding.
+"""Adjacency spectral clustering: degree trimming, top-K eigenpairs by
+ARPACK through scipy's ``eigsh``, and seeded k-means on the eigen embedding.
 
 Used as the coarse initial clustering of the recovery algorithms; also
 accepts weighted symmetric matrices (aggregate graphs and similar).
@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
 
@@ -21,6 +23,11 @@ __all__ = [
     "spectral_cluster",
     "leave_one_out_cluster",
 ]
+
+
+# ARPACK's relative residual tolerance and its cap on Lanczos restarts
+_EIG_TOL = 1e-8
+_EIG_MAX_ITER = 1000
 
 
 class EigenConvergenceError(RuntimeError):
@@ -48,8 +55,6 @@ class SpectralConfig:
     kmeans_restarts: int = 8
     kmeans_iters: int = 100
     seed: int = 0
-    eig_tol: float = 1e-8
-    eig_max_iter: int = 1000
 
     def __post_init__(self):
         if self.K < 1:
@@ -85,97 +90,31 @@ def trim_high_degree(adj, K, trim_factor):
     return out, keep
 
 
-def top_eigenpairs(A, k, tol=1e-8, max_iter=1000, rng=None):
-    """Top-``k`` eigenpairs of a symmetric matrix by magnitude.
+def top_eigenpairs(A, k, rng=None):
+    """Top-``k`` eigenpairs of a symmetric matrix by magnitude, largest
+    first; pairs of equal magnitude keep ascending value order.
 
-    Each eigenpair is found by a Lanczos iteration with full
-    reorthogonalization on the operator with previously found pairs
-    deflated away; the Krylov dimension is capped at ``max_iter``.  A pair
-    is accepted once its explicit residual drops below ``tol`` times the
-    infinity norm of the matrix.  Raises EigenConvergenceError on failure.
+    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form; dense
+    ``eigh`` covers what ARPACK cannot (``k >= n - 1``, an all-zero
+    matrix).  Raises EigenConvergenceError when ARPACK does not converge.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     rng = rng or np.random.default_rng(0)
-    scale = max(np.abs(A).sum(axis=1).max(), 1e-30)
-    vals = np.zeros(k)
-    vecs = np.zeros((n, k))
-
-    for m in range(k):
-        found = _deflated_lanczos(A, vals[:m], vecs[:, :m], tol * scale, max_iter, rng)
-        lam, v = found
-        if m:
-            v = v - vecs[:, :m] @ (vecs[:, :m].T @ v)
-            v /= max(np.linalg.norm(v), 1e-300)
-        vals[m] = lam
-        vecs[:, m] = v
-    return vals, vecs
-
-
-def _deflated_lanczos(A, found_vals, found_vecs, resid_tol, max_iter, rng):
-    """Largest-magnitude eigenpair of ``A`` restricted to the complement of
-    the found eigenvectors."""
-    n = A.shape[0]
-    maxdim = min(n, max_iter)
-
-    def op(x):
-        return A @ x - found_vecs @ (found_vals * (found_vecs.T @ x))
-
-    def reorth(x, basis):
-        x = x - found_vecs @ (found_vecs.T @ x)
-        if basis is not None:
-            x = x - basis @ (basis.T @ x)
-        return x
-
-    q = reorth(rng.standard_normal(n), None)
-    norm = np.linalg.norm(q)
-    if norm < 1e-300:  # complement is empty
-        return 0.0, rng.standard_normal(n) / math.sqrt(n)
-    q /= norm
-    Q = np.empty((n, maxdim))
-    Q[:, 0] = q
-    alphas = np.empty(maxdim)
-    betas = np.empty(maxdim)
-    last_resid = np.inf
-    restarts = 0
-    j = 0
-    while j < maxdim:
-        u = op(Q[:, j])
-        alphas[j] = float(Q[:, j] @ u)
-        u = reorth(u, Q[:, : j + 1])
-        u = reorth(u, Q[:, : j + 1])  # second pass for orthogonality
-        betas[j] = np.linalg.norm(u)
-        exhausted = betas[j] < 1e-12 * max(1.0, abs(alphas[j])) or j == maxdim - 1
-        check = exhausted or j < 32 or (j + 1) % max(8, j // 8) == 0
-        if check:
-            tri = np.diag(alphas[: j + 1])
-            if j:
-                off = betas[:j]
-                tri += np.diag(off, 1) + np.diag(off, -1)
-            theta, y = np.linalg.eigh(tri)
-            idx = int(np.argmax(np.abs(theta)))
-            v = Q[:, : j + 1] @ y[:, idx]
-            v /= max(np.linalg.norm(v), 1e-300)
-            lam = float(theta[idx])
-            resid = float(np.linalg.norm(op(v) - lam * v))
-            last_resid = min(last_resid, resid)
-            if resid <= resid_tol:
-                return lam, v
-            if exhausted and betas[j] < 1e-12 * max(1.0, abs(alphas[j])):
-                # invariant subspace hit without a converged pair: restart
-                # from a fresh direction orthogonal to everything seen
-                restarts += 1
-                q = reorth(rng.standard_normal(n), Q[:, : j + 1])
-                norm = np.linalg.norm(q)
-                if norm < 1e-300 or restarts > 3:
-                    return lam, v  # complement exhausted: best available pair
-                Q[:, 0] = q / norm
-                j = 0
-                continue
-        if j < maxdim - 1:
-            Q[:, j + 1] = u / betas[j]
-        j += 1
-    raise EigenConvergenceError(maxdim, last_resid)
+    # draw k start vectors though ARPACK takes one: k-means reads this rng
+    # next, and seeded outputs rely on it advancing by exactly k * n normals
+    v0 = rng.standard_normal((k, n))[0]
+    sparse = csr_matrix(A)
+    if k >= n - 1 or sparse.nnz == 0:
+        vals, vecs = np.linalg.eigh(A)
+    else:
+        try:
+            vals, vecs = eigsh(sparse, k, which="LM", v0=v0, tol=_EIG_TOL,
+                               maxiter=_EIG_MAX_ITER)
+        except ArpackNoConvergence as exc:
+            raise EigenConvergenceError(_EIG_MAX_ITER, math.inf) from exc
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    return vals[order], vecs[:, order]
 
 
 def _kmeans_pp_init(X, k, rng):
@@ -228,17 +167,19 @@ def kmeans(X, k, restarts=8, iters=100, rng=None):
     return best_labels
 
 
-def spectral_cluster(adj, config):
-    """Cluster nodes of a symmetric (weighted) adjacency matrix: trim, embed
-    on the top-K eigenvectors, then k-means the embedding rows."""
-    rng = np.random.default_rng(derive_seed(config.seed, 0))
+def _cluster(adj, config, stream):
+    rng = np.random.default_rng(derive_seed(config.seed, stream))
     trimmed, _ = trim_high_degree(adj, config.K, config.trim_factor)
-    _, vecs = top_eigenpairs(
-        trimmed, config.K, tol=config.eig_tol, max_iter=config.eig_max_iter, rng=rng
-    )
+    _, vecs = top_eigenpairs(trimmed, config.K, rng=rng)
     return kmeans(
         vecs, config.K, restarts=config.kmeans_restarts, iters=config.kmeans_iters, rng=rng
     )
+
+
+def spectral_cluster(adj, config):
+    """Cluster nodes of a symmetric (weighted) adjacency matrix: trim, embed
+    on the top-K eigenvectors, then k-means the embedding rows."""
+    return _cluster(adj, config, 0)
 
 
 def leave_one_out_cluster(adj, i, config):
@@ -252,12 +193,4 @@ def leave_one_out_cluster(adj, i, config):
     if not 0 <= i < n:
         raise ValueError("node index out of range")
     keep = np.arange(n) != i
-    minor = adj[np.ix_(keep, keep)]
-    rng = np.random.default_rng(derive_seed(config.seed, i + 1))
-    trimmed, _ = trim_high_degree(minor, config.K, config.trim_factor)
-    _, vecs = top_eigenpairs(
-        trimmed, config.K, tol=config.eig_tol, max_iter=config.eig_max_iter, rng=rng
-    )
-    return kmeans(
-        vecs, config.K, restarts=config.kmeans_restarts, iters=config.kmeans_iters, rng=rng
-    )
+    return _cluster(adj[np.ix_(keep, keep)], config, i + 1)

@@ -49,7 +49,7 @@ def _produce(name, directory):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name, tmp_path, capsys):
+def test_matches_golden(name, tmp_path):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         expected = fh.read()
     assert _produce(name, str(tmp_path)) == expected

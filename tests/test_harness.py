@@ -261,6 +261,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("record", ["labels 1 2 99999999999999999999", "labels 1 x 2"])
+    def test_recover_bad_labels_exit_code(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.tsbm"
+        path.write_text(f"tsbm 1 3 1\n{record}\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
     def test_python_m_runs_cli(self):
         src = os.path.dirname(os.path.dirname(tsbm.__file__))
         env = dict(os.environ, PYTHONPATH=src)

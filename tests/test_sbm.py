@@ -247,6 +247,8 @@ class TestSnapshotFiles:
             ("tsbm 1 8 2\ne 1 5 3\nbogus\n", MalformedHeaderError),
             ("tsbm 1 3 1\ne 1 0 1 -3\n", IndexRangeError),
             ("tsbm 1 3 1\ne 1 0 1 99999999999999999999\n", IndexRangeError),
+            ("tsbm 1 3 1\nlabels 1 2 99999999999999999999\n", IndexRangeError),
+            ("tsbm 1 3 1\nlabels 1 x 2\n", MalformedHeaderError),
         ],
     )
     def test_rejects_malformed(self, tmp_path, content, error):
@@ -267,6 +269,21 @@ class TestSnapshotFiles:
         write_labels(path, labels)
         assert path.read_text() == "labels 1 3 2 2\n"
         assert np.array_equal(read_labels(path), labels)
+
+    @pytest.mark.parametrize(
+        "record,error",
+        [
+            ("labels 1 x 2", MalformedHeaderError),
+            ("labels 1 0 2", IndexRangeError),
+            ("labels 1 2 99999999999999999999", IndexRangeError),
+            ("bogus 1 2", MalformedHeaderError),
+        ],
+    )
+    def test_labels_sidecar_rejects_malformed(self, tmp_path, record, error):
+        path = tmp_path / "l.labels"
+        path.write_text(f"# truth\n{record}\n")
+        with pytest.raises(error, match="^line 2: "):
+            read_labels(path)
 
 
 @st.composite

@@ -8,7 +8,9 @@ import pytest
 from tsbm.markov import chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
 from tsbm.sbm import sample_labelling, sample_markov_snapshots
+from tsbm import spectral
 from tsbm.spectral import (
+    EigenConvergenceError,
     SpectralConfig,
     binarize,
     kmeans,
@@ -102,6 +104,34 @@ class TestEigensolver:
     def test_zero_matrix(self):
         vals, _ = top_eigenpairs(np.zeros((7, 7)), 2)
         assert np.allclose(vals, 0.0)
+
+    def test_dense_fallback_when_k_near_n(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            a = rng.standard_normal((n, n))
+            a = (a + a.T) / 2
+            for k in range(max(n - 1, 1), n + 1):
+                vals, vecs = top_eigenpairs(a, k, rng=rng)
+                ref = np.linalg.eigvalsh(a)
+                assert np.allclose(np.abs(vals), np.sort(np.abs(ref))[::-1][:k])
+                assert np.allclose(a @ vecs, vecs * vals)
+
+    def test_rng_advances_by_k_start_vectors(self):
+        # k-means reads the same rng next, so its stream must not depend on
+        # which solver path ran
+        a = np.zeros((30, 30))
+        a[:15, :15] = 1
+        for k, matrix in ((2, a), (3, a), (2, np.zeros((30, 30))), (29, a)):
+            rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+            top_eigenpairs(matrix, k, rng=rng)
+            ref.standard_normal((k, 30))
+            assert rng.random() == ref.random()
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_EIG_MAX_ITER", 1)
+        a = np.random.default_rng(7).standard_normal((300, 300))
+        with pytest.raises(EigenConvergenceError):
+            top_eigenpairs(a + a.T, 6)
 
 
 class TestKMeans:
