@@ -1,7 +1,7 @@
 """Golden outputs: seeded CLI runs must reproduce committed files byte for byte.
 
 Each case is one ``tsbm`` command line; ``{out}`` stands for the output
-path and ``{dir}`` for a scratch directory.  A change that moves seeded
+path and ``{dir}`` for a temporary directory.  A change that moves seeded
 output on purpose regenerates the files with ``python tests/test_golden.py``
 and says why in CHANGES.md.
 """
