@@ -37,6 +37,12 @@ CASES["recover_refine-loo.labels"] = [
     ["recover", "--input", "{dir}/graph.tsbm", "--algorithm", "refine-loo",
      "--k", "2", "--seed", "1", "--out", "{out}"] + _CHAIN,
 ]
+# default 19x19 grid at N=500: holds cells past the linear scan and capped cells
+for _conv in ("exact", "itilde"):
+    CASES[f"threshold_{_conv}.csv"] = [
+        ["threshold", "--mu1", "1.51", "--nu1", "1.5", "--convention", _conv,
+         "--out", "{out}"],
+    ]
 
 
 def _produce(name, directory):
