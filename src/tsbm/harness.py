@@ -76,12 +76,26 @@ ALGORITHMS = ONLINE_ALGORITHMS + (
 UNITS = ("absolute", "logn", "inv_n")
 
 
+def _stationary_densities(n, mu1, nu1, units):
+    """``mu1``/``nu1`` converted from ``units`` to densities, each checked to
+    lie strictly in (0, 1)."""
+    if units != "absolute" and n < 2:
+        raise ValueError(f"need at least two nodes, got N={n}")
+    scale = {"logn": math.log(n) / n, "inv_n": 1.0 / n, "absolute": 1.0}[units]
+    for name, mult in (("mu1", mu1), ("nu1", nu1)):
+        if not 0 < mult * scale < 1:
+            raise ValueError(
+                f"{name}={mult:g} ({units}) is density {mult * scale:.6g}, outside (0, 1)"
+            )
+    return mu1 * scale, nu1 * scale
+
+
 def chains_in_units(n, mu1, nu1, p11, q11, units="logn"):
     """Intra and inter chains with stationary densities ``mu1``/``nu1`` given
     as raw probabilities (``absolute``), multiples of ``log(N)/N``
     (``logn``), or multiples of ``1/N`` (``inv_n``)."""
-    scale = {"logn": math.log(n) / n, "inv_n": 1.0 / n, "absolute": 1.0}[units]
-    return chain_from_stationary(mu1 * scale, p11), chain_from_stationary(nu1 * scale, q11)
+    pi_f, pi_g = _stationary_densities(n, mu1, nu1, units)
+    return chain_from_stationary(pi_f, p11), chain_from_stationary(pi_g, q11)
 
 
 @dataclass(frozen=True)
@@ -390,14 +404,21 @@ def divergence_report(intra, inter, n, k, t, t_max=10**6):
 def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
                    convention=ThresholdConvention.EXACT, t_max=10**6):
     """log10(T*) over a grid of persistence parameters; cells where the
-    search cap is reached (or the chain pair is infeasible) come out inf."""
+    search cap is reached or the chain pair is infeasible (implied p01 > 1)
+    come out inf.  Any other bad input raises ValueError before the search."""
+    pi_f, pi_g = _stationary_densities(n, mu1_mult, nu1_mult, "logn")
+    for name, values in (("p11", p11_values), ("q11", q11_values)):
+        for x in values:
+            if not 0 <= x <= 1:
+                raise ValueError(f"{name}={x:g} outside [0, 1]")
     out = np.full((len(p11_values), len(q11_values)), math.inf)
     for i, p11 in enumerate(p11_values):
         for jdx, q11 in enumerate(q11_values):
             try:
-                intra, inter = chains_in_units(n, mu1_mult, nu1_mult, p11, q11)
+                intra = chain_from_stationary(pi_f, p11)
+                inter = chain_from_stationary(pi_g, q11)
             except ValueError:
-                continue
+                continue  # inputs are valid, so this is an infeasible p01
             ts = t_star(intra, inter, n, k, convention, t_max)
             if ts is not None:
                 out[i, jdx] = math.log10(ts)

@@ -358,6 +358,18 @@ def h11_sq(p11, q11):
     return 1.0 - math.sqrt((1.0 - p11) * (1.0 - q11)) / (1.0 - math.sqrt(p11 * q11))
 
 
+def _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma):
+    """``(base, per, transient_coef)`` of ``i_tilde_short``, validated."""
+    if min(u, v, p01, q01, h11_sq_value) < 0:
+        raise ValueError("rate arguments must be non-negative")
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
+    base = (math.sqrt(u) - math.sqrt(v)) ** 2
+    per = (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2.0 * h11_sq_value * math.sqrt(p01 * q01)
+    transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
+    return base, per, transient_coef
+
+
 def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     """Threshold constant for a bounded horizon: first-snapshot term, a
     per-snapshot term, and a geometrically damped transient.
@@ -365,15 +377,9 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     All rate arguments are densities expressed in units of the sparsity
     scale; ``gamma`` is the effective spectral gap, in (0, 1].
     """
-    if min(u, v, p01, q01, h11_sq_value) < 0:
-        raise ValueError("rate arguments must be non-negative")
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
+    base, per, transient_coef = _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma)
     if T < 1:
         raise ValueError("need at least one snapshot")
-    base = (math.sqrt(u) - math.sqrt(v)) ** 2
-    per = (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2.0 * h11_sq_value * math.sqrt(p01 * q01)
-    transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
     if T <= 4096:
         geo = sum((1.0 - gamma) ** t for t in range(T - 1))
     else:
@@ -405,18 +411,18 @@ class ThresholdConvention(Enum):
 _LINEAR_SCAN_CAP = 1024
 
 
-def _i_tilde_of_chains(chain_f, chain_g, rho, T):
+def _i_tilde_args(chain_f, chain_g, rho):
+    """``i_tilde_short`` arguments, all but T, for a chain pair at scale ``rho``."""
     gamma = 1.0 - math.sqrt(chain_f.p11 * chain_g.p11)
     if gamma == 0.0:
         gamma = 1e-300  # both persistences equal to one: fully static
-    return i_tilde_short(
+    return (
         chain_f.mu1 / rho,
         chain_g.mu1 / rho,
         chain_f.p01 / rho,
         chain_g.p01 / rho,
         h11_sq(chain_f.p11, chain_g.p11),
         gamma,
-        T,
     )
 
 
@@ -424,14 +430,19 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
 
-    The search is a linear scan with early exit, switching to doubling plus
-    bisection (with O(log T) evaluations) beyond 1024 snapshots.
+    A linear scan covers T <= 1024 at O(1) float operations per T (the
+    transfer recursion or the running geometric sum is carried from one T
+    to the next); beyond it, doubling plus bisection takes O(log t_max)
+    evaluations of the divergence.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
+    if N < 2:
+        raise ValueError(f"need at least two nodes, got N={N}")
     if isinstance(convention, str):
         convention = ThresholdConvention(convention)
     rho = math.log(N) / N
+    scan_end = min(t_max, _LINEAR_SCAN_CAP)
 
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
@@ -441,30 +452,39 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
                 min(_log_hellinger_sum_pow(0.5, chain_f, chain_g, T), 0.0)
             ) >= threshold
 
-        # linear scan streams the transfer recursion, one step per T
+        # stream the transfer recursion z <- z R / sum(z R), one step per T
         r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
-        if t_max >= 1 and r.sum() == 0.0:
+        z0, z1 = r.tolist()
+        (R00, R01), (R10, R11) = R.tolist()
+        if t_max >= 1 and z0 + z1 == 0.0:
             return 1  # disjoint initial laws: threshold met at once
-        z = r.copy()
         log_scale = 0.0
-        for T in range(1, min(t_max, _LINEAR_SCAN_CAP) + 1):
+        for T in range(1, scan_end + 1):
             if T > 1:
-                z = z @ R
-                s = z.sum()
+                z0, z1 = z0 * R00 + z1 * R10, z0 * R01 + z1 * R11
+                s = z0 + z1
                 if s == 0.0:
                     return T  # orthogonal supports: threshold met trivially
                 log_scale += math.log(s)
-                z /= s
-            if 1.0 - math.exp(min(log_scale + math.log(z.sum()), 0.0)) >= threshold:
+                z0 /= s
+                z1 /= s
+            if 1.0 - math.exp(min(log_scale + math.log(z0 + z1), 0.0)) >= threshold:
                 return T
     else:
         threshold = float(K)
+        args = _i_tilde_args(chain_f, chain_g, rho)
 
         def crossed(T):
-            return _i_tilde_of_chains(chain_f, chain_g, rho, T) > threshold
+            return i_tilde_short(*args, T) > threshold
 
-        for T in range(1, min(t_max, _LINEAR_SCAN_CAP) + 1):
-            if crossed(T):
+        # i_tilde_short term by term, with its geometric sum kept running
+        base, per, transient_coef = _i_tilde_terms(*args)
+        decay = 1.0 - args[-1]  # 1 - gamma
+        geo = 0.0
+        for T in range(1, scan_end + 1):
+            if T > 1:
+                geo += decay ** (T - 2)
+            if base + per * (T - 1) + transient_coef * geo > threshold:
                 return T
 
     if t_max <= _LINEAR_SCAN_CAP:

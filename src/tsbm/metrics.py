@@ -146,7 +146,8 @@ def unique_alignment(s1, s2):
 
 def accuracy(s_true, s_hat):
     """Fraction of correctly labelled nodes up to block relabeling."""
-    s_true = _as_labels(s_true)
+    s_true, s_hat = _as_labels(s_true), _as_labels(s_hat)
+    _check_same_length(s_true, s_hat)
     if s_true.size == 0:
         return 1.0
     d, _ = ham_star(s_hat, s_true)

@@ -260,6 +260,8 @@ def read_snapshots(path):
                 vs.append(v)
                 continue
             if tokens[0] == "labels":
+                if labels is not None:
+                    raise MalformedHeaderError(f"line {lineno}: second labels record")
                 if len(tokens) != header[0] + 1:
                     raise MalformedHeaderError(
                         f"line {lineno}: labels line needs {header[0]} entries"

@@ -23,7 +23,7 @@ from tsbm.harness import (
     summarize,
     threshold_grid,
 )
-from tsbm.markov import chain_from_stationary
+from tsbm.markov import chain_from_stationary, t_star
 from tsbm.sbm import read_labels, read_snapshots
 
 
@@ -159,6 +159,30 @@ class TestReports:
         finite = grid[0, 1:]
         assert all(a >= b for a, b in zip(finite, finite[1:]))
 
+    def test_threshold_grid_infeasible_cell_is_inf(self):
+        # density 3 log(10)/10 = 0.69: p11 = 0.1 implies p01 > 1, p11 = 0.9 does not
+        grid = threshold_grid(10, 2, 3.0, 1.0, [0.1, 0.9], [0.3])
+        assert math.isinf(grid[0, 0])
+        rho = math.log(10) / 10
+        want = t_star(chain_from_stationary(3.0 * rho, 0.9),
+                      chain_from_stationary(rho, 0.3), 10, 2)
+        assert grid[1, 0] == math.log10(want)
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((1, 2, 2.5, 1.5, [0.3], [0.5]), "two nodes"),
+            ((0, 2, 2.5, 1.5, [0.3], [0.5]), "two nodes"),
+            ((500, 2, 0.0, 1.5, [0.3], [0.5]), "mu1"),
+            ((500, 2, 2.5, 200.0, [0.3], [0.5]), "nu1"),
+            ((500, 2, 2.5, 1.5, [-0.5, 0.3], [0.5]), "p11"),
+            ((500, 2, 2.5, 1.5, [0.3], [0.5, float("nan")]), "q11"),
+        ],
+    )
+    def test_threshold_grid_rejects_bad_inputs(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            threshold_grid(*args)
+
 
 class TestFigureBundles:
     def test_figure_4_structure(self):
@@ -269,6 +293,42 @@ class TestCLI:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_recover_duplicate_labels_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsbm"
+        path.write_text("tsbm 1 3 1\nlabels 1 2 1\nlabels 2 2 2\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+    def test_recover_empty_truth_exit_code(self, tmp_path, capsys):
+        path, truth = tmp_path / "g.tsbm", tmp_path / "t.labels"
+        path.write_text("tsbm 1 3 1\ne 1 0 1\n")
+        truth.write_text("labels\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends",
+                   "--truth", str(truth)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "accuracy" not in captured.out
+        assert captured.err == "error: length mismatch: 0 vs 3\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "1"],
+            ["--n", "0", "--p11", "0.7", "--q11", "0.3"],
+            ["--grid-min", "-0.5"],
+            ["--grid-max", "1.5"],
+            ["--mu1", "0"],
+        ],
+    )
+    def test_threshold_bad_inputs_exit_code(self, capsys, extra):
+        rc = main(["threshold", "--mu1", "2.5", "--nu1", "1.5", "--grid-steps", "3"] + extra)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_python_m_runs_cli(self):
         src = os.path.dirname(os.path.dirname(tsbm.__file__))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsbm.divergence import FiniteDistribution, renyi
 from tsbm.markov import (
@@ -319,6 +321,37 @@ class TestTStar:
         c = chain_from_stationary(0.02, 0.5)
         with pytest.raises(ValueError):
             t_star(c, c, 100, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    @pytest.mark.parametrize("convention", ["exact", "itilde"])
+    def test_requires_two_nodes(self, n, convention):
+        f, g = chain_from_stationary(0.02, 0.7), chain_from_stationary(0.01, 0.3)
+        with pytest.raises(ValueError, match="two nodes"):
+            t_star(f, g, n, 2, convention)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10**5),
+        k=st.integers(2, 5),
+        mults=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+        persist=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t_max=st.integers(0, 200),
+    )
+    def test_scan_matches_per_snapshot_reference(self, n, k, mults, persist, t_max):
+        # the scan carries its state from T to T + 1; the reference evaluates
+        # every T from scratch, so both must stop at the same snapshot
+        rho = math.log(n) / n
+        f = chain_from_stationary(min(mults[0] * rho, 0.5), persist[0])
+        g = chain_from_stationary(min(mults[1] * rho, 0.5), persist[1])
+        gamma = 1.0 - math.sqrt(f.p11 * g.p11) or 1e-300
+        args = (f.mu1 / rho, g.mu1 / rho, f.p01 / rho, g.p01 / rho,
+                h11_sq(f.p11, g.p11), gamma)
+        exact = next((T for T in range(1, t_max + 1)
+                      if markov_hellinger_sq(f, g, T) >= k * rho), None)
+        itilde = next((T for T in range(1, t_max + 1)
+                       if i_tilde_short(*args, T) > k), None)
+        assert t_star(f, g, n, k, "exact", t_max) == exact
+        assert t_star(f, g, n, k, "itilde", t_max) == itilde
 
 
 class TestPathCombinatorics:

@@ -172,3 +172,10 @@ class TestAccuracy:
         truth = rng.integers(0, 2, 10_000)
         guess = rng.integers(0, 2, 10_000)
         assert 0.5 <= accuracy(truth, guess) <= 0.52
+
+    def test_length_checked_before_empty_truth(self):
+        assert accuracy([], []) == 1.0
+        with pytest.raises(ValueError, match="length mismatch"):
+            accuracy([], [0, 1, 0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            accuracy([0, 1], [0, 1, 0])

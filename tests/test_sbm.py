@@ -249,6 +249,7 @@ class TestSnapshotFiles:
             ("tsbm 1 3 1\ne 1 0 1 99999999999999999999\n", IndexRangeError),
             ("tsbm 1 3 1\nlabels 1 2 99999999999999999999\n", IndexRangeError),
             ("tsbm 1 3 1\nlabels 1 x 2\n", MalformedHeaderError),
+            ("tsbm 1 3 1\nlabels 1 2 1\nlabels 2 2 2\n", MalformedHeaderError),
         ],
     )
     def test_rejects_malformed(self, tmp_path, content, error):
