@@ -209,16 +209,16 @@ def _cmd_recover(parser, args):
             labels = refine_recover(array, kf, kg, args.k, spec_cfg, mode=mode)
     elif args.algorithm in ("online", "online-learn"):
         if args.init == "spectral":
-            init = spectral_cluster(binarize(array.data[0]), spec_cfg)
+            init = spectral_cluster(binarize(array, t=0), spec_cfg)
         else:
             from ._rng import counter_uniform
 
             u = counter_uniform(derive_seed(args.seed, 3), 0, np.arange(array.N))
             init = np.minimum((u * args.k).astype(np.int64), args.k - 1)
         if args.algorithm == "online":
-            state = OnlineLikelihood(array.data[0], init, intra, inter, args.k)
+            state = OnlineLikelihood(array.snapshot(0), init, intra, inter, args.k)
         else:
-            state = OnlineLikelihoodLearned(array.data[0], init, args.k)
+            state = OnlineLikelihoodLearned(array.snapshot(0), init, args.k)
         labels = state.run(array)
     elif args.algorithm == "rates":
         labels, k_hat = transition_rate_clustering(array, intra.transition, inter.transition)
@@ -229,10 +229,8 @@ def _cmd_recover(parser, args):
     elif args.algorithm == "enemies":
         labels, k_hat = enemy_paths(array)
         print(f"estimated blocks: {k_hat}")
-    elif args.algorithm == "spectral":
-        labels = spectral_cluster(binarize(array), spec_cfg)
     else:
-        parser.error(f"algorithm {args.algorithm!r} is only available via the harness")
+        labels = spectral_cluster(harness.spectral_matrix(array, args.algorithm), spec_cfg)
 
     truth = None
     if args.truth:

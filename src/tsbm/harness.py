@@ -54,24 +54,17 @@ __all__ = [
     "threshold_grid_csv",
     "chains_in_units",
     "parse_config_text",
+    "spectral_matrix",
     "ONLINE_ALGORITHMS",
+    "SPECTRAL_ALGORITHMS",
     "ALGORITHMS",
     "UNITS",
 ]
 
 ONLINE_ALGORITHMS = ("online", "online-learn")
-ALGORITHMS = ONLINE_ALGORITHMS + (
-    "refine",
-    "refine-loo",
-    "spectral",
-    "spectral-union",
-    "spectral-aggregate",
-    "spectral-squared",
-    "rates",
-    "friends",
-    "enemies",
-    "mle",
-)
+SPECTRAL_ALGORITHMS = ("spectral", "spectral-union", "spectral-aggregate", "spectral-squared")
+ALGORITHMS = (ONLINE_ALGORITHMS + ("refine", "refine-loo") + SPECTRAL_ALGORITHMS
+              + ("rates", "friends", "enemies", "mle"))
 
 UNITS = ("absolute", "logn", "inv_n")
 
@@ -163,11 +156,18 @@ class TrialRecord:
         return self.ham_stars[-1]
 
 
-def _aggregate_matrix(data):
-    return data.sum(axis=0).astype(np.float64)
-
-
-def _squared_adjacency_matrix(data):
+def spectral_matrix(array, algorithm):
+    """The symmetric matrix a spectral algorithm clusters: the union graph
+    (``spectral``, ``spectral-union``), the sum of the snapshots
+    (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
+    (``spectral-squared``)."""
+    if algorithm in ("spectral", "spectral-union"):
+        return binarize(array)
+    data = array.dense()
+    if algorithm == "spectral-aggregate":
+        return data.sum(axis=0).astype(np.float64)
+    if algorithm != "spectral-squared":
+        raise ValueError(f"{algorithm!r} is not a spectral algorithm")
     out = np.zeros(data.shape[1:], dtype=np.float64)
     for t in range(data.shape[0]):
         a = data[t].astype(np.float64)
@@ -197,7 +197,7 @@ def run_trial(config, trial):
     alg = config.algorithm
     if alg in ONLINE_ALGORITHMS:
         if config.init == "spectral":
-            init = spectral_cluster(binarize(array.data[0]), spec_cfg)
+            init = spectral_cluster(binarize(array, t=0), spec_cfg)
         elif config.init == "truth":
             init = truth.copy()
         else:
@@ -205,24 +205,20 @@ def run_trial(config, trial):
             init = np.minimum((u * config.k).astype(np.int64), config.k - 1)
         if alg == "online":
             state = OnlineLikelihood(
-                array.data[0], init, intra, inter, config.k,
+                array.snapshot(0), init, intra, inter, config.k,
                 synchronous=config.synchronous,
             )
         else:
             state = OnlineLikelihoodLearned(
-                array.data[0], init, config.k, synchronous=config.synchronous
+                array.snapshot(0), init, config.k, synchronous=config.synchronous
             )
         state.run(array, record=lambda t, labels: push(labels))
     elif alg in ("refine", "refine-loo"):
         kf, kg = MarkovKernel(intra), MarkovKernel(inter)
         mode = "fast" if alg == "refine" else "loo"
         push(refine_recover(array, kf, kg, config.k, spec_cfg, mode=mode))
-    elif alg in ("spectral", "spectral-union"):
-        push(spectral_cluster(binarize(array), spec_cfg))
-    elif alg == "spectral-aggregate":
-        push(spectral_cluster(_aggregate_matrix(array.data), spec_cfg))
-    elif alg == "spectral-squared":
-        push(spectral_cluster(_squared_adjacency_matrix(array.data), spec_cfg))
+    elif alg in SPECTRAL_ALGORITHMS:
+        push(spectral_cluster(spectral_matrix(array, alg), spec_cfg))
     elif alg == "rates":
         labels, _ = transition_rate_clustering(array, intra.transition, inter.transition)
         push(labels)

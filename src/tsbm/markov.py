@@ -142,6 +142,11 @@ def _log_hellinger_sum_pow(alpha, chain_f, chain_g, T):
     r, R, r_inf, R_inf = _geometric_weights(alpha, chain_f, chain_g)
     if r_inf.any() or R_inf.any():
         return _log_hellinger_sum(alpha, chain_f, chain_g, T)
+    return _log_sum_pow(r, R, T)
+
+
+def _log_sum_pow(r, R, T):
+    """log of ``r R^(T-1) 1`` by power-by-squaring, for finite weights."""
     log_scale = 0.0
     acc = np.eye(2)
     acc_scale = 0.0
@@ -380,12 +385,20 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     base, per, transient_coef = _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma)
     if T < 1:
         raise ValueError("need at least one snapshot")
-    if T <= 4096:
+    if T <= _GEO_SUM_CAP:
         geo = sum((1.0 - gamma) ** t for t in range(T - 1))
     else:
-        # closed form of the same sum; gamma > 0 is guaranteed above
-        geo = (1.0 - math.exp((T - 1) * math.log1p(-gamma))) / gamma if gamma < 1 else 1.0
+        geo = _geo_sum_closed(gamma, T)
     return base + per * (T - 1) + transient_coef * geo
+
+
+# i_tilde_short adds its geometric sum term by term up to this T
+_GEO_SUM_CAP = 4096
+
+
+def _geo_sum_closed(gamma, T):
+    """``sum_{t < T-1} (1 - gamma)^t`` in closed form; gamma in (0, 1]."""
+    return (1.0 - math.exp((T - 1) * math.log1p(-gamma))) / gamma if gamma < 1 else 1.0
 
 
 def i_tilde_long(p01, q01, h11_sq_value):
@@ -433,7 +446,10 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     A linear scan covers T <= 1024 at O(1) float operations per T (the
     transfer recursion or the running geometric sum is carried from one T
     to the next); beyond it, doubling plus bisection takes O(log t_max)
-    evaluations of the divergence.
+    evaluations of the divergence.  Those reuse the pair's transfer weights
+    (exact) or extend the scan's running sum (itilde), so each evaluation
+    equals a fresh ``_log_hellinger_sum_pow`` or ``i_tilde_short`` call bit
+    for bit.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -446,14 +462,13 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
 
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
+        # built once per search; alpha = 1/2 gives finite weights
+        r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
 
         def crossed(T):
-            return 1.0 - math.exp(
-                min(_log_hellinger_sum_pow(0.5, chain_f, chain_g, T), 0.0)
-            ) >= threshold
+            return 1.0 - math.exp(min(_log_sum_pow(r, R, T), 0.0)) >= threshold
 
         # stream the transfer recursion z <- z R / sum(z R), one step per T
-        r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
         z0, z1 = r.tolist()
         (R00, R01), (R10, R11) = R.tolist()
         if t_max >= 1 and z0 + z1 == 0.0:
@@ -473,19 +488,26 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)
-
-        def crossed(T):
-            return i_tilde_short(*args, T) > threshold
-
         # i_tilde_short term by term, with its geometric sum kept running
         base, per, transient_coef = _i_tilde_terms(*args)
-        decay = 1.0 - args[-1]  # 1 - gamma
+        gamma = args[-1]
+        decay = 1.0 - gamma
         geo = 0.0
         for T in range(1, scan_end + 1):
             if T > 1:
                 geo += decay ** (T - 2)
             if base + per * (T - 1) + transient_coef * geo > threshold:
                 return T
+        geos = [geo]  # geos[T - scan_end]: the running sum, extended on demand
+
+        def crossed(T):
+            if T > _GEO_SUM_CAP:
+                g = _geo_sum_closed(gamma, T)
+            else:
+                while len(geos) <= T - scan_end:
+                    geos.append(geos[-1] + decay ** (scan_end + len(geos) - 2))
+                g = geos[T - scan_end]
+            return base + per * (T - 1) + transient_coef * g > threshold
 
     if t_max <= _LINEAR_SCAN_CAP:
         return None

@@ -45,8 +45,8 @@ def _sat_log_ratio(p, q, sat=LOG_RATIO_SATURATION):
 
 
 class MarkovKernel:
-    """Pair-pattern likelihood of a binary Markov chain, vectorised over a
-    snapshot tensor."""
+    """Pair-pattern likelihood of a binary Markov chain, vectorised over the
+    dense form of a snapshot array."""
 
     def __init__(self, chain):
         self.chain = chain
@@ -54,7 +54,7 @@ class MarkovKernel:
     def log_ratio_matrix(self, array, other):
         """Matrix of ``log f/g`` per node pair, ``f`` this kernel's law and
         ``g`` the other's; diagonal entries are zero."""
-        x = np.asarray(getattr(array, "data", array))
+        x = array.dense()
         f, g = self.chain, other.chain
         l_init = _sat_log_ratio(f.mu, g.mu)
         l_step = _sat_log_ratio(f.transition, g.transition).ravel()
@@ -73,7 +73,7 @@ class CategoricalKernel:
         self.dist = dist
 
     def log_ratio_matrix(self, array, other):
-        x = np.asarray(getattr(array, "data", array))
+        x = array.dense()
         if x.shape[0] != 1:
             raise ValueError("categorical kernel expects a single snapshot")
         lr = _sat_log_ratio(self.dist.probs, other.dist.probs)
@@ -102,7 +102,7 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
     per-node labellings by maximal block overlap against the first one.
     """
     if K == 1:
-        return np.zeros(array.N if hasattr(array, "N") else array.shape[1], dtype=np.int64)
+        return np.zeros(array.N, dtype=np.int64)
     config = config or SpectralConfig(K=K)
     if config.K != K:
         raise ValueError("config.K disagrees with K")
@@ -142,68 +142,156 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
 # ---------------------------------------------------------------------------
 
 
-def _relabel_sweep(M, labels, K, synchronous=True):
-    """One relabeling pass: each node moves to the block maximising its
-    accumulated log-likelihood ratio sum.  Ties keep the current label,
-    then fall to the lowest index.  Synchronous sweeps score every node
-    against the labelling frozen at entry; the asynchronous variant reads
-    in-place updates in node order."""
-    n = labels.size
-    if synchronous:
-        L = M @ _one_hot(labels, K)
-        best = _argmax_rows(L)
-        keep = L[np.arange(n), labels] >= L[np.arange(n), best]
-        return np.where(keep, labels, best)
-    out = labels.copy()
-    for i in range(n):
-        scores = M[i] @ _one_hot(out, K)
-        best = int(np.argmax(scores))
-        if scores[out[i]] < scores[best]:
-            out[i] = best
-    return out
+class _PairLogRatio:
+    """The cumulative pairwise log-likelihood ratio matrix ``M`` of the
+    online algorithms, stored sparsely.
+
+    Every pair that has never interacted holds the same value, ``base``.
+    Pairs that have interacted (``keys``: sorted flat indices ``i*N + j``,
+    ``i < j``, split into ``rows`` and ``cols``) hold explicit ``vals``;
+    ``on`` marks the pairs set in the latest snapshot.  Each step adds the
+    increment of every pair's transition and clips, with the same float
+    operations a dense ``M`` would take, so ``dense()`` is bit-identical to
+    it.  With ``count``, it also keeps each active pair's counts of the
+    transitions ``0 -> 1``, ``1 -> 0`` and ``1 -> 1`` (``counts[:, 2a + b -
+    1]``); its ``0 -> 0`` transitions are the rest of the steps taken.
+    """
+
+    def __init__(self, n, first, l_init, count=False):
+        self.n = n
+        self._set_keys(self._upper(first))
+        self.base = float(l_init[0])
+        self.vals = np.full(self.keys.size, l_init[1], dtype=np.float64)
+        self.on = np.ones(self.keys.size, dtype=bool)
+        self.counts = np.zeros((self.keys.size, 3), dtype=np.uint32) if count else None
+
+    def _upper(self, snapshot):
+        x = np.asarray(snapshot, dtype=np.int64)
+        return x[x // self.n < x % self.n]
+
+    def _set_keys(self, keys):
+        self.keys = keys
+        self.rows, self.cols = np.divmod(keys, self.n)
+
+    def add(self, snapshot, increments):
+        """Consume the next snapshot (sorted ``i*N + j`` indices): add
+        ``increments[2a + b]`` to each pair moving from state a to b."""
+        x = self._upper(snapshot)
+        pos = np.searchsorted(self.keys, x)
+        fresh = np.ones(x.size, dtype=bool)
+        inside = pos < self.keys.size
+        fresh[inside] = self.keys[pos[inside]] != x[inside]
+        if fresh.any():  # first interactions: these pairs leave the base
+            at = pos[fresh]
+            slots = at + np.arange(at.size)  # the new pairs' places
+            kept = np.arange(self.keys.size) + np.cumsum(
+                np.bincount(at, minlength=self.keys.size + 1))[:-1]
+
+            def grown(old, new):
+                out = np.empty((old.shape[0] + at.size,) + old.shape[1:], dtype=old.dtype)
+                out[slots] = new
+                out[kept] = old
+                return out
+
+            self._set_keys(grown(self.keys, x[fresh]))
+            self.vals = grown(self.vals, self.base)
+            self.on = grown(self.on, False)
+            if self.counts is not None:
+                self.counts = grown(self.counts, 0)
+        cur = np.zeros(self.keys.size, dtype=bool)
+        cur[pos + np.cumsum(fresh) - fresh] = True  # x's places after the insertions
+        move = 2 * self.on + cur
+        self.vals += increments[move]
+        np.clip(self.vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.vals)
+        self.base = min(max(self.base + increments[0], -LOG_RATIO_SATURATION),
+                        LOG_RATIO_SATURATION)
+        if self.counts is not None:
+            moved = np.flatnonzero(move)
+            self.counts[moved, move[moved] - 1] += 1
+        self.on = cur
+
+    def sweep(self, labels, K, synchronous=True):
+        """One relabeling pass: each node moves to the block maximising its
+        summed log-likelihood ratio.  Ties keep the current label, then fall
+        to the lowest index.  Synchronous sweeps score every node against
+        the labelling frozen at entry; the asynchronous variant reads
+        in-place updates in node order.  Costs O(active pairs + N K)."""
+        n = labels.size
+        if synchronous:
+            others = np.tile(np.bincount(labels, minlength=K), n)
+            others[np.arange(n) * K + labels] -= 1
+            summed = np.zeros(n * K)
+            for rows, cols in ((self.rows, self.cols), (self.cols, self.rows)):
+                key = rows * K + labels[cols]
+                others -= np.bincount(key, minlength=n * K)
+                summed += np.bincount(key, weights=self.vals, minlength=n * K)
+            L = (self.base * others + summed).reshape(n, K)
+            best = _argmax_rows(L)
+            keep = L[np.arange(n), labels] >= L[np.arange(n), best]
+            return np.where(keep, labels, best)
+        rows = np.concatenate((self.rows, self.cols))  # both orientations
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate((self.cols, self.rows))[order]
+        vals = np.concatenate((self.vals, self.vals))[order]
+        bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+        out = labels.copy()
+        sizes = np.bincount(out, minlength=K)
+        for i in range(n):
+            lo, hi = bounds[i], bounds[i + 1]
+            near = out[cols[lo:hi]]
+            others = sizes - np.bincount(near, minlength=K)
+            others[out[i]] -= 1
+            scores = self.base * others + np.bincount(near, weights=vals[lo:hi], minlength=K)
+            best = int(np.argmax(scores))
+            if scores[out[i]] < scores[best]:
+                sizes[out[i]] -= 1
+                sizes[best] += 1
+                out[i] = best
+        return out
+
+    def dense(self):
+        """``M`` as a dense ``N x N`` matrix with zero diagonal."""
+        M = np.full((self.n, self.n), self.base)
+        M[self.rows, self.cols] = self.vals
+        M[self.cols, self.rows] = self.vals
+        np.fill_diagonal(M, 0.0)
+        return M
 
 
 class OnlineLikelihood:
     """Online clustering under known Markov interaction parameters.
 
-    Maintains the cumulative pairwise log-likelihood ratio matrix ``M`` and
-    the current labelling; each snapshot adds one of four precomputed
-    increments per pair and triggers one relabeling sweep.
+    Maintains the cumulative pairwise log-likelihood ratio matrix (sparse,
+    in ``ratio``; ``ratio.dense()`` gives ``M``) and the current labelling.
+    Snapshots are sorted flat indices ``i*N + j`` of their set bits, as
+    ``SnapshotArray.snapshot(t)`` returns; each adds one of four
+    precomputed increments per pair and triggers one relabeling sweep.
     """
 
     def __init__(self, first_snapshot, init_labels, intra, inter, K, synchronous=True):
-        x = np.asarray(first_snapshot)
         self.K = K
         self.intra, self.inter = intra, inter
         self.synchronous = synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        l_init = _sat_log_ratio(intra.mu, inter.mu)
         self._delta = _sat_log_ratio(intra.transition, inter.transition).ravel()
-        self.M = l_init[x].astype(np.float64)
-        np.fill_diagonal(self.M, 0.0)
-        self._prev = x.copy()
+        l_init = _sat_log_ratio(intra.mu, inter.mu)
+        self.ratio = _PairLogRatio(self.labels.size, first_snapshot, l_init)
         self.t = 1
 
     def step(self, snapshot):
         """Consume one snapshot: update ``M`` and run a relabeling sweep."""
-        x = np.asarray(snapshot)
-        delta = self._delta[2 * self._prev + x]
-        np.fill_diagonal(delta, 0.0)
-        self.M += delta
-        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
-        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
-        self._prev = x.copy()
+        self.ratio.add(snapshot, self._delta)
+        self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
         return self
 
     def run(self, array, record=None):
-        """Feed snapshots 2..T of an array; optionally record per-step
+        """Feed snapshots 2..T of a SnapshotArray; optionally record per-step
         labellings through ``record(t, labels)``."""
-        data = np.asarray(getattr(array, "data", array))
         if record is not None:
             record(1, self.labels)
-        for t in range(1, data.shape[0]):
-            self.step(data[t])
+        for t in range(1, array.T):
+            self.step(array.snapshot(t))
             if record is not None:
                 record(self.t, self.labels)
         return self.labels
@@ -218,75 +306,69 @@ class OnlineLikelihoodLearned:
     within (and across) the predicted blocks.  Pairs that have not yet
     visited a state are left out of the averages.
 
-    ``counts[2a + b]`` packs each pair's ``a -> b`` transition count over
-    the pairs ``i < j`` in row-major order.  Re-estimation bins pairs by
-    visit count ``m = n_a`` and block relation, sums their ``n_a1`` per bin
-    as ``hits_m`` and takes the mean of ``n_a1 / n_a`` as
+    ``ratio.counts`` holds the transition counts of the pairs that have
+    interacted; every other pair has made ``t - 1`` transitions ``0 -> 0``
+    and is counted in closed form.  Re-estimation bins pairs by visit count
+    ``m = n_a`` and block relation, sums their ``n_a1`` per bin as
+    ``hits_m`` and takes the mean of ``n_a1 / n_a`` as
     ``fsum(hits_m / m) / pairs`` over ``m >= 1``.
     """
 
     def __init__(self, first_snapshot, init_labels, K, refresh_every=1, synchronous=True):
-        x = np.asarray(first_snapshot)
-        n = x.shape[0]
         self.K = K
         self.synchronous = synchronous
         self.refresh_every = refresh_every
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        iu = np.triu_indices(n, k=1)
-        self._flat = iu[0] * n + iu[1]  # packed pair -> flat index into an n x n snapshot
-        self._same_labels = None
-        same = self._same_block()
-        vals = x.ravel().take(self._flat)
-        self.mu1_hat = float(vals[same].mean()) if same.any() else 0.5
-        self.nu1_hat = float(vals[~same].mean()) if (~same).any() else 0.5
+        n = self.labels.size
+        x = np.asarray(first_snapshot, dtype=np.int64)
+        same_pairs, pairs = self._pair_totals()
+        rows, cols = np.divmod(x, n)
+        upper = rows < cols
+        ones = int(upper.sum())
+        ones_same = int((self.labels[rows[upper]] == self.labels[cols[upper]]).sum())
+        self.mu1_hat = ones_same / same_pairs if same_pairs else 0.5
+        self.nu1_hat = (ones - ones_same) / (pairs - same_pairs) if pairs > same_pairs else 0.5
         self.P_hat = np.array([[1 - self.mu1_hat, self.mu1_hat]] * 2)
         self.Q_hat = np.array([[1 - self.nu1_hat, self.nu1_hat]] * 2)
         l_init = _sat_log_ratio(
             np.array([1 - self.mu1_hat, self.mu1_hat]),
             np.array([1 - self.nu1_hat, self.nu1_hat]),
         )
-        self.M = l_init[x].astype(np.float64)
-        np.fill_diagonal(self.M, 0.0)
-        self.counts = np.zeros((4, self._flat.size), dtype=np.uint32)  # index 2a + b
-        self._prev = x.copy()
-        self._prev_packed = vals
+        self.ratio = _PairLogRatio(n, x, l_init, count=True)
         self.t = 1
 
-    def _same_block(self):
-        """Packed mask of same-block pairs, recomputed only when labels move."""
-        if not np.array_equal(self.labels, self._same_labels):
-            self._same_labels = self.labels.copy()
-            self._same = (self.labels[:, None] == self.labels).ravel().take(self._flat)
-        return self._same
+    def _pair_totals(self):
+        """Same-block pairs and all pairs ``i < j`` under the labels."""
+        sizes = np.bincount(self.labels).astype(np.int64)
+        n = self.labels.size
+        return int((sizes * (sizes - 1) // 2).sum()), n * (n - 1) // 2
 
     def step(self, snapshot):
-        x = np.asarray(snapshot)
-        delta = _sat_log_ratio(self.P_hat, self.Q_hat).ravel()[2 * self._prev + x]
-        np.fill_diagonal(delta, 0.0)
-        self.M += delta
-        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
-        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
-        packed = x.ravel().take(self._flat)
-        idx = 2 * self._prev_packed + packed
-        for ab in range(4):
-            self.counts[ab] += idx == ab
-        self._prev = x.copy()
-        self._prev_packed = packed
+        self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
+        self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
         if (self.t - 1) % self.refresh_every == 0:
             self._reestimate()
         return self
 
     def _reestimate(self):
-        same = self._same_block()
-        m = np.arange(1, self.t, dtype=np.float64)
-        for a in (0, 1):
-            n_a1 = self.counts[2 * a + 1]
-            key = 2 * (self.counts[2 * a] + n_a1) + same  # bin 2m + same; m = n_a < t
-            pairs = np.bincount(key, minlength=2 * self.t).reshape(-1, 2)[1:]
-            hits = np.bincount(key, weights=n_a1, minlength=2 * self.t).reshape(-1, 2)[1:]
+        t, ratio = self.t, self.ratio
+        same = self.labels[ratio.rows] == self.labels[ratio.cols]
+        # pairs that never interacted: n_0 = t - 1 and n_01 = 0, bin m = t - 1
+        same_pairs, pairs = self._pair_totals()
+        active_same = int(same.sum())
+        quiet = (pairs - same_pairs - (same.size - active_same), same_pairs - active_same)
+        m = np.arange(1, t, dtype=np.float64)
+        n01, n10, n11 = ratio.counts.T
+        n1 = n10 + n11
+        for a, n_a, n_a1 in ((0, (t - 1) - n1, n01), (1, n1, n11)):
+            key = 2 * n_a + same  # bin 2m + same; m = n_a < t
+            binned = np.bincount(key, minlength=2 * t).reshape(-1, 2)[1:]
+            hits = np.bincount(key, weights=n_a1, minlength=2 * t).reshape(-1, 2)[1:]
+            if a == 0:
+                binned[t - 2] += quiet
             for s, est in ((1, self.P_hat), (0, self.Q_hat)):
-                total = int(pairs[:, s].sum())
+                total = int(binned[:, s].sum())
                 if total:
                     p = math.fsum(hits[:, s] / m) / total
                     est[a] = (1 - p, p)
@@ -319,7 +401,7 @@ def transition_rate_clustering(array, P, Q):
     P, Q = np.asarray(P, dtype=np.float64), np.asarray(Q, dtype=np.float64)
     if np.allclose(P, Q):
         raise ValueError("P = Q: transition rates carry no block information")
-    data = np.asarray(getattr(array, "data", array))
+    data = array.dense()
     if data.shape[0] < 2:
         raise ValueError("need at least two snapshots")
     n = data.shape[1]
@@ -347,7 +429,7 @@ def persistent_components(array):
     Components larger than ``sqrt(N)`` become blocks; remaining nodes fall
     to block 0.  ``K_hat = 0`` flags that no component passed the size bar.
     """
-    data = np.asarray(getattr(array, "data", array))
+    data = array.dense()
     n = data.shape[1]
     persistent = (data != 0).all(axis=0)
     np.fill_diagonal(persistent, False)
@@ -369,7 +451,7 @@ def enemy_paths(array):
     sharing an enemy links two nodes.  Intended for two blocks with static
     intra-block patterns.
     """
-    data = np.asarray(getattr(array, "data", array))
+    data = array.dense()
     n = data.shape[1]
     union = (data != 0).any(axis=0)
     inter = (data != 0).all(axis=0)
@@ -389,7 +471,7 @@ def mle_brute_force(array, K, kernel_f, kernel_g, budget=10**6):
     """Exhaustive maximiser of the block-model log likelihood over all
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
     Only feasible at toy sizes (``K^N`` capped by ``budget``)."""
-    data = np.asarray(getattr(array, "data", array))
+    data = array.dense()
     n = data.shape[1]
     total = K**n
     if total > budget:

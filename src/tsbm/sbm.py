@@ -1,15 +1,20 @@
 """Synthetic data generation for homogeneous block models with pluggable
 pair-interaction laws, plus the line-oriented ``tsbm`` snapshot file format.
 
+Snapshot arrays are stored sparsely: the sorted flat indices of the nonzero
+entries of the symmetric ``T x N x N`` tensor, both orientations of each
+pair, plus their symbols when some symbol exceeds 1.  Memory follows the
+number of interactions, not ``T N^2``; ``SnapshotArray.dense()`` rebuilds
+the tensor for the consumers that still want it.
+
 Pair patterns are drawn from counter-based substreams keyed by
 ``(seed, i, j)``, so generation order (serial, parallel, chunked) never
 changes the output.  The Markov sampler walks the pairs in fixed-size
-chunks, hashing each pair's stream key once for all T steps, and writes
-only set bits into the tensor.
+chunks, hashing each pair's stream key once for all T steps, and keeps
+only the indices of set bits.
 
-The reader parses edges into integer arrays and validates them before it
-allocates one ``T x N x N`` tensor: uint8, or int64 only when some symbol
-exceeds 1.
+The reader parses edges into integer arrays, validates them, and sorts
+their indices; it never allocates anything of the header's size.
 """
 
 from dataclasses import dataclass
@@ -54,41 +59,82 @@ class IndexRangeError(SnapshotFormatError):
 
 @dataclass
 class SnapshotArray:
-    """Symmetric ``T x N x N`` interaction tensor with zero diagonal.
+    """Symmetric ``T x N x N`` interaction tensor with zero diagonal, held
+    as the sorted flat indices ``t*N*N + i*N + j`` of its nonzero entries.
 
-    Entries are non-negative integers: 0/1 bits for temporal graphs, symbol
-    codes for categorical interactions (where ``T`` is typically 1).
+    Both orientations of each pair are listed, so ``data`` equals
+    ``np.flatnonzero(self.dense())``.  Entries are 0/1 bits for temporal
+    graphs; for categorical interactions (where ``T`` is typically 1),
+    ``values`` holds the symbol code of each listed entry, and it is None
+    when every nonzero symbol is 1.
     """
 
     data: np.ndarray
+    N: int
+    T: int
+    values: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        a = np.asarray(self.data)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError("data must have shape (T, N, N)")
-        self.data = a
+        self.data = np.asarray(self.data, dtype=np.int64)
+        if self.data.ndim != 1:
+            raise ValueError("data must be a 1-D array of flat indices")
+        if self.values is not None:
+            self.values = np.asarray(self.values, dtype=np.int64)
+            if self.values.shape != self.data.shape:
+                raise ValueError("values must match data in length")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (a.shape[1],):
+            if self.labels.shape != (self.N,):
                 raise ValueError("labels length must match node count")
 
-    @property
-    def T(self):
-        return self.data.shape[0]
+    @classmethod
+    def from_dense(cls, x, labels=None):
+        """The sparse form of a ``(T, N, N)`` tensor of non-negative codes."""
+        x = np.asarray(x)
+        if x.ndim != 3 or x.shape[1] != x.shape[2]:
+            raise ValueError("data must have shape (T, N, N)")
+        if x.min(initial=0) < 0:
+            raise ValueError("symbols must be non-negative")
+        data = np.flatnonzero(x)
+        values = x.reshape(-1)[data] if x.max(initial=0) > 1 else None
+        return cls(data, x.shape[1], x.shape[0], values=values, labels=labels)
 
-    @property
-    def N(self):
-        return self.data.shape[1]
+    def dense(self):
+        """The ``(T, N, N)`` tensor: uint8 without ``values``, else int64."""
+        dtype = np.uint8 if self.values is None else np.int64
+        out = np.zeros(self.T * self.N * self.N, dtype=dtype)
+        out[self.data] = 1 if self.values is None else self.values
+        return out.reshape(self.T, self.N, self.N)
+
+    def snapshot(self, t):
+        """Sorted flat indices ``i*N + j`` of the nonzero entries of snapshot
+        ``t`` (0-based)."""
+        size = self.N * self.N
+        lo, hi = np.searchsorted(self.data, (t * size, (t + 1) * size))
+        return self.data[lo:hi] - t * size
 
     def validate(self):
-        """Check symmetry and zero diagonal; raises on violation."""
-        for t in range(self.T):
-            m = self.data[t]
-            if not np.array_equal(m, m.T):
-                raise ValueError(f"snapshot {t + 1} is not symmetric")
-            if np.any(np.diagonal(m) != 0):
-                raise ValueError(f"snapshot {t + 1} has a nonzero diagonal")
+        """Check index order and range, symmetry and zero diagonal; raises
+        on violation."""
+        data, size = self.data, self.N * self.N
+        if data.size and (data[0] < 0 or data[-1] >= self.T * size):
+            raise ValueError("index outside the T x N x N tensor")
+        if (np.diff(data) <= 0).any():
+            raise ValueError("indices must be strictly increasing")
+        t, rest = np.divmod(data, size)
+        i, j = np.divmod(rest, self.N)
+        if (i == j).any():
+            raise ValueError(f"snapshot {t[np.argmax(i == j)] + 1} has a nonzero diagonal")
+        mirror = t * size + j * self.N + i
+        order = np.argsort(mirror)
+        bad = mirror[order] != data
+        if self.values is not None:
+            bad |= self.values[order] != self.values
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"snapshot {min(data[k], mirror[order][k]) // size + 1} "
+                             "is not symmetric")
         return self
 
 
@@ -129,14 +175,14 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     an independent chain, ``intra`` within blocks and ``inter`` across.
 
     Pairs are walked in fixed-size chunks in row-major ``i < j`` order; each
-    chunk runs through all T steps and writes only its set bits.
+    chunk runs through all T steps and keeps the indices of its set bits.
     """
     if T < 1:
         raise ValueError("need at least one snapshot")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
-    out = np.zeros((T, N, N), dtype=np.uint8)
-    flat = out.reshape(-1)
+    size = N * N
+    found = []  # flat indices of set bits, both orientations
     # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
     row_start = np.arange(N) * (2 * N - np.arange(N) - 1) // 2
     n_pairs = N * (N - 1) // 2
@@ -154,9 +200,9 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
             cur = step_uniform(key, t) < threshold
             threshold = np.where(cur, p11, p01)
             on = np.flatnonzero(cur)
-            flat[t * N * N + upper[on]] = 1
-            flat[t * N * N + lower[on]] = 1
-    return SnapshotArray(out, labels=labels)
+            found += [t * size + upper[on], t * size + lower[on]]
+    data = np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
+    return SnapshotArray(data, N, T, labels=labels)
 
 
 def sample_categorical_snapshots(labels, f, g, seed=0):
@@ -173,10 +219,20 @@ def sample_categorical_snapshots(labels, f, g, seed=0):
     sym_g = np.searchsorted(np.cumsum(g.probs), u, side="right")
     sym = np.where(same, sym_f, sym_g).astype(np.int64)
     sym = np.minimum(sym, len(f) - 1)
-    out = np.zeros((1, N, N), dtype=np.int64)
-    out[0, iu, ju] = sym
-    out[0, ju, iu] = sym
-    return SnapshotArray(out, labels=labels)
+    on = np.flatnonzero(sym)
+    data, values = _both_orientations(N, 0, iu[on], ju[on], sym[on])
+    return SnapshotArray(data, N, 1, values=values, labels=labels)
+
+
+def _both_orientations(N, t, i, j, v):
+    """Sorted flat indices of entries ``(t, i, j)`` and ``(t, j, i)``, and
+    their symbols ``v`` in that order, or None when no symbol exceeds 1."""
+    offset = t * (N * N)
+    keys = np.concatenate((offset + i * N + j, offset + j * N + i))
+    if not (v > 1).any():
+        return np.sort(keys), None
+    order = np.argsort(keys)
+    return keys[order], np.concatenate((v, v))[order]
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +254,30 @@ def write_snapshots(path, array, labels=None):
     """Write an array (and optional labels line) in ``tsbm`` format."""
     if labels is None:
         labels = array.labels
-    data = array.data
-    T, N = array.T, array.N
+    N = array.N
+    t, rest = np.divmod(array.data, N * N)
+    i, j = np.divmod(rest, N)
+    upper = i < j  # sorted indices list the upper entries in (t, i, j) order
+    rows = zip((t[upper] + 1).tolist(), i[upper].tolist(), j[upper].tolist())
     with open(path, "w") as fh:
-        fh.write(f"{_MAGIC} {_VERSION} {N} {T}\n")
+        fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
         if labels is not None:
             fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
-        for t in range(T):
-            snap = data[t].reshape(-1)
-            idx = np.flatnonzero(snap)
-            iu, ju = np.divmod(idx, N)
-            upper = iu < ju
-            iu, ju, vals = iu[upper], ju[upper], snap[idx[upper]]
-            e = f"e {t + 1} "
+        if array.values is None:
+            fh.write("".join([f"e {a} {b} {c}\n" for a, b, c in rows]))
+        else:
             fh.write("".join([
-                f"{e}{i} {j}\n" if v == 1 else f"{e}{i} {j} {v}\n"
-                for i, j, v in zip(iu.tolist(), ju.tolist(), vals.tolist())
+                f"e {a} {b} {c}\n" if v == 1 else f"e {a} {b} {c} {v}\n"
+                for (a, b, c), v in zip(rows, array.values[upper].tolist())
             ]))
 
 
 def read_snapshots(path):
     """Read a ``tsbm`` file; the result round-trips bit-exactly.
 
-    Edges are validated as arrays before the tensor is allocated, and an
-    invalid file reports its first offending line.  The tensor is uint8
-    unless some value exceeds 1, in which case it is int64.
+    Edges are validated as arrays, and an invalid file reports its first
+    offending line.  Memory follows the number of edges, whatever the
+    header's dimensions; ``values`` is kept only when some symbol exceeds 1.
     """
     header = None
     labels = None
@@ -241,7 +296,7 @@ def read_snapshots(path):
                     N, T = int(tokens[2]), int(tokens[3])
                 except ValueError:
                     raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
-                if N < 1 or T < 1:
+                if N < 1 or T < 1 or T * N * N - 1 > _INT64_MAX:
                     raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
                 header = (N, T)
                 continue
@@ -279,14 +334,9 @@ def read_snapshots(path):
     if bad.any():
         k = int(np.argmax(bad))
         raise _edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
-    dtype = np.int64 if (v > 1).any() else np.uint8
-    data = np.zeros((T, N, N), dtype=dtype)
-    flat = data.reshape(-1)
-    offset = (t - 1) * (N * N)
-    v = v.astype(dtype)
-    flat[offset + i * N + j] = v
-    flat[offset + j * N + i] = v
-    return SnapshotArray(data, labels=labels)
+    t, i, j, v = (c.astype(np.int64) for c in (t, i, j, v))  # all in range now
+    data, values = _both_orientations(N, t - 1, i, j, v)
+    return SnapshotArray(data, N, T, values=values, labels=labels)
 
 
 def _column(values):

@@ -20,11 +20,14 @@ from tsbm.harness import (
     records_to_csv,
     run_experiment,
     run_trial,
+    spectral_matrix,
     summarize,
     threshold_grid,
 )
+from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary, t_star
-from tsbm.sbm import read_labels, read_snapshots
+from tsbm.sbm import SnapshotArray, read_labels, read_snapshots
+from tsbm.spectral import SpectralConfig, spectral_cluster
 
 
 SMALL = ExperimentConfig(
@@ -216,6 +219,22 @@ class TestFigureBundles:
             figure_bundle(99)
 
 
+class TestSpectralMatrix:
+    def test_builders_match_their_dense_definitions(self):
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.random((3, 6, 6)) < 0.5, 1).astype(np.uint8)
+        data = upper + upper.transpose(0, 2, 1)
+        arr = SnapshotArray.from_dense(data)
+        union = (data != 0).any(axis=0).astype(np.uint8)
+        squared = sum(a @ a - np.diag(a.sum(axis=1)) for a in data.astype(np.float64))
+        for algorithm, want in (("spectral", union), ("spectral-union", union),
+                                ("spectral-aggregate", data.sum(axis=0)),
+                                ("spectral-squared", squared)):
+            assert np.array_equal(spectral_matrix(arr, algorithm), want), algorithm
+        with pytest.raises(ValueError):
+            spectral_matrix(arr, "online")
+
+
 class TestCLI:
     def test_generate_recover_round_trip(self, tmp_path, capsys):
         out = tmp_path / "demo.tsbm"
@@ -266,6 +285,45 @@ class TestCLI:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--mu1/--nu1/--p11/--q11" in err
+
+    @pytest.mark.parametrize(
+        "algorithm", ["spectral-union", "spectral-aggregate", "spectral-squared"]
+    )
+    def test_recover_spectral_variants(self, tmp_path, capsys, algorithm):
+        graph, est = tmp_path / "g.tsbm", tmp_path / "est.labels"
+        main(["generate", "--n", "60", "--k", "2", "--t", "5", "--mu1", "5", "--nu1", "1",
+              "--p11", "0.7", "--q11", "0.3", "--seed", "3", "--out", str(graph)])
+        rc = main(["recover", "--input", str(graph), "--algorithm", algorithm, "--k", "2",
+                   "--seed", "4", "--out", str(est)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        config = SpectralConfig(K=2, seed=derive_seed(4, 4))
+        want = spectral_cluster(spectral_matrix(read_snapshots(graph), algorithm), config)
+        assert np.array_equal(read_labels(est), want)
+
+    def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
+        # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse
+        # reader and online step need memory for the edges and O(N K) only
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        lines = ["tsbm 1 50000 5"]
+        for t in range(1, 6):
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, 50000, (80, 2)) if p[0] != p[1]}
+            lines += [f"e {t} {i} {j}" for i, j in sorted(pairs)]
+        graph = tmp_path / "big.tsbm"
+        graph.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            rc = main(["recover", "--input", str(graph), "--algorithm", "online",
+                       "--init", "random", "--k", "2", "--mu1", "3", "--nu1", "1.5",
+                       "--p11", "0.7", "--q11", "0.3", "--out", str(tmp_path / "est.labels")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 64 * 2**20
+        assert read_labels(tmp_path / "est.labels").shape == (50000,)
 
     def test_recover_header_beyond_memory_exit_code(self, tmp_path, capsys):
         # numpy refuses this 88 PiB request up front and touches no memory
@@ -446,7 +504,7 @@ class TestSeedDerivationContract:
         arr = sample_markov_snapshots(truth, intra, inter, SMALL.t, seed=derive_seed(trial_seed, 2))
         u = counter_uniform(derive_seed(trial_seed, 3), 0, np.arange(SMALL.n))
         init = np.minimum((u * SMALL.k).astype(np.int64), SMALL.k - 1)
-        state = OnlineLikelihood(arr.data[0], init, intra, inter, SMALL.k)
+        state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, SMALL.k)
         final = state.run(arr)
         assert rec.ham_stars[-1] == ham_star(final, truth)[0]
 

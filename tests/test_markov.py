@@ -25,6 +25,7 @@ from tsbm.markov import (
     sparse_renyi_approx,
     t_star,
 )
+from tsbm.markov import _log_hellinger_sum_pow
 
 
 def random_chain(rng, low=0.01, high=0.99):
@@ -294,6 +295,13 @@ class TestTStar:
         assert t_star(c, c, 500, 2, "exact", t_max=4000) is None
         assert t_star(c, c, 500, 2, "itilde", t_max=4000) is None
 
+    @pytest.mark.parametrize("convention", ["exact", "itilde"])
+    def test_zero_horizon_is_unbounded(self, convention):
+        # crossed at T = 1, but a search capped at t_max = 0 sees no snapshot
+        f, g = chain_from_stationary(0.5, 0.5), chain_from_stationary(0.001, 0.5)
+        assert t_star(f, g, 500, 2, convention) == 1
+        assert t_star(f, g, 500, 2, convention, t_max=0) is None
+
     def test_doubling_bisection_minimality(self):
         n, k = 500, 2
         rho = math.log(n) / n
@@ -352,6 +360,39 @@ class TestTStar:
                        if i_tilde_short(*args, T) > k), None)
         assert t_star(f, g, n, k, "exact", t_max) == exact
         assert t_star(f, g, n, k, "itilde", t_max) == itilde
+
+
+    def test_search_past_the_scan_matches_bisection_reference(self):
+        # with p01 = 0 the per-snapshot term of i_tilde_short vanishes, so T*
+        # moves with every term of its geometric sum: a search that dropped
+        # or shifted one term would disagree here.  N sweeps T* through
+        # (1024, 4096], where the itilde sum runs term by term.
+        f = BinaryMarkovChain(3e-3, 0.0, 0.999)
+        g = BinaryMarkovChain(1e-3, 0.0, 0.998)
+
+        def first(crossed, t_max):
+            lo, hi = 0, t_max  # both values are nondecreasing in T
+            if not crossed(hi):
+                return None
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+            return hi
+
+        past = {"exact": 0, "itilde": 0}
+        for n in range(27000, 30000, 60):
+            rho = math.log(n) / n
+            args = (f.mu1 / rho, g.mu1 / rho, 0.0, 0.0, h11_sq(f.p11, g.p11),
+                    1.0 - math.sqrt(f.p11 * g.p11))
+            want = {
+                "itilde": first(lambda T: i_tilde_short(*args, T) > 2, 10**5),
+                "exact": first(lambda T: 1.0 - math.exp(
+                    min(_log_hellinger_sum_pow(0.5, f, g, T), 0.0)) >= 2 * rho, 10**5),
+            }
+            for convention, ts in want.items():
+                assert t_star(f, g, n, 2, convention, 10**5) == ts, (n, convention)
+                past[convention] += ts is None or 1024 < ts
+        assert min(past.values()) >= 10
 
 
 class TestPathCombinatorics:

@@ -23,10 +23,15 @@ from tsbm.recovery import (
     persistent_components,
     refine_recover,
     transition_rate_clustering,
-    _relabel_sweep,
     _sat_log_ratio,
 )
-from tsbm.sbm import sample_categorical_snapshots, sample_labelling, sample_markov_snapshots
+from tsbm.harness import chains_in_units
+from tsbm.sbm import (
+    SnapshotArray,
+    sample_categorical_snapshots,
+    sample_labelling,
+    sample_markov_snapshots,
+)
 from tsbm.spectral import SpectralConfig
 from tsbm._rng import derive_seed
 
@@ -46,7 +51,7 @@ class TestKernels:
         labels, arr = markov_instance(25, 6, 0)
         ratio = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER))
         iu, ju = np.triu_indices(25, 1)
-        pats = arr.data[:, iu, ju].T
+        pats = arr.dense()[:, iu, ju].T
         want = INTRA.path_log_prob(pats) - INTER.path_log_prob(pats)
         assert np.allclose(ratio[iu, ju], want, atol=1e-10)
         assert np.allclose(ratio, ratio.T)
@@ -68,7 +73,7 @@ class TestKernels:
         ratio = CategoricalKernel(f).log_ratio_matrix(arr, CategoricalKernel(g))
         lr = np.log(f.probs) - np.log(g.probs)
         iu, ju = np.triu_indices(15, 1)
-        assert np.allclose(ratio[iu, ju], lr[arr.data[0, iu, ju]])
+        assert np.allclose(ratio[iu, ju], lr[arr.dense()[0, iu, ju]])
 
 
 class TestRefineRecover:
@@ -127,14 +132,14 @@ class TestOnlineLikelihood:
         ch = BinaryMarkovChain(0.3, 0.2, 0.6)
         labels, arr = markov_instance(30, 6, 5, intra=ch, inter=ch)
         init = sample_labelling(30, 2, seed=77)
-        state = OnlineLikelihood(arr.data[0], init, ch, ch, 2)
+        state = OnlineLikelihood(arr.snapshot(0), init, ch, ch, 2)
         state.run(arr)
-        assert np.abs(state.M).max() == 0.0
+        assert np.abs(state.ratio.dense()).max() == 0.0
         assert np.array_equal(state.labels, init)
 
     def test_truth_init_is_stable_under_strong_signal(self):
         labels, arr = markov_instance(60, 8, 6)
-        state = OnlineLikelihood(arr.data[0], labels, INTRA, INTER, 2)
+        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
         state.run(arr)
         assert np.array_equal(state.labels, labels)
 
@@ -143,11 +148,11 @@ class TestOnlineLikelihood:
         init = sample_labelling(40, 2, seed=9)
         m_hist, l_hist = [], []
         for _ in range(2):
-            state = OnlineLikelihood(arr.data[0], init, INTRA, INTER, 2)
-            ms, ls = [state.M.copy()], [state.labels.copy()]
+            state = OnlineLikelihood(arr.snapshot(0), init, INTRA, INTER, 2)
+            ms, ls = [state.ratio.dense()], [state.labels.copy()]
             for t in range(1, arr.T):
-                state.step(arr.data[t])
-                ms.append(state.M.copy())
+                state.step(arr.snapshot(t))
+                ms.append(state.ratio.dense())
                 ls.append(state.labels.copy())
             m_hist.append(ms)
             l_hist.append(ls)
@@ -158,25 +163,26 @@ class TestOnlineLikelihood:
 
     def test_matrix_invariants_preserved(self):
         labels, arr = markov_instance(30, 6, 8)
-        state = OnlineLikelihood(arr.data[0], labels, INTRA, INTER, 2)
+        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
         for t in range(1, arr.T):
-            state.step(arr.data[t])
-            assert np.array_equal(state.M, state.M.T)
-            assert np.all(np.diagonal(state.M) == 0.0)
+            state.step(arr.snapshot(t))
+            M = state.ratio.dense()
+            assert np.array_equal(M, M.T)
+            assert np.all(np.diagonal(M) == 0.0)
 
     def test_cumulative_matrix_equals_full_pattern_ratio(self):
         # after consuming all snapshots, M is the per-pair log ratio of the
         # whole pattern, so each decision equals the single-node estimator
         labels, arr = markov_instance(35, 9, 9)
-        state = OnlineLikelihood(arr.data[0], labels, INTRA, INTER, 2)
+        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
         state.run(arr)
         want = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER))
-        assert np.allclose(state.M, want, atol=1e-9)
+        assert np.allclose(state.ratio.dense(), want, atol=1e-9)
 
     def test_async_variant_runs(self):
         labels, arr = markov_instance(30, 6, 10)
         init = sample_labelling(30, 2, seed=11)
-        state = OnlineLikelihood(arr.data[0], init, INTRA, INTER, 2, synchronous=False)
+        state = OnlineLikelihood(arr.snapshot(0), init, INTRA, INTER, 2, synchronous=False)
         state.run(arr)
         assert accuracy(labels, state.labels) >= 0.9
 
@@ -188,10 +194,11 @@ class TestOnlineLikelihoodLearned:
         data = np.zeros((5, n, n), dtype=np.uint8)
         for t, bit in enumerate(pattern):
             data[t, 0, 1] = data[t, 1, 0] = bit
-        state = OnlineLikelihoodLearned(data[0], np.array([0, 0, 1, 1]), 2)
+        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), np.array([0, 0, 1, 1]), 2)
         for t in range(1, 5):
-            state.step(data[t])
-        counts = {ab: int(state.counts[ab][0]) for ab in range(4)}  # pair (0, 1) packs first
+            state.step(np.flatnonzero(data[t]))
+        packed = _packed_counts(state)
+        counts = {ab: int(packed[ab][0]) for ab in range(4)}  # pair (0, 1) packs first
         assert counts == {0: 1, 1: 1, 2: 1, 3: 1}  # 00, 01, 10, 11
         n0 = counts[0] + counts[1]
         n1 = counts[2] + counts[3]
@@ -199,10 +206,11 @@ class TestOnlineLikelihoodLearned:
 
     def test_counter_total_invariant(self):
         labels, arr = markov_instance(25, 8, 12)
-        state = OnlineLikelihoodLearned(arr.data[0], labels, 2)
+        state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2)
         for t in range(1, arr.T):
-            state.step(arr.data[t])
-            totals = sum(state.counts[ab] for ab in range(4))
+            state.step(arr.snapshot(t))
+            packed = _packed_counts(state)
+            totals = sum(packed[ab] for ab in range(4))
             assert totals.shape == (25 * 24 // 2,)
             assert (totals == state.t - 1).all()
 
@@ -213,7 +221,7 @@ class TestOnlineLikelihoodLearned:
         for seed in range(3):
             labels = sample_labelling(100, 2, seed=seed)
             arr = sample_markov_snapshots(labels, intra, inter, 200, seed=100 + seed)
-            state = OnlineLikelihoodLearned(arr.data[0], labels, 2)
+            state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2)
             state.run(arr)
             assert accuracy(labels, state.labels) >= 0.99
             errors.append(
@@ -226,21 +234,81 @@ class TestOnlineLikelihoodLearned:
 
     def test_refresh_knob(self):
         labels, arr = markov_instance(30, 8, 13)
-        state = OnlineLikelihoodLearned(arr.data[0], labels, 2, refresh_every=4)
+        state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2, refresh_every=4)
         p_first = state.P_hat.copy()
-        state.step(arr.data[1])
+        state.step(arr.snapshot(1))
         assert np.array_equal(state.P_hat, p_first)  # no refresh yet
+
+
+# ---------------------------------------------------------------------------
+# Dense references: the online step with a dense N x N matrix M, as the
+# library computed it before the sparse state; the sparse state must match
+# them (M bit for bit, labels up to near-ties of the dense scores).
+# ---------------------------------------------------------------------------
+
+
+def _one_hot(labels, K):
+    out = np.zeros((labels.size, K))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def _relabel_sweep(M, labels, K, synchronous=True):
+    """One relabeling pass: each node moves to the block maximising its
+    accumulated log-likelihood ratio sum.  Ties keep the current label,
+    then fall to the lowest index.  Synchronous sweeps score every node
+    against the labelling frozen at entry; the asynchronous variant reads
+    in-place updates in node order."""
+    n = labels.size
+    if synchronous:
+        L = M @ _one_hot(labels, K)
+        best = L.argmax(axis=1).astype(np.int64)
+        keep = L[np.arange(n), labels] >= L[np.arange(n), best]
+        return np.where(keep, labels, best)
+    out = labels.copy()
+    for i in range(n):
+        scores = M[i] @ _one_hot(out, K)
+        best = int(np.argmax(scores))
+        if scores[out[i]] < scores[best]:
+            out[i] = best
+    return out
+
+
+class _DenseOnline:
+    """Reference for OnlineLikelihood: the dense ``M`` and sweep."""
+
+    def __init__(self, first_snapshot, init_labels, intra, inter, K, synchronous=True):
+        x = np.asarray(first_snapshot)
+        self.K = K
+        self.synchronous = synchronous
+        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
+        l_init = _sat_log_ratio(intra.mu, inter.mu)
+        self._delta = _sat_log_ratio(intra.transition, inter.transition).ravel()
+        self.M = l_init[x].astype(np.float64)
+        np.fill_diagonal(self.M, 0.0)
+        self._prev = x.copy()
+        self.t = 1
+
+    def step(self, snapshot):
+        x = np.asarray(snapshot)
+        delta = self._delta[2 * self._prev + x]
+        np.fill_diagonal(delta, 0.0)
+        self.M += delta
+        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
+        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
+        self._prev = x.copy()
+        self.t += 1
 
 
 class _DenseLearned:
     """Reference learner: a dense ``(4, N, N)`` counter and masked means
-    over upper-triangle gathers, the direct form of the packed counter and
+    over upper-triangle gathers, the direct form of the sparse counter and
     binned estimator."""
 
-    def __init__(self, first_snapshot, init_labels, K, refresh_every=1):
+    def __init__(self, first_snapshot, init_labels, K, refresh_every=1, synchronous=True):
         x = np.asarray(first_snapshot)
         n = x.shape[0]
-        self.K, self.refresh_every = K, refresh_every
+        self.K, self.refresh_every, self.synchronous = K, refresh_every, synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
         self._iu = np.triu_indices(n, k=1)
         same = self.labels[self._iu[0]] == self.labels[self._iu[1]]
@@ -263,7 +331,7 @@ class _DenseLearned:
         np.fill_diagonal(delta, 0.0)
         self.M += delta
         np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
-        self.labels = _relabel_sweep(self.M, self.labels, self.K)
+        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
         for ab in range(4):
             self.counts[ab] += idx == ab
         self._prev = x.copy()
@@ -288,6 +356,114 @@ class _DenseLearned:
                 self.Q_hat[a] = (1 - q, q)
 
 
+def _packed_counts(state):
+    """A learner's transition counts as a ``(4, P)`` array over the pairs
+    ``i < j`` in row-major order; pairs that never interacted have made
+    ``t - 1`` transitions 0 -> 0."""
+    n = state.labels.size
+    iu, ju = np.triu_indices(n, k=1)
+    out = np.zeros((4, iu.size), dtype=np.uint32)
+    out[0] = state.t - 1
+    active = np.searchsorted(iu * n + ju, state.ratio.keys)
+    out[1:, active] = state.ratio.counts.T
+    out[0, active] -= state.ratio.counts.sum(axis=1, dtype=np.uint32)
+    return out
+
+
+def _check_sweep(M, before, got, K, synchronous):
+    """Replays the dense sweep of ``M`` from ``before`` and requires ``got``
+    to take the dense decision at every node, except where the scores of
+    the two choices tie to 1e-12 of the node's absolute row sum of ``M``;
+    there the replay follows ``got``.  Returns the number of such nodes."""
+    out = before.copy()
+    frozen = M @ _one_hot(before, K)
+    ties = 0
+    for i in range(before.size):
+        scores = frozen[i] if synchronous else M[i] @ _one_hot(out, K)
+        best = int(np.argmax(scores))
+        want = out[i] if scores[out[i]] >= scores[best] else best
+        if got[i] != want:
+            gap = abs(scores[got[i]] - scores[want])
+            assert gap <= 1e-12 * np.abs(M[i]).sum(), (i, scores, got[i], want)
+            ties += 1
+        out[i] = got[i]
+    return ties
+
+
+_chain_probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_any_chain = st.builds(BinaryMarkovChain, _chain_probability, _chain_probability,
+                       _chain_probability)
+
+
+@st.composite
+def _online_runs(draw):
+    """Random symmetric binary snapshots, labels, K and sweep mode."""
+    n, T, K = draw(st.integers(2, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.8]))
+    upper = np.triu(rng.random((T, n, n)) < density, 1).astype(np.uint8)
+    labels = rng.integers(0, K, n)
+    return upper + upper.transpose(0, 2, 1), labels, K, draw(st.booleans())
+
+
+class TestSparseOnlineMatchesDense:
+    @settings(max_examples=120, deadline=None)
+    @given(run=_online_runs(), intra=_any_chain, inter=_any_chain,
+           learned=st.booleans(), refresh=st.integers(1, 3))
+    def test_bit_identical_M_and_labels(self, run, intra, inter, learned, refresh):
+        # the reference is resynced to the sparse labels (and estimates)
+        # before each step, so one near-tie cannot fork the two runs
+        data, labels, K, synchronous = run
+        if learned:
+            state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
+                                            refresh_every=refresh, synchronous=synchronous)
+            ref = _DenseLearned(data[0], labels, K, refresh_every=refresh,
+                                synchronous=synchronous)
+            assert np.array_equal(state.P_hat, ref.P_hat)
+            assert np.array_equal(state.Q_hat, ref.Q_hat)
+        else:
+            state = OnlineLikelihood(np.flatnonzero(data[0]), labels, intra, inter, K,
+                                     synchronous=synchronous)
+            ref = _DenseOnline(data[0], labels, intra, inter, K, synchronous=synchronous)
+        assert np.array_equal(state.ratio.dense(), ref.M)
+        for t in range(1, data.shape[0]):
+            before = state.labels.copy()
+            ref.labels = before.copy()
+            if learned:
+                ref.P_hat, ref.Q_hat = state.P_hat.copy(), state.Q_hat.copy()
+            state.step(np.flatnonzero(data[t]))
+            ref.step(data[t])
+            assert np.array_equal(state.ratio.dense(), ref.M)
+            if _check_sweep(ref.M, before, state.labels, K, synchronous) == 0:
+                assert np.array_equal(state.labels, ref.labels)
+            if learned:
+                iu = np.triu_indices(data.shape[1], 1)
+                assert np.array_equal(_packed_counts(state), ref.counts[:, iu[0], iu[1]])
+                if np.array_equal(state.labels, ref.labels):
+                    assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
+                    assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
+
+    @pytest.mark.parametrize("n,seed", [(300, 0), (1000, 1), (3000, 2)])
+    def test_scale_pipeline_chain_labels_identical(self, n, seed):
+        # the benchmark's scale-pipeline chain, from a random start, with no
+        # resyncing: every step's labels and M equal the dense run's
+        intra, inter = chains_in_units(n, 3.0, 1.5, 0.7, 0.3)
+        _, arr = markov_instance(n, 10, 70 + seed, intra=intra, inter=inter)
+        init = sample_labelling(n, 2, seed=80 + seed)
+        state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, 2)
+        dense = arr.dense()
+        ref = _DenseOnline(dense[0], init, intra, inter, 2)
+        moved = 0
+        for t in range(1, arr.T):
+            before = state.labels
+            state.step(arr.snapshot(t))
+            ref.step(dense[t])
+            moved += int((state.labels != before).sum())
+            assert np.array_equal(state.labels, ref.labels)
+            assert np.array_equal(state.ratio.dense(), ref.M)
+        assert moved > 0
+
+
 @st.composite
 def _binary_runs(draw):
     """Symmetric binary snapshots with a random labelling and refresh period."""
@@ -301,21 +477,22 @@ class TestPackedCounts:
     @settings(max_examples=150, deadline=None)
     @given(run=_binary_runs())
     def test_estimates_match_dense_reference(self, run):
-        # each step starts the reference from the packed learner's M, labels
+        # each step starts the reference from the sparse learner's M, labels
         # and estimates, so one differently broken tie cannot fork the two
         # runs; the counts accumulate independently on both sides
         data, labels, refresh = run
-        state = OnlineLikelihoodLearned(data[0], labels, 2, refresh_every=refresh)
+        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, 2,
+                                        refresh_every=refresh)
         ref = _DenseLearned(data[0], labels, 2, refresh_every=refresh)
         assert np.array_equal(state.P_hat, ref.P_hat) and np.array_equal(state.Q_hat, ref.Q_hat)
         iu = np.triu_indices(data.shape[1], 1)
         for t in range(1, data.shape[0]):
-            ref.M, ref.labels = state.M.copy(), state.labels.copy()
+            ref.M, ref.labels = state.ratio.dense(), state.labels.copy()
             ref.P_hat, ref.Q_hat = state.P_hat.copy(), state.Q_hat.copy()
-            state.step(data[t])
+            state.step(np.flatnonzero(data[t]))
             ref.step(data[t])
             assert np.array_equal(state.labels, ref.labels)
-            assert np.array_equal(state.counts, ref.counts[:, iu[0], iu[1]])
+            assert np.array_equal(_packed_counts(state), ref.counts[:, iu[0], iu[1]])
             assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
             assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
 
@@ -325,18 +502,19 @@ class TestPackedCounts:
         inter = chain_from_stationary(0.06, 0.3)
         labels, arr = markov_instance(n, 15, 40 + seed, intra=intra, inter=inter)
         init = sample_labelling(n, 2, seed=50 + seed)
-        state = OnlineLikelihoodLearned(arr.data[0], init, 2)
-        ref = _DenseLearned(arr.data[0], init, 2)
+        state = OnlineLikelihoodLearned(arr.snapshot(0), init, 2)
+        dense = arr.dense()
+        ref = _DenseLearned(dense[0], init, 2)
         moved = 0
         for t in range(1, arr.T):
             before = state.labels
-            state.step(arr.data[t])
-            ref.step(arr.data[t])
+            state.step(arr.snapshot(t))
+            ref.step(dense[t])
             moved += int((state.labels != before).sum())
             assert np.array_equal(state.labels, ref.labels)
             assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
             assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
-        assert moved > 0  # the labels changed, so the cached mask was refreshed
+        assert moved > 0  # the labels changed, so the block relations were redone
 
 
 class TestTransitionRates:
@@ -369,7 +547,7 @@ class TestTransitionRates:
 class TestPersistentComponents:
     def test_all_zero_array(self):
         data = np.zeros((4, 10, 10), dtype=np.uint8)
-        labels, k_hat = persistent_components(data)
+        labels, k_hat = persistent_components(SnapshotArray.from_dense(data))
         assert k_hat == 0
         assert set(labels.tolist()) == {0}
 
@@ -389,8 +567,8 @@ class TestPersistentComponents:
         labels = sample_labelling(50, 2, seed=1)
         arr = sample_markov_snapshots(labels, ones, noise, 10, seed=2)
         perm = np.random.default_rng(3).permutation(50)
-        moved = arr.data[:, perm][:, :, perm]
-        base, _ = persistent_components(arr.data)
+        moved = SnapshotArray.from_dense(arr.dense()[:, perm][:, :, perm])
+        base, _ = persistent_components(arr)
         shuffled, _ = persistent_components(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
 
@@ -399,7 +577,7 @@ class TestEnemyPaths:
     def test_static_data_gives_singletons(self):
         data = np.zeros((5, 8, 8), dtype=np.uint8)
         data[:, 0, 1] = data[:, 1, 0] = 1  # constant pattern, never an enemy
-        labels, k_hat = enemy_paths(data)
+        labels, k_hat = enemy_paths(SnapshotArray.from_dense(data))
         assert k_hat == 8
 
     def test_recovers_two_blocks(self):
@@ -429,8 +607,8 @@ class TestEnemyPaths:
         labels = sample_labelling(60, 2, seed=4)
         arr = sample_markov_snapshots(labels, ones, noise, 12, seed=5)
         perm = np.random.default_rng(6).permutation(60)
-        moved = arr.data[:, perm][:, :, perm]
-        base, _ = enemy_paths(arr.data)
+        moved = SnapshotArray.from_dense(arr.dense()[:, perm][:, :, perm])
+        base, _ = enemy_paths(arr)
         shuffled, _ = enemy_paths(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
 
@@ -509,7 +687,7 @@ class TestMLE:
 
     def test_lexicographic_tie_break(self):
         # all-zero log ratios: every labelling ties, the smallest code wins
-        data = np.zeros((1, 3, 3), dtype=np.uint8)
+        data = SnapshotArray.from_dense(np.zeros((1, 3, 3), dtype=np.uint8))
         f = FiniteDistribution([1.0])
         got = mle_brute_force(data, 2, CategoricalKernel(f), CategoricalKernel(f))
         assert got.tolist() == [0, 0, 0]
@@ -544,8 +722,8 @@ class TestStrongSignalGates:
             arr = sample_markov_snapshots(labels, intra, inter, 30, seed=derive_seed(seed, 2))
             from tsbm.spectral import binarize, spectral_cluster
 
-            init = spectral_cluster(binarize(arr.data[0]), SpectralConfig(K=2, seed=seed))
-            state = OnlineLikelihood(arr.data[0], init, intra, inter, 2, synchronous=False)
+            init = spectral_cluster(binarize(arr, t=0), SpectralConfig(K=2, seed=seed))
+            state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, 2, synchronous=False)
             state.run(arr)
             finals.append(accuracy(labels, state.labels))
         assert np.mean(finals) >= 0.95
@@ -559,6 +737,6 @@ class TestTransitionRateEdgeEvidence:
         data[:, 0, 1] = data[:, 1, 0] = 1
         P = np.array([[0.5, 0.5], [0.05, 0.95]])
         Q = np.array([[0.5, 0.5], [0.95, 0.05]])
-        labels, k_hat = transition_rate_clustering(data, P, Q)
+        labels, k_hat = transition_rate_clustering(SnapshotArray.from_dense(data), P, Q)
         assert labels[0] == labels[1]  # empirical row 1 matches P exactly
         assert k_hat == 2  # node 2 isolated

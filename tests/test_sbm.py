@@ -74,12 +74,12 @@ class TestMarkovSampling:
         lab = sample_labelling(25, 2, seed=0)
         a = sample_markov_snapshots(lab, ch, ch, 6, seed=9)
         b = sample_markov_snapshots(lab, ch, ch, 6, seed=9)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.dense(), b.dense())
 
     def test_transition_frequencies(self):
         ch = BinaryMarkovChain(0.4, 0.3, 0.6)
         arr = sample_markov_snapshots(sample_labelling(100, 2, seed=2), ch, ch, 100, seed=7)
-        x = arr.data
+        x = arr.dense()
         prev, cur = x[:-1], x[1:]
         p01_hat = ((prev == 0) & (cur == 1)).sum() / (prev == 0).sum()
         p11_hat = ((prev == 1) & (cur == 1)).sum() / (prev == 1).sum()
@@ -91,15 +91,15 @@ class TestMarkovSampling:
         noisy = BinaryMarkovChain(0.5, 0.5, 0.5)
         lab = np.array([0] * 10 + [1] * 10)
         arr = sample_markov_snapshots(lab, silent, noisy, 8, seed=3)
-        intra_block = arr.data[:, :10, :10]
+        intra_block = arr.dense()[:, :10, :10]
         assert intra_block.sum() == 0
-        assert arr.data.sum() > 0
+        assert arr.dense().sum() > 0
 
     def test_stationary_marginal(self):
         st = chain_from_stationary(0.25, 0.7)
         arr = sample_markov_snapshots(sample_labelling(80, 2, seed=3), st, st, 50, seed=11)
         iu, ju = np.triu_indices(80, 1)
-        vals = arr.data[:, iu, ju]
+        vals = arr.dense()[:, iu, ju]
         per_snapshot = vals.mean(axis=1)
         se = 3 * math.sqrt(0.25 * 0.75 / vals.shape[1])
         # averaged over snapshots; allow serial correlation slack
@@ -110,7 +110,7 @@ class TestMarkovSampling:
         lab = sample_labelling(18, 2, seed=6)
         arr = sample_markov_snapshots(lab, ch, ch, 2000, seed=13)
         iu, ju = np.triu_indices(18, 1)
-        pats = arr.data[:, iu, ju].astype(float)
+        pats = arr.dense()[:, iu, ju].astype(float)
         corr = np.corrcoef(pats.T)
         off = corr[np.triu_indices(corr.shape[0], 1)]
         assert off.size > 10_000
@@ -151,8 +151,10 @@ class TestChunkedSampler:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
             got = sample_markov_snapshots(labels, intra, inter, T, seed=seed)
-        assert got.data.dtype == np.uint8
-        assert np.array_equal(got.data, _reference_markov(labels, intra, inter, T, seed))
+        want = _reference_markov(labels, intra, inter, T, seed)
+        assert got.dense().dtype == np.uint8 and got.values is None
+        assert np.array_equal(got.dense(), want)
+        assert np.array_equal(got.data, np.flatnonzero(want))
 
 
 class TestCategoricalSampling:
@@ -160,7 +162,7 @@ class TestCategoricalSampling:
         f = FiniteDistribution.point_mass(0, 3)
         lab = sample_labelling(20, 2, seed=0)
         arr = sample_categorical_snapshots(lab, f, f, seed=1)
-        assert arr.data.sum() == 0
+        assert arr.dense().sum() == 0
 
     def test_single_block_uses_intra(self):
         f = FiniteDistribution([0.0, 1.0])
@@ -168,7 +170,7 @@ class TestCategoricalSampling:
         lab = np.zeros(12, dtype=np.int64)
         arr = sample_categorical_snapshots(lab, f, g, seed=2)
         iu, ju = np.triu_indices(12, 1)
-        assert (arr.data[0, iu, ju] == 1).all()
+        assert (arr.dense()[0, iu, ju] == 1).all()
 
     def test_symbol_frequencies(self):
         f = FiniteDistribution([0.5, 0.3, 0.2])
@@ -177,7 +179,7 @@ class TestCategoricalSampling:
         arr = sample_categorical_snapshots(lab, f, g, seed=5)
         iu, ju = np.triu_indices(200, 1)
         same = lab[iu] == lab[ju]
-        vals = arr.data[0, iu, ju]
+        vals = arr.dense()[0, iu, ju]
         for dist, mask in ((f, same), (g, ~same)):
             m = int(mask.sum())
             for sym, p in enumerate(dist.probs):
@@ -200,7 +202,7 @@ class TestSnapshotFiles:
         path = tmp_path / "x.tsbm"
         write_snapshots(path, arr)
         back = read_snapshots(path)
-        assert np.array_equal(back.data.astype(arr.data.dtype), arr.data)
+        assert np.array_equal(back.dense(), arr.dense())
         assert np.array_equal(back.labels, arr.labels)
         # writing the parsed array again reproduces the file byte for byte
         path2 = tmp_path / "y.tsbm"
@@ -213,21 +215,21 @@ class TestSnapshotFiles:
         arr = sample_categorical_snapshots(sample_labelling(25, 2, seed=3), f, g, seed=4)
         path = tmp_path / "c.tsbm"
         write_snapshots(path, arr)
-        assert np.array_equal(read_snapshots(path).data, arr.data)
+        assert np.array_equal(read_snapshots(path).dense(), arr.dense())
 
     def test_empty_graph(self, tmp_path):
         path = tmp_path / "e.tsbm"
         path.write_text("# empty graph\ntsbm 1 5 3\n")
         arr = read_snapshots(path)
         assert arr.N == 5 and arr.T == 3
-        assert arr.data.sum() == 0
+        assert arr.dense().sum() == 0
 
     def test_line_count(self, tmp_path):
         ch = chain_from_stationary(0.2, 0.5)
         arr = sample_markov_snapshots(sample_labelling(20, 2, seed=5), ch, ch, 4, seed=6)
         path = tmp_path / "n.tsbm"
         write_snapshots(path, arr)
-        bits = sum(int(np.triu(arr.data[t], 1).sum()) for t in range(arr.T))
+        bits = sum(int(np.triu(arr.dense()[t], 1).sum()) for t in range(arr.T))
         lines = path.read_text().splitlines()
         assert len(lines) == 2 + bits  # header + labels + one line per bit
 
@@ -258,10 +260,17 @@ class TestSnapshotFiles:
         with pytest.raises(error):
             read_snapshots(path)
 
-    def test_oversized_header_fails_at_allocation(self, tmp_path):
+    def test_oversized_header_reads_without_allocation(self, tmp_path):
+        # memory follows the edges, not the 10^17 entries the header spans
         path = tmp_path / "huge.tsbm"
         path.write_text("tsbm 1 10000000 1000\n")
-        with pytest.raises(MemoryError):
+        arr = read_snapshots(path)
+        assert (arr.N, arr.T, arr.data.size, arr.values) == (10**7, 1000, 0, None)
+
+    def test_header_beyond_the_index_range(self, tmp_path):
+        path = tmp_path / "huge.tsbm"
+        path.write_text("tsbm 1 4000000000 1\n")
+        with pytest.raises(MalformedHeaderError, match="^line 1: bad dimensions"):
             read_snapshots(path)
 
     def test_labels_sidecar(self, tmp_path):
@@ -341,10 +350,10 @@ class TestSnapshotFileProperties:
     def test_round_trip_and_rewrite(self, tmp_path_factory, data, with_labels):
         tmp = tmp_path_factory.mktemp("rt")
         labels = np.arange(data.shape[1]) % 3 if with_labels else None
-        write_snapshots(tmp / "a.tsbm", SnapshotArray(data, labels=labels))
+        write_snapshots(tmp / "a.tsbm", SnapshotArray.from_dense(data, labels=labels))
         back = read_snapshots(tmp / "a.tsbm")
-        assert back.data.dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
-        assert np.array_equal(back.data, data)
+        assert back.dense().dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
+        assert np.array_equal(back.dense(), data)
         assert np.array_equal(back.labels, labels) if with_labels else back.labels is None
         write_snapshots(tmp / "b.tsbm", back)
         assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
@@ -367,8 +376,8 @@ class TestSnapshotFileProperties:
             want = np.zeros((T, N, N), dtype=np.int64)
             for _, t, i, j, v in parsed:
                 want[t - 1, i, j] = want[t - 1, j, i] = v
-            assert back.data.dtype == (np.int64 if want.max() > 1 else np.uint8)
-            assert np.array_equal(back.data, want)
+            assert back.dense().dtype == (np.int64 if want.max() > 1 else np.uint8)
+            assert np.array_equal(back.dense(), want)
         else:
             error, message = expected
             with pytest.raises(SnapshotFormatError) as exc:
@@ -380,10 +389,44 @@ class TestSnapshotFileProperties:
 class TestSnapshotArray:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SnapshotArray(np.zeros((3, 4, 5)))
+            SnapshotArray.from_dense(np.zeros((3, 4, 5)))
+        with pytest.raises(ValueError):
+            SnapshotArray(np.zeros((3, 4, 4)), 4, 3)
 
     def test_validate_catches_asymmetry(self):
         data = np.zeros((1, 4, 4), dtype=np.uint8)
         data[0, 1, 2] = 1
         with pytest.raises(ValueError):
-            SnapshotArray(data).validate()
+            SnapshotArray.from_dense(data).validate()
+
+    def test_validate_catches_diagonal_order_and_values(self):
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            SnapshotArray(np.array([5]), 4, 1).validate()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SnapshotArray(np.array([4, 1]), 4, 1).validate()
+        with pytest.raises(ValueError, match="outside"):
+            SnapshotArray(np.array([1, 4, 16]), 4, 1).validate()
+        with pytest.raises(ValueError, match="snapshot 1 is not symmetric"):
+            SnapshotArray(np.array([1, 4]), 4, 1, values=np.array([2, 3])).validate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(
+        _symmetric_arrays(1), _symmetric_arrays(4),
+        arrays(np.uint8, st.tuples(st.integers(1, 3), st.shared(st.integers(0, 5), key="n"),
+                                   st.shared(st.integers(0, 5), key="n")),
+               elements=st.integers(0, 3)),
+    ))
+    def test_dense_round_trip(self, x):
+        arr = SnapshotArray.from_dense(x)
+        assert np.array_equal(arr.data, np.flatnonzero(x))
+        assert np.array_equal(arr.dense(), x)
+        assert arr.dense().dtype == (np.int64 if x.max(initial=0) > 1 else np.uint8)
+        for t in range(arr.T):
+            assert np.array_equal(arr.snapshot(t), np.flatnonzero(x[t]))
+
+    def test_sampler_matches_the_dense_form(self):
+        ch = chain_from_stationary(0.2, 0.6)
+        arr = sample_markov_snapshots(sample_labelling(30, 2, seed=1), ch, ch, 4, seed=2)
+        arr.validate()
+        assert np.array_equal(arr.data, np.flatnonzero(arr.dense()))
+        assert np.array_equal(SnapshotArray.from_dense(arr.dense()).data, arr.data)
