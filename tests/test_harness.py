@@ -301,6 +301,19 @@ class TestCLI:
         want = spectral_cluster(spectral_matrix(read_snapshots(graph), algorithm), config)
         assert np.array_equal(read_labels(est), want)
 
+    @pytest.mark.parametrize("algorithm", ["rates", "friends", "enemies", "spectral"])
+    def test_recover_reports_estimated_blocks(self, tmp_path, capsys, algorithm):
+        # the baselines choose their own block count and print it
+        chain = ["--mu1", "5", "--nu1", "1", "--p11", "0.7", "--q11", "0.3"]
+        graph = tmp_path / "g.tsbm"
+        main(["generate", "--n", "30", "--k", "2", "--t", "4", "--seed", "2",
+              "--out", str(graph)] + chain)
+        capsys.readouterr()
+        assert main(["recover", "--input", str(graph), "--algorithm", algorithm] + chain) == 0
+        out = capsys.readouterr().out.splitlines()
+        reported = [line for line in out if line.startswith("estimated blocks: ")]
+        assert len(reported) == (algorithm != "spectral")
+
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse
         # reader and online step need memory for the edges and O(N K) only
