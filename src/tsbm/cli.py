@@ -17,17 +17,7 @@ from ._rng import derive_seed
 from .divergence import FiniteDistribution
 from .markov import ThresholdConvention, t_star
 from .metrics import accuracy
-from .recovery import (
-    CategoricalKernel,
-    MarkovKernel,
-    OnlineLikelihood,
-    OnlineLikelihoodLearned,
-    enemy_paths,
-    mle_brute_force,
-    persistent_components,
-    refine_recover,
-    transition_rate_clustering,
-)
+from .recovery import CategoricalKernel
 from .sbm import (
     read_labels,
     read_snapshots,
@@ -37,7 +27,10 @@ from .sbm import (
     write_labels,
     write_snapshots,
 )
-from .spectral import SpectralConfig, binarize, spectral_cluster
+
+# unused here, but bench/tracing.py wraps them on this module, so they stay importable
+from .recovery import refine_recover  # noqa: F401
+from .spectral import binarize, spectral_cluster  # noqa: F401
 
 
 def _add_chain_args(p, required=False):
@@ -185,52 +178,21 @@ def _parse_dist(text):
 def _cmd_recover(parser, args):
     has_markov = None not in (args.mu1, args.nu1, args.p11, args.q11)
     has_categorical = args.f is not None and args.g is not None
-    if args.algorithm in ("online", "rates") and not has_markov:
+    if args.algorithm in harness.MARKOV_ALGORITHMS and not has_markov:
         parser.exit(2, f"error: algorithm {args.algorithm!r} needs Markov chain "
                     "parameters (--mu1/--nu1/--p11/--q11)\n")
-    if args.algorithm in ("mle", "refine", "refine-loo") and not (has_markov or has_categorical):
+    if args.algorithm in harness.KERNEL_ALGORITHMS and not (has_markov or has_categorical):
         parser.exit(2, f"error: algorithm {args.algorithm!r} needs interaction parameters "
                     "(--mu1/--nu1/--p11/--q11 or --f/--g)\n")
     array = read_snapshots(args.input)
-    intra = inter = None
-    if has_markov:
-        intra, inter = _chains(args, array.N)
-    spec_cfg = SpectralConfig(K=args.k, seed=derive_seed(args.seed, 4))
-
-    if args.algorithm in ("refine", "refine-loo", "mle"):
-        if has_categorical:
-            kf, kg = CategoricalKernel(_parse_dist(args.f)), CategoricalKernel(_parse_dist(args.g))
-        else:
-            kf, kg = MarkovKernel(intra), MarkovKernel(inter)
-        if args.algorithm == "mle":
-            labels = mle_brute_force(array, args.k, kf, kg)
-        else:
-            mode = "fast" if args.algorithm == "refine" else "loo"
-            labels = refine_recover(array, kf, kg, args.k, spec_cfg, mode=mode)
-    elif args.algorithm in ("online", "online-learn"):
-        if args.init == "spectral":
-            init = spectral_cluster(binarize(array, t=0), spec_cfg)
-        else:
-            from ._rng import counter_uniform
-
-            u = counter_uniform(derive_seed(args.seed, 3), 0, np.arange(array.N))
-            init = np.minimum((u * args.k).astype(np.int64), args.k - 1)
-        if args.algorithm == "online":
-            state = OnlineLikelihood(array.snapshot(0), init, intra, inter, args.k)
-        else:
-            state = OnlineLikelihoodLearned(array.snapshot(0), init, args.k)
-        labels = state.run(array)
-    elif args.algorithm == "rates":
-        labels, k_hat = transition_rate_clustering(array, intra.transition, inter.transition)
+    chains = _chains(args, array.N) if has_markov else None
+    kernels = None
+    if has_categorical and args.algorithm in harness.KERNEL_ALGORITHMS:
+        kernels = CategoricalKernel(_parse_dist(args.f)), CategoricalKernel(_parse_dist(args.g))
+    labels, k_hat = harness.recover(array, args.algorithm, args.k, args.seed, chains=chains,
+                                    kernels=kernels, init=args.init)
+    if k_hat is not None:
         print(f"estimated blocks: {k_hat}")
-    elif args.algorithm == "friends":
-        labels, k_hat = persistent_components(array)
-        print(f"estimated blocks: {k_hat}")
-    elif args.algorithm == "enemies":
-        labels, k_hat = enemy_paths(array)
-        print(f"estimated blocks: {k_hat}")
-    else:
-        labels = spectral_cluster(harness.spectral_matrix(array, args.algorithm), spec_cfg)
 
     truth = None
     if args.truth:
@@ -273,12 +235,12 @@ def _cmd_replicate_figure(args):
     os.makedirs(args.out, exist_ok=True)
     kind, payload = harness.figure_bundle(args.figure, trials=args.trials, seed=args.seed)
     if kind == "threshold-grid":
-        values = np.linspace(0.05, 0.95, 19)
-        for name, mult in payload:
-            grid = harness.threshold_grid(500, 2, mult, 1.5, values, values)
+        for name, grid_args in payload:
+            grid = harness.threshold_grid(**grid_args)
             path = os.path.join(args.out, name + ".csv")
             with open(path, "w") as fh:
-                fh.write(harness.threshold_grid_csv(grid, values, values))
+                fh.write(harness.threshold_grid_csv(
+                    grid, grid_args["p11_values"], grid_args["q11_values"]))
             print(f"wrote {path}")
         return 0
     for config in payload:

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ._rng import derive_seed, counter_uniform
+from ._rng import derive_seed
 from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_rate
 from .markov import (
     ThresholdConvention,
+    _i_tilde_args,
     chain_from_stationary,
-    h11_sq,
     i_tilde_long,
     i_tilde_short,
     markov_hellinger_sq,
@@ -55,8 +55,11 @@ __all__ = [
     "chains_in_units",
     "parse_config_text",
     "spectral_matrix",
+    "recover",
     "ONLINE_ALGORITHMS",
     "SPECTRAL_ALGORITHMS",
+    "MARKOV_ALGORITHMS",
+    "KERNEL_ALGORITHMS",
     "ALGORITHMS",
     "UNITS",
 ]
@@ -65,6 +68,8 @@ ONLINE_ALGORITHMS = ("online", "online-learn")
 SPECTRAL_ALGORITHMS = ("spectral", "spectral-union", "spectral-aggregate", "spectral-squared")
 ALGORITHMS = (ONLINE_ALGORITHMS + ("refine", "refine-loo") + SPECTRAL_ALGORITHMS
               + ("rates", "friends", "enemies", "mle"))
+MARKOV_ALGORITHMS = ("online", "rates")  # need the chain pair
+KERNEL_ALGORITHMS = ("refine", "refine-loo", "mle")  # need a kernel pair or the chains
 
 UNITS = ("absolute", "logn", "inv_n")
 
@@ -175,6 +180,53 @@ def spectral_matrix(array, algorithm):
     return out
 
 
+def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral",
+            truth=None, synchronous=True, record=None):
+    """Run one recovery algorithm on a SnapshotArray; returns ``(labels,
+    k_hat)``, ``k_hat`` being the block count that ``rates``, ``friends``
+    and ``enemies`` estimate (None for the others).
+
+    ``chains`` is the ``(intra, inter)`` chain pair; MARKOV_ALGORITHMS need
+    it, and KERNEL_ALGORITHMS use its Markov kernels unless ``kernels``
+    gives an ``(intra, inter)`` kernel pair.  Online algorithms start from
+    ``init`` (spectral on the first snapshot, random, or ``truth``), pass
+    each snapshot's labels to ``record(t, labels)``, and sweep
+    ``synchronous``-ly.  Spectral steps and the random start draw from
+    substreams 4 and 3 of ``seed``.
+    """
+    if chains is None and (algorithm in MARKOV_ALGORITHMS
+                           or algorithm in KERNEL_ALGORITHMS and kernels is None):
+        raise ValueError(f"algorithm {algorithm!r} needs the chain pair")
+    spec_cfg = SpectralConfig(K=k, seed=derive_seed(seed, 4))
+    if algorithm in ONLINE_ALGORITHMS:
+        if init == "spectral":
+            start = spectral_cluster(binarize(array, t=0), spec_cfg)
+        elif init == "truth":
+            start = truth.copy()
+        else:
+            start = sample_labelling(array.N, k, seed=derive_seed(seed, 3))
+        if algorithm == "online":
+            state = OnlineLikelihood(array.snapshot(0), start, *chains, k, synchronous=synchronous)
+        else:
+            state = OnlineLikelihoodLearned(array.snapshot(0), start, k, synchronous=synchronous)
+        return state.run(array, record), None
+    if algorithm in KERNEL_ALGORITHMS:
+        kf, kg = kernels or (MarkovKernel(chains[0]), MarkovKernel(chains[1]))
+        if algorithm == "mle":
+            return mle_brute_force(array, k, kf, kg), None
+        mode = "fast" if algorithm == "refine" else "loo"
+        return refine_recover(array, kf, kg, k, spec_cfg, mode=mode), None
+    if algorithm in SPECTRAL_ALGORITHMS:
+        return spectral_cluster(spectral_matrix(array, algorithm), spec_cfg), None
+    if algorithm == "rates":
+        return transition_rate_clustering(array, chains[0].transition, chains[1].transition)
+    if algorithm == "friends":
+        return persistent_components(array)
+    if algorithm == "enemies":
+        return enemy_paths(array)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def run_trial(config, trial):
     """Run one seeded trial of an experiment; returns a TrialRecord."""
     trial_seed = derive_seed(config.seed, trial)
@@ -184,56 +236,25 @@ def run_trial(config, trial):
     else:
         truth = sample_labelling(config.n, config.k, seed=derive_seed(trial_seed, 1))
     array = sample_markov_snapshots(truth, intra, inter, config.t, seed=derive_seed(trial_seed, 2))
-    spec_cfg = SpectralConfig(K=config.k, seed=derive_seed(trial_seed, 4))
 
     t0 = time.perf_counter()
     accuracies, ham_stars = [], []
 
-    def push(labels):
+    def push(t, labels):
         d, _ = ham_star(labels, truth)
         ham_stars.append(int(d))
         accuracies.append(1.0 - d / config.n)
 
-    alg = config.algorithm
-    if alg in ONLINE_ALGORITHMS:
-        if config.init == "spectral":
-            init = spectral_cluster(binarize(array, t=0), spec_cfg)
-        elif config.init == "truth":
-            init = truth.copy()
-        else:
-            u = counter_uniform(derive_seed(trial_seed, 3), 0, np.arange(config.n))
-            init = np.minimum((u * config.k).astype(np.int64), config.k - 1)
-        if alg == "online":
-            state = OnlineLikelihood(
-                array.snapshot(0), init, intra, inter, config.k,
-                synchronous=config.synchronous,
-            )
-        else:
-            state = OnlineLikelihoodLearned(
-                array.snapshot(0), init, config.k, synchronous=config.synchronous
-            )
-        state.run(array, record=lambda t, labels: push(labels))
-    elif alg in ("refine", "refine-loo"):
-        kf, kg = MarkovKernel(intra), MarkovKernel(inter)
-        mode = "fast" if alg == "refine" else "loo"
-        push(refine_recover(array, kf, kg, config.k, spec_cfg, mode=mode))
-    elif alg in SPECTRAL_ALGORITHMS:
-        push(spectral_cluster(spectral_matrix(array, alg), spec_cfg))
-    elif alg == "rates":
-        labels, _ = transition_rate_clustering(array, intra.transition, inter.transition)
-        push(labels)
-    elif alg == "friends":
-        push(persistent_components(array)[0])
-    elif alg == "enemies":
-        push(enemy_paths(array)[0])
-    elif alg == "mle":
-        kf, kg = MarkovKernel(intra), MarkovKernel(inter)
-        push(mle_brute_force(array, config.k, kf, kg))
+    labels, _ = recover(array, config.algorithm, config.k, trial_seed, chains=(intra, inter),
+                        init=config.init, truth=truth, synchronous=config.synchronous,
+                        record=push)
+    if config.algorithm not in ONLINE_ALGORITHMS:
+        push(1, labels)
     seconds = time.perf_counter() - t0
     return TrialRecord(
         trial=trial,
         seed=trial_seed,
-        algorithm=alg,
+        algorithm=config.algorithm,
         accuracies=accuracies,
         ham_stars=ham_stars,
         seconds=seconds,
@@ -361,19 +382,9 @@ def divergence_report(intra, inter, n, k, t, t_max=10**6):
         markov_renyi_exact(1.5, intra, inter, t) + markov_renyi_exact(1.5, inter, intra, t)
     )
     beta_half = d_high / exact if exact > 0 else math.inf
-    rho = math.log(n) / n
-    gamma = 1.0 - math.sqrt(intra.p11 * inter.p11)
-    h2 = h11_sq(intra.p11, inter.p11)
-    its = i_tilde_short(
-        intra.mu1 / rho,
-        inter.mu1 / rho,
-        intra.p01 / rho,
-        inter.p01 / rho,
-        h2,
-        gamma if gamma > 0 else 1e-300,
-        t,
-    )
-    itl = i_tilde_long(intra.p01 / rho, inter.p01 / rho, h2)
+    args = _i_tilde_args(intra, inter, math.log(n) / n)
+    its = i_tilde_short(*args, t)
+    itl = i_tilde_long(*args[2:5])  # the p01 multiples and h11 squared
     inputs = BoundInputs(N=n, K=k, I=exact, J=j, eps=0.01, zeta=0.01)
     return DivergenceReport(
         n=n,
@@ -436,108 +447,57 @@ def threshold_grid_csv(grid, p11_values, q11_values):
 # ---------------------------------------------------------------------------
 
 
+_FIG3_GRID = [round(x, 2) for x in np.linspace(0.1, 0.9, 9)]
+_FIG7_METHODS = ("online", "spectral-union", "spectral-aggregate", "spectral-squared",
+                 "friends", "enemies")
+# figure: (default trials, fields shared by its configs, per-config fields)
+_FIGURES = {
+    3: (5, dict(n=500, k=2, t=10, nu1=1.5, units="logn", algorithm="online", init="random"),
+        [dict(mu1=mult, p11=p11, q11=q11, name=f"fig3_mu{mult}_p{p11}_q{q11}")
+         for mult in (1.51, 2.5, 4.0) for p11 in _FIG3_GRID for q11 in _FIG3_GRID]),
+    4: (50, dict(n=500, k=2, t=30, nu1=1.5, p11=0.7, q11=0.3, units="logn",
+                 algorithm="online", balanced=True),
+        [dict(mu1=mult, init=init, name=f"fig4_mu{mult}_{init}")
+         for mult in (1.5, 2.5, 4.0) for init in ("spectral", "random")]),
+    5: (50, dict(k=2, q11=0.3, units="inv_n", algorithm="online", init="random"),
+        [dict(n=500, t=100, mu1=2.5, nu1=1.5, p11=0.6, name="fig5_a"),
+         dict(n=100, t=1000, mu1=0.15, nu1=0.1, p11=0.4, name="fig5_b")]),
+    6: (20, dict(n=1000, k=2, t=30, mu1=0.05, p11=0.6, q11=0.3, units="absolute",
+                 init="spectral"),
+        [dict(nu1=nu1, algorithm=alg, name=f"fig6_nu{nu1}_{alg}")
+         for nu1 in (0.03, 0.035, 0.04) for alg in ("online", "online-learn")]),
+    # panel a varies q11 under a static intra chain, panel b varies p11;
+    # online starts from spectral init and sweeps in place
+    7: (20, dict(n=500, k=2, t=30, mu1=0.05, nu1=0.04, units="absolute"),
+        [dict(p11=p11, q11=q11, algorithm=alg, init="spectral" if alg == "online" else "random",
+              synchronous=alg != "online", name=f"fig7{point}_{alg}")
+         for point, p11, q11 in [(f"a_q{q}", 1.0, q) for q in (0.3, 0.5, 0.7, 0.9)]
+         + [(f"b_p{p}", p, 0.04) for p in (0.5, 0.7, 0.9, 0.99, 1.0)]
+         for alg in _FIG7_METHODS]),
+}
+
+
 def figure_bundle(figure, trials=None, seed=0):
     """Named experiment set reproducing one of the built-in figures.
 
     Returns ``(kind, payload)`` where ``kind`` is ``"threshold-grid"`` for
-    threshold maps (payload: list of ``(name, mu1 multiple)`` pairs, each
-    a ``threshold_grid`` at N=500, K=2, nu1 multiple 1.5) or
-    ``"experiments"`` (payload: list of ExperimentConfig).
+    threshold maps (payload: list of ``(name, threshold_grid keyword
+    arguments)`` pairs) or ``"experiments"`` (payload: list of
+    ExperimentConfig, ``trials`` overriding the figure's default count).
     """
     if figure == 2:
+        values = np.linspace(0.05, 0.95, 19)
         return "threshold-grid", [
-            ("fig2_mu%.2f" % mult, mult) for mult in (1.51, 2.5, 4.0)
+            ("fig2_mu%.2f" % mult, dict(n=500, k=2, mu1_mult=mult, nu1_mult=1.5,
+                                        p11_values=values, q11_values=values))
+            for mult in (1.51, 2.5, 4.0)
         ]
-    if figure == 3:
-        configs = []
-        grid = [round(x, 2) for x in np.linspace(0.1, 0.9, 9)]
-        for mult in (1.51, 2.5, 4.0):
-            for p11 in grid:
-                for q11 in grid:
-                    configs.append(
-                        ExperimentConfig(
-                            n=500, k=2, t=10, mu1=mult, nu1=1.5, p11=p11, q11=q11,
-                            units="logn", algorithm="online", init="random",
-                            trials=trials or 5, seed=seed,
-                            name=f"fig3_mu{mult}_p{p11}_q{q11}",
-                        )
-                    )
-        return "experiments", configs
-    if figure == 4:
-        configs = []
-        for mult in (1.5, 2.5, 4.0):
-            for init in ("spectral", "random"):
-                configs.append(
-                    ExperimentConfig(
-                        n=500, k=2, t=30, mu1=mult, nu1=1.5, p11=0.7, q11=0.3,
-                        units="logn", algorithm="online", init=init,
-                        trials=trials or 50, seed=seed, balanced=True,
-                        name=f"fig4_mu{mult}_{init}",
-                    )
-                )
-        return "experiments", configs
-    if figure == 5:
-        return "experiments", [
-            ExperimentConfig(
-                n=500, k=2, t=100, mu1=2.5, nu1=1.5, p11=0.6, q11=0.3,
-                units="inv_n", algorithm="online", init="random",
-                trials=trials or 50, seed=seed, name="fig5_a",
-            ),
-            ExperimentConfig(
-                n=100, k=2, t=1000, mu1=0.15, nu1=0.1, p11=0.4, q11=0.3,
-                units="inv_n", algorithm="online", init="random",
-                trials=trials or 50, seed=seed, name="fig5_b",
-            ),
-        ]
-    if figure == 6:
-        configs = []
-        for nu1 in (0.03, 0.035, 0.04):
-            for alg in ("online", "online-learn"):
-                configs.append(
-                    ExperimentConfig(
-                        n=1000, k=2, t=30, mu1=0.05, nu1=nu1, p11=0.6, q11=0.3,
-                        units="absolute", algorithm=alg, init="spectral",
-                        trials=trials or 20, seed=seed,
-                        name=f"fig6_nu{nu1}_{alg}",
-                    )
-                )
-        return "experiments", configs
-    if figure == 7:
-        methods = (
-            "online",
-            "spectral-union",
-            "spectral-aggregate",
-            "spectral-squared",
-            "friends",
-            "enemies",
-        )
-        configs = []
-        for q11 in (0.3, 0.5, 0.7, 0.9):
-            for alg in methods:
-                configs.append(
-                    ExperimentConfig(
-                        n=500, k=2, t=30, mu1=0.05, nu1=0.04, p11=1.0, q11=q11,
-                        units="absolute", algorithm=alg,
-                        init="spectral" if alg == "online" else "random",
-                        synchronous=alg != "online",
-                        trials=trials or 20, seed=seed,
-                        name=f"fig7a_q{q11}_{alg}",
-                    )
-                )
-        for p11 in (0.5, 0.7, 0.9, 0.99, 1.0):
-            for alg in methods:
-                configs.append(
-                    ExperimentConfig(
-                        n=500, k=2, t=30, mu1=0.05, nu1=0.04, p11=p11, q11=0.04,
-                        units="absolute", algorithm=alg,
-                        init="spectral" if alg == "online" else "random",
-                        synchronous=alg != "online",
-                        trials=trials or 20, seed=seed,
-                        name=f"fig7b_p{p11}_{alg}",
-                    )
-                )
-        return "experiments", configs
-    raise ValueError(f"unknown figure {figure!r} (supported: 2..7)")
+    if figure not in _FIGURES:
+        raise ValueError(f"unknown figure {figure!r} (supported: 2..7)")
+    default, shared, rows = _FIGURES[figure]
+    return "experiments", [
+        ExperimentConfig(**shared, **row, trials=trials or default, seed=seed) for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

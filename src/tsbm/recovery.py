@@ -54,6 +54,8 @@ class MarkovKernel:
     def log_ratio_matrix(self, array, other):
         """Matrix of ``log f/g`` per node pair, ``f`` this kernel's law and
         ``g`` the other's; diagonal entries are zero."""
+        if array.values is not None:
+            raise ValueError(f"Markov kernel needs 0/1 snapshots, got symbol {array.values.max()}")
         x = array.dense()
         f, g = self.chain, other.chain
         l_init = _sat_log_ratio(f.mu, g.mu)
@@ -77,6 +79,8 @@ class CategoricalKernel:
         if x.shape[0] != 1:
             raise ValueError("categorical kernel expects a single snapshot")
         lr = _sat_log_ratio(self.dist.probs, other.dist.probs)
+        if x.max(initial=0) >= lr.size:
+            raise ValueError(f"symbol {x.max()} outside the {lr.size}-symbol alphabet")
         out = lr[x[0]]
         np.fill_diagonal(out, 0.0)
         return out
@@ -302,9 +306,9 @@ class OnlineLikelihoodLearned:
 
     Initial laws are estimated from the first snapshot under the initial
     labelling; transition matrices start from the i.i.d. guess implied by
-    those laws and are re-estimated from per-pair transition counts averaged
-    within (and across) the predicted blocks.  Pairs that have not yet
-    visited a state are left out of the averages.
+    those laws and are re-estimated after every step from per-pair transition
+    counts averaged within (and across) the predicted blocks.  Pairs that
+    have not yet visited a state are left out of the averages.
 
     ``ratio.counts`` holds the transition counts of the pairs that have
     interacted; every other pair has made ``t - 1`` transitions ``0 -> 0``
@@ -314,10 +318,9 @@ class OnlineLikelihoodLearned:
     ``fsum(hits_m / m) / pairs`` over ``m >= 1``.
     """
 
-    def __init__(self, first_snapshot, init_labels, K, refresh_every=1, synchronous=True):
+    def __init__(self, first_snapshot, init_labels, K, synchronous=True):
         self.K = K
         self.synchronous = synchronous
-        self.refresh_every = refresh_every
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
         n = self.labels.size
         x = np.asarray(first_snapshot, dtype=np.int64)
@@ -347,8 +350,7 @@ class OnlineLikelihoodLearned:
         self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
         self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
-        if (self.t - 1) % self.refresh_every == 0:
-            self._reestimate()
+        self._reestimate()
         return self
 
     def _reestimate(self):

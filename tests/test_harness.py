@@ -18,6 +18,7 @@ from tsbm.harness import (
     figure_bundle,
     parse_config_text,
     records_to_csv,
+    recover,
     run_experiment,
     run_trial,
     spectral_matrix,
@@ -219,6 +220,19 @@ class TestFigureBundles:
             figure_bundle(99)
 
 
+class TestRecover:
+    @pytest.mark.parametrize("algorithm", ["online", "rates", "refine", "refine-loo", "mle"])
+    def test_needs_chain_pair(self, algorithm):
+        array = SnapshotArray.from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="needs the chain pair"):
+            recover(array, algorithm, 2, 0)
+
+    def test_unknown_algorithm(self):
+        array = SnapshotArray.from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            recover(array, "louvain", 2, 0)
+
+
 class TestSpectralMatrix:
     def test_builders_match_their_dense_definitions(self):
         rng = np.random.default_rng(0)
@@ -313,6 +327,30 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         reported = [line for line in out if line.startswith("estimated blocks: ")]
         assert len(reported) == (algorithm != "spectral")
+
+    @pytest.mark.parametrize("algorithm", ["refine", "refine-loo", "mle"])
+    @pytest.mark.parametrize("graph,params", [
+        ("tsbm 1 4 2\ne 1 0 1 3\ne 2 0 1 2\ne 1 2 3\n",
+         ["--mu1", "0.5", "--nu1", "0.3", "--p11", "0.5", "--q11", "0.3", "--units", "absolute"]),
+        ("tsbm 1 4 1\ne 1 0 1 3\ne 1 2 3\n", ["--f", "0.5,0.5", "--g", "0.7,0.3"]),
+    ], ids=["markov", "categorical"])
+    def test_recover_kernel_rejects_foreign_symbol(self, tmp_path, capsys, algorithm, graph,
+                                                   params):
+        # symbol 3 is outside both the binary Markov chain and the 2-symbol alphabet
+        path = tmp_path / "g.tsbm"
+        path.write_text(graph)
+        rc = main(["recover", "--input", str(path), "--algorithm", algorithm] + params)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "symbol 3" in err
+
+    def test_recover_random_init_needs_k_at_most_n(self, tmp_path, capsys):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 3 2\ne 1 0 1\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "online-learn",
+                   "--init", "random", "--k", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
 
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse

@@ -232,13 +232,6 @@ class TestOnlineLikelihoodLearned:
             )
         assert max(errors) <= 0.02
 
-    def test_refresh_knob(self):
-        labels, arr = markov_instance(30, 8, 13)
-        state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2, refresh_every=4)
-        p_first = state.P_hat.copy()
-        state.step(arr.snapshot(1))
-        assert np.array_equal(state.P_hat, p_first)  # no refresh yet
-
 
 # ---------------------------------------------------------------------------
 # Dense references: the online step with a dense N x N matrix M, as the
@@ -305,10 +298,10 @@ class _DenseLearned:
     over upper-triangle gathers, the direct form of the sparse counter and
     binned estimator."""
 
-    def __init__(self, first_snapshot, init_labels, K, refresh_every=1, synchronous=True):
+    def __init__(self, first_snapshot, init_labels, K, synchronous=True):
         x = np.asarray(first_snapshot)
         n = x.shape[0]
-        self.K, self.refresh_every, self.synchronous = K, refresh_every, synchronous
+        self.K, self.synchronous = K, synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
         self._iu = np.triu_indices(n, k=1)
         same = self.labels[self._iu[0]] == self.labels[self._iu[1]]
@@ -336,8 +329,7 @@ class _DenseLearned:
             self.counts[ab] += idx == ab
         self._prev = x.copy()
         self.t += 1
-        if (self.t - 1) % self.refresh_every == 0:
-            self._reestimate()
+        self._reestimate()
 
     def _reestimate(self):
         iu = self._iu
@@ -409,16 +401,15 @@ def _online_runs(draw):
 class TestSparseOnlineMatchesDense:
     @settings(max_examples=120, deadline=None)
     @given(run=_online_runs(), intra=_any_chain, inter=_any_chain,
-           learned=st.booleans(), refresh=st.integers(1, 3))
-    def test_bit_identical_M_and_labels(self, run, intra, inter, learned, refresh):
+           learned=st.booleans())
+    def test_bit_identical_M_and_labels(self, run, intra, inter, learned):
         # the reference is resynced to the sparse labels (and estimates)
         # before each step, so one near-tie cannot fork the two runs
         data, labels, K, synchronous = run
         if learned:
             state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
-                                            refresh_every=refresh, synchronous=synchronous)
-            ref = _DenseLearned(data[0], labels, K, refresh_every=refresh,
-                                synchronous=synchronous)
+                                            synchronous=synchronous)
+            ref = _DenseLearned(data[0], labels, K, synchronous=synchronous)
             assert np.array_equal(state.P_hat, ref.P_hat)
             assert np.array_equal(state.Q_hat, ref.Q_hat)
         else:
@@ -466,11 +457,11 @@ class TestSparseOnlineMatchesDense:
 
 @st.composite
 def _binary_runs(draw):
-    """Symmetric binary snapshots with a random labelling and refresh period."""
+    """Symmetric binary snapshots with a random labelling."""
     n, T = draw(st.integers(1, 9)), draw(st.integers(2, 12))
     bits = np.triu(draw(arrays(np.uint8, (T, n, n), elements=st.integers(0, 1))), 1)
     labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
-    return bits + bits.transpose(0, 2, 1), labels, draw(st.integers(1, 4))
+    return bits + bits.transpose(0, 2, 1), labels
 
 
 class TestPackedCounts:
@@ -480,10 +471,9 @@ class TestPackedCounts:
         # each step starts the reference from the sparse learner's M, labels
         # and estimates, so one differently broken tie cannot fork the two
         # runs; the counts accumulate independently on both sides
-        data, labels, refresh = run
-        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, 2,
-                                        refresh_every=refresh)
-        ref = _DenseLearned(data[0], labels, 2, refresh_every=refresh)
+        data, labels = run
+        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, 2)
+        ref = _DenseLearned(data[0], labels, 2)
         assert np.array_equal(state.P_hat, ref.P_hat) and np.array_equal(state.Q_hat, ref.Q_hat)
         iu = np.triu_indices(data.shape[1], 1)
         for t in range(1, data.shape[0]):
