@@ -184,11 +184,15 @@ def _cmd_recover(parser, args):
     if args.algorithm in harness.KERNEL_ALGORITHMS and not (has_markov or has_categorical):
         parser.exit(2, f"error: algorithm {args.algorithm!r} needs interaction parameters "
                     "(--mu1/--nu1/--p11/--q11 or --f/--g)\n")
-    array = read_snapshots(args.input)
-    chains = _chains(args, array.N) if has_markov else None
     kernels = None
     if has_categorical and args.algorithm in harness.KERNEL_ALGORITHMS:
-        kernels = CategoricalKernel(_parse_dist(args.f)), CategoricalKernel(_parse_dist(args.g))
+        f, g = _parse_dist(args.f), _parse_dist(args.g)
+        if len(f) != len(g):
+            parser.exit(2, f"error: --f and --g need alphabets of one size, got {len(f)} "
+                        f"and {len(g)} symbols\n")
+        kernels = CategoricalKernel(f), CategoricalKernel(g)
+    array = read_snapshots(args.input)
+    chains = _chains(args, array.N) if has_markov else None
     labels, k_hat = harness.recover(array, args.algorithm, args.k, args.seed, chains=chains,
                                     kernels=kernels, init=args.init)
     if k_hat is not None:

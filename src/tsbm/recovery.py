@@ -44,6 +44,12 @@ def _sat_log_ratio(p, q, sat=LOG_RATIO_SATURATION):
     return np.clip(out, -sat, sat)
 
 
+def _require_binary(array, name):
+    """Reject an array holding a symbol above 1 (it then carries ``values``)."""
+    if array.values is not None:
+        raise ValueError(f"{name} needs 0/1 snapshots, got symbol {array.values.max()}")
+
+
 class MarkovKernel:
     """Pair-pattern likelihood of a binary Markov chain, vectorised over the
     dense form of a snapshot array."""
@@ -54,8 +60,7 @@ class MarkovKernel:
     def log_ratio_matrix(self, array, other):
         """Matrix of ``log f/g`` per node pair, ``f`` this kernel's law and
         ``g`` the other's; diagonal entries are zero."""
-        if array.values is not None:
-            raise ValueError(f"Markov kernel needs 0/1 snapshots, got symbol {array.values.max()}")
+        _require_binary(array, "Markov kernel")
         x = array.dense()
         f, g = self.chain, other.chain
         l_init = _sat_log_ratio(f.mu, g.mu)
@@ -292,6 +297,7 @@ class OnlineLikelihood:
     def run(self, array, record=None):
         """Feed snapshots 2..T of a SnapshotArray; optionally record per-step
         labellings through ``record(t, labels)``."""
+        _require_binary(array, "online recovery")
         if record is not None:
             record(1, self.labels)
         for t in range(1, array.T):
@@ -403,6 +409,7 @@ def transition_rate_clustering(array, P, Q):
     P, Q = np.asarray(P, dtype=np.float64), np.asarray(Q, dtype=np.float64)
     if np.allclose(P, Q):
         raise ValueError("P = Q: transition rates carry no block information")
+    _require_binary(array, "transition-rate clustering")
     data = array.dense()
     if data.shape[0] < 2:
         raise ValueError("need at least two snapshots")

@@ -13,8 +13,13 @@ changes the output.  The Markov sampler walks the pairs in fixed-size
 chunks, hashing each pair's stream key once for all T steps, and keeps
 only the indices of set bits.
 
-The reader parses edges into integer arrays, validates them, and sorts
-their indices; it never allocates anything of the header's size.
+The reader takes the file in blocks of whole lines.  Byte masks pick out
+the ``e t i j`` lines spelled with plain ASCII decimals, and numpy parses
+all their numbers at once; the few other lines (header, labels, comments,
+``e t i j v``, other spellings that ``int`` accepts) go through per-line
+code, which would read the bulk lines the same way.  The edges are then
+validated and sorted as arrays; nothing of the header's size is allocated.
+The writer formats each block of edge lines as one byte matrix of digits.
 """
 
 from dataclasses import dataclass
@@ -184,12 +189,14 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     size = N * N
     found = []  # flat indices of set bits, both orientations
     # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
-    row_start = np.arange(N) * (2 * N - np.arange(N) - 1) // 2
+    row_start = np.arange(N + 1) * (2 * N - np.arange(N + 1) - 1) // 2
     n_pairs = N * (N - 1) // 2
     for lo in range(0, n_pairs, _CHUNK_PAIRS):
-        p = np.arange(lo, min(lo + _CHUNK_PAIRS, n_pairs))
-        i = np.searchsorted(row_start, p, side="right") - 1
-        j = p - row_start[i] + i + 1
+        hi = min(lo + _CHUNK_PAIRS, n_pairs)
+        first, last = np.searchsorted(row_start, (lo, hi - 1), side="right") - 1
+        i = np.repeat(np.arange(first, last + 1),
+                      np.diff(np.clip(row_start[first:last + 2], lo, hi)))
+        j = np.arange(lo, hi) - row_start[i] + i + 1
         upper, lower = i * N + j, j * N + i  # upper is also the stream id
         key = stream_key(seed, upper)
         same = labels[i] == labels[j]
@@ -220,17 +227,18 @@ def sample_categorical_snapshots(labels, f, g, seed=0):
     sym = np.where(same, sym_f, sym_g).astype(np.int64)
     sym = np.minimum(sym, len(f) - 1)
     on = np.flatnonzero(sym)
-    data, values = _both_orientations(N, 0, iu[on], ju[on], sym[on])
+    data, values = _both_orientations(iu[on] * N + ju[on], ju[on] * N + iu[on], sym[on])
     return SnapshotArray(data, N, 1, values=values, labels=labels)
 
 
-def _both_orientations(N, t, i, j, v):
-    """Sorted flat indices of entries ``(t, i, j)`` and ``(t, j, i)``, and
-    their symbols ``v`` in that order, or None when no symbol exceeds 1."""
-    offset = t * (N * N)
-    keys = np.concatenate((offset + i * N + j, offset + j * N + i))
+def _both_orientations(upper, lower, v):
+    """Sorted flat indices of the entries ``upper`` and of their mirror
+    images ``lower``, and their symbols ``v`` in that order, or None when no
+    symbol exceeds 1."""
+    keys = np.concatenate((upper, lower))
     if not (v > 1).any():
-        return np.sort(keys), None
+        keys.sort()  # in place: freeing an unsorted copy raised the peak RSS of a recovery
+        return keys, None
     order = np.argsort(keys)
     return keys[order], np.concatenate((v, v))[order]
 
@@ -248,111 +256,154 @@ def _both_orientations(N, t, i, j, v):
 _MAGIC = "tsbm"
 _VERSION = "1"
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Reader and writer work in blocks: _BLOCK characters of text, or _BLOCK / 8
+# edge lines.  Whole-file temporaries raised the peak RSS of a recovery run
+# after them: malloc kept their freed memory and served later arrays from it.
+_BLOCK = 1 << 16
 
 
 def write_snapshots(path, array, labels=None):
-    """Write an array (and optional labels line) in ``tsbm`` format."""
+    """Write an array (and optional labels line) in ``tsbm`` format.  Each
+    block of edge lines is a uint8 matrix of right-aligned digits, with zero
+    padding that is then dropped; a symbol of 1 is left out."""
     if labels is None:
         labels = array.labels
     N = array.N
     t, rest = np.divmod(array.data, N * N)
     i, j = np.divmod(rest, N)
     upper = i < j  # sorted indices list the upper entries in (t, i, j) order
-    rows = zip((t[upper] + 1).tolist(), i[upper].tolist(), j[upper].tolist())
+    columns = [t[upper] + 1, i[upper], j[upper]]
+    if array.values is not None:
+        columns.append(array.values[upper])
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
         if labels is not None:
             fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
-        if array.values is None:
-            fh.write("".join([f"e {a} {b} {c}\n" for a, b, c in rows]))
-        else:
-            fh.write("".join([
-                f"e {a} {b} {c}\n" if v == 1 else f"e {a} {b} {c} {v}\n"
-                for (a, b, c), v in zip(rows, array.values[upper].tolist())
-            ]))
+        for lo in range(0, upper.sum(), _BLOCK // 8):
+            block = [c[lo:lo + _BLOCK // 8] for c in columns]
+            parts = [np.full((block[0].size, 1), ord("e"), dtype=np.uint8)]
+            for x in block:
+                powers = 10 ** np.arange(len(str(x.max())) - 1, -1, -1)
+                digits = (x[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+                digits[:, :-1][x[:, None] < powers[:-1]] = 0
+                parts += [np.full_like(parts[0], ord(" ")), digits]
+            if array.values is not None:
+                parts[-2][block[3] == 1] = parts[-1][block[3] == 1] = 0
+            lines = np.hstack(parts + [np.full_like(parts[0], ord("\n"))])
+            fh.write(lines[lines != 0].tobytes().decode())
 
 
 def read_snapshots(path):
     """Read a ``tsbm`` file; the result round-trips bit-exactly.
 
-    Edges are validated as arrays, and an invalid file reports its first
-    offending line.  Memory follows the number of edges, whatever the
-    header's dimensions; ``values`` is kept only when some symbol exceeds 1.
-    """
-    header = None
-    labels = None
-    lines, columns = [], ([], [], [], [])  # t, i, j, v of each edge line
-    ts, iss, js, vs = columns
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if header is None:
-                line = raw.strip()
-                if len(tokens) != 4 or tokens[0] != _MAGIC or tokens[1] != _VERSION:
-                    raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
-                try:
-                    N, T = int(tokens[2]), int(tokens[3])
-                except ValueError:
-                    raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
-                if N < 1 or T < 1 or T * N * N - 1 > _INT64_MAX:
-                    raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
-                header = (N, T)
-                continue
-            if tokens[0] == "e":
-                if len(tokens) not in (4, 5):
-                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
-                try:
-                    t, i, j = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                    v = int(tokens[4]) if len(tokens) == 5 else 1
-                except ValueError:
-                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
-                lines.append(lineno)
-                ts.append(t)
-                iss.append(i)
-                js.append(j)
-                vs.append(v)
-                continue
-            if tokens[0] == "labels":
-                if labels is not None:
-                    raise MalformedHeaderError(f"line {lineno}: second labels record")
-                if len(tokens) != header[0] + 1:
-                    raise MalformedHeaderError(
-                        f"line {lineno}: labels line needs {header[0]} entries"
-                    )
-                labels = _parse_labels(lineno, tokens[1:])
-                continue
-            raise MalformedHeaderError(f"line {lineno}: unknown record {tokens[0]!r}")
+    In each block of whole lines, byte masks find the plain ``e t i j``
+    lines, parsed at once; the others are parsed one by one.  Edges are
+    validated as arrays; an invalid file reports its first offending line.
+    Memory follows the number of edges, whatever the header's dimensions;
+    ``values`` is kept only when some symbol exceeds 1."""
+    header = labels = None
+    found, other = [], []  # line, t, i, j (, v) of the bulk and of the other edge lines
+    first = 1  # number of the block's first line
+    with open(path) as fh:  # universal newlines: CRLF and lone CR end lines too
+        for chunk in iter(lambda: fh.read(_BLOCK) + fh.readline(), ""):  # whole lines
+            block = (chunk if chunk.endswith("\n") else chunk + "\n").encode()
+            starts, ends, bulk, rows = _bulk_edges(block)
+            found.append((first + np.flatnonzero(bulk), *rows.T))
+            todo = ~bulk
+            todo[np.argmax(bulk)] = True  # the first bulk line, in case it precedes the header
+            todo = [c[todo].tolist() for c in (np.arange(bulk.size), starts, ends, bulk)]
+            for k, start, end, parsed in zip(*todo):
+                if header is None or not parsed:
+                    raw = block[start:end].decode()
+                    header, labels = _parse_line(first + k, raw, header, labels, other)
+            first += ends.size
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
-    t, i, j, v = (_column(c) for c in columns)
-    repeated = _repeats(t, i, j)
-    bad = (t < 1) | (t > T) | (i < 0) | (i >= j) | (j >= N) | repeated
-    bad = bad | (v < 1) | (v > _INT64_MAX)
+    found = [np.concatenate(c) for c in zip(*found)]  # frees the per-block arrays
+    edges = found + [np.broadcast_to(np.int64(1), found[0].size)]
+    if other:  # merge the other edge lines in, in file order
+        try:  # values beyond int64 make object columns, which compare exactly
+            other = [np.array(c, dtype=np.int64) for c in zip(*other)]
+        except OverflowError:
+            other = [np.array(c, dtype=object) for c in zip(*other)]
+        edges = [np.concatenate(c) for c in zip(edges, other)]
+        order = np.argsort(edges[0], kind="stable")
+        edges = [c[order] for c in edges]
+    lines, t, i, j, v = edges
+    ok = (t >= 1) & (t <= T) & (i >= 0) & (i < j) & (j < N)
+    keep = slice(None) if ok.all() else ok  # a view when every edge is in range
+    t, i, j = (c[keep].astype(np.int64, copy=False) for c in (t, i, j))
+    key = ((t - 1) * N + i) * N + j  # flat index of the upper entry
+    repeated = np.zeros(ok.size, dtype=bool)
+    if (key[1:] <= key[:-1]).any():  # keys strictly increase in files this module writes
+        order = np.argsort(key, kind="stable")  # equal keys stay in file order
+        repeated[np.flatnonzero(ok)[order[1:]]] = key[order[1:]] == key[order[:-1]]
+    bad = ~ok | repeated | (v < 1) | (v > _INT64_MAX)
     if bad.any():
         k = int(np.argmax(bad))
-        raise _edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
-    t, i, j, v = (c.astype(np.int64) for c in (t, i, j, v))  # all in range now
-    data, values = _both_orientations(N, t - 1, i, j, v)
+        raise _edge_error(*(int(c[k]) for c in edges), repeated[k], N, T)
+    data, values = _both_orientations(key, key + (j - i) * (N - 1), v.astype(np.int64, copy=False))
     return SnapshotArray(data, N, T, values=values, labels=labels)
 
 
-def _column(values):
-    try:  # values beyond int64 make an object column, which compares exactly
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+def _parse_line(lineno, raw, header, labels, other):
+    """Parse one line outside the bulk grammar: returns the header and the
+    labels, and appends an edge line's ``(lineno, t, i, j, v)`` to ``other``."""
+    tokens = raw.split()
+    if not tokens or tokens[0].startswith("#"):
+        return header, labels
+    if header is None:
+        line = raw.strip()
+        if len(tokens) != 4 or tokens[0] != _MAGIC or tokens[1] != _VERSION:
+            raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
+        try:
+            N, T = int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
+        if N < 1 or T < 1 or T * N * N - 1 > _INT64_MAX:
+            raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
+        return (N, T), labels
+    if tokens[0] == "e":
+        if len(tokens) not in (4, 5):
+            raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+        try:
+            other.append((lineno, int(tokens[1]), int(tokens[2]), int(tokens[3]),
+                          int(tokens[4]) if len(tokens) == 5 else 1))
+        except ValueError:
+            raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+        return header, labels
+    if tokens[0] == "labels":
+        if labels is not None:
+            raise MalformedHeaderError(f"line {lineno}: second labels record")
+        if len(tokens) != header[0] + 1:
+            raise MalformedHeaderError(f"line {lineno}: labels line needs {header[0]} entries")
+        return header, _parse_labels(lineno, tokens[1:])
+    raise MalformedHeaderError(f"line {lineno}: unknown record {tokens[0]!r}")
 
 
-def _repeats(t, i, j):
-    """Mask of edges whose ``(t, i, j)`` appeared on an earlier line."""
-    order = np.lexsort((j, i, t))  # stable, so equal keys stay in file order
-    t, i, j = t[order], i[order], j[order]
-    repeated = np.zeros(order.size, dtype=bool)
-    repeated[order[1:]] = (t[1:] == t[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])
-    return repeated
+def _bulk_edges(block):
+    """Start and end (newline) offsets of the lines of ``block``, the mask
+    of its bulk lines, and their numbers as an (n, 3) int64 array.  A bulk
+    line is ``e`` and three numbers ``-?[0-9]+``, separated (and perhaps
+    followed) by spaces or tabs, in at most 24 bytes, so no number exceeds
+    18 digits; ``str.split`` and ``int`` read it alike."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digit = (buf - np.uint8(ord("0"))) < 10
+    sep = (buf == ord(" ")) | (buf == ord("\t"))
+    minus = buf == ord("-")
+    # 1 per number start, 4 per byte outside the grammar or '-' not between a
+    # separator and a digit: a bulk line, whose only such byte is its 'e', sums to 7
+    score = (~(digit | sep | minus | (buf == ord("\n")))).view(np.uint8) * np.uint8(4)
+    score[1:] += minus[1:] | (digit[1:] & sep[:-1])
+    score[1:-1] += np.uint8(4) * (minus[1:-1] & ~(sep[:-2] & digit[2:]))
+    bulk = ((np.add.reduceat(score, starts, dtype=np.uint8) == 7) & (ends - starts <= 24)
+            & (buf[starts] == ord("e")) & sep[np.minimum(starts + 1, buf.size - 1)])
+    text = np.where(np.repeat(bulk, ends - starts + 1) & (digit | minus), buf, np.uint8(32))
+    rows = np.fromstring(text, dtype=np.int64, sep=" ") if bulk.any() else np.empty(0, np.int64)
+    return starts, ends, bulk, rows.reshape(-1, 3)
 
 
 def _edge_error(lineno, t, i, j, v, repeated, N, T):

@@ -344,6 +344,28 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "symbol 3" in err
 
+    @pytest.mark.parametrize("algorithm", ["online", "online-learn", "rates"])
+    def test_recover_markov_algorithms_reject_symbols_above_one(self, tmp_path, capsys,
+                                                                algorithm):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 4 2\ne 1 0 1 3\ne 2 0 1 2\ne 1 2 3\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", algorithm, "--mu1", "0.5",
+                   "--nu1", "0.3", "--p11", "0.5", "--q11", "0.3", "--units", "absolute"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "needs 0/1 snapshots, got symbol 3" in err
+
+    def test_recover_alphabet_mismatch_names_the_flags(self, tmp_path, capsys):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 4 1\ne 1 0 1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--input", str(path), "--algorithm", "refine",
+                  "--f", "0.5,0.5", "--g", "0.2,0.3,0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: --f and --g need alphabets of one size, got 2 and 3 symbols\n")
+
     def test_recover_random_init_needs_k_at_most_n(self, tmp_path, capsys):
         path = tmp_path / "g.tsbm"
         path.write_text("tsbm 1 3 2\ne 1 0 1\n")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsbm import sbm
+from tsbm import harness, sbm
 from tsbm._rng import counter_uniform
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
@@ -155,6 +156,16 @@ class TestChunkedSampler:
         assert got.dense().dtype == np.uint8 and got.values is None
         assert np.array_equal(got.dense(), want)
         assert np.array_equal(got.data, np.flatnonzero(want))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_does_not_change_output(self, chunk):
+        intra, inter = chain_from_stationary(0.3, 0.6), chain_from_stationary(0.1, 0.4)
+        labels = sample_labelling(41, 3, seed=8)
+        want = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
+            got = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
+        assert np.array_equal(got.data, want.data)
 
 
 class TestCategoricalSampling:
@@ -384,6 +395,291 @@ class TestSnapshotFileProperties:
                 read_snapshots(path)
             assert type(exc.value) is error
             assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The per-line reader and writer that the bulk ones replaced, kept as
+# references: the bulk reader must accept and reject exactly the same files,
+# with the same arrays and the same errors, and the writer must write the
+# same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _reference_write_snapshots(path, array, labels=None):
+    if labels is None:
+        labels = array.labels
+    N = array.N
+    t, rest = np.divmod(array.data, N * N)
+    i, j = np.divmod(rest, N)
+    upper = i < j
+    rows = zip((t[upper] + 1).tolist(), i[upper].tolist(), j[upper].tolist())
+    with open(path, "w") as fh:
+        fh.write(f"tsbm 1 {N} {array.T}\n")
+        if labels is not None:
+            fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
+        if array.values is None:
+            fh.write("".join([f"e {a} {b} {c}\n" for a, b, c in rows]))
+        else:
+            fh.write("".join([
+                f"e {a} {b} {c}\n" if v == 1 else f"e {a} {b} {c} {v}\n"
+                for (a, b, c), v in zip(rows, array.values[upper].tolist())
+            ]))
+
+
+def _reference_column(values):
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _reference_read_snapshots(path):
+    header = None
+    labels = None
+    lines, columns = [], ([], [], [], [])
+    ts, iss, js, vs = columns
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if header is None:
+                line = raw.strip()
+                if len(tokens) != 4 or tokens[0] != "tsbm" or tokens[1] != "1":
+                    raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
+                try:
+                    N, T = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
+                if N < 1 or T < 1 or T * N * N - 1 > 2**63 - 1:
+                    raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
+                header = (N, T)
+                continue
+            if tokens[0] == "e":
+                if len(tokens) not in (4, 5):
+                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+                try:
+                    t, i, j = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                    v = int(tokens[4]) if len(tokens) == 5 else 1
+                except ValueError:
+                    raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
+                lines.append(lineno)
+                ts.append(t)
+                iss.append(i)
+                js.append(j)
+                vs.append(v)
+                continue
+            if tokens[0] == "labels":
+                if labels is not None:
+                    raise MalformedHeaderError(f"line {lineno}: second labels record")
+                if len(tokens) != header[0] + 1:
+                    raise MalformedHeaderError(
+                        f"line {lineno}: labels line needs {header[0]} entries"
+                    )
+                labels = sbm._parse_labels(lineno, tokens[1:])
+                continue
+            raise MalformedHeaderError(f"line {lineno}: unknown record {tokens[0]!r}")
+    if header is None:
+        raise MalformedHeaderError("missing header line")
+    N, T = header
+    t, i, j, v = (_reference_column(c) for c in columns)
+    order = np.lexsort((j, i, t))
+    st_, si, sj = t[order], i[order], j[order]
+    repeated = np.zeros(order.size, dtype=bool)
+    repeated[order[1:]] = (st_[1:] == st_[:-1]) & (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
+    bad = (t < 1) | (t > T) | (i < 0) | (i >= j) | (j >= N) | repeated
+    bad = bad | (v < 1) | (v > 2**63 - 1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise sbm._edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
+    t, i, j, v = (c.astype(np.int64) for c in (t, i, j, v))
+    keys = np.concatenate(((t - 1) * N * N + i * N + j, (t - 1) * N * N + j * N + i))
+    if not (v > 1).any():
+        return SnapshotArray(np.sort(keys), N, T, labels=labels)
+    order = np.argsort(keys)
+    data, values = keys[order], np.concatenate((v, v))[order]
+    return SnapshotArray(data, N, T, values=values, labels=labels)
+
+
+_STYLES = ["plain"] * 6 + ["zeros", "plus", "underscore", "arabic", "fullwidth"]
+_JUNK = ["x", "1e3", "--1", "1-", "_1", "-", "+", "0x1", "1.0", "\x00"]
+_WILD = [-1, 0, 7, 10**18, -(10**18), 10**19, 2**63 - 1, 2**63, 10**25]
+
+
+def _spell(value, style, zeros=1):
+    """``value`` as a token that ``int()`` reads back, in the given style."""
+    sign, text = ("-" if value < 0 else ""), str(abs(value))
+    if style == "zeros":
+        text = "0" * zeros + text
+    elif style == "plus":
+        sign = sign or "+"
+    elif style == "underscore" and len(text) > 1:
+        text = text[0] + "_" + text[1:]
+    elif style in ("arabic", "fullwidth"):
+        zero = "\u0660" if style == "arabic" else "\uff10"
+        text = "".join(chr(ord(zero) + int(c)) for c in text)
+    return sign + text
+
+
+@st.composite
+def _messy_files(draw):
+    """The text of a small ``tsbm`` file that mixes the writer's own lines
+    with every spelling the per-line reader accepts: runs of spaces and
+    tabs, other whitespace, CRLF and lone-CR line ends, comments, blank
+    lines, 5-token edge lines, leading zeros, '+', '_', non-ASCII digits and
+    no final newline.  Faults are injected at a rate drawn per file: junk
+    tokens, negative, 19-digit and wider numbers, out-of-range and repeated
+    edges, wrong token counts, bad headers and labels records, unknown
+    records, and edge lines before the header."""
+    N, T = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rate = draw(st.sampled_from([0, 0, 0, 2, 8, 25]))  # percent, per fault point
+
+    def fault():
+        return draw(st.integers(0, 99)) < rate
+
+    def token(value, plain=False):
+        if fault():
+            return draw(st.sampled_from(_JUNK + [str(w) for w in _WILD]))
+        style = "plain" if plain else draw(st.sampled_from(_STYLES))
+        return _spell(value, style, draw(st.integers(1, 20)))
+
+    def record(*tokens, plain=False):  # plain: spelled as the writer spells it
+        pad = st.just("") if plain else st.sampled_from([""] * 8 + [" ", "\t", "  "])
+        sep = st.just(" ") if plain else st.sampled_from(
+            [" "] * 6 + ["  ", "\t", " \t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003"])
+        text = tokens[0] + "".join(draw(sep) + x for x in tokens[1:])
+        return draw(pad) + text + draw(pad)
+
+    keys = [(t, i, j) for t in range(1, T + 1) for i in range(N) for j in range(i + 1, N)]
+    edges = draw(st.lists(st.sampled_from(keys), unique=True, max_size=12)) if keys else []
+
+    def edge(key):
+        if fault() and edges:
+            key = draw(st.sampled_from(edges))  # a repeat
+        plain = draw(st.integers(0, 2)) > 0
+        numbers = [token(x, plain) for x in key]
+        if draw(st.integers(0, 7)) == 0:
+            numbers.append(token(draw(st.sampled_from([1, 2, 3, 2**63 - 1])), plain))
+        if fault():
+            numbers = numbers[:draw(st.integers(0, 4))] + ["1"] * draw(st.integers(0, 2))
+        return record("e", *numbers, plain=plain)
+
+    def header():
+        tokens = ["tsbm", "1", token(N), token(T)]
+        if fault():
+            tokens[draw(st.integers(0, 1))] = "2"
+        return record(*tokens[:3 if fault() else 4])
+
+    def labels():
+        size = N - 1 if fault() else N
+        return record("labels", *[token(draw(st.integers(1, 2))) for _ in range(size)])
+
+    def other():
+        kind = draw(st.sampled_from(["comment", "blank", "labels", "unknown"]))
+        if kind == "comment":
+            return draw(st.sampled_from(["#", "# note", "  #e 1 0 1", "#\tx"]))
+        if kind == "blank":
+            return draw(st.sampled_from(["", " ", "\t \t"]))
+        if kind == "labels" and fault():  # a second labels record
+            return labels()
+        if kind == "unknown" and fault():
+            return record(draw(st.sampled_from(["x", "E", "ee", "tsbm"])), "1", "0", "1")
+        return "# kept"
+
+    lines = draw(st.lists(st.sampled_from(["", "# lead"]), max_size=2))
+    if fault():
+        lines.append(edge(keys[0] if keys else (1, 0, 1)))
+    if not fault():
+        lines.append(header())
+    if draw(st.booleans()):
+        lines.append(labels())
+    for key in edges:
+        lines += [edge(key)] + ([other()] if draw(st.integers(0, 3)) == 0 else [])
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the array's fields, or the error."""
+    try:
+        a = read(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    as_list = (lambda x: None if x is None else x.tolist())
+    return a.N, a.T, a.data.tolist(), as_list(a.values), as_list(a.labels)
+
+
+@st.composite
+def _sparse_arrays(draw):
+    """Arrays with multi-digit snapshot and node numbers and symbols up to
+    the int64 limit."""
+    T, N = draw(st.integers(1, 12)), draw(st.integers(2, 120))
+    symbol = st.sampled_from([1, 1, 1, 2, 10, 2**63 - 1]) if draw(st.booleans()) else st.just(1)
+    x = np.zeros((T, N, N), dtype=np.int64)
+    entries = st.tuples(st.integers(0, T - 1), st.integers(0, N - 1), st.integers(0, N - 1),
+                        symbol)
+    for t, i, j, v in draw(st.lists(entries, max_size=40)):
+        if i != j:
+            x[t, i, j] = x[t, j, i] = v
+    return x
+
+
+class TestBulkReaderWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_messy_files(), block=st.sampled_from([1, 5, 64, sbm._BLOCK]))
+    def test_reader_matches_per_line_reference(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("messy") / "f.tsbm"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_BLOCK", block)  # any block size reads alike
+            got = _outcome(read_snapshots, path)
+        assert got == _outcome(_reference_read_snapshots, path)
+
+    @pytest.mark.parametrize("line", [
+        "e 1 0 -", "e 1 --1 2", "e 1 0 1-", "e -1 0 1", "e 1 -0 1", "e 1 0 -1", "e1 0 1 2",
+        "e-1 0 1 2", "ee 1 0 1", " e 1 0 1", "e\t1\t0\t1\t", "e 1 0 1 ", "e 1 0 1e",
+        "e 1 0 1\x0b", "e 1 0 1\xa0", "e 1 0 \u0663", "e 1 0 1_0", "e 1 0 +1", "e 01 00 011",
+        "e 1 0 0000000000000000001", "e 1 0 9999999999999999999", "e 1 0 999999999999999999",
+        "e 1 0 -999999999999999999", "e 1 0 1 1", "e 1 0 1 0", "e 1 0", "e 1 0 1 # note",
+    ])
+    def test_reader_matches_per_line_reference_on_edge_spellings(self, tmp_path, line):
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(f"tsbm 1 12 2\ne 1 2 3\n{line}\ne 2 3 4\n".encode())
+        assert _outcome(read_snapshots, path) == _outcome(_reference_read_snapshots, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.one_of(_symmetric_arrays(1), _symmetric_arrays(4), _sparse_arrays()),
+           with_labels=st.booleans(), block=st.sampled_from([8, 24, sbm._BLOCK]))
+    def test_writer_matches_per_line_reference(self, tmp_path_factory, x, with_labels, block):
+        tmp = tmp_path_factory.mktemp("w")
+        labels = np.arange(x.shape[1]) % 3 if with_labels else None
+        arr = SnapshotArray.from_dense(x, labels=labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_BLOCK", block)  # 1 and 3 edge lines per block, or the default
+            write_snapshots(tmp / "a.tsbm", arr)
+        _reference_write_snapshots(tmp / "b.tsbm", arr)
+        assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
+        assert _outcome(read_snapshots, tmp / "a.tsbm") == _outcome(
+            _reference_read_snapshots, tmp / "a.tsbm")
+
+    def test_reader_peak_memory_at_the_scale_point(self, tmp_path):
+        # The benchmark's scale point: N=3000, T=10, about 270k edge lines
+        # (3.6 MB).  The per-line reference reader peaks at 55 MB on this
+        # file; the bulk reader must not buy its speed with memory.
+        intra, inter = harness.chains_in_units(3000, 3.0, 1.5, 0.7, 0.3)
+        arr = sample_markov_snapshots(sample_labelling(3000, 2, seed=1), intra, inter, 10,
+                                      seed=2)
+        path = tmp_path / "scale.tsbm"
+        write_snapshots(path, arr)
+        tracemalloc.start()
+        try:
+            back = read_snapshots(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, arr.data) and back.values is None
+        assert peak <= 48e6
 
 
 class TestSnapshotArray:
