@@ -208,7 +208,8 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
             threshold = np.where(cur, p11, p01)
             on = np.flatnonzero(cur)
             found += [t * size + upper[on], t * size + lower[on]]
-    data = np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
+    data = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    data.sort()
     return SnapshotArray(data, N, T, labels=labels)
 
 

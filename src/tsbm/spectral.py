@@ -5,6 +5,7 @@ Used as the coarse initial clustering of the recovery algorithms; also
 accepts weighted symmetric matrices (aggregate graphs and similar).
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ __all__ = [
 # ARPACK's relative residual tolerance and its cap on Lanczos restarts
 _EIG_TOL = 1e-8
 _EIG_MAX_ITER = 1000
+# ARPACK asks for a fresh random vector when Lanczos breaks down (few
+# distinct eigenvalues, as on star-like or very small graphs).  scipy versions
+# that draw it in Python take ``rng`` and use OS entropy without it, which
+# would make seeded results vary from run to run.
+_ARPACK_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 
 class EigenConvergenceError(RuntimeError):
@@ -86,16 +92,20 @@ def binarize(array, t=None):
 
 def trim_high_degree(adj, K, trim_factor):
     """Zero out rows/columns of nodes whose degree exceeds the threshold
-    ``trim_factor * K * mean_degree``.  Returns (matrix, kept_mask)."""
-    a = np.asarray(adj, dtype=np.float64)
-    deg = np.abs(a).sum(axis=1)
+    ``trim_factor * K * mean_degree``.  Returns (matrix, kept_mask); the
+    matrix keeps the input's dtype and is the input itself when no node is
+    trimmed, so a 0/1 uint8 matrix never becomes an N x N float array."""
+    a = np.asarray(adj)
+    # degrees are float64 sums either way; only signed entries need abs
+    deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
+        axis=1, dtype=np.float64)
     threshold = trim_factor * K * deg.mean()
     keep = deg <= threshold
     if keep.all():
         return a, keep
     out = a.copy()
-    out[~keep, :] = 0.0
-    out[:, ~keep] = 0.0
+    out[~keep, :] = 0
+    out[:, ~keep] = 0
     return out, keep
 
 
@@ -106,20 +116,22 @@ def top_eigenpairs(A, k, rng=None):
     ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form; dense
     ``eigh`` covers what ARPACK cannot (``k >= n - 1``, an all-zero
     matrix).  Raises EigenConvergenceError when ARPACK does not converge.
+    ``A`` may have any numeric dtype: only the CSR values are made float64,
+    and a dense float64 copy is made only for the ``eigh`` fallback.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = np.asarray(A)
     n = A.shape[0]
     rng = rng or np.random.default_rng(0)
     # draw k start vectors though ARPACK takes one: k-means reads this rng
     # next, and seeded outputs rely on it advancing by exactly k * n normals
     v0 = rng.standard_normal((k, n))[0]
-    sparse = csr_matrix(A)
+    sparse = csr_matrix(A, dtype=np.float64)
     if k >= n - 1 or sparse.nnz == 0:
-        vals, vecs = np.linalg.eigh(A)
+        vals, vecs = np.linalg.eigh(np.asarray(A, dtype=np.float64))
     else:
         try:
             vals, vecs = eigsh(sparse, k, which="LM", v0=v0, tol=_EIG_TOL,
-                               maxiter=_EIG_MAX_ITER)
+                               maxiter=_EIG_MAX_ITER, **_ARPACK_RNG)
         except ArpackNoConvergence as exc:
             raise EigenConvergenceError(_EIG_MAX_ITER, math.inf) from exc
     order = np.argsort(-np.abs(vals), kind="stable")[:k]
@@ -177,6 +189,8 @@ def kmeans(X, k, restarts=8, iters=100, rng=None):
 
 
 def _cluster(adj, config, stream):
+    if config.K > len(adj):
+        raise ValueError("need 1 <= K <= N")
     rng = np.random.default_rng(derive_seed(config.seed, stream))
     trimmed, _ = trim_high_degree(adj, config.K, config.trim_factor)
     _, vecs = top_eigenpairs(trimmed, config.K, rng=rng)

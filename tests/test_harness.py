@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -374,6 +375,19 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
 
+    @pytest.mark.parametrize("algorithm", [
+        ["spectral"],
+        ["online", "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"],
+    ])
+    def test_recover_spectral_needs_k_at_most_n(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 30 2\ne 1 0 1\ne 2 3 4\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", *algorithm, "--k", "31",
+                   "--out", str(tmp_path / "est.labels")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
+        assert not (tmp_path / "est.labels").exists()
+
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse
         # reader and online step need memory for the edges and O(N K) only
@@ -559,6 +573,31 @@ class TestCLI:
         files = sorted(os.listdir(out_dir))
         assert len(files) == 6
         assert any("random" in f for f in files) and any("spectral" in f for f in files)
+
+
+@pytest.mark.slow
+def test_online_trial_at_n_20000():
+    # spectral init on binarize's uint8 matrix and the sparse online step
+    # keep an N=20,000, T=30 trial far below the 3.2 GB of one dense
+    # float64 N x N matrix; a subprocess gives the trial its own peak RSS
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    code = (
+        "import resource\n"
+        "from tsbm.harness import ExperimentConfig, run_trial\n"
+        "config = ExperimentConfig(n=20000, t=30, mu1=3.0, nu1=1.5, units='logn',\n"
+        "                          algorithm='online', init='spectral', trials=1)\n"
+        "record = run_trial(config, 0)\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(record.final_accuracy, record.seconds, rss)\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=1800, check=True)
+    accuracy, seconds, rss_kb = map(float, proc.stdout.split())
+    print(f"N=20000 T=30 online trial: accuracy {accuracy}, {time.perf_counter() - start:.1f} s "
+          f"in all, {seconds:.1f} s recovering, maxrss {rss_kb / 1024:.0f} MB")
+    assert accuracy >= 0.95
+    assert rss_kb < 2 * 2**20
 
 
 class TestSeedDerivationContract:

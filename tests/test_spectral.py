@@ -1,10 +1,15 @@
 """Unit tests for the spectral clustering pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tsbm import harness
 from tsbm.markov import chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
 from tsbm.sbm import sample_labelling, sample_markov_snapshots
@@ -31,6 +36,19 @@ def planted_adjacency(n, p, q, seed):
     adj = (u < np.where(same, p, q)).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     return truth, adj
+
+
+@st.composite
+def _zero_one_graphs(draw):
+    """Symmetric 0/1 matrices without self-loops; some have hub nodes
+    joined to every other node, so that trimming fires."""
+    n = draw(st.integers(3, 40))
+    upper = np.triu(draw(arrays(np.bool_, (n, n))), 1)
+    adj = upper | upper.T
+    for hub in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        adj[hub, :] = adj[:, hub] = True
+        adj[hub, hub] = False
+    return adj
 
 
 class TestBinarize:
@@ -127,6 +145,17 @@ class TestEigensolver:
             ref.standard_normal((k, 30))
             assert rng.random() == ref.random()
 
+    def test_repeat_calls_agree_when_lanczos_breaks_down(self):
+        # a star has three distinct eigenvalues, so ARPACK's Lanczos basis
+        # breaks down and it asks for fresh random vectors, which must not
+        # come from OS entropy
+        a = np.zeros((40, 40), dtype=np.uint8)
+        a[0, 1:] = a[1:, 0] = 1
+        runs = [top_eigenpairs(a, 3, rng=np.random.default_rng(8)) for _ in range(3)]
+        for vals, vecs in runs[1:]:
+            assert vals.tobytes() == runs[0][0].tobytes()
+            assert vecs.tobytes() == runs[0][1].tobytes()
+
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_EIG_MAX_ITER", 1)
         a = np.random.default_rng(7).standard_normal((300, 300))
@@ -164,6 +193,50 @@ class TestTrim:
         assert not keep[0]
         assert trimmed[0].sum() == 0
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64])
+    def test_signed_weights_count_by_magnitude(self, dtype):
+        adj = np.zeros((50, 50), dtype=dtype)
+        adj[0, 1:] = adj[1:, 0] = -1
+        adj[5, 6] = adj[6, 5] = 1
+        trimmed, keep = trim_high_degree(adj, 1, 2.0)
+        assert keep.tolist() == [False] + [True] * 49
+        assert trimmed.dtype == dtype and not trimmed[0].any() and trimmed[5, 6] == 1
+
+
+class TestInputDtype:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_zero_one_graphs(), K=st.integers(1, 3),
+           trim_factor=st.sampled_from([0.5, 1.0, 2.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+    def test_results_do_not_depend_on_input_dtype(self, graph, K, trim_factor, seed):
+        results = []
+        for dtype in (np.uint8, np.bool_, np.int64, np.float64):
+            adj = graph.astype(dtype)
+            trimmed, keep = trim_high_degree(adj, K, trim_factor)
+            assert trimmed.dtype == dtype
+            vals, vecs = top_eigenpairs(trimmed, K, rng=np.random.default_rng(seed))
+            labels = spectral_cluster(adj, SpectralConfig(K=K, trim_factor=trim_factor,
+                                                          seed=seed))
+            results.append((keep, vals, vecs, labels))
+        for got in results[1:]:
+            for want, have in zip(results[0], got):
+                assert want.dtype == have.dtype and want.tobytes() == have.tobytes()
+
+    def test_snapshot_clustering_peaks_below_one_byte_per_pair(self):
+        # only the CSR values become float64: a dense float64 copy alone
+        # would take 8 N^2 bytes
+        n = 3000
+        intra, inter = harness.chains_in_units(n, 3.0, 1.5, 0.7, 0.3)
+        arr = sample_markov_snapshots(sample_labelling(n, 2, seed=1), intra, inter, 1, seed=2)
+        adj = binarize(arr, t=0)
+        tracemalloc.start()
+        try:
+            labels = spectral_cluster(adj, SpectralConfig(K=2, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (n,)
+        assert peak < n * n
+
 
 class TestSpectralCluster:
     def test_disjoint_cliques_exact(self):
@@ -178,6 +251,10 @@ class TestSpectralCluster:
     def test_empty_graph_no_crash(self):
         labels = spectral_cluster(np.zeros((20, 20)), SpectralConfig(K=2, seed=0))
         assert labels.shape == (20,)
+
+    def test_more_clusters_than_nodes_rejected(self):
+        with pytest.raises(ValueError, match="need 1 <= K <= N"):
+            spectral_cluster(np.zeros((3, 3), dtype=np.uint8), SpectralConfig(K=4))
 
     def test_planted_partition_accuracy(self):
         n = 500
@@ -243,3 +320,7 @@ class TestLeaveOneOut:
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
             leave_one_out_cluster(np.zeros((2, 2)), 0, SpectralConfig(K=1))
+
+    def test_more_clusters_than_minor_nodes_rejected(self):
+        with pytest.raises(ValueError, match="need 1 <= K <= N"):
+            leave_one_out_cluster(np.zeros((3, 3)), 0, SpectralConfig(K=3))
