@@ -10,8 +10,8 @@ the tensor for the consumers that still want it.
 Pair patterns are drawn from counter-based substreams keyed by
 ``(seed, i, j)``, so generation order (serial, parallel, chunked) never
 changes the output.  The Markov sampler walks the pairs in fixed-size
-chunks, hashing each pair's stream key once for all T steps, and keeps
-only the indices of set bits.
+chunks, hashing each pair's stream key once and each step's rest of the
+hash in place on integers, and keeps only the indices of set bits.
 
 The reader takes the file in blocks of whole lines.  Byte masks pick out
 the ``e t i j`` lines spelled with plain ASCII decimals, and numpy parses
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import counter_uniform, step_uniform, stream_key
+from ._rng import counter_uniform, cutoff, step_bits, stream_key
 
 __all__ = [
     "SnapshotArray",
@@ -165,11 +165,6 @@ def balanced_labelling(N, K):
     return (np.arange(N) * K // N).astype(np.int64)
 
 
-def _pair_index(N):
-    iu, ju = np.triu_indices(N, k=1)
-    return iu, ju, iu.astype(np.uint64) * np.uint64(N) + ju.astype(np.uint64)
-
-
 # Pairs per sampler chunk: small enough that a chunk's per-pair arrays stay
 # in cache across all T steps.  Any value gives the same output.
 _CHUNK_PAIRS = 1 << 15
@@ -180,34 +175,37 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     an independent chain, ``intra`` within blocks and ``inter`` across.
 
     Pairs are walked in fixed-size chunks in row-major ``i < j`` order; each
-    chunk runs through all T steps and keeps the indices of its set bits.
+    chunk runs through all T steps in place, comparing integer cut-offs (see
+    ``_rng``), and keeps the indices of its set bits.
     """
     if T < 1:
         raise ValueError("need at least one snapshot")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
     size = N * N
-    found = []  # flat indices of set bits, both orientations
+    found = []  # per chunk, the flat indices of set bits in both orientations
     # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
     row_start = np.arange(N + 1) * (2 * N - np.arange(N + 1) - 1) // 2
     n_pairs = N * (N - 1) // 2
+    mu1, p01, p11 = cutoff([[c.mu1, c.p01, c.p11] for c in (intra, inter)]).T
     for lo in range(0, n_pairs, _CHUNK_PAIRS):
         hi = min(lo + _CHUNK_PAIRS, n_pairs)
         first, last = np.searchsorted(row_start, (lo, hi - 1), side="right") - 1
-        i = np.repeat(np.arange(first, last + 1),
-                      np.diff(np.clip(row_start[first:last + 2], lo, hi)))
-        j = np.arange(lo, hi) - row_start[i] + i + 1
-        upper, lower = i * N + j, j * N + i  # upper is also the stream id
-        key = stream_key(seed, upper)
-        same = labels[i] == labels[j]
-        p01 = np.where(same, intra.p01, inter.p01)
-        p11 = np.where(same, intra.p11, inter.p11)
-        threshold = np.where(same, intra.mu1, inter.mu1)
+        rows = np.arange(first, last + 1)
+        count = np.diff(np.clip(row_start[first:last + 2], lo, hi))
+        upper = np.arange(lo, hi) + np.repeat(rows * (N + 1) + 1 - row_start[rows], count)
+        same = np.repeat(labels[first:last + 1], count) == labels[upper % N]
+        key = stream_key(seed, upper)  # i*N + j, the pair's stream id
+        key ^= key >> np.uint64(30)  # the stream's term of the first xorshift
+        (bits, tmp), on = np.empty((2, hi - lo), np.uint64), np.empty(hi - lo, bool)
+        cut, was, part = np.where(same, *mu1), slice(None), []  # was: cut-offs maybe not p01
         for t in range(T):
-            cur = step_uniform(key, t) < threshold
-            threshold = np.where(cur, p11, p01)
-            on = np.flatnonzero(cur)
-            found += [t * size + upper[on], t * size + lower[on]]
+            now = np.flatnonzero(np.less(step_bits(key, t, bits, tmp), cut, out=on))
+            cut[was], cut[now] = np.where(same[was], *p01), np.where(same[now], *p11)
+            was, u = now, upper[now]
+            part += [t * size + u, t * size + u % N * N + u // N]  # and the mirrors
+        # one array per chunk: keeping each step's small arrays to the end fragmented the heap
+        found.append(np.concatenate(part))
     data = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
     data.sort()
     return SnapshotArray(data, N, T, labels=labels)
@@ -220,13 +218,11 @@ def sample_categorical_snapshots(labels, f, g, seed=0):
         raise ValueError(f"alphabet mismatch: {len(f)} vs {len(g)}")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
-    iu, ju, streams = _pair_index(N)
+    iu, ju = np.triu_indices(N, k=1)
     same = labels[iu] == labels[ju]
-    u = counter_uniform(seed, streams, 0)
-    sym_f = np.searchsorted(np.cumsum(f.probs), u, side="right")
-    sym_g = np.searchsorted(np.cumsum(g.probs), u, side="right")
-    sym = np.where(same, sym_f, sym_g).astype(np.int64)
-    sym = np.minimum(sym, len(f) - 1)
+    u = counter_uniform(seed, iu * N + ju, 0)
+    sym_f, sym_g = (np.searchsorted(np.cumsum(d.probs), u, side="right") for d in (f, g))
+    sym = np.minimum(np.where(same, sym_f, sym_g), len(f) - 1).astype(np.int64)
     on = np.flatnonzero(sym)
     data, values = _both_orientations(iu[on] * N + ju[on], ju[on] * N + iu[on], sym[on])
     return SnapshotArray(data, N, 1, values=values, labels=labels)
@@ -265,26 +261,25 @@ _BLOCK = 1 << 16
 
 def write_snapshots(path, array, labels=None):
     """Write an array (and optional labels line) in ``tsbm`` format.  Each
-    block of edge lines is a uint8 matrix of right-aligned digits, with zero
-    padding that is then dropped; a symbol of 1 is left out."""
+    block of indices is decoded alone, its edge lines a uint8 matrix of
+    right-aligned digits whose zero padding is dropped; symbols 1 are left out."""
     if labels is None:
         labels = array.labels
-    N = array.N
-    t, rest = np.divmod(array.data, N * N)
-    i, j = np.divmod(rest, N)
-    upper = i < j  # sorted indices list the upper entries in (t, i, j) order
-    columns = [t[upper] + 1, i[upper], j[upper]]
-    if array.values is not None:
-        columns.append(array.values[upper])
+    N, step = array.N, _BLOCK // 4  # both orientations: _BLOCK / 8 edge lines
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
         if labels is not None:
             fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
-        for lo in range(0, upper.sum(), _BLOCK // 8):
-            block = [c[lo:lo + _BLOCK // 8] for c in columns]
+        for lo in range(0, array.data.size, step):
+            t, rest = np.divmod(array.data[lo:lo + step], N * N)
+            i, j = np.divmod(rest, N)
+            upper = i < j  # sorted indices list the upper entries in (t, i, j) order
+            block = [t[upper] + 1, i[upper], j[upper]]
+            if array.values is not None:
+                block.append(array.values[lo:lo + step][upper])
             parts = [np.full((block[0].size, 1), ord("e"), dtype=np.uint8)]
             for x in block:
-                powers = 10 ** np.arange(len(str(x.max())) - 1, -1, -1)
+                powers = 10 ** np.arange(len(str(x.max(initial=0))) - 1, -1, -1)
                 digits = (x[:, None] // powers % 10 + ord("0")).astype(np.uint8)
                 digits[:, :-1][x[:, None] < powers[:-1]] = 0
                 parts += [np.full_like(parts[0], ord(" ")), digits]

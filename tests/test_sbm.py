@@ -1,5 +1,6 @@
 """Unit tests for data generation and snapshot file I/O."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsbm import harness, sbm
-from tsbm._rng import counter_uniform
+from tsbm._rng import counter_uniform, cutoff, step_bits, step_uniform, stream_key
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
 from tsbm.sbm import (
@@ -134,11 +135,84 @@ def _reference_markov(labels, intra, inter, T, seed):
     return out
 
 
-_probability = st.floats(0.0, 1.0)
+def _near_multiples(k):
+    """``k * 2^-53`` and its float neighbours inside [0, 1]."""
+    p = k * 2.0**-53
+    return st.sampled_from([np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]).map(float)
+
+
+# exact multiples of 2^-53 and their neighbours sit on the integer cut-offs
+_probability = st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**53).flatmap(_near_multiples))
 _chains = st.builds(BinaryMarkovChain, _probability, _probability, _probability)
 
 
+class TestIntegerHash:
+    def test_cutoff_is_exact(self):
+        rng = np.random.default_rng(3)
+        k = np.concatenate(([0, 1, 2, 3, 2**52, 2**53 - 1, 2**53],
+                            rng.integers(0, 2**53, 300, dtype=np.int64)))
+        multiples = k * 2.0**-53
+        p = np.concatenate(([0.0, 1.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022], multiples,
+                            np.nextafter(multiples, 0.0), np.nextafter(multiples, 1.0),
+                            rng.random(300), 10.0 ** rng.uniform(-320, 0, 300)))
+        p = p[(p >= 0) & (p <= 1)]
+        c = cutoff(p)
+        assert c.dtype == np.uint64
+        for offset in (-1, 0, 1):
+            m = np.clip(c.astype(np.int64) + offset, 0, 2**53 - 1).astype(np.uint64)
+            assert np.array_equal(m.astype(np.float64) * 2.0**-53 < p, m < c)
+        assert cutoff(0.0) == 0 and cutoff(1.0) == 2**53 and cutoff(5e-324) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 2**20),
+           streams=st.lists(st.integers(0, 2**62), min_size=1, max_size=20))
+    def test_step_bits_match_step_uniform(self, seed, step, streams):
+        key = stream_key(seed, streams)
+        out, tmp = np.empty((2, key.size), dtype=np.uint64)
+        got = step_bits(key ^ (key >> np.uint64(30)), step, out, tmp)
+        assert got is out and (got < 2**53).all()
+        assert np.array_equal(got.astype(np.float64) * 2.0**-53, step_uniform(key, step))
+
+
+# sha256 of sample_markov_snapshots(...).data, recorded from the float
+# sampler that compared step_uniform draws with the chain probabilities
+_SCALE_DIGESTS = {
+    (3000, 10): "0acd93114d64db36f1c131a8c72b4808c457b2e6803e1ffa2633f2633d99fa4e",
+    (1000, 30): "c2fa70e4a74be2289d23d496496d89264e62f2891e64fc97aedf9e190c299809",
+}
+
+
+def _scale_sample(N, T):
+    """The benchmark's scale point at N=3000, T=10, or the figure-6
+    online-learn config at N=1000, T=30."""
+    if N == 3000:
+        intra, inter = harness.chains_in_units(3000, 3.0, 1.5, 0.7, 0.3)
+    else:
+        intra, inter = harness.chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, "absolute")
+    return sample_markov_snapshots(sample_labelling(N, 2, seed=1), intra, inter, T, seed=2)
+
+
 class TestChunkedSampler:
+    @pytest.mark.parametrize("N, T", sorted(_SCALE_DIGESTS))
+    def test_scale_point_digests(self, N, T):
+        # 137 and 16 chunks of 2^15 pairs, most starting and ending mid-row,
+        # at sizes the per-pair reference cannot reach
+        digest = hashlib.sha256(_scale_sample(N, T).data.tobytes()).hexdigest()
+        assert digest == _SCALE_DIGESTS[N, T]
+
+    def test_sampler_peak_memory_at_the_figure_6_config(self):
+        # 1.2M set-bit indices (9.6 MB) and their sorted concatenation set a
+        # floor near 19.2 MB.  Decoding the mirror indices after the loop,
+        # not step by step, peaked at 43.5 MB here.
+        tracemalloc.start()
+        try:
+            arr = _scale_sample(1000, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arr.data.size == 1198020
+        assert peak <= 24e6
+
     @settings(max_examples=60, deadline=None)
     @given(
         labels=st.lists(st.integers(0, 2), max_size=11).map(np.array),
@@ -656,7 +730,7 @@ class TestBulkReaderWriter:
         labels = np.arange(x.shape[1]) % 3 if with_labels else None
         arr = SnapshotArray.from_dense(x, labels=labels)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sbm, "_BLOCK", block)  # 1 and 3 edge lines per block, or the default
+            mp.setattr(sbm, "_BLOCK", block)  # 2 and 6 indices per block, or the default
             write_snapshots(tmp / "a.tsbm", arr)
         _reference_write_snapshots(tmp / "b.tsbm", arr)
         assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
@@ -667,9 +741,7 @@ class TestBulkReaderWriter:
         # The benchmark's scale point: N=3000, T=10, about 270k edge lines
         # (3.6 MB).  The per-line reference reader peaks at 55 MB on this
         # file; the bulk reader must not buy its speed with memory.
-        intra, inter = harness.chains_in_units(3000, 3.0, 1.5, 0.7, 0.3)
-        arr = sample_markov_snapshots(sample_labelling(3000, 2, seed=1), intra, inter, 10,
-                                      seed=2)
+        arr = _scale_sample(3000, 10)
         path = tmp_path / "scale.tsbm"
         write_snapshots(path, arr)
         tracemalloc.start()
@@ -680,6 +752,19 @@ class TestBulkReaderWriter:
             tracemalloc.stop()
         assert np.array_equal(back.data, arr.data) and back.values is None
         assert peak <= 48e6
+
+    def test_writer_peak_memory_at_the_scale_point(self, tmp_path):
+        # Decoding all 541k indices before formatting peaked at 25.1 MB;
+        # decoding them block by block peaks near 2 MB.
+        arr = _scale_sample(3000, 10)
+        tracemalloc.start()
+        try:
+            write_snapshots(tmp_path / "scale.tsbm", arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_snapshots(tmp_path / "scale.tsbm").data, arr.data)
+        assert peak <= 12e6
 
 
 class TestSnapshotArray:
