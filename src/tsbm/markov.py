@@ -1,6 +1,7 @@
-"""Binary Markov interaction chains: path-law divergences (exact transfer
-matrix, brute-force enumeration, sparse closed forms), threshold constants,
-snapshot thresholds T*, and on-period path combinatorics.
+"""Binary Markov interaction chains: path-law divergences (exact, by one
+power-by-squaring transfer-matrix engine in O(log T); brute-force
+enumeration; sparse closed forms), threshold constants, snapshot
+thresholds T*, and on-period path combinatorics.
 """
 
 import math
@@ -97,100 +98,75 @@ def _geometric_weights(alpha, chain_f, chain_g):
     R_inf = (P > 0) & (Q == 0) if alpha > 1 else np.zeros((2, 2), dtype=bool)
     r = np.where(r_inf, 0.0, r)
     R = np.where(R_inf, 0.0, R)
+    # zero the rows of states no weighted path visits, so that rescaling a
+    # power of R by its largest entry cannot drown the states that matter
+    R = np.where(((r > 0) | (r @ R > 0))[:, None], R, 0.0)
     return r, R, r_inf, R_inf
 
 
-def _log_hellinger_sum(alpha, chain_f, chain_g, T):
-    """log of ``Z = sum over paths of f^alpha g^(1-alpha)``; returns
-    (-inf on empty support, +inf when an infinite term has positive mass).
-    """
-    r, R, r_inf, R_inf = _geometric_weights(alpha, chain_f, chain_g)
-    z = r.copy()
-    fin = r > 0          # a finite positive path ends here
-    inf_flag = r_inf.copy()  # a path with an infinite factor ends here
-    log_scale = 0.0
-    for _ in range(T - 1):
-        fin_next = np.array(
-            [(fin & (R[:, b] > 0)).any() for b in range(2)]
-        )
-        inf_next = np.array(
-            [
-                ((inf_flag & ((R[:, b] > 0) | R_inf[:, b])) | (fin & R_inf[:, b])).any()
-                for b in range(2)
-            ]
-        )
-        z = z @ R
-        fin, inf_flag = fin_next, inf_next
-        s = z.sum()
-        if s > 0:
-            log_scale += math.log(s)
-            z = z / s
-        if not fin.any() and not inf_flag.any():
-            return -math.inf
-    if inf_flag.any():
-        return math.inf
-    total = z.sum()
-    if total == 0.0:
-        return -math.inf
-    return log_scale + math.log(total)
-
-
-def _log_hellinger_sum_pow(alpha, chain_f, chain_g, T):
-    """Same as :func:`_log_hellinger_sum` but via matrix power-by-squaring;
-    O(log T), used by the threshold search for large horizons.  Only valid
-    when no infinite entries arise (always true for alpha < 1)."""
-    r, R, r_inf, R_inf = _geometric_weights(alpha, chain_f, chain_g)
-    if r_inf.any() or R_inf.any():
-        return _log_hellinger_sum(alpha, chain_f, chain_g, T)
-    return _log_sum_pow(r, R, T)
-
-
-def _log_sum_pow(r, R, T):
-    """log of ``r R^(T-1) 1`` by power-by-squaring, for finite weights."""
-    log_scale = 0.0
-    acc = np.eye(2)
-    acc_scale = 0.0
-    base = R.copy()
-    base_scale = 0.0
+def _log_path_sum(r, R, T):
+    """``r R^(T-1)`` by power-by-squaring, as ``(z, log_scale)`` with
+    ``r R^(T-1) = z exp(log_scale)``.  Every product is rescaled by its
+    largest absolute entry; ``z`` is zero when the product vanishes."""
+    if T < 1:
+        raise ValueError("need at least one snapshot")
+    acc, acc_scale = np.eye(len(R)), 0.0
+    base, base_scale = R, 0.0
     m = T - 1
     while m > 0:
         if m & 1:
             acc = acc @ base
             acc_scale += base_scale
-            s = acc.max()
+            s = np.abs(acc).max()
             if s == 0.0:
-                return -math.inf
+                return np.zeros_like(r), -math.inf
             acc_scale += math.log(s)
             acc /= s
         m >>= 1
         if m:
             base = base @ base
             base_scale *= 2
-            s = base.max()
+            s = np.abs(base).max()
             if s == 0.0:
-                base_scale = -math.inf
-            else:
-                base_scale += math.log(s)
-                base /= s
-    z = r @ acc
+                return np.zeros_like(r), -math.inf  # every later product vanishes
+            base_scale += math.log(s)
+            base /= s
+    return r @ acc, acc_scale
+
+
+def _log_total(r, R, T):
+    """log of ``r R^(T-1) 1`` for non-negative weights; -inf when it vanishes."""
+    z, log_scale = _log_path_sum(r, R, T)
     total = z.sum()
-    if total == 0.0 or acc_scale == -math.inf:
-        return -math.inf
-    return log_scale + acc_scale + math.log(total)
+    return log_scale + math.log(total) if total > 0 else -math.inf
+
+
+def _log_hellinger_sum(alpha, chain_f, chain_g, T):
+    """log of ``Z = sum over paths of f^alpha g^(1-alpha)``: -inf on
+    orthogonal supports, +inf when a path of positive f-mass meets g = 0.
+
+    The rows of a transition matrix sum to one, so every path f can reach
+    extends to any length: Z is infinite exactly when a state f reaches
+    within T - 1 steps leaves by an infinite entry.  The sets of states a
+    two-state chain reaches repeat within three steps.
+    """
+    r, R, r_inf, R_inf = _geometric_weights(alpha, chain_f, chain_g)
+    log_z = _log_total(r, R, T)
+    reach, hit = (r > 0) | r_inf, r_inf.any()
+    for _ in range(min(T - 1, 3)):
+        hit = hit or (reach[:, None] & R_inf).any()
+        reach = (reach[:, None] & ((R > 0) | R_inf)).any(axis=0)
+    return math.inf if hit else log_z
 
 
 def markov_renyi_exact(alpha, chain_f, chain_g, T):
     """Renyi divergence of order ``alpha`` between the length-``T`` path laws
-    of two binary chains, via the linear transfer-matrix recursion (O(T))."""
+    of two binary chains, via the transfer matrix in O(log T)."""
     if alpha <= 0 or alpha == 1:
         raise ValueError("order must be positive and different from 1")
-    if T < 1:
-        raise ValueError("need at least one snapshot")
     log_z = _log_hellinger_sum(alpha, chain_f, chain_g, T)
-    if log_z == -math.inf:
-        return math.inf  # orthogonal supports
-    if log_z == math.inf:
-        return math.inf  # only reachable for alpha > 1
+    if math.isinf(log_z):
+        return math.inf  # orthogonal supports, or (alpha > 1) g = 0 under f
     return max(log_z / (alpha - 1.0), 0.0)
 
 
@@ -223,16 +199,16 @@ def markov_renyi_brute(alpha, chain_f, chain_g, T):
 
 def markov_hellinger_sq(chain_f, chain_g, T):
     """Squared Hellinger distance between path laws: ``1 - Z_{1/2}``."""
-    log_z = _log_hellinger_sum(0.5, chain_f, chain_g, T)
-    return 1.0 - math.exp(log_z) if log_z != -math.inf else 1.0
+    return 1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T))
 
 
 def markov_j_quantity(chain_f, chain_g, T):
     """Second moment of the path log-likelihood ratio under the normalised
-    geometric-mean path weights, computed by an O(T) moment recursion.
+    geometric-mean path weights, in O(log T).
 
-    The log ratio is additive over steps, so weighted moments propagate
-    through the same transfer matrix as the Hellinger sum.
+    The log ratio ``L`` is additive over steps, so the weights and their
+    first and second moments ``(a, b, c)`` advance together by the block
+    transfer matrix ``[[R, R L, R L^2], [0, R, 2 R L], [0, 0, R]]``.
     """
     r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
     mu, nu = chain_f.mu, chain_g.mu
@@ -240,19 +216,17 @@ def markov_j_quantity(chain_f, chain_g, T):
     with np.errstate(divide="ignore", invalid="ignore"):
         l_init = np.where(r > 0, np.log(mu) - np.log(nu), 0.0)
         l_step = np.where(R > 0, np.log(P) - np.log(Q), 0.0)
-    a = r.copy()                 # sum of weights per end state
-    b = r * l_init               # weighted first moment of the log ratio
-    c = r * l_init**2            # weighted second moment
-    for _ in range(T - 1):
-        a_next = a @ R
-        b_next = b @ R + a @ (R * l_step)
-        c_next = c @ R + 2.0 * (b @ (R * l_step)) + a @ (R * l_step**2)
-        a, b, c = a_next, b_next, c_next
-        s = a.sum()
-        if s == 0.0:
-            raise ValueError("orthogonal path laws: weights vanished")
-        a, b, c = a / s, b / s, c / s
-    return float(c.sum() / a.sum())
+    zero = np.zeros((2, 2))
+    M = np.block([
+        [R, R * l_step, R * l_step**2],
+        [zero, R, 2.0 * R * l_step],
+        [zero, zero, R],
+    ])
+    z, _ = _log_path_sum(np.concatenate([r, r * l_init, r * l_init**2]), M, T)
+    a = z[:2].sum()
+    if a == 0.0:
+        raise ValueError("orthogonal path laws: weights vanished")
+    return float(z[4:].sum() / a)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +359,14 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     base, per, transient_coef = _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma)
     if T < 1:
         raise ValueError("need at least one snapshot")
-    if T <= _GEO_SUM_CAP:
-        geo = sum((1.0 - gamma) ** t for t in range(T - 1))
-    else:
-        geo = _geo_sum_closed(gamma, T)
-    return base + per * (T - 1) + transient_coef * geo
+    return base + per * (T - 1) + transient_coef * _geo_sum(gamma, T)
 
 
-# i_tilde_short adds its geometric sum term by term up to this T
-_GEO_SUM_CAP = 4096
-
-
-def _geo_sum_closed(gamma, T):
+def _geo_sum(gamma, T):
     """``sum_{t < T-1} (1 - gamma)^t`` in closed form; gamma in (0, 1]."""
-    return (1.0 - math.exp((T - 1) * math.log1p(-gamma))) / gamma if gamma < 1 else 1.0
+    if gamma == 1.0:
+        return 1.0 if T > 1 else 0.0
+    return -math.expm1((T - 1) * math.log1p(-gamma)) / gamma
 
 
 def i_tilde_long(p01, q01, h11_sq_value):
@@ -443,13 +411,12 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
 
-    A linear scan covers T <= 1024 at O(1) float operations per T (the
-    transfer recursion or the running geometric sum is carried from one T
-    to the next); beyond it, doubling plus bisection takes O(log t_max)
-    evaluations of the divergence.  Those reuse the pair's transfer weights
-    (exact) or extend the scan's running sum (itilde), so each evaluation
-    equals a fresh ``_log_hellinger_sum_pow`` or ``i_tilde_short`` call bit
-    for bit.
+    A linear scan covers T <= 1024 at O(1) float operations per T: the
+    exact convention carries the transfer recursion from one T to the
+    next, the itilde convention evaluates ``i_tilde_short``'s closed form.
+    Beyond it, doubling plus bisection takes O(log t_max) evaluations of
+    the divergence, each in O(log T) by power-by-squaring on the pair's
+    transfer weights (exact) or in O(1) by the closed form (itilde).
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -466,7 +433,7 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
         r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
 
         def crossed(T):
-            return 1.0 - math.exp(min(_log_sum_pow(r, R, T), 0.0)) >= threshold
+            return 1.0 - math.exp(min(_log_total(r, R, T), 0.0)) >= threshold
 
         # stream the transfer recursion z <- z R / sum(z R), one step per T
         z0, z1 = r.tolist()
@@ -488,26 +455,15 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)
-        # i_tilde_short term by term, with its geometric sum kept running
         base, per, transient_coef = _i_tilde_terms(*args)
         gamma = args[-1]
-        decay = 1.0 - gamma
-        geo = 0.0
-        for T in range(1, scan_end + 1):
-            if T > 1:
-                geo += decay ** (T - 2)
-            if base + per * (T - 1) + transient_coef * geo > threshold:
-                return T
-        geos = [geo]  # geos[T - scan_end]: the running sum, extended on demand
 
-        def crossed(T):
-            if T > _GEO_SUM_CAP:
-                g = _geo_sum_closed(gamma, T)
-            else:
-                while len(geos) <= T - scan_end:
-                    geos.append(geos[-1] + decay ** (scan_end + len(geos) - 2))
-                g = geos[T - scan_end]
-            return base + per * (T - 1) + transient_coef * g > threshold
+        def crossed(T):  # i_tilde_short(*args, T) > threshold, bit for bit
+            return base + per * (T - 1) + transient_coef * _geo_sum(gamma, T) > threshold
+
+        for T in range(1, scan_end + 1):
+            if crossed(T):
+                return T
 
     if t_max <= _LINEAR_SCAN_CAP:
         return None

@@ -510,6 +510,17 @@ class TestCLI:
         thr = 2 * math.log(500) / 500
         assert r12.hellinger_sq < thr <= blob["hellinger_sq"]
 
+    def test_divergence_report_long_horizon(self, capsys):
+        # every path-law sum is O(log T), so a million snapshots stay quick
+        start = time.perf_counter()
+        rc = main([
+            "divergence", "--t", "1000000",
+            "--mu1", "4", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3",
+        ])
+        assert rc == 0
+        assert time.perf_counter() - start < 5.0
+        assert "T* (exact convention)" in capsys.readouterr().out
+
     def test_threshold_single_and_grid(self, tmp_path, capsys):
         rc = main([
             "threshold", "--n", "500", "--k", "2",

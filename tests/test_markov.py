@@ -1,5 +1,6 @@
 """Unit tests for the markov module."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,11 +26,39 @@ from tsbm.markov import (
     sparse_renyi_approx,
     t_star,
 )
-from tsbm.markov import _log_hellinger_sum_pow
 
 
 def random_chain(rng, low=0.01, high=0.99):
     return BinaryMarkovChain(*rng.uniform(low, high, 3))
+
+
+def streaming_moments(alpha, f, g, T):
+    """``(log Z_alpha, J)`` by the step-by-step transfer recursion over plain
+    floats; all chain parameters strictly inside (0, 1).  J is the second
+    moment of the log ratio under the alpha-weights (used at alpha = 1/2)."""
+    mu, nu = f.mu.tolist(), g.mu.tolist()
+    P, Q = f.transition.tolist(), g.transition.tolist()
+    a = [mu[b] ** alpha * nu[b] ** (1 - alpha) for b in range(2)]
+    l_init = [math.log(mu[i]) - math.log(nu[i]) for i in range(2)]
+    b1 = [a[i] * l_init[i] for i in range(2)]
+    c = [a[i] * l_init[i] ** 2 for i in range(2)]
+    log_scale = 0.0
+    for _ in range(T - 1):
+        new_a, new_b, new_c = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+        for i in range(2):
+            for j in range(2):
+                w = P[i][j] ** alpha * Q[i][j] ** (1 - alpha)
+                lr = math.log(P[i][j]) - math.log(Q[i][j])
+                new_a[j] += a[i] * w
+                new_b[j] += (b1[i] + a[i] * lr) * w
+                new_c[j] += (c[i] + 2 * b1[i] * lr + a[i] * lr**2) * w
+        s = sum(new_a)
+        log_scale += math.log(s)
+        a, b1, c = [x / s for x in new_a], [x / s for x in new_b], [x / s for x in new_c]
+    return log_scale + math.log(sum(a)), sum(c) / sum(a)
+
+
+interior = st.floats(0.01, 0.99)
 
 
 class TestChainConstruction:
@@ -89,21 +118,71 @@ class TestExactDivergence:
                     assert exact == pytest.approx(brute, abs=1e-10)
 
     def test_boundary_parameters_match_brute(self):
-        # degenerate chains: absorbing state, deterministic starts
+        # degenerate chains: absorbing state, deterministic starts; with every
+        # parameter in {0, 1/2, 1} this covers each support pattern, so the
+        # infinite results of the alpha > 1 support check are exercised
         cases = [
             (BinaryMarkovChain(1.0, 0.0, 1.0), BinaryMarkovChain(0.3, 0.3, 0.3)),
             (BinaryMarkovChain(0.0, 0.0, 0.0), BinaryMarkovChain(0.2, 0.1, 0.5)),
             (BinaryMarkovChain(0.5, 0.5, 1.0), BinaryMarkovChain(0.5, 0.5, 0.9)),
             (BinaryMarkovChain(0.4, 0.0, 1.0), BinaryMarkovChain(0.4, 0.1, 0.9)),
         ]
+        grid = [BinaryMarkovChain(*p) for p in itertools.product((0.0, 0.5, 1.0), repeat=3)]
+        cases += list(itertools.product(grid, grid))
+        infinite = 0
         for cf, cg in cases:
             for alpha in (0.3, 0.5, 1.5):
-                exact = markov_renyi_exact(alpha, cf, cg, 6)
-                brute = markov_renyi_brute(alpha, cf, cg, 6)
-                if math.isinf(brute):
-                    assert math.isinf(exact)
-                else:
-                    assert exact == pytest.approx(brute, abs=1e-10)
+                for T in (1, 2, 3, 4, 6):
+                    exact = markov_renyi_exact(alpha, cf, cg, T)
+                    brute = markov_renyi_brute(alpha, cf, cg, T)
+                    if math.isinf(brute):
+                        assert math.isinf(exact), (cf, cg, alpha, T)
+                        infinite += 1
+                    else:
+                        assert abs(exact - brute) <= 1e-10, (cf, cg, alpha, T)
+        assert infinite > 0
+
+    def test_reducible_chains_at_long_horizons(self):
+        # both chains start on and the off state is never visited, yet its
+        # weight R00 = 1 dwarfs R11 = 1e-3: scaling R^(T-1) by its largest
+        # entry must not drown the one path that carries the sum
+        on, flicker = BinaryMarkovChain(1.0, 0.0, 1.0), BinaryMarkovChain(1.0, 0.0, 1e-6)
+        T = 3000
+        got = markov_renyi_exact(0.5, on, flicker, T)
+        assert got == pytest.approx(2 * (T - 1) * math.log(1e3), rel=1e-12)
+        got = markov_renyi_exact(1.5, on, flicker, T)
+        assert got == pytest.approx(2 * (T - 1) * math.log(1e3), rel=1e-12)
+        # a single path, so J is the square of its log ratio
+        half = BinaryMarkovChain(1.0, 0.0, 0.5)
+        assert markov_j_quantity(on, half, T) == pytest.approx(
+            ((T - 1) * math.log(2)) ** 2, rel=1e-12)
+        # equal laws on the all-off path; the unvisited on state has R11 > 1
+        f, g = BinaryMarkovChain(0.0, 0.0, 0.5), BinaryMarkovChain(0.0, 0.0, 0.2)
+        assert markov_renyi_exact(3.0, f, g, 1000) == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=st.builds(BinaryMarkovChain, interior, interior, interior),
+           g=st.builds(BinaryMarkovChain, interior, interior, interior),
+           T=st.integers(1, 5000))
+    def test_long_horizons_match_streaming_recursion(self, f, g, T):
+        # past the brute-force cap: power-by-squaring against one step at a time
+        for alpha in (0.3, 0.5, 1.5):
+            log_z, _ = streaming_moments(alpha, f, g, T)
+            want = max(log_z / (alpha - 1), 0.0)
+            assert markov_renyi_exact(alpha, f, g, T) == pytest.approx(want, rel=1e-9, abs=1e-10)
+        _, j = streaming_moments(0.5, f, g, T)
+        assert markov_j_quantity(f, g, T) == pytest.approx(j, rel=1e-9)
+
+    @pytest.mark.parametrize("T", [0, -3])
+    @pytest.mark.parametrize("path_law", [
+        lambda f, g, T: markov_renyi_exact(0.5, f, g, T),
+        markov_hellinger_sq,
+        markov_j_quantity,
+    ], ids=["renyi", "hellinger", "j"])
+    def test_rejects_empty_horizon(self, path_law, T):
+        f, g = BinaryMarkovChain(0.3, 0.2, 0.6), BinaryMarkovChain(0.1, 0.15, 0.5)
+        with pytest.raises(ValueError, match="need at least one snapshot"):
+            path_law(f, g, T)
 
     def test_monotone_in_horizon_for_stationary_chains(self):
         cf = chain_from_stationary(0.04, 0.7)
@@ -258,12 +337,18 @@ class TestThresholdConstants:
         got = i_tilde_short(u, v, u, v, 0.0, 1.0, T)
         assert got == pytest.approx(T * (math.sqrt(u) - math.sqrt(v)) ** 2, rel=1e-12)
 
-    def test_short_form_closed_and_direct_sums_agree(self):
-        args = (2.0, 1.5, 0.8, 0.5, 0.18, 0.37)
-        direct = i_tilde_short(*args, 4096)
-        per_step = i_tilde_short(*args, 4097) - direct
-        closed = i_tilde_short(*args, 4098)
-        assert closed == pytest.approx(direct + 2 * per_step, rel=1e-9)
+    @pytest.mark.parametrize("gamma", [1e-20, 1e-9, 0.37, 1.0])
+    def test_short_form_closed_and_direct_sums_agree(self, gamma):
+        # the closed-form geometric sum against a literal term-by-term sum,
+        # including gammas small enough that 1 - (1 - gamma)^T cancels
+        u, v, p01, q01, h11 = 2.0, 1.5, 0.8, 0.5, 0.18
+        per = (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2 * h11 * math.sqrt(p01 * q01)
+        coef = 2 * h11 * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
+        for T in (1, 2, 4096, 4097, 5000):
+            geo = math.fsum((1 - gamma) ** t for t in range(T - 1))
+            want = (math.sqrt(u) - math.sqrt(v)) ** 2 + per * (T - 1) + coef * geo
+            got = i_tilde_short(u, v, p01, q01, h11, gamma, T)
+            assert got == pytest.approx(want, rel=1e-9), T
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -365,8 +450,8 @@ class TestTStar:
     def test_search_past_the_scan_matches_bisection_reference(self):
         # with p01 = 0 the per-snapshot term of i_tilde_short vanishes, so T*
         # moves with every term of its geometric sum: a search that dropped
-        # or shifted one term would disagree here.  N sweeps T* through
-        # (1024, 4096], where the itilde sum runs term by term.
+        # or shifted one term would disagree here.  N sweeps T* past the
+        # linear scan (T > 1024), where doubling and bisection take over.
         f = BinaryMarkovChain(3e-3, 0.0, 0.999)
         g = BinaryMarkovChain(1e-3, 0.0, 0.998)
 
@@ -386,8 +471,7 @@ class TestTStar:
                     1.0 - math.sqrt(f.p11 * g.p11))
             want = {
                 "itilde": first(lambda T: i_tilde_short(*args, T) > 2, 10**5),
-                "exact": first(lambda T: 1.0 - math.exp(
-                    min(_log_hellinger_sum_pow(0.5, f, g, T), 0.0)) >= 2 * rho, 10**5),
+                "exact": first(lambda T: markov_hellinger_sq(f, g, T) >= 2 * rho, 10**5),
             }
             for convention, ts in want.items():
                 assert t_star(f, g, n, 2, convention, 10**5) == ts, (n, convention)
