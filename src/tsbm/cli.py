@@ -151,9 +151,13 @@ def _cmd_divergence(args):
     return 0
 
 
-def _cmd_threshold(args):
+def _cmd_threshold(parser, args):
+    if (args.p11 is None) != (args.q11 is None):
+        parser.exit(2, "error: give both --p11 and --q11 for one value, or neither for the grid\n")
+    if args.grid_steps < 1:
+        parser.exit(2, f"error: --grid-steps must be at least 1, got {args.grid_steps}\n")
     conv = ThresholdConvention(args.convention)
-    if args.p11 is not None and args.q11 is not None:
+    if args.p11 is not None:
         intra, inter = harness.chains_in_units(args.n, args.mu1, args.nu1, args.p11, args.q11)
         ts = t_star(intra, inter, args.n, args.k, conv, args.t_max)
         print("inf" if ts is None else ts)
@@ -267,7 +271,7 @@ def main(argv=None):
         if args.command == "divergence":
             return _cmd_divergence(args)
         if args.command == "threshold":
-            return _cmd_threshold(args)
+            return _cmd_threshold(parser, args)
         if args.command == "recover":
             return _cmd_recover(parser, args)
         if args.command == "experiment":

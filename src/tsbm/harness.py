@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ._rng import derive_seed
 from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_rate
@@ -165,18 +166,20 @@ def spectral_matrix(array, algorithm):
     """The symmetric matrix a spectral algorithm clusters: the union graph
     (``spectral``, ``spectral-union``), the sum of the snapshots
     (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
-    (``spectral-squared``)."""
+    (``spectral-squared``).  The last two are dense float64 matrices of
+    integers, summed from the array's indices."""
     if algorithm in ("spectral", "spectral-union"):
         return binarize(array)
-    data = array.dense()
+    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
     if algorithm == "spectral-aggregate":
-        return data.sum(axis=0).astype(np.float64)
+        summed = np.bincount(array.data % (n * n), weights=w, minlength=n * n)
+        return summed.astype(np.float64, copy=False).reshape(n, n)  # int64 when empty
     if algorithm != "spectral-squared":
         raise ValueError(f"{algorithm!r} is not a spectral algorithm")
-    out = np.zeros(data.shape[1:], dtype=np.float64)
-    for t in range(data.shape[0]):
-        a = data[t].astype(np.float64)
-        out += a @ a - np.diag(a.sum(axis=1))
+    rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
+    stacked = csr_matrix((w.astype(np.float64), (rows, cols)), shape=(array.T * n, n))
+    out = (stacked.T @ stacked).toarray()
+    out[np.diag_indices(n)] -= np.bincount(rows % n, weights=w, minlength=n)
     return out
 
 

@@ -202,6 +202,12 @@ def markov_hellinger_sq(chain_f, chain_g, T):
     return 1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T))
 
 
+def _log_ratio(p, q):
+    """``log(p / q)``; for close ``p`` and ``q``, ``log1p`` of their exact
+    difference over ``q``, where ``log p - log q`` would cancel."""
+    return np.where(np.abs(p - q) < q / 2, np.log1p((p - q) / q), np.log(p / q))
+
+
 def markov_j_quantity(chain_f, chain_g, T):
     """Second moment of the path log-likelihood ratio under the normalised
     geometric-mean path weights, in O(log T).
@@ -214,8 +220,8 @@ def markov_j_quantity(chain_f, chain_g, T):
     mu, nu = chain_f.mu, chain_g.mu
     P, Q = chain_f.transition, chain_g.transition
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_init = np.where(r > 0, np.log(mu) - np.log(nu), 0.0)
-        l_step = np.where(R > 0, np.log(P) - np.log(Q), 0.0)
+        l_init = np.where(r > 0, _log_ratio(mu, nu), 0.0)
+        l_step = np.where(R > 0, _log_ratio(P, Q), 0.0)
     zero = np.zeros((2, 2))
     M = np.block([
         [R, R * l_step, R * l_step**2],

@@ -1,4 +1,6 @@
-"""Community recovery algorithms on snapshot arrays.
+"""Community recovery algorithms on snapshot arrays.  Each reads the node
+pairs' interaction patterns from the array's sorted indices; one sparse
+per-pair accumulator, ``_PairLogRatio``, serves every likelihood.
 
 Offline: spectral initialisation with likelihood refinement (optionally the
 leave-one-out variant with a consensus step), and an exhaustive maximum
@@ -7,14 +9,15 @@ relabeling with known or estimated chain parameters.  Baselines: empirical
 transition-rate similarity, persistent-interaction components, and shared
 change-point (enemy) two-path components.
 
-Log-likelihood ratios are saturated at +-700 so boundary parameters (for
-example a fully persistent intra chain) degrade gracefully.
+Log-likelihood ratios are saturated at +-700 after every snapshot, so
+boundary parameters (for example a fully persistent intra chain) degrade
+gracefully.
 """
 
 import math
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import bmat, csgraph, csr_matrix, issparse
 
 from .spectral import SpectralConfig, binarize, spectral_cluster, leave_one_out_cluster
 
@@ -50,110 +53,14 @@ def _require_binary(array, name):
         raise ValueError(f"{name} needs 0/1 snapshots, got symbol {array.values.max()}")
 
 
-class MarkovKernel:
-    """Pair-pattern likelihood of a binary Markov chain, vectorised over the
-    dense form of a snapshot array."""
-
-    def __init__(self, chain):
-        self.chain = chain
-
-    def log_ratio_matrix(self, array, other):
-        """Matrix of ``log f/g`` per node pair, ``f`` this kernel's law and
-        ``g`` the other's; diagonal entries are zero."""
-        _require_binary(array, "Markov kernel")
-        x = array.dense()
-        f, g = self.chain, other.chain
-        l_init = _sat_log_ratio(f.mu, g.mu)
-        l_step = _sat_log_ratio(f.transition, g.transition).ravel()
-        out = l_init[x[0]]
-        for t in range(1, x.shape[0]):
-            out = out + l_step[2 * x[t - 1] + x[t]]
-        out = np.clip(out, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION)
-        np.fill_diagonal(out, 0.0)
-        return out
-
-
-class CategoricalKernel:
-    """Symbol likelihood of a finite distribution over one snapshot."""
-
-    def __init__(self, dist):
-        self.dist = dist
-
-    def log_ratio_matrix(self, array, other):
-        x = array.dense()
-        if x.shape[0] != 1:
-            raise ValueError("categorical kernel expects a single snapshot")
-        lr = _sat_log_ratio(self.dist.probs, other.dist.probs)
-        if x.max(initial=0) >= lr.size:
-            raise ValueError(f"symbol {x.max()} outside the {lr.size}-symbol alphabet")
-        out = lr[x[0]]
-        np.fill_diagonal(out, 0.0)
-        return out
-
-
-def _one_hot(labels, K):
-    out = np.zeros((labels.size, K))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
 def _argmax_rows(L):
     """Row argmax with lowest-index tie break."""
     return L.argmax(axis=1).astype(np.int64)
 
 
-def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
-    """Spectral initialisation plus node-wise likelihood refinement.
-
-    ``mode='fast'`` runs one global spectral clustering and one refinement
-    sweep.  ``mode='loo'`` runs one leave-one-out spectral clustering per
-    node, refines each node against its own clustering, and aligns the
-    per-node labellings by maximal block overlap against the first one.
-    """
-    if K == 1:
-        return np.zeros(array.N, dtype=np.int64)
-    config = config or SpectralConfig(K=K)
-    if config.K != K:
-        raise ValueError("config.K disagrees with K")
-    adj = binarize(array)
-    N = adj.shape[0]
-    R = kernel_f.log_ratio_matrix(array, kernel_g)
-
-    if mode == "fast":
-        init = spectral_cluster(adj, config)
-        return _argmax_rows(R @ _one_hot(init, K))
-    if mode != "loo":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    per_node = np.empty((N, N), dtype=np.int64)  # per_node[i] = labelling from run i
-    for i in range(N):
-        partial = leave_one_out_cluster(adj, i, config)
-        full = np.empty(N, dtype=np.int64)
-        full[np.arange(N) != i] = partial
-        h = np.zeros(K)
-        others = np.arange(N) != i
-        for k in range(K):
-            h[k] = R[i, others & (full == k)].sum() if N > 1 else 0.0
-        full[i] = int(np.argmax(h))
-        per_node[i] = full
-    final = np.empty(N, dtype=np.int64)
-    base = per_node[0]
-    final[0] = base[0]
-    for i in range(1, N):
-        own = per_node[i] == per_node[i][i]
-        overlap = np.array([(own & (base == l)).sum() for l in range(K)])
-        final[i] = int(np.argmax(overlap))
-    return final
-
-
-# ---------------------------------------------------------------------------
-# Online likelihood clustering
-# ---------------------------------------------------------------------------
-
-
 class _PairLogRatio:
-    """The cumulative pairwise log-likelihood ratio matrix ``M`` of the
-    online algorithms, stored sparsely.
+    """A pairwise log-likelihood ratio accumulated over snapshots (the
+    online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
     Every pair that has never interacted holds the same value, ``base``.
     Pairs that have interacted (``keys``: sorted flat indices ``i*N + j``,
@@ -166,11 +73,16 @@ class _PairLogRatio:
     1]``); its ``0 -> 0`` transitions are the rest of the steps taken.
     """
 
-    def __init__(self, n, first, l_init, count=False):
+    def __init__(self, n, first, l_init, count=False, symbols=None):
+        """A pair holding symbol ``s`` in the first snapshot (sorted ``i*N +
+        j`` indices; ``symbols`` default to 1) starts at ``l_init[s]``."""
         self.n = n
-        self._set_keys(self._upper(first))
+        x = np.asarray(first, dtype=np.int64)
+        upper = x // n < x % n
+        self._set_keys(x[upper])
         self.base = float(l_init[0])
-        self.vals = np.full(self.keys.size, l_init[1], dtype=np.float64)
+        codes = np.ones(x.size, dtype=np.int64) if symbols is None else np.asarray(symbols)
+        self.vals = np.asarray(l_init, dtype=np.float64)[codes[upper]]
         self.on = np.ones(self.keys.size, dtype=bool)
         self.counts = np.zeros((self.keys.size, 3), dtype=np.uint32) if count else None
 
@@ -219,6 +131,19 @@ class _PairLogRatio:
             self.counts[moved, move[moved] - 1] += 1
         self.on = cur
 
+    def scores(self, labels, K):
+        """The ``N x K`` matrix of each node's summed ratio with the other
+        nodes of each block under ``labels``.  Costs O(active pairs + N K)."""
+        n = labels.size
+        others = np.tile(np.bincount(labels, minlength=K), n)
+        others[np.arange(n) * K + labels] -= 1
+        summed = np.zeros(n * K)
+        for rows, cols in ((self.rows, self.cols), (self.cols, self.rows)):
+            key = rows * K + labels[cols]
+            others -= np.bincount(key, minlength=n * K)
+            summed += np.bincount(key, weights=self.vals, minlength=n * K)
+        return (self.base * others + summed).reshape(n, K)
+
     def sweep(self, labels, K, synchronous=True):
         """One relabeling pass: each node moves to the block maximising its
         summed log-likelihood ratio.  Ties keep the current label, then fall
@@ -227,36 +152,42 @@ class _PairLogRatio:
         in-place updates in node order.  Costs O(active pairs + N K)."""
         n = labels.size
         if synchronous:
-            others = np.tile(np.bincount(labels, minlength=K), n)
-            others[np.arange(n) * K + labels] -= 1
-            summed = np.zeros(n * K)
-            for rows, cols in ((self.rows, self.cols), (self.cols, self.rows)):
-                key = rows * K + labels[cols]
-                others -= np.bincount(key, minlength=n * K)
-                summed += np.bincount(key, weights=self.vals, minlength=n * K)
-            L = (self.base * others + summed).reshape(n, K)
+            L = self.scores(labels, K)
             best = _argmax_rows(L)
             keep = L[np.arange(n), labels] >= L[np.arange(n), best]
             return np.where(keep, labels, best)
-        rows = np.concatenate((self.rows, self.cols))  # both orientations
-        order = np.argsort(rows, kind="stable")
-        cols = np.concatenate((self.cols, self.rows))[order]
-        vals = np.concatenate((self.vals, self.vals))[order]
-        bounds = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+        by_row = self.by_row()
         out = labels.copy()
         sizes = np.bincount(out, minlength=K)
         for i in range(n):
-            lo, hi = bounds[i], bounds[i + 1]
-            near = out[cols[lo:hi]]
-            others = sizes - np.bincount(near, minlength=K)
-            others[out[i]] -= 1
-            scores = self.base * others + np.bincount(near, weights=vals[lo:hi], minlength=K)
+            scores = self.node_scores(i, out, sizes, by_row)
             best = int(np.argmax(scores))
             if scores[out[i]] < scores[best]:
                 sizes[out[i]] -= 1
                 sizes[best] += 1
                 out[i] = best
         return out
+
+    def by_row(self):
+        """Every active pair in both orientations, grouped by node: ``(cols,
+        vals, bounds)`` with node ``i``'s partners and ratios at
+        ``bounds[i]:bounds[i + 1]``."""
+        rows = np.concatenate((self.rows, self.cols))
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate((self.cols, self.rows))[order]
+        vals = np.concatenate((self.vals, self.vals))[order]
+        return cols, vals, np.searchsorted(rows[order], np.arange(self.n + 1)).tolist()
+
+    def node_scores(self, i, labels, sizes, by_row):
+        """Node ``i``'s row of ``scores(labels, K)`` from its own pairs alone,
+        summed in partner order; ``sizes`` are the block sizes under
+        ``labels`` and ``by_row`` is ``by_row()``.  Costs O(degree + K)."""
+        cols, vals, bounds = by_row
+        lo, hi = bounds[i], bounds[i + 1]
+        near = labels[cols[lo:hi]]
+        others = sizes - np.bincount(near, minlength=sizes.size)
+        others[labels[i]] -= 1
+        return self.base * others + np.bincount(near, weights=vals[lo:hi], minlength=sizes.size)
 
     def dense(self):
         """``M`` as a dense ``N x N`` matrix with zero diagonal."""
@@ -265,6 +196,84 @@ class _PairLogRatio:
         M[self.cols, self.rows] = self.vals
         np.fill_diagonal(M, 0.0)
         return M
+
+
+def _replay(array, l_init, increments, count=False):
+    """A ``_PairLogRatio`` fed every snapshot of ``array``."""
+    ratio = _PairLogRatio(array.N, array.snapshot(0), l_init, count=count)
+    for t in range(1, array.T):
+        ratio.add(array.snapshot(t), increments)
+    return ratio
+
+
+class MarkovKernel:
+    """Pair-pattern likelihood of a binary Markov chain."""
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def log_ratio_matrix(self, array, other):
+        """``log f/g`` of each node pair's whole pattern, ``f`` this kernel's
+        law and ``g`` the other's, as a ``_PairLogRatio`` (``dense()`` gives
+        the matrix, with zero diagonal).  The snapshots are replayed as the
+        online ``M`` takes them, clipped after each one."""
+        _require_binary(array, "Markov kernel")
+        f, g = self.chain, other.chain
+        return _replay(array, _sat_log_ratio(f.mu, g.mu),
+                       _sat_log_ratio(f.transition, g.transition).ravel())
+
+
+class CategoricalKernel:
+    """Symbol likelihood of a finite distribution over one snapshot."""
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def log_ratio_matrix(self, array, other):
+        if array.T != 1:
+            raise ValueError("categorical kernel expects a single snapshot")
+        lr = _sat_log_ratio(self.dist.probs, other.dist.probs)
+        top = array.values.max() if array.values is not None else int(array.data.size > 0)
+        if top >= lr.size:
+            raise ValueError(f"symbol {top} outside the {lr.size}-symbol alphabet")
+        return _PairLogRatio(array.N, array.data, lr, symbols=array.values)
+
+
+def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
+    """Spectral initialisation plus node-wise likelihood refinement.
+
+    ``mode='fast'`` runs one global spectral clustering and one refinement
+    sweep.  ``mode='loo'`` runs one leave-one-out spectral clustering per
+    node, refines each node against its own clustering, and aligns the
+    per-node labellings by maximal block overlap against the first one.
+    """
+    if K == 1:
+        return np.zeros(array.N, dtype=np.int64)
+    config = config or SpectralConfig(K=K)
+    if config.K != K:
+        raise ValueError("config.K disagrees with K")
+    adj = binarize(array)
+    N = adj.shape[0]
+    R = kernel_f.log_ratio_matrix(array, kernel_g)
+
+    if mode == "fast":
+        return _argmax_rows(R.scores(spectral_cluster(adj, config), K))
+    if mode != "loo":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    by_row = R.by_row()
+    per_node = np.zeros((N, N), dtype=np.int64)  # run i's labels; its own entry is not scored
+    for i in range(N):
+        full = per_node[i]
+        full[np.arange(N) != i] = leave_one_out_cluster(adj, i, config)
+        full[i] = int(np.argmax(R.node_scores(i, full, np.bincount(full, minlength=K), by_row)))
+    own = per_node == per_node.diagonal()[:, None]  # each run's block of its own node
+    return (own.astype(np.int64) @ (per_node[0][:, None] == np.arange(K))).argmax(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Online likelihood clustering
+# ---------------------------------------------------------------------------
 
 
 class OnlineLikelihood:
@@ -339,11 +348,7 @@ class OnlineLikelihoodLearned:
         self.nu1_hat = (ones - ones_same) / (pairs - same_pairs) if pairs > same_pairs else 0.5
         self.P_hat = np.array([[1 - self.mu1_hat, self.mu1_hat]] * 2)
         self.Q_hat = np.array([[1 - self.nu1_hat, self.nu1_hat]] * 2)
-        l_init = _sat_log_ratio(
-            np.array([1 - self.mu1_hat, self.mu1_hat]),
-            np.array([1 - self.nu1_hat, self.nu1_hat]),
-        )
-        self.ratio = _PairLogRatio(n, x, l_init, count=True)
+        self.ratio = _PairLogRatio(n, x, _sat_log_ratio(self.P_hat[0], self.Q_hat[0]), count=True)
         self.t = 1
 
     def _pair_totals(self):
@@ -389,12 +394,12 @@ class OnlineLikelihoodLearned:
 # ---------------------------------------------------------------------------
 
 
-def connected_components(adj_bool):
-    """Labels and count of connected components of a boolean adjacency
-    matrix; components are numbered in order of their smallest node."""
-    count, labels = csgraph.connected_components(
-        csr_matrix(np.asarray(adj_bool, dtype=bool)), directed=False
-    )
+def connected_components(adj):
+    """Labels and count of connected components of a symmetric adjacency
+    matrix, a boolean array or a scipy sparse matrix; components are
+    numbered in order of their smallest node."""
+    graph = adj if issparse(adj) else csr_matrix(np.asarray(adj, dtype=bool))
+    count, labels = csgraph.connected_components(graph, directed=False)
     return labels.astype(np.int64), int(count)
 
 
@@ -404,31 +409,41 @@ def transition_rate_clustering(array, P, Q):
     twice as close to ``P`` as the gap between ``P`` and ``Q``.
 
     Returns ``(labels, K_hat)`` with blocks the connected components of the
-    similarity graph.  Requires ``P != Q`` and at least two snapshots.
+    similarity graph.  Requires ``P != Q`` and at least two snapshots.  The
+    pairs that never interact share one decision: ``T - 1`` steps ``0 -> 0``.
     """
     P, Q = np.asarray(P, dtype=np.float64), np.asarray(Q, dtype=np.float64)
     if np.allclose(P, Q):
         raise ValueError("P = Q: transition rates carry no block information")
     _require_binary(array, "transition-rate clustering")
-    data = array.dense()
-    if data.shape[0] < 2:
+    if array.T < 2:
         raise ValueError("need at least two snapshots")
-    n = data.shape[1]
-    prev, cur = data[:-1], data[1:]
-    counts = np.empty((2, 2, n, n))
+    pairs = _replay(array, np.zeros(2), np.zeros(4), count=True)
+    # counts[2a + b] per active pair, then one column for the pairs never set
+    counts = np.zeros((4, pairs.keys.size + 1))
+    counts[1:, :-1] = pairs.counts.T
+    counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
+    linked = np.zeros(counts.shape[1], dtype=bool)
     for a in (0, 1):
-        for b in (0, 1):
-            counts[a, b] = ((prev == a) & (cur == b)).sum(axis=0)
-    link = np.zeros((n, n), dtype=bool)
-    for a in (0, 1):
-        n_a = counts[a, 0] + counts[a, 1]
+        n_a = counts[2 * a] + counts[2 * a + 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             for b in (0, 1):
-                est = counts[a, b] / n_a
+                est = counts[2 * a + b] / n_a
                 close = np.abs(est - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
-                link |= (n_a > 0) & np.where(np.isnan(est), False, close)
+                linked |= (n_a > 0) & np.where(np.isnan(est), False, close)
+    link = np.full((array.N, array.N), linked[-1])
+    link[pairs.rows, pairs.cols] = link[pairs.cols, pairs.rows] = linked[:-1]
     np.fill_diagonal(link, False)
     return connected_components(link)
+
+
+def _pair_graph(array, keep):
+    """Sparse adjacency of the pairs whose number of snapshots set passes
+    ``keep``; pairs never set are left out."""
+    n = array.N
+    pairs, times = np.unique(array.data % (n * n), return_counts=True)
+    pairs = pairs[keep(times)]
+    return csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, n)), shape=(n, n))
 
 
 def persistent_components(array):
@@ -438,19 +453,12 @@ def persistent_components(array):
     Components larger than ``sqrt(N)`` become blocks; remaining nodes fall
     to block 0.  ``K_hat = 0`` flags that no component passed the size bar.
     """
-    data = array.dense()
-    n = data.shape[1]
-    persistent = (data != 0).all(axis=0)
-    np.fill_diagonal(persistent, False)
-    comp_labels, n_comp = connected_components(persistent)
+    comp_labels, n_comp = connected_components(_pair_graph(array, lambda t: t == array.T))
     sizes = np.bincount(comp_labels, minlength=n_comp)
-    big = np.nonzero(sizes > math.sqrt(n))[0]
-    k_hat = big.size
-    out = np.zeros(n, dtype=np.int64)
-    order = big[np.argsort(-sizes[big], kind="stable")]
-    for rank, c in enumerate(order):
-        out[comp_labels == c] = rank
-    return out, int(k_hat)
+    big = np.nonzero(sizes > math.sqrt(array.N))[0]
+    rank = np.zeros(n_comp, dtype=np.int64)  # block of each component, by size
+    rank[big[np.argsort(-sizes[big], kind="stable")]] = np.arange(big.size)
+    return rank[comp_labels], int(big.size)
 
 
 def enemy_paths(array):
@@ -458,17 +466,13 @@ def enemy_paths(array):
 
     Enemies are pairs whose interaction pattern changes at least once;
     sharing an enemy links two nodes.  Intended for two blocks with static
-    intra-block patterns.
+    intra-block patterns.  Those components are the ones of the first
+    copies in the bipartite double cover of the enemy graph (an even walk).
     """
-    data = array.dense()
-    n = data.shape[1]
-    union = (data != 0).any(axis=0)
-    inter = (data != 0).all(axis=0)
-    enemies = union & ~inter
-    np.fill_diagonal(enemies, False)
-    two_path = (enemies.astype(np.int64) @ enemies.astype(np.int64)) > 0
-    np.fill_diagonal(two_path, False)
-    return connected_components(two_path)
+    G = _pair_graph(array, lambda t: t < array.T)
+    labels, _ = connected_components(bmat([[None, G], [G, None]]))
+    labels = labels[:array.N]  # the first copies' components are numbered first
+    return labels, int(labels.max()) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +484,11 @@ def mle_brute_force(array, K, kernel_f, kernel_g, budget=10**6):
     """Exhaustive maximiser of the block-model log likelihood over all
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
     Only feasible at toy sizes (``K^N`` capped by ``budget``)."""
-    data = array.dense()
-    n = data.shape[1]
+    n = array.N
     total = K**n
     if total > budget:
         raise ValueError(f"K^N = {total} exceeds budget {budget}")
-    R = kernel_f.log_ratio_matrix(array, kernel_g)
+    R = kernel_f.log_ratio_matrix(array, kernel_g).dense()
     powers = K ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best_score = -math.inf
     best_code = 0

@@ -4,8 +4,8 @@ pair-interaction laws, plus the line-oriented ``tsbm`` snapshot file format.
 Snapshot arrays are stored sparsely: the sorted flat indices of the nonzero
 entries of the symmetric ``T x N x N`` tensor, both orientations of each
 pair, plus their symbols when some symbol exceeds 1.  Memory follows the
-number of interactions, not ``T N^2``; ``SnapshotArray.dense()`` rebuilds
-the tensor for the consumers that still want it.
+number of interactions, not ``T N^2``, and no consumer rebuilds the dense
+tensor: the recovery algorithms read the indices themselves.
 
 Pair patterns are drawn from counter-based substreams keyed by
 ``(seed, i, j)``, so generation order (serial, parallel, chunked) never
@@ -67,11 +67,11 @@ class SnapshotArray:
     """Symmetric ``T x N x N`` interaction tensor with zero diagonal, held
     as the sorted flat indices ``t*N*N + i*N + j`` of its nonzero entries.
 
-    Both orientations of each pair are listed, so ``data`` equals
-    ``np.flatnonzero(self.dense())``.  Entries are 0/1 bits for temporal
-    graphs; for categorical interactions (where ``T`` is typically 1),
-    ``values`` holds the symbol code of each listed entry, and it is None
-    when every nonzero symbol is 1.
+    Both orientations of each pair are listed, so ``data`` is
+    ``np.flatnonzero`` of the dense tensor that ``from_dense`` takes.
+    Entries are 0/1 bits for temporal graphs; for categorical interactions
+    (where ``T`` is typically 1), ``values`` holds the symbol code of each
+    listed entry, and it is None when every nonzero symbol is 1.
     """
 
     data: np.ndarray
@@ -104,13 +104,6 @@ class SnapshotArray:
         data = np.flatnonzero(x)
         values = x.reshape(-1)[data] if x.max(initial=0) > 1 else None
         return cls(data, x.shape[1], x.shape[0], values=values, labels=labels)
-
-    def dense(self):
-        """The ``(T, N, N)`` tensor: uint8 without ``values``, else int64."""
-        dtype = np.uint8 if self.values is None else np.int64
-        out = np.zeros(self.T * self.N * self.N, dtype=dtype)
-        out[self.data] = 1 if self.values is None else self.values
-        return out.reshape(self.T, self.N, self.N)
 
     def snapshot(self, t):
         """Sorted flat indices ``i*N + j`` of the nonzero entries of snapshot

@@ -14,7 +14,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
-from .sbm import SnapshotArray
 
 __all__ = [
     "SpectralConfig",
@@ -71,23 +70,13 @@ class SpectralConfig:
 
 
 def binarize(array, t=None):
-    """0/1 adjacency matrix marking node pairs with any nonzero interaction,
-    over all snapshots, or over snapshot ``t`` alone when given.
-
-    Accepts a SnapshotArray (its indices are scattered straight into the
-    matrix), a (T, N, N) tensor, or a single (N, N) matrix.
-    """
-    if isinstance(array, SnapshotArray):
-        n = array.N
-        out = np.zeros(n * n, dtype=np.uint8)
-        out[array.data % (n * n) if t is None else array.snapshot(t)] = 1
-        return out.reshape(n, n)
-    data = np.asarray(array)
-    if t is not None:
-        data = data[t]
-    if data.ndim == 2:
-        return (data != 0).astype(np.uint8)
-    return (data != 0).any(axis=0).astype(np.uint8)
+    """0/1 uint8 adjacency matrix of a SnapshotArray, marking node pairs with
+    any nonzero interaction over all snapshots, or over snapshot ``t`` alone
+    when given; the array's indices are scattered straight into it."""
+    n = array.N
+    out = np.zeros(n * n, dtype=np.uint8)
+    out[array.data % (n * n) if t is None else array.snapshot(t)] = 1
+    return out.reshape(n, n)
 
 
 def trim_high_degree(adj, K, trim_factor):

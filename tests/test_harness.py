@@ -413,13 +413,23 @@ class TestCLI:
         assert read_labels(tmp_path / "est.labels").shape == (50000,)
 
     def test_recover_header_beyond_memory_exit_code(self, tmp_path, capsys):
-        # numpy refuses this 88 PiB request up front and touches no memory
+        # spectral clusters a dense N x N matrix: numpy refuses this 8.9 PiB
+        # request up front, beyond any address space, and touches no memory
         path = tmp_path / "huge.tsbm"
-        path.write_text("tsbm 1 10000000 1000\n")
-        rc = main(["recover", "--input", str(path), "--algorithm", "friends"])
+        path.write_text("tsbm 1 100000000 100\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "spectral"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("algorithm,blocks", [("friends", 0), ("enemies", 10**6)])
+    def test_recover_header_only_file_at_n_million(self, tmp_path, capsys, algorithm, blocks):
+        # the pair-count baselines allocate O(N + edges), never N x N
+        path = tmp_path / "empty.tsbm"
+        path.write_text("tsbm 1 1000000 1000\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", algorithm])
+        assert rc == 0
+        assert capsys.readouterr().out == f"estimated blocks: {blocks}\n"
 
     @pytest.mark.parametrize("symbol", ["-3", "99999999999999999999"])
     def test_recover_symbol_out_of_range_exit_code(self, tmp_path, capsys, symbol):
@@ -471,6 +481,22 @@ class TestCLI:
     def test_threshold_bad_inputs_exit_code(self, capsys, extra):
         rc = main(["threshold", "--mu1", "2.5", "--nu1", "1.5", "--grid-steps", "3"] + extra)
         assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--p11", "0.7"],
+        ["--q11", "0.3"],
+        ["--grid-steps", "0"],
+        ["--grid-steps", "-2"],
+    ])
+    def test_threshold_usage_error(self, capsys, extra):
+        # a lone --p11 or --q11 would silently print the whole grid, and no
+        # grid step would print a header-only CSV
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--mu1", "2.5", "--nu1", "1.5"] + extra)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -608,6 +634,32 @@ def test_online_trial_at_n_20000():
     print(f"N=20000 T=30 online trial: accuracy {accuracy}, {time.perf_counter() - start:.1f} s "
           f"in all, {seconds:.1f} s recovering, maxrss {rss_kb / 1024:.0f} MB")
     assert accuracy >= 0.95
+    assert rss_kb < 2 * 2**20
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algorithm", ["refine", "rates", "friends", "enemies"])
+def test_offline_trial_at_n_20000(algorithm):
+    # these read the pair patterns from the sparse indices, so an N=20,000,
+    # T=30 trial stays far below the 12 GB of the dense T x N x N tensor;
+    # they score near 0.5 in this regime, so only memory is gated
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    code = (
+        "import resource\n"
+        "from tsbm.harness import ExperimentConfig, run_trial\n"
+        "config = ExperimentConfig(n=20000, t=30, mu1=3.0, nu1=1.5, units='logn',\n"
+        f"                          algorithm={algorithm!r}, trials=1)\n"
+        "record = run_trial(config, 0)\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(record.final_accuracy, record.seconds, rss)\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=1800, check=True)
+    accuracy, seconds, rss_kb = map(float, proc.stdout.split())
+    print(f"N=20000 T=30 {algorithm} trial: accuracy {accuracy}, "
+          f"{time.perf_counter() - start:.1f} s in all, {seconds:.1f} s recovering, "
+          f"maxrss {rss_kb / 1024:.0f} MB")
     assert rss_kb < 2 * 2**20
 
 

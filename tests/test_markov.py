@@ -217,6 +217,45 @@ class TestJQuantityRecursion:
                 want = float(w @ lr**2 / w.sum())
                 assert markov_j_quantity(cf, cg, T) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("f,g,T", [
+        ((0.99, 0.99, 0.010000001), (0.99, 0.99, 0.01), 500),  # log P - log Q cancels
+        ((0.99, 0.99, 0.010000001), (0.99, 0.99, 0.01), 5000),
+        ((0.5, 0.3, 0.7), (0.5, 0.3, 0.7 + 1e-12), 1000),
+        ((0.2, 0.1, 0.6), (0.2 + 1e-9, 0.1, 0.6), 50),
+        ((0.3, 0.2, 0.6), (0.1, 0.15, 0.5), 200),
+        ((0.04, 0.02, 0.7), (0.03, 0.03, 0.4), 1000),
+        ((0.01, 0.004, 0.6), (0.004, 0.004, 0.01), 300),
+        ((0.9, 0.8, 0.95), (0.1, 0.2, 0.05), 40),
+        ((1.0, 0.0, 0.5), (1.0, 0.0, 0.5000001), 100),  # a single all-on path
+        ((0.5, 0.5, 1.0), (0.5, 0.5, 0.999999), 200),  # f never leaves state 1
+    ])
+    def test_matches_high_precision_recursion(self, f, g, T):
+        # the moment recursion over every state path, in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        cf, cg = BinaryMarkovChain(*f), BinaryMarkovChain(*g)
+        with mpmath.workdps(40):
+            def weight_and_log(p, q):
+                p, q = mpmath.mpf(float(p)), mpmath.mpf(float(q))
+                w = mpmath.sqrt(p * q)
+                return w, (mpmath.log(p / q) if w else mpmath.mpf(0))
+
+            a, b, c = [], [], []
+            for s in range(2):
+                w, lr = weight_and_log(cf.mu[s], cg.mu[s])
+                a, b, c = a + [w], b + [w * lr], c + [w * lr**2]
+            step = [[weight_and_log(cf.transition[i, j], cg.transition[i, j])
+                     for j in range(2)] for i in range(2)]
+            for _ in range(T - 1):
+                a, b, c = (
+                    [sum(a[i] * step[i][j][0] for i in range(2)) for j in range(2)],
+                    [sum((b[i] + a[i] * step[i][j][1]) * step[i][j][0] for i in range(2))
+                     for j in range(2)],
+                    [sum((c[i] + 2 * b[i] * step[i][j][1] + a[i] * step[i][j][1] ** 2)
+                         * step[i][j][0] for i in range(2)) for j in range(2)],
+                )
+            want = float(sum(c) / sum(a))
+        assert markov_j_quantity(cf, cg, T) == pytest.approx(want, rel=1e-13, abs=0)
+
 
 class TestSparseApprox:
     def test_identical_chains(self):

@@ -23,17 +23,19 @@ from tsbm.recovery import (
     persistent_components,
     refine_recover,
     transition_rate_clustering,
-    _sat_log_ratio,
 )
-from tsbm.harness import chains_in_units
+from tsbm.harness import chains_in_units, spectral_matrix
 from tsbm.sbm import (
     SnapshotArray,
     sample_categorical_snapshots,
     sample_labelling,
     sample_markov_snapshots,
 )
-from tsbm.spectral import SpectralConfig
+from tsbm.spectral import SpectralConfig, binarize, leave_one_out_cluster, spectral_cluster
 from tsbm._rng import derive_seed
+
+import dense_reference as dense_ref
+from dense_reference import _DenseLearned, _DenseOnline, _one_hot, dense_tensor
 
 
 INTRA = chain_from_stationary(0.35, 0.6)
@@ -49,9 +51,9 @@ def markov_instance(n, t, seed, intra=INTRA, inter=INTER):
 class TestKernels:
     def test_markov_log_ratio_matches_path_probs(self):
         labels, arr = markov_instance(25, 6, 0)
-        ratio = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER))
+        ratio = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER)).dense()
         iu, ju = np.triu_indices(25, 1)
-        pats = arr.dense()[:, iu, ju].T
+        pats = dense_tensor(arr)[:, iu, ju].T
         want = INTRA.path_log_prob(pats) - INTER.path_log_prob(pats)
         assert np.allclose(ratio[iu, ju], want, atol=1e-10)
         assert np.allclose(ratio, ratio.T)
@@ -61,7 +63,7 @@ class TestKernels:
         static = BinaryMarkovChain(1.0, 0.0, 1.0)
         noisy = BinaryMarkovChain(0.5, 0.5, 0.5)
         labels, arr = markov_instance(20, 5, 1, intra=static, inter=noisy)
-        ratio = MarkovKernel(static).log_ratio_matrix(arr, MarkovKernel(noisy))
+        ratio = MarkovKernel(static).log_ratio_matrix(arr, MarkovKernel(noisy)).dense()
         assert np.isfinite(ratio).all()
         assert np.abs(ratio).max() <= 700.0
 
@@ -70,10 +72,10 @@ class TestKernels:
         g = FiniteDistribution([0.7, 0.3])
         labels = sample_labelling(15, 2, seed=2)
         arr = sample_categorical_snapshots(labels, f, g, seed=3)
-        ratio = CategoricalKernel(f).log_ratio_matrix(arr, CategoricalKernel(g))
+        ratio = CategoricalKernel(f).log_ratio_matrix(arr, CategoricalKernel(g)).dense()
         lr = np.log(f.probs) - np.log(g.probs)
         iu, ju = np.triu_indices(15, 1)
-        assert np.allclose(ratio[iu, ju], lr[arr.dense()[0, iu, ju]])
+        assert np.allclose(ratio[iu, ju], lr[dense_tensor(arr)[0, iu, ju]])
 
 
 class TestRefineRecover:
@@ -176,7 +178,7 @@ class TestOnlineLikelihood:
         labels, arr = markov_instance(35, 9, 9)
         state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
         state.run(arr)
-        want = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER))
+        want = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER)).dense()
         assert np.allclose(state.ratio.dense(), want, atol=1e-9)
 
     def test_async_variant_runs(self):
@@ -231,121 +233,6 @@ class TestOnlineLikelihoodLearned:
                 )
             )
         assert max(errors) <= 0.02
-
-
-# ---------------------------------------------------------------------------
-# Dense references: the online step with a dense N x N matrix M, as the
-# library computed it before the sparse state; the sparse state must match
-# them (M bit for bit, labels up to near-ties of the dense scores).
-# ---------------------------------------------------------------------------
-
-
-def _one_hot(labels, K):
-    out = np.zeros((labels.size, K))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def _relabel_sweep(M, labels, K, synchronous=True):
-    """One relabeling pass: each node moves to the block maximising its
-    accumulated log-likelihood ratio sum.  Ties keep the current label,
-    then fall to the lowest index.  Synchronous sweeps score every node
-    against the labelling frozen at entry; the asynchronous variant reads
-    in-place updates in node order."""
-    n = labels.size
-    if synchronous:
-        L = M @ _one_hot(labels, K)
-        best = L.argmax(axis=1).astype(np.int64)
-        keep = L[np.arange(n), labels] >= L[np.arange(n), best]
-        return np.where(keep, labels, best)
-    out = labels.copy()
-    for i in range(n):
-        scores = M[i] @ _one_hot(out, K)
-        best = int(np.argmax(scores))
-        if scores[out[i]] < scores[best]:
-            out[i] = best
-    return out
-
-
-class _DenseOnline:
-    """Reference for OnlineLikelihood: the dense ``M`` and sweep."""
-
-    def __init__(self, first_snapshot, init_labels, intra, inter, K, synchronous=True):
-        x = np.asarray(first_snapshot)
-        self.K = K
-        self.synchronous = synchronous
-        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        l_init = _sat_log_ratio(intra.mu, inter.mu)
-        self._delta = _sat_log_ratio(intra.transition, inter.transition).ravel()
-        self.M = l_init[x].astype(np.float64)
-        np.fill_diagonal(self.M, 0.0)
-        self._prev = x.copy()
-        self.t = 1
-
-    def step(self, snapshot):
-        x = np.asarray(snapshot)
-        delta = self._delta[2 * self._prev + x]
-        np.fill_diagonal(delta, 0.0)
-        self.M += delta
-        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
-        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
-        self._prev = x.copy()
-        self.t += 1
-
-
-class _DenseLearned:
-    """Reference learner: a dense ``(4, N, N)`` counter and masked means
-    over upper-triangle gathers, the direct form of the sparse counter and
-    binned estimator."""
-
-    def __init__(self, first_snapshot, init_labels, K, synchronous=True):
-        x = np.asarray(first_snapshot)
-        n = x.shape[0]
-        self.K, self.synchronous = K, synchronous
-        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        self._iu = np.triu_indices(n, k=1)
-        same = self.labels[self._iu[0]] == self.labels[self._iu[1]]
-        vals = x[self._iu]
-        mu1 = float(vals[same].mean()) if same.any() else 0.5
-        nu1 = float(vals[~same].mean()) if (~same).any() else 0.5
-        self.P_hat = np.array([[1 - mu1, mu1]] * 2)
-        self.Q_hat = np.array([[1 - nu1, nu1]] * 2)
-        l_init = _sat_log_ratio(np.array([1 - mu1, mu1]), np.array([1 - nu1, nu1]))
-        self.M = l_init[x].astype(np.float64)
-        np.fill_diagonal(self.M, 0.0)
-        self.counts = np.zeros((4, n, n), dtype=np.uint32)
-        self._prev = x.copy()
-        self.t = 1
-
-    def step(self, snapshot):
-        x = np.asarray(snapshot)
-        idx = 2 * self._prev + x
-        delta = _sat_log_ratio(self.P_hat, self.Q_hat).ravel()[idx]
-        np.fill_diagonal(delta, 0.0)
-        self.M += delta
-        np.clip(self.M, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.M)
-        self.labels = _relabel_sweep(self.M, self.labels, self.K, self.synchronous)
-        for ab in range(4):
-            self.counts[ab] += idx == ab
-        self._prev = x.copy()
-        self.t += 1
-        self._reestimate()
-
-    def _reestimate(self):
-        iu = self._iu
-        same = self.labels[iu[0]] == self.labels[iu[1]]
-        for a in (0, 1):
-            n_a = (self.counts[2 * a] + self.counts[2 * a + 1])[iu].astype(np.float64)
-            n_a1 = self.counts[2 * a + 1][iu].astype(np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = n_a1 / n_a
-            ok = n_a > 0
-            if (ok & same).any():
-                p = float(ratio[ok & same].mean())
-                self.P_hat[a] = (1 - p, p)
-            if (ok & ~same).any():
-                q = float(ratio[ok & ~same].mean())
-                self.Q_hat[a] = (1 - q, q)
 
 
 def _packed_counts(state):
@@ -442,7 +329,7 @@ class TestSparseOnlineMatchesDense:
         _, arr = markov_instance(n, 10, 70 + seed, intra=intra, inter=inter)
         init = sample_labelling(n, 2, seed=80 + seed)
         state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, 2)
-        dense = arr.dense()
+        dense = dense_tensor(arr)
         ref = _DenseOnline(dense[0], init, intra, inter, 2)
         moved = 0
         for t in range(1, arr.T):
@@ -493,7 +380,7 @@ class TestPackedCounts:
         labels, arr = markov_instance(n, 15, 40 + seed, intra=intra, inter=inter)
         init = sample_labelling(n, 2, seed=50 + seed)
         state = OnlineLikelihoodLearned(arr.snapshot(0), init, 2)
-        dense = arr.dense()
+        dense = dense_tensor(arr)
         ref = _DenseLearned(dense[0], init, 2)
         moved = 0
         for t in range(1, arr.T):
@@ -505,6 +392,120 @@ class TestPackedCounts:
             assert np.abs(state.P_hat - ref.P_hat).max() <= 1e-14
             assert np.abs(state.Q_hat - ref.Q_hat).max() <= 1e-14
         assert moved > 0  # the labels changed, so the block relations were redone
+
+
+@st.composite
+def _pattern_arrays(draw, max_symbol=1, min_t=1, max_t=6, min_n=1):
+    """Random symmetric snapshot arrays, symbols 1..max_symbol, with
+    densities from empty to full."""
+    n, T = draw(st.integers(min_n, 11)), draw(st.integers(min_t, max_t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.4, 0.8, 1.0]))
+    sym = rng.integers(1, max_symbol + 1, (T, n, n)) * (rng.random((T, n, n)) < density)
+    upper = np.triu(sym, 1)
+    return SnapshotArray.from_dense(upper + upper.transpose(0, 2, 1))
+
+
+_distributions = st.integers(0, 2**32 - 1).map(
+    lambda seed: FiniteDistribution(np.random.default_rng(seed).dirichlet(np.ones(4))))
+
+
+class TestSparseConsumersMatchDense:
+    """Each consumer of the pair patterns against its dense reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arr=_pattern_arrays(), f=_any_chain, g=_any_chain)
+    def test_markov_kernel(self, arr, f, g):
+        # equal to the dense sum wherever no partial sum passes the clip,
+        # and to the online M everywhere
+        got = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g)).dense()
+        want, peak = dense_ref.markov_log_ratio(arr, f, g)
+        calm = peak <= LOG_RATIO_SATURATION
+        assert np.array_equal(got[calm], want[calm])
+        assert np.abs(got).max(initial=0) <= LOG_RATIO_SATURATION
+        state = OnlineLikelihood(arr.snapshot(0), np.zeros(arr.N, dtype=np.int64), f, g, 1)
+        state.run(arr)
+        assert np.array_equal(state.ratio.dense(), got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arr=_pattern_arrays(max_symbol=3, max_t=1),
+           f=_distributions, g=_distributions)
+    def test_categorical_kernel(self, arr, f, g):
+        got = CategoricalKernel(f).log_ratio_matrix(arr, CategoricalKernel(g)).dense()
+        assert np.array_equal(got, dense_ref.categorical_log_ratio(arr, f, g))
+
+    @pytest.mark.parametrize("p01,q01,quiet_link", [(0.05, 0.8, True), (0.5, 0.3, False)])
+    @settings(max_examples=60, deadline=None)
+    @given(arr=_pattern_arrays(min_t=2), p11=st.floats(0.0, 1.0), q11=st.floats(0.0, 1.0))
+    def test_transition_rates(self, arr, p01, q01, quiet_link, p11, q11):
+        # the pairs never set (T - 1 steps 0 -> 0) link exactly when Q01 >> P01
+        P = np.array([[1 - p01, p01], [1 - p11, p11]])
+        Q = np.array([[1 - q01, q01], [1 - q11, q11]])
+        assert (p01 <= 0.5 * abs(p01 - q01)) == quiet_link
+        labels, k_hat = transition_rate_clustering(arr, P, Q)
+        want, want_k = dense_ref.transition_rates(arr, P, Q)
+        assert labels.tolist() == want.tolist() and k_hat == want_k
+
+    @settings(max_examples=150, deadline=None)
+    @given(arr=_pattern_arrays(max_symbol=3))
+    def test_friends_and_enemies(self, arr):
+        for got, want in ((persistent_components(arr), dense_ref.persistent(arr)),
+                          (enemy_paths(arr), dense_ref.enemies(arr))):
+            assert got[0].dtype == np.int64 and type(got[1]) is int
+            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+    @pytest.mark.parametrize("algorithm", ["spectral-aggregate", "spectral-squared"])
+    @settings(max_examples=100, deadline=None)
+    @given(arr=_pattern_arrays(max_symbol=3))
+    def test_spectral_matrices(self, arr, algorithm):
+        got = spectral_matrix(arr, algorithm)
+        want = dense_ref.spectral_matrix(arr, algorithm)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(arr=_pattern_arrays(min_n=4), f=_any_chain, g=_any_chain, K=st.integers(2, 3),
+           seed=st.integers(0, 100))
+    def test_refine_labels(self, arr, f, g, K, seed):
+        # the dense argmax, except where block scores tie up to rounding
+        config = SpectralConfig(K=K, seed=seed)
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config)
+        R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g)).dense()
+        L = dense_ref.block_scores(R, spectral_cluster(binarize(arr), config), K)
+        near = L.max(axis=1) - np.sort(L, axis=1)[:, -2] <= 1e-12 * np.abs(R).sum(axis=1)
+        assert np.array_equal(got[~near], L.argmax(axis=1)[~near])
+        rows = np.flatnonzero(near)
+        assert (L[rows].max(axis=1) - L[rows, got[rows]] <= 1e-12 * np.abs(R[rows]).sum(axis=1)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=_pattern_arrays(min_n=4), f=_any_chain, g=_any_chain, K=st.integers(2, 3),
+           seed=st.integers(0, 100))
+    def test_refine_loo_labels(self, arr, f, g, K, seed):
+        # node i takes the dense argmax of its own row against its
+        # leave-one-out clustering (any choice within rounding of the best),
+        # then every labelling is aligned on run 0's
+        config = SpectralConfig(K=K, seed=seed)
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config, mode="loo")
+        R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g)).dense()
+        adj, n = binarize(arr), arr.N
+        runs, choices = [], []
+        for i in range(n):
+            full = np.zeros(n, dtype=np.int64)
+            full[np.arange(n) != i] = leave_one_out_cluster(adj, i, config)
+            h = dense_ref.block_scores(R, full, K)[i]
+            runs.append(full)
+            choices.append(np.flatnonzero(h.max() - h <= 1e-12 * np.abs(R[i]).sum()))
+
+        def aligned(i, c, base):
+            own = np.where(np.arange(n) == i, c, runs[i]) == c
+            return int(np.argmax([(own & (base == l)).sum() for l in range(K)]))
+
+        def consistent(c0):
+            base = np.where(np.arange(n) == 0, c0, runs[0])
+            return got[0] == c0 and all(
+                got[i] in {aligned(i, c, base) for c in choices[i]} for i in range(1, n))
+
+        assert any(consistent(c0) for c0 in choices[0])
 
 
 class TestTransitionRates:
@@ -557,7 +558,7 @@ class TestPersistentComponents:
         labels = sample_labelling(50, 2, seed=1)
         arr = sample_markov_snapshots(labels, ones, noise, 10, seed=2)
         perm = np.random.default_rng(3).permutation(50)
-        moved = SnapshotArray.from_dense(arr.dense()[:, perm][:, :, perm])
+        moved = SnapshotArray.from_dense(dense_tensor(arr)[:, perm][:, :, perm])
         base, _ = persistent_components(arr)
         shuffled, _ = persistent_components(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
@@ -597,7 +598,7 @@ class TestEnemyPaths:
         labels = sample_labelling(60, 2, seed=4)
         arr = sample_markov_snapshots(labels, ones, noise, 12, seed=5)
         perm = np.random.default_rng(6).permutation(60)
-        moved = SnapshotArray.from_dense(arr.dense()[:, perm][:, :, perm])
+        moved = SnapshotArray.from_dense(dense_tensor(arr)[:, perm][:, :, perm])
         base, _ = enemy_paths(arr)
         shuffled, _ = enemy_paths(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
@@ -667,7 +668,7 @@ class TestMLE:
             labels = sample_labelling(9, 2, seed=seed)
             arr = sample_categorical_snapshots(labels, f, g, seed=seed + 50)
             got = mle_brute_force(arr, 2, kf, kg)
-            ratio = kf.log_ratio_matrix(arr, kg)
+            ratio = kf.log_ratio_matrix(arr, kg).dense()
 
             def loglik(s):
                 same = s[:, None] == s[None, :]

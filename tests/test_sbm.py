@@ -31,6 +31,8 @@ from tsbm.sbm import (
     write_snapshots,
 )
 
+from dense_reference import dense_tensor
+
 
 class TestSampleLabelling:
     def test_single_block(self):
@@ -76,12 +78,12 @@ class TestMarkovSampling:
         lab = sample_labelling(25, 2, seed=0)
         a = sample_markov_snapshots(lab, ch, ch, 6, seed=9)
         b = sample_markov_snapshots(lab, ch, ch, 6, seed=9)
-        assert np.array_equal(a.dense(), b.dense())
+        assert np.array_equal(dense_tensor(a), dense_tensor(b))
 
     def test_transition_frequencies(self):
         ch = BinaryMarkovChain(0.4, 0.3, 0.6)
         arr = sample_markov_snapshots(sample_labelling(100, 2, seed=2), ch, ch, 100, seed=7)
-        x = arr.dense()
+        x = dense_tensor(arr)
         prev, cur = x[:-1], x[1:]
         p01_hat = ((prev == 0) & (cur == 1)).sum() / (prev == 0).sum()
         p11_hat = ((prev == 1) & (cur == 1)).sum() / (prev == 1).sum()
@@ -93,15 +95,15 @@ class TestMarkovSampling:
         noisy = BinaryMarkovChain(0.5, 0.5, 0.5)
         lab = np.array([0] * 10 + [1] * 10)
         arr = sample_markov_snapshots(lab, silent, noisy, 8, seed=3)
-        intra_block = arr.dense()[:, :10, :10]
+        intra_block = dense_tensor(arr)[:, :10, :10]
         assert intra_block.sum() == 0
-        assert arr.dense().sum() > 0
+        assert dense_tensor(arr).sum() > 0
 
     def test_stationary_marginal(self):
         st = chain_from_stationary(0.25, 0.7)
         arr = sample_markov_snapshots(sample_labelling(80, 2, seed=3), st, st, 50, seed=11)
         iu, ju = np.triu_indices(80, 1)
-        vals = arr.dense()[:, iu, ju]
+        vals = dense_tensor(arr)[:, iu, ju]
         per_snapshot = vals.mean(axis=1)
         se = 3 * math.sqrt(0.25 * 0.75 / vals.shape[1])
         # averaged over snapshots; allow serial correlation slack
@@ -112,7 +114,7 @@ class TestMarkovSampling:
         lab = sample_labelling(18, 2, seed=6)
         arr = sample_markov_snapshots(lab, ch, ch, 2000, seed=13)
         iu, ju = np.triu_indices(18, 1)
-        pats = arr.dense()[:, iu, ju].astype(float)
+        pats = dense_tensor(arr)[:, iu, ju].astype(float)
         corr = np.corrcoef(pats.T)
         off = corr[np.triu_indices(corr.shape[0], 1)]
         assert off.size > 10_000
@@ -227,8 +229,8 @@ class TestChunkedSampler:
             mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
             got = sample_markov_snapshots(labels, intra, inter, T, seed=seed)
         want = _reference_markov(labels, intra, inter, T, seed)
-        assert got.dense().dtype == np.uint8 and got.values is None
-        assert np.array_equal(got.dense(), want)
+        assert dense_tensor(got).dtype == np.uint8 and got.values is None
+        assert np.array_equal(dense_tensor(got), want)
         assert np.array_equal(got.data, np.flatnonzero(want))
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -247,7 +249,7 @@ class TestCategoricalSampling:
         f = FiniteDistribution.point_mass(0, 3)
         lab = sample_labelling(20, 2, seed=0)
         arr = sample_categorical_snapshots(lab, f, f, seed=1)
-        assert arr.dense().sum() == 0
+        assert dense_tensor(arr).sum() == 0
 
     def test_single_block_uses_intra(self):
         f = FiniteDistribution([0.0, 1.0])
@@ -255,7 +257,7 @@ class TestCategoricalSampling:
         lab = np.zeros(12, dtype=np.int64)
         arr = sample_categorical_snapshots(lab, f, g, seed=2)
         iu, ju = np.triu_indices(12, 1)
-        assert (arr.dense()[0, iu, ju] == 1).all()
+        assert (dense_tensor(arr)[0, iu, ju] == 1).all()
 
     def test_symbol_frequencies(self):
         f = FiniteDistribution([0.5, 0.3, 0.2])
@@ -264,7 +266,7 @@ class TestCategoricalSampling:
         arr = sample_categorical_snapshots(lab, f, g, seed=5)
         iu, ju = np.triu_indices(200, 1)
         same = lab[iu] == lab[ju]
-        vals = arr.dense()[0, iu, ju]
+        vals = dense_tensor(arr)[0, iu, ju]
         for dist, mask in ((f, same), (g, ~same)):
             m = int(mask.sum())
             for sym, p in enumerate(dist.probs):
@@ -287,7 +289,7 @@ class TestSnapshotFiles:
         path = tmp_path / "x.tsbm"
         write_snapshots(path, arr)
         back = read_snapshots(path)
-        assert np.array_equal(back.dense(), arr.dense())
+        assert np.array_equal(dense_tensor(back), dense_tensor(arr))
         assert np.array_equal(back.labels, arr.labels)
         # writing the parsed array again reproduces the file byte for byte
         path2 = tmp_path / "y.tsbm"
@@ -300,21 +302,21 @@ class TestSnapshotFiles:
         arr = sample_categorical_snapshots(sample_labelling(25, 2, seed=3), f, g, seed=4)
         path = tmp_path / "c.tsbm"
         write_snapshots(path, arr)
-        assert np.array_equal(read_snapshots(path).dense(), arr.dense())
+        assert np.array_equal(dense_tensor(read_snapshots(path)), dense_tensor(arr))
 
     def test_empty_graph(self, tmp_path):
         path = tmp_path / "e.tsbm"
         path.write_text("# empty graph\ntsbm 1 5 3\n")
         arr = read_snapshots(path)
         assert arr.N == 5 and arr.T == 3
-        assert arr.dense().sum() == 0
+        assert dense_tensor(arr).sum() == 0
 
     def test_line_count(self, tmp_path):
         ch = chain_from_stationary(0.2, 0.5)
         arr = sample_markov_snapshots(sample_labelling(20, 2, seed=5), ch, ch, 4, seed=6)
         path = tmp_path / "n.tsbm"
         write_snapshots(path, arr)
-        bits = sum(int(np.triu(arr.dense()[t], 1).sum()) for t in range(arr.T))
+        bits = sum(int(np.triu(dense_tensor(arr)[t], 1).sum()) for t in range(arr.T))
         lines = path.read_text().splitlines()
         assert len(lines) == 2 + bits  # header + labels + one line per bit
 
@@ -437,8 +439,8 @@ class TestSnapshotFileProperties:
         labels = np.arange(data.shape[1]) % 3 if with_labels else None
         write_snapshots(tmp / "a.tsbm", SnapshotArray.from_dense(data, labels=labels))
         back = read_snapshots(tmp / "a.tsbm")
-        assert back.dense().dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
-        assert np.array_equal(back.dense(), data)
+        assert dense_tensor(back).dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
+        assert np.array_equal(dense_tensor(back), data)
         assert np.array_equal(back.labels, labels) if with_labels else back.labels is None
         write_snapshots(tmp / "b.tsbm", back)
         assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
@@ -461,8 +463,8 @@ class TestSnapshotFileProperties:
             want = np.zeros((T, N, N), dtype=np.int64)
             for _, t, i, j, v in parsed:
                 want[t - 1, i, j] = want[t - 1, j, i] = v
-            assert back.dense().dtype == (np.int64 if want.max() > 1 else np.uint8)
-            assert np.array_equal(back.dense(), want)
+            assert dense_tensor(back).dtype == (np.int64 if want.max() > 1 else np.uint8)
+            assert np.array_equal(dense_tensor(back), want)
         else:
             error, message = expected
             with pytest.raises(SnapshotFormatError) as exc:
@@ -800,8 +802,8 @@ class TestSnapshotArray:
     def test_dense_round_trip(self, x):
         arr = SnapshotArray.from_dense(x)
         assert np.array_equal(arr.data, np.flatnonzero(x))
-        assert np.array_equal(arr.dense(), x)
-        assert arr.dense().dtype == (np.int64 if x.max(initial=0) > 1 else np.uint8)
+        assert np.array_equal(dense_tensor(arr), x)
+        assert dense_tensor(arr).dtype == (np.int64 if x.max(initial=0) > 1 else np.uint8)
         for t in range(arr.T):
             assert np.array_equal(arr.snapshot(t), np.flatnonzero(x[t]))
 
@@ -809,5 +811,5 @@ class TestSnapshotArray:
         ch = chain_from_stationary(0.2, 0.6)
         arr = sample_markov_snapshots(sample_labelling(30, 2, seed=1), ch, ch, 4, seed=2)
         arr.validate()
-        assert np.array_equal(arr.data, np.flatnonzero(arr.dense()))
-        assert np.array_equal(SnapshotArray.from_dense(arr.dense()).data, arr.data)
+        assert np.array_equal(arr.data, np.flatnonzero(dense_tensor(arr)))
+        assert np.array_equal(SnapshotArray.from_dense(dense_tensor(arr)).data, arr.data)
