@@ -1,7 +1,7 @@
 """Binary Markov interaction chains: path-law divergences (exact, by one
-power-by-squaring transfer-matrix engine in O(log T); brute-force
-enumeration; sparse closed forms), threshold constants, snapshot
-thresholds T*, and on-period path combinatorics.
+transfer-matrix engine in O(log T), a squaring ladder plus a fold;
+brute-force enumeration; sparse closed forms), threshold constants,
+snapshot thresholds T*, and on-period path combinatorics.
 """
 
 import math
@@ -104,33 +104,37 @@ def _geometric_weights(alpha, chain_f, chain_g):
     return r, R, r_inf, R_inf
 
 
+def _squaring_ladder(R, levels):
+    """The rungs ``(R^(2^k) / c_k, log c_k)`` for ``k < levels``: rung 0 is
+    ``R`` itself, each later rung the square of the one before, rescaled by
+    its largest absolute entry.  After a rung vanishes, every later rung is
+    zero with scale -inf."""
+    rungs = [(R, 0.0)]
+    while len(rungs) < levels:
+        base, scale = rungs[-1]
+        base = base @ base
+        s = np.abs(base).max()
+        rungs.append((base / s, 2 * scale + math.log(s)) if s else (base, -math.inf))
+    return rungs[:levels]
+
+
 def _log_path_sum(r, R, T):
-    """``r R^(T-1)`` by power-by-squaring, as ``(z, log_scale)`` with
-    ``r R^(T-1) = z exp(log_scale)``.  Every product is rescaled by its
-    largest absolute entry; ``z`` is zero when the product vanishes."""
+    """``r R^(T-1)`` as ``(z, log_scale)`` with ``r R^(T-1) = z exp(log_scale)``:
+    a fold over the squaring ladder's rungs that the bits of ``T - 1``
+    select, in O(log T) products.  Every product is rescaled by its largest
+    absolute entry; ``z`` is zero when the product vanishes."""
     if T < 1:
         raise ValueError("need at least one snapshot")
     acc, acc_scale = np.eye(len(R)), 0.0
-    base, base_scale = R, 0.0
-    m = T - 1
-    while m > 0:
-        if m & 1:
-            acc = acc @ base
-            acc_scale += base_scale
+    for k, (rung, scale) in enumerate(_squaring_ladder(R, (T - 1).bit_length())):
+        if (T - 1) >> k & 1:
+            acc = acc @ rung
+            acc_scale += scale
             s = np.abs(acc).max()
             if s == 0.0:
                 return np.zeros_like(r), -math.inf
             acc_scale += math.log(s)
             acc /= s
-        m >>= 1
-        if m:
-            base = base @ base
-            base_scale *= 2
-            s = np.abs(base).max()
-            if s == 0.0:
-                return np.zeros_like(r), -math.inf  # every later product vanishes
-            base_scale += math.log(s)
-            base /= s
     return r @ acc, acc_scale
 
 
@@ -420,9 +424,12 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     A linear scan covers T <= 1024 at O(1) float operations per T: the
     exact convention carries the transfer recursion from one T to the
     next, the itilde convention evaluates ``i_tilde_short``'s closed form.
-    Beyond it, doubling plus bisection takes O(log t_max) evaluations of
-    the divergence, each in O(log T) by power-by-squaring on the pair's
-    transfer weights (exact) or in O(1) by the closed form (itilde).
+    Beyond it, binary lifting from the scan's end tries spans of 2^k
+    snapshots, largest first, and takes each that leaves the threshold
+    uncrossed: the exact convention steps its streamed state by the rungs
+    of one squaring ladder of the transfer weights (one vector-matrix
+    product per span), the itilde convention evaluates its closed form at
+    the span's end.  A search costs one ladder plus O(log t_max) products.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -432,15 +439,12 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
         convention = ThresholdConvention(convention)
     rho = math.log(N) / N
     scan_end = min(t_max, _LINEAR_SCAN_CAP)
+    levels = max(t_max - _LINEAR_SCAN_CAP, 0).bit_length()  # spans 2^k, k < levels
 
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
         # built once per search; alpha = 1/2 gives finite weights
         r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
-
-        def crossed(T):
-            return 1.0 - math.exp(min(_log_total(r, R, T), 0.0)) >= threshold
-
         # stream the transfer recursion z <- z R / sum(z R), one step per T
         z0, z1 = r.tolist()
         (R00, R01), (R10, R11) = R.tolist()
@@ -458,6 +462,19 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
                 z1 /= s
             if 1.0 - math.exp(min(log_scale + math.log(z0 + z1), 0.0)) >= threshold:
                 return T
+        ladder, z = _squaring_ladder(R, levels), np.array([z0, z1])
+
+        def below(T, k):  # uncrossed at T + 2^k? then the state moves there
+            nonlocal z, log_scale
+            y = z @ ladder[k][0]
+            s = y.sum()
+            if s == 0.0:
+                return False  # orthogonal supports, as in the scan
+            log_total = log_scale + ladder[k][1] + math.log(s)
+            if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
+                return False
+            z, log_scale = y / s, log_total
+            return True
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)
@@ -471,25 +488,16 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
             if crossed(T):
                 return T
 
-    if t_max <= _LINEAR_SCAN_CAP:
-        return None
+        def below(T, k):
+            return not crossed(T + (1 << k))
 
-    # doubling then bisection; relies on the divergence being nondecreasing
-    # in T, which holds for stationary chains
-    lo = _LINEAR_SCAN_CAP  # known not crossed
-    hi = 2 * lo
-    while hi < t_max and not crossed(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, t_max)
-    if not crossed(hi):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # binary lifting; relies on the divergence being nondecreasing in T
+    # past the scan, which holds for stationary chains
+    T = _LINEAR_SCAN_CAP  # known not crossed when the loop runs
+    for k in reversed(range(levels)):
+        if T + (1 << k) <= t_max and below(T, k):
+            T += 1 << k
+    return T + 1 if T < t_max else None
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,7 @@ def transition_rate_clustering(array, P, Q):
     Returns ``(labels, K_hat)`` with blocks the connected components of the
     similarity graph.  Requires ``P != Q`` and at least two snapshots.  The
     pairs that never interact share one decision: ``T - 1`` steps ``0 -> 0``.
+    The components come from a sparse graph in O(N + active pairs).
     """
     P, Q = np.asarray(P, dtype=np.float64), np.asarray(Q, dtype=np.float64)
     if np.allclose(P, Q):
@@ -431,10 +432,24 @@ def transition_rate_clustering(array, P, Q):
                 est = counts[2 * a + b] / n_a
                 close = np.abs(est - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
                 linked |= (n_a > 0) & np.where(np.isnan(est), False, close)
-    link = np.full((array.N, array.N), linked[-1])
-    link[pairs.rows, pairs.cols] = link[pairs.cols, pairs.rows] = linked[:-1]
-    np.fill_diagonal(link, False)
-    return connected_components(link)
+    n = array.N
+    odd = linked[:-1] != linked[-1]  # the active pairs deciding against the rest
+    i, j = pairs.rows[odd], pairs.cols[odd]
+    if linked[-1]:
+        # the complement of the sparse graph H of these pairs: a node v of
+        # least H-degree links to every node but its H-neighbours S, so the
+        # rows of v and of S (|S| <= 2 |H| / N) span the same components
+        v = int(np.bincount(np.concatenate((i, j)), minlength=n).argmin())
+        src = np.concatenate(([v], j[i == v], i[j == v]))
+        slot = np.full(n, -1)
+        slot[src] = np.arange(src.size)
+        rows = np.ones((src.size, n), dtype=bool)
+        for a, b in ((i, j), (j, i)):
+            mine = slot[a] >= 0
+            rows[slot[a[mine]], b[mine]] = False
+        at, j = np.nonzero(rows)
+        i = src[at]
+    return connected_components(csr_matrix((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n)))
 
 
 def _pair_graph(array, keep):

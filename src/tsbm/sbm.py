@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import counter_uniform, cutoff, step_bits, stream_key
+from ._rng import counter_uniform, cutoff, premixed_key, step_bits
 
 __all__ = [
     "SnapshotArray",
@@ -188,9 +188,9 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
         count = np.diff(np.clip(row_start[first:last + 2], lo, hi))
         upper = np.arange(lo, hi) + np.repeat(rows * (N + 1) + 1 - row_start[rows], count)
         same = np.repeat(labels[first:last + 1], count) == labels[upper % N]
-        key = stream_key(seed, upper)  # i*N + j, the pair's stream id
-        key ^= key >> np.uint64(30)  # the stream's term of the first xorshift
-        (bits, tmp), on = np.empty((2, hi - lo), np.uint64), np.empty(hi - lo, bool)
+        (key, bits, tmp), on = np.empty((3, hi - lo), np.uint64), np.empty(hi - lo, bool)
+        # i*N + j is the pair's stream id; key holds its term of the first xorshift
+        premixed_key(seed, upper, key, tmp)
         cut, was, part = np.where(same, *mu1), slice(None), []  # was: cut-offs maybe not p01
         for t in range(T):
             now = np.flatnonzero(np.less(step_bits(key, t, bits, tmp), cut, out=on))

@@ -663,6 +663,24 @@ def test_offline_trial_at_n_20000(algorithm):
     assert rss_kb < 2 * 2**20
 
 
+def test_rates_with_linked_quiet_pairs_stays_sparse():
+    # at mu1 = 1.5, nu1 = 3 the pairs never set link (Q01 > 3 P01), so the
+    # components come from the complement of the non-linked active pairs;
+    # an N x N link mask took this N = 3000, T = 10 trial to 358 MB maxrss
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    code = (
+        "import resource\n"
+        "from tsbm.harness import ExperimentConfig, run_trial\n"
+        "config = ExperimentConfig(n=3000, t=10, mu1=1.5, nu1=3.0, p11=0.7, q11=0.3,\n"
+        "                          units='logn', algorithm='rates', trials=1)\n"
+        "run_trial(config, 0)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert int(proc.stdout) < 200 * 2**10
+
+
 class TestSeedDerivationContract:
     def test_trial_reproducible_from_derived_seeds(self):
         # a trial is a pure function of (config.seed, trial): rebuilding the

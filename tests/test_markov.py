@@ -32,6 +32,17 @@ def random_chain(rng, low=0.01, high=0.99):
     return BinaryMarkovChain(*rng.uniform(low, high, 3))
 
 
+def first_crossing(crossed, lo, hi):
+    """Smallest T in (lo, hi] with ``crossed(T)``, by bisection; None when
+    ``crossed(hi)`` fails.  Assumes ``crossed`` is monotone on that range."""
+    if not crossed(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+    return hi
+
+
 def streaming_moments(alpha, f, g, T):
     """``(log Z_alpha, J)`` by the step-by-step transfer recursion over plain
     floats; all chain parameters strictly inside (0, 1).  J is the second
@@ -426,7 +437,7 @@ class TestTStar:
         assert t_star(f, g, 500, 2, convention) == 1
         assert t_star(f, g, 500, 2, convention, t_max=0) is None
 
-    def test_doubling_bisection_minimality(self):
+    def test_lifting_minimality_past_the_scan(self):
         n, k = 500, 2
         rho = math.log(n) / n
         intra = chain_from_stationary(1.5 * rho / 400, 0.7)
@@ -436,6 +447,46 @@ class TestTStar:
         thr = k * rho
         assert markov_hellinger_sq(intra, inter, ts) >= thr
         assert markov_hellinger_sq(intra, inter, ts - 1) < thr
+
+    @pytest.mark.parametrize("convention,ts", [("exact", 4808), ("itilde", 2374)])
+    def test_t_max_boundary_past_the_scan(self, convention, ts):
+        # the lifting may stop exactly at t_max, one short of it, or just
+        # past the scan; it answers T* only when T* <= t_max
+        n = 500
+        rho = math.log(n) / n
+        intra = chain_from_stationary(1.5 * rho / 400, 0.7)
+        inter = chain_from_stationary(1.5 * rho / 400, 0.3)
+        assert t_star(intra, inter, n, 2, convention) == ts
+        for t_max, want in ((1025, None), (ts - 1, None), (ts, ts), (ts + 1, ts)):
+            assert t_star(intra, inter, n, 2, convention, t_max) == want, t_max
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 10**5),
+        k=st.integers(2, 5),
+        mults=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+        log_scale=st.floats(-4.0, -2.0),
+        persist=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t_max=st.integers(1025, 10**6),
+    )
+    def test_lifting_matches_bisection_reference(self, n, k, mults, log_scale, persist, t_max):
+        # sparse stationary pairs, whose T* mostly lies past the scan; the
+        # reference bisects from the scan's end with every value computed
+        # from scratch
+        rho = math.log(n) / n
+        f, g = (chain_from_stationary(min(m * rho * 10**log_scale, 0.5), p)
+                for m, p in zip(mults, persist))
+        gamma = 1.0 - math.sqrt(f.p11 * g.p11) or 1e-300
+        args = (f.mu1 / rho, g.mu1 / rho, f.p01 / rho, g.p01 / rho,
+                h11_sq(f.p11, g.p11), gamma)
+        crossed = {
+            "exact": lambda T: markov_hellinger_sq(f, g, T) >= k * rho,
+            "itilde": lambda T: i_tilde_short(*args, T) > k,
+        }
+        for convention, test in crossed.items():
+            scanned = t_star(f, g, n, k, convention, 1024)
+            want = scanned if scanned is not None else first_crossing(test, 1024, t_max)
+            assert t_star(f, g, n, k, convention, t_max) == want, convention
 
     def test_itilde_convention(self):
         n, k = 500, 2
@@ -490,27 +541,18 @@ class TestTStar:
         # with p01 = 0 the per-snapshot term of i_tilde_short vanishes, so T*
         # moves with every term of its geometric sum: a search that dropped
         # or shifted one term would disagree here.  N sweeps T* past the
-        # linear scan (T > 1024), where doubling and bisection take over.
+        # linear scan (T > 1024), where the binary lifting takes over.
         f = BinaryMarkovChain(3e-3, 0.0, 0.999)
         g = BinaryMarkovChain(1e-3, 0.0, 0.998)
-
-        def first(crossed, t_max):
-            lo, hi = 0, t_max  # both values are nondecreasing in T
-            if not crossed(hi):
-                return None
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
-            return hi
-
         past = {"exact": 0, "itilde": 0}
         for n in range(27000, 30000, 60):
             rho = math.log(n) / n
             args = (f.mu1 / rho, g.mu1 / rho, 0.0, 0.0, h11_sq(f.p11, g.p11),
                     1.0 - math.sqrt(f.p11 * g.p11))
             want = {
-                "itilde": first(lambda T: i_tilde_short(*args, T) > 2, 10**5),
-                "exact": first(lambda T: markov_hellinger_sq(f, g, T) >= 2 * rho, 10**5),
+                "itilde": first_crossing(lambda T: i_tilde_short(*args, T) > 2, 0, 10**5),
+                "exact": first_crossing(lambda T: markov_hellinger_sq(f, g, T) >= 2 * rho,
+                                        0, 10**5),
             }
             for convention, ts in want.items():
                 assert t_star(f, g, n, 2, convention, 10**5) == ts, (n, convention)
