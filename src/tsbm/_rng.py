@@ -5,13 +5,12 @@ order-independent and safe to parallelise: drawing stream 7 before stream 3
 yields bit-identical values.  The mixer is the SplitMix64 finalizer applied
 in a chained fashion over the three words.
 
-Samplers work on the hash in place (``premixed_key``, ``step_bits``,
-``cutoff``) by two exact identities.  A logical shift distributes over xor,
-so the first xorshift of ``key ^ c_t``, ``c_t = (t + GOLDEN) * MIX2``, is
-``(key ^ (key >> 30)) ^ d_t``, ``d_t = c_t ^ (c_t >> 30)``: one term per
-stream, one per step.  A uniform is ``m * 2^-53`` for an integer
-``m < 2^53``; scaling by a power of two is exact, subnormals included, so
-``m * 2^-53 < p <=> m < ceil(p * 2^53)`` for p in [0, 1].
+Samplers work on the hash in place (``step_bits``, ``cutoff``) by two exact
+identities.  A logical shift distributes over xor, so the first xorshift of
+``key ^ c_t``, ``c_t = (t + GOLDEN) * MIX2``, is ``(key ^ (key >> 30)) ^ d_t``,
+``d_t = c_t ^ (c_t >> 30)``: one term per stream, one per step.  A uniform is
+``m * 2^-53`` for an integer ``m < 2^53``; scaling by a power of two is exact,
+subnormals included, so ``m * 2^-53 < p <=> m < ceil(p * 2^53)`` for p in [0, 1].
 """
 
 import numpy as np
@@ -23,12 +22,16 @@ _INV53 = 1.0 / float(np.uint64(1) << np.uint64(53))
 
 
 def _mix64(x):
-    """SplitMix64 avalanche finalizer, elementwise on uint64 arrays."""
-    # uint64 arithmetic is modular by design
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+    """SplitMix64 avalanche finalizer, elementwise on uint64 values; a uint64
+    ndarray is mixed in place (uint64 arithmetic is modular by design)."""
+    x = np.asarray(x)
+    tmp = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
+    x *= _MIX1
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
+    x *= _MIX2
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
 def stream_key(seed, stream):
@@ -37,9 +40,13 @@ def stream_key(seed, stream):
     A caller that draws many steps of the same streams hashes them once
     here and finishes each step with ``step_uniform``.
     """
-    with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        return _mix64(s ^ (np.asarray(stream, dtype=np.uint64) + _GOLDEN) * _MIX1)
+    s = np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    s += _GOLDEN
+    key = np.array(stream, dtype=np.uint64)  # the one copy, hashed in place
+    key += _GOLDEN
+    key *= _MIX1
+    key ^= _mix64(s)
+    return _mix64(key)[()]  # a scalar for a scalar stream
 
 
 def step_uniform(key, step):
@@ -56,25 +63,6 @@ def counter_uniform(seed, stream, step):
     against each other.  The same key always returns the same value.
     """
     return step_uniform(stream_key(seed, stream), step)
-
-
-def premixed_key(seed, stream, out, tmp):
-    """``key ^ (key >> 30)`` of ``key = stream_key(seed, stream)``, hashed
-    in place into the uint64 ``out`` (``tmp`` is scratch): the
-    ``premixed`` argument of ``step_bits``."""
-    with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-    out[...] = stream
-    out += _GOLDEN
-    out *= _MIX1
-    out ^= s
-    out ^= np.right_shift(out, np.uint64(30), out=tmp)  # _mix64, in place
-    out *= _MIX1
-    out ^= np.right_shift(out, np.uint64(27), out=tmp)
-    out *= _MIX2
-    out ^= np.right_shift(out, np.uint64(31), out=tmp)
-    out ^= np.right_shift(out, np.uint64(30), out=tmp)  # the premix
-    return out
 
 
 def step_bits(premixed, step, out, tmp):

@@ -438,6 +438,7 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     if isinstance(convention, str):
         convention = ThresholdConvention(convention)
     rho = math.log(N) / N
+    t_max = int(t_max)  # a float or numpy integer bound counts whole snapshots
     scan_end = min(t_max, _LINEAR_SCAN_CAP)
     levels = max(t_max - _LINEAR_SCAN_CAP, 0).bit_length()  # spans 2^k, k < levels
 

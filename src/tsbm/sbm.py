@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import counter_uniform, cutoff, premixed_key, step_bits
+from ._rng import counter_uniform, cutoff, step_bits, stream_key
 
 __all__ = [
     "SnapshotArray",
@@ -188,9 +188,9 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
         count = np.diff(np.clip(row_start[first:last + 2], lo, hi))
         upper = np.arange(lo, hi) + np.repeat(rows * (N + 1) + 1 - row_start[rows], count)
         same = np.repeat(labels[first:last + 1], count) == labels[upper % N]
-        (key, bits, tmp), on = np.empty((3, hi - lo), np.uint64), np.empty(hi - lo, bool)
-        # i*N + j is the pair's stream id; key holds its term of the first xorshift
-        premixed_key(seed, upper, key, tmp)
+        (bits, tmp), on = np.empty((2, hi - lo), np.uint64), np.empty(hi - lo, bool)
+        key = stream_key(seed, upper)  # i*N + j, the pair's stream id
+        key ^= np.right_shift(key, np.uint64(30), out=tmp)  # its term of the first xorshift
         cut, was, part = np.where(same, *mu1), slice(None), []  # was: cut-offs maybe not p01
         for t in range(T):
             now = np.flatnonzero(np.less(step_bits(key, t, bits, tmp), cut, out=on))

@@ -459,6 +459,9 @@ class TestTStar:
         assert t_star(intra, inter, n, 2, convention) == ts
         for t_max, want in ((1025, None), (ts - 1, None), (ts, ts), (ts + 1, ts)):
             assert t_star(intra, inter, n, 2, convention, t_max) == want, t_max
+        # any integral bound type, as before the lifting read t_max's bits
+        for t_max in (np.int64(ts), float(ts), np.int64(4000), 1e6):
+            assert t_star(intra, inter, n, 2, convention, t_max) == (ts if t_max >= ts else None)
 
     @settings(max_examples=60, deadline=None)
     @given(
