@@ -128,6 +128,15 @@ def build_parser():
     return parser
 
 
+def _write_text(text, path):
+    """Write ``text`` to the file ``path``, or to stdout when it is empty."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_generate(args):
     intra, inter = _chains(args, args.n)
     if args.balanced:
@@ -135,7 +144,7 @@ def _cmd_generate(args):
     else:
         labels = sample_labelling(args.n, args.k, seed=derive_seed(args.seed, 1))
     array = sample_markov_snapshots(labels, intra, inter, args.t, seed=derive_seed(args.seed, 2))
-    write_snapshots(args.out, array, labels=None)
+    write_snapshots(args.out, array)
     write_labels(args.labels_out or args.out + ".labels", labels)
     print(f"wrote {args.out} (N={args.n}, T={args.t})")
     return 0
@@ -167,11 +176,7 @@ def _cmd_threshold(parser, args):
         args.n, args.k, args.mu1, args.nu1, values, values, conv, args.t_max
     )
     text = harness.threshold_grid_csv(grid, values, values)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return 0
 
 
@@ -231,11 +236,7 @@ def _cmd_experiment(args):
     config = harness.config_from_dict(values)
     records = harness.run_experiment(config, jobs=args.jobs)
     text = harness.records_to_csv(records, config, deterministic=args.deterministic)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return 0
 
 
@@ -246,18 +247,15 @@ def _cmd_replicate_figure(args):
         for name, grid_args in payload:
             grid = harness.threshold_grid(**grid_args)
             path = os.path.join(args.out, name + ".csv")
-            with open(path, "w") as fh:
-                fh.write(harness.threshold_grid_csv(
-                    grid, grid_args["p11_values"], grid_args["q11_values"]))
+            _write_text(harness.threshold_grid_csv(
+                grid, grid_args["p11_values"], grid_args["q11_values"]), path)
             print(f"wrote {path}")
         return 0
     for config in payload:
         records = harness.run_experiment(config, jobs=args.jobs)
         path = os.path.join(args.out, config.name + ".csv")
-        with open(path, "w") as fh:
-            fh.write(
-                harness.records_to_csv(records, config, deterministic=args.deterministic)
-            )
+        _write_text(harness.records_to_csv(records, config, deterministic=args.deterministic),
+                    path)
         print(f"wrote {path}")
     return 0
 

@@ -211,11 +211,6 @@ def geometric_mixture(f, g, a):
 # Minimax error-rate bound evaluators
 # ---------------------------------------------------------------------------
 
-#: conventions for the variance-like term of the lower bound: one uses
-#: the squared divergence, the other the divergence itself
-I21_CONVENTIONS = ("quadratic", "linear")
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs shared by the error-rate bound evaluators."""

@@ -7,6 +7,7 @@ parallel and serial execution produce identical aggregates.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -271,13 +272,14 @@ def _trial_job(args):
 
 
 def run_experiment(config, jobs=1):
-    """All trials of an experiment, optionally on a process pool.  Results
-    are ordered by trial index regardless of scheduling."""
+    """All trials, on up to ``jobs`` pool workers (no more than trials or
+    CPUs).  Results are ordered by trial index regardless of scheduling."""
     tasks = [(config, trial) for trial in range(config.trials)]
-    if jobs <= 1:
+    workers = min(jobs, config.trials, os.cpu_count() or 1)
+    if workers <= 1:
         records = [run_trial(config, trial) for _, trial in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_job, tasks))
     return sorted(records, key=lambda r: r.trial)
 
@@ -290,7 +292,7 @@ def summarize(records):
     return mean, sem
 
 
-def records_to_csv(records, config=None, deterministic=False, extra_header=()):
+def records_to_csv(records, config=None, deterministic=False):
     """Long-format CSV: ``trial,t,algorithm,accuracy,ham_star,seconds``.
 
     The header echoes the configuration as comment lines, sufficient to
@@ -304,8 +306,6 @@ def records_to_csv(records, config=None, deterministic=False, extra_header=()):
     if config is not None:
         for key, value in sorted(asdict(config).items()):
             lines.append(f"# {key} = {value}")
-    for item in extra_header:
-        lines.append(f"# {item}")
     lines.append("trial,t,algorithm,accuracy,ham_star,seconds")
     for rec in sorted(records, key=lambda r: r.trial):
         n_steps = len(rec.accuracies)
@@ -498,8 +498,9 @@ def figure_bundle(figure, trials=None, seed=0):
     if figure not in _FIGURES:
         raise ValueError(f"unknown figure {figure!r} (supported: 2..7)")
     default, shared, rows = _FIGURES[figure]
+    trials = default if trials is None else trials
     return "experiments", [
-        ExperimentConfig(**shared, **row, trials=trials or default, seed=seed) for row in rows
+        ExperimentConfig(**shared, **row, trials=trials, seed=seed) for row in rows
     ]
 
 

@@ -354,7 +354,7 @@ def _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma):
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     base = (math.sqrt(u) - math.sqrt(v)) ** 2
-    per = (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2.0 * h11_sq_value * math.sqrt(p01 * q01)
+    per = i_tilde_long(p01, q01, h11_sq_value)
     transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
     return base, per, transient_coef
 
@@ -492,8 +492,10 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
         def below(T, k):
             return not crossed(T + (1 << k))
 
-    # binary lifting; relies on the divergence being nondecreasing in T
-    # past the scan, which holds for stationary chains
+    # binary lifting; relies on the divergence being nondecreasing in T for
+    # every chain pair: the exact length-T path law is a marginal of the
+    # length-(T+1) one, and an itilde step adds per + transient_coef
+    # (1-gamma)^(T-1) >= 2 h11^2 sqrt(p01 q01) (1 - (1-gamma)^(T-1)) >= 0
     T = _LINEAR_SCAN_CAP  # known not crossed when the loop runs
     for k in reversed(range(levels)):
         if T + (1 << k) <= t_max and below(T, k):

@@ -35,12 +35,11 @@ def _check_same_length(s1, s2):
         raise ValueError(f"length mismatch: {s1.size} vs {s2.size}")
 
 
-def confusion_matrix(s1, s2, K=None):
-    """Counts ``C[k, l] = #{i : s1[i] = k, s2[i] = l}`` as a K x K array."""
+def confusion_matrix(s1, s2):
+    """Counts ``C[k, l] = #{i : s1[i] = k, s2[i] = l}``, K x K for labels below K."""
     s1, s2 = _as_labels(s1), _as_labels(s2)
     _check_same_length(s1, s2)
-    if K is None:
-        K = int(max(s1.max(initial=-1), s2.max(initial=-1))) + 1
+    K = int(max(s1.max(initial=-1), s2.max(initial=-1))) + 1
     out = np.zeros((K, K), dtype=np.int64)
     np.add.at(out, (s1, s2), 1)
     return out

@@ -19,6 +19,7 @@ import math
 import numpy as np
 from scipy.sparse import bmat, csgraph, csr_matrix, issparse
 
+from .markov import BinaryMarkovChain
 from .spectral import SpectralConfig, binarize, spectral_cluster, leave_one_out_cluster
 
 __all__ = [
@@ -38,13 +39,13 @@ __all__ = [
 LOG_RATIO_SATURATION = 700.0
 
 
-def _sat_log_ratio(p, q, sat=LOG_RATIO_SATURATION):
-    """log(p/q) clipped to [-sat, sat]; 0/0 counts as a zero ratio."""
+def _sat_log_ratio(p, q):
+    """log(p/q) clipped to the saturation bound; 0/0 counts as a zero ratio."""
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(p) - np.log(q)
     out = np.where((p == 0) & (q == 0), 0.0, out)
-    return np.clip(out, -sat, sat)
+    return np.clip(out, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION)
 
 
 def _require_binary(array, name):
@@ -282,25 +283,31 @@ class OnlineLikelihood:
     Maintains the cumulative pairwise log-likelihood ratio matrix (sparse,
     in ``ratio``; ``ratio.dense()`` gives ``M``) and the current labelling.
     Snapshots are sorted flat indices ``i*N + j`` of their set bits, as
-    ``SnapshotArray.snapshot(t)`` returns; each adds one of four
-    precomputed increments per pair and triggers one relabeling sweep.
+    ``SnapshotArray.snapshot(t)`` returns; each adds one of the four
+    increments ``log P_hat / Q_hat`` (intra over inter transitions) per pair
+    and triggers one relabeling sweep.  A class that ``learns`` re-estimates
+    ``P_hat`` and ``Q_hat`` after every step from the pairs' counts.
     """
+
+    learns = False
 
     def __init__(self, first_snapshot, init_labels, intra, inter, K, synchronous=True):
         self.K = K
-        self.intra, self.inter = intra, inter
         self.synchronous = synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        self._delta = _sat_log_ratio(intra.transition, inter.transition).ravel()
-        l_init = _sat_log_ratio(intra.mu, inter.mu)
-        self.ratio = _PairLogRatio(self.labels.size, first_snapshot, l_init)
+        self.P_hat, self.Q_hat = intra.transition, inter.transition
+        self.ratio = _PairLogRatio(self.labels.size, first_snapshot,
+                                   _sat_log_ratio(intra.mu, inter.mu), count=self.learns)
         self.t = 1
 
     def step(self, snapshot):
-        """Consume one snapshot: update ``M`` and run a relabeling sweep."""
-        self.ratio.add(snapshot, self._delta)
+        """Consume one snapshot: update ``M``, run a relabeling sweep, then
+        re-estimate the transition matrices if the class learns them."""
+        self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
         self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
+        if self.learns:
+            self._reestimate()
         return self
 
     def run(self, array, record=None):
@@ -316,14 +323,21 @@ class OnlineLikelihood:
         return self.labels
 
 
-class OnlineLikelihoodLearned:
+def _pair_totals(labels):
+    """Same-block pairs and all pairs ``i < j`` under ``labels``."""
+    sizes = np.bincount(labels).astype(np.int64)
+    n = labels.size
+    return int((sizes * (sizes - 1) // 2).sum()), n * (n - 1) // 2
+
+
+class OnlineLikelihoodLearned(OnlineLikelihood):
     """Online clustering with interaction parameters estimated on the fly.
 
     Initial laws are estimated from the first snapshot under the initial
-    labelling; transition matrices start from the i.i.d. guess implied by
-    those laws and are re-estimated after every step from per-pair transition
-    counts averaged within (and across) the predicted blocks.  Pairs that
-    have not yet visited a state are left out of the averages.
+    labelling; the run starts from the i.i.d. chains of those laws, and its
+    transition matrices are re-estimated after every step from per-pair
+    transition counts averaged within (and across) the predicted blocks.
+    Pairs that have not yet visited a state are left out of the averages.
 
     ``ratio.counts`` holds the transition counts of the pairs that have
     interacted; every other pair has made ``t - 1`` transitions ``0 -> 0``
@@ -333,42 +347,30 @@ class OnlineLikelihoodLearned:
     ``fsum(hits_m / m) / pairs`` over ``m >= 1``.
     """
 
+    learns = True
+
     def __init__(self, first_snapshot, init_labels, K, synchronous=True):
-        self.K = K
-        self.synchronous = synchronous
-        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
-        n = self.labels.size
+        labels = np.asarray(init_labels, dtype=np.int64)
         x = np.asarray(first_snapshot, dtype=np.int64)
-        same_pairs, pairs = self._pair_totals()
-        rows, cols = np.divmod(x, n)
+        rows, cols = np.divmod(x, labels.size)
         upper = rows < cols
         ones = int(upper.sum())
-        ones_same = int((self.labels[rows[upper]] == self.labels[cols[upper]]).sum())
-        self.mu1_hat = ones_same / same_pairs if same_pairs else 0.5
-        self.nu1_hat = (ones - ones_same) / (pairs - same_pairs) if pairs > same_pairs else 0.5
-        self.P_hat = np.array([[1 - self.mu1_hat, self.mu1_hat]] * 2)
-        self.Q_hat = np.array([[1 - self.nu1_hat, self.nu1_hat]] * 2)
-        self.ratio = _PairLogRatio(n, x, _sat_log_ratio(self.P_hat[0], self.Q_hat[0]), count=True)
-        self.t = 1
+        ones_same = int((labels[rows[upper]] == labels[cols[upper]]).sum())
+        same, pairs = _pair_totals(labels)
+        mu1 = self.mu1_hat = ones_same / same if same else 0.5
+        nu1 = self.nu1_hat = (ones - ones_same) / (pairs - same) if pairs > same else 0.5
+        super().__init__(x, labels, BinaryMarkovChain(mu1, mu1, mu1),
+                         BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
 
-    def _pair_totals(self):
-        """Same-block pairs and all pairs ``i < j`` under the labels."""
-        sizes = np.bincount(self.labels).astype(np.int64)
-        n = self.labels.size
-        return int((sizes * (sizes - 1) // 2).sum()), n * (n - 1) // 2
-
-    def step(self, snapshot):
-        self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
-        self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
-        self.t += 1
-        self._reestimate()
-        return self
+    # its own attribute, so a tracer wrapping one class's ``step`` by name
+    # leaves the other's alone
+    step = OnlineLikelihood.step
 
     def _reestimate(self):
         t, ratio = self.t, self.ratio
         same = self.labels[ratio.rows] == self.labels[ratio.cols]
         # pairs that never interacted: n_0 = t - 1 and n_01 = 0, bin m = t - 1
-        same_pairs, pairs = self._pair_totals()
+        same_pairs, pairs = _pair_totals(self.labels)
         active_same = int(same.sum())
         quiet = (pairs - same_pairs - (same.size - active_same), same_pairs - active_same)
         m = np.arange(1, t, dtype=np.float64)
@@ -385,8 +387,6 @@ class OnlineLikelihoodLearned:
                 if total:
                     p = math.fsum(hits[:, s] / m) / total
                     est[a] = (1 - p, p)
-
-    run = OnlineLikelihood.run
 
 
 # ---------------------------------------------------------------------------

@@ -252,17 +252,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK = 1 << 16
 
 
-def write_snapshots(path, array, labels=None):
-    """Write an array (and optional labels line) in ``tsbm`` format.  Each
+def _labels_line(labels):
+    """The 1-based ``labels`` record of 0-based labels."""
+    return "labels " + " ".join(str(int(l) + 1) for l in labels) + "\n"
+
+
+def write_snapshots(path, array):
+    """Write an array (and its labels line, if any) in ``tsbm`` format.  Each
     block of indices is decoded alone, its edge lines a uint8 matrix of
     right-aligned digits whose zero padding is dropped; symbols 1 are left out."""
-    if labels is None:
-        labels = array.labels
     N, step = array.N, _BLOCK // 4  # both orientations: _BLOCK / 8 edge lines
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
-        if labels is not None:
-            fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
+        if array.labels is not None:
+            fh.write(_labels_line(array.labels))
         for lo in range(0, array.data.size, step):
             t, rest = np.divmod(array.data[lo:lo + step], N * N)
             i, j = np.divmod(rest, N)
@@ -413,7 +416,7 @@ def _edge_error(lineno, t, i, j, v, repeated, N, T):
 def write_labels(path, labels):
     """Write a sidecar file holding a single 1-based ``labels`` line."""
     with open(path, "w") as fh:
-        fh.write("labels " + " ".join(str(int(l) + 1) for l in labels) + "\n")
+        fh.write(_labels_line(labels))
 
 
 def read_labels(path):

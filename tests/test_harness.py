@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tsbm
+from tsbm import harness
 from tsbm.cli import main
 from tsbm.harness import (
     ExperimentConfig,
@@ -110,6 +111,30 @@ class TestTrials:
         serial = records_to_csv(run_experiment(SMALL, jobs=1), SMALL, deterministic=True)
         parallel = records_to_csv(run_experiment(SMALL, jobs=3), SMALL, deterministic=True)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus, pools", [(64, [4]), (3, [3]), (1, [])])
+    def test_pool_capped_at_trials_and_cpus(self, monkeypatch, cpus, pools):
+        # a recorder stands in for the pool, so no worker is ever started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capped = records_to_csv(run_experiment(SMALL, jobs=100000), SMALL, deterministic=True)
+        assert seen == pools
+        assert capped == records_to_csv(run_experiment(SMALL), SMALL, deterministic=True)
 
     def test_summaries(self):
         records = run_experiment(SMALL)
@@ -219,6 +244,10 @@ class TestFigureBundles:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_bundle(99)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            figure_bundle(5, trials=0)
 
 
 class TestRecover:
@@ -610,6 +639,15 @@ class TestCLI:
         files = sorted(os.listdir(out_dir))
         assert len(files) == 6
         assert any("random" in f for f in files) and any("spectral" in f for f in files)
+
+    def test_replicate_figure_zero_trials_exit_code(self, tmp_path, capsys):
+        # 0 is not "use the figure's default"; it fails before any trial runs
+        out_dir = tmp_path / "fig5"
+        rc = main(["replicate-figure", "--figure", "5", "--out", str(out_dir), "--trials", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least one trial\n"
+        assert captured.out == "" and not list(out_dir.glob("*.csv"))
 
 
 @pytest.mark.slow
