@@ -241,8 +241,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_replicate_figure(args):
-    os.makedirs(args.out, exist_ok=True)
     kind, payload = harness.figure_bundle(args.figure, trials=args.trials, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     if kind == "threshold-grid":
         for name, grid_args in payload:
             grid = harness.threshold_grid(**grid_args)

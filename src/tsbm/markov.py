@@ -202,8 +202,9 @@ def markov_renyi_brute(alpha, chain_f, chain_g, T):
 
 
 def markov_hellinger_sq(chain_f, chain_g, T):
-    """Squared Hellinger distance between path laws: ``1 - Z_{1/2}``."""
-    return 1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T))
+    """Squared Hellinger distance between path laws: ``1 - Z_{1/2}``,
+    clamped at 0 (``log Z`` of equal chains rounds to just above 0)."""
+    return max(1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T)), 0.0)
 
 
 def _log_ratio(p, q):

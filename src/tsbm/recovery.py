@@ -65,13 +65,21 @@ class _PairLogRatio:
 
     Every pair that has never interacted holds the same value, ``base``.
     Pairs that have interacted (``keys``: sorted flat indices ``i*N + j``,
-    ``i < j``, split into ``rows`` and ``cols``) hold explicit ``vals``;
-    ``on`` marks the pairs set in the latest snapshot.  Each step adds the
-    increment of every pair's transition and clips, with the same float
-    operations a dense ``M`` would take, so ``dense()`` is bit-identical to
-    it.  With ``count``, it also keeps each active pair's counts of the
-    transitions ``0 -> 1``, ``1 -> 0`` and ``1 -> 1`` (``counts[:, 2a + b -
-    1]``); its ``0 -> 0`` transitions are the rest of the steps taken.
+    ``i < j``, with ``rows`` and ``cols``) hold explicit ``vals``; ``on``
+    holds the positions of the pairs set in the latest snapshot.  Each step
+    adds the increment of every pair's transition and clips, with the same
+    float operations a dense ``M`` would take, so ``dense()`` is
+    bit-identical to it.  New pairs are merged into the sorted arrays
+    through one keep-mask (scattering the old pairs to its set places), and
+    only they are split into rows and columns.
+
+    With ``count``, it also keeps each active pair's transition counts as
+    three 1-D uint32 arrays, ``counts = (n_1, n_01, n_11)``: its transitions
+    out of state 1, ``0 -> 1`` and ``1 -> 1``.  The rest follow: ``n_1 -
+    n_11`` transitions ``1 -> 0``, and ``0 -> 0`` for the rest of the steps
+    taken.  ``moved`` holds the positions of the pairs set in either of the
+    last two snapshots, the only ones whose counts the last step changed,
+    with their transitions ``2a + b``.
     """
 
     def __init__(self, n, first, l_init, count=False, symbols=None):
@@ -80,20 +88,18 @@ class _PairLogRatio:
         self.n = n
         x = np.asarray(first, dtype=np.int64)
         upper = x // n < x % n
-        self._set_keys(x[upper])
+        self.keys = x[upper]
+        self.rows, self.cols = np.divmod(self.keys, n)
         self.base = float(l_init[0])
         codes = np.ones(x.size, dtype=np.int64) if symbols is None else np.asarray(symbols)
         self.vals = np.asarray(l_init, dtype=np.float64)[codes[upper]]
-        self.on = np.ones(self.keys.size, dtype=bool)
-        self.counts = np.zeros((self.keys.size, 3), dtype=np.uint32) if count else None
+        self.on = np.arange(self.keys.size)
+        self.counts = tuple(np.zeros(self.keys.size, dtype=np.uint32)
+                            for _ in range(3)) if count else None
 
     def _upper(self, snapshot):
         x = np.asarray(snapshot, dtype=np.int64)
         return x[x // self.n < x % self.n]
-
-    def _set_keys(self, keys):
-        self.keys = keys
-        self.rows, self.cols = np.divmod(keys, self.n)
 
     def add(self, snapshot, increments):
         """Consume the next snapshot (sorted ``i*N + j`` indices): add
@@ -103,33 +109,43 @@ class _PairLogRatio:
         fresh = np.ones(x.size, dtype=bool)
         inside = pos < self.keys.size
         fresh[inside] = self.keys[pos[inside]] != x[inside]
+        on = self.on
         if fresh.any():  # first interactions: these pairs leave the base
             at = pos[fresh]
             slots = at + np.arange(at.size)  # the new pairs' places
-            kept = np.arange(self.keys.size) + np.cumsum(
-                np.bincount(at, minlength=self.keys.size + 1))[:-1]
+            old = np.ones(self.keys.size + at.size, dtype=bool)
+            old[slots] = False
+            kept = np.flatnonzero(old)  # the old pairs' places
 
-            def grown(old, new):
-                out = np.empty((old.shape[0] + at.size,) + old.shape[1:], dtype=old.dtype)
+            def grown(prev, new):
+                out = np.empty(old.size, dtype=prev.dtype)
                 out[slots] = new
-                out[kept] = old
+                out[kept] = prev
                 return out
 
-            self._set_keys(grown(self.keys, x[fresh]))
+            rows, cols = np.divmod(x[fresh], self.n)
+            self.keys = grown(self.keys, x[fresh])
+            self.rows, self.cols = grown(self.rows, rows), grown(self.cols, cols)
             self.vals = grown(self.vals, self.base)
-            self.on = grown(self.on, False)
             if self.counts is not None:
-                self.counts = grown(self.counts, 0)
-        cur = np.zeros(self.keys.size, dtype=bool)
-        cur[pos + np.cumsum(fresh) - fresh] = True  # x's places after the insertions
-        move = 2 * self.on + cur
+                self.counts = tuple(grown(c, 0) for c in self.counts)
+            on = kept[on]
+        cur = pos + np.cumsum(fresh) - fresh  # x's places after the insertions
+        move = np.zeros(self.keys.size, dtype=np.int8)
+        move[on] = 2
+        move[cur] += 1
         self.vals += increments[move]
         np.clip(self.vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.vals)
         self.base = min(max(self.base + increments[0], -LOG_RATIO_SATURATION),
                         LOG_RATIO_SATURATION)
         if self.counts is not None:
-            moved = np.flatnonzero(move)
-            self.counts[moved, move[moved] - 1] += 1
+            touched = np.concatenate((on[move[on] == 2], cur))  # set in either snapshot
+            code = move[touched]
+            n1, n01, n11 = self.counts
+            n1[on] += 1
+            n01[touched[code == 1]] += 1
+            n11[touched[code == 3]] += 1
+            self.moved = (touched, code)
         self.on = cur
 
     def scores(self, labels, K):
@@ -339,12 +355,17 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     transition counts averaged within (and across) the predicted blocks.
     Pairs that have not yet visited a state are left out of the averages.
 
-    ``ratio.counts`` holds the transition counts of the pairs that have
-    interacted; every other pair has made ``t - 1`` transitions ``0 -> 0``
-    and is counted in closed form.  Re-estimation bins pairs by visit count
-    ``m = n_a`` and block relation, sums their ``n_a1`` per bin as
-    ``hits_m`` and takes the mean of ``n_a1 / n_a`` as
-    ``fsum(hits_m / m) / pairs`` over ``m >= 1``.
+    ``ratio.counts`` holds the counts ``n_1``, ``n_01`` and ``n_11`` of the
+    pairs that have interacted; every other pair has made ``t - 1``
+    transitions ``0 -> 0``.  Re-estimation reads three integer histograms
+    over all pairs keyed by ``(n_1, same block)``: pairs, summed ``n_01``
+    and summed ``n_11``, with the quiet pairs at ``n_1 = 0``.  A pair's
+    visit count ``m = n_a`` is ``n_1`` for ``a = 1`` and ``t - 1 - n_1`` for
+    ``a = 0`` (the histogram read in reverse), and the mean of ``n_a1 /
+    n_a`` is ``fsum(hits_m / m) / pairs`` over ``m >= 1``.  A step moves
+    only the pairs set in its two snapshots between bins, in O(pairs set);
+    after a sweep that moved a node, every pair is binned again in one
+    O(active pairs) pass.
     """
 
     learns = True
@@ -361,29 +382,44 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
         nu1 = self.nu1_hat = (ones - ones_same) / (pairs - same) if pairs > same else 0.5
         super().__init__(x, labels, BinaryMarkovChain(mu1, mu1, mu1),
                          BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
+        self._binned_under = None  # the labels the histograms were binned under
 
     # its own attribute, so a tracer wrapping one class's ``step`` by name
     # leaves the other's alone
     step = OnlineLikelihood.step
 
+    def _histograms(self, n1, n01, n11, same):
+        """Pairs, summed ``n_01`` and summed ``n_11`` by ``(n_1, same)``, as
+        a ``(3, t, 2)`` int64 array."""
+        key = 2 * n1.astype(np.int64) + same
+        size = 2 * self.t
+        return np.array([np.bincount(key, minlength=size),
+                         np.bincount(key, weights=n01, minlength=size),
+                         np.bincount(key, weights=n11, minlength=size)],
+                        dtype=np.int64).reshape(3, self.t, 2)
+
     def _reestimate(self):
         t, ratio = self.t, self.ratio
-        same = self.labels[ratio.rows] == self.labels[ratio.cols]
-        # pairs that never interacted: n_0 = t - 1 and n_01 = 0, bin m = t - 1
-        same_pairs, pairs = _pair_totals(self.labels)
-        active_same = int(same.sum())
-        quiet = (pairs - same_pairs - (same.size - active_same), same_pairs - active_same)
+        if np.array_equal(self.labels, self._binned_under):
+            # only the pairs set in the last two snapshots changed bins
+            touched, move = ratio.moved
+            same = self.labels[ratio.rows[touched]] == self.labels[ratio.cols[touched]]
+            n1, n01, n11 = (c[touched] for c in ratio.counts)
+            hist = np.pad(self._hist, ((0, 0), (0, 1), (0, 0)))
+            hist += self._histograms(n1, n01, n11, same)
+            hist -= self._histograms(n1 - (move >= 2), n01 - (move == 1), n11 - (move == 3), same)
+        else:
+            same = self.labels[ratio.rows] == self.labels[ratio.cols]
+            hist = self._histograms(*ratio.counts, same)
+            same_pairs, pairs = _pair_totals(self.labels)
+            hist[0, 0] += (pairs - same_pairs, same_pairs) - hist[0].sum(axis=0)  # quiet pairs
+            self._binned_under = self.labels.copy()
+        self._hist = hist
+        binned, hits01, hits11 = hist
         m = np.arange(1, t, dtype=np.float64)
-        n01, n10, n11 = ratio.counts.T
-        n1 = n10 + n11
-        for a, n_a, n_a1 in ((0, (t - 1) - n1, n01), (1, n1, n11)):
-            key = 2 * n_a + same  # bin 2m + same; m = n_a < t
-            binned = np.bincount(key, minlength=2 * t).reshape(-1, 2)[1:]
-            hits = np.bincount(key, weights=n_a1, minlength=2 * t).reshape(-1, 2)[1:]
-            if a == 0:
-                binned[t - 2] += quiet
+        for a, by_m, hits in ((0, binned[-2::-1], hits01[-2::-1]), (1, binned[1:], hits11[1:])):
             for s, est in ((1, self.P_hat), (0, self.Q_hat)):
-                total = int(binned[:, s].sum())
+                total = int(by_m[:, s].sum())
                 if total:
                     p = math.fsum(hits[:, s] / m) / total
                     est[a] = (1 - p, p)
@@ -421,8 +457,9 @@ def transition_rate_clustering(array, P, Q):
         raise ValueError("need at least two snapshots")
     pairs = _replay(array, np.zeros(2), np.zeros(4), count=True)
     # counts[2a + b] per active pair, then one column for the pairs never set
+    n1, n01, n11 = pairs.counts
     counts = np.zeros((4, pairs.keys.size + 1))
-    counts[1:, :-1] = pairs.counts.T
+    counts[1:, :-1] = n01, n1 - n11, n11
     counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
     linked = np.zeros(counts.shape[1], dtype=bool)
     for a in (0, 1):

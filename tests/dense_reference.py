@@ -230,3 +230,39 @@ class _DenseLearned:
             if (ok & ~same).any():
                 q = float(ratio[ok & ~same].mean())
                 self.Q_hat[a] = (1 - q, q)
+
+
+# ---------------------------------------------------------------------------
+# The learner's re-estimation from scratch: every pair binned on every step.
+# ---------------------------------------------------------------------------
+
+
+def reestimate_from_scratch(state, P_hat, Q_hat):
+    """``OnlineLikelihoodLearned`` re-estimation after a step, from all of
+    its counts: each ``a`` bins the active pairs by visit count ``m = n_a``
+    and block relation under ``state.labels``, adds the pairs never set at
+    ``m = t - 1`` for ``a = 0``, and averages ``n_a1 / n_a`` as
+    ``fsum(hits_m / m) / pairs`` over ``m >= 1``.  ``P_hat`` and ``Q_hat``
+    are the estimates before the step, kept where a bin set is empty;
+    returns the new pair."""
+    labels, ratio, t = state.labels, state.ratio, state.t
+    P_hat, Q_hat = P_hat.copy(), Q_hat.copy()
+    same = labels[ratio.rows] == labels[ratio.cols]
+    sizes = np.bincount(labels)
+    same_pairs, pairs = int((sizes * (sizes - 1) // 2).sum()), labels.size * (labels.size - 1) // 2
+    active_same = int(same.sum())
+    quiet = (pairs - same_pairs - (same.size - active_same), same_pairs - active_same)
+    m = np.arange(1, t, dtype=np.float64)
+    n1, n01, n11 = ratio.counts
+    for a, n_a, n_a1 in ((0, (t - 1) - n1, n01), (1, n1, n11)):
+        key = 2 * n_a + same  # bin 2m + same; m = n_a < t
+        binned = np.bincount(key, minlength=2 * t).reshape(-1, 2)[1:]
+        hits = np.bincount(key, weights=n_a1, minlength=2 * t).reshape(-1, 2)[1:]
+        if a == 0:
+            binned[t - 2] += quiet
+        for s, est in ((1, P_hat), (0, Q_hat)):
+            total = int(binned[:, s].sum())
+            if total:
+                p = math.fsum(hits[:, s] / m) / total
+                est[a] = (1 - p, p)
+    return P_hat, Q_hat

@@ -647,20 +647,23 @@ class TestCLI:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == "error: need at least one trial\n"
-        assert captured.out == "" and not list(out_dir.glob("*.csv"))
+        assert captured.out == "" and not out_dir.exists()
 
 
 @pytest.mark.slow
-def test_online_trial_at_n_20000():
+@pytest.mark.parametrize("algorithm", ["online", "online-learn"])
+def test_online_trial_at_n_20000(algorithm):
     # spectral init on binarize's uint8 matrix and the sparse online step
     # keep an N=20,000, T=30 trial far below the 3.2 GB of one dense
-    # float64 N x N matrix; a subprocess gives the trial its own peak RSS
+    # float64 N x N matrix; a subprocess gives the trial its own peak RSS.
+    # The learner is gated on memory alone, as the offline trials below
+    # are: its estimates are checked against references at small N.
     src = os.path.dirname(os.path.dirname(tsbm.__file__))
     code = (
         "import resource\n"
         "from tsbm.harness import ExperimentConfig, run_trial\n"
         "config = ExperimentConfig(n=20000, t=30, mu1=3.0, nu1=1.5, units='logn',\n"
-        "                          algorithm='online', init='spectral', trials=1)\n"
+        f"                          algorithm={algorithm!r}, init='spectral', trials=1)\n"
         "record = run_trial(config, 0)\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(record.final_accuracy, record.seconds, rss)\n"
@@ -669,9 +672,11 @@ def test_online_trial_at_n_20000():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=1800, check=True)
     accuracy, seconds, rss_kb = map(float, proc.stdout.split())
-    print(f"N=20000 T=30 online trial: accuracy {accuracy}, {time.perf_counter() - start:.1f} s "
-          f"in all, {seconds:.1f} s recovering, maxrss {rss_kb / 1024:.0f} MB")
-    assert accuracy >= 0.95
+    print(f"N=20000 T=30 {algorithm} trial: accuracy {accuracy}, "
+          f"{time.perf_counter() - start:.1f} s in all, {seconds:.1f} s recovering, "
+          f"maxrss {rss_kb / 1024:.0f} MB")
+    if algorithm == "online":
+        assert accuracy >= 0.95
     assert rss_kb < 2 * 2**20
 
 
