@@ -137,6 +137,108 @@ def _reference_markov(labels, intra, inter, T, seed):
     return out
 
 
+# The law tests below compare pattern counts with chi-square statistics at
+# level _ALPHA each; the seeds are fixed, so a run is reproducible, and a
+# correct sampler fails one of the 20 statistics with probability below 0.2 %.
+_ALPHA = 1e-4
+
+_LAW_CHAINS = {
+    # the figure-6 chain: densities of a few percent, as in the paper's regime
+    "sparse": (BinaryMarkovChain(0.05, 0.05 * 0.4 / 0.95, 0.6),
+               BinaryMarkovChain(0.03, 0.03 * 0.7 / 0.97, 0.3)),
+    "dense": (BinaryMarkovChain(0.4, 0.3, 0.6), BinaryMarkovChain(0.2, 0.1, 0.5)),
+    # p01 = 0 within blocks, p11 = 1 across: some patterns have probability 0
+    "boundary": (BinaryMarkovChain(0.3, 0.0, 0.8), BinaryMarkovChain(0.6, 0.25, 1.0)),
+}
+
+
+def _pattern_counts(x, labels, start, width):
+    """Counts of the bit patterns ``x[start:start + width]`` of the pairs
+    ``i < j`` of a dense ``(T, N, N)`` tensor, row 0 across blocks and row 1
+    within; a pattern's column is its bits read as a binary number."""
+    iu, ju = np.triu_indices(labels.size, 1)
+    same = (labels[iu] == labels[ju]).astype(np.int64)
+    code = sum(x[start + k, iu, ju].astype(np.int64) << (width - 1 - k) for k in range(width))
+    return np.bincount(same << width | code, minlength=2 << width).reshape(2, -1)
+
+
+def _pattern_law(chain, start, width):
+    """Probabilities of the patterns that ``_pattern_counts`` counts."""
+    mu = chain.mu @ np.linalg.matrix_power(chain.transition, start)
+    bits = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return mu[bits[:, 0]] * np.prod(chain.transition[bits[:, :-1], bits[:, 1:]], axis=1)
+
+
+def _chi2_bound(df):
+    from scipy.stats import chi2
+
+    return chi2.isf(_ALPHA, df)
+
+
+class TestSamplerLaw:
+    # each pair contributes one pattern to each statistic, so the counts are
+    # multinomial: the 3-step window opens at snapshot 0, the 2-step window
+    # covers the last two of T = 4 snapshots
+    WINDOWS = ((0, 3), (2, 2))
+
+    @pytest.mark.parametrize("name", sorted(_LAW_CHAINS))
+    def test_pattern_frequencies_follow_the_chain(self, name):
+        intra, inter = _LAW_CHAINS[name]
+        counts = {w: 0 for w in self.WINDOWS}
+        for seed in range(4):
+            labels = sample_labelling(200, 2, seed=seed)
+            x = dense_tensor(sample_markov_snapshots(labels, intra, inter, 4, seed=seed))
+            for start, width in self.WINDOWS:
+                counts[start, width] = counts[start, width] + _pattern_counts(x, labels, start, width)
+        for (start, width), table in counts.items():
+            for observed, chain in zip(table, (inter, intra)):
+                law = _pattern_law(chain, start, width)
+                assert observed[law == 0].sum() == 0  # impossible patterns never occur
+                expected = observed.sum() * law[law > 0]
+                stat = (((observed[law > 0] - expected) ** 2) / expected).sum()
+                assert stat <= _chi2_bound((law > 0).sum() - 1), (name, start, width, observed)
+
+    @pytest.mark.parametrize("name", ["dense", "boundary"])
+    def test_pattern_frequencies_match_the_per_pair_reference(self, name):
+        intra, inter = _LAW_CHAINS[name]
+        got = want = 0
+        for seed in range(24):
+            labels = sample_labelling(30, 2, seed=seed)
+            x = dense_tensor(sample_markov_snapshots(labels, intra, inter, 4, seed=seed))
+            y = _reference_markov(labels, intra, inter, 4, seed + 1000)
+            got = got + np.concatenate([_pattern_counts(x, labels, *w) for w in self.WINDOWS], 1)
+            want = want + np.concatenate([_pattern_counts(y, labels, *w) for w in self.WINDOWS], 1)
+        for cls in (0, 1):
+            columns = np.split(np.stack((got[cls], want[cls])), [8], axis=1)  # per window
+            for table in columns:
+                table = table[:, table.sum(0) > 0]
+                expected = np.outer(table.sum(1), table.sum(0)) / table.sum()
+                stat = (((table - expected) ** 2) / expected).sum()
+                assert stat <= _chi2_bound(table.shape[1] - 1), (name, cls, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rates=st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                       min_size=3, max_size=3),
+        N=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 12)),
+        T=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_boundary_chains_give_valid_arrays(self, rates, N, T, seed):
+        chain = BinaryMarkovChain(*rates)
+        arr = sample_markov_snapshots(np.zeros(N, dtype=np.int64), chain, chain, T, seed=seed)
+        assert (arr.N, arr.T, arr.values) == (N, T, None)
+        arr.validate()
+        x = dense_tensor(arr).astype(bool)
+        pair = ~np.eye(N, dtype=bool)
+        if chain.mu1 in (0.0, 1.0):
+            assert (x[0][pair] == bool(chain.mu1)).all()
+        for was, rate in ((False, chain.p01), (True, chain.p11)):
+            if rate in (0.0, 1.0):  # a certain transition is taken by every pair
+                assert (x[1:][(x[:-1] == was) & pair] == bool(rate)).all()
+
+
 def _near_multiples(k):
     """``k * 2^-53`` and its float neighbours inside [0, 1]."""
     p = k * 2.0**-53
