@@ -3,14 +3,8 @@
 Every variate is a pure function of (seed, stream, step), so generation is
 order-independent and safe to parallelise: drawing stream 7 before stream 3
 yields bit-identical values.  The mixer is the SplitMix64 finalizer applied
-in a chained fashion over the three words.
-
-Samplers work on the hash in place (``step_bits``, ``cutoff``) by two exact
-identities.  A logical shift distributes over xor, so the first xorshift of
-``key ^ c_t``, ``c_t = (t + GOLDEN) * MIX2``, is ``(key ^ (key >> 30)) ^ d_t``,
-``d_t = c_t ^ (c_t >> 30)``: one term per stream, one per step.  A uniform is
-``m * 2^-53`` for an integer ``m < 2^53``; scaling by a power of two is exact,
-subnormals included, so ``m * 2^-53 < p <=> m < ceil(p * 2^53)`` for p in [0, 1].
+in a chained fashion over the three words.  A caller that draws many steps,
+or many counters, of the same stream hashes it once with ``stream_key``.
 """
 
 import numpy as np
@@ -63,24 +57,6 @@ def counter_uniform(seed, stream, step):
     against each other.  The same key always returns the same value.
     """
     return step_uniform(stream_key(seed, stream), step)
-
-
-def step_bits(premixed, step, out, tmp):
-    """``m`` of ``step_uniform(key, step) == m * 2^-53`` from ``premixed =
-    key ^ (key >> 30)``, into the uint64 ``out`` (``tmp`` is scratch)."""
-    c = (step + int(_GOLDEN)) * int(_MIX2) % 2**64
-    np.bitwise_xor(premixed, np.uint64(c ^ (c >> 30)), out=out)
-    out *= _MIX1
-    out ^= np.right_shift(out, np.uint64(27), out=tmp)
-    out *= _MIX2
-    out ^= np.right_shift(out, np.uint64(31), out=tmp)
-    out >>= np.uint64(11)
-    return out
-
-
-def cutoff(p):
-    """uint64 ``c`` with ``m * 2^-53 < p`` exactly when ``m < c``, ``0 <= m < 2^53``."""
-    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
 def derive_seed(master_seed, index):

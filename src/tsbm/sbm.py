@@ -7,11 +7,12 @@ pair, plus their symbols when some symbol exceeds 1.  Memory follows the
 number of interactions, not ``T N^2``, and no consumer rebuilds the dense
 tensor: the recovery algorithms read the indices themselves.
 
-Pair patterns are drawn from counter-based substreams keyed by
-``(seed, i, j)``, so generation order (serial, parallel, chunked) never
-changes the output.  The Markov sampler walks the pairs in fixed-size
-chunks, hashing each pair's stream key once and each step's rest of the
-hash in place on integers, and keeps only the indices of set bits.
+The Markov sampler's work follows the set bits, not the N(N-1)/2 pairs:
+it skips geometric gaps over the pair numbers at the larger of the two
+classes' rates and thins each hit to its own class's rate (Batagelj and
+Brandes, Phys. Rev. E, 2005).  Its draws come from counter-based streams
+keyed by (seed, block of pair numbers, step), so the blocks can be drawn in
+any order; the categorical sampler's are keyed by (seed, pair).
 
 The reader takes the file in blocks of whole lines.  Byte masks pick out
 the ``e t i j`` lines spelled with plain ASCII decimals, and numpy parses
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import counter_uniform, cutoff, step_bits, stream_key
+from ._rng import counter_uniform, derive_seed, step_uniform, stream_key
 
 __all__ = [
     "SnapshotArray",
@@ -158,50 +159,101 @@ def balanced_labelling(N, K):
     return (np.arange(N) * K // N).astype(np.int64)
 
 
-# Pairs per sampler chunk: small enough that a chunk's per-pair arrays stay
-# in cache across all T steps.  Any value gives the same output.
-_CHUNK_PAIRS = 1 << 15
+# Pairs per sampler block.  Each block draws all T steps of its pairs from
+# its own counter streams, so blocks can be drawn in any order; the size is
+# part of the key, and large enough that the per-block numpy calls cost
+# little beside the draws.
+_BLOCK_PAIRS = 1 << 20
 
 
 def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     """Markov interaction snapshots: each unordered pair's T-bit pattern is
     an independent chain, ``intra`` within blocks and ``inter`` across.
 
-    Pairs are walked in fixed-size chunks in row-major ``i < j`` order; each
-    chunk runs through all T steps in place, comparing integer cut-offs (see
-    ``_rng``), and keeps the indices of its set bits.
+    Pairs are numbered in row-major ``i < j`` order and drawn in fixed
+    blocks of pair numbers (``_block_snapshots``), in work that follows the
+    number of set bits, not of pairs.
     """
     if T < 1:
         raise ValueError("need at least one snapshot")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
-    size = N * N
-    found = []  # per chunk, the flat indices of set bits in both orientations
+    n_pairs = N * (N - 1) // 2
     # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
     row_start = np.arange(N + 1) * (2 * N - np.arange(N + 1) - 1) // 2
-    n_pairs = N * (N - 1) // 2
-    mu1, p01, p11 = cutoff([[c.mu1, c.p01, c.p11] for c in (intra, inter)]).T
-    for lo in range(0, n_pairs, _CHUNK_PAIRS):
-        hi = min(lo + _CHUNK_PAIRS, n_pairs)
-        first, last = np.searchsorted(row_start, (lo, hi - 1), side="right") - 1
-        rows = np.arange(first, last + 1)
-        count = np.diff(np.clip(row_start[first:last + 2], lo, hi))
-        upper = np.arange(lo, hi) + np.repeat(rows * (N + 1) + 1 - row_start[rows], count)
-        same = np.repeat(labels[first:last + 1], count) == labels[upper % N]
-        (bits, tmp), on = np.empty((2, hi - lo), np.uint64), np.empty(hi - lo, bool)
-        key = stream_key(seed, upper)  # i*N + j, the pair's stream id
-        key ^= np.right_shift(key, np.uint64(30), out=tmp)  # its term of the first xorshift
-        cut, was, part = np.where(same, *mu1), slice(None), []  # was: cut-offs maybe not p01
-        for t in range(T):
-            now = np.flatnonzero(np.less(step_bits(key, t, bits, tmp), cut, out=on))
-            cut[was], cut[now] = np.where(same[was], *p01), np.where(same[now], *p11)
-            was, u = now, upper[now]
-            part += [t * size + u, t * size + u % N * N + u // N]  # and the mirrors
-        # one array per chunk: keeping each step's small arrays to the end fragmented the heap
-        found.append(np.concatenate(part))
+    found = [_block_snapshots(labels, row_start, (inter, intra), T, seed, lo,
+                              min(lo + _BLOCK_PAIRS, n_pairs))
+             for lo in range(0, n_pairs, _BLOCK_PAIRS)]
     data = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
     data.sort()
     return SnapshotArray(data, N, T, labels=labels)
+
+
+def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
+    """Flat indices of the set bits of pairs ``lo .. hi - 1`` in all T
+    snapshots, both orientations; ``chains`` is (across, within) blocks.
+
+    Snapshot 0 skips over the pairs at the larger ``mu1`` and thins each hit
+    to its class's.  At each later step a pair on stays on with its class's
+    ``p11``; the others are skipped over at the larger ``p01``, thinned to
+    their class's and dropped if on, so each turns on at exactly its own
+    rate.  Step t draws from the counters of ``(derive_seed(seed, block),
+    t)``: counter p is the stay draw of the block's pair p, counters
+    ``_BLOCK_PAIRS + 2k`` and ``+ 2k + 1`` the k-th hit's gap and thinning.
+    """
+    N, n = labels.size, hi - lo
+    keys = stream_key(derive_seed(seed, lo // _BLOCK_PAIRS), np.arange(T))
+    rates = np.array([[c.mu1, c.p01, c.p11] for c in chains])
+    was = np.zeros(n, dtype=bool)  # on at the previous step
+    on, upper, lower = np.empty((3, 0), dtype=np.int64)  # positions in the block, flat indices
+    stay = np.empty(0)  # and p11
+    part = []
+    for t, key in enumerate(keys):
+        rate = rates[:, min(t, 1)]  # mu1, then p01
+        top = rate.max()
+        hit = _skip(key, top, n)
+        i = np.searchsorted(row_start, lo + hit, side="right") - 1
+        j = lo + hit - row_start[i] + i + 1
+        cls = (labels[i] == labels[j]).astype(np.intp)
+        thin = step_uniform(key, _BLOCK_PAIRS + 2 * np.arange(hit.size) + 1)
+        # integer indices: boolean-mask indexing was 3-5x slower on these arrays
+        fresh = np.flatnonzero((thin < rate[cls] / top) & ~was[hit])
+        keep = step_uniform(key, on) < stay
+        was[on] = keep
+        kept, hit = np.flatnonzero(keep), hit[fresh]
+        was[hit] = True
+        on = np.concatenate((on[kept], hit))
+        stay = np.concatenate((stay[kept], rates[cls[fresh], 2]))
+        i, j = i[fresh], j[fresh]
+        upper = np.concatenate((upper[kept], i * N + j))
+        lower = np.concatenate((lower[kept], j * N + i))
+        part += [t * N * N + upper, t * N * N + lower]
+    return np.concatenate(part)
+
+
+def _skip(key, rate, n):
+    """Ascending positions in ``0 .. n - 1`` of the successes of n
+    independent Bernoulli(rate) trials.  The gaps between successes are
+    geometric, each by inversion ``floor(log(u) / log1p(-rate)) + 1`` from
+    a uniform u in (0, 1]: the k-th from counter ``_BLOCK_PAIRS + 2k`` of
+    ``key``."""
+    if rate <= 0:
+        return np.empty(0, dtype=np.int64)
+    if rate >= 1:
+        return np.arange(n)
+    log_q = np.log1p(-rate)
+    found, last, k = [], -1, 0
+    while last < n:
+        # about 2 sd more gaps than hits are expected; n - last always pass the end
+        expect = (n - 1 - last) * rate
+        m = min(n - last, int(expect + 2 * expect**0.5) + 1)
+        u = 1.0 - step_uniform(key, _BLOCK_PAIRS + 2 * np.arange(k, k + m))
+        with np.errstate(over="ignore"):  # gaps past the end only need to stay there
+            gap = np.minimum(np.floor(np.log(u) / log_q) + 1, n + 1)
+        found.append(last + np.cumsum(gap.astype(np.int64)))
+        last, k = found[-1][-1], k + m
+    pos = np.concatenate(found)
+    return pos[:np.searchsorted(pos, n)]
 
 
 def sample_categorical_snapshots(labels, f, g, seed=0):

@@ -7,12 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsbm import harness, sbm
-from tsbm._rng import counter_uniform, cutoff, step_bits, step_uniform, stream_key
+from tsbm._rng import counter_uniform, step_uniform
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
 from tsbm.sbm import (
@@ -189,7 +189,7 @@ class TestSamplerLaw:
             labels = sample_labelling(200, 2, seed=seed)
             x = dense_tensor(sample_markov_snapshots(labels, intra, inter, 4, seed=seed))
             for start, width in self.WINDOWS:
-                counts[start, width] = counts[start, width] + _pattern_counts(x, labels, start, width)
+                counts[start, width] += _pattern_counts(x, labels, start, width)
         for (start, width), table in counts.items():
             for observed, chain in zip(table, (inter, intra)):
                 law = _pattern_law(chain, start, width)
@@ -239,50 +239,11 @@ class TestSamplerLaw:
                 assert (x[1:][(x[:-1] == was) & pair] == bool(rate)).all()
 
 
-def _near_multiples(k):
-    """``k * 2^-53`` and its float neighbours inside [0, 1]."""
-    p = k * 2.0**-53
-    return st.sampled_from([np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]).map(float)
-
-
-# exact multiples of 2^-53 and their neighbours sit on the integer cut-offs
-_probability = st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**53).flatmap(_near_multiples))
-_chains = st.builds(BinaryMarkovChain, _probability, _probability, _probability)
-
-
-class TestIntegerHash:
-    def test_cutoff_is_exact(self):
-        rng = np.random.default_rng(3)
-        k = np.concatenate(([0, 1, 2, 3, 2**52, 2**53 - 1, 2**53],
-                            rng.integers(0, 2**53, 300, dtype=np.int64)))
-        multiples = k * 2.0**-53
-        p = np.concatenate(([0.0, 1.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022], multiples,
-                            np.nextafter(multiples, 0.0), np.nextafter(multiples, 1.0),
-                            rng.random(300), 10.0 ** rng.uniform(-320, 0, 300)))
-        p = p[(p >= 0) & (p <= 1)]
-        c = cutoff(p)
-        assert c.dtype == np.uint64
-        for offset in (-1, 0, 1):
-            m = np.clip(c.astype(np.int64) + offset, 0, 2**53 - 1).astype(np.uint64)
-            assert np.array_equal(m.astype(np.float64) * 2.0**-53 < p, m < c)
-        assert cutoff(0.0) == 0 and cutoff(1.0) == 2**53 and cutoff(5e-324) == 1
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 2**20),
-           streams=st.lists(st.integers(0, 2**62), min_size=1, max_size=20))
-    def test_step_bits_match_step_uniform(self, seed, step, streams):
-        key = stream_key(seed, streams)
-        out, tmp = np.empty((2, key.size), dtype=np.uint64)
-        got = step_bits(key ^ (key >> np.uint64(30)), step, out, tmp)
-        assert got is out and (got < 2**53).all()
-        assert np.array_equal(got.astype(np.float64) * 2.0**-53, step_uniform(key, step))
-
-
-# sha256 of sample_markov_snapshots(...).data, recorded from the float
-# sampler that compared step_uniform draws with the chain probabilities
+# sha256 of sample_markov_snapshots(...).data, recorded from the skip
+# sampler in blocks of 2^20 pairs; they pin its draws, not its law
 _SCALE_DIGESTS = {
-    (3000, 10): "0acd93114d64db36f1c131a8c72b4808c457b2e6803e1ffa2633f2633d99fa4e",
-    (1000, 30): "c2fa70e4a74be2289d23d496496d89264e62f2891e64fc97aedf9e190c299809",
+    (3000, 10): "74efe5d0f98414ef77e02b7282a260162f1ecf5b771ae5b82fcc07e31e582419",
+    (1000, 30): "4438d925b4123b430081faa350347b7f927fa0ff15dda802f308012151da4124",
 }
 
 
@@ -299,7 +260,7 @@ def _scale_sample(N, T):
 class TestChunkedSampler:
     @pytest.mark.parametrize("N, T", sorted(_SCALE_DIGESTS))
     def test_scale_point_digests(self, N, T):
-        # 137 and 16 chunks of 2^15 pairs, most starting and ending mid-row,
+        # 5 blocks and 1, the last block of N=3000 short and starting mid-row,
         # at sizes the per-pair reference cannot reach
         digest = hashlib.sha256(_scale_sample(N, T).data.tobytes()).hexdigest()
         assert digest == _SCALE_DIGESTS[N, T]
@@ -314,36 +275,37 @@ class TestChunkedSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert arr.data.size == 1198020
+        assert arr.data.size == 1201374
         assert peak <= 24e6
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        labels=st.lists(st.integers(0, 2), max_size=11).map(np.array),
-        intra=_chains,
-        inter=_chains,
-        T=st.integers(1, 4),
-        seed=st.integers(0, 2**64 - 1),
-        chunk=st.sampled_from([1, 2, 5, 7, 64, 1 << 15]),
-    )
-    def test_matches_per_pair_reference(self, labels, intra, inter, T, seed, chunk):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
-            got = sample_markov_snapshots(labels, intra, inter, T, seed=seed)
-        want = _reference_markov(labels, intra, inter, T, seed)
-        assert dense_tensor(got).dtype == np.uint8 and got.values is None
-        assert np.array_equal(dense_tensor(got), want)
-        assert np.array_equal(got.data, np.flatnonzero(want))
-
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_chunk_size_does_not_change_output(self, chunk):
+    def test_blocks_drawn_in_reverse_order_give_the_same_data(self):
         intra, inter = chain_from_stationary(0.3, 0.6), chain_from_stationary(0.1, 0.4)
         labels = sample_labelling(41, 3, seed=8)
-        want = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
+        n_pairs = 41 * 40 // 2
+        row_start = np.arange(42) * (2 * 41 - np.arange(42) - 1) // 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sbm, "_CHUNK_PAIRS", chunk)
-            got = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
-        assert np.array_equal(got.data, want.data)
+            mp.setattr(sbm, "_BLOCK_PAIRS", 7)  # 118 blocks, most starting and ending mid-row
+            want = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
+            got = [sbm._block_snapshots(labels, row_start, (inter, intra), 3, 12, lo,
+                                        min(lo + 7, n_pairs))
+                   for lo in reversed(range(0, n_pairs, 7))]
+        assert np.array_equal(np.sort(np.concatenate(got)), want.data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           n=st.integers(0, 60), key=st.integers(0, 2**64 - 1))
+    @example(rate=0.3, n=50, key=127)  # these two need a second round
+    @example(rate=0.02, n=60, key=145)
+    def test_skip_matches_drawing_every_gap(self, rate, n, key):
+        # _skip draws its gaps in rounds of a little more than the expected
+        # number; n + 1 gaps always pass the end, so draw them all at once
+        key = np.uint64(key)
+        u = 1.0 - step_uniform(key, sbm._BLOCK_PAIRS + 2 * np.arange(n + 1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gap = np.minimum(np.floor(np.log(u) / np.log1p(-rate)) + 1, n + 1)
+        pos = np.cumsum(gap.astype(np.int64)) - 1
+        want = np.empty(0, dtype=np.int64) if rate == 0 else pos[pos < n]
+        assert np.array_equal(sbm._skip(key, rate, n), want)
 
 
 class TestCategoricalSampling:
