@@ -8,11 +8,10 @@ number of interactions, not ``T N^2``, and no consumer rebuilds the dense
 tensor: the recovery algorithms read the indices themselves.
 
 The Markov sampler's work follows the set bits, not the N(N-1)/2 pairs:
-it skips geometric gaps over the pair numbers at the larger of the two
-classes' rates and thins each hit to its own class's rate (Batagelj and
-Brandes, Phys. Rev. E, 2005).  Its draws come from counter-based streams
-keyed by (seed, block of pair numbers, step), so the blocks can be drawn in
-any order; the categorical sampler's are keyed by (seed, pair).
+it skips geometric gaps over the pair numbers and thins each hit to its
+class's rate (Batagelj and Brandes, Phys. Rev. E, 2005).  Its draws are
+keyed by (seed, block of pairs, step), the categorical sampler's by (seed,
+pair), so generation order never changes the output.
 
 The reader takes the file in blocks of whole lines.  Byte masks pick out
 the ``e t i j`` lines spelled with plain ASCII decimals, and numpy parses
@@ -159,21 +158,17 @@ def balanced_labelling(N, K):
     return (np.arange(N) * K // N).astype(np.int64)
 
 
-# Pairs per sampler block.  Each block draws all T steps of its pairs from
-# its own counter streams, so blocks can be drawn in any order; the size is
-# part of the key, and large enough that the per-block numpy calls cost
-# little beside the draws.
+# Pairs per sampler block.  A block draws all T steps of its pairs from its
+# own counter streams, so blocks can be drawn in any order; the size is part
+# of the key, and large enough that per-block numpy calls cost little.
 _BLOCK_PAIRS = 1 << 20
 
 
 def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     """Markov interaction snapshots: each unordered pair's T-bit pattern is
     an independent chain, ``intra`` within blocks and ``inter`` across.
-
-    Pairs are numbered in row-major ``i < j`` order and drawn in fixed
-    blocks of pair numbers (``_block_snapshots``), in work that follows the
-    number of set bits, not of pairs.
-    """
+    Pairs are numbered in row-major ``i < j`` order and drawn in blocks of
+    ``_BLOCK_PAIRS`` pair numbers."""
     if T < 1:
         raise ValueError("need at least one snapshot")
     labels = np.asarray(labels, dtype=np.int64)
@@ -205,29 +200,23 @@ def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
     keys = stream_key(derive_seed(seed, lo // _BLOCK_PAIRS), np.arange(T))
     rates = np.array([[c.mu1, c.p01, c.p11] for c in chains])
     was = np.zeros(n, dtype=bool)  # on at the previous step
-    on, upper, lower = np.empty((3, 0), dtype=np.int64)  # positions in the block, flat indices
-    stay = np.empty(0)  # and p11
+    on = np.empty((4, 0), dtype=np.int64)  # of each pair on: position in the block, class, i, j
     part = []
     for t, key in enumerate(keys):
         rate = rates[:, min(t, 1)]  # mu1, then p01
-        top = rate.max()
-        hit = _skip(key, top, n)
+        hit = _skip(key, rate.max(), n)
         i = np.searchsorted(row_start, lo + hit, side="right") - 1
         j = lo + hit - row_start[i] + i + 1
-        cls = (labels[i] == labels[j]).astype(np.intp)
+        cls = (labels[i] == labels[j]).astype(np.int64)
         thin = step_uniform(key, _BLOCK_PAIRS + 2 * np.arange(hit.size) + 1)
         # integer indices: boolean-mask indexing was 3-5x slower on these arrays
-        fresh = np.flatnonzero((thin < rate[cls] / top) & ~was[hit])
-        keep = step_uniform(key, on) < stay
-        was[on] = keep
-        kept, hit = np.flatnonzero(keep), hit[fresh]
-        was[hit] = True
-        on = np.concatenate((on[kept], hit))
-        stay = np.concatenate((stay[kept], rates[cls[fresh], 2]))
-        i, j = i[fresh], j[fresh]
-        upper = np.concatenate((upper[kept], i * N + j))
-        lower = np.concatenate((lower[kept], j * N + i))
-        part += [t * N * N + upper, t * N * N + lower]
+        fresh = np.flatnonzero((thin < rate[cls] / rate.max()) & ~was[hit])
+        keep = step_uniform(key, on[0]) < rates[on[1], 2]
+        was[on[0]] = keep
+        was[hit[fresh]] = True
+        kept = np.flatnonzero(keep)
+        on = [np.concatenate((x[kept], y[fresh])) for x, y in zip(on, (hit, cls, i, j))]
+        part += [t * N * N + on[2] * N + on[3], t * N * N + on[3] * N + on[2]]
     return np.concatenate(part)
 
 

@@ -260,8 +260,8 @@ def _scale_sample(N, T):
 class TestChunkedSampler:
     @pytest.mark.parametrize("N, T", sorted(_SCALE_DIGESTS))
     def test_scale_point_digests(self, N, T):
-        # 5 blocks and 1, the last block of N=3000 short and starting mid-row,
-        # at sizes the per-pair reference cannot reach
+        # 5 blocks and 1 (at N=3000 four start mid-row and the last is
+        # short), at sizes the per-pair reference cannot reach
         digest = hashlib.sha256(_scale_sample(N, T).data.tobytes()).hexdigest()
         assert digest == _SCALE_DIGESTS[N, T]
 
