@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import chi2
 
 from tsbm import harness, sbm
 from tsbm._rng import counter_uniform, step_uniform
@@ -169,12 +170,6 @@ def _pattern_law(chain, start, width):
     return mu[bits[:, 0]] * np.prod(chain.transition[bits[:, :-1], bits[:, 1:]], axis=1)
 
 
-def _chi2_bound(df):
-    from scipy.stats import chi2
-
-    return chi2.isf(_ALPHA, df)
-
-
 class TestSamplerLaw:
     # each pair contributes one pattern to each statistic, so the counts are
     # multinomial: the 3-step window opens at snapshot 0, the 2-step window
@@ -196,7 +191,8 @@ class TestSamplerLaw:
                 assert observed[law == 0].sum() == 0  # impossible patterns never occur
                 expected = observed.sum() * law[law > 0]
                 stat = (((observed[law > 0] - expected) ** 2) / expected).sum()
-                assert stat <= _chi2_bound((law > 0).sum() - 1), (name, start, width, observed)
+                bound = chi2.isf(_ALPHA, (law > 0).sum() - 1)
+                assert stat <= bound, (name, start, width, observed)
 
     @pytest.mark.parametrize("name", ["dense", "boundary"])
     def test_pattern_frequencies_match_the_per_pair_reference(self, name):
@@ -214,7 +210,7 @@ class TestSamplerLaw:
                 table = table[:, table.sum(0) > 0]
                 expected = np.outer(table.sum(1), table.sum(0)) / table.sum()
                 stat = (((table - expected) ** 2) / expected).sum()
-                assert stat <= _chi2_bound(table.shape[1] - 1), (name, cls, table)
+                assert stat <= chi2.isf(_ALPHA, table.shape[1] - 1), (name, cls, table)
 
     @settings(max_examples=150, deadline=None)
     @given(
