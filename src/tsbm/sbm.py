@@ -190,9 +190,9 @@ def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
 
     Snapshot 0 skips over the pairs at the larger ``mu1`` and thins each hit
     to its class's.  At each later step a pair on stays on with its class's
-    ``p11``; the others are skipped over at the larger ``p01``, thinned to
-    their class's and dropped if on, so each turns on at exactly its own
-    rate.  Step t draws from the counters of ``(derive_seed(seed, block),
+    ``p11``; all pairs are skipped over at the larger ``p01``, and each hit
+    is thinned to its class's and dropped if on, so each pair off turns on
+    at exactly its own rate.  Step t draws from the counters of ``(derive_seed(seed, block),
     t)``: counter p is the stay draw of the block's pair p, counters
     ``_BLOCK_PAIRS + 2k`` and ``+ 2k + 1`` the k-th hit's gap and thinning.
     """
@@ -233,7 +233,7 @@ def _skip(key, rate, n):
     log_q = np.log1p(-rate)
     found, last, k = [], -1, 0
     while last < n:
-        # about 2 sd more gaps than hits are expected; n - last always pass the end
+        # about 2 sd more gaps than the hits expected; n - last gaps always pass the end
         expect = (n - 1 - last) * rate
         m = min(n - last, int(expect + 2 * expect**0.5) + 1)
         u = 1.0 - step_uniform(key, _BLOCK_PAIRS + 2 * np.arange(k, k + m))
