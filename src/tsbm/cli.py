@@ -263,6 +263,8 @@ def _cmd_replicate_figure(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "t_max", 1) < 1:  # threshold and divergence: no snapshot to search
+        parser.exit(2, f"error: --t-max must be at least 1, got {args.t_max}\n")
     try:
         if args.command == "generate":
             return _cmd_generate(args)

@@ -90,11 +90,20 @@ def _stationary_densities(n, mu1, nu1, units):
     return mu1 * scale, nu1 * scale
 
 
+def _check_persistences(p11_values, q11_values):
+    """Raise naming the first persistence outside [0, 1], NaN included."""
+    for name, values in (("p11", p11_values), ("q11", q11_values)):
+        for x in values:
+            if not 0 <= x <= 1:
+                raise ValueError(f"{name}={x:g} outside [0, 1]")
+
+
 def chains_in_units(n, mu1, nu1, p11, q11, units="logn"):
     """Intra and inter chains with stationary densities ``mu1``/``nu1`` given
     as raw probabilities (``absolute``), multiples of ``log(N)/N``
     (``logn``), or multiples of ``1/N`` (``inv_n``)."""
     pi_f, pi_g = _stationary_densities(n, mu1, nu1, units)
+    _check_persistences([p11], [q11])
     return chain_from_stationary(pi_f, p11), chain_from_stationary(pi_g, q11)
 
 
@@ -417,10 +426,7 @@ def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
     search cap is reached or the chain pair is infeasible (implied p01 > 1)
     come out inf.  Any other bad input raises ValueError before the search."""
     pi_f, pi_g = _stationary_densities(n, mu1_mult, nu1_mult, "logn")
-    for name, values in (("p11", p11_values), ("q11", q11_values)):
-        for x in values:
-            if not 0 <= x <= 1:
-                raise ValueError(f"{name}={x:g} outside [0, 1]")
+    _check_persistences(p11_values, q11_values)
     out = np.full((len(p11_values), len(q11_values)), math.inf)
     for i, p11 in enumerate(p11_values):
         for jdx, q11 in enumerate(q11_values):

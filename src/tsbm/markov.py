@@ -1,7 +1,7 @@
 """Binary Markov interaction chains: path-law divergences (exact, by one
-transfer-matrix engine in O(log T), a squaring ladder plus a fold;
-brute-force enumeration; sparse closed forms), threshold constants,
-snapshot thresholds T*, and on-period path combinatorics.
+transfer-matrix engine in O(log T), a lazy squaring ladder plus a fold;
+brute-force enumeration; sparse closed forms), threshold constants, one
+search for the snapshot threshold T*, and on-period path combinatorics.
 """
 
 import math
@@ -104,18 +104,17 @@ def _geometric_weights(alpha, chain_f, chain_g):
     return r, R, r_inf, R_inf
 
 
-def _squaring_ladder(R, levels):
-    """The rungs ``(R^(2^k) / c_k, log c_k)`` for ``k < levels``: rung 0 is
-    ``R`` itself, each later rung the square of the one before, rescaled by
-    its largest absolute entry.  After a rung vanishes, every later rung is
-    zero with scale -inf."""
-    rungs = [(R, 0.0)]
-    while len(rungs) < levels:
-        base, scale = rungs[-1]
+def _squaring_ladder(R):
+    """The rungs ``(R^(2^k) / c_k, log c_k)`` for k = 0, 1, ..., made lazily:
+    rung 0 is ``R`` itself, each later rung the square of the one before,
+    rescaled by its largest absolute entry.  After a rung vanishes, every
+    later rung is zero with scale -inf."""
+    base, scale = R, 0.0
+    while True:
+        yield base, scale
         base = base @ base
         s = np.abs(base).max()
-        rungs.append((base / s, 2 * scale + math.log(s)) if s else (base, -math.inf))
-    return rungs[:levels]
+        base, scale = (base / s, 2 * scale + math.log(s)) if s else (base, -math.inf)
 
 
 def _log_path_sum(r, R, T):
@@ -126,7 +125,7 @@ def _log_path_sum(r, R, T):
     if T < 1:
         raise ValueError("need at least one snapshot")
     acc, acc_scale = np.eye(len(R)), 0.0
-    for k, (rung, scale) in enumerate(_squaring_ladder(R, (T - 1).bit_length())):
+    for k, (rung, scale) in zip(range((T - 1).bit_length()), _squaring_ladder(R)):
         if (T - 1) >> k & 1:
             acc = acc @ rung
             acc_scale += scale
@@ -400,9 +399,6 @@ class ThresholdConvention(Enum):
     I_TILDE = "itilde"
 
 
-_LINEAR_SCAN_CAP = 1024
-
-
 def _i_tilde_args(chain_f, chain_g, rho):
     """``i_tilde_short`` arguments, all but T, for a chain pair at scale ``rho``."""
     gamma = 1.0 - math.sqrt(chain_f.p11 * chain_g.p11)
@@ -422,15 +418,13 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
 
-    A linear scan covers T <= 1024 at O(1) float operations per T: the
-    exact convention carries the transfer recursion from one T to the
-    next, the itilde convention evaluates ``i_tilde_short``'s closed form.
-    Beyond it, binary lifting from the scan's end tries spans of 2^k
-    snapshots, largest first, and takes each that leaves the threshold
-    uncrossed: the exact convention steps its streamed state by the rungs
-    of one squaring ladder of the transfer weights (one vector-matrix
-    product per span), the itilde convention evaluates its closed form at
-    the span's end.  A search costs one ladder plus O(log t_max) products.
+    One search serves both conventions.  From T = 1 it tries spans of 2^k
+    snapshots, growing k while each span leaves the threshold uncrossed,
+    then shrinking it, and takes every span that leaves it uncrossed.  The
+    exact convention steps its state, two floats, by the rungs of one
+    squaring ladder of the transfer weights (one vector-matrix product per
+    span); the itilde convention evaluates ``i_tilde_short``'s closed form
+    at the span's end.  A search costs O(log T*) rungs and products.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -440,43 +434,33 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
         convention = ThresholdConvention(convention)
     rho = math.log(N) / N
     t_max = int(t_max)  # a float or numpy integer bound counts whole snapshots
-    scan_end = min(t_max, _LINEAR_SCAN_CAP)
-    levels = max(t_max - _LINEAR_SCAN_CAP, 0).bit_length()  # spans 2^k, k < levels
 
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
         # built once per search; alpha = 1/2 gives finite weights
         r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
-        # stream the transfer recursion z <- z R / sum(z R), one step per T
-        z0, z1 = r.tolist()
-        (R00, R01), (R10, R11) = R.tolist()
-        if t_max >= 1 and z0 + z1 == 0.0:
-            return 1  # disjoint initial laws: threshold met at once
-        log_scale = 0.0
-        for T in range(1, scan_end + 1):
-            if T > 1:
-                z0, z1 = z0 * R00 + z1 * R10, z0 * R01 + z1 * R11
-                s = z0 + z1
-                if s == 0.0:
-                    return T  # orthogonal supports: threshold met trivially
-                log_scale += math.log(s)
-                z0 /= s
-                z1 /= s
-            if 1.0 - math.exp(min(log_scale + math.log(z0 + z1), 0.0)) >= threshold:
-                return T
-        ladder, z = _squaring_ladder(R, levels), np.array([z0, z1])
+        z0 = z1 = log_scale = 0.0  # r R^(T-1) = (z0, z1) exp(log_scale)
+        ladder, rungs = _squaring_ladder(R), []
 
-        def below(T, k):  # uncrossed at T + 2^k? then the state moves there
-            nonlocal z, log_scale
-            y = z @ ladder[k][0]
-            s = y.sum()
+        def moves(y0, y1, scale):  # uncrossed at (y0, y1) exp(log_scale + scale)? go there
+            nonlocal z0, z1, log_scale
+            s = y0 + y1
             if s == 0.0:
-                return False  # orthogonal supports, as in the scan
-            log_total = log_scale + ladder[k][1] + math.log(s)
+                return False  # orthogonal supports: threshold met trivially
+            log_total = log_scale + scale + math.log(s)
             if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
                 return False
-            z, log_scale = y / s, log_total
+            z0, z1, log_scale = y0 / s, y1 / s, log_total
             return True
+
+        crossed_at_1 = not moves(*r.tolist(), 0.0)  # disjoint initial laws cross at once
+
+        def below(T, k):  # uncrossed at T + 2^k? then the state moves there
+            if k == len(rungs):
+                rung, scale = next(ladder)
+                rungs.append((rung.tolist(), scale))
+            ((a00, a01), (a10, a11)), scale = rungs[k]
+            return moves(z0 * a00 + z1 * a10, z0 * a01 + z1 * a11, scale)
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)
@@ -486,19 +470,25 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
         def crossed(T):  # i_tilde_short(*args, T) > threshold, bit for bit
             return base + per * (T - 1) + transient_coef * _geo_sum(gamma, T) > threshold
 
-        for T in range(1, scan_end + 1):
-            if crossed(T):
-                return T
+        crossed_at_1 = crossed(1)
 
         def below(T, k):
             return not crossed(T + (1 << k))
 
+    if t_max < 1:
+        return None
+    if crossed_at_1:
+        return 1
     # binary lifting; relies on the divergence being nondecreasing in T for
     # every chain pair: the exact length-T path law is a marginal of the
     # length-(T+1) one, and an itilde step adds per + transient_coef
     # (1-gamma)^(T-1) >= 2 h11^2 sqrt(p01 q01) (1 - (1-gamma)^(T-1)) >= 0
-    T = _LINEAR_SCAN_CAP  # known not crossed when the loop runs
-    for k in reversed(range(levels)):
+    T, k = 1, 0  # T is known not crossed; the next span tried is 2^k
+    while T + (1 << k) <= t_max and below(T, k):
+        T += 1 << k
+        k += 1
+    # the last uncrossed T <= t_max is now below T + 2^k: add its bits
+    for k in reversed(range(k)):
         if T + (1 << k) <= t_max and below(T, k):
             T += 1 << k
     return T + 1 if T < t_max else None

@@ -71,7 +71,7 @@ CASES["recover_refine-categorical.labels"] = [
     ["recover", "--input", "{dir}/graph.tsbm", "--algorithm", "refine", "--k", "2",
      "--seed", "1", "--f", _F, "--g", _G, "--out", "{out}"],
 ]
-# default 19x19 grid at N=500: holds cells past the linear scan and capped cells
+# default 19x19 grid at N=500: holds cells with T* > 1024 and capped cells
 for _conv in ("exact", "itilde"):
     CASES[f"threshold_{_conv}.csv"] = [
         ["threshold", "--mu1", "1.51", "--nu1", "1.5", "--convention", _conv,

@@ -505,6 +505,8 @@ class TestCLI:
             ["--grid-min", "-0.5"],
             ["--grid-max", "1.5"],
             ["--mu1", "0"],
+            ["--p11", "1.5", "--q11", "0.3"],
+            ["--q11", "nan", "--p11", "0.7"],
         ],
     )
     def test_threshold_bad_inputs_exit_code(self, capsys, extra):
@@ -513,22 +515,37 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if extra[0] in ("--p11", "--q11"):
+            # a bad persistence is named by its flag, not by the p01 it implies
+            assert captured.err.startswith(f"error: {extra[0][2:]}={extra[1]} ")
 
     @pytest.mark.parametrize("extra", [
         ["--p11", "0.7"],
         ["--q11", "0.3"],
         ["--grid-steps", "0"],
         ["--grid-steps", "-2"],
+        ["--t-max", "0"],
+        ["--p11", "0.7", "--q11", "0.3", "--t-max", "-3"],
     ])
     def test_threshold_usage_error(self, capsys, extra):
-        # a lone --p11 or --q11 would silently print the whole grid, and no
-        # grid step would print a header-only CSV
+        # a lone --p11 or --q11 would silently print the whole grid, no grid
+        # step would print a header-only CSV, and no snapshot would print inf
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--mu1", "2.5", "--nu1", "1.5"] + extra)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_max", ["0", "-3"])
+    def test_divergence_t_max_usage_error(self, capsys, t_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["divergence", "--t", "5", "--mu1", "1.5", "--nu1", "1.5", "--p11", "0.7",
+                  "--q11", "0.3", "--t-max", t_max])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --t-max must be at least 1, got {t_max}\n"
 
     def test_python_m_runs_cli(self):
         src = os.path.dirname(os.path.dirname(tsbm.__file__))

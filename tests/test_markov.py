@@ -466,16 +466,22 @@ class TestTStar:
         assert markov_hellinger_sq(intra, inter, ts) >= thr
         assert markov_hellinger_sq(intra, inter, ts - 1) < thr
 
-    @pytest.mark.parametrize("convention,ts", [("exact", 4808), ("itilde", 2374)])
-    def test_t_max_boundary_past_the_scan(self, convention, ts):
-        # the lifting may stop exactly at t_max, one short of it, or just
-        # past the scan; it answers T* only when T* <= t_max
+    @pytest.mark.parametrize(
+        "convention,ts,mult,t_low",
+        [("exact", 4808, 1.5 / 400, 1025), ("itilde", 2374, 1.5 / 400, 1025),
+         ("exact", 13, 1.5, 1), ("itilde", 7, 1.5, 1)],
+        ids=["exact-4808", "itilde-2374", "exact-13", "itilde-7"],
+    )
+    def test_t_max_boundary_past_the_scan(self, convention, ts, mult, t_low):
+        # the search may stop exactly at t_max, one short of it, or far below
+        # T*; it answers T* only when T* <= t_max.  The sparse pair has
+        # T* > 1024, the criterion-04 pair a short T* where the galloping turns
         n = 500
         rho = math.log(n) / n
-        intra = chain_from_stationary(1.5 * rho / 400, 0.7)
-        inter = chain_from_stationary(1.5 * rho / 400, 0.3)
+        intra = chain_from_stationary(mult * rho, 0.7)
+        inter = chain_from_stationary(mult * rho, 0.3)
         assert t_star(intra, inter, n, 2, convention) == ts
-        for t_max, want in ((1025, None), (ts - 1, None), (ts, ts), (ts + 1, ts)):
+        for t_max, want in ((t_low, None), (ts - 1, None), (ts, ts), (ts + 1, ts)):
             assert t_star(intra, inter, n, 2, convention, t_max) == want, t_max
         # any integral bound type, as before the lifting read t_max's bits
         for t_max in (np.int64(ts), float(ts), np.int64(4000), 1e6):
@@ -491,9 +497,8 @@ class TestTStar:
         t_max=st.integers(1025, 10**6),
     )
     def test_lifting_matches_bisection_reference(self, n, k, mults, log_scale, persist, t_max):
-        # sparse stationary pairs, whose T* mostly lies past the scan; the
-        # reference bisects from the scan's end with every value computed
-        # from scratch
+        # sparse stationary pairs, whose T* is mostly > 1024; the reference
+        # bisects the whole range with every value computed from scratch
         rho = math.log(n) / n
         f, g = (chain_from_stationary(min(m * rho * 10**log_scale, 0.5), p)
                 for m, p in zip(mults, persist))
@@ -505,8 +510,7 @@ class TestTStar:
             "itilde": lambda T: i_tilde_short(*args, T) > k,
         }
         for convention, test in crossed.items():
-            scanned = t_star(f, g, n, k, convention, 1024)
-            want = scanned if scanned is not None else first_crossing(test, 1024, t_max)
+            want = first_crossing(test, 0, t_max)
             assert t_star(f, g, n, k, convention, t_max) == want, convention
 
     def test_itilde_convention(self):
@@ -542,8 +546,8 @@ class TestTStar:
         t_max=st.integers(0, 200),
     )
     def test_scan_matches_per_snapshot_reference(self, n, k, mults, persist, t_max):
-        # the scan carries its state from T to T + 1; the reference evaluates
-        # every T from scratch, so both must stop at the same snapshot
+        # the search carries its state from span to span; the reference
+        # evaluates every T from scratch, so both must stop at the same snapshot
         rho = math.log(n) / n
         f = chain_from_stationary(min(mults[0] * rho, 0.5), persist[0])
         g = chain_from_stationary(min(mults[1] * rho, 0.5), persist[1])
@@ -561,8 +565,8 @@ class TestTStar:
     def test_search_past_the_scan_matches_bisection_reference(self):
         # with p01 = 0 the per-snapshot term of i_tilde_short vanishes, so T*
         # moves with every term of its geometric sum: a search that dropped
-        # or shifted one term would disagree here.  N sweeps T* past the
-        # linear scan (T > 1024), where the binary lifting takes over.
+        # or shifted one term would disagree here.  N sweeps T* across
+        # 1024, up to T* > 1024 and T* past t_max.
         f = BinaryMarkovChain(3e-3, 0.0, 0.999)
         g = BinaryMarkovChain(1e-3, 0.0, 0.998)
         past = {"exact": 0, "itilde": 0}

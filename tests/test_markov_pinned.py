@@ -38,7 +38,7 @@ QUANTITIES = {
 
 def _chain_pairs():
     """About twenty pairs: the figure-4 and figure-2 chains, sparse pairs
-    whose T* lies past the linear scan, boundary chains (static states,
+    whose T* > 1024, boundary chains (static states,
     zero initial mass, infinite order-1.5 entries, disjoint laws), and
     seeded random pairs."""
     n = 500
@@ -96,8 +96,8 @@ def test_engine_values_bit_identical(name):
 
 # sha1 of the bytes of threshold_grid(n, 2, mult, 1.5, v, v, convention),
 # v = linspace(0.05, 0.95, 19): the figure-2 grid at three N and four
-# multipliers; the mu1 = 1.51 grids hold cells past the linear scan and
-# cells that reach t_max.
+# multipliers; the mu1 = 1.51 grids hold cells with T* > 1024 and cells
+# that reach t_max.
 GRID_SHA1 = {
     (500, 1.2, "exact"): "4c31b56a5af1f3f1d1643994807d1e794c31ae06",
     (500, 1.2, "itilde"): "bcd66c3d90daf31f4d9a6017c323064b4bfe8229",
