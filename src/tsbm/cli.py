@@ -108,6 +108,7 @@ def build_parser():
     e.add_argument("--k", type=int)
     e.add_argument("--t", type=int)
     _add_chain_args(e)
+    e.set_defaults(units=None)  # the config file's, else ExperimentConfig's
     e.add_argument("--algorithm", choices=harness.ALGORITHMS)
     e.add_argument("--init", choices=("spectral", "random", "truth"))
     e.add_argument("--balanced", action="store_true", default=None)
@@ -226,13 +227,11 @@ def _cmd_experiment(args):
             parsed = harness.parse_config_text(fh.read())
         for section in parsed.values():
             values.update(section)
-    for key in ("n", "k", "t", "mu1", "nu1", "p11", "q11", "algorithm", "init",
+    for key in ("n", "k", "t", "mu1", "nu1", "p11", "q11", "units", "algorithm", "init",
                 "trials", "seed", "balanced"):
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
-    if args.units != "logn" or "units" not in values:
-        values["units"] = args.units
     config = harness.config_from_dict(values)
     records = harness.run_experiment(config, jobs=args.jobs)
     text = harness.records_to_csv(records, config, deterministic=args.deterministic)

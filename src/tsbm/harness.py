@@ -177,16 +177,19 @@ def spectral_matrix(array, algorithm):
     (``spectral``, ``spectral-union``), the sum of the snapshots
     (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
     (``spectral-squared``).  The last two are dense float64 matrices of
-    integers, summed from the array's indices."""
+    integers, summed from the array's upper indices and their mirrors."""
     if algorithm in ("spectral", "spectral-union"):
         return binarize(array)
     n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
     if algorithm == "spectral-aggregate":
         summed = np.bincount(array.data % (n * n), weights=w, minlength=n * n)
-        return summed.astype(np.float64, copy=False).reshape(n, n)  # int64 when empty
+        upper = summed.astype(np.float64, copy=False).reshape(n, n)  # int64 when empty
+        return upper + upper.T
     if algorithm != "spectral-squared":
         raise ValueError(f"{algorithm!r} is not a spectral algorithm")
     rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
+    rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
+    w = np.concatenate((w, w))
     stacked = csr_matrix((w.astype(np.float64), (rows, cols)), shape=(array.T * n, n))
     out = (stacked.T @ stacked).toarray()
     out[np.diag_indices(n)] -= np.bincount(rows % n, weights=w, minlength=n)

@@ -84,7 +84,9 @@ class _PairLogRatio:
 
     def __init__(self, n, first, l_init, count=False, symbols=None):
         """A pair holding symbol ``s`` in the first snapshot (sorted ``i*N +
-        j`` indices; ``symbols`` default to 1) starts at ``l_init[s]``."""
+        j`` indices; ``symbols`` default to 1) starts at ``l_init[s]``.
+        Snapshot entries with ``i >= j`` are ignored, so a symmetric
+        snapshot's ``np.flatnonzero`` may be passed as well."""
         self.n = n
         x = np.asarray(first, dtype=np.int64)
         upper = x // n < x % n
@@ -102,8 +104,9 @@ class _PairLogRatio:
         return x[x // self.n < x % self.n]
 
     def add(self, snapshot, increments):
-        """Consume the next snapshot (sorted ``i*N + j`` indices): add
-        ``increments[2a + b]`` to each pair moving from state a to b."""
+        """Consume the next snapshot (sorted ``i*N + j`` indices, those with
+        ``i >= j`` ignored): add ``increments[2a + b]`` to each pair moving
+        from state a to b."""
         x = self._upper(snapshot)
         pos = np.searchsorted(self.keys, x)
         fresh = np.ones(x.size, dtype=bool)
@@ -299,7 +302,8 @@ class OnlineLikelihood:
     Maintains the cumulative pairwise log-likelihood ratio matrix (sparse,
     in ``ratio``; ``ratio.dense()`` gives ``M``) and the current labelling.
     Snapshots are sorted flat indices ``i*N + j`` of their set bits, as
-    ``SnapshotArray.snapshot(t)`` returns; each adds one of the four
+    ``SnapshotArray.snapshot(t)`` returns (entries with ``i >= j`` are
+    ignored, so both orientations may be listed); each adds one of the four
     increments ``log P_hat / Q_hat`` (intra over inter transitions) per pair
     and triggers one relabeling sweep.  A class that ``learns`` re-estimates
     ``P_hat`` and ``Q_hat`` after every step from the pairs' counts.

@@ -2,10 +2,11 @@
 pair-interaction laws, plus the line-oriented ``tsbm`` snapshot file format.
 
 Snapshot arrays are stored sparsely: the sorted flat indices of the nonzero
-entries of the symmetric ``T x N x N`` tensor, both orientations of each
-pair, plus their symbols when some symbol exceeds 1.  Memory follows the
-number of interactions, not ``T N^2``, and no consumer rebuilds the dense
-tensor: the recovery algorithms read the indices themselves.
+upper-triangle entries (``i < j``) of the symmetric ``T x N x N`` tensor,
+each unordered pair once, as in the file format, plus their symbols when
+some symbol exceeds 1.  Memory follows the number of interactions, not
+``T N^2``, and no consumer rebuilds the dense tensor: the recovery
+algorithms read the indices themselves.
 
 The Markov sampler's work follows the set bits, not the N(N-1)/2 pairs:
 it skips geometric gaps over the pair numbers and thins each hit to its
@@ -65,13 +66,15 @@ class IndexRangeError(SnapshotFormatError):
 @dataclass
 class SnapshotArray:
     """Symmetric ``T x N x N`` interaction tensor with zero diagonal, held
-    as the sorted flat indices ``t*N*N + i*N + j`` of its nonzero entries.
+    as the sorted flat indices ``t*N*N + i*N + j``, ``i < j``, of its
+    nonzero entries.
 
-    Both orientations of each pair are listed, so ``data`` is
-    ``np.flatnonzero`` of the dense tensor that ``from_dense`` takes.
-    Entries are 0/1 bits for temporal graphs; for categorical interactions
-    (where ``T`` is typically 1), ``values`` holds the symbol code of each
-    listed entry, and it is None when every nonzero symbol is 1.
+    Each unordered pair is listed once, by its upper entry, so ``data`` is
+    ``np.flatnonzero(np.triu(x, 1))`` of the dense tensor ``x`` that
+    ``from_dense`` takes.  Entries are 0/1 bits for temporal graphs; for
+    categorical interactions (where ``T`` is typically 1), ``values`` holds
+    the symbol code of each listed entry, and it is None when every nonzero
+    symbol is 1.
     """
 
     data: np.ndarray
@@ -95,26 +98,30 @@ class SnapshotArray:
 
     @classmethod
     def from_dense(cls, x, labels=None):
-        """The sparse form of a ``(T, N, N)`` tensor of non-negative codes."""
+        """The sparse form of a symmetric ``(T, N, N)`` tensor of
+        non-negative codes with zero diagonal."""
         x = np.asarray(x)
         if x.ndim != 3 or x.shape[1] != x.shape[2]:
             raise ValueError("data must have shape (T, N, N)")
         if x.min(initial=0) < 0:
             raise ValueError("symbols must be non-negative")
-        data = np.flatnonzero(x)
+        # only the upper triangle is kept: a lower one that differs would be lost
+        if (x != x.transpose(0, 2, 1)).any() or np.diagonal(x, axis1=1, axis2=2).any():
+            raise ValueError("data must be symmetric with a zero diagonal")
+        data = np.flatnonzero(np.triu(x, 1))
         values = x.reshape(-1)[data] if x.max(initial=0) > 1 else None
         return cls(data, x.shape[1], x.shape[0], values=values, labels=labels)
 
     def snapshot(self, t):
-        """Sorted flat indices ``i*N + j`` of the nonzero entries of snapshot
-        ``t`` (0-based)."""
+        """Sorted flat indices ``i*N + j``, ``i < j``, of the nonzero entries
+        of snapshot ``t`` (0-based)."""
         size = self.N * self.N
         lo, hi = np.searchsorted(self.data, (t * size, (t + 1) * size))
         return self.data[lo:hi] - t * size
 
     def validate(self):
-        """Check index order and range, symmetry and zero diagonal; raises
-        on violation."""
+        """Check index order and range and that each entry is an upper one,
+        ``i < j``; raises on violation."""
         data, size = self.data, self.N * self.N
         if data.size and (data[0] < 0 or data[-1] >= self.T * size):
             raise ValueError("index outside the T x N x N tensor")
@@ -122,17 +129,9 @@ class SnapshotArray:
             raise ValueError("indices must be strictly increasing")
         t, rest = np.divmod(data, size)
         i, j = np.divmod(rest, self.N)
-        if (i == j).any():
-            raise ValueError(f"snapshot {t[np.argmax(i == j)] + 1} has a nonzero diagonal")
-        mirror = t * size + j * self.N + i
-        order = np.argsort(mirror)
-        bad = mirror[order] != data
-        if self.values is not None:
-            bad |= self.values[order] != self.values
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"snapshot {min(data[k], mirror[order][k]) // size + 1} "
-                             "is not symmetric")
+        if (i >= j).any():
+            k = int(np.argmax(i >= j))
+            raise ValueError(f"snapshot {t[k] + 1} lists entry ({i[k]}, {j[k]}), not i < j")
         return self
 
 
@@ -185,8 +184,8 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
 
 
 def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
-    """Flat indices of the set bits of pairs ``lo .. hi - 1`` in all T
-    snapshots, both orientations; ``chains`` is (across, within) blocks.
+    """Flat indices ``t*N*N + i*N + j`` of the set bits of pairs ``lo .. hi
+    - 1`` in all T snapshots; ``chains`` is (across, within) blocks.
 
     Snapshot 0 skips over the pairs at the larger ``mu1`` and thins each hit
     to its class's.  At each later step a pair on stays on with its class's
@@ -216,7 +215,7 @@ def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
         was[hit[fresh]] = True
         kept = np.flatnonzero(keep)
         on = [np.concatenate((x[kept], y[fresh])) for x, y in zip(on, (hit, cls, i, j))]
-        part += [t * N * N + on[2] * N + on[3], t * N * N + on[3] * N + on[2]]
+        part.append(t * N * N + on[2] * N + on[3])
     return np.concatenate(part)
 
 
@@ -254,24 +253,13 @@ def sample_categorical_snapshots(labels, f, g, seed=0):
     N = labels.size
     iu, ju = np.triu_indices(N, k=1)
     same = labels[iu] == labels[ju]
-    u = counter_uniform(seed, iu * N + ju, 0)
+    key = iu * N + ju  # sorted
+    u = counter_uniform(seed, key, 0)
     sym_f, sym_g = (np.searchsorted(np.cumsum(d.probs), u, side="right") for d in (f, g))
     sym = np.minimum(np.where(same, sym_f, sym_g), len(f) - 1).astype(np.int64)
     on = np.flatnonzero(sym)
-    data, values = _both_orientations(iu[on] * N + ju[on], ju[on] * N + iu[on], sym[on])
-    return SnapshotArray(data, N, 1, values=values, labels=labels)
-
-
-def _both_orientations(upper, lower, v):
-    """Sorted flat indices of the entries ``upper`` and of their mirror
-    images ``lower``, and their symbols ``v`` in that order, or None when no
-    symbol exceeds 1."""
-    keys = np.concatenate((upper, lower))
-    if not (v > 1).any():
-        keys.sort()  # in place: freeing an unsorted copy raised the peak RSS of a recovery
-        return keys, None
-    order = np.argsort(keys)
-    return keys[order], np.concatenate((v, v))[order]
+    values = sym[on] if (sym > 1).any() else None
+    return SnapshotArray(key[on], N, 1, values=values, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +290,16 @@ def write_snapshots(path, array):
     """Write an array (and its labels line, if any) in ``tsbm`` format.  Each
     block of indices is decoded alone, its edge lines a uint8 matrix of
     right-aligned digits whose zero padding is dropped; symbols 1 are left out."""
-    N, step = array.N, _BLOCK // 4  # both orientations: _BLOCK / 8 edge lines
+    N, step = array.N, _BLOCK // 8
     with open(path, "w") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
         if array.labels is not None:
             fh.write(_labels_line(array.labels))
         for lo in range(0, array.data.size, step):
             t, rest = np.divmod(array.data[lo:lo + step], N * N)
-            i, j = np.divmod(rest, N)
-            upper = i < j  # sorted indices list the upper entries in (t, i, j) order
-            block = [t[upper] + 1, i[upper], j[upper]]
+            block = [t + 1, *np.divmod(rest, N)]
             if array.values is not None:
-                block.append(array.values[lo:lo + step][upper])
+                block.append(array.values[lo:lo + step])
             parts = [np.full((block[0].size, 1), ord("e"), dtype=np.uint8)]
             for x in block:
                 powers = 10 ** np.arange(len(str(x.max(initial=0))) - 1, -1, -1)
@@ -369,6 +355,7 @@ def read_snapshots(path):
     t, i, j = (c[keep].astype(np.int64, copy=False) for c in (t, i, j))
     key = ((t - 1) * N + i) * N + j  # flat index of the upper entry
     repeated = np.zeros(ok.size, dtype=bool)
+    order = slice(None)
     if (key[1:] <= key[:-1]).any():  # keys strictly increase in files this module writes
         order = np.argsort(key, kind="stable")  # equal keys stay in file order
         repeated[np.flatnonzero(ok)[order[1:]]] = key[order[1:]] == key[order[:-1]]
@@ -376,8 +363,8 @@ def read_snapshots(path):
     if bad.any():
         k = int(np.argmax(bad))
         raise _edge_error(*(int(c[k]) for c in edges), repeated[k], N, T)
-    data, values = _both_orientations(key, key + (j - i) * (N - 1), v.astype(np.int64, copy=False))
-    return SnapshotArray(data, N, T, values=values, labels=labels)
+    values = v[order].astype(np.int64) if (v > 1).any() else None
+    return SnapshotArray(key[order], N, T, values=values, labels=labels)
 
 
 def _parse_line(lineno, raw, header, labels, other):

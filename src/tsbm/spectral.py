@@ -72,10 +72,12 @@ class SpectralConfig:
 def binarize(array, t=None):
     """0/1 uint8 adjacency matrix of a SnapshotArray, marking node pairs with
     any nonzero interaction over all snapshots, or over snapshot ``t`` alone
-    when given; the array's indices are scattered straight into it."""
+    when given; each of the array's upper indices ``i*N + j`` is scattered
+    into it with its mirror ``j*N + i``."""
     n = array.N
     out = np.zeros(n * n, dtype=np.uint8)
-    out[array.data % (n * n) if t is None else array.snapshot(t)] = 1
+    x = array.data % (n * n) if t is None else array.snapshot(t)
+    out[x] = out[x % n * n + x // n] = 1
     return out.reshape(n, n)
 
 

@@ -14,12 +14,13 @@ from tsbm.recovery import LOG_RATIO_SATURATION, _sat_log_ratio, connected_compon
 
 
 def dense_tensor(array):
-    """The ``(T, N, N)`` tensor of a SnapshotArray: uint8 without
-    ``values``, else int64."""
+    """The symmetric ``(T, N, N)`` tensor of a SnapshotArray, its upper
+    entries mirrored: uint8 without ``values``, else int64."""
     dtype = np.uint8 if array.values is None else np.int64
     out = np.zeros(array.T * array.N * array.N, dtype=dtype)
     out[array.data] = 1 if array.values is None else array.values
-    return out.reshape(array.T, array.N, array.N)
+    out = out.reshape(array.T, array.N, array.N)
+    return out | out.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,14 @@ class TestCLI:
         assert rc == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 1 + 4  # header + one trial of four snapshots
+        # --units overrides the file too, even when it names the default
+        cfg.write_text(cfg.read_text().replace("[run]\n", "units = absolute\n[run]\n"))
+        rc = main([
+            "experiment", "--config", str(cfg), "--units", "logn", "--trials", "1",
+            "--deterministic", "--out", str(out),
+        ])
+        assert rc == 0
+        assert "# units = logn" in out.read_text()
 
     def test_replicate_figure_four_bundle(self, tmp_path):
         out_dir = tmp_path / "fig4"

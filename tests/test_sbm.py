@@ -235,8 +235,9 @@ class TestSamplerLaw:
                 assert (x[1:][(x[:-1] == was) & pair] == bool(rate)).all()
 
 
-# sha256 of sample_markov_snapshots(...).data, recorded from the skip
-# sampler in blocks of 2^20 pairs; they pin its draws, not its law
+# sha256 of sample_markov_snapshots(...).data with each index's mirror
+# merged in, recorded from the skip sampler in blocks of 2^20 pairs when the
+# array listed both orientations; they pin its draws, not its law
 _SCALE_DIGESTS = {
     (3000, 10): "74efe5d0f98414ef77e02b7282a260162f1ecf5b771ae5b82fcc07e31e582419",
     (1000, 30): "4438d925b4123b430081faa350347b7f927fa0ff15dda802f308012151da4124",
@@ -258,21 +259,22 @@ class TestChunkedSampler:
     def test_scale_point_digests(self, N, T):
         # 5 blocks and 1 (at N=3000 four start mid-row and the last is
         # short), at sizes the per-pair reference cannot reach
-        digest = hashlib.sha256(_scale_sample(N, T).data.tobytes()).hexdigest()
-        assert digest == _SCALE_DIGESTS[N, T]
+        data = _scale_sample(N, T).data
+        t, rest = np.divmod(data, N * N)
+        both = np.sort(np.concatenate((data, t * N * N + rest % N * N + rest // N)))
+        assert hashlib.sha256(both.tobytes()).hexdigest() == _SCALE_DIGESTS[N, T]
 
     def test_sampler_peak_memory_at_the_figure_6_config(self):
-        # 1.2M set-bit indices (9.6 MB) and their sorted concatenation set a
-        # floor near 19.2 MB.  Decoding the mirror indices after the loop,
-        # not step by step, peaked at 43.5 MB here.
+        # 600k set-bit indices (4.8 MB) and their sorted concatenation set a
+        # floor near 9.6 MB; the sampler peaks at 11.4 MB.
         tracemalloc.start()
         try:
             arr = _scale_sample(1000, 30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert arr.data.size == 1201374
-        assert peak <= 24e6
+        assert arr.data.size == 600687
+        assert peak <= 13e6
 
     def test_blocks_drawn_in_reverse_order_give_the_same_data(self):
         intra, inter = chain_from_stationary(0.3, 0.6), chain_from_stationary(0.1, 0.4)
@@ -547,8 +549,7 @@ def _reference_write_snapshots(path, array, labels=None):
     N = array.N
     t, rest = np.divmod(array.data, N * N)
     i, j = np.divmod(rest, N)
-    upper = i < j
-    rows = zip((t[upper] + 1).tolist(), i[upper].tolist(), j[upper].tolist())
+    rows = zip((t + 1).tolist(), i.tolist(), j.tolist())
     with open(path, "w") as fh:
         fh.write(f"tsbm 1 {N} {array.T}\n")
         if labels is not None:
@@ -558,7 +559,7 @@ def _reference_write_snapshots(path, array, labels=None):
         else:
             fh.write("".join([
                 f"e {a} {b} {c}\n" if v == 1 else f"e {a} {b} {c} {v}\n"
-                for (a, b, c), v in zip(rows, array.values[upper].tolist())
+                for (a, b, c), v in zip(rows, array.values.tolist())
             ]))
 
 
@@ -629,12 +630,11 @@ def _reference_read_snapshots(path):
         k = int(np.argmax(bad))
         raise sbm._edge_error(lines[k], ts[k], iss[k], js[k], vs[k], repeated[k], N, T)
     t, i, j, v = (c.astype(np.int64) for c in (t, i, j, v))
-    keys = np.concatenate(((t - 1) * N * N + i * N + j, (t - 1) * N * N + j * N + i))
+    keys = (t - 1) * N * N + i * N + j
     if not (v > 1).any():
         return SnapshotArray(np.sort(keys), N, T, labels=labels)
     order = np.argsort(keys)
-    data, values = keys[order], np.concatenate((v, v))[order]
-    return SnapshotArray(data, N, T, values=values, labels=labels)
+    return SnapshotArray(keys[order], N, T, values=v[order], labels=labels)
 
 
 _STYLES = ["plain"] * 6 + ["zeros", "plus", "underscore", "arabic", "fullwidth"]
@@ -792,7 +792,7 @@ class TestBulkReaderWriter:
         labels = np.arange(x.shape[1]) % 3 if with_labels else None
         arr = SnapshotArray.from_dense(x, labels=labels)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sbm, "_BLOCK", block)  # 2 and 6 indices per block, or the default
+            mp.setattr(sbm, "_BLOCK", block)  # 1 and 3 edge lines per block, or the default
             write_snapshots(tmp / "a.tsbm", arr)
         _reference_write_snapshots(tmp / "b.tsbm", arr)
         assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
@@ -843,13 +843,13 @@ class TestSnapshotArray:
             SnapshotArray.from_dense(data).validate()
 
     def test_validate_catches_diagonal_order_and_values(self):
-        with pytest.raises(ValueError, match="nonzero diagonal"):
+        with pytest.raises(ValueError, match=r"entry \(1, 1\), not i < j"):
             SnapshotArray(np.array([5]), 4, 1).validate()
         with pytest.raises(ValueError, match="strictly increasing"):
             SnapshotArray(np.array([4, 1]), 4, 1).validate()
         with pytest.raises(ValueError, match="outside"):
             SnapshotArray(np.array([1, 4, 16]), 4, 1).validate()
-        with pytest.raises(ValueError, match="snapshot 1 is not symmetric"):
+        with pytest.raises(ValueError, match=r"snapshot 1 lists entry \(1, 0\), not i < j"):
             SnapshotArray(np.array([1, 4]), 4, 1, values=np.array([2, 3])).validate()
 
     @settings(max_examples=60, deadline=None)
@@ -860,16 +860,21 @@ class TestSnapshotArray:
                elements=st.integers(0, 3)),
     ))
     def test_dense_round_trip(self, x):
+        upper = np.triu(x, 1)
+        if not np.array_equal(x, upper + upper.transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
+                SnapshotArray.from_dense(x)
+            return
         arr = SnapshotArray.from_dense(x)
-        assert np.array_equal(arr.data, np.flatnonzero(x))
+        assert np.array_equal(arr.data, np.flatnonzero(upper))
         assert np.array_equal(dense_tensor(arr), x)
         assert dense_tensor(arr).dtype == (np.int64 if x.max(initial=0) > 1 else np.uint8)
         for t in range(arr.T):
-            assert np.array_equal(arr.snapshot(t), np.flatnonzero(x[t]))
+            assert np.array_equal(arr.snapshot(t), np.flatnonzero(upper[t]))
 
     def test_sampler_matches_the_dense_form(self):
         ch = chain_from_stationary(0.2, 0.6)
         arr = sample_markov_snapshots(sample_labelling(30, 2, seed=1), ch, ch, 4, seed=2)
         arr.validate()
-        assert np.array_equal(arr.data, np.flatnonzero(dense_tensor(arr)))
+        assert np.array_equal(arr.data, np.flatnonzero(np.triu(dense_tensor(arr), 1)))
         assert np.array_equal(SnapshotArray.from_dense(dense_tensor(arr)).data, arr.data)
