@@ -431,17 +431,21 @@ def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
     pi_f, pi_g = _stationary_densities(n, mu1_mult, nu1_mult, "logn")
     _check_persistences(p11_values, q11_values)
     out = np.full((len(p11_values), len(q11_values)), math.inf)
-    for i, p11 in enumerate(p11_values):
-        for jdx, q11 in enumerate(q11_values):
-            try:
-                intra = chain_from_stationary(pi_f, p11)
-                inter = chain_from_stationary(pi_g, q11)
-            except ValueError:
-                continue  # inputs are valid, so this is an infeasible p01
-            ts = t_star(intra, inter, n, k, convention, t_max)
+    inter = [_feasible_chain(pi_g, q11) for q11 in q11_values]
+    for i, f in enumerate(_feasible_chain(pi_f, p11) for p11 in p11_values):
+        for jdx, g in enumerate(inter):
+            ts = None if f is None or g is None else t_star(f, g, n, k, convention, t_max)
             if ts is not None:
                 out[i, jdx] = math.log10(ts)
     return out
+
+
+def _feasible_chain(pi1, p11):
+    """The stationary chain, or None where the implied p01 exceeds 1."""
+    try:
+        return chain_from_stationary(pi1, p11)
+    except ValueError:
+        return None
 
 
 def threshold_grid_csv(grid, p11_values, q11_values):

@@ -1,7 +1,8 @@
 """Binary Markov interaction chains: path-law divergences (exact, by one
 transfer-matrix engine in O(log T), a lazy squaring ladder plus a fold;
 brute-force enumeration; sparse closed forms), threshold constants, one
-search for the snapshot threshold T*, and on-period path combinatorics.
+search for the snapshot threshold T* (its exact form on plain floats, no
+numpy), and on-period path combinatorics.
 """
 
 import math
@@ -102,6 +103,18 @@ def _geometric_weights(alpha, chain_f, chain_g):
     # power of R by its largest entry cannot drown the states that matter
     R = np.where(((r > 0) | (r @ R > 0))[:, None], R, 0.0)
     return r, R, r_inf, R_inf
+
+
+def _half_weights(f, g):
+    """``_geometric_weights(0.5, f, g)``'s ``r`` and ``R`` as plain floats, bit for bit."""
+    sqrt = math.sqrt
+    r = (sqrt(1.0 - f.mu1) * sqrt(1.0 - g.mu1), sqrt(f.mu1) * sqrt(g.mu1))
+    R = [sqrt(1.0 - f.p01) * sqrt(1.0 - g.p01), sqrt(f.p01) * sqrt(g.p01),
+         sqrt(1.0 - f.p11) * sqrt(1.0 - g.p11), sqrt(f.p11) * sqrt(g.p11)]
+    for a in (0, 1):  # the row zeroing of _geometric_weights
+        if not (r[a] > 0 or r[0] * R[a] + r[1] * R[2 + a] > 0):
+            R[2 * a] = R[2 * a + 1] = 0.0
+    return r, R
 
 
 def _squaring_ladder(R):
@@ -421,10 +434,11 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     One search serves both conventions.  From T = 1 it tries spans of 2^k
     snapshots, growing k while each span leaves the threshold uncrossed,
     then shrinking it, and takes every span that leaves it uncrossed.  The
-    exact convention steps its state, two floats, by the rungs of one
-    squaring ladder of the transfer weights (one vector-matrix product per
-    span); the itilde convention evaluates ``i_tilde_short``'s closed form
-    at the span's end.  A search costs O(log T*) rungs and products.
+    exact convention runs on plain floats: its state, two floats, moves by
+    the rungs of the order-1/2 weights' squaring ladder, each rung the last
+    squared as a 2 x 2 matrix and rescaled by its largest entry; the itilde
+    convention evaluates ``i_tilde_short``'s closed form at the span's end.
+    A search costs O(log T*) rungs and four-product spans.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -438,29 +452,31 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
         # built once per search; alpha = 1/2 gives finite weights
-        r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
+        r, R = _half_weights(chain_f, chain_g)
         z0 = z1 = log_scale = 0.0  # r R^(T-1) = (z0, z1) exp(log_scale)
-        ladder, rungs = _squaring_ladder(R), []
+        rungs = [(R, 0.0)]  # (R^(2^k) / c_k, log c_k), as _squaring_ladder
 
         def moves(y0, y1, scale):  # uncrossed at (y0, y1) exp(log_scale + scale)? go there
             nonlocal z0, z1, log_scale
             s = y0 + y1
-            if s == 0.0:
-                return False  # orthogonal supports: threshold met trivially
-            log_total = log_scale + scale + math.log(s)
+            # orthogonal supports (s = 0) sit at distance 1, short of a threshold above 1
+            log_total = log_scale + scale + math.log(s) if s else -math.inf
             if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
                 return False
-            z0, z1, log_scale = y0 / s, y1 / s, log_total
+            z0, z1, log_scale = (y0 / s, y1 / s, log_total) if s else (0.0, 0.0, -math.inf)
             return True
 
-        crossed_at_1 = not moves(*r.tolist(), 0.0)  # disjoint initial laws cross at once
+        crossed_at_1 = not moves(*r, 0.0)
 
         def below(T, k):  # uncrossed at T + 2^k? then the state moves there
-            if k == len(rungs):
-                rung, scale = next(ladder)
-                rungs.append((rung.tolist(), scale))
-            ((a00, a01), (a10, a11)), scale = rungs[k]
-            return moves(z0 * a00 + z1 * a10, z0 * a01 + z1 * a11, scale)
+            if k == len(rungs):  # square the last rung [[a, b], [c, d]]
+                (a, b, c, d), scale = rungs[-1]
+                sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
+                s = max(sq)  # the weights are non-negative
+                rungs.append(([x / s for x in sq], 2 * scale + math.log(s)) if s
+                             else (sq, -math.inf))
+            (a, b, c, d), scale = rungs[k]
+            return moves(z0 * a + z1 * c, z0 * b + z1 * d, scale)
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)

@@ -198,6 +198,23 @@ class TestReports:
                       chain_from_stationary(rho, 0.3), 10, 2)
         assert grid[1, 0] == math.log10(want)
 
+    def test_threshold_grid_infeasible_row_and_column_are_inf(self):
+        # densities 3 and 2.5 log(10)/10 = 0.69 and 0.58: p11 = 0.1 and
+        # q11 = 0.1 imply p01 > 1, so row 0 and column 0 are infeasible
+        p11_values, q11_values = [0.1, 0.9], [0.1, 0.5, 0.9]
+        grid = threshold_grid(10, 2, 3.0, 2.5, p11_values, q11_values)
+        rho = math.log(10) / 10
+        with pytest.raises(ValueError):
+            chain_from_stationary(3.0 * rho, 0.1)
+        with pytest.raises(ValueError):
+            chain_from_stationary(2.5 * rho, 0.1)
+        assert np.isinf(grid[0]).all() and np.isinf(grid[:, 0]).all()
+        for i, p11 in enumerate(p11_values[1:], 1):
+            for j, q11 in enumerate(q11_values[1:], 1):
+                ts = t_star(chain_from_stationary(3.0 * rho, p11),
+                            chain_from_stationary(2.5 * rho, q11), 10, 2)
+                assert grid[i, j] == math.log10(ts)
+
     @pytest.mark.parametrize(
         "args,match",
         [

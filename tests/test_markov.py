@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_reference import t_star_exact
 from tsbm.divergence import FiniteDistribution, renyi
 from tsbm.markov import (
     BinaryMarkovChain,
@@ -26,6 +27,10 @@ from tsbm.markov import (
     sparse_renyi_approx,
     t_star,
 )
+
+
+_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+RAW_CHAIN = st.builds(BinaryMarkovChain, _UNIT, _UNIT, _UNIT)
 
 
 def random_chain(rng, low=0.01, high=0.99):
@@ -524,6 +529,47 @@ class TestTStar:
         off, on = BinaryMarkovChain(0.0, 0.5, 0.5), BinaryMarkovChain(1.0, 0.5, 0.5)
         assert t_star(off, on, 500, 2, "exact") == 1
         assert t_star(on, off, 500, 2, "exact") == 1
+
+    def test_orthogonal_supports_short_of_a_threshold_above_one(self):
+        # at N = 2 and K = 3 the threshold K log(N) / N = 1.04 exceeds every
+        # squared Hellinger distance; the laws of f (alternating) and g
+        # (static) are orthogonal from T = 2, and disjoint initial laws from 1
+        f, g = BinaryMarkovChain(0.5, 1.0, 0.0), BinaryMarkovChain(0.35, 0.0, 1.0)
+        off, on = BinaryMarkovChain(0.0, 0.5, 0.5), BinaryMarkovChain(1.0, 0.5, 0.5)
+        assert markov_hellinger_sq(f, g, 2) == 1.0
+        assert t_star(f, g, 2, 2, "exact") == 2
+        assert t_star(off, on, 2, 2, "exact") == 1
+        for t_max in (2, 1000, 10**6):
+            assert t_star(f, g, 2, 3, "exact", t_max) is None
+            assert t_star(off, on, 2, 3, "exact", t_max) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 10) | st.integers(2, 10**5),  # small N: thresholds near or above 1
+        k=st.integers(2, 5),
+        mults=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+        log_scale=st.floats(-4.0, 0.0),
+        persist=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        raw=st.none() | st.tuples(RAW_CHAIN, RAW_CHAIN),
+        t_max=st.one_of(st.integers(0, 3000), st.just(10**6)),
+    )
+    def test_float_search_matches_numpy_reference(self, n, k, mults, log_scale, persist, raw,
+                                                  t_max):
+        # stationary pairs, or raw chains with edge values 0 and 1; the float
+        # rungs may differ from numpy's (fused multiply-adds in BLAS) in the
+        # last bits, never in T*
+        rho = math.log(n) / n
+        f, g = raw or (chain_from_stationary(min(max(m * rho * 10**log_scale, 1e-300), 0.5), p)
+                       for m, p in zip(mults, persist))
+        assert t_star(f, g, n, k, "exact", t_max) == t_star_exact(f, g, n, k, t_max)
+
+    def test_float_search_matches_numpy_reference_on_edge_chains(self):
+        # every chain with mu1, p01, p11 in {0, 1/2, 1}: rungs with a single
+        # nonzero entry, rows zeroed, laws orthogonal at once or later
+        chains = [BinaryMarkovChain(*x) for x in itertools.product((0.0, 0.5, 1.0), repeat=3)]
+        for f, g in itertools.product(chains, repeat=2):
+            for n, k, t_max in itertools.product((2, 500), (2, 3), (3, 10**6)):
+                assert t_star(f, g, n, k, "exact", t_max) == t_star_exact(f, g, n, k, t_max)
 
     def test_requires_two_blocks(self):
         c = chain_from_stationary(0.02, 0.5)

@@ -6,6 +6,11 @@ engine must reproduce them bit for bit.  The T* grids are pinned by the
 sha1 of their bytes.  A change that moves either on purpose regenerates
 the file with ``python tests/test_markov_pinned.py`` and says why in
 CHANGES.md.
+
+The engine values were recorded with OpenBLAS's FMA kernels (Haswell and
+later cores), whose 2 x 2 products fuse multiply-adds: under
+``OPENBLAS_CORETYPE=Prescott`` (no FMA) all five engine cases fail in the
+last bits, while the 24 T* grid digests still pass.
 """
 
 import hashlib
@@ -19,6 +24,8 @@ import pytest
 from tsbm.harness import threshold_grid
 from tsbm.markov import (
     BinaryMarkovChain,
+    _geometric_weights,
+    _half_weights,
     chain_from_stationary,
     markov_hellinger_sq,
     markov_j_quantity,
@@ -92,6 +99,17 @@ def test_engine_values_bit_identical(name):
     assert blob["horizons"] == list(HORIZONS)
     got = [[_value(name, f, g, T) for T in HORIZONS] for f, g in pairs]
     assert got == blob["values"][name]
+
+
+def test_float_weights_bit_identical():
+    # t_star's plain-float weights against the engine's numpy ones, on the
+    # boundary chains too: zero initial mass, p01 = 0, p11 = 1, disjoint laws
+    for pair in _chain_pairs():
+        for f, g in (pair, pair[::-1]):
+            r, R, *_ = _geometric_weights(0.5, f, g)
+            got_r, got_R = _half_weights(f, g)
+            assert [x.hex() for x in got_r] == [x.hex() for x in r.tolist()]
+            assert [x.hex() for x in got_R] == [x.hex() for x in R.ravel().tolist()]
 
 
 # sha1 of the bytes of threshold_grid(n, 2, mult, 1.5, v, v, convention),
