@@ -23,6 +23,7 @@ validated and sorted as arrays; nothing of the header's size is allocated.
 The writer formats each block of edge lines as one byte matrix of digits.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,7 +115,11 @@ class SnapshotArray:
 
     def snapshot(self, t):
         """Sorted flat indices ``i*N + j``, ``i < j``, of the nonzero entries
-        of snapshot ``t`` (0-based)."""
+        of snapshot ``t`` (0-based).  Raises IndexError unless
+        ``0 <= t < T``, and TypeError for a ``t`` that is not an integer."""
+        t = operator.index(t)
+        if not 0 <= t < self.T:
+            raise IndexError(f"snapshot {t} outside 0..{self.T - 1}")
         size = self.N * self.N
         lo, hi = np.searchsorted(self.data, (t * size, (t + 1) * size))
         return self.data[lo:hi] - t * size

@@ -2,7 +2,10 @@
 ARPACK through scipy's ``eigsh``, and seeded k-means on the eigen embedding.
 
 Used as the coarse initial clustering of the recovery algorithms; also
-accepts weighted symmetric matrices (aggregate graphs and similar).
+accepts weighted symmetric matrices (aggregate graphs and similar).  The
+dense input reaches ARPACK as a CSR matrix built by a scan of blocks of
+rows, so no N x N mask is made, and each Lloyd iteration of k-means takes
+its centres from one weighted ``bincount`` per column.
 """
 
 import inspect
@@ -29,6 +32,9 @@ __all__ = [
 # ARPACK's relative residual tolerance and its cap on Lanczos restarts
 _EIG_TOL = 1e-8
 _EIG_MAX_ITER = 1000
+# entries per block of rows in the dense-to-CSR scan: the block's mask is
+# about 1 MB where a whole-matrix one would take N^2 bytes
+_SCAN_BLOCK = 1 << 20
 # ARPACK asks for a fresh random vector when Lanczos breaks down (few
 # distinct eigenvalues, as on star-like or very small graphs).  scipy versions
 # that draw it in Python take ``rng`` and use OS entropy without it, which
@@ -65,15 +71,17 @@ class SpectralConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("need at least one cluster")
-        if self.trim_factor <= 0:
+        if not self.trim_factor > 0:
             raise ValueError("trim factor must be positive")
+        if self.kmeans_restarts < 1 or self.kmeans_iters < 1:
+            raise ValueError("k-means needs at least one restart and one iteration")
 
 
 def binarize(array, t=None):
     """0/1 uint8 adjacency matrix of a SnapshotArray, marking node pairs with
     any nonzero interaction over all snapshots, or over snapshot ``t`` alone
-    when given; each of the array's upper indices ``i*N + j`` is scattered
-    into it with its mirror ``j*N + i``."""
+    when given (IndexError unless ``0 <= t < T``); each of the array's upper
+    indices ``i*N + j`` is scattered into it with its mirror ``j*N + i``."""
     n = array.N
     out = np.zeros(n * n, dtype=np.uint8)
     x = array.data % (n * n) if t is None else array.snapshot(t)
@@ -100,24 +108,48 @@ def trim_high_degree(adj, K, trim_factor):
     return out, keep
 
 
+def _dense_to_csr(A):
+    """``csr_matrix(A, dtype=np.float64)`` of a dense n x n matrix, with the
+    same ``indptr``, ``indices`` and ``data``: the nonzeros are found block
+    by block of about ``_SCAN_BLOCK`` entries as flat indices ``i*n + j``,
+    and one ``searchsorted`` of the row starts gives ``indptr``."""
+    n = A.shape[0]
+    rows = max(1, _SCAN_BLOCK // n)
+    flat, values = [], []
+    for r in range(0, n, rows):
+        block = A[r:r + rows].reshape(-1)
+        hit = np.flatnonzero(block != 0)
+        flat.append(hit + r * n)
+        values.append(block[hit])
+    flat = np.concatenate(flat)
+    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    data = np.concatenate(values).astype(np.float64)
+    return csr_matrix((data, flat % n, indptr), shape=(n, n))
+
+
 def top_eigenpairs(A, k, rng=None):
     """Top-``k`` eigenpairs of a symmetric matrix by magnitude, largest
     first; pairs of equal magnitude keep ascending value order.
 
-    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form; dense
-    ``eigh`` covers what ARPACK cannot (``k >= n - 1``, an all-zero
-    matrix).  Raises EigenConvergenceError when ARPACK does not converge.
-    ``A`` may have any numeric dtype: only the CSR values are made float64,
-    and a dense float64 copy is made only for the ``eigh`` fallback.
+    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form, which a
+    scan of blocks of rows of about 1 MB builds from the dense ``A``: it
+    equals ``csr_matrix(A, dtype=np.float64)`` without a whole-matrix
+    ``nonzero``.  Dense ``eigh`` covers what ARPACK cannot (``k >= n - 1``,
+    an all-zero matrix).  Raises ValueError unless ``1 <= k <= n``, and
+    EigenConvergenceError when ARPACK does not converge.  ``A`` may have
+    any numeric dtype: only the CSR values are made float64, and a dense
+    float64 copy is made only for the ``eigh`` fallback.
     """
     A = np.asarray(A)
     n = A.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
     rng = rng or np.random.default_rng(0)
     # draw k start vectors though ARPACK takes one: k-means reads this rng
     # next, and seeded outputs rely on it advancing by exactly k * n normals
     v0 = rng.standard_normal((k, n))[0]
-    sparse = csr_matrix(A, dtype=np.float64)
-    if k >= n - 1 or sparse.nnz == 0:
+    sparse = None if k >= n - 1 else _dense_to_csr(A)
+    if sparse is None or sparse.nnz == 0:
         vals, vecs = np.linalg.eigh(np.asarray(A, dtype=np.float64))
     else:
         try:
@@ -146,29 +178,44 @@ def _kmeans_pp_init(X, k, rng):
 
 def kmeans(X, k, restarts=8, iters=100, rng=None):
     """Seeded k-means with ++-style init; best of ``restarts`` by inertia.
-    Empty clusters are reseeded at the point farthest from its center."""
+
+    While every cluster has a point, an iteration's centres are one
+    weighted ``bincount`` per column over the cluster sizes: the row-by-row
+    sums that ``X[labels == c].mean(axis=0)`` makes on two or more columns.
+    Otherwise, and for a single column (whose ``mean`` sums pairwise), each
+    centre is that ``mean``, and an empty cluster is reseeded at the point
+    farthest from its centre.  Raises ValueError unless ``k``, ``restarts``
+    and ``iters`` are at least 1."""
+    if k < 1 or restarts < 1 or iters < 1:
+        raise ValueError("need k, restarts and iters of at least 1")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     rng = rng or np.random.default_rng(0)
     if k == 1:
         return np.zeros(n, dtype=np.int64)
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         centers = _kmeans_pp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(iters):
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
-            mind2 = d2[np.arange(n), new_labels]
-            for c in range(k):
-                mask = new_labels == c
-                if mask.any():
-                    centers[c] = X[mask].mean(axis=0)
-                else:
-                    far = int(np.argmax(mind2))
-                    centers[c] = X[far]
-                    new_labels[far] = c
-                    mind2[far] = 0.0
+            sizes = np.bincount(new_labels, minlength=k)
+            if X.shape[1] > 1 and sizes.all():
+                for d in range(X.shape[1]):
+                    centers[:, d] = np.bincount(new_labels, weights=X[:, d], minlength=k)
+                centers /= sizes[:, None]
+            else:
+                mind2 = d2[np.arange(n), new_labels]
+                for c in range(k):
+                    mask = new_labels == c
+                    if mask.any():
+                        centers[c] = X[mask].mean(axis=0)
+                    else:
+                        far = int(np.argmax(mind2))
+                        centers[c] = X[far]
+                        new_labels[far] = c
+                        mind2[far] = 0.0
             if np.array_equal(new_labels, labels):
                 labels = new_labels
                 break

@@ -872,6 +872,17 @@ class TestSnapshotArray:
         for t in range(arr.T):
             assert np.array_equal(arr.snapshot(t), np.flatnonzero(upper[t]))
 
+    def test_snapshot_index_must_name_a_snapshot(self):
+        data = np.zeros((3, 4, 4), dtype=np.uint8)
+        data[2, 0, 1] = data[2, 1, 0] = 1
+        arr = SnapshotArray.from_dense(data)
+        assert arr.snapshot(np.int64(2)).tolist() == [1]
+        for t in (3, -1):
+            with pytest.raises(IndexError, match=r"snapshot -?\d outside 0\.\.2"):
+                arr.snapshot(t)
+        with pytest.raises(TypeError):
+            arr.snapshot(1.5)
+
     def test_sampler_matches_the_dense_form(self):
         ch = chain_from_stationary(0.2, 0.6)
         arr = sample_markov_snapshots(sample_labelling(30, 2, seed=1), ch, ch, 4, seed=2)

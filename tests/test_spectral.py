@@ -1,7 +1,9 @@
 """Unit tests for the spectral clustering pipeline."""
 
+import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import spectral_reference as spectral_ref
 from tsbm import harness
+from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
 from tsbm.sbm import SnapshotArray, sample_labelling, sample_markov_snapshots
@@ -51,6 +55,38 @@ def _zero_one_graphs(draw):
     return adj
 
 
+@st.composite
+def _dense_matrices(draw):
+    """Square matrices, mostly zero, of the dtypes the spectral inputs
+    take; some all zero, some transposed views that are not C-contiguous."""
+    n = draw(st.integers(1, 30))
+    dtype = draw(st.sampled_from([np.bool_, np.uint8, np.int64, np.float64]))
+    values = {
+        np.bool_: st.booleans(),
+        np.uint8: st.integers(0, 255),
+        np.int64: st.integers(-2**63, 2**63 - 1),
+        np.float64: st.floats(allow_nan=False),
+    }[dtype]
+    zeros = st.sampled_from([0.0, -0.0]) if dtype is np.float64 else st.just(dtype(0))
+    a = draw(arrays(dtype, (n, n), elements=st.one_of(zeros, values)))
+    if draw(st.booleans()):
+        a[:] = 0
+    return a.T if draw(st.booleans()) else a
+
+
+@st.composite
+def _embeddings(draw):
+    """Point sets of 1 to 10 columns, drawn from a pool of at most as many
+    distinct points as rows: they often hold duplicates, and k-means given
+    more clusters than distinct points must reseed empty ones."""
+    n = draw(st.integers(1, 40))
+    dims = draw(st.integers(1, 10))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, n)), dims),
+                       elements=st.floats(-10, 10, allow_nan=False)))
+    rows = draw(arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))
+    return pool[rows]
+
+
 class TestBinarize:
     def test_all_zero(self):
         assert binarize(SnapshotArray.from_dense(np.zeros((3, 5, 5), dtype=np.uint8))).sum() == 0
@@ -62,6 +98,8 @@ class TestBinarize:
         assert adj[0, 1] == 1 and adj[1, 0] == 1
         assert adj.sum() == 2
         assert binarize(SnapshotArray.from_dense(data), t=0).sum() == 0
+        with pytest.raises(IndexError):
+            binarize(SnapshotArray.from_dense(data), t=3)
 
     def test_binarized_density_matches_closed_form(self):
         n, T = 300, 12
@@ -120,6 +158,11 @@ class TestEigensolver:
         assert np.allclose(vals, [19.0, 19.0], atol=1e-7)
         assert abs(float(vecs[:, 0] @ vecs[:, 1])) < 1e-8
 
+    def test_k_outside_one_to_n_rejected(self):
+        for k in (0, 6):
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                top_eigenpairs(np.eye(5), k)
+
     def test_zero_matrix(self):
         vals, _ = top_eigenpairs(np.zeros((7, 7)), 2)
         assert np.allclose(vals, 0.0)
@@ -164,6 +207,30 @@ class TestEigensolver:
             top_eigenpairs(a + a.T, 6)
 
 
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        have, ref = getattr(got, name), getattr(want, name)
+        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes()
+
+
+class TestDenseToCsr:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_dense_matrices(), block=st.integers(1, 100))
+    def test_matches_scipy_conversion(self, a, block):
+        # small blocks, so the scan runs one row per block, several rows
+        # per block, and a last block shorter than the others
+        with mock.patch.object(spectral, "_SCAN_BLOCK", block):
+            got = spectral._dense_to_csr(a)
+        _assert_same_csr(got, spectral_ref.dense_to_csr(a))
+
+    def test_matches_scipy_conversion_at_the_default_block(self):
+        # 953 rows per block at n = 1100, so the second block is short
+        rng = np.random.default_rng(14)
+        a = (rng.random((1100, 1100)) < 0.01).astype(np.uint8)
+        _assert_same_csr(spectral._dense_to_csr(a), spectral_ref.dense_to_csr(a))
+
+
 class TestKMeans:
     def test_separated_clusters(self):
         rng = np.random.default_rng(4)
@@ -176,6 +243,45 @@ class TestKMeans:
         x[3:] = 1.0
         labels = kmeans(x, 3, rng=np.random.default_rng(6))
         assert labels.shape == (6,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), x=_embeddings(), restarts=st.integers(1, 3),
+           iters=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_matches_gather_and_mean_reference(self, data, x, restarts, iters, seed):
+        k = data.draw(st.integers(1, len(x)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels = kmeans(x, k, restarts=restarts, iters=iters, rng=rng)
+        want = spectral_ref.kmeans(x, k, restarts=restarts, iters=iters, rng=ref_rng)
+        assert labels.dtype == want.dtype and np.array_equal(labels, want)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dims", [1, 2, 5])
+    def test_empty_clusters_match_reference(self, dims):
+        # three distinct points and five clusters: every iteration reseeds
+        x = np.repeat(np.arange(3.0)[:, None] * np.ones(dims), [4, 3, 2], axis=0)
+        for seed in range(20):
+            labels = kmeans(x, 5, rng=np.random.default_rng(seed))
+            want = spectral_ref.kmeans(x, 5, rng=np.random.default_rng(seed))
+            assert np.array_equal(labels, want)
+
+    def test_single_column_keeps_pairwise_means(self):
+        # numpy's masked mean sums one column pairwise, a bincount row by
+        # row; on this lattice the last bit of a centre decides a tie, and
+        # bincount centres give other labels than the reference
+        x = np.array([5, 1, 4, 9, 7, 3, 7, 3, 6, 10, 4, 9, 7, 0])[:, None] * 0.1
+        want = spectral_ref.kmeans(x, 2, restarts=1, rng=np.random.default_rng(610937920))
+        labels = kmeans(x, 2, restarts=1, rng=np.random.default_rng(610937920))
+        assert np.array_equal(labels, want)
+        sizes = np.bincount(want, minlength=2)
+        sums = np.bincount(want, weights=x[:, 0], minlength=2) / sizes
+        means = np.array([x[want == c].mean(axis=0)[0] for c in range(2)])
+        assert (sums != means).any()
+
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(k=2, iters=0), dict(k=2, restarts=0),
+                                        dict(k=1, restarts=-1)])
+    def test_counts_below_one_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="at least 1"):
+            kmeans(np.zeros((4, 2)), **kwargs)
 
 
 class TestTrim:
@@ -237,6 +343,23 @@ class TestInputDtype:
             tracemalloc.stop()
         assert labels.shape == (n,)
         assert peak < n * n
+
+
+class TestSpectralConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(K=0), dict(K=2, trim_factor=0.0), dict(K=2, trim_factor=-1.0),
+        dict(K=2, trim_factor=math.nan), dict(K=2, kmeans_iters=0),
+        dict(K=2, kmeans_restarts=0),
+    ])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SpectralConfig(**kwargs)
+
+    def test_infinite_trim_factor_never_trims(self):
+        adj = np.zeros((50, 50), dtype=np.uint8)
+        adj[0, 1:] = adj[1:, 0] = 1
+        _, keep = trim_high_degree(adj, 1, SpectralConfig(K=1, trim_factor=math.inf).trim_factor)
+        assert keep.all()
 
 
 class TestSpectralCluster:
@@ -325,3 +448,28 @@ class TestLeaveOneOut:
     def test_more_clusters_than_minor_nodes_rejected(self):
         with pytest.raises(ValueError, match="need 1 <= K <= N"):
             leave_one_out_cluster(np.zeros((3, 3)), 0, SpectralConfig(K=3))
+
+
+# sha256 of the int64 labels of the online algorithms' spectral start on
+# snapshot 0, recorded before its CSR scan and k-means centres were
+# rewritten: seeded output must not move
+_START_DIGESTS = {
+    (3000, 1): "c2961cd6bdde124cd818c9adcfa8584aad9dcad9690b4d76954b7ad11bd6d5fa",
+    (3000, 2): "2ed194fdcd1ce3076c7582c3e00207bb0f28701d8d69950b76c42036fe66b94b",
+    (1000, 1): "d1fa806b39cc40975a1be3a6ffc8f4f7d67a163e5c19f5b919dbed9f5d34c5ae",
+    (1000, 2): "047d2458a20169ed7502a9923385c489c18265159f1806f2d5853dc49275f9cf",
+}
+
+
+@pytest.mark.parametrize("N, seed", sorted(_START_DIGESTS))
+def test_spectral_start_digests(N, seed):
+    # the scale-pipeline chain at N = 3000 and the figure-6 chain at
+    # N = 1000, seeded as `tsbm generate` and `run_trial` seed them
+    if N == 3000:
+        intra, inter = harness.chains_in_units(3000, 3.0, 1.5, 0.7, 0.3)
+    else:
+        intra, inter = harness.chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, "absolute")
+    truth = sample_labelling(N, 2, seed=derive_seed(seed, 1))
+    arr = sample_markov_snapshots(truth, intra, inter, 1, seed=derive_seed(seed, 2))
+    labels = spectral_cluster(binarize(arr, t=0), SpectralConfig(K=2, seed=derive_seed(seed, 4)))
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == _START_DIGESTS[N, seed]
