@@ -27,6 +27,7 @@ from .sbm import (
     write_labels,
     write_snapshots,
 )
+from .spectral import EigenConvergenceError
 
 # unused here, but bench/tracing.py wraps them on this module, so they stay importable
 from .recovery import refine_recover  # noqa: F401
@@ -278,7 +279,7 @@ def main(argv=None):
         if args.command == "replicate-figure":
             return _cmd_replicate_figure(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

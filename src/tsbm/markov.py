@@ -1,8 +1,8 @@
-"""Binary Markov interaction chains: path-law divergences (exact, by one
-transfer-matrix engine in O(log T), a lazy squaring ladder plus a fold;
-brute-force enumeration; sparse closed forms), threshold constants, one
-search for the snapshot threshold T* (its exact form on plain floats, no
-numpy), and on-period path combinatorics.
+"""Binary Markov interaction chains: path-law divergences (exact, in
+O(log T) by one transfer-matrix engine on plain floats, a walk by the rungs
+of a lazily squared ladder that the T* search shares; brute-force
+enumeration; sparse closed forms), threshold constants, one search for the
+snapshot threshold T*, and on-period path combinatorics.
 """
 
 import math
@@ -86,92 +86,115 @@ def chain_from_stationary(pi1, p11):
 # ---------------------------------------------------------------------------
 
 
+def _law(chain):
+    """``(mu_0, mu_1, P_00, P_01, P_10, P_11)`` of a chain, as plain floats."""
+    return (1.0 - chain.mu1, chain.mu1, 1.0 - chain.p01, chain.p01, 1.0 - chain.p11, chain.p11)
+
+
 def _geometric_weights(alpha, chain_f, chain_g):
-    """Initial weights ``r_b`` and transfer matrix ``R_ab`` of elementwise
-    weighted geometric means.  For ``alpha > 1`` an entry with positive
-    numerator over a zero denominator is flagged as infinite."""
-    mu, nu = chain_f.mu, chain_g.mu
-    P, Q = chain_f.transition, chain_g.transition
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(mu > 0, mu**alpha * nu ** (1.0 - alpha), 0.0)
-        R = np.where(P > 0, P**alpha * Q ** (1.0 - alpha), 0.0)
-    r_inf = (mu > 0) & (nu == 0) if alpha > 1 else np.zeros(2, dtype=bool)
-    R_inf = (P > 0) & (Q == 0) if alpha > 1 else np.zeros((2, 2), dtype=bool)
-    r = np.where(r_inf, 0.0, r)
-    R = np.where(R_inf, 0.0, R)
+    """Initial weights ``r`` and transfer matrix ``R = [R00, R01, R10, R11]``
+    of elementwise geometric means ``x^alpha y^(1-alpha)``, and the flags of
+    these six entries that are infinite (alpha > 1, x > 0 = y; weighted 0)."""
+    if alpha == 0.5:  # math.sqrt, as numpy's power takes; x ** 0.5 can round otherwise
+        sqrt, f, g = math.sqrt, chain_f, chain_g
+        w = [sqrt(1.0 - f.mu1) * sqrt(1.0 - g.mu1), sqrt(f.mu1) * sqrt(g.mu1),
+             sqrt(1.0 - f.p01) * sqrt(1.0 - g.p01), sqrt(f.p01) * sqrt(g.p01),
+             sqrt(1.0 - f.p11) * sqrt(1.0 - g.p11), sqrt(f.p11) * sqrt(g.p11)]
+        inf = (False,) * 6
+    else:
+        pairs = list(zip(_law(chain_f), _law(chain_g)))
+        w = [x**alpha * y ** (1.0 - alpha) if x > 0 and y > 0 else 0.0 for x, y in pairs]
+        inf = [alpha > 1 and x > 0 and y == 0 for x, y in pairs]
+    r, R = w[:2], w[2:]
     # zero the rows of states no weighted path visits, so that rescaling a
     # power of R by its largest entry cannot drown the states that matter
-    R = np.where(((r > 0) | (r @ R > 0))[:, None], R, 0.0)
-    return r, R, r_inf, R_inf
-
-
-def _half_weights(f, g):
-    """``_geometric_weights(0.5, f, g)``'s ``r`` and ``R`` as plain floats, bit for bit."""
-    sqrt = math.sqrt
-    r = (sqrt(1.0 - f.mu1) * sqrt(1.0 - g.mu1), sqrt(f.mu1) * sqrt(g.mu1))
-    R = [sqrt(1.0 - f.p01) * sqrt(1.0 - g.p01), sqrt(f.p01) * sqrt(g.p01),
-         sqrt(1.0 - f.p11) * sqrt(1.0 - g.p11), sqrt(f.p11) * sqrt(g.p11)]
-    for a in (0, 1):  # the row zeroing of _geometric_weights
+    for a in (0, 1):
         if not (r[a] > 0 or r[0] * R[a] + r[1] * R[2 + a] > 0):
             R[2 * a] = R[2 * a + 1] = 0.0
-    return r, R
+    return r, R, inf
 
 
-def _squaring_ladder(R):
-    """The rungs ``(R^(2^k) / c_k, log c_k)`` for k = 0, 1, ..., made lazily:
-    rung 0 is ``R`` itself, each later rung the square of the one before,
-    rescaled by its largest absolute entry.  After a rung vanishes, every
-    later rung is zero with scale -inf."""
-    base, scale = R, 0.0
-    while True:
-        yield base, scale
-        base = base @ base
-        s = np.abs(base).max()
-        base, scale = (base / s, 2 * scale + math.log(s)) if s else (base, -math.inf)
+class _Jet(tuple):
+    """``a + b e + c e^2 / 2`` with ``e^3 = 0``, held as ``(a, b, c)``: a path
+    weight with the first and second moments of the log ratio it carries.
+    Jets multiply as ``(aa', ab' + ba', ac' + 2bb' + ca')``, so a 2 x 2
+    matrix of jets is J's block transfer matrix ``[[A, B, C], [0, A, 2B],
+    [0, 0, A]]`` entry by entry.  A jet scales, tests and logs by its weight."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Jet(x + y for x, y in zip(self, other))
+
+    def __mul__(self, other):
+        (a, b, c), (x, y, z) = self, other
+        return _Jet((a * x, a * y + b * x, a * z + 2.0 * b * y + c * x))
+
+    def __truediv__(self, other):
+        return _Jet(x / other[0] for x in self)
+
+    def __float__(self):
+        return self[0]
+
+    def __bool__(self):
+        return self[0] != 0.0
+
+
+def _walk(r, R, threshold=math.inf):
+    """A walk along the row ``r R^(T-1)`` (floats or ``_Jet``s) from T = 1:
+    ``state = [z, log Z]``, ``r R^(T-1) = z Z`` with ``z`` summing to one (or
+    zero, log Z = -inf), and ``move(k)``, which takes T to T + 2^k by rung k,
+    ``R^(2^k)`` rescaled by its largest entry, unless 1 - Z would reach
+    ``threshold`` (T*'s test), and says whether it moved.  Rungs are squared
+    as needed and kept; after one vanishes, the rest are zero, scale -inf."""
+    rungs = [(R, 0.0)]
+    s = r[0] + r[1]
+    state = [(r[0] / s, r[1] / s), math.log(s)] if s else [(r[0], r[1]), -math.inf]
+
+    def move(k):
+        while len(rungs) <= k:  # square the last rung [[a, b], [c, d]]
+            (a, b, c, d), scale = rungs[-1]
+            sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
+            s = max(sq)  # the weights are non-negative
+            rungs.append(([x / s for x in sq], 2 * scale + math.log(s)) if s else (sq, -math.inf))
+        (a, b, c, d), scale = rungs[k]
+        (z0, z1), log_scale = state
+        y0, y1 = z0 * a + z1 * c, z0 * b + z1 * d
+        s = y0 + y1
+        log_total = log_scale + scale + math.log(s) if s else -math.inf
+        if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
+            return False
+        state[:] = ((y0 / s, y1 / s) if s else (y0, y1)), log_total
+        return True
+
+    return state, move
 
 
 def _log_path_sum(r, R, T):
-    """``r R^(T-1)`` as ``(z, log_scale)`` with ``r R^(T-1) = z exp(log_scale)``:
-    a fold over the squaring ladder's rungs that the bits of ``T - 1``
-    select, in O(log T) products.  Every product is rescaled by its largest
-    absolute entry; ``z`` is zero when the product vanishes."""
+    """``r R^(T-1)`` as ``_walk``'s state ``[z, log Z]``, by the rungs that
+    the bits of ``T - 1`` select: O(log T) products."""
     if T < 1:
         raise ValueError("need at least one snapshot")
-    acc, acc_scale = np.eye(len(R)), 0.0
-    for k, (rung, scale) in zip(range((T - 1).bit_length()), _squaring_ladder(R)):
+    state, move = _walk(r, R)
+    for k in range((T - 1).bit_length()):
         if (T - 1) >> k & 1:
-            acc = acc @ rung
-            acc_scale += scale
-            s = np.abs(acc).max()
-            if s == 0.0:
-                return np.zeros_like(r), -math.inf
-            acc_scale += math.log(s)
-            acc /= s
-    return r @ acc, acc_scale
-
-
-def _log_total(r, R, T):
-    """log of ``r R^(T-1) 1`` for non-negative weights; -inf when it vanishes."""
-    z, log_scale = _log_path_sum(r, R, T)
-    total = z.sum()
-    return log_scale + math.log(total) if total > 0 else -math.inf
+            move(k)
+    return state
 
 
 def _log_hellinger_sum(alpha, chain_f, chain_g, T):
     """log of ``Z = sum over paths of f^alpha g^(1-alpha)``: -inf on
     orthogonal supports, +inf when a path of positive f-mass meets g = 0.
-
-    The rows of a transition matrix sum to one, so every path f can reach
-    extends to any length: Z is infinite exactly when a state f reaches
-    within T - 1 steps leaves by an infinite entry.  The sets of states a
-    two-state chain reaches repeat within three steps.
-    """
-    r, R, r_inf, R_inf = _geometric_weights(alpha, chain_f, chain_g)
-    log_z = _log_total(r, R, T)
-    reach, hit = (r > 0) | r_inf, r_inf.any()
+    Every path f can reach extends to any length, so Z is infinite exactly
+    when a state f reaches within T - 1 steps leaves by an infinite entry;
+    the sets of states a two-state chain reaches repeat within three steps."""
+    r, R, inf = _geometric_weights(alpha, chain_f, chain_g)
+    log_z = _log_path_sum(r, R, T)[1]
+    edge = [x > 0 or i for x, i in zip(r + R, inf)]  # the entries a path may take
+    reach, hit = edge[:2], any(inf[:2])
     for _ in range(min(T - 1, 3)):
-        hit = hit or (reach[:, None] & R_inf).any()
-        reach = (reach[:, None] & ((R > 0) | R_inf)).any(axis=0)
+        hit = hit or any(reach[a >> 1] and inf[2 + a] for a in range(4))
+        reach = [reach[0] and edge[2 + b] or reach[1] and edge[4 + b] for b in (0, 1)]
     return math.inf if hit else log_z
 
 
@@ -183,7 +206,7 @@ def markov_renyi_exact(alpha, chain_f, chain_g, T):
     log_z = _log_hellinger_sum(alpha, chain_f, chain_g, T)
     if math.isinf(log_z):
         return math.inf  # orthogonal supports, or (alpha > 1) g = 0 under f
-    return max(log_z / (alpha - 1.0), 0.0)
+    return max(0.0, log_z / (alpha - 1.0))  # 0.0 first: max(-0.0, 0.0) is -0.0
 
 
 def markov_renyi_brute(alpha, chain_f, chain_g, T):
@@ -210,7 +233,7 @@ def markov_renyi_brute(alpha, chain_f, chain_g, T):
     if not finite.any():
         return math.inf
     log_z = logsumexp(log_terms[finite])
-    return max(log_z / (alpha - 1.0), 0.0)
+    return max(0.0, log_z / (alpha - 1.0))
 
 
 def markov_hellinger_sq(chain_f, chain_g, T):
@@ -219,37 +242,23 @@ def markov_hellinger_sq(chain_f, chain_g, T):
     return max(1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T)), 0.0)
 
 
-def _log_ratio(p, q):
-    """``log(p / q)``; for close ``p`` and ``q``, ``log1p`` of their exact
-    difference over ``q``, where ``log p - log q`` would cancel."""
-    return np.where(np.abs(p - q) < q / 2, np.log1p((p - q) / q), np.log(p / q))
-
-
 def markov_j_quantity(chain_f, chain_g, T):
     """Second moment of the path log-likelihood ratio under the normalised
-    geometric-mean path weights, in O(log T).
-
-    The log ratio ``L`` is additive over steps, so the weights and their
-    first and second moments ``(a, b, c)`` advance together by the block
-    transfer matrix ``[[R, R L, R L^2], [0, R, 2 R L], [0, 0, R]]``.
-    """
-    r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
-    mu, nu = chain_f.mu, chain_g.mu
-    P, Q = chain_f.transition, chain_g.transition
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l_init = np.where(r > 0, _log_ratio(mu, nu), 0.0)
-        l_step = np.where(R > 0, _log_ratio(P, Q), 0.0)
-    zero = np.zeros((2, 2))
-    M = np.block([
-        [R, R * l_step, R * l_step**2],
-        [zero, R, 2.0 * R * l_step],
-        [zero, zero, R],
-    ])
-    z, _ = _log_path_sum(np.concatenate([r, r * l_init, r * l_init**2]), M, T)
-    a = z[:2].sum()
+    geometric-mean path weights, in O(log T): ``L`` is additive over steps,
+    so the weights and their first and second moments advance together by
+    ``[[R, R L, R L^2], [0, R, 2 R L], [0, 0, R]]``, which is ``R`` with
+    ``_Jet`` entries."""
+    r, R, _ = _geometric_weights(0.5, chain_f, chain_g)
+    jets = []
+    for w, p, q in zip(r + R, _law(chain_f), _law(chain_g)):
+        # log(p / q); for close p and q, log1p of their exact difference over q
+        l = (math.log1p((p - q) / q) if abs(p - q) < q / 2 else math.log(p / q)) if w else 0.0
+        jets.append(_Jet((w, w * l, w * l * l)))
+    (z0, z1), _ = _log_path_sum(jets[:2], jets[2:], T)
+    a, _, c = z0 + z1
     if a == 0.0:
         raise ValueError("orthogonal path laws: weights vanished")
-    return float(z[4:].sum() / a)
+    return c / a
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +443,12 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     One search serves both conventions.  From T = 1 it tries spans of 2^k
     snapshots, growing k while each span leaves the threshold uncrossed,
     then shrinking it, and takes every span that leaves it uncrossed.  The
-    exact convention runs on plain floats: its state, two floats, moves by
-    the rungs of the order-1/2 weights' squaring ladder, each rung the last
-    squared as a 2 x 2 matrix and rescaled by its largest entry; the itilde
-    convention evaluates ``i_tilde_short``'s closed form at the span's end.
-    A search costs O(log T*) rungs and four-product spans.
+    exact convention is the path-sum engine's ``_walk`` on the order-1/2
+    weights: its state, two floats, moves by the rungs of their squaring
+    ladder, each rung the last squared as a 2 x 2 matrix and rescaled by its
+    largest entry; the itilde convention evaluates ``i_tilde_short``'s
+    closed form at the span's end.  A search costs O(log T*) rungs and
+    four-product moves.
     """
     if K < 2:
         raise ValueError("need at least two blocks")
@@ -451,32 +461,11 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
 
     if convention is ThresholdConvention.EXACT:
         threshold = K * rho
-        # built once per search; alpha = 1/2 gives finite weights
-        r, R = _half_weights(chain_f, chain_g)
-        z0 = z1 = log_scale = 0.0  # r R^(T-1) = (z0, z1) exp(log_scale)
-        rungs = [(R, 0.0)]  # (R^(2^k) / c_k, log c_k), as _squaring_ladder
-
-        def moves(y0, y1, scale):  # uncrossed at (y0, y1) exp(log_scale + scale)? go there
-            nonlocal z0, z1, log_scale
-            s = y0 + y1
-            # orthogonal supports (s = 0) sit at distance 1, short of a threshold above 1
-            log_total = log_scale + scale + math.log(s) if s else -math.inf
-            if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
-                return False
-            z0, z1, log_scale = (y0 / s, y1 / s, log_total) if s else (0.0, 0.0, -math.inf)
-            return True
-
-        crossed_at_1 = not moves(*r, 0.0)
-
-        def below(T, k):  # uncrossed at T + 2^k? then the state moves there
-            if k == len(rungs):  # square the last rung [[a, b], [c, d]]
-                (a, b, c, d), scale = rungs[-1]
-                sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
-                s = max(sq)  # the weights are non-negative
-                rungs.append(([x / s for x in sq], 2 * scale + math.log(s)) if s
-                             else (sq, -math.inf))
-            (a, b, c, d), scale = rungs[k]
-            return moves(z0 * a + z1 * c, z0 * b + z1 * d, scale)
+        r, R, _ = _geometric_weights(0.5, chain_f, chain_g)  # finite at alpha = 1/2
+        # below(k): uncrossed at T + 2^k? then the walk moves there; orthogonal
+        # supports (log Z = -inf) sit at 1 - Z = 1, short of a threshold above 1
+        state, below = _walk(r, R, threshold)
+        crossed_at_1 = 1.0 - math.exp(min(state[1], 0.0)) >= threshold
     else:
         threshold = float(K)
         args = _i_tilde_args(chain_f, chain_g, rho)
@@ -488,7 +477,7 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
 
         crossed_at_1 = crossed(1)
 
-        def below(T, k):
+        def below(k):  # reads the search's T, set below
             return not crossed(T + (1 << k))
 
     if t_max < 1:
@@ -500,12 +489,12 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     # length-(T+1) one, and an itilde step adds per + transient_coef
     # (1-gamma)^(T-1) >= 2 h11^2 sqrt(p01 q01) (1 - (1-gamma)^(T-1)) >= 0
     T, k = 1, 0  # T is known not crossed; the next span tried is 2^k
-    while T + (1 << k) <= t_max and below(T, k):
+    while T + (1 << k) <= t_max and below(k):
         T += 1 << k
         k += 1
     # the last uncrossed T <= t_max is now below T + 2^k: add its bits
     for k in reversed(range(k)):
-        if T + (1 << k) <= t_max and below(T, k):
+        if T + (1 << k) <= t_max and below(k):
             T += 1 << k
     return T + 1 if T < t_max else None
 

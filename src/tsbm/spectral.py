@@ -53,6 +53,9 @@ class EigenConvergenceError(RuntimeError):
             f"(residual {residual:.3e})"
         )
 
+    def __reduce__(self):  # rebuilt from its fields, as a worker process sends it back
+        return type(self), (self.iterations, self.residual)
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
@@ -90,16 +93,17 @@ def binarize(array, t=None):
 
 
 def trim_high_degree(adj, K, trim_factor):
-    """Zero out rows/columns of nodes whose degree exceeds the threshold
-    ``trim_factor * K * mean_degree``.  Returns (matrix, kept_mask); the
-    matrix keeps the input's dtype and is the input itself when no node is
-    trimmed, so a 0/1 uint8 matrix never becomes an N x N float array."""
+    """Zero out rows/columns of nodes whose degree exceeds ``trim_factor * K
+    * mean_degree`` (none for an infinite factor).  Returns (matrix, kept_mask);
+    the matrix keeps the input's dtype and is the input itself when no node
+    is trimmed, so a 0/1 uint8 matrix never becomes an N x N float array."""
     a = np.asarray(adj)
+    if trim_factor == math.inf:  # where the mean degree is 0, inf * 0 would be NaN
+        return a, np.ones(a.shape[0], dtype=bool)
     # degrees are float64 sums either way; only signed entries need abs
     deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
         axis=1, dtype=np.float64)
-    threshold = trim_factor * K * deg.mean()
-    keep = deg <= threshold
+    keep = deg <= trim_factor * K * deg.mean()
     if keep.all():
         return a, keep
     out = a.copy()

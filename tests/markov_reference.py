@@ -1,25 +1,58 @@
-"""The exact T* search on numpy arrays, as the library once ran it.
+"""The path-sum engine on numpy arrays, as the library once ran it: an
+independent reference for the library's plain-float engine.
 
-``t_star`` runs its exact search on plain floats: the order-1/2 weights
-come from ``math.sqrt`` and each rung of the squaring ladder is a 4-float
-squaring.  The reference here builds the same weights with
-``_geometric_weights`` and the rungs with ``_squaring_ladder``, both on
-2 x 2 numpy arrays, and walks them by the same galloping search; the tests
-require both to give the same T*.
+``geometric_weights`` and ``squaring_ladder`` are the numpy weights and
+squaring ladder that ``tsbm.markov`` used before its engine moved to plain
+floats; ``t_star_exact`` walks those rungs by ``t_star``'s galloping search.
+The tests require the library's float weights to match these (bit for bit
+at order 1/2, within a few ulps elsewhere) and both searches to give the
+same T*.
 """
 
 import math
 
-from tsbm.markov import _geometric_weights, _squaring_ladder
+import numpy as np
+
+
+def geometric_weights(alpha, chain_f, chain_g):
+    """Initial weights ``r_b`` and transfer matrix ``R_ab`` of elementwise
+    weighted geometric means, with the masks of infinite entries.  For
+    ``alpha > 1`` an entry with positive numerator over a zero denominator
+    is flagged as infinite and its weight zeroed."""
+    mu, nu = chain_f.mu, chain_g.mu
+    P, Q = chain_f.transition, chain_g.transition
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(mu > 0, mu**alpha * nu ** (1.0 - alpha), 0.0)
+        R = np.where(P > 0, P**alpha * Q ** (1.0 - alpha), 0.0)
+    r_inf = (mu > 0) & (nu == 0) if alpha > 1 else np.zeros(2, dtype=bool)
+    R_inf = (P > 0) & (Q == 0) if alpha > 1 else np.zeros((2, 2), dtype=bool)
+    r = np.where(r_inf, 0.0, r)
+    R = np.where(R_inf, 0.0, R)
+    # zero the rows of states no weighted path visits
+    R = np.where(((r > 0) | (r @ R > 0))[:, None], R, 0.0)
+    return r, R, r_inf, R_inf
+
+
+def squaring_ladder(R):
+    """The rungs ``(R^(2^k) / c_k, log c_k)`` for k = 0, 1, ..., made lazily:
+    rung 0 is ``R`` itself, each later rung the square of the one before,
+    rescaled by its largest absolute entry.  After a rung vanishes, every
+    later rung is zero with scale -inf."""
+    base, scale = R, 0.0
+    while True:
+        yield base, scale
+        base = base @ base
+        s = np.abs(base).max()
+        base, scale = (base / s, 2 * scale + math.log(s)) if s else (base, -math.inf)
 
 
 def t_star_exact(chain_f, chain_g, N, K, t_max=10**6):
     """``t_star(chain_f, chain_g, N, K, "exact", t_max)`` on numpy weights
     and rungs."""
     threshold = K * math.log(N) / N
-    r, R, *_ = _geometric_weights(0.5, chain_f, chain_g)
+    r, R, *_ = geometric_weights(0.5, chain_f, chain_g)
     state = [0.0, 0.0, 0.0]  # r R^(T-1) = (z0, z1) exp(log_scale)
-    ladder, rungs = _squaring_ladder(R), []
+    ladder, rungs = squaring_ladder(R), []
 
     def moves(y0, y1, scale):  # uncrossed at (y0, y1) exp(log_scale + scale)? go there
         s = y0 + y1

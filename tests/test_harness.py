@@ -9,9 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import tsbm
-from tsbm import harness
+from tsbm import harness, spectral
 from tsbm.cli import main
 from tsbm.harness import (
     ExperimentConfig,
@@ -335,6 +336,20 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["recover", "--input", str(out), "--algorithm", "online"])
         assert exc.value.code == 2
+
+    def test_eigensolver_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "d.tsbm"
+        assert main(["generate", "--n", "40", "--k", "2", "--t", "3", "--mu1", "5",
+                     "--nu1", "1", "--p11", "0.7", "--q11", "0.3", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((40, 0)))
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        assert main(["recover", "--input", str(out), "--algorithm", "spectral", "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigensolver did not converge") and err.count("\n") == 1
 
     @pytest.mark.parametrize("algorithm", ["online", "rates"])
     def test_recover_categorical_params_cannot_drive_chains(self, tmp_path, capsys, algorithm):

@@ -125,6 +125,16 @@ class TestExactDivergence:
         for T in (1, 5, 40):
             assert markov_renyi_exact(0.5, c, c, T) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+    def test_identical_chains_never_negative_zero(self, alpha):
+        # log Z of equal chains is often exactly 0, and 0 / (alpha - 1) is
+        # -0.0 for alpha < 1: the divergence must still print as 0, not -0
+        for c in (BinaryMarkovChain(0.3, 0.2, 0.6), BinaryMarkovChain(0.5, 0.5, 0.5),
+                  BinaryMarkovChain(0.0, 0.3, 0.6)):
+            for T in (1, 2, 1000):
+                got = markov_renyi_exact(alpha, c, c, T)
+                assert math.copysign(1.0, got) == 1.0 and got < 1e-9, (c, T, got)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(40):

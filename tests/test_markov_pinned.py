@@ -7,25 +7,26 @@ sha1 of their bytes.  A change that moves either on purpose regenerates
 the file with ``python tests/test_markov_pinned.py`` and says why in
 CHANGES.md.
 
-The engine values were recorded with OpenBLAS's FMA kernels (Haswell and
-later cores), whose 2 x 2 products fuse multiply-adds: under
-``OPENBLAS_CORETYPE=Prescott`` (no FMA) all five engine cases fail in the
-last bits, while the 24 T* grid digests still pass.
+The engine runs on plain Python floats, so the values do not depend on the
+BLAS kernel numpy loads; a test reruns the engine cases under OpenBLAS's
+``OPENBLAS_CORETYPE=Prescott`` kernels (no fused multiply-adds) to keep it so.
 """
 
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from markov_reference import geometric_weights
 from tsbm.harness import threshold_grid
 from tsbm.markov import (
     BinaryMarkovChain,
     _geometric_weights,
-    _half_weights,
     chain_from_stationary,
     markov_hellinger_sq,
     markov_j_quantity,
@@ -101,15 +102,40 @@ def test_engine_values_bit_identical(name):
     assert got == blob["values"][name]
 
 
-def test_float_weights_bit_identical():
-    # t_star's plain-float weights against the engine's numpy ones, on the
-    # boundary chains too: zero initial mass, p01 = 0, p11 = 1, disjoint laws
+def _uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _uses_openblas(), reason="numpy does not use OpenBLAS")
+def test_engine_values_without_fma_kernels():
+    # the pins hold on OpenBLAS's Prescott kernels, whose products do not
+    # fuse multiply-adds: no path sum goes through the BLAS
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    here = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::test_engine_values_bit_identical"],
+        cwd=os.path.dirname(here), env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("alpha,ulps", [(0.5, 0), (0.3, 4), (1.5, 4)])
+def test_float_weights_match_numpy_reference(alpha, ulps):
+    # the float weights against numpy's, on the boundary chains too: zero
+    # initial mass, p01 = 0, p11 = 1, disjoint laws.  At order 1/2 both take
+    # square roots, bit for bit; elsewhere numpy's power may round otherwise
     for pair in _chain_pairs():
         for f, g in (pair, pair[::-1]):
-            r, R, *_ = _geometric_weights(0.5, f, g)
-            got_r, got_R = _half_weights(f, g)
-            assert [x.hex() for x in got_r] == [x.hex() for x in r.tolist()]
-            assert [x.hex() for x in got_R] == [x.hex() for x in R.ravel().tolist()]
+            r, R, inf = _geometric_weights(alpha, f, g)
+            want_r, want_R, r_inf, R_inf = geometric_weights(alpha, f, g)
+            for got, want in zip(r + R, want_r.tolist() + want_R.ravel().tolist()):
+                assert (got.hex() == want.hex() if ulps == 0
+                        else abs(got - want) <= ulps * math.ulp(want)), (f, g, got, want)
+            assert list(inf) == r_inf.tolist() + R_inf.ravel().tolist()
 
 
 # sha1 of the bytes of threshold_grid(n, 2, mult, 1.5, v, v, convention),

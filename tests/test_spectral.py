@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -206,6 +208,12 @@ class TestEigensolver:
         with pytest.raises(EigenConvergenceError):
             top_eigenpairs(a + a.T, 6)
 
+    def test_convergence_error_survives_pickling(self):
+        # experiment --jobs sends a worker's exception back to the parent pickled
+        want = EigenConvergenceError(7, 0.5)
+        err = pickle.loads(pickle.dumps(want))
+        assert (err.iterations, err.residual, str(err)) == (7, 0.5, str(want))
+
 
 def _assert_same_csr(got, want):
     assert got.shape == want.shape
@@ -299,6 +307,14 @@ class TestTrim:
         trimmed, keep = trim_high_degree(adj, 1, 2.0)
         assert not keep[0]
         assert trimmed[0].sum() == 0
+
+    def test_infinite_factor_keeps_every_node(self):
+        # inf * (mean degree 0) would be NaN and trim every node
+        adj = np.zeros((5, 5), np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trimmed, keep = trim_high_degree(adj, 2, math.inf)
+        assert keep.tolist() == [True] * 5 and trimmed is adj
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64])
     def test_signed_weights_count_by_magnitude(self, dtype):
