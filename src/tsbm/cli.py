@@ -265,6 +265,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "t_max", 1) < 1:  # threshold and divergence: no snapshot to search
         parser.exit(2, f"error: --t-max must be at least 1, got {args.t_max}\n")
+    if getattr(args, "jobs", 1) < 1:  # experiment and replicate-figure
+        parser.exit(2, f"error: --jobs must be at least 1, got {args.jobs}\n")
     try:
         if args.command == "generate":
             return _cmd_generate(args)

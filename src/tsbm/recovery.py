@@ -168,46 +168,25 @@ class _PairLogRatio:
         """One relabeling pass: each node moves to the block maximising its
         summed log-likelihood ratio.  Ties keep the current label, then fall
         to the lowest index.  Synchronous sweeps score every node against
-        the labelling frozen at entry; the asynchronous variant reads
-        in-place updates in node order.  Costs O(active pairs + N K)."""
-        n = labels.size
-        if synchronous:
-            L = self.scores(labels, K)
+        the labelling frozen at entry, in O(active pairs + N K).  The
+        asynchronous variant reads in-place updates in node order: it moves
+        the first node that wants to move, scores the nodes after it again,
+        and repeats, so a sweep with m moves costs O((m + 1)(active pairs +
+        N K))."""
+        out, start = labels.copy(), 0
+        nodes = np.arange(labels.size)
+        while True:
+            L = self.scores(out, K)
             best = _argmax_rows(L)
-            keep = L[np.arange(n), labels] >= L[np.arange(n), best]
-            return np.where(keep, labels, best)
-        by_row = self.by_row()
-        out = labels.copy()
-        sizes = np.bincount(out, minlength=K)
-        for i in range(n):
-            scores = self.node_scores(i, out, sizes, by_row)
-            best = int(np.argmax(scores))
-            if scores[out[i]] < scores[best]:
-                sizes[out[i]] -= 1
-                sizes[best] += 1
-                out[i] = best
-        return out
-
-    def by_row(self):
-        """Every active pair in both orientations, grouped by node: ``(cols,
-        vals, bounds)`` with node ``i``'s partners and ratios at
-        ``bounds[i]:bounds[i + 1]``."""
-        rows = np.concatenate((self.rows, self.cols))
-        order = np.argsort(rows, kind="stable")
-        cols = np.concatenate((self.cols, self.rows))[order]
-        vals = np.concatenate((self.vals, self.vals))[order]
-        return cols, vals, np.searchsorted(rows[order], np.arange(self.n + 1)).tolist()
-
-    def node_scores(self, i, labels, sizes, by_row):
-        """Node ``i``'s row of ``scores(labels, K)`` from its own pairs alone,
-        summed in partner order; ``sizes`` are the block sizes under
-        ``labels`` and ``by_row`` is ``by_row()``.  Costs O(degree + K)."""
-        cols, vals, bounds = by_row
-        lo, hi = bounds[i], bounds[i + 1]
-        near = labels[cols[lo:hi]]
-        others = sizes - np.bincount(near, minlength=sizes.size)
-        others[labels[i]] -= 1
-        return self.base * others + np.bincount(near, weights=vals[lo:hi], minlength=sizes.size)
+            wants = L[nodes, out] < L[nodes, best]
+            if synchronous:
+                return np.where(wants, best, out)
+            movers = np.flatnonzero(wants[start:])
+            if movers.size == 0:
+                return out
+            start += int(movers[0])
+            out[start] = best[start]
+            start += 1
 
     def dense(self):
         """``M`` as a dense ``N x N`` matrix with zero diagonal."""
@@ -264,14 +243,19 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
 
     ``mode='fast'`` runs one global spectral clustering and one refinement
     sweep.  ``mode='loo'`` runs one leave-one-out spectral clustering per
-    node, refines each node against its own clustering, and aligns the
-    per-node labellings by maximal block overlap against the first one.
+    node (on the minor of the other N - 1 nodes, so it needs K <= N - 1),
+    gives the node its best block against that clustering (its row of
+    ``scores``, O(active pairs + N K)), and aligns the per-node labellings
+    by maximal block overlap against the first one, in O(N) per node.
     """
     if K == 1:
         return np.zeros(array.N, dtype=np.int64)
     config = config or SpectralConfig(K=K)
     if config.K != K:
         raise ValueError("config.K disagrees with K")
+    if mode == "loo" and K > array.N - 1:
+        raise ValueError(f"leave-one-out refinement needs K <= N - 1: each minor has "
+                         f"{array.N - 1} nodes, got K = {K}")
     adj = binarize(array)
     N = adj.shape[0]
     R = kernel_f.log_ratio_matrix(array, kernel_g)
@@ -281,14 +265,15 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
     if mode != "loo":
         raise ValueError(f"unknown mode {mode!r}")
 
-    by_row = R.by_row()
-    per_node = np.zeros((N, N), dtype=np.int64)  # run i's labels; its own entry is not scored
+    out = np.empty(N, dtype=np.int64)
     for i in range(N):
-        full = per_node[i]
+        full = np.zeros(N, dtype=np.int64)  # run i's labels; its own entry is not scored
         full[np.arange(N) != i] = leave_one_out_cluster(adj, i, config)
-        full[i] = int(np.argmax(R.node_scores(i, full, np.bincount(full, minlength=K), by_row)))
-    own = per_node == per_node.diagonal()[:, None]  # each run's block of its own node
-    return (own.astype(np.int64) @ (per_node[0][:, None] == np.arange(K))).argmax(axis=1)
+        full[i] = int(np.argmax(R.scores(full, K)[i]))
+        if i == 0:
+            run0 = full
+        out[i] = np.bincount(run0[full == full[i]], minlength=K).argmax()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ output on purpose regenerates the files with ``python tests/test_golden.py``
 and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 from tsbm.cli import main
 from tsbm.divergence import FiniteDistribution
-from tsbm.harness import ALGORITHMS, figure_bundle
+from tsbm.harness import ALGORITHMS, figure_bundle, records_to_csv, run_experiment
 from tsbm.sbm import sample_categorical_snapshots, sample_labelling, write_snapshots
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -122,6 +123,30 @@ def test_figure_bundles_match_golden():
     with open(os.path.join(GOLDEN, BUNDLES)) as fh:
         expected = fh.read()
     assert _bundle_lines() == expected
+
+
+# sha256 of the nine figure-7 ``online`` deterministic CSVs at two trials
+# each (the figure runs twenty): in-place sweeps from a spectral start at
+# N = 500, T = 30, the only figure-scale asynchronous output pinned
+FIG7_ONLINE_SHA256 = {
+    "fig7a_q0.3_online": "575752484ccf7594d922f4377cf2eb53a04990f57390c8083f2e1cb6e8fd4894",
+    "fig7a_q0.5_online": "cf256d91f2ca59fd1965ed6ee5a7acd47a27584d5d7314f0b351d4aff0177ca4",
+    "fig7a_q0.7_online": "402a229aa5a9d7fce5848c7a48fc81466211891e2232e4a23a195b29aa591c99",
+    "fig7a_q0.9_online": "21b1a9be0b1d9211ef965a8154868aefda630491fbaa6ccbb1d483fd32b3ba75",
+    "fig7b_p0.5_online": "b21e6db915dc659aa1c076edff8aba656b4191eb0827de3f29ff62d6388d5d5f",
+    "fig7b_p0.7_online": "00a9a925b2ae1f67da53be351ce216b23f106346a2a02ad3d4a242ba38d6c7fd",
+    "fig7b_p0.9_online": "4f1c57dfde24e3a4f99205bb25f19af4e30d2c19e2839d2485dbe3656a12670b",
+    "fig7b_p0.99_online": "14b46ed176461a740b3dc7ff2025b06f2eba795a4734cbea5c6a3539ff0d3166",
+    "fig7b_p1.0_online": "8eb76aec043b00f57ec1ec7c9b187142f20bfd7ce2b4be350662c39463968c30",
+}
+_FIG7_ONLINE = {c.name: c for c in figure_bundle(7, trials=2)[1] if c.algorithm == "online"}
+
+
+@pytest.mark.parametrize("name", sorted(FIG7_ONLINE_SHA256))
+def test_figure7_online_csv_digest(name):
+    config = _FIG7_ONLINE[name]
+    text = records_to_csv(run_experiment(config), config, deterministic=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIG7_ONLINE_SHA256[name]
 
 
 if __name__ == "__main__":

@@ -706,6 +706,35 @@ class TestCLI:
         assert captured.err == "error: need at least one trial\n"
         assert captured.out == "" and not out_dir.exists()
 
+    @pytest.mark.parametrize("command,jobs", [
+        (["experiment", "--n", "20", "--trials", "2"], "0"),
+        (["experiment", "--n", "20", "--trials", "2"], "-3"),
+        (["replicate-figure", "--figure", "2"], "0"),
+        (["replicate-figure", "--figure", "5", "--trials", "1"], "-1"),
+    ])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, command, jobs):
+        # no worker count below one means "serial"; the run never starts
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_refine_loo_needs_k_below_n(self, tmp_path, capsys):
+        # each leave-one-out minor holds N - 1 = 2 nodes, too few for K = 3
+        out = tmp_path / "out.csv"
+        rc = main(["experiment", "--n", "3", "--k", "3", "--t", "2", "--mu1", "0.5",
+                   "--nu1", "0.2", "--p11", "0.7", "--q11", "0.3", "--units", "absolute",
+                   "--algorithm", "refine-loo", "--trials", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: leave-one-out refinement needs K <= N - 1: each minor has 2 nodes, "
+            "got K = 3\n")
+        assert not out.exists()
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("algorithm", ["online", "online-learn"])

@@ -560,6 +560,84 @@ class TestSparseConsumersMatchDense:
         assert any(consistent(c0) for c0 in choices[0])
 
 
+def _inplace_sweep_by_node(ratio, labels, K):
+    """The asynchronous sweep one node at a time: node i reads its row of
+    ``ratio.scores`` under the labels moved so far and takes its strict
+    best block, ties keeping its label."""
+    out = labels.copy()
+    for i in range(out.size):
+        scores = ratio.scores(out, K)[i]
+        best = int(np.argmax(scores))
+        if scores[out[i]] < scores[best]:
+            out[i] = best
+    return out
+
+
+def _refine_loo_by_matrix(arr, f, g, K, config):
+    """``refine_recover(mode='loo')`` with every run's labels kept in an
+    N x N array and the consensus taken as ``own @ onehot(run 0)``."""
+    R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g))
+    adj, n = binarize(arr), arr.N
+    per_node = np.zeros((n, n), dtype=np.int64)  # run i's labels
+    for i in range(n):
+        full = per_node[i]
+        full[np.arange(n) != i] = leave_one_out_cluster(adj, i, config)
+        full[i] = int(np.argmax(R.scores(full, K)[i]))
+    own = per_node == per_node.diagonal()[:, None]  # each run's block of its own node
+    return (own.astype(np.int64) @ _one_hot(per_node[0], K).astype(np.int64)).argmax(axis=1)
+
+
+# an intra law that never leaves state 1 (p11 = 1), so the ratios saturate
+_static_chain = st.builds(BinaryMarkovChain, _chain_probability, _chain_probability,
+                          st.just(1.0))
+
+
+class TestOneScorer:
+    """The in-place sweep and refine-loo read rows of ``scores`` exactly as
+    the node-by-node loops they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=_online_runs(), intra=st.one_of(_any_chain, _static_chain), inter=_any_chain,
+           learned=st.booleans())
+    def test_inplace_sweep_matches_node_loop(self, run, intra, inter, learned):
+        data, labels, K, _ = run
+        if learned:
+            state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
+                                            synchronous=False)
+        else:
+            state = OnlineLikelihood(np.flatnonzero(data[0]), labels, intra, inter, K,
+                                     synchronous=False)
+        got = state.ratio.sweep(labels, K, synchronous=False)
+        assert got.dtype == np.int64
+        assert got.tobytes() == _inplace_sweep_by_node(state.ratio, labels, K).tobytes()
+        for t in range(1, data.shape[0]):
+            before = state.labels.copy()
+            state.step(np.flatnonzero(data[t]))
+            want = _inplace_sweep_by_node(state.ratio, before, K)
+            assert state.labels.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=_pattern_arrays(min_n=4), f=st.one_of(_any_chain, _static_chain), g=_any_chain,
+           K=st.integers(2, 3), seed=st.integers(0, 100))
+    def test_refine_loo_matches_matrix_consensus(self, arr, f, g, K, seed):
+        config = SpectralConfig(K=K, seed=seed)
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config, mode="loo")
+        want = _refine_loo_by_matrix(arr, f, g, K, config)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,K", [(3, 3), (4, 4), (4, 5)])
+    def test_refine_loo_needs_k_below_n(self, monkeypatch, n, K):
+        # each minor has N - 1 nodes; the check comes before any clustering
+        def fail(*args):
+            raise AssertionError("clustered")
+
+        monkeypatch.setattr("tsbm.recovery.leave_one_out_cluster", fail)
+        labels, arr = markov_instance(n, 3, 0)
+        with pytest.raises(ValueError, match=f"each minor has {n - 1} nodes, got K = {K}"):
+            refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), K,
+                           SpectralConfig(K=K), mode="loo")
+
+
 class TestTransitionRates:
     def test_requires_distinct_matrices(self):
         arr = sample_markov_snapshots(np.zeros(4, dtype=int), INTRA, INTRA, 5, seed=0)
