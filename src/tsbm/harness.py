@@ -167,10 +167,6 @@ class TrialRecord:
     def final_accuracy(self):
         return self.accuracies[-1]
 
-    @property
-    def final_ham_star(self):
-        return self.ham_stars[-1]
-
 
 def spectral_matrix(array, algorithm):
     """The symmetric matrix a spectral algorithm clusters: the union graph
@@ -205,10 +201,10 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
     ``chains`` is the ``(intra, inter)`` chain pair; MARKOV_ALGORITHMS need
     it, and KERNEL_ALGORITHMS use its Markov kernels unless ``kernels``
     gives an ``(intra, inter)`` kernel pair.  Online algorithms start from
-    ``init`` (spectral on the first snapshot, random, or ``truth``), pass
-    each snapshot's labels to ``record(t, labels)``, and sweep
-    ``synchronous``-ly.  Spectral steps and the random start draw from
-    substreams 4 and 3 of ``seed``.
+    ``init`` (spectral on the first snapshot, random, or ``truth``), run
+    over every snapshot of ``array``, pass each snapshot's labels to
+    ``record(t, labels)``, and sweep ``synchronous``-ly.  Spectral steps
+    and the random start draw from substreams 4 and 3 of ``seed``.
     """
     if chains is None and (algorithm in MARKOV_ALGORITHMS
                            or algorithm in KERNEL_ALGORITHMS and kernels is None):
@@ -222,10 +218,10 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
         else:
             start = sample_labelling(array.N, k, seed=derive_seed(seed, 3))
         if algorithm == "online":
-            state = OnlineLikelihood(array.snapshot(0), start, *chains, k, synchronous=synchronous)
+            state = OnlineLikelihood(array, start, *chains, k, synchronous=synchronous)
         else:
-            state = OnlineLikelihoodLearned(array.snapshot(0), start, k, synchronous=synchronous)
-        return state.run(array, record), None
+            state = OnlineLikelihoodLearned(array, start, k, synchronous=synchronous)
+        return state.run(record), None
     if algorithm in KERNEL_ALGORITHMS:
         kf, kg = kernels or (MarkovKernel(chains[0]), MarkovKernel(chains[1]))
         if algorithm == "mle":
@@ -541,10 +537,11 @@ def parse_config_text(text):
     """Parse a nested key-value experiment file into a dict of dicts.
 
     Keys outside any section land in the "" section.  Values are coerced to
-    bool/int/float where possible.
+    bool/int/float where possible.  The sections are read as one config, so
+    a key may be set only once in the file.
     """
     out = {"": {}}
-    section = ""
+    section, first_set = "", {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -555,8 +552,11 @@ def parse_config_text(text):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[section][key.strip()] = _coerce(value.strip())
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_set:
+            raise ValueError(f"line {lineno}: {key!r} already set on line {first_set[key]}")
+        first_set[key] = lineno
+        out[section][key] = _coerce(value)
     return out
 
 

@@ -82,32 +82,24 @@ class _PairLogRatio:
     with their transitions ``2a + b``.
     """
 
-    def __init__(self, n, first, l_init, count=False, symbols=None):
-        """A pair holding symbol ``s`` in the first snapshot (sorted ``i*N +
-        j`` indices; ``symbols`` default to 1) starts at ``l_init[s]``.
-        Snapshot entries with ``i >= j`` are ignored, so a symmetric
-        snapshot's ``np.flatnonzero`` may be passed as well."""
-        self.n = n
-        x = np.asarray(first, dtype=np.int64)
-        upper = x // n < x % n
-        self.keys = x[upper]
-        self.rows, self.cols = np.divmod(self.keys, n)
+    def __init__(self, array, l_init, count=False):
+        """A pair holding symbol ``s`` in ``array``'s first snapshot starts
+        at ``l_init[s]``: 1 in a binary array, its entry of ``values`` (where
+        snapshot 0 leads) in a categorical one."""
+        self.n = array.N
+        self.keys = array.snapshot(0)
+        self.rows, self.cols = np.divmod(self.keys, self.n)
         self.base = float(l_init[0])
-        codes = np.ones(x.size, dtype=np.int64) if symbols is None else np.asarray(symbols)
-        self.vals = np.asarray(l_init, dtype=np.float64)[codes[upper]]
+        codes = np.ones_like(self.keys) if array.values is None else array.values[:self.keys.size]
+        self.vals = np.asarray(l_init, dtype=np.float64)[codes]
         self.on = np.arange(self.keys.size)
         self.counts = tuple(np.zeros(self.keys.size, dtype=np.uint32)
                             for _ in range(3)) if count else None
 
-    def _upper(self, snapshot):
-        x = np.asarray(snapshot, dtype=np.int64)
-        return x[x // self.n < x % self.n]
-
-    def add(self, snapshot, increments):
-        """Consume the next snapshot (sorted ``i*N + j`` indices, those with
-        ``i >= j`` ignored): add ``increments[2a + b]`` to each pair moving
-        from state a to b."""
-        x = self._upper(snapshot)
+    def add(self, x, increments):
+        """Consume the next snapshot, ``x`` (its sorted ``i*N + j`` indices,
+        ``i < j``): add ``increments[2a + b]`` to each pair moving from state
+        a to b."""
         pos = np.searchsorted(self.keys, x)
         fresh = np.ones(x.size, dtype=bool)
         inside = pos < self.keys.size
@@ -199,7 +191,7 @@ class _PairLogRatio:
 
 def _replay(array, l_init, increments, count=False):
     """A ``_PairLogRatio`` fed every snapshot of ``array``."""
-    ratio = _PairLogRatio(array.N, array.snapshot(0), l_init, count=count)
+    ratio = _PairLogRatio(array, l_init, count=count)
     for t in range(1, array.T):
         ratio.add(array.snapshot(t), increments)
     return ratio
@@ -235,7 +227,7 @@ class CategoricalKernel:
         top = array.values.max() if array.values is not None else int(array.data.size > 0)
         if top >= lr.size:
             raise ValueError(f"symbol {top} outside the {lr.size}-symbol alphabet")
-        return _PairLogRatio(array.N, array.data, lr, symbols=array.values)
+        return _PairLogRatio(array, lr)
 
 
 def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
@@ -285,29 +277,31 @@ class OnlineLikelihood:
     """Online clustering under known Markov interaction parameters.
 
     Maintains the cumulative pairwise log-likelihood ratio matrix (sparse,
-    in ``ratio``; ``ratio.dense()`` gives ``M``) and the current labelling.
-    Snapshots are sorted flat indices ``i*N + j`` of their set bits, as
-    ``SnapshotArray.snapshot(t)`` returns (entries with ``i >= j`` are
-    ignored, so both orientations may be listed); each adds one of the four
-    increments ``log P_hat / Q_hat`` (intra over inter transitions) per pair
-    and triggers one relabeling sweep.  A class that ``learns`` re-estimates
-    ``P_hat`` and ``Q_hat`` after every step from the pairs' counts.
+    in ``ratio``; ``ratio.dense()`` gives ``M``) and the current labelling
+    over the snapshots of one binary SnapshotArray, of which it has taken
+    the first ``t``.  Each snapshot adds one of the four increments ``log
+    P_hat / Q_hat`` (intra over inter transitions) per pair and triggers one
+    relabeling sweep.  A class that ``learns`` re-estimates ``P_hat`` and
+    ``Q_hat`` after every step from the pairs' counts.
     """
 
     learns = False
 
-    def __init__(self, first_snapshot, init_labels, intra, inter, K, synchronous=True):
+    def __init__(self, array, init_labels, intra, inter, K, synchronous=True):
+        _require_binary(array, "online recovery")
+        self.array = array
         self.K = K
         self.synchronous = synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
         self.P_hat, self.Q_hat = intra.transition, inter.transition
-        self.ratio = _PairLogRatio(self.labels.size, first_snapshot,
-                                   _sat_log_ratio(intra.mu, inter.mu), count=self.learns)
+        self.ratio = _PairLogRatio(array, _sat_log_ratio(intra.mu, inter.mu), count=self.learns)
         self.t = 1
 
-    def step(self, snapshot):
-        """Consume one snapshot: update ``M``, run a relabeling sweep, then
-        re-estimate the transition matrices if the class learns them."""
+    def step(self):
+        """Consume snapshot ``t`` (0-based; IndexError past the last): update
+        ``M``, run a relabeling sweep, then re-estimate the transition
+        matrices if the class learns them."""
+        snapshot = self.array.snapshot(self.t)
         self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
         self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
@@ -315,14 +309,14 @@ class OnlineLikelihood:
             self._reestimate()
         return self
 
-    def run(self, array, record=None):
-        """Feed snapshots 2..T of a SnapshotArray; optionally record per-step
-        labellings through ``record(t, labels)``."""
-        _require_binary(array, "online recovery")
+    def run(self, record=None):
+        """Consume the snapshots not yet taken; optionally record the
+        labelling at entry and after each step through ``record(t,
+        labels)``."""
         if record is not None:
-            record(1, self.labels)
-        for t in range(1, array.T):
-            self.step(array.snapshot(t))
+            record(self.t, self.labels)
+        while self.t < self.array.T:
+            self.step()
             if record is not None:
                 record(self.t, self.labels)
         return self.labels
@@ -359,17 +353,14 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 
     learns = True
 
-    def __init__(self, first_snapshot, init_labels, K, synchronous=True):
+    def __init__(self, array, init_labels, K, synchronous=True):
         labels = np.asarray(init_labels, dtype=np.int64)
-        x = np.asarray(first_snapshot, dtype=np.int64)
-        rows, cols = np.divmod(x, labels.size)
-        upper = rows < cols
-        ones = int(upper.sum())
-        ones_same = int((labels[rows[upper]] == labels[cols[upper]]).sum())
+        rows, cols = np.divmod(array.snapshot(0), array.N)
+        ones_same = int((labels[rows] == labels[cols]).sum())
         same, pairs = _pair_totals(labels)
         mu1 = self.mu1_hat = ones_same / same if same else 0.5
-        nu1 = self.nu1_hat = (ones - ones_same) / (pairs - same) if pairs > same else 0.5
-        super().__init__(x, labels, BinaryMarkovChain(mu1, mu1, mu1),
+        nu1 = self.nu1_hat = (rows.size - ones_same) / (pairs - same) if pairs > same else 0.5
+        super().__init__(array, labels, BinaryMarkovChain(mu1, mu1, mu1),
                          BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
         self._binned_under = None  # the labels the histograms were binned under
 

@@ -169,8 +169,8 @@ def test_criterion_06_parameter_learning():
         flip = np.argsort(u)[: n // 4]  # corrupt exactly a quarter of the nodes
         init[flip] = 1 - init[flip]
         assert 1 - ham_star(init, truth)[0] / n >= 0.75
-        state = OnlineLikelihoodLearned(arr.snapshot(0), init, k)
-        final = state.run(arr)
+        state = OnlineLikelihoodLearned(arr, init, k)
+        final = state.run()
         acc = 1 - ham_star(final, truth)[0] / n
         finals.append(acc)
         successes += acc >= 0.95

@@ -686,6 +686,20 @@ class TestCLI:
         assert rc == 0
         assert "# units = logn" in out.read_text()
 
+    @pytest.mark.parametrize("text,line", [
+        ("[model]\nn = 60\n[run]\nalgorithm = friends\nn = 80\n", 5),
+        ("[model]\nn = 60\nk = 2\nn = 80\n", 4),
+    ])
+    def test_experiment_config_key_set_twice_exit_code(self, tmp_path, capsys, text, line):
+        # the sections are flattened into one config, so a second value
+        # would silently replace the first
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+        cfg.write_text(text)
+        rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: line {line}: 'n' already set on line 2\n"
+        assert not out.exists()
+
     def test_replicate_figure_four_bundle(self, tmp_path):
         out_dir = tmp_path / "fig4"
         rc = main([
@@ -736,6 +750,23 @@ class TestCLI:
         assert not out.exists()
 
 
+# The child's own peak RSS in KB.  Its ru_maxrss would not do: Linux
+# carries the peak of the process that spawned it through exec, so a long
+# pytest run's peak would show up as the child's.
+CHILD_PEAK_KB = ("rss = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+                 "           if line.startswith('VmHWM:'))\n")
+
+
+def _run_child(code, timeout):
+    """Standard output of ``code`` run by a fresh interpreter on this
+    ``src``; a failed run shows its return code and the end of its stderr."""
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr[-2000:]}"
+    return proc.stdout
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
 def test_online_trial_at_n_20000(algorithm):
@@ -744,9 +775,8 @@ def test_online_trial_at_n_20000(algorithm):
     # float64 N x N matrix; a subprocess gives the trial its own peak RSS.
     # The learner is gated on memory alone, as the offline trials below
     # are: its estimates are checked against references at small N.
-    src = os.path.dirname(os.path.dirname(tsbm.__file__))
     code = (
-        "import resource, time\n"
+        "import time\n"
         "from tsbm import harness\n"
         "from tsbm.harness import ExperimentConfig, run_trial\n"
         "sample, spent = harness.sample_markov_snapshots, []\n"
@@ -759,16 +789,14 @@ def test_online_trial_at_n_20000(algorithm):
         "config = ExperimentConfig(n=20000, t=30, mu1=3.0, nu1=1.5, units='logn',\n"
         f"                          algorithm={algorithm!r}, init='spectral', trials=1)\n"
         "record = run_trial(config, 0)\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        + CHILD_PEAK_KB +
         "print(record.final_accuracy, record.seconds, sum(spent), rss)\n"
     )
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=1800, check=True)
-    accuracy, seconds, sampling, rss_kb = map(float, proc.stdout.split())
+    accuracy, seconds, sampling, rss_kb = map(float, _run_child(code, 1800).split())
     print(f"N=20000 T=30 {algorithm} trial: accuracy {accuracy}, "
           f"{time.perf_counter() - start:.1f} s in all, {sampling:.1f} s sampling, "
-          f"{seconds:.1f} s recovering, maxrss {rss_kb / 1024:.0f} MB")
+          f"{seconds:.1f} s recovering, peak RSS {rss_kb / 1024:.0f} MB")
     if algorithm == "online":
         assert accuracy >= 0.95
     assert rss_kb < 2 * 2**20
@@ -780,23 +808,19 @@ def test_offline_trial_at_n_20000(algorithm):
     # these read the pair patterns from the sparse indices, so an N=20,000,
     # T=30 trial stays far below the 12 GB of the dense T x N x N tensor;
     # they score near 0.5 in this regime, so only memory is gated
-    src = os.path.dirname(os.path.dirname(tsbm.__file__))
     code = (
-        "import resource\n"
         "from tsbm.harness import ExperimentConfig, run_trial\n"
         "config = ExperimentConfig(n=20000, t=30, mu1=3.0, nu1=1.5, units='logn',\n"
         f"                          algorithm={algorithm!r}, trials=1)\n"
         "record = run_trial(config, 0)\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        + CHILD_PEAK_KB +
         "print(record.final_accuracy, record.seconds, rss)\n"
     )
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=1800, check=True)
-    accuracy, seconds, rss_kb = map(float, proc.stdout.split())
+    accuracy, seconds, rss_kb = map(float, _run_child(code, 1800).split())
     print(f"N=20000 T=30 {algorithm} trial: accuracy {accuracy}, "
           f"{time.perf_counter() - start:.1f} s in all, {seconds:.1f} s recovering, "
-          f"maxrss {rss_kb / 1024:.0f} MB")
+          f"peak RSS {rss_kb / 1024:.0f} MB")
     assert rss_kb < 2 * 2**20
 
 
@@ -804,18 +828,15 @@ def test_rates_with_linked_quiet_pairs_stays_sparse():
     # at mu1 = 1.5, nu1 = 3 the pairs never set link (Q01 > 3 P01), so the
     # components come from the complement of the non-linked active pairs;
     # an N x N link mask took this N = 3000, T = 10 trial to 358 MB maxrss
-    src = os.path.dirname(os.path.dirname(tsbm.__file__))
     code = (
-        "import resource\n"
         "from tsbm.harness import ExperimentConfig, run_trial\n"
         "config = ExperimentConfig(n=3000, t=10, mu1=1.5, nu1=3.0, p11=0.7, q11=0.3,\n"
         "                          units='logn', algorithm='rates', trials=1)\n"
         "run_trial(config, 0)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        + CHILD_PEAK_KB +
+        "print(rss)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=600, check=True)
-    assert int(proc.stdout) < 200 * 2**10
+    assert int(_run_child(code, 600)) < 200 * 2**10
 
 
 class TestSeedDerivationContract:
@@ -834,8 +855,8 @@ class TestSeedDerivationContract:
         arr = sample_markov_snapshots(truth, intra, inter, SMALL.t, seed=derive_seed(trial_seed, 2))
         u = counter_uniform(derive_seed(trial_seed, 3), 0, np.arange(SMALL.n))
         init = np.minimum((u * SMALL.k).astype(np.int64), SMALL.k - 1)
-        state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, SMALL.k)
-        final = state.run(arr)
+        state = OnlineLikelihood(arr, init, intra, inter, SMALL.k)
+        final = state.run()
         assert rec.ham_stars[-1] == ham_star(final, truth)[0]
 
 

@@ -134,15 +134,15 @@ class TestOnlineLikelihood:
         ch = BinaryMarkovChain(0.3, 0.2, 0.6)
         labels, arr = markov_instance(30, 6, 5, intra=ch, inter=ch)
         init = sample_labelling(30, 2, seed=77)
-        state = OnlineLikelihood(arr.snapshot(0), init, ch, ch, 2)
-        state.run(arr)
+        state = OnlineLikelihood(arr, init, ch, ch, 2)
+        state.run()
         assert np.abs(state.ratio.dense()).max() == 0.0
         assert np.array_equal(state.labels, init)
 
     def test_truth_init_is_stable_under_strong_signal(self):
         labels, arr = markov_instance(60, 8, 6)
-        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
-        state.run(arr)
+        state = OnlineLikelihood(arr, labels, INTRA, INTER, 2)
+        state.run()
         assert np.array_equal(state.labels, labels)
 
     def test_replay_purity(self):
@@ -150,10 +150,10 @@ class TestOnlineLikelihood:
         init = sample_labelling(40, 2, seed=9)
         m_hist, l_hist = [], []
         for _ in range(2):
-            state = OnlineLikelihood(arr.snapshot(0), init, INTRA, INTER, 2)
+            state = OnlineLikelihood(arr, init, INTRA, INTER, 2)
             ms, ls = [state.ratio.dense()], [state.labels.copy()]
             for t in range(1, arr.T):
-                state.step(arr.snapshot(t))
+                state.step()
                 ms.append(state.ratio.dense())
                 ls.append(state.labels.copy())
             m_hist.append(ms)
@@ -165,9 +165,9 @@ class TestOnlineLikelihood:
 
     def test_matrix_invariants_preserved(self):
         labels, arr = markov_instance(30, 6, 8)
-        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
+        state = OnlineLikelihood(arr, labels, INTRA, INTER, 2)
         for t in range(1, arr.T):
-            state.step(arr.snapshot(t))
+            state.step()
             M = state.ratio.dense()
             assert np.array_equal(M, M.T)
             assert np.all(np.diagonal(M) == 0.0)
@@ -176,17 +176,60 @@ class TestOnlineLikelihood:
         # after consuming all snapshots, M is the per-pair log ratio of the
         # whole pattern, so each decision equals the single-node estimator
         labels, arr = markov_instance(35, 9, 9)
-        state = OnlineLikelihood(arr.snapshot(0), labels, INTRA, INTER, 2)
-        state.run(arr)
+        state = OnlineLikelihood(arr, labels, INTRA, INTER, 2)
+        state.run()
         want = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER)).dense()
         assert np.allclose(state.ratio.dense(), want, atol=1e-9)
 
     def test_async_variant_runs(self):
         labels, arr = markov_instance(30, 6, 10)
         init = sample_labelling(30, 2, seed=11)
-        state = OnlineLikelihood(arr.snapshot(0), init, INTRA, INTER, 2, synchronous=False)
-        state.run(arr)
+        state = OnlineLikelihood(arr, init, INTRA, INTER, 2, synchronous=False)
+        state.run()
         assert accuracy(labels, state.labels) >= 0.9
+
+    def test_step_past_last_snapshot_raises(self):
+        _, arr = markov_instance(20, 3, 12)
+        state = OnlineLikelihood(arr, np.zeros(20, dtype=np.int64), INTRA, INTER, 2)
+        state.run()
+        with pytest.raises(IndexError, match="snapshot 3 outside"):
+            state.step()
+        assert state.t == arr.T
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_symbol_above_one_refused_when_built(self, learned):
+        # the symbol sits in the second snapshot, which no run has reached
+        data = np.zeros((2, 4, 4), dtype=np.int64)
+        data[1, 0, 1] = data[1, 1, 0] = 2
+        arr, init = SnapshotArray.from_dense(data), np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="needs 0/1 snapshots, got symbol 2"):
+            if learned:
+                OnlineLikelihoodLearned(arr, init, 2)
+            else:
+                OnlineLikelihood(arr, init, INTRA, INTER, 2)
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_run_resumes_after_steps(self, learned):
+        labels, arr = markov_instance(30, 6, 13)
+        init = sample_labelling(30, 2, seed=14)
+
+        def fresh():
+            if learned:
+                return OnlineLikelihoodLearned(arr, init, 2)
+            return OnlineLikelihood(arr, init, INTRA, INTER, 2)
+
+        whole, seen = [], []
+        fresh().run(lambda t, got: whole.append((t, got.copy())))
+        state = fresh()
+        for _ in range(2):
+            seen.append((state.t, state.labels.copy()))
+            state.step()
+        assert state.t == 3
+        state.run(lambda t, got: seen.append((t, got.copy())))
+        assert [t for t, _ in seen] == [t for t, _ in whole] == list(range(1, arr.T + 1))
+        for (_, a), (_, b) in zip(seen, whole):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(whole[0][1], whole[-1][1])  # the run moved labels
 
 
 class TestOnlineLikelihoodLearned:
@@ -196,9 +239,9 @@ class TestOnlineLikelihoodLearned:
         data = np.zeros((5, n, n), dtype=np.uint8)
         for t, bit in enumerate(pattern):
             data[t, 0, 1] = data[t, 1, 0] = bit
-        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), np.array([0, 0, 1, 1]), 2)
+        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), np.array([0, 0, 1, 1]), 2)
         for t in range(1, 5):
-            state.step(np.flatnonzero(data[t]))
+            state.step()
         packed = _packed_counts(state)
         counts = {ab: int(packed[ab][0]) for ab in range(4)}  # pair (0, 1) packs first
         assert counts == {0: 1, 1: 1, 2: 1, 3: 1}  # 00, 01, 10, 11
@@ -208,9 +251,9 @@ class TestOnlineLikelihoodLearned:
 
     def test_counter_total_invariant(self):
         labels, arr = markov_instance(25, 8, 12)
-        state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2)
+        state = OnlineLikelihoodLearned(arr, labels, 2)
         for t in range(1, arr.T):
-            state.step(arr.snapshot(t))
+            state.step()
             packed = _packed_counts(state)
             totals = sum(packed[ab] for ab in range(4))
             assert totals.shape == (25 * 24 // 2,)
@@ -223,8 +266,8 @@ class TestOnlineLikelihoodLearned:
         for seed in range(3):
             labels = sample_labelling(100, 2, seed=seed)
             arr = sample_markov_snapshots(labels, intra, inter, 200, seed=100 + seed)
-            state = OnlineLikelihoodLearned(arr.snapshot(0), labels, 2)
-            state.run(arr)
+            state = OnlineLikelihoodLearned(arr, labels, 2)
+            state.run()
             assert accuracy(labels, state.labels) >= 0.99
             errors.append(
                 max(
@@ -296,13 +339,13 @@ class TestSparseOnlineMatchesDense:
         # before each step, so one near-tie cannot fork the two runs
         data, labels, K, synchronous = run
         if learned:
-            state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
+            state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
                                             synchronous=synchronous)
             ref = _DenseLearned(data[0], labels, K, synchronous=synchronous)
             assert np.array_equal(state.P_hat, ref.P_hat)
             assert np.array_equal(state.Q_hat, ref.Q_hat)
         else:
-            state = OnlineLikelihood(np.flatnonzero(data[0]), labels, intra, inter, K,
+            state = OnlineLikelihood(SnapshotArray.from_dense(data), labels, intra, inter, K,
                                      synchronous=synchronous)
             ref = _DenseOnline(data[0], labels, intra, inter, K, synchronous=synchronous)
         assert np.array_equal(state.ratio.dense(), ref.M)
@@ -311,7 +354,7 @@ class TestSparseOnlineMatchesDense:
             ref.labels = before.copy()
             if learned:
                 ref.P_hat, ref.Q_hat = state.P_hat.copy(), state.Q_hat.copy()
-            state.step(np.flatnonzero(data[t]))
+            state.step()
             ref.step(data[t])
             assert np.array_equal(state.ratio.dense(), ref.M)
             if _check_sweep(ref.M, before, state.labels, K, synchronous) == 0:
@@ -330,13 +373,13 @@ class TestSparseOnlineMatchesDense:
         intra, inter = chains_in_units(n, 3.0, 1.5, 0.7, 0.3)
         _, arr = markov_instance(n, 10, 70 + seed, intra=intra, inter=inter)
         init = sample_labelling(n, 2, seed=80 + seed)
-        state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, 2)
+        state = OnlineLikelihood(arr, init, intra, inter, 2)
         dense = dense_tensor(arr)
         ref = _DenseOnline(dense[0], init, intra, inter, 2)
         moved = 0
         for t in range(1, arr.T):
             before = state.labels
-            state.step(arr.snapshot(t))
+            state.step()
             ref.step(dense[t])
             moved += int((state.labels != before).sum())
             assert np.array_equal(state.labels, ref.labels)
@@ -363,7 +406,7 @@ class TestPackedCounts:
         # whose two scores tie to rounding may take either label; the
         # reference then re-estimates under the sparse labels.
         data, labels = run
-        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, 2)
+        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, 2)
         ref = _DenseLearned(data[0], labels, 2)
         assert np.array_equal(state.P_hat, ref.P_hat) and np.array_equal(state.Q_hat, ref.Q_hat)
         iu = np.triu_indices(data.shape[1], 1)
@@ -371,7 +414,7 @@ class TestPackedCounts:
             before, estimates = state.labels.copy(), (state.P_hat.copy(), state.Q_hat.copy())
             ref.M, ref.labels = state.ratio.dense(), before.copy()
             ref.P_hat, ref.Q_hat = (e.copy() for e in estimates)
-            state.step(np.flatnonzero(data[t]))
+            state.step()
             ref.step(data[t])
             if _check_sweep(ref.M, before, state.labels, 2, synchronous=True):
                 ref.labels = state.labels.copy()
@@ -388,13 +431,13 @@ class TestPackedCounts:
         inter = chain_from_stationary(0.06, 0.3)
         labels, arr = markov_instance(n, 15, 40 + seed, intra=intra, inter=inter)
         init = sample_labelling(n, 2, seed=50 + seed)
-        state = OnlineLikelihoodLearned(arr.snapshot(0), init, 2)
+        state = OnlineLikelihoodLearned(arr, init, 2)
         dense = dense_tensor(arr)
         ref = _DenseLearned(dense[0], init, 2)
         moved = 0
         for t in range(1, arr.T):
             before = state.labels
-            state.step(arr.snapshot(t))
+            state.step()
             ref.step(dense[t])
             moved += int((state.labels != before).sum())
             assert np.array_equal(state.labels, ref.labels)
@@ -432,13 +475,13 @@ class TestHistogramReestimation:
         # the histograms, updated in O(pairs set) or rebuilt after a label
         # move, give bit for bit the estimates of binning every pair afresh
         data, labels, K, synchronous = run
-        state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
+        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
                                         synchronous=synchronous)
         iu = np.triu_indices(data.shape[1], 1)
         counts = np.zeros((4, iu[0].size), dtype=np.uint32)
         for t in range(1, data.shape[0]):
             estimates = state.P_hat.copy(), state.Q_hat.copy()
-            state.step(np.flatnonzero(data[t]))
+            state.step()
             P_hat, Q_hat = dense_ref.reestimate_from_scratch(state, *estimates)
             assert state.P_hat.tobytes() == P_hat.tobytes()
             assert state.Q_hat.tobytes() == Q_hat.tobytes()
@@ -475,8 +518,8 @@ class TestSparseConsumersMatchDense:
         calm = peak <= LOG_RATIO_SATURATION
         assert np.array_equal(got[calm], want[calm])
         assert np.abs(got).max(initial=0) <= LOG_RATIO_SATURATION
-        state = OnlineLikelihood(arr.snapshot(0), np.zeros(arr.N, dtype=np.int64), f, g, 1)
-        state.run(arr)
+        state = OnlineLikelihood(arr, np.zeros(arr.N, dtype=np.int64), f, g, 1)
+        state.run()
         assert np.array_equal(state.ratio.dense(), got)
 
     @settings(max_examples=100, deadline=None)
@@ -602,17 +645,17 @@ class TestOneScorer:
     def test_inplace_sweep_matches_node_loop(self, run, intra, inter, learned):
         data, labels, K, _ = run
         if learned:
-            state = OnlineLikelihoodLearned(np.flatnonzero(data[0]), labels, K,
+            state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
                                             synchronous=False)
         else:
-            state = OnlineLikelihood(np.flatnonzero(data[0]), labels, intra, inter, K,
+            state = OnlineLikelihood(SnapshotArray.from_dense(data), labels, intra, inter, K,
                                      synchronous=False)
         got = state.ratio.sweep(labels, K, synchronous=False)
         assert got.dtype == np.int64
         assert got.tobytes() == _inplace_sweep_by_node(state.ratio, labels, K).tobytes()
         for t in range(1, data.shape[0]):
             before = state.labels.copy()
-            state.step(np.flatnonzero(data[t]))
+            state.step()
             want = _inplace_sweep_by_node(state.ratio, before, K)
             assert state.labels.tobytes() == want.tobytes()
 
@@ -844,8 +887,8 @@ class TestStrongSignalGates:
             from tsbm.spectral import binarize, spectral_cluster
 
             init = spectral_cluster(binarize(arr, t=0), SpectralConfig(K=2, seed=seed))
-            state = OnlineLikelihood(arr.snapshot(0), init, intra, inter, 2, synchronous=False)
-            state.run(arr)
+            state = OnlineLikelihood(arr, init, intra, inter, 2, synchronous=False)
+            state.run()
             finals.append(accuracy(labels, state.labels))
         assert np.mean(finals) >= 0.95
 
