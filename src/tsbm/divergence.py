@@ -50,10 +50,10 @@ class FiniteDistribution:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("distribution needs a 1-d vector with at least one entry")
-        if np.any(p < 0):
-            raise ValueError("negative probability entry")
+        if not np.all(p >= 0):  # written so that NaN fails
+            raise ValueError("probability entry negative or NaN")
         total = p.sum()
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probs = p / total
         self.probs.flags.writeable = False
@@ -225,8 +225,8 @@ class BoundInputs:
     def __post_init__(self):
         if self.N < 1 or self.K < 1:
             raise ValueError("N and K must be at least 1")
-        if self.I < 0 or self.J < 0:
-            raise ValueError("divergence quantities must be non-negative")
+        if not (self.I >= 0 and self.J >= 0):
+            raise ValueError("divergence quantities must be non-negative numbers")
         if not (0 <= self.eps <= self.zeta <= 1 / 21):
             raise ValueError("need 0 <= eps <= zeta <= 1/21")
 

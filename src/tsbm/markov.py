@@ -321,9 +321,9 @@ def high_order_bound(alpha, chain_f, chain_g, T, M, rho):
     Raises when the domination or sparsity hypotheses fail, or when
     ``Lambda >= 1`` (the bound degenerates).
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError("high-order bound needs alpha > 1")
-    if M < 1:
+    if not M >= 1:
         raise ValueError("ratio bound M must be at least 1")
     if not 0 < rho <= 0.5:
         raise ValueError("need 0 < rho <= 1/2")

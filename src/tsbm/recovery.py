@@ -64,20 +64,22 @@ class _PairLogRatio:
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
     Every pair that has never interacted holds the same value, ``base``.
-    Pairs that have interacted (``keys``: sorted flat indices ``i*N + j``,
-    ``i < j``, with ``rows`` and ``cols``) hold explicit ``vals``; ``on``
-    holds the positions of the pairs set in the latest snapshot.  Each step
-    adds the increment of every pair's transition and clips, with the same
-    float operations a dense ``M`` would take, so ``dense()`` is
-    bit-identical to it.  New pairs are merged into the sorted arrays
-    through one keep-mask (scattering the old pairs to its set places), and
-    only they are split into rows and columns.
+    Pairs that have interacted (``keys``: flat indices ``i*N + j``, ``i <
+    j``, with ``rows`` and ``cols``) hold explicit ``vals``; ``on`` holds
+    the places of the pairs set in the latest snapshot.  Each step adds the
+    increment of every pair's transition and clips, with the same float
+    operations a dense ``M`` would take, so ``dense()`` is bit-identical to
+    it.  The store is laid out in order of first interaction: its arrays
+    are allocated once, over ``universe`` (the sorted pairs the array ever
+    sets), and ``place`` gives each pair its place, -1 until a snapshot
+    first sets it and appends it at ``m``.  The attributes above read the
+    prefix ``[:m]``, so ``keys`` is not sorted; no reader needs it to be.
 
     With ``count``, it also keeps each active pair's transition counts as
     three 1-D uint32 arrays, ``counts = (n_1, n_01, n_11)``: its transitions
     out of state 1, ``0 -> 1`` and ``1 -> 1``.  The rest follow: ``n_1 -
     n_11`` transitions ``1 -> 0``, and ``0 -> 0`` for the rest of the steps
-    taken.  ``moved`` holds the positions of the pairs set in either of the
+    taken.  ``moved`` holds the places of the pairs set in either of the
     last two snapshots, the only ones whose counts the last step changed,
     with their transitions ``2a + b``.
     """
@@ -86,54 +88,50 @@ class _PairLogRatio:
         """A pair holding symbol ``s`` in ``array``'s first snapshot starts
         at ``l_init[s]``: 1 in a binary array, its entry of ``values`` (where
         snapshot 0 leads) in a categorical one."""
-        self.n = array.N
-        self.keys = array.snapshot(0)
-        self.rows, self.cols = np.divmod(self.keys, self.n)
-        self.base = float(l_init[0])
-        codes = np.ones_like(self.keys) if array.values is None else array.values[:self.keys.size]
-        self.vals = np.asarray(l_init, dtype=np.float64)[codes]
-        self.on = np.arange(self.keys.size)
-        self.counts = tuple(np.zeros(self.keys.size, dtype=np.uint32)
-                            for _ in range(3)) if count else None
+        n = self.n = array.N
+        pairs = np.sort(array.data % (n * n))  # not np.unique, which hashes: far slower
+        self.universe = np.concatenate((pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]))
+        size = self.universe.size
+        self.place = np.full(size, -1, dtype=np.int32)
+        self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        self._vals = np.empty(size)
+        self._counts = [np.zeros(size, dtype=np.uint32) for _ in range(3)] if count else None
+        self.m, self.base = 0, float(l_init[0])
+        self.on = self._places(array.snapshot(0))
+        codes = np.ones(self.m, dtype=np.int64) if array.values is None else array.values[:self.m]
+        self.vals[:] = np.asarray(l_init, dtype=np.float64)[codes]
+
+    keys = property(lambda self: self.rows * self.n + self.cols)
+    rows = property(lambda self: self._rows[:self.m])
+    cols = property(lambda self: self._cols[:self.m])
+    vals = property(lambda self: self._vals[:self.m])
+    counts = property(lambda self: self._counts and tuple(c[:self.m] for c in self._counts))
+
+    def _places(self, x):
+        """The places of the pairs ``x``; those first set are appended at ``base``."""
+        at = np.searchsorted(self.universe, x)
+        cur = self.place[at].astype(np.int64)  # int32 indices would gather slower
+        new = np.flatnonzero(cur < 0)
+        m, self.m = self.m, self.m + new.size
+        self.place[at[new]] = cur[new] = np.arange(m, self.m)
+        self._rows[m:self.m], self._cols[m:self.m] = np.divmod(x[new], self.n)
+        self._vals[m:self.m] = self.base
+        return cur
 
     def add(self, x, increments):
         """Consume the next snapshot, ``x`` (its sorted ``i*N + j`` indices,
         ``i < j``): add ``increments[2a + b]`` to each pair moving from state
         a to b."""
-        pos = np.searchsorted(self.keys, x)
-        fresh = np.ones(x.size, dtype=bool)
-        inside = pos < self.keys.size
-        fresh[inside] = self.keys[pos[inside]] != x[inside]
-        on = self.on
-        if fresh.any():  # first interactions: these pairs leave the base
-            at = pos[fresh]
-            slots = at + np.arange(at.size)  # the new pairs' places
-            old = np.ones(self.keys.size + at.size, dtype=bool)
-            old[slots] = False
-            kept = np.flatnonzero(old)  # the old pairs' places
-
-            def grown(prev, new):
-                out = np.empty(old.size, dtype=prev.dtype)
-                out[slots] = new
-                out[kept] = prev
-                return out
-
-            rows, cols = np.divmod(x[fresh], self.n)
-            self.keys = grown(self.keys, x[fresh])
-            self.rows, self.cols = grown(self.rows, rows), grown(self.cols, cols)
-            self.vals = grown(self.vals, self.base)
-            if self.counts is not None:
-                self.counts = tuple(grown(c, 0) for c in self.counts)
-            on = kept[on]
-        cur = pos + np.cumsum(fresh) - fresh  # x's places after the insertions
-        move = np.zeros(self.keys.size, dtype=np.int8)
+        on, cur = self.on, self._places(x)
+        move = np.zeros(self.m, dtype=np.int8)
         move[on] = 2
         move[cur] += 1
-        self.vals += increments[move]
-        np.clip(self.vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=self.vals)
+        vals = self.vals
+        vals += increments[move]
+        np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         self.base = min(max(self.base + increments[0], -LOG_RATIO_SATURATION),
                         LOG_RATIO_SATURATION)
-        if self.counts is not None:
+        if self._counts:
             touched = np.concatenate((on[move[on] == 2], cur))  # set in either snapshot
             code = move[touched]
             n1, n01, n11 = self.counts
@@ -438,7 +436,7 @@ def transition_rate_clustering(array, P, Q):
     pairs = _replay(array, np.zeros(2), np.zeros(4), count=True)
     # counts[2a + b] per active pair, then one column for the pairs never set
     n1, n01, n11 = pairs.counts
-    counts = np.zeros((4, pairs.keys.size + 1))
+    counts = np.zeros((4, pairs.m + 1))
     counts[1:, :-1] = n01, n1 - n11, n11
     counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
     linked = np.zeros(counts.shape[1], dtype=bool)

@@ -149,7 +149,7 @@ def sample_labelling(N, K, weights=None, seed=0):
     if weights is None:
         return np.minimum((u * K).astype(np.int64), K - 1)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (K,) or np.any(w < 0) or w.sum() <= 0:
+    if w.shape != (K,) or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
         raise ValueError("degenerate weight vector")
     cdf = np.cumsum(w / w.sum())
     return np.minimum(np.searchsorted(cdf, u, side="right"), K - 1).astype(np.int64)

@@ -46,6 +46,11 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution([0.5, 0.4])
 
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, 0.5, math.nan], [math.nan]])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError):
+            FiniteDistribution(probs)
+
     def test_renormalizes_inside_tolerance(self):
         f = FiniteDistribution([0.5, 0.5 + 5e-13])
         assert f.probs.sum() == 1.0
@@ -236,6 +241,11 @@ class TestBounds:
             BoundInputs(N=10, K=2, I=0.0, J=0.0, eps=0.05, zeta=0.01)
         with pytest.raises(ValueError):
             BoundInputs(N=10, K=2, I=0.0, J=0.0, eps=0.0, zeta=0.2)
+
+    @pytest.mark.parametrize("I,J", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_divergence_rejected(self, I, J):
+        with pytest.raises(ValueError):
+            BoundInputs(N=10, K=2, I=I, J=J)
 
     def test_lower_bound_at_zero_divergence(self):
         got = lower_bound_error_rate(BoundInputs(N=1000, K=2, I=0.0, J=0.0))

@@ -510,6 +510,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
+    def test_recover_nan_probability_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 4 1\ne 1 0 1\ne 1 2 3\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", "refine",
+                   "--f", "nan,0.5", "--g", "0.9,0.1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_recover_duplicate_labels_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.tsbm"
         path.write_text("tsbm 1 3 1\nlabels 1 2 1\nlabels 2 2 2\n")

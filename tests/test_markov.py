@@ -394,6 +394,12 @@ class TestHighOrderBound:
         with pytest.raises(ValueError):
             high_order_bound(1.5, cf, cg, 5, 2.0, 0.001)
 
+    @pytest.mark.parametrize("alpha,M", [(1.5, math.nan), (math.nan, 1.0)])
+    def test_nan_order_or_ratio_bound_rejected(self, alpha, M):
+        c = BinaryMarkovChain(0.001, 0.001, 0.2)
+        with pytest.raises(ValueError):
+            high_order_bound(alpha, c, c, 5, M, 0.001)
+
 
 class TestThresholdConstants:
     def test_h11_known_value(self):

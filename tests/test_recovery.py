@@ -386,6 +386,45 @@ class TestSparseOnlineMatchesDense:
             assert np.array_equal(state.ratio.dense(), ref.M)
         assert moved > 0
 
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_store_in_first_interaction_order(self, learned):
+        # pairs first set late with keys below the early ones', and pairs
+        # that turn off and on again: after every step the store lists each
+        # pair set so far once, and M and the counts equal the dense run's
+        n = 6
+        sets = [[(3, 4), (4, 5)], [(0, 1), (4, 5)], [(0, 2), (1, 5), (3, 4)], [],
+                [(0, 1), (2, 3), (3, 4)]]
+        data = np.zeros((len(sets), n, n), dtype=np.uint8)
+        for t, pairs in enumerate(sets):
+            for i, j in pairs:
+                data[t, i, j] = data[t, j, i] = 1
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        arr = SnapshotArray.from_dense(data)
+        if learned:
+            state, ref = OnlineLikelihoodLearned(arr, labels, 2), _DenseLearned(data[0], labels, 2)
+        else:
+            intra, inter = chain_from_stationary(0.4, 0.7), chain_from_stationary(0.2, 0.3)
+            state = OnlineLikelihood(arr, labels, intra, inter, 2)
+            ref = _DenseOnline(data[0], labels, intra, inter, 2)
+        iu, seen = np.triu_indices(n, 1), set()
+        for t, pairs in enumerate(sets):
+            if t:
+                ref.labels = state.labels.copy()
+                if learned:
+                    ref.P_hat, ref.Q_hat = state.P_hat.copy(), state.Q_hat.copy()
+                state.step()
+                ref.step(data[t])
+            seen |= {i * n + j for i, j in pairs}
+            ratio = state.ratio
+            assert np.array_equal(ratio.keys, ratio.rows * n + ratio.cols)
+            assert (ratio.rows < ratio.cols).all()
+            assert np.unique(ratio.keys).size == ratio.keys.size
+            assert set(ratio.keys.tolist()) == seen
+            assert np.array_equal(ratio.dense(), ref.M)
+            if learned:
+                assert np.array_equal(_packed_counts(state), ref.counts[:, iu[0], iu[1]])
+        assert ratio.keys.tolist()[:3] == [3 * n + 4, 4 * n + 5, 1]  # first set, not sorted
+
 
 @st.composite
 def _binary_runs(draw):

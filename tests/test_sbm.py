@@ -16,6 +16,7 @@ from tsbm import harness, sbm
 from tsbm._rng import counter_uniform, step_uniform
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
+from tsbm.recovery import OnlineLikelihoodLearned
 from tsbm.sbm import (
     DuplicateEdgeError,
     IndexRangeError,
@@ -62,6 +63,11 @@ class TestSampleLabelling:
             sample_labelling(10, 2, weights=[0.0, 0.0])
         with pytest.raises(ValueError):
             sample_labelling(10, 2, weights=[1.0, -0.5])
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+    def test_nan_or_infinite_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            sample_labelling(10, 2, weights=weights)
 
     def test_balanced(self):
         lab = balanced_labelling(10, 3)
@@ -275,6 +281,20 @@ class TestChunkedSampler:
             tracemalloc.stop()
         assert arr.data.size == 600687
         assert peak <= 13e6
+
+    def test_learner_peak_memory_at_the_figure_6_config(self):
+        # the pair store is allocated once over the 243k pairs the array
+        # ever sets, at 48 bytes each with the sorted pairs and their place
+        # map; the learner peaks near 18 MB.  A place kept for each of the
+        # 600k set bits pushed it to 33.7 MB.
+        arr = _scale_sample(1000, 30)
+        tracemalloc.start()
+        try:
+            OnlineLikelihoodLearned(arr, arr.labels, 2).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_blocks_drawn_in_reverse_order_give_the_same_data(self):
         intra, inter = chain_from_stationary(0.3, 0.6), chain_from_stationary(0.1, 0.4)
