@@ -68,6 +68,6 @@ from .sbm import (
     write_labels,
     write_snapshots,
 )
-from .spectral import SpectralConfig, binarize, leave_one_out_cluster, spectral_cluster
+from .spectral import binarize, leave_one_out_cluster, spectral_cluster
 
 __version__ = "0.1.0"

@@ -93,7 +93,7 @@ def _check_pair(f, g):
 
 def renyi(alpha, f, g):
     """Renyi divergence of order ``alpha`` (> 0, != 1); may return inf."""
-    if alpha <= 0 or alpha == 1:
+    if not (alpha > 0 and alpha != 1):  # NaN fails it
         raise ValueError("order must be positive and different from 1")
     _check_pair(f, g)
     p, q = f.probs, g.probs
@@ -269,22 +269,20 @@ def _exp_clipped(x):
     return math.inf if x > 700 else math.exp(x)
 
 
-def upper_bound_error_rate(inputs, kappa=None):
-    """Three-term upper bound on the average ML classification error rate.
-
-    ``kappa`` defaults to :func:`kappa_correction` on the same inputs.
+def upper_bound_error_rate(inputs):
+    """Three-term upper bound on the average ML classification error rate,
+    with :func:`kappa_correction` on the same inputs in the first exponent.
     The sum may exceed 1, in which case the bound is vacuous.
     """
-    return sum(upper_bound_terms(inputs, kappa))
+    return sum(upper_bound_terms(inputs))
 
 
-def upper_bound_terms(inputs, kappa=None):
+def upper_bound_terms(inputs):
     """The three summands of :func:`upper_bound_error_rate`, separately."""
     N, K, I = inputs.N, inputs.K, inputs.I
     if K < 2:
         raise ValueError("upper bound needs at least two blocks")
-    if kappa is None:
-        kappa = kappa_correction(N, K, I)
+    kappa = kappa_correction(N, K, I)
     return (
         8.0 * math.e * (K - 1) * _exp_clipped(-(1.0 - inputs.zeta - kappa) * N * I / K),
         _exp_clipped(

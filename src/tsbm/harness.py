@@ -41,7 +41,7 @@ from .recovery import (
     transition_rate_clustering,
 )
 from .sbm import balanced_labelling, sample_labelling, sample_markov_snapshots
-from .spectral import SpectralConfig, binarize, spectral_cluster
+from .spectral import binarize, spectral_cluster
 
 __all__ = [
     "ExperimentConfig",
@@ -209,10 +209,11 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
     if chains is None and (algorithm in MARKOV_ALGORITHMS
                            or algorithm in KERNEL_ALGORITHMS and kernels is None):
         raise ValueError(f"algorithm {algorithm!r} needs the chain pair")
-    spec_cfg = SpectralConfig(K=k, seed=derive_seed(seed, 4))
+    if not k >= 1:
+        raise ValueError("need at least one cluster")
     if algorithm in ONLINE_ALGORITHMS:
         if init == "spectral":
-            start = spectral_cluster(binarize(array, t=0), spec_cfg)
+            start = spectral_cluster(binarize(array, t=0), k, derive_seed(seed, 4))
         elif init == "truth":
             start = truth.copy()
         else:
@@ -227,9 +228,9 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
         if algorithm == "mle":
             return mle_brute_force(array, k, kf, kg), None
         mode = "fast" if algorithm == "refine" else "loo"
-        return refine_recover(array, kf, kg, k, spec_cfg, mode=mode), None
+        return refine_recover(array, kf, kg, k, derive_seed(seed, 4), mode=mode), None
     if algorithm in SPECTRAL_ALGORITHMS:
-        return spectral_cluster(spectral_matrix(array, algorithm), spec_cfg), None
+        return spectral_cluster(spectral_matrix(array, algorithm), k, derive_seed(seed, 4)), None
     if algorithm == "rates":
         return transition_rate_clustering(array, chains[0].transition, chains[1].transition)
     if algorithm == "friends":

@@ -201,7 +201,7 @@ def _log_hellinger_sum(alpha, chain_f, chain_g, T):
 def markov_renyi_exact(alpha, chain_f, chain_g, T):
     """Renyi divergence of order ``alpha`` between the length-``T`` path laws
     of two binary chains, via the transfer matrix in O(log T)."""
-    if alpha <= 0 or alpha == 1:
+    if not (alpha > 0 and alpha != 1):  # NaN fails it
         raise ValueError("order must be positive and different from 1")
     log_z = _log_hellinger_sum(alpha, chain_f, chain_g, T)
     if math.isinf(log_z):
@@ -215,7 +215,7 @@ def markov_renyi_brute(alpha, chain_f, chain_g, T):
         raise ValueError("brute-force enumeration capped at T = 20")
     if T < 1:
         raise ValueError("need at least one snapshot")
-    if alpha <= 0 or alpha == 1:
+    if not (alpha > 0 and alpha != 1):  # NaN fails it
         raise ValueError("order must be positive and different from 1")
     codes = np.arange(2**T, dtype=np.int64)
     paths = (codes[:, None] >> np.arange(T)[None, :]) & 1
@@ -371,7 +371,7 @@ def h11_sq(p11, q11):
 
 def _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma):
     """``(base, per, transient_coef)`` of ``i_tilde_short``, validated."""
-    if min(u, v, p01, q01, h11_sq_value) < 0:
+    if not all(x >= 0 for x in (u, v, p01, q01, h11_sq_value)):  # each, so NaN fails
         raise ValueError("rate arguments must be non-negative")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
@@ -404,7 +404,7 @@ def _geo_sum(gamma, T):
 def i_tilde_long(p01, q01, h11_sq_value):
     """Per-snapshot threshold constant for a long horizon (initial states
     forgotten): ``(sqrt(p01)-sqrt(q01))^2 + 2 h11^2 sqrt(p01 q01)``."""
-    if min(p01, q01, h11_sq_value) < 0:
+    if not all(x >= 0 for x in (p01, q01, h11_sq_value)):  # each, so NaN fails
         raise ValueError("rate arguments must be non-negative")
     return (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2.0 * h11_sq_value * math.sqrt(p01 * q01)
 
@@ -450,9 +450,9 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     closed form at the span's end.  A search costs O(log T*) rungs and
     four-product moves.
     """
-    if K < 2:
+    if not K >= 2:  # NaN fails this and the next check
         raise ValueError("need at least two blocks")
-    if N < 2:
+    if not N >= 2:
         raise ValueError(f"need at least two nodes, got N={N}")
     if isinstance(convention, str):
         convention = ThresholdConvention(convention)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import bmat, csgraph, csr_matrix, issparse
 
 from .markov import BinaryMarkovChain
-from .spectral import SpectralConfig, binarize, spectral_cluster, leave_one_out_cluster
+from .spectral import binarize, spectral_cluster, leave_one_out_cluster
 
 __all__ = [
     "LOG_RATIO_SATURATION",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 LOG_RATIO_SATURATION = 700.0
+_MLE_BUDGET = 10**6  # labellings that mle_brute_force may enumerate
 
 
 def _sat_log_ratio(p, q):
@@ -228,8 +229,8 @@ class CategoricalKernel:
         return _PairLogRatio(array, lr)
 
 
-def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
-    """Spectral initialisation plus node-wise likelihood refinement.
+def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
+    """Seeded spectral initialisation plus node-wise likelihood refinement.
 
     ``mode='fast'`` runs one global spectral clustering and one refinement
     sweep.  ``mode='loo'`` runs one leave-one-out spectral clustering per
@@ -240,9 +241,6 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
     """
     if K == 1:
         return np.zeros(array.N, dtype=np.int64)
-    config = config or SpectralConfig(K=K)
-    if config.K != K:
-        raise ValueError("config.K disagrees with K")
     if mode == "loo" and K > array.N - 1:
         raise ValueError(f"leave-one-out refinement needs K <= N - 1: each minor has "
                          f"{array.N - 1} nodes, got K = {K}")
@@ -251,14 +249,14 @@ def refine_recover(array, kernel_f, kernel_g, K, config=None, mode="fast"):
     R = kernel_f.log_ratio_matrix(array, kernel_g)
 
     if mode == "fast":
-        return _argmax_rows(R.scores(spectral_cluster(adj, config), K))
+        return _argmax_rows(R.scores(spectral_cluster(adj, K, seed), K))
     if mode != "loo":
         raise ValueError(f"unknown mode {mode!r}")
 
     out = np.empty(N, dtype=np.int64)
     for i in range(N):
         full = np.zeros(N, dtype=np.int64)  # run i's labels; its own entry is not scored
-        full[np.arange(N) != i] = leave_one_out_cluster(adj, i, config)
+        full[np.arange(N) != i] = leave_one_out_cluster(adj, i, K, seed)
         full[i] = int(np.argmax(R.scores(full, K)[i]))
         if i == 0:
             run0 = full
@@ -510,14 +508,14 @@ def enemy_paths(array):
 # ---------------------------------------------------------------------------
 
 
-def mle_brute_force(array, K, kernel_f, kernel_g, budget=10**6):
+def mle_brute_force(array, K, kernel_f, kernel_g):
     """Exhaustive maximiser of the block-model log likelihood over all
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
-    Only feasible at toy sizes (``K^N`` capped by ``budget``)."""
+    Only feasible at toy sizes (``K^N`` capped at ``_MLE_BUDGET``)."""
     n = array.N
     total = K**n
-    if total > budget:
-        raise ValueError(f"K^N = {total} exceeds budget {budget}")
+    if total > _MLE_BUDGET:
+        raise ValueError(f"K^N = {total} exceeds budget {_MLE_BUDGET}")
     R = kernel_f.log_ratio_matrix(array, kernel_g).dense()
     powers = K ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best_score = -math.inf

@@ -10,7 +10,6 @@ its centres from one weighted ``bincount`` per column.
 
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -19,7 +18,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from ._rng import derive_seed
 
 __all__ = [
-    "SpectralConfig",
     "EigenConvergenceError",
     "binarize",
     "top_eigenpairs",
@@ -29,6 +27,11 @@ __all__ = [
 ]
 
 
+# the degree trim's factor (see trim_high_degree); k-means restarts and Lloyd
+# iterations per restart
+_TRIM_FACTOR = 40.0
+_KMEANS_RESTARTS = 8
+_KMEANS_ITERS = 100
 # ARPACK's relative residual tolerance and its cap on Lanczos restarts
 _EIG_TOL = 1e-8
 _EIG_MAX_ITER = 1000
@@ -57,29 +60,6 @@ class EigenConvergenceError(RuntimeError):
         return type(self), (self.iterations, self.residual)
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Tuning knobs for the spectral pipeline.
-
-    Nodes of degree above ``trim_factor * K * mean_degree`` are zeroed out
-    before the eigendecomposition.
-    """
-
-    K: int
-    trim_factor: float = 40.0
-    kmeans_restarts: int = 8
-    kmeans_iters: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("need at least one cluster")
-        if not self.trim_factor > 0:
-            raise ValueError("trim factor must be positive")
-        if self.kmeans_restarts < 1 or self.kmeans_iters < 1:
-            raise ValueError("k-means needs at least one restart and one iteration")
-
-
 def binarize(array, t=None):
     """0/1 uint8 adjacency matrix of a SnapshotArray, marking node pairs with
     any nonzero interaction over all snapshots, or over snapshot ``t`` alone
@@ -92,18 +72,16 @@ def binarize(array, t=None):
     return out.reshape(n, n)
 
 
-def trim_high_degree(adj, K, trim_factor):
-    """Zero out rows/columns of nodes whose degree exceeds ``trim_factor * K
-    * mean_degree`` (none for an infinite factor).  Returns (matrix, kept_mask);
-    the matrix keeps the input's dtype and is the input itself when no node
-    is trimmed, so a 0/1 uint8 matrix never becomes an N x N float array."""
+def trim_high_degree(adj, K):
+    """Zero out rows/columns of nodes whose degree exceeds ``_TRIM_FACTOR * K
+    * mean_degree``.  Returns (matrix, kept_mask); the matrix keeps the
+    input's dtype and is the input itself when no node is trimmed, so a 0/1
+    uint8 matrix never becomes an N x N float array."""
     a = np.asarray(adj)
-    if trim_factor == math.inf:  # where the mean degree is 0, inf * 0 would be NaN
-        return a, np.ones(a.shape[0], dtype=bool)
     # degrees are float64 sums either way; only signed entries need abs
     deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
         axis=1, dtype=np.float64)
-    keep = deg <= trim_factor * K * deg.mean()
+    keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
         return a, keep
     out = a.copy()
@@ -180,28 +158,28 @@ def _kmeans_pp_init(X, k, rng):
     return centers
 
 
-def kmeans(X, k, restarts=8, iters=100, rng=None):
-    """Seeded k-means with ++-style init; best of ``restarts`` by inertia.
+def kmeans(X, k, rng=None):
+    """Seeded k-means with ++-style init; best of ``_KMEANS_RESTARTS`` runs
+    by inertia, each of at most ``_KMEANS_ITERS`` Lloyd iterations.
 
     While every cluster has a point, an iteration's centres are one
     weighted ``bincount`` per column over the cluster sizes: the row-by-row
     sums that ``X[labels == c].mean(axis=0)`` makes on two or more columns.
     Otherwise, and for a single column (whose ``mean`` sums pairwise), each
     centre is that ``mean``, and an empty cluster is reseeded at the point
-    farthest from its centre.  Raises ValueError unless ``k``, ``restarts``
-    and ``iters`` are at least 1."""
-    if k < 1 or restarts < 1 or iters < 1:
-        raise ValueError("need k, restarts and iters of at least 1")
+    farthest from its centre.  Raises ValueError unless ``k >= 1``."""
+    if not k >= 1:
+        raise ValueError("need at least one cluster")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     rng = rng or np.random.default_rng(0)
     if k == 1:
         return np.zeros(n, dtype=np.int64)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kmeans_pp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(iters):
+        for _ in range(_KMEANS_ITERS):
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             sizes = np.bincount(new_labels, minlength=k)
@@ -230,24 +208,23 @@ def kmeans(X, k, restarts=8, iters=100, rng=None):
     return best_labels
 
 
-def _cluster(adj, config, stream):
-    if config.K > len(adj):
+def _cluster(adj, K, seed, stream):
+    if not 1 <= K <= len(adj):
         raise ValueError("need 1 <= K <= N")
-    rng = np.random.default_rng(derive_seed(config.seed, stream))
-    trimmed, _ = trim_high_degree(adj, config.K, config.trim_factor)
-    _, vecs = top_eigenpairs(trimmed, config.K, rng=rng)
-    return kmeans(
-        vecs, config.K, restarts=config.kmeans_restarts, iters=config.kmeans_iters, rng=rng
-    )
+    rng = np.random.default_rng(derive_seed(seed, stream))
+    trimmed, _ = trim_high_degree(adj, K)
+    _, vecs = top_eigenpairs(trimmed, K, rng=rng)
+    return kmeans(vecs, K, rng=rng)
 
 
-def spectral_cluster(adj, config):
-    """Cluster nodes of a symmetric (weighted) adjacency matrix: trim, embed
-    on the top-K eigenvectors, then k-means the embedding rows."""
-    return _cluster(adj, config, 0)
+def spectral_cluster(adj, K, seed=0):
+    """Cluster nodes of a symmetric (weighted) adjacency matrix into ``K``
+    blocks: trim, embed on the top-K eigenvectors, then k-means the
+    embedding rows, drawing from substream 0 of ``seed``."""
+    return _cluster(adj, K, seed, 0)
 
 
-def leave_one_out_cluster(adj, i, config):
+def leave_one_out_cluster(adj, i, K, seed=0):
     """Spectral clustering of the minor with row/column ``i`` removed;
     deterministic given (seed, i).  Returns labels on the remaining nodes
     in their original order."""
@@ -258,4 +235,4 @@ def leave_one_out_cluster(adj, i, config):
     if not 0 <= i < n:
         raise ValueError("node index out of range")
     keep = np.arange(n) != i
-    return _cluster(adj[np.ix_(keep, keep)], config, i + 1)
+    return _cluster(adj[np.ix_(keep, keep)], K, seed, i + 1)

@@ -78,6 +78,10 @@ class TestRenyi:
         with pytest.raises(ValueError):
             renyi(0.5, B(0.5), FiniteDistribution([1 / 3] * 3))
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            renyi(math.nan, B(0.5), B(0.1))
+
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             renyi(1.0, B(0.5), B(0.2))

@@ -31,7 +31,7 @@ from tsbm.harness import (
 from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary, t_star
 from tsbm.sbm import SnapshotArray, read_labels, read_snapshots
-from tsbm.spectral import SpectralConfig, spectral_cluster
+from tsbm.spectral import spectral_cluster
 
 
 SMALL = ExperimentConfig(
@@ -275,6 +275,13 @@ class TestRecover:
         with pytest.raises(ValueError, match="needs the chain pair"):
             recover(array, algorithm, 2, 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_fewer_than_one_cluster_rejected(self, algorithm, k):
+        array = SnapshotArray.from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="need at least one cluster"):
+            recover(array, algorithm, k, 0, chains=SMALL.chains())
+
     def test_unknown_algorithm(self):
         array = SnapshotArray.from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -373,8 +380,8 @@ class TestCLI:
                    "--seed", "4", "--out", str(est)])
         assert rc == 0
         assert capsys.readouterr().err == ""
-        config = SpectralConfig(K=2, seed=derive_seed(4, 4))
-        want = spectral_cluster(spectral_matrix(read_snapshots(graph), algorithm), config)
+        want = spectral_cluster(spectral_matrix(read_snapshots(graph), algorithm), 2,
+                                derive_seed(4, 4))
         assert np.array_equal(read_labels(est), want)
 
     @pytest.mark.parametrize("algorithm", ["rates", "friends", "enemies", "spectral"])
@@ -448,6 +455,16 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
         assert not (tmp_path / "est.labels").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_recover_needs_at_least_one_cluster(self, tmp_path, capsys, algorithm, k):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 30 2\ne 1 0 1\ne 2 3 4\n")
+        rc = main(["recover", "--input", str(path), "--algorithm", algorithm, "--k", k,
+                   "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least one cluster\n"
 
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse

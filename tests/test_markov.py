@@ -135,6 +135,12 @@ class TestExactDivergence:
                 got = markov_renyi_exact(alpha, c, c, T)
                 assert math.copysign(1.0, got) == 1.0 and got < 1e-9, (c, T, got)
 
+    @pytest.mark.parametrize("divergence", [markov_renyi_exact, markov_renyi_brute])
+    def test_nan_order_rejected(self, divergence):
+        cf, cg = BinaryMarkovChain(0.3, 0.2, 0.6), BinaryMarkovChain(0.1, 0.15, 0.5)
+        with pytest.raises(ValueError, match="order"):
+            divergence(math.nan, cf, cg, 4)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -439,6 +445,21 @@ class TestThresholdConstants:
         for later in (T + 1, T + extra):
             assert i_tilde_short(*rates, h11, gamma, later) >= a * (1 - 1e-9)
 
+    @pytest.mark.parametrize("position", range(5))
+    def test_short_form_nan_rate_rejected(self, position):
+        # one NaN in any place; min() over NaN depends on where it sits
+        rates = [2.0, 1.0, 0.4, 0.3, 0.2]
+        rates[position] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            i_tilde_short(*rates, 0.5, 3)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_long_form_nan_rate_rejected(self, position):
+        rates = [0.4, 0.3, 0.2]
+        rates[position] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            i_tilde_long(*rates)
+
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
             i_tilde_short(1.0, 1.0, 1.0, 1.0, 0.1, 0.0, 5)
@@ -463,6 +484,13 @@ class TestTStar:
         intra = chain_from_stationary(mu_mult * rho, 0.7)
         inter = chain_from_stationary(1.5 * rho, 0.3)
         assert t_star(intra, inter, n, k, ThresholdConvention.EXACT) == want
+
+    @pytest.mark.parametrize("convention", ["exact", "itilde"])
+    @pytest.mark.parametrize("N,K", [(math.nan, 2), (500, math.nan)])
+    def test_nan_size_rejected(self, convention, N, K):
+        intra, inter = chain_from_stationary(0.02, 0.7), chain_from_stationary(0.01, 0.3)
+        with pytest.raises(ValueError, match="at least two"):
+            t_star(intra, inter, N, K, convention)
 
     def test_identical_chains_hit_cap(self):
         c = chain_from_stationary(0.02, 0.5)

@@ -31,7 +31,7 @@ from tsbm.sbm import (
     sample_labelling,
     sample_markov_snapshots,
 )
-from tsbm.spectral import SpectralConfig, binarize, leave_one_out_cluster, spectral_cluster
+from tsbm.spectral import binarize, leave_one_out_cluster, spectral_cluster
 from tsbm._rng import derive_seed
 
 import dense_reference as dense_ref
@@ -87,7 +87,7 @@ class TestRefineRecover:
         for mode in ("fast", "loo"):
             got = refine_recover(
                 arr, MarkovKernel(ones), MarkovKernel(zeros), 2,
-                SpectralConfig(K=2, seed=0), mode=mode,
+                0, mode=mode,
             )
             assert accuracy(labels, got) == 1.0
 
@@ -101,7 +101,7 @@ class TestRefineRecover:
             labels, arr = markov_instance(60, 6, 10 + seed)
             got = refine_recover(
                 arr, MarkovKernel(INTRA), MarkovKernel(INTER), 2,
-                SpectralConfig(K=2, seed=seed), mode="loo",
+                seed, mode="loo",
             )
             assert accuracy(labels, got) == 1.0
 
@@ -116,13 +116,12 @@ class TestRefineRecover:
         for seed in range(20):
             labels = sample_labelling(n, 2, seed=1000 + seed)
             arr = sample_markov_snapshots(labels, intra, inter, 8, seed=2000 + seed)
-            cfg = SpectralConfig(K=2, seed=seed)
-            init_acc.append(accuracy(labels, spectral_cluster(binarize(arr), cfg)))
+            init_acc.append(accuracy(labels, spectral_cluster(binarize(arr), 2, seed)))
             refined_acc.append(
                 accuracy(
                     labels,
                     refine_recover(
-                        arr, MarkovKernel(intra), MarkovKernel(inter), 2, cfg, mode="fast"
+                        arr, MarkovKernel(intra), MarkovKernel(inter), 2, seed, mode="fast"
                     ),
                 )
             )
@@ -602,10 +601,9 @@ class TestSparseConsumersMatchDense:
            seed=st.integers(0, 100))
     def test_refine_labels(self, arr, f, g, K, seed):
         # the dense argmax, except where block scores tie up to rounding
-        config = SpectralConfig(K=K, seed=seed)
-        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config)
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, seed)
         R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g)).dense()
-        L = dense_ref.block_scores(R, spectral_cluster(binarize(arr), config), K)
+        L = dense_ref.block_scores(R, spectral_cluster(binarize(arr), K, seed), K)
         near = L.max(axis=1) - np.sort(L, axis=1)[:, -2] <= 1e-12 * np.abs(R).sum(axis=1)
         assert np.array_equal(got[~near], L.argmax(axis=1)[~near])
         rows = np.flatnonzero(near)
@@ -618,14 +616,13 @@ class TestSparseConsumersMatchDense:
         # node i takes the dense argmax of its own row against its
         # leave-one-out clustering (any choice within rounding of the best),
         # then every labelling is aligned on run 0's
-        config = SpectralConfig(K=K, seed=seed)
-        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config, mode="loo")
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, seed, mode="loo")
         R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g)).dense()
         adj, n = binarize(arr), arr.N
         runs, choices = [], []
         for i in range(n):
             full = np.zeros(n, dtype=np.int64)
-            full[np.arange(n) != i] = leave_one_out_cluster(adj, i, config)
+            full[np.arange(n) != i] = leave_one_out_cluster(adj, i, K, seed)
             h = dense_ref.block_scores(R, full, K)[i]
             runs.append(full)
             choices.append(np.flatnonzero(h.max() - h <= 1e-12 * np.abs(R[i]).sum()))
@@ -655,7 +652,7 @@ def _inplace_sweep_by_node(ratio, labels, K):
     return out
 
 
-def _refine_loo_by_matrix(arr, f, g, K, config):
+def _refine_loo_by_matrix(arr, f, g, K, seed):
     """``refine_recover(mode='loo')`` with every run's labels kept in an
     N x N array and the consensus taken as ``own @ onehot(run 0)``."""
     R = MarkovKernel(f).log_ratio_matrix(arr, MarkovKernel(g))
@@ -663,7 +660,7 @@ def _refine_loo_by_matrix(arr, f, g, K, config):
     per_node = np.zeros((n, n), dtype=np.int64)  # run i's labels
     for i in range(n):
         full = per_node[i]
-        full[np.arange(n) != i] = leave_one_out_cluster(adj, i, config)
+        full[np.arange(n) != i] = leave_one_out_cluster(adj, i, K, seed)
         full[i] = int(np.argmax(R.scores(full, K)[i]))
     own = per_node == per_node.diagonal()[:, None]  # each run's block of its own node
     return (own.astype(np.int64) @ _one_hot(per_node[0], K).astype(np.int64)).argmax(axis=1)
@@ -702,9 +699,8 @@ class TestOneScorer:
     @given(arr=_pattern_arrays(min_n=4), f=st.one_of(_any_chain, _static_chain), g=_any_chain,
            K=st.integers(2, 3), seed=st.integers(0, 100))
     def test_refine_loo_matches_matrix_consensus(self, arr, f, g, K, seed):
-        config = SpectralConfig(K=K, seed=seed)
-        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, config, mode="loo")
-        want = _refine_loo_by_matrix(arr, f, g, K, config)
+        got = refine_recover(arr, MarkovKernel(f), MarkovKernel(g), K, seed, mode="loo")
+        want = _refine_loo_by_matrix(arr, f, g, K, seed)
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n,K", [(3, 3), (4, 4), (4, 5)])
@@ -716,8 +712,7 @@ class TestOneScorer:
         monkeypatch.setattr("tsbm.recovery.leave_one_out_cluster", fail)
         labels, arr = markov_instance(n, 3, 0)
         with pytest.raises(ValueError, match=f"each minor has {n - 1} nodes, got K = {K}"):
-            refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), K,
-                           SpectralConfig(K=K), mode="loo")
+            refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), K, mode="loo")
 
 
 class TestTransitionRates:
@@ -909,7 +904,7 @@ class TestStrongSignalGates:
             arr = sample_markov_snapshots(labels, intra, inter, 15, seed=4000 + seed)
             got = refine_recover(
                 arr, MarkovKernel(intra), MarkovKernel(inter), 2,
-                SpectralConfig(K=2, seed=seed), mode="fast",
+                seed, mode="fast",
             )
             accs.append(accuracy(labels, got))
         assert np.mean(accs) >= 0.99
@@ -925,7 +920,7 @@ class TestStrongSignalGates:
             arr = sample_markov_snapshots(labels, intra, inter, 30, seed=derive_seed(seed, 2))
             from tsbm.spectral import binarize, spectral_cluster
 
-            init = spectral_cluster(binarize(arr, t=0), SpectralConfig(K=2, seed=seed))
+            init = spectral_cluster(binarize(arr, t=0), 2, seed)
             state = OnlineLikelihood(arr, init, intra, inter, 2, synchronous=False)
             state.run()
             finals.append(accuracy(labels, state.labels))
