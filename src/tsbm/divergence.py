@@ -3,36 +3,16 @@ bound formulas built from them.
 
 All sums of the form ``sum f(x)^a g(x)^(1-a)`` are evaluated in the log
 domain with a max-factored log-sum-exp so that divergences of order 1e-5
-keep at least eight significant digits.  Conventions: ``0 * log(0/y) = 0``;
-a point with ``f(x) > 0, g(x) = 0`` contributes nothing for orders below 1
-and makes the divergence infinite for orders above 1.
+keep at least eight significant digits.  A point with ``f(x) > 0, g(x) = 0``
+contributes nothing for orders below 1 and makes the divergence infinite for
+orders above 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-
-__all__ = [
-    "FiniteDistribution",
-    "renyi",
-    "renyi_symmetric",
-    "hellinger_sq",
-    "kl",
-    "v_kl",
-    "beta_ratio",
-    "j_quantity",
-    "zero_inflated_renyi_half",
-    "geometric_mixture",
-    "BoundInputs",
-    "kappa_correction",
-    "i21_term",
-    "lower_bound_error_rate",
-    "upper_bound_error_rate",
-    "llr_moments",
-    "homogeneous_llr_moments",
-]
 
 _NORM_TOL = 1e-12
 
@@ -63,10 +43,6 @@ class FiniteDistribution:
 
     def __repr__(self):
         return f"FiniteDistribution({self.probs.tolist()})"
-
-    @property
-    def support(self):
-        return self.probs > 0
 
     @classmethod
     def bernoulli(cls, p):
@@ -112,11 +88,6 @@ def renyi(alpha, f, g):
     return max(value, 0.0)
 
 
-def renyi_symmetric(alpha, f, g):
-    """Symmetrised divergence: mean of the two one-sided orders."""
-    return 0.5 * (renyi(alpha, f, g) + renyi(alpha, g, f))
-
-
 def hellinger_sq(f, g):
     """Squared Hellinger distance, in [0, 1].
 
@@ -125,47 +96,6 @@ def hellinger_sq(f, g):
     _check_pair(f, g)
     d = np.sqrt(f.probs) - np.sqrt(g.probs)
     return min(0.5 * float(d @ d), 1.0)
-
-
-def kl(f, g):
-    """Kullback-Leibler divergence; inf when supp(f) is not inside supp(g)."""
-    _check_pair(f, g)
-    p, q = f.probs, g.probs
-    fpos = p > 0
-    if np.any(fpos & (q == 0)):
-        return math.inf
-    pp, qq = p[fpos], q[fpos]
-    return max(float(pp @ (np.log(pp) - np.log(qq))), 0.0)
-
-
-def v_kl(f, g):
-    """Variance of ``log(f/g)`` under ``f``; raises where KL is infinite."""
-    _check_pair(f, g)
-    p, q = f.probs, g.probs
-    fpos = p > 0
-    if np.any(fpos & (q == 0)):
-        raise ValueError("support of f not contained in support of g")
-    pp = p[fpos]
-    logr = np.log(pp) - np.log(q[fpos])
-    mean = float(pp @ logr)
-    return max(float(pp @ logr**2) - mean * mean, 0.0)
-
-
-def beta_ratio(r, f, g):
-    """Ratio of symmetric divergences of orders ``1+r`` and ``r``.
-
-    Undefined (raises) when the denominator vanishes; an infinite numerator
-    over a positive denominator yields inf.
-    """
-    if not 0 < r <= 1:
-        raise ValueError("r must lie in (0, 1]")
-    denom = renyi_symmetric(r, f, g)
-    if denom == 0.0:
-        raise ValueError("denominator divergence is zero; ratio undefined")
-    num = renyi_symmetric(1.0 + r, f, g)
-    if math.isinf(num):
-        return math.inf
-    return num / denom
 
 
 def j_quantity(f, g):
@@ -179,32 +109,6 @@ def j_quantity(f, g):
     w = np.sqrt(p[joint] * q[joint])
     logr = np.log(p[joint]) - np.log(q[joint])
     return float(w @ logr**2) / float(w.sum())
-
-
-def zero_inflated_renyi_half(p, q, hel_sq_tilde):
-    """Leading term of the order-1/2 divergence between two zero-inflated
-    distributions with presence probabilities ``p, q`` and conditional
-    squared Hellinger distance ``hel_sq_tilde``.
-
-    Valid up to O(rho^2) when ``p, q = O(rho)`` with ``rho << 1``.
-    """
-    if not (0 <= p <= 1 and 0 <= q <= 1):
-        raise ValueError("presence probabilities must lie in [0, 1]")
-    if not 0 <= hel_sq_tilde <= 1:
-        raise ValueError("hel_sq_tilde must lie in [0, 1]")
-    return (math.sqrt(p) - math.sqrt(q)) ** 2 + 2.0 * math.sqrt(p * q) * hel_sq_tilde
-
-
-def geometric_mixture(f, g, a):
-    """Normalised geometric mean ``f^a g^(1-a) / Z``; requires overlap."""
-    _check_pair(f, g)
-    if not 0 < a < 1:
-        raise ValueError("exponent must lie strictly between 0 and 1")
-    w = f.probs**a * g.probs ** (1.0 - a)
-    total = w.sum()
-    if total == 0:
-        raise ValueError("orthogonal supports")
-    return FiniteDistribution(w / total)
 
 
 # ---------------------------------------------------------------------------
@@ -291,68 +195,3 @@ def upper_bound_terms(inputs):
         2.0 * K * _exp_clipped(-inputs.eps**2 * N / (3.0 * K)),
     )
 
-
-# ---------------------------------------------------------------------------
-# Log-likelihood-ratio moment terms of the lower-bound construction
-# ---------------------------------------------------------------------------
-
-
-def llr_moments(alpha, kernel, refs, subset=None):
-    """Moment terms (mean, variance, across-block variance) of the per-pair
-    log-likelihood ratio against reference distributions.
-
-    Parameters
-    ----------
-    alpha : sequence of float
-        Block weights, a probability vector over ``[K]``.
-    kernel : K x K nested sequence of FiniteDistribution
-        Interaction distribution for each ordered block pair (symmetric).
-    refs : sequence of FiniteDistribution
-        Reference distribution for each block.
-    subset : iterable of int, optional
-        Restriction of the outer block index; defaults to all blocks.
-
-    Returns
-    -------
-    (I1, I21, I22) : tuple of float
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    K = alpha.size
-    if subset is None:
-        subset = range(K)
-    subset = sorted(set(subset))
-    a_sub = alpha[subset].sum()
-    if a_sub <= 0:
-        raise ValueError("subset carries no weight")
-    alpha_star = np.zeros(K)
-    for k in subset:
-        alpha_star[k] = alpha[k] / a_sub
-
-    d = np.zeros((K, K))  # d[k, l] = KL(refs[l] || kernel[k][l])
-    v = np.zeros((K, K))
-    for k in subset:
-        for l in range(K):
-            d[k, l] = kl(refs[l], kernel[k][l])
-            v[k, l] = v_kl(refs[l], kernel[k][l])
-
-    A = d @ alpha  # A[k] = sum_l alpha_l d[k, l]
-    B = (d**2) @ alpha - A**2
-    I1 = float(alpha_star @ A)
-    I21 = float(alpha_star @ (v @ alpha)) + float(alpha_star @ B)
-    I22 = float(alpha_star @ A**2) - I1 * I1
-    return I1, I21, max(I22, 0.0)
-
-
-def homogeneous_llr_moments(K, f, g, convention="quadratic"):
-    """Closed-form moment terms for the uniform homogeneous model with the
-    optimal reference choice (geometric-mean distribution on a two-block
-    subset, inter-block distribution elsewhere).
-
-    Returns ``(I/K, i21_term(I, J, K), 0)`` with ``I`` the order-1/2
-    divergence and ``J`` the matching second-moment quantity.
-    """
-    if K < 2:
-        raise ValueError("need at least two blocks")
-    I = renyi(0.5, f, g)
-    J = j_quantity(f, g)
-    return I / K, i21_term(I, J, K, convention), 0.0

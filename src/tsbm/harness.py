@@ -43,29 +43,6 @@ from .recovery import (
 from .sbm import balanced_labelling, sample_labelling, sample_markov_snapshots
 from .spectral import binarize, spectral_cluster
 
-__all__ = [
-    "ExperimentConfig",
-    "TrialRecord",
-    "DivergenceReport",
-    "divergence_report",
-    "run_trial",
-    "run_experiment",
-    "records_to_csv",
-    "threshold_grid",
-    "figure_bundle",
-    "threshold_grid_csv",
-    "chains_in_units",
-    "parse_config_text",
-    "spectral_matrix",
-    "recover",
-    "ONLINE_ALGORITHMS",
-    "SPECTRAL_ALGORITHMS",
-    "MARKOV_ALGORITHMS",
-    "KERNEL_ALGORITHMS",
-    "ALGORITHMS",
-    "UNITS",
-]
-
 ONLINE_ALGORITHMS = ("online", "online-learn")
 SPECTRAL_ALGORITHMS = ("spectral", "spectral-union", "spectral-aggregate", "spectral-squared")
 ALGORITHMS = (ONLINE_ALGORITHMS + ("refine", "refine-loo") + SPECTRAL_ALGORITHMS

@@ -12,26 +12,6 @@ from enum import Enum
 import numpy as np
 from scipy.special import logsumexp
 
-__all__ = [
-    "BinaryMarkovChain",
-    "chain_from_stationary",
-    "markov_renyi_exact",
-    "markov_renyi_brute",
-    "markov_j_quantity",
-    "markov_hellinger_sq",
-    "SparseApprox",
-    "sparse_renyi_approx",
-    "high_order_bound",
-    "h11_sq",
-    "i_tilde_short",
-    "i_tilde_long",
-    "ThresholdConvention",
-    "t_star",
-    "PathStats",
-    "path_stats",
-    "count_paths",
-]
-
 
 @dataclass(frozen=True)
 class BinaryMarkovChain:

@@ -10,16 +10,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = [
-    "confusion_matrix",
-    "ham",
-    "ham_star",
-    "mirkin",
-    "rand_index",
-    "unique_alignment",
-    "accuracy",
-]
-
 
 def _as_labels(s):
     a = np.asarray(s, dtype=np.int64)

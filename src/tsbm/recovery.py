@@ -22,20 +22,6 @@ from scipy.sparse import bmat, csgraph, csr_matrix, issparse
 from .markov import BinaryMarkovChain
 from .spectral import binarize, spectral_cluster, leave_one_out_cluster
 
-__all__ = [
-    "LOG_RATIO_SATURATION",
-    "MarkovKernel",
-    "CategoricalKernel",
-    "refine_recover",
-    "OnlineLikelihood",
-    "OnlineLikelihoodLearned",
-    "transition_rate_clustering",
-    "persistent_components",
-    "enemy_paths",
-    "mle_brute_force",
-    "connected_components",
-]
-
 LOG_RATIO_SATURATION = 700.0
 _MLE_BUDGET = 10**6  # labellings that mle_brute_force may enumerate
 
@@ -512,6 +498,8 @@ def mle_brute_force(array, K, kernel_f, kernel_g):
     """Exhaustive maximiser of the block-model log likelihood over all
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
     Only feasible at toy sizes (``K^N`` capped at ``_MLE_BUDGET``)."""
+    if K < 1:
+        raise ValueError("need at least one cluster")
     n = array.N
     total = K**n
     if total > _MLE_BUDGET:

@@ -31,22 +31,6 @@ import numpy as np
 
 from ._rng import counter_uniform, derive_seed, step_uniform, stream_key
 
-__all__ = [
-    "SnapshotArray",
-    "SnapshotFormatError",
-    "MalformedHeaderError",
-    "DuplicateEdgeError",
-    "IndexRangeError",
-    "sample_labelling",
-    "balanced_labelling",
-    "sample_markov_snapshots",
-    "sample_categorical_snapshots",
-    "write_snapshots",
-    "read_snapshots",
-    "write_labels",
-    "read_labels",
-]
-
 
 class SnapshotFormatError(ValueError):
     """Base error for malformed snapshot files."""

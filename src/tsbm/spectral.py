@@ -17,15 +17,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
 
-__all__ = [
-    "EigenConvergenceError",
-    "binarize",
-    "top_eigenpairs",
-    "kmeans",
-    "spectral_cluster",
-    "leave_one_out_cluster",
-]
-
 
 # the degree trim's factor (see trim_high_degree); k-means restarts and Lloyd
 # iterations per restart
@@ -167,7 +158,9 @@ def kmeans(X, k, rng=None):
     sums that ``X[labels == c].mean(axis=0)`` makes on two or more columns.
     Otherwise, and for a single column (whose ``mean`` sums pairwise), each
     centre is that ``mean``, and an empty cluster is reseeded at the point
-    farthest from its centre.  Raises ValueError unless ``k >= 1``."""
+    farthest from its centre.  A run that cycles through (centres, labels)
+    states, as reseeding can, stops at the state its last iteration would
+    reach.  Raises ValueError unless ``k >= 1``."""
     if not k >= 1:
         raise ValueError("need at least one cluster")
     X = np.asarray(X, dtype=np.float64)
@@ -179,7 +172,8 @@ def kmeans(X, k, rng=None):
     for _ in range(_KMEANS_RESTARTS):
         centers = _kmeans_pp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(_KMEANS_ITERS):
+        seen, it, stop = {}, 0, _KMEANS_ITERS
+        while it < stop:
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             sizes = np.bincount(new_labels, minlength=k)
@@ -202,6 +196,13 @@ def kmeans(X, k, rng=None):
                 labels = new_labels
                 break
             labels = new_labels
+            # the loop draws nothing, so a repeated (centres, labels) state
+            # starts a cycle: stop at the state the last iteration would reach
+            key = labels.tobytes() + centers.tobytes()
+            if key in seen:
+                stop = it + 1 + (stop - 1 - it) % (it - seen[key])
+            seen[key] = it
+            it += 1
         inertia = float(((X - centers[labels]) ** 2).sum())
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels.copy()

@@ -5,28 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from divergence_reference import geometric_mixture, kl, llr_moments, v_kl
 from tsbm.divergence import (
     BoundInputs,
     FiniteDistribution,
-    beta_ratio,
-    geometric_mixture,
     hellinger_sq,
-    homogeneous_llr_moments,
     i21_term,
     j_quantity,
     kappa_correction,
-    kl,
-    llr_moments,
     lower_bound_error_rate,
     renyi,
-    renyi_symmetric,
     upper_bound_error_rate,
     upper_bound_terms,
-    v_kl,
-    zero_inflated_renyi_half,
 )
+from tsbm.harness import divergence_report
+from tsbm.markov import BinaryMarkovChain, sparse_renyi_approx
 
 B = FiniteDistribution.bernoulli
+
+
+def iid_chain(p):
+    # snapshots are i.i.d. Ber(p), so a one-snapshot path law is B(p)
+    return BinaryMarkovChain(mu1=p, p01=p, p11=p)
 
 
 def random_pair(rng, size=None):
@@ -109,6 +109,11 @@ class TestRenyi:
             rhs = a * renyi(1 - a, g, f)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_symmetric_pair(self):
+        # f = Ber(p), g = Ber(1-p): one-sided divergences agree by symmetry
+        f, g = B(0.3), B(0.7)
+        assert renyi(0.5, f, g) == pytest.approx(renyi(0.5, g, f), abs=1e-14)
+
     def test_monotone_in_order(self):
         rng = np.random.default_rng(2)
         grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.5]
@@ -163,29 +168,28 @@ class TestKL:
 
 
 class TestBetaRatio:
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            beta_ratio(0.5, B(0.3), B(0.3))
+    # the beta ratio of order 1/2 is computed per chain pair by
+    # divergence_report; checked here on one-snapshot (Bernoulli) path laws
 
-    def test_symmetric_pair(self):
-        # f = Ber(p), g = Ber(1-p): one-sided divergences agree by symmetry
-        f, g = B(0.3), B(0.7)
-        assert renyi(0.5, f, g) == pytest.approx(renyi(0.5, g, f), abs=1e-14)
+    def test_zero_denominator(self):
+        report = divergence_report(iid_chain(0.3), iid_chain(0.3), 500, 2, 1, t_max=50)
+        assert report.exact == 0.0
+        assert report.beta_half == math.inf
 
     def test_cross_checked_value(self):
         f, g = B(0.5), B(0.1)
         num = 0.5 * (renyi(1.5, f, g) + renyi(1.5, g, f))
         den = 0.5 * (renyi(0.5, f, g) + renyi(0.5, g, f))
-        assert beta_ratio(0.5, f, g) == pytest.approx(num / den, rel=1e-12)
+        report = divergence_report(iid_chain(0.5), iid_chain(0.1), 500, 2, 1, t_max=50)
+        assert report.beta_half == pytest.approx(num / den, rel=1e-12)
 
     def test_infinite_numerator(self):
-        f = FiniteDistribution([0.5, 0.5, 0.0])
-        g = FiniteDistribution([0.9, 0.0, 0.1])
-        assert beta_ratio(0.5, f, g) == math.inf
-
-    def test_r_range(self):
-        with pytest.raises(ValueError):
-            beta_ratio(0.0, B(0.5), B(0.2))
+        # g never stays on, so the path 11 leaves the support of g's law
+        f = BinaryMarkovChain(mu1=0.5, p01=0.5, p11=0.5)
+        g = BinaryMarkovChain(mu1=0.5, p01=1.0, p11=0.0)
+        report = divergence_report(f, g, 500, 2, 2, t_max=50)
+        assert 0.0 < report.exact < math.inf
+        assert report.beta_half == math.inf
 
 
 class TestJQuantity:
@@ -211,30 +215,33 @@ class TestJQuantity:
 
 
 class TestZeroInflated:
+    # the zero-inflated order-1/2 divergence is the leading term that
+    # sparse_renyi_approx sums over snapshots
+
     def test_degenerate(self):
-        assert zero_inflated_renyi_half(0.01, 0.01, 0.0) == 0.0
+        got = sparse_renyi_approx(0.5, iid_chain(0.01), iid_chain(0.01), 1).value
+        assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_binary_reduction(self):
         p, q = 0.004, 0.001
-        assert zero_inflated_renyi_half(p, q, 0.0) == (math.sqrt(p) - math.sqrt(q)) ** 2
-
-    def test_worked_example(self):
-        got = zero_inflated_renyi_half(0.02, 0.01, 0.25)
-        assert got == pytest.approx(0.0087868, abs=5e-7)
+        got = sparse_renyi_approx(0.5, iid_chain(p), iid_chain(q), 1).value
+        assert got == pytest.approx((math.sqrt(p) - math.sqrt(q)) ** 2, rel=1e-12)
 
     def test_against_exact_on_categoricals(self):
-        # empirical constant: error within 5 rho^2 for rho <= 0.01
+        # the path law over T snapshots is a categorical on 2^T paths
         rng = np.random.default_rng(6)
         for _ in range(400):
-            L = int(rng.integers(2, 6))
+            T = int(rng.integers(1, 5))
             rho = 10 ** rng.uniform(-4, -2)
-            p, q = rng.uniform(0.2, 1.0, 2) * rho
-            ft, gt = rng.dirichlet(np.ones(L)), rng.dirichlet(np.ones(L))
-            f = FiniteDistribution(np.concatenate([[1 - p], p * ft]))
-            g = FiniteDistribution(np.concatenate([[1 - q], q * gt]))
-            h2 = hellinger_sq(FiniteDistribution(ft), FiniteDistribution(gt))
-            approx = zero_inflated_renyi_half(p, q, h2)
-            assert abs(renyi(0.5, f, g) - approx) <= 5.0 * max(p, q) ** 2
+            cf, cg = (
+                BinaryMarkovChain(*rng.uniform(0.2, 1.0, 2) * rho, rng.uniform(0, 0.95))
+                for _ in range(2)
+            )
+            paths = (np.arange(2**T)[:, None] >> np.arange(T)) & 1
+            f = FiniteDistribution(np.exp(cf.path_log_prob(paths)))
+            g = FiniteDistribution(np.exp(cg.path_log_prob(paths)))
+            approx = sparse_renyi_approx(0.5, cf, cg, T)
+            assert abs(renyi(0.5, f, g) - approx.value) <= approx.error_radius
 
 
 class TestBounds:
@@ -312,7 +319,8 @@ class TestLLRMoments:
         for K in (2, 3, 5):
             kernel, refs = self._homogeneous_setup(K, f, g)
             general = llr_moments(np.full(K, 1 / K), kernel, refs, subset=[0, 1])
-            closed = homogeneous_llr_moments(K, f, g)
+            I = renyi(0.5, f, g)
+            closed = (I / K, i21_term(I, j_quantity(f, g), K), 0.0)
             assert general == pytest.approx(closed, abs=1e-12)
 
     def test_i22_vanishes_for_uniform_homogeneous(self):

@@ -890,6 +890,13 @@ class TestMLE:
         got = mle_brute_force(data, 2, CategoricalKernel(f), CategoricalKernel(f))
         assert got.tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_counts_below_one_rejected(self, K):
+        data = SnapshotArray.from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
+        f = CategoricalKernel(FiniteDistribution([1.0]))
+        with pytest.raises(ValueError, match="at least one cluster"):
+            mle_brute_force(data, K, f, f)
+
 
 class TestStrongSignalGates:
     def test_refine_above_threshold_regime(self):
