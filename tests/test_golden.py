@@ -4,7 +4,8 @@ Each case is a list of ``tsbm`` command lines, or of callables that write
 an input file into ``{dir}``; ``{out}`` stands for the output path and
 ``{dir}`` for a temporary directory.  A change that moves seeded
 output on purpose regenerates the files with ``python tests/test_golden.py``
-and says why in CHANGES.md.
+and says why in CHANGES.md.  The same script rewrites the sha256 digests of
+the figure CSVs (``figure_digests.json``), one per config of figures 3-7.
 """
 
 import hashlib
@@ -149,6 +150,31 @@ def test_figure7_online_csv_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == FIG7_ONLINE_SHA256[name]
 
 
+# sha256 of every CSV that ``replicate-figure --figure F --trials 1
+# --deterministic`` writes for F in 3..7, keyed by config name: one digest
+# per file, so a failure names the config
+FIGURE_DIGESTS = "figure_digests.json"
+_FIGURE_CONFIGS = {c.name: c for figure in range(3, 8)
+                   for c in figure_bundle(figure, trials=1)[1]}
+
+
+def _figure_digest(name):
+    config = _FIGURE_CONFIGS[name]
+    text = records_to_csv(run_experiment(config), config, deterministic=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def figure_digests():
+    with open(os.path.join(GOLDEN, FIGURE_DIGESTS)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(_FIGURE_CONFIGS))
+def test_figure_csv_digest(name, figure_digests):
+    assert _figure_digest(name) == figure_digests[name]
+
+
 if __name__ == "__main__":
     # regenerate every golden file from the current code
     import tempfile
@@ -163,3 +189,8 @@ if __name__ == "__main__":
     with open(os.path.join(GOLDEN, BUNDLES), "w") as fh:
         fh.write(_bundle_lines())
     print(f"wrote {BUNDLES}", file=sys.stderr)
+    with open(os.path.join(GOLDEN, FIGURE_DIGESTS), "w") as fh:
+        json.dump({name: _figure_digest(name) for name in sorted(_FIGURE_CONFIGS)}, fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {FIGURE_DIGESTS}", file=sys.stderr)
