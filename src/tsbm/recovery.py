@@ -46,6 +46,14 @@ def _argmax_rows(L):
     return L.argmax(axis=1).astype(np.int64)
 
 
+# The near-tie tolerance's floor per unit of score scale: 35 times the bound
+# ``_PairLogRatio._tolerance`` derives at N = 1000 after 30 rounds.
+_TIE_TOL = 1e-9
+# In-place sweeps rescore the rows after a move in chunks of 8, 16, 32, ...:
+# 8 rows cost about what one does, and r quiet rows take O(log r) chunks.
+_FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
+
+
 class _PairLogRatio:
     """A pairwise log-likelihood ratio accumulated over snapshots (the
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
@@ -61,6 +69,10 @@ class _PairLogRatio:
     sets), and ``place`` gives each pair its place, -1 until a snapshot
     first sets it and appends it at ``m``.  The attributes above read the
     prefix ``[:m]``, so ``keys`` is not sorted; no reader needs it to be.
+
+    Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
+    base`` of node i's active partners in block k under labels ``_under``,
+    which ``add`` updates and a sweep under other labels rebuilds.
 
     With ``count``, it also keeps each active pair's transition counts as
     three 1-D uint32 arrays, ``counts = (n_1, n_01, n_11)``: its transitions
@@ -83,6 +95,9 @@ class _PairLogRatio:
         self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
         self._vals = np.empty(size)
         self._counts = [np.zeros(size, dtype=np.uint32) for _ in range(3)] if count else None
+        self._deg = np.zeros(n, dtype=np.int64)  # active partners per node
+        self._peak = float(np.abs(l_init).max())  # a bound on |vals| and |base|
+        self._sums = self._under = self._incidence = None  # built on first use
         self.m, self.base = 0, float(l_init[0])
         self.on = self._places(array.snapshot(0))
         codes = np.ones(self.m, dtype=np.int64) if array.values is None else array.values[:self.m]
@@ -102,25 +117,39 @@ class _PairLogRatio:
         m, self.m = self.m, self.m + new.size
         self.place[at[new]] = cur[new] = np.arange(m, self.m)
         self._rows[m:self.m], self._cols[m:self.m] = np.divmod(x[new], self.n)
+        self._deg += np.bincount(self._rows[m:self.m], minlength=self.n)
+        self._deg += np.bincount(self._cols[m:self.m], minlength=self.n)
         self._vals[m:self.m] = self.base
         return cur
 
     def add(self, x, increments):
         """Consume the next snapshot, ``x`` (its sorted ``i*N + j`` indices,
         ``i < j``): add ``increments[2a + b]`` to each pair moving from state
-        a to b."""
+        a to b, in one scalar add over the active pairs and O(pairs set + N
+        K); the clip runs once the running bound ``_peak`` passes it."""
         on, cur = self.on, self._places(x)
         move = np.zeros(self.m, dtype=np.int8)
         move[on] = 2
         move[cur] += 1
-        vals = self.vals
-        vals += increments[move]
-        np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
-        self.base = min(max(self.base + increments[0], -LOG_RATIO_SATURATION),
-                        LOG_RATIO_SATURATION)
+        touched = np.concatenate((on[move[on] == 2], cur))  # set in either snapshot
+        code = move[touched]
+        vals, quiet = self.vals, increments[0]
+        old = vals[touched]
+        vals += quiet
+        vals[touched] = old + increments[code]
+        self.base = min(max(self.base + quiet, -LOG_RATIO_SATURATION), LOG_RATIO_SATURATION)
+        self._peak += np.abs(increments).max()
+        if self._peak > LOG_RATIO_SATURATION:  # offsets may move by other than increments
+            self._peak, self._sums = LOG_RATIO_SATURATION, None
+            np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
+        if self._sums is not None:
+            n, K = self._sums.shape
+            r, c, lab = self.rows[touched], self.cols[touched], self._under
+            delta = increments[code] - quiet  # each offset's change, to rounding
+            for ends, partners in ((r, c), (c, r)):
+                self._sums += np.bincount(ends * K + lab[partners], delta, n * K).reshape(n, K)
+            self._age += 1
         if self._counts:
-            touched = np.concatenate((on[move[on] == 2], cur))  # set in either snapshot
-            code = move[touched]
             n1, n01, n11 = self.counts
             n1[on] += 1
             n01[touched[code == 1]] += 1
@@ -128,42 +157,107 @@ class _PairLogRatio:
             self.moved = (touched, code)
         self.on = cur
 
-    def scores(self, labels, K):
+    def scores(self, labels, K, nodes=None):
         """The ``N x K`` matrix of each node's summed ratio with the other
-        nodes of each block under ``labels``.  Costs O(active pairs + N K)."""
-        n = labels.size
-        others = np.tile(np.bincount(labels, minlength=K), n)
-        others[np.arange(n) * K + labels] -= 1
-        summed = np.zeros(n * K)
-        for rows, cols in ((self.rows, self.cols), (self.cols, self.rows)):
-            key = rows * K + labels[cols]
-            others -= np.bincount(key, minlength=n * K)
-            summed += np.bincount(key, weights=self.vals, minlength=n * K)
-        return (self.base * others + summed).reshape(n, K)
+        nodes of each block under ``labels``, in O(active pairs + N K); or
+        rows ``nodes`` alone, bit for bit (the same float operations on the
+        same pairs in store order), in O(N + their degrees)."""
+        places = (slice(None),) * 2 if nodes is None else self._incident(nodes)
+        nodes = np.arange(labels.size) if nodes is None else nodes
+        h = len(nodes)
+        slot = np.zeros(self.n, dtype=np.int64)
+        slot[nodes] = np.arange(h)
+        others = np.tile(np.bincount(labels, minlength=K), h)
+        others[np.arange(h) * K + labels[nodes]] -= 1
+        summed = np.zeros(h * K)
+        for ends, partners, at in zip((self.rows, self.cols), (self.cols, self.rows), places):
+            key = slot[ends[at]] * K + labels[partners[at]]
+            others -= np.bincount(key, minlength=h * K)
+            summed += np.bincount(key, weights=self.vals[at], minlength=h * K)
+        return (self.base * others + summed).reshape(h, K)
+
+    def _incident(self, nodes):
+        """The places of the pairs with their row end in ``nodes``, then of
+        those with their col end, each node's in store order (an incidence
+        built in O(active pairs log), kept until the store grows)."""
+        if self._incidence is None or self._incidence[0] != self.m:
+            self._incidence = [self.m] + [
+                (order, np.searchsorted(ends[order], np.arange(self.n + 1)))
+                for ends in (self.rows, self.cols) for order in [np.argsort(ends, kind="stable")]]
+        return tuple(np.concatenate([order[ptr[i]:ptr[i + 1]] for i in nodes])
+                     for order, ptr in self._incidence[1:])
+
+    def _block_sums(self, labels, K):
+        """The kept sums under ``labels``, rebuilt in O(active pairs) if stale."""
+        if self._sums is None or self._sums.shape[1] != K or np.any(labels != self._under):
+            n, offsets = self.n, self.vals - self.base
+            sums = np.zeros(n * K)
+            for ends, partners in ((self.rows, self.cols), (self.cols, self.rows)):
+                sums += np.bincount(ends * K + labels[partners], offsets, n * K)
+            self._sums, self._under, self._age = sums.reshape(n, K), labels.copy(), 0
+        return self._sums
+
+    def _tolerance(self):
+        """Per node, the lead of its best block below which the kept sums may
+        rank its blocks otherwise than ``scores``.  With u = eps / 2, degree
+        n_i < N, ``_peak`` P and B_i = |base| N + P n_i, an entry errs, to
+        first order, by at most (n_i + 3) u B_i in ``scores`` (n_i values
+        summed in turn), 2 (n_i + 1) u B_i in a rebuilt sum (n_i offsets of
+        at most 2P), 2 (n_i + 4) u B_i per round of updates since (``_age``
+        a: n_i changes, each offset drifting 2 u P in the scalar add) and 3
+        u B_i forming the score: by (2a + 3)(n_i + 5) u B_i <= eps (a + 2)
+        (N + 4) B_i in all.  Twice that, doubled for second-order terms, and
+        at least ``_TIE_TOL B_i``."""
+        bound = 4 * np.finfo(np.float64).eps * (self._age + 2) * (self.n + 4)
+        return max(_TIE_TOL, bound) * (abs(self.base) * self.n + self._peak * self._deg)
 
     def sweep(self, labels, K, synchronous=True):
         """One relabeling pass: each node moves to the block maximising its
         summed log-likelihood ratio.  Ties keep the current label, then fall
-        to the lowest index.  Synchronous sweeps score every node against
-        the labelling frozen at entry, in O(active pairs + N K).  The
-        asynchronous variant reads in-place updates in node order: it moves
-        the first node that wants to move, scores the nodes after it again,
-        and repeats, so a sweep with m moves costs O((m + 1)(active pairs +
-        N K))."""
-        out, start = labels.copy(), 0
-        nodes = np.arange(labels.size)
-        while True:
-            L = self.scores(out, K)
+        to the lowest index.  Nodes are scored from the kept sums, and those
+        within ``_tolerance`` of a tie from their exact rows, so the labels
+        are those that ``scores`` gives, tie for tie.  Synchronous sweeps
+        score every node against the labelling frozen at entry, in O(N K)
+        when the sums are current.  The asynchronous variant reads in-place
+        updates in node order: a move updates its partners' sums, and the
+        sweep rescores forward from it in growing chunks, so m moves cost
+        O(N K + m K log N) plus the movers' degrees and the incidence."""
+        n, sums, sizes = labels.size, self._block_sums(labels, K), np.bincount(labels, minlength=K)
+        self._age += not synchronous  # in-place moves are one more round of updates
+        out, start, tol = labels.copy(), 0, self._tolerance()
+        chunk = n if synchronous else _FIRST_CHUNK
+        while start < n:
+            stop = min(start + chunk, n)
+            own = out[start:stop]
+            L = self.base * (sizes - (own[:, None] == np.arange(K))) + sums[start:stop]
+            if K > 1:
+                top = np.sort(L, axis=1)
+                near = np.flatnonzero(top[:, -1] - top[:, -2] <= tol[start:stop])
+                if near.size:  # rescored from the exact rows
+                    L[near] = (self.scores(labels, K)[near] if synchronous
+                               else self.scores(out, K, start + near))
             best = _argmax_rows(L)
-            wants = L[nodes, out] < L[nodes, best]
+            at = np.arange(own.size)
+            new = np.where(L[at, own] < L[at, best], best, own)
             if synchronous:
-                return np.where(wants, best, out)
-            movers = np.flatnonzero(wants[start:])
+                if (new != labels).any():
+                    self._sums = None
+                return new
+            movers = np.flatnonzero(new != own)
             if movers.size == 0:
-                return out
-            start += int(movers[0])
-            out[start] = best[start]
-            start += 1
+                start, chunk = stop, chunk * _CHUNK_GROWTH
+                continue
+            v, b = start + movers[0], new[movers[0]]
+            rows, cols = self._incident([v])
+            partners = np.concatenate((self.cols[rows], self.rows[cols]))
+            offsets = self.vals[np.concatenate((rows, cols))] - self.base
+            sums[partners, out[v]] -= offsets
+            sums[partners, b] += offsets
+            sizes[[out[v], b]] += (-1, 1)
+            out[v] = b
+            start, chunk = v + 1, _FIRST_CHUNK
+        self._under = out.copy()
+        return out
 
     def dense(self):
         """``M`` as a dense ``N x N`` matrix with zero diagonal."""
@@ -222,8 +316,9 @@ def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
     sweep.  ``mode='loo'`` runs one leave-one-out spectral clustering per
     node (on the minor of the other N - 1 nodes, so it needs K <= N - 1),
     gives the node its best block against that clustering (its row of
-    ``scores``, O(active pairs + N K)), and aligns the per-node labellings
-    by maximal block overlap against the first one, in O(N) per node.
+    ``scores``, from its own pairs in O(N + degree)), and aligns the
+    per-node labellings by maximal block overlap against the first one, in
+    O(N) per node.
     """
     if K == 1:
         return np.zeros(array.N, dtype=np.int64)
@@ -243,7 +338,7 @@ def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
     for i in range(N):
         full = np.zeros(N, dtype=np.int64)  # run i's labels; its own entry is not scored
         full[np.arange(N) != i] = leave_one_out_cluster(adj, i, K, seed)
-        full[i] = int(np.argmax(R.scores(full, K)[i]))
+        full[i] = int(np.argmax(R.scores(full, K, [i])[0]))
         if i == 0:
             run0 = full
         out[i] = np.bincount(run0[full == full[i]], minlength=K).argmax()
@@ -263,8 +358,9 @@ class OnlineLikelihood:
     over the snapshots of one binary SnapshotArray, of which it has taken
     the first ``t``.  Each snapshot adds one of the four increments ``log
     P_hat / Q_hat`` (intra over inter transitions) per pair and triggers one
-    relabeling sweep.  A class that ``learns`` re-estimates ``P_hat`` and
-    ``Q_hat`` after every step from the pairs' counts.
+    relabeling sweep: a scalar add over the active pairs plus O(pairs set +
+    N K) while no node moves.  A class that ``learns`` re-estimates
+    ``P_hat`` and ``Q_hat`` after every step from the pairs' counts.
     """
 
     learns = False

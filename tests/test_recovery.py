@@ -319,9 +319,9 @@ _any_chain = st.builds(BinaryMarkovChain, _chain_probability, _chain_probability
 
 
 @st.composite
-def _online_runs(draw):
+def _online_runs(draw, max_t=8):
     """Random symmetric binary snapshots, labels, K and sweep mode."""
-    n, T, K = draw(st.integers(2, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    n, T, K = draw(st.integers(2, 40)), draw(st.integers(1, max_t)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.8]))
     upper = np.triu(rng.random((T, n, n)) < density, 1).astype(np.uint8)
@@ -713,6 +713,105 @@ class TestOneScorer:
         labels, arr = markov_instance(n, 3, 0)
         with pytest.raises(ValueError, match=f"each minor has {n - 1} nodes, got K = {K}"):
             refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), K, mode="loo")
+
+
+def _exact_block_sums(ratio):
+    """The kept sums ``ratio._sums`` in real arithmetic, correctly rounded:
+    each node's offsets ``vals - base``, summed by its partner's block under
+    the labels the sums are kept under."""
+    labels, K = ratio._under, ratio._sums.shape[1]
+    terms = {}
+    for ends, partners in ((ratio.rows, ratio.cols), (ratio.cols, ratio.rows)):
+        for i, j, v in zip(ends.tolist(), partners.tolist(), ratio.vals.tolist()):
+            terms.setdefault((i, labels[j]), []).extend((v, -ratio.base))
+    out = np.zeros((ratio.n, K))
+    for (i, k), values in terms.items():
+        out[i, k] = math.fsum(values)
+    return out
+
+
+def _sweep_by_scores(ratio, labels, K):
+    """The synchronous sweep read from ``ratio.scores``: strict best block,
+    ties keeping the label."""
+    L = ratio.scores(labels, K)
+    best, at = L.argmax(axis=1), np.arange(labels.size)
+    return np.where(L[at, labels] < L[at, best], best, labels)
+
+
+class TestKeptBlockSums:
+    """Sweeps score from block sums kept across steps, and settle near-ties
+    from exact rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=_online_runs(max_t=40), intra=st.one_of(_any_chain, _static_chain),
+           inter=_any_chain, learned=st.booleans())
+    def test_within_the_tie_tolerance(self, run, intra, inter, learned):
+        # after every step, the kept sums (updated by the step, or rebuilt
+        # by its sweep) lie within a thousandth of the sweep's tolerance
+        # of their exact values
+        data, labels, K, synchronous = run
+        array = SnapshotArray.from_dense(data)
+        if learned:
+            state = OnlineLikelihoodLearned(array, labels, K, synchronous=synchronous)
+        else:
+            state = OnlineLikelihood(array, labels, intra, inter, K, synchronous=synchronous)
+        for t in range(1, data.shape[0]):
+            state.step()
+            ratio = state.ratio
+            if ratio._sums is None:  # a synchronous sweep moved a node
+                ratio._block_sums(state.labels, K)
+            error = np.abs(ratio._sums - _exact_block_sums(ratio))
+            assert (error <= 1e-3 * ratio._tolerance()[:, None]).all()
+
+    def test_exact_tie_with_rounded_sums_apart(self, monkeypatch):
+        # node 0's partners hold -70, 350 and 70 in its block and 350 in
+        # block 1: a tie in real arithmetic, so node 0 keeps its label.  The
+        # sums of their offsets from base = -0.7 round apart and would move
+        # it; the sweep rescores it from its exact row instead
+        n = 5
+        data = np.zeros((1, n, n), dtype=np.uint8)
+        data[0, 0, 1:] = data[0, 1:, 0] = 1
+        ratio = MarkovKernel(INTRA).log_ratio_matrix(SnapshotArray.from_dense(data),
+                                                     MarkovKernel(INTER))
+        ratio.vals[:] = -70.0, 350.0, 70.0, 350.0  # pairs (0, 1) ... (0, 4)
+        ratio.base, ratio._peak = -0.7, 350.0
+        labels = np.array([0, 0, 0, 0, 1])
+        kept = ratio.base * np.array([3, 1]) + ratio._block_sums(labels, 2)[0]
+        exact = ratio.scores(labels, 2)[0]
+        assert kept[0] < kept[1] and exact[0] == exact[1]
+        rescored, scores = [], ratio.scores
+
+        def spy(labels, K, nodes=None):
+            rescored.append(range(n) if nodes is None else list(nodes))
+            return scores(labels, K, nodes)
+
+        monkeypatch.setattr(ratio, "scores", spy)
+        got = ratio.sweep(labels, 2)
+        assert 0 in rescored[0] and got[0] == 0
+        assert got.tobytes() == _sweep_by_scores(ratio, labels, 2).tobytes()
+        rescored.clear()
+        got = ratio.sweep(labels, 2, synchronous=False)
+        assert 0 in rescored[0] and got[0] == 0
+        assert got.tobytes() == _inplace_sweep_by_node(ratio, labels, 2).tobytes()
+
+    def test_inplace_sweeps_across_chunks_equal_the_node_loop(self):
+        # N = 300 from a random start on the scale chain, K = 3: the moves
+        # fall in many chunks, and each step's labels equal the node-by-node
+        # sweep's from the same labels, with no resync between steps
+        n, K = 300, 3
+        intra, inter = chains_in_units(n, 3.0, 1.5, 0.7, 0.3)
+        truth = sample_labelling(n, K, seed=5)
+        arr = sample_markov_snapshots(truth, intra, inter, 8, seed=6)
+        state = OnlineLikelihood(arr, sample_labelling(n, K, seed=7), intra, inter, K,
+                                 synchronous=False)
+        moved = 0
+        for t in range(1, arr.T):
+            before = state.labels.copy()
+            state.step()
+            assert state.labels.tobytes() == _inplace_sweep_by_node(state.ratio, before,
+                                                                    K).tobytes()
+            moved += int((state.labels != before).sum())
+        assert moved > 50
 
 
 class TestTransitionRates:
