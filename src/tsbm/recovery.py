@@ -240,8 +240,6 @@ class _PairLogRatio:
             at = np.arange(own.size)
             new = np.where(L[at, own] < L[at, best], best, own)
             if synchronous:
-                if (new != labels).any():
-                    self._sums = None
                 return new
             movers = np.flatnonzero(new != own)
             if movers.size == 0:

@@ -758,7 +758,7 @@ class TestKeptBlockSums:
         for t in range(1, data.shape[0]):
             state.step()
             ratio = state.ratio
-            if ratio._sums is None:  # a synchronous sweep moved a node
+            if ratio._sums is None:  # dropped at the saturation
                 ratio._block_sums(state.labels, K)
             error = np.abs(ratio._sums - _exact_block_sums(ratio))
             assert (error <= 1e-3 * ratio._tolerance()[:, None]).all()
