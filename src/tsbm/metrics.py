@@ -37,8 +37,6 @@ def confusion_matrix(s1, s2):
 
 @lru_cache(maxsize=16)
 def _all_permutations(K):
-    if K > 10:
-        raise ValueError("exhaustive search is unreasonable beyond K = 10")
     return np.array(list(itertools.permutations(range(K))), dtype=np.int64)
 
 
@@ -49,34 +47,28 @@ def ham(s1, s2):
     return int((s1 != s2).sum())
 
 
-def ham_star(s1, s2, method="auto"):
+def ham_star(s1, s2):
     """Hamming distance minimised over relabelings of ``s1``.
 
     Returns ``(distance, perm)`` where ``perm[k]`` is the new value given to
-    label ``k``, so that ``ham(perm[s1], s2) == distance``.  ``method`` is
-    one of ``auto`` (exhaustive up to K = 8, assignment beyond),
-    ``exhaustive`` or ``assignment``.  Exhaustive search scans permutations
-    in lexicographic order, so ties resolve to the lowest-index permutation.
+    label ``k``, so that ``ham(perm[s1], s2) == distance``.  Up to K = 8 it
+    scans every permutation in lexicographic order, so ties resolve to the
+    lowest-index permutation; beyond, it solves the assignment problem.
     """
     s1, s2 = _as_labels(s1), _as_labels(s2)
     _check_same_length(s1, s2)
     C = confusion_matrix(s1, s2)
     K = C.shape[0]
     N = s1.size
-    if method == "auto":
-        method = "exhaustive" if K <= 8 else "assignment"
-    if method == "exhaustive":
+    if K <= 8:
         perms = _all_permutations(K)
         agree = C[np.arange(K)[None, :], perms].sum(axis=1)
         best = int(np.argmax(agree))  # first max = lexicographically lowest
         return N - int(agree[best]), perms[best].copy()
-    if method == "assignment":
-        rows, cols = linear_sum_assignment(C, maximize=True)
-        perm = np.empty(K, dtype=np.int64)
-        perm[rows] = cols
-        agree = int(C[rows, cols].sum())
-        return N - agree, perm
-    raise ValueError(f"unknown method {method!r}")
+    rows, cols = linear_sum_assignment(C, maximize=True)
+    perm = np.empty(K, dtype=np.int64)
+    perm[rows] = cols
+    return N - int(C[rows, cols].sum()), perm
 
 
 def _pair_counts(s1, s2):

@@ -410,21 +410,19 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 
     Initial laws are estimated from the first snapshot under the initial
     labelling; the run starts from the i.i.d. chains of those laws, and its
-    transition matrices are re-estimated after every step from per-pair
-    transition counts averaged within (and across) the predicted blocks.
-    Pairs that have not yet visited a state are left out of the averages.
+    transition matrices are re-estimated after every step by maximum
+    likelihood, pooling the transitions of all pairs within (and across)
+    the predicted blocks: ``p_a1 = sum n_a1 / sum n_a`` (Anderson & Goodman,
+    1957).  A class that has not yet visited state ``a`` keeps its row.
 
     ``ratio.counts`` holds the counts ``n_1``, ``n_01`` and ``n_11`` of the
-    pairs that have interacted; every other pair has made ``t - 1``
-    transitions ``0 -> 0``.  Re-estimation reads three integer histograms
-    over all pairs keyed by ``(n_1, same block)``: pairs, summed ``n_01``
-    and summed ``n_11``, with the quiet pairs at ``n_1 = 0``.  A pair's
-    visit count ``m = n_a`` is ``n_1`` for ``a = 1`` and ``t - 1 - n_1`` for
-    ``a = 0`` (the histogram read in reverse), and the mean of ``n_a1 /
-    n_a`` is ``fsum(hits_m / m) / pairs`` over ``m >= 1``.  A step moves
-    only the pairs set in its two snapshots between bins, in O(pairs set);
-    after a sweep that moved a node, every pair is binned again in one
-    O(active pairs) pass.
+    pairs that have interacted; ``_pooled[c, s]`` sums count ``c`` over the
+    active pairs of class ``s`` (0 across, 1 within), and ``n_0`` follows,
+    as each pair has made ``t - 1`` transitions.  While the labels stay,
+    a step adds the changes of the pairs set in its two snapshots, in
+    O(pairs set); after a sweep that moved a node, the sums are taken again
+    in one O(active pairs) pass.  Being integers, they equal the sums taken
+    afresh.
     """
 
     learns = True
@@ -438,46 +436,30 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
         nu1 = self.nu1_hat = (rows.size - ones_same) / (pairs - same) if pairs > same else 0.5
         super().__init__(array, labels, BinaryMarkovChain(mu1, mu1, mu1),
                          BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
-        self._binned_under = None  # the labels the histograms were binned under
+        self._pooled_under = None  # the labels the sums were taken under
 
     # its own attribute, so a tracer wrapping one class's ``step`` by name
     # leaves the other's alone
     step = OnlineLikelihood.step
 
-    def _histograms(self, n1, n01, n11, same):
-        """Pairs, summed ``n_01`` and summed ``n_11`` by ``(n_1, same)``, as
-        a ``(3, t, 2)`` int64 array."""
-        key = 2 * n1.astype(np.int64) + same
-        size = 2 * self.t
-        return np.array([np.bincount(key, minlength=size),
-                         np.bincount(key, weights=n01, minlength=size),
-                         np.bincount(key, weights=n11, minlength=size)],
-                        dtype=np.int64).reshape(3, self.t, 2)
-
     def _reestimate(self):
-        t, ratio = self.t, self.ratio
-        if np.array_equal(self.labels, self._binned_under):
-            # only the pairs set in the last two snapshots changed bins
-            touched, move = ratio.moved
-            same = self.labels[ratio.rows[touched]] == self.labels[ratio.cols[touched]]
-            n1, n01, n11 = (c[touched] for c in ratio.counts)
-            hist = np.pad(self._hist, ((0, 0), (0, 1), (0, 0)))
-            hist += self._histograms(n1, n01, n11, same)
-            hist -= self._histograms(n1 - (move >= 2), n01 - (move == 1), n11 - (move == 3), same)
+        ratio, labels = self.ratio, self.labels
+        if np.array_equal(labels, self._pooled_under):
+            touched, move = ratio.moved  # the only pairs whose counts changed
+            pooled, counts = self._pooled, (move >= 2, move == 1, move == 3)
         else:
-            same = self.labels[ratio.rows] == self.labels[ratio.cols]
-            hist = self._histograms(*ratio.counts, same)
-            same_pairs, pairs = _pair_totals(self.labels)
-            hist[0, 0] += (pairs - same_pairs, same_pairs) - hist[0].sum(axis=0)  # quiet pairs
-            self._binned_under = self.labels.copy()
-        self._hist = hist
-        binned, hits01, hits11 = hist
-        m = np.arange(1, t, dtype=np.float64)
-        for a, by_m, hits in ((0, binned[-2::-1], hits01[-2::-1]), (1, binned[1:], hits11[1:])):
+            touched, pooled, counts = slice(None), 0, ratio.counts
+            self._pooled_under = labels.copy()
+        same = labels[ratio.rows[touched]] == labels[ratio.cols[touched]]
+        self._pooled = pooled + np.array(
+            [np.bincount(same, weights=c, minlength=2) for c in counts], dtype=np.int64)
+        n1, n01, n11 = self._pooled
+        same_pairs, pairs = _pair_totals(labels)
+        n0 = np.array((pairs - same_pairs, same_pairs)) * (self.t - 1) - n1
+        for a, n_a, n_a1 in ((0, n0, n01), (1, n1, n11)):
             for s, est in ((1, self.P_hat), (0, self.Q_hat)):
-                total = int(by_m[:, s].sum())
-                if total:
-                    p = math.fsum(hits[:, s] / m) / total
+                if n_a[s]:
+                    p = n_a1[s] / n_a[s]
                     est[a] = (1 - p, p)
 
 

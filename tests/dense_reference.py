@@ -179,9 +179,9 @@ class _DenseOnline:
 
 
 class _DenseLearned:
-    """Reference learner: a dense ``(4, N, N)`` counter and masked means
-    over upper-triangle gathers, the direct form of the sparse counter and
-    binned estimator."""
+    """Reference learner: a dense ``(4, N, N)`` counter and pooled sums over
+    upper-triangle gathers, the direct form of the sparse counter and
+    pooled estimator."""
 
     def __init__(self, first_snapshot, init_labels, K, synchronous=True):
         x = np.asarray(first_snapshot)
@@ -220,50 +220,42 @@ class _DenseLearned:
         iu = self._iu
         same = self.labels[iu[0]] == self.labels[iu[1]]
         for a in (0, 1):
-            n_a = (self.counts[2 * a] + self.counts[2 * a + 1])[iu].astype(np.float64)
-            n_a1 = self.counts[2 * a + 1][iu].astype(np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = n_a1 / n_a
-            ok = n_a > 0
-            if (ok & same).any():
-                p = float(ratio[ok & same].mean())
-                self.P_hat[a] = (1 - p, p)
-            if (ok & ~same).any():
-                q = float(ratio[ok & ~same].mean())
-                self.Q_hat[a] = (1 - q, q)
+            n_a1 = self.counts[2 * a + 1][iu].astype(np.int64)
+            n_a = self.counts[2 * a][iu] + n_a1
+            for pairs, est in ((same, self.P_hat), (~same, self.Q_hat)):
+                total = int(n_a[pairs].sum())
+                if total:
+                    p = int(n_a1[pairs].sum()) / total
+                    est[a] = (1 - p, p)
 
 
 # ---------------------------------------------------------------------------
-# The learner's re-estimation from scratch: every pair binned on every step.
+# The learner's re-estimation from scratch: every pair summed on every step.
 # ---------------------------------------------------------------------------
 
 
 def reestimate_from_scratch(state, P_hat, Q_hat):
     """``OnlineLikelihoodLearned`` re-estimation after a step, from all of
-    its counts: each ``a`` bins the active pairs by visit count ``m = n_a``
-    and block relation under ``state.labels``, adds the pairs never set at
-    ``m = t - 1`` for ``a = 0``, and averages ``n_a1 / n_a`` as
-    ``fsum(hits_m / m) / pairs`` over ``m >= 1``.  ``P_hat`` and ``Q_hat``
-    are the estimates before the step, kept where a bin set is empty;
-    returns the new pair."""
+    its counts: ``n_1``, ``n_01`` and ``n_11`` summed over the active pairs
+    of each class (0 across, 1 within) under ``state.labels``, and ``n_0``
+    as the active pairs' ``t - 1 - n_1`` plus ``t - 1`` for each pair never
+    set.  ``P_hat`` and ``Q_hat`` are the estimates before the step, kept
+    where a class has not visited a state; returns the new pair and the
+    ``(3, 2)`` sums of ``n_1``, ``n_01`` and ``n_11``."""
     labels, ratio, t = state.labels, state.ratio, state.t
     P_hat, Q_hat = P_hat.copy(), Q_hat.copy()
     same = labels[ratio.rows] == labels[ratio.cols]
+    n1, n01, n11 = (np.bincount(same, weights=c, minlength=2).astype(np.int64)
+                    for c in ratio.counts)
     sizes = np.bincount(labels)
-    same_pairs, pairs = int((sizes * (sizes - 1) // 2).sum()), labels.size * (labels.size - 1) // 2
-    active_same = int(same.sum())
-    quiet = (pairs - same_pairs - (same.size - active_same), same_pairs - active_same)
-    m = np.arange(1, t, dtype=np.float64)
-    n1, n01, n11 = ratio.counts
-    for a, n_a, n_a1 in ((0, (t - 1) - n1, n01), (1, n1, n11)):
-        key = 2 * n_a + same  # bin 2m + same; m = n_a < t
-        binned = np.bincount(key, minlength=2 * t).reshape(-1, 2)[1:]
-        hits = np.bincount(key, weights=n_a1, minlength=2 * t).reshape(-1, 2)[1:]
-        if a == 0:
-            binned[t - 2] += quiet
+    same_pairs = int((sizes * (sizes - 1) // 2).sum())
+    quiet = np.array((labels.size * (labels.size - 1) // 2 - same_pairs, same_pairs))
+    quiet -= np.bincount(same, minlength=2)
+    n0 = np.bincount(same, weights=(t - 1) - ratio.counts[0].astype(np.int64),
+                     minlength=2).astype(np.int64) + quiet * (t - 1)
+    for a, n_a, n_a1 in ((0, n0, n01), (1, n1, n11)):
         for s, est in ((1, P_hat), (0, Q_hat)):
-            total = int(binned[:, s].sum())
-            if total:
-                p = math.fsum(hits[:, s] / m) / total
+            if n_a[s]:
+                p = int(n_a1[s]) / int(n_a[s])
                 est[a] = (1 - p, p)
-    return P_hat, Q_hat
+    return P_hat, Q_hat, np.array([n1, n01, n11])

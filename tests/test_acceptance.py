@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from tsbm._rng import counter_uniform, derive_seed
 from tsbm.divergence import FiniteDistribution, hellinger_sq, j_quantity, renyi
@@ -26,7 +27,7 @@ from tsbm.markov import (
     sparse_renyi_approx,
     t_star,
 )
-from tsbm.metrics import ham, ham_star, mirkin, rand_index, unique_alignment
+from tsbm.metrics import confusion_matrix, ham, ham_star, mirkin, rand_index, unique_alignment
 from tsbm.recovery import (
     CategoricalKernel,
     OnlineLikelihoodLearned,
@@ -255,11 +256,13 @@ def test_criterion_10_metric_identities():
         k = int(rng.integers(2, 6))
         a, b = rng.integers(0, k, n), rng.integers(0, k, n)
         assert mirkin(a, b) == round(n * (n - 1) * (1 - rand_index(a, b)))
-    # assignment equals exhaustive search for K <= 8
+    # exhaustive search (K <= 8) equals the assignment optimum
     for _ in range(1000):
         k = int(rng.integers(2, 9))
         a, b = rng.integers(0, k, 50), rng.integers(0, k, 50)
-        assert ham_star(a, b, "exhaustive")[0] == ham_star(a, b, "assignment")[0]
+        C = confusion_matrix(a, b)
+        rows, cols = linear_sum_assignment(C, maximize=True)
+        assert ham_star(a, b)[0] == a.size - C[rows, cols].sum()
     # low-corruption alignments are unique, verified exhaustively
     for _ in range(1000):
         k = int(rng.integers(2, 5))
