@@ -1,6 +1,7 @@
 """Unit tests for the recovery algorithms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,26 @@ class TestOnlineLikelihoodLearned:
         state.run()
         assert abs(state.P_hat[1, 1] - 0.6) <= 0.05
         assert abs(state.Q_hat[1, 1] - 0.3) <= 0.05
+
+    def test_traced_peaks_stay_below_four_times_the_array(self):
+        # per-entry arrays kept beside ``data`` (a place per entry, or the
+        # sort that gives it) can outgrow the array itself: at the figure-6
+        # config, building the learner and running it each stay below 4x
+        # the bytes of ``data``
+        intra, inter = chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, units="absolute")
+        _, arr = markov_instance(1000, 30, 0, intra=intra, inter=inter)
+        init = sample_labelling(1000, 2, seed=5)
+        tracemalloc.start()
+        try:
+            state = OnlineLikelihoodLearned(arr, init, 2)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            state.run()
+            ran = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 4 * arr.data.nbytes, built / arr.data.nbytes
+        assert ran < 4 * arr.data.nbytes, ran / arr.data.nbytes
 
     def test_figure6_stall_from_spectral_start(self):
         """Documents a known failure, not a wanted behaviour: trial 0 of the
