@@ -54,6 +54,31 @@ _TIE_TOL = 1e-9
 _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
 
 
+def _entry_slots(array):
+    """The distinct pairs ``i*N + j`` the array sets, increasing; per entry
+    of ``data``, the int32 slot of its pair among them and whether it stays
+    (is set in the snapshot before); and the snapshots' T + 1 bounds.  One
+    sort of ``pair * (T + 1) + t`` puts an entry that stays right after its
+    predecessor, one above it."""
+    size, T = array.N * array.N, array.T
+    bounds = np.searchsorted(array.data, np.arange(T + 1) * size)
+    snap = np.repeat(np.arange(T), np.diff(bounds))
+    key = array.data - snap * size
+    key *= T + 1
+    key += snap
+    del snap  # temporaries go as soon as used: at most three int64 per entry at once
+    order = np.argsort(key)
+    key = key[order]
+    stay, first = np.zeros(key.size, dtype=bool), np.ones(key.size, dtype=bool)
+    stay[order[1:]] = np.diff(key) == 1
+    key //= T + 1
+    first[1:] = key[1:] != key[:-1]
+    pairs, slots = key[first], np.empty(key.size, dtype=np.int32)
+    del key
+    slots[order] = np.cumsum(first, dtype=np.int32) - 1
+    return pairs, slots, stay, bounds
+
+
 class _PairLogRatio:
     """A pairwise log-likelihood ratio accumulated over snapshots (the
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
@@ -65,41 +90,32 @@ class _PairLogRatio:
     increment of every pair's transition and clips, with the same float
     operations a dense ``M`` would take, so ``dense()`` is bit-identical to
     it.  The store is laid out in order of first interaction: its arrays
-    are allocated once, over ``universe`` (the sorted pairs the array ever
-    sets), and ``place`` gives each pair its place, -1 until a snapshot
-    first sets it and appends it at ``m``.  The attributes above read the
-    prefix ``[:m]``, so ``keys`` is not sorted; no reader needs it to be.
+    are allocated once, over the pairs the array ever sets, and ``place``
+    maps each pair's slot (``_entry_slots``) to its place, -1 until a
+    snapshot first sets it and appends it at ``m``.  The attributes above
+    read the prefix ``[:m]``, so ``keys`` is not sorted; no reader needs it
+    to be.
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
     base`` of node i's active partners in block k under labels ``_under``,
     which ``add`` updates and a sweep under other labels rebuilds.
-
-    With ``count``, it also keeps each active pair's transition counts as
-    three 1-D uint32 arrays, ``counts = (n_1, n_01, n_11)``: its transitions
-    out of state 1, ``0 -> 1`` and ``1 -> 1``.  The rest follow: ``n_1 -
-    n_11`` transitions ``1 -> 0``, and ``0 -> 0`` for the rest of the steps
-    taken.  ``moved`` holds the places of the pairs set in either of the
-    last two snapshots, the only ones whose counts the last step changed,
-    with their transitions ``2a + b``.
     """
 
-    def __init__(self, array, l_init, count=False):
+    def __init__(self, array, l_init):
         """A pair holding symbol ``s`` in ``array``'s first snapshot starts
         at ``l_init[s]``: 1 in a binary array, its entry of ``values`` (where
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
-        pairs = np.sort(array.data % (n * n))  # not np.unique, which hashes: far slower
-        self.universe = np.concatenate((pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]))
-        size = self.universe.size
+        self.array, (pairs, self.slots, self.stay, self.bounds) = array, _entry_slots(array)
+        size = pairs.size
         self.place = np.full(size, -1, dtype=np.int32)
         self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
         self._vals = np.empty(size)
-        self._counts = [np.zeros(size, dtype=np.uint32) for _ in range(3)] if count else None
         self._deg = np.zeros(n, dtype=np.int64)  # active partners per node
         self._peak = float(np.abs(l_init).max())  # a bound on |vals| and |base|
         self._sums = self._under = self._incidence = None  # built on first use
         self.m, self.base = 0, float(l_init[0])
-        self.on = self._places(array.snapshot(0))
+        self.on = self._places(0)
         codes = np.ones(self.m, dtype=np.int64) if array.values is None else array.values[:self.m]
         self.vals[:] = np.asarray(l_init, dtype=np.float64)[codes]
 
@@ -107,32 +123,37 @@ class _PairLogRatio:
     rows = property(lambda self: self._rows[:self.m])
     cols = property(lambda self: self._cols[:self.m])
     vals = property(lambda self: self._vals[:self.m])
-    counts = property(lambda self: self._counts and tuple(c[:self.m] for c in self._counts))
 
-    def _places(self, x):
-        """The places of the pairs ``x``; those first set are appended at ``base``."""
-        at = np.searchsorted(self.universe, x)
-        cur = self.place[at].astype(np.int64)  # int32 indices would gather slower
+    def _places(self, t):
+        """The places of the pairs set in snapshot ``t``, read off their
+        slots; those first set are appended at ``base``."""
+        if not 0 <= t < self.array.T:
+            raise IndexError(f"snapshot {t} outside 0..{self.array.T - 1}")
+        lo, hi = self.bounds[t], self.bounds[t + 1]
+        slots = self.slots[lo:hi]
+        cur = self.place[slots].astype(np.int64)  # int32 indices would gather slower
         new = np.flatnonzero(cur < 0)
         m, self.m = self.m, self.m + new.size
-        self.place[at[new]] = cur[new] = np.arange(m, self.m)
-        self._rows[m:self.m], self._cols[m:self.m] = np.divmod(x[new], self.n)
+        self.place[slots[new]] = cur[new] = np.arange(m, self.m)
+        rows, cols = self.ends = np.divmod(self.array.data[lo:hi] - t * self.n * self.n, self.n)
+        self._rows[m:self.m], self._cols[m:self.m] = rows[new], cols[new]
         self._deg += np.bincount(self._rows[m:self.m], minlength=self.n)
         self._deg += np.bincount(self._cols[m:self.m], minlength=self.n)
         self._vals[m:self.m] = self.base
         return cur
 
-    def add(self, x, increments):
-        """Consume the next snapshot, ``x`` (its sorted ``i*N + j`` indices,
-        ``i < j``): add ``increments[2a + b]`` to each pair moving from state
-        a to b, in one scalar add over the active pairs and O(pairs set + N
-        K); the clip runs once the running bound ``_peak`` passes it."""
-        on, cur = self.on, self._places(x)
-        move = np.zeros(self.m, dtype=np.int8)
-        move[on] = 2
-        move[cur] += 1
-        touched = np.concatenate((on[move[on] == 2], cur))  # set in either snapshot
-        code = move[touched]
+    def add(self, t, increments):
+        """Consume snapshot ``t``, the one after the last taken: add
+        ``increments[2a + b]`` to each pair moving from state a to b, in one
+        scalar add over the active pairs and O(pairs set + N K); the clip
+        runs once the running bound ``_peak`` passes it."""
+        on, last, cur = self.on, self.ends, self._places(t)
+        stay = self.stay[self.bounds[t]:self.bounds[t + 1]]
+        again = np.zeros(self.m, dtype=bool)
+        again[cur] = stay
+        again = again[on]  # the pairs of the last snapshot set again
+        touched = np.concatenate((on, cur))  # a pair set in both is listed twice, coded 3 twice
+        code = np.concatenate((2 + again, 1 + 2 * stay))
         vals, quiet = self.vals, increments[0]
         old = vals[touched]
         vals += quiet
@@ -144,17 +165,13 @@ class _PairLogRatio:
             np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         if self._sums is not None:
             n, K = self._sums.shape
-            r, c, lab = self.rows[touched], self.cols[touched], self._under
+            r, c = (np.concatenate(e) for e in zip(last, self.ends))
+            lab = self._under
             delta = increments[code] - quiet  # each offset's change, to rounding
+            delta[:on.size][again] = 0.0  # counted once, in this snapshot
             for ends, partners in ((r, c), (c, r)):
                 self._sums += np.bincount(ends * K + lab[partners], delta, n * K).reshape(n, K)
             self._age += 1
-        if self._counts:
-            n1, n01, n11 = self.counts
-            n1[on] += 1
-            n01[touched[code == 1]] += 1
-            n11[touched[code == 3]] += 1
-            self.moved = (touched, code)
         self.on = cur
 
     def scores(self, labels, K, nodes=None):
@@ -266,14 +283,6 @@ class _PairLogRatio:
         return M
 
 
-def _replay(array, l_init, increments, count=False):
-    """A ``_PairLogRatio`` fed every snapshot of ``array``."""
-    ratio = _PairLogRatio(array, l_init, count=count)
-    for t in range(1, array.T):
-        ratio.add(array.snapshot(t), increments)
-    return ratio
-
-
 class MarkovKernel:
     """Pair-pattern likelihood of a binary Markov chain."""
 
@@ -287,8 +296,11 @@ class MarkovKernel:
         online ``M`` takes them, clipped after each one."""
         _require_binary(array, "Markov kernel")
         f, g = self.chain, other.chain
-        return _replay(array, _sat_log_ratio(f.mu, g.mu),
-                       _sat_log_ratio(f.transition, g.transition).ravel())
+        ratio = _PairLogRatio(array, _sat_log_ratio(f.mu, g.mu))
+        increments = _sat_log_ratio(f.transition, g.transition).ravel()
+        for t in range(1, array.T):
+            ratio.add(t, increments)
+        return ratio
 
 
 class CategoricalKernel:
@@ -358,7 +370,7 @@ class OnlineLikelihood:
     P_hat / Q_hat`` (intra over inter transitions) per pair and triggers one
     relabeling sweep: a scalar add over the active pairs plus O(pairs set +
     N K) while no node moves.  A class that ``learns`` re-estimates
-    ``P_hat`` and ``Q_hat`` after every step from the pairs' counts.
+    ``P_hat`` and ``Q_hat`` after every step from the transitions seen.
     """
 
     learns = False
@@ -370,15 +382,14 @@ class OnlineLikelihood:
         self.synchronous = synchronous
         self.labels = np.asarray(init_labels, dtype=np.int64).copy()
         self.P_hat, self.Q_hat = intra.transition, inter.transition
-        self.ratio = _PairLogRatio(array, _sat_log_ratio(intra.mu, inter.mu), count=self.learns)
+        self.ratio = _PairLogRatio(array, _sat_log_ratio(intra.mu, inter.mu))
         self.t = 1
 
     def step(self):
         """Consume snapshot ``t`` (0-based; IndexError past the last): update
         ``M``, run a relabeling sweep, then re-estimate the transition
         matrices if the class learns them."""
-        snapshot = self.array.snapshot(self.t)
-        self.ratio.add(snapshot, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
+        self.ratio.add(self.t, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
         self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
         if self.learns:
@@ -415,14 +426,13 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     the predicted blocks: ``p_a1 = sum n_a1 / sum n_a`` (Anderson & Goodman,
     1957).  A class that has not yet visited state ``a`` keeps its row.
 
-    ``ratio.counts`` holds the counts ``n_1``, ``n_01`` and ``n_11`` of the
-    pairs that have interacted; ``_pooled[c, s]`` sums count ``c`` over the
-    active pairs of class ``s`` (0 across, 1 within), and ``n_0`` follows,
-    as each pair has made ``t - 1`` transitions.  While the labels stay,
-    a step adds the changes of the pairs set in its two snapshots, in
-    O(pairs set); after a sweep that moved a node, the sums are taken again
-    in one O(active pairs) pass.  Being integers, they equal the sums taken
-    afresh.
+    ``_pooled[c, s]`` counts transitions ``c`` of the pairs of class ``s``
+    (0 across, 1 within) from the entries: ``n_1`` are those before
+    snapshot ``t - 1``, ``n_01`` and ``n_11`` the later ones that do not or
+    do stay (``ratio.stay``); ``n_0`` follows, as each pair has made ``t -
+    1`` transitions.  While the labels stay, a step counts the entries of
+    its two snapshots, in O(pairs set); after a sweep that moved a node,
+    every entry so far.  Being integers, the sums equal those taken afresh.
     """
 
     learns = True
@@ -443,16 +453,17 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     step = OnlineLikelihood.step
 
     def _reestimate(self):
-        ratio, labels = self.ratio, self.labels
+        ratio, labels, (lo, hi) = self.ratio, self.labels, self.ratio.bounds[self.t - 1:self.t + 1]
+        same = labels[ratio.ends[0]] == labels[ratio.ends[1]]  # snapshot t - 1's entries
         if np.array_equal(labels, self._pooled_under):
-            touched, move = ratio.moved  # the only pairs whose counts changed
-            pooled, counts = self._pooled, (move >= 2, move == 1, move == 3)
-        else:
-            touched, pooled, counts = slice(None), 0, ratio.counts
+            pooled, ones, later = self._pooled, self._same, same
+        else:  # every entry so far, through its pair's place
+            every = (labels[ratio.rows] == labels[ratio.cols])[ratio.place[ratio.slots[:hi]]]
+            pooled, ones, later, lo = 0, every[:lo], every[ratio.bounds[1]:], ratio.bounds[1]
             self._pooled_under = labels.copy()
-        same = labels[ratio.rows[touched]] == labels[ratio.cols[touched]]
-        self._pooled = pooled + np.array(
-            [np.bincount(same, weights=c, minlength=2) for c in counts], dtype=np.int64)
+        into = np.bincount(2 * ratio.stay[lo:hi] + later, minlength=4)  # 0 -> 1, then 1 -> 1
+        within, self._same = np.count_nonzero(ones), same
+        self._pooled = pooled + np.array([(ones.size - within, within), into[:2], into[2:]])
         n1, n01, n11 = self._pooled
         same_pairs, pairs = _pair_totals(labels)
         n0 = np.array((pairs - same_pairs, same_pairs)) * (self.t - 1) - n1
@@ -493,10 +504,9 @@ def transition_rate_clustering(array, P, Q):
     _require_binary(array, "transition-rate clustering")
     if array.T < 2:
         raise ValueError("need at least two snapshots")
-    pairs = _replay(array, np.zeros(2), np.zeros(4), count=True)
+    pairs, n1, n01, n11 = _pair_transitions(array)
     # counts[2a + b] per active pair, then one column for the pairs never set
-    n1, n01, n11 = pairs.counts
-    counts = np.zeros((4, pairs.m + 1))
+    counts = np.zeros((4, pairs.size + 1))
     counts[1:, :-1] = n01, n1 - n11, n11
     counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
     linked = np.zeros(counts.shape[1], dtype=bool)
@@ -509,7 +519,7 @@ def transition_rate_clustering(array, P, Q):
                 linked |= (n_a > 0) & np.where(np.isnan(est), False, close)
     n = array.N
     odd = linked[:-1] != linked[-1]  # the active pairs deciding against the rest
-    i, j = pairs.rows[odd], pairs.cols[odd]
+    i, j = np.divmod(pairs[odd], n)
     if linked[-1]:
         # the complement of the sparse graph H of these pairs: a node v of
         # least H-degree links to every node but its H-neighbours S, so the
@@ -527,12 +537,21 @@ def transition_rate_clustering(array, P, Q):
     return connected_components(csr_matrix((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n)))
 
 
+def _pair_transitions(array):
+    """The pairs ``array`` sets (``_entry_slots``) and their transition
+    counts ``n_1``, ``n_01`` and ``n_11``, counted from the entries."""
+    pairs, slots, stay, bounds = _entry_slots(array)
+    later, stay = slots[bounds[1]:], stay[bounds[1]:]
+    return pairs, *(np.bincount(s, minlength=pairs.size)
+                    for s in (slots[:bounds[-2]], later[~stay], later[stay]))
+
+
 def _pair_graph(array, keep):
     """Sparse adjacency of the pairs whose number of snapshots set passes
     ``keep``; pairs never set are left out."""
     n = array.N
-    pairs, times = np.unique(array.data % (n * n), return_counts=True)
-    pairs = pairs[keep(times)]
+    pairs, slots, _, _ = _entry_slots(array)
+    pairs = pairs[keep(np.bincount(slots, minlength=pairs.size))]
     return csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, n)), shape=(n, n))
 
 

@@ -10,7 +10,13 @@ import math
 
 import numpy as np
 
-from tsbm.recovery import LOG_RATIO_SATURATION, _sat_log_ratio, connected_components
+from tsbm.recovery import (
+    LOG_RATIO_SATURATION,
+    _pair_transitions,
+    _sat_log_ratio,
+    connected_components,
+)
+from tsbm.sbm import SnapshotArray
 
 
 def dense_tensor(array):
@@ -234,24 +240,37 @@ class _DenseLearned:
 # ---------------------------------------------------------------------------
 
 
+def seen_transitions(state):
+    """The per-pair transition counts that ``transition_rate_clustering``
+    derives, over the snapshots an online learner has taken: the pairs set
+    so far (flat ``i*N + j``, increasing) with their ``n_1``, ``n_01`` and
+    ``n_11``."""
+    array, t = state.array, state.t
+    seen = array.data[array.data < t * array.N * array.N]
+    return _pair_transitions(SnapshotArray(seen, array.N, t))
+
+
 def reestimate_from_scratch(state, P_hat, Q_hat):
-    """``OnlineLikelihoodLearned`` re-estimation after a step, from all of
-    its counts: ``n_1``, ``n_01`` and ``n_11`` summed over the active pairs
-    of each class (0 across, 1 within) under ``state.labels``, and ``n_0``
-    as the active pairs' ``t - 1 - n_1`` plus ``t - 1`` for each pair never
-    set.  ``P_hat`` and ``Q_hat`` are the estimates before the step, kept
-    where a class has not visited a state; returns the new pair and the
-    ``(3, 2)`` sums of ``n_1``, ``n_01`` and ``n_11``."""
-    labels, ratio, t = state.labels, state.ratio, state.t
+    """``OnlineLikelihoodLearned`` re-estimation after a step, from every
+    pair's counts (``seen_transitions``): ``n_1``, ``n_01`` and ``n_11``
+    summed over the active pairs of each class (0 across, 1 within) under
+    ``state.labels``, and ``n_0`` as the active pairs' ``t - 1 - n_1`` plus
+    ``t - 1`` for each pair never set.  ``P_hat`` and ``Q_hat`` are the
+    estimates before the step, kept where a class has not visited a state;
+    returns the new pair and the ``(3, 2)`` sums of ``n_1``, ``n_01`` and
+    ``n_11``."""
+    labels, t = state.labels, state.t
     P_hat, Q_hat = P_hat.copy(), Q_hat.copy()
-    same = labels[ratio.rows] == labels[ratio.cols]
+    pairs, *counts = seen_transitions(state)
+    rows, cols = np.divmod(pairs, labels.size)
+    same = labels[rows] == labels[cols]
     n1, n01, n11 = (np.bincount(same, weights=c, minlength=2).astype(np.int64)
-                    for c in ratio.counts)
+                    for c in counts)
     sizes = np.bincount(labels)
     same_pairs = int((sizes * (sizes - 1) // 2).sum())
     quiet = np.array((labels.size * (labels.size - 1) // 2 - same_pairs, same_pairs))
     quiet -= np.bincount(same, minlength=2)
-    n0 = np.bincount(same, weights=(t - 1) - ratio.counts[0].astype(np.int64),
+    n0 = np.bincount(same, weights=(t - 1) - counts[0],
                      minlength=2).astype(np.int64) + quiet * (t - 1)
     for a, n_a, n_a1 in ((0, n0, n01), (1, n1, n11)):
         for s, est in ((1, P_hat), (0, Q_hat)):

@@ -1,11 +1,12 @@
 """Unit tests for the recovery algorithms."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +19,7 @@ from tsbm.recovery import (
     MarkovKernel,
     OnlineLikelihood,
     OnlineLikelihoodLearned,
+    _entry_slots,
     connected_components,
     enemy_paths,
     mle_brute_force,
@@ -329,15 +331,16 @@ class TestOnlineLikelihoodLearned:
 
 
 def _packed_counts(state):
-    """A learner's transition counts as a ``(4, P)`` array over the pairs
-    ``i < j`` in row-major order; pairs that never interacted have made
-    ``t - 1`` transitions 0 -> 0."""
+    """The transition counts of the snapshots a learner has taken, as
+    ``transition_rate_clustering`` derives them, as a ``(4, P)`` array over
+    the pairs ``i < j`` in row-major order; pairs that never interacted
+    have made ``t - 1`` transitions 0 -> 0."""
     n = state.labels.size
     iu, ju = np.triu_indices(n, k=1)
-    out = np.zeros((4, iu.size), dtype=np.uint32)
+    out = np.zeros((4, iu.size), dtype=np.int64)
     out[0] = state.t - 1
-    active = np.searchsorted(iu * n + ju, state.ratio.keys)
-    n1, n01, n11 = state.ratio.counts
+    pairs, n1, n01, n11 = dense_ref.seen_transitions(state)
+    active = np.searchsorted(iu * n + ju, pairs)
     out[1:, active] = n01, n1 - n11, n11
     out[0, active] -= n1 + n01
     return out
@@ -578,6 +581,70 @@ class TestPooledReestimation:
             assert state.Q_hat.tobytes() == Q_hat.tobytes()
             counts[2 * data[t - 1][iu] + data[t][iu], np.arange(iu[0].size)] += 1
             assert np.array_equal(_packed_counts(state), counts)
+
+
+def _slots_by_dict(array):
+    """``_entry_slots`` in plain Python: each entry's pair ranked among the
+    distinct pairs, and whether the dict of each pair's last snapshot holds
+    the snapshot before."""
+    size = array.N * array.N
+    pairs = sorted({e % size for e in array.data.tolist()})
+    rank = {pair: k for k, pair in enumerate(pairs)}
+    last, slots, stay, per_snapshot = {}, [], [], [0] * array.T
+    for e in array.data.tolist():
+        t, pair = divmod(e, size)
+        slots.append(rank[pair])
+        stay.append(last.get(pair) == t - 1)
+        last[pair] = t
+        per_snapshot[t] += 1
+    return pairs, slots, stay, [0, *itertools.accumulate(per_snapshot)]
+
+
+def _from_upper(upper):
+    upper = np.triu(np.asarray(upper, dtype=np.uint8), 1)
+    return SnapshotArray.from_dense(upper + upper.transpose(0, 2, 1))
+
+
+@st.composite
+def _slot_arrays(draw):
+    """Arrays from N = 2 and T = 1 up, each snapshot empty, complete or
+    random, and pair (0, 1) set in every snapshot or not."""
+    n, T = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = [draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])) for _ in range(T)]
+    upper = rng.random((T, n, n)) < np.array(density)[:, None, None]
+    upper[:, 0, 1] |= draw(st.booleans())
+    return _from_upper(upper)
+
+
+_NO_BIT = _from_upper(np.zeros((3, 4, 4)))
+
+
+class TestEntrySlots:
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_slot_arrays())
+    @example(arr=_from_upper([[[0, 1], [0, 0]]]))  # N = 2, T = 1
+    @example(arr=_NO_BIT)
+    @example(arr=_from_upper([[[0, 1, 1], [0, 0, 1], [0, 0, 0]], np.zeros((3, 3)),
+                              [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]))  # an empty middle snapshot
+    @example(arr=_from_upper(np.ones((4, 3, 3))))  # every pair set in every snapshot
+    def test_matches_dict_reference(self, arr):
+        pairs, slots, stay, bounds = _entry_slots(arr)
+        assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape
+        got = pairs.tolist(), slots.tolist(), stay.tolist(), bounds.tolist()
+        assert got == _slots_by_dict(arr)
+
+    def test_online_learners_and_rates_run_without_a_set_bit(self):
+        labels = np.array([0, 1, 0, 1])
+        known = OnlineLikelihood(_NO_BIT, labels, INTRA, INTER, 2)
+        learned = OnlineLikelihoodLearned(_NO_BIT, labels, 2)
+        known.run()
+        learned.run()
+        assert known.t == learned.t == _NO_BIT.T and learned.ratio.m == 0
+        assert learned._pooled.tolist() == [[0, 0]] * 3
+        got = transition_rate_clustering(_NO_BIT, INTRA.transition, INTER.transition)
+        want = dense_ref.transition_rates(_NO_BIT, INTRA.transition, INTER.transition)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 @st.composite
