@@ -59,16 +59,26 @@ def _entry_slots(array):
     of ``data``, the int32 slot of its pair among them and whether it stays
     (is set in the snapshot before); and the snapshots' T + 1 bounds.  One
     sort of ``pair * (T + 1) + t`` puts an entry that stays right after its
-    predecessor, one above it."""
-    size, T = array.N * array.N, array.T
+    predecessor, one above it.  The keys are distinct, so where int64 has
+    room each carries its entry's index in its low bits and they sort in
+    place, faster than the ``argsort`` taken otherwise."""
+    size, T = int(array.N) ** 2, int(array.T)
     bounds = np.searchsorted(array.data, np.arange(T + 1) * size)
     snap = np.repeat(np.arange(T), np.diff(bounds))
     key = array.data - snap * size
     key *= T + 1
     key += snap
     del snap  # temporaries go as soon as used: at most three int64 per entry at once
-    order = np.argsort(key)
-    key = key[order]
+    shift = key.size.bit_length()
+    if (size * (T + 1)) << shift <= 2**63:
+        key <<= shift
+        key |= np.arange(key.size)
+        key.sort()
+        order = key & ((1 << shift) - 1)
+        key >>= shift
+    else:
+        order = np.argsort(key)
+        key = key[order]
     stay, first = np.zeros(key.size, dtype=bool), np.ones(key.size, dtype=bool)
     stay[order[1:]] = np.diff(key) == 1
     key //= T + 1

@@ -20,7 +20,8 @@ all their numbers at once; the few other lines (header, labels, comments,
 ``e t i j v``, other spellings that ``int`` accepts) go through per-line
 code, which would read the bulk lines the same way.  The edges are then
 validated and sorted as arrays; nothing of the header's size is allocated.
-The writer formats each block of edge lines as one byte matrix of digits.
+The writer spells each block of edge lines at once, every number from a
+fixed table of the 10^4 four-digit groups; its memory follows the edges too.
 """
 
 import operator
@@ -268,37 +269,82 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # edge lines.  Whole-file temporaries raised the peak RSS of a recovery run
 # after them: malloc kept their freed memory and served later arrays from it.
 _BLOCK = 1 << 16
+# _GROUPS[g] spells g < 10^4 right-aligned in 4 bytes, 0 bytes (which writers
+# drop) for its leading zeros: all four for 0.  OR-ing _FILL into a group with
+# digits above it restores its zeros, and _LAST into a number's last spells 0.
+# Built from bytes: int64 temporaries raised every process's peak RSS by 1 MB.
+_GROUPS = np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4, indexing="ij")
+_GROUPS = np.stack(_GROUPS, -1).reshape(-1, 4)  # "0000" to "9999"
+_GROUPS[np.logical_and.accumulate(_GROUPS == ord("0"), axis=1)] = 0
+_GROUPS = _GROUPS.view(np.uint32)[:, 0]
+_FILL, _LAST = np.frombuffer(b"0000\0\0\0" b"0", dtype=np.uint32)
+
+
+def _spell(x, top):
+    """The non-negative int64 numbers ``x`` as uint32 columns of digit
+    groups, most significant first, as many as ``top`` (at least ``x.max()``)
+    takes.  Each is gathered from ``_GROUPS``; a group past the first costs
+    one floor division by 10^4, and there is no other division."""
+    groups, last = [], _LAST
+    for _ in range((len(str(top)) - 1) // 4):
+        high = x // 10**4
+        groups.insert(0, _GROUPS[x - high * 10**4] | np.where(high > 0, _FILL, last))
+        x, last = high, np.uint32(0)
+    return [_GROUPS[x] | last] + groups
+
+
+def _lines(n, parts):
+    """The text of n lines, each the concatenation of ``parts``: bytes, the
+    same in every line, or arrays of one item per line, each item's bytes in
+    place (4 of a ``_spell`` group).  0 bytes are dropped."""
+    template = b"".join(p if isinstance(p, bytes) else bytes(p.itemsize) for p in parts)
+    text, offset = bytearray(template) * n, 0
+    for p in parts:
+        if n and not isinstance(p, bytes):  # a strided view of the item's place in every line
+            np.ndarray(n, p.dtype, text, offset, (len(template),))[:] = p
+        offset += len(p) if isinstance(p, bytes) else p.itemsize
+    return text.translate(None, b"\0")
 
 
 def _labels_line(labels):
-    """The 1-based ``labels`` record of 0-based labels."""
-    return "labels " + " ".join(str(int(l) + 1) for l in labels) + "\n"
+    """The 1-based ``labels`` record of 0-based labels, as bytes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not 0 <= labels.min() <= labels.max() < _INT64_MAX:
+        raise ValueError(f"labels must lie in 0..{_INT64_MAX - 1}")
+    spelled = _spell(labels + 1, labels.max(initial=0) + 1)
+    return b"labels " + _lines(labels.size, [*spelled, b" "])[:-1] + b"\n"
 
 
 def write_snapshots(path, array):
     """Write an array (and its labels line, if any) in ``tsbm`` format.  Each
-    block of indices is decoded alone, its edge lines a uint8 matrix of
-    right-aligned digits whose zero padding is dropped; symbols 1 are left out."""
-    N, step = array.N, _BLOCK // 8
-    with open(path, "w") as fh:
-        fh.write(f"{_MAGIC} {_VERSION} {N} {array.T}\n")
-        if array.labels is not None:
-            fh.write(_labels_line(array.labels))
-        for lo in range(0, array.data.size, step):
-            t, rest = np.divmod(array.data[lo:lo + step], N * N)
-            block = [t + 1, *np.divmod(rest, N)]
-            if array.values is not None:
-                block.append(array.values[lo:lo + step])
-            parts = [np.full((block[0].size, 1), ord("e"), dtype=np.uint8)]
-            for x in block:
-                powers = 10 ** np.arange(len(str(x.max(initial=0))) - 1, -1, -1)
-                digits = (x[:, None] // powers % 10 + ord("0")).astype(np.uint8)
-                digits[:, :-1][x[:, None] < powers[:-1]] = 0
-                parts += [np.full_like(parts[0], ord(" ")), digits]
-            if array.values is not None:
-                parts[-2][block[3] == 1] = parts[-1][block[3] == 1] = 0
-            lines = np.hstack(parts + [np.full_like(parts[0], ord("\n"))])
-            fh.write(lines[lines != 0].tobytes().decode())
+    block of indices is decoded alone, by floor division, and its edge lines
+    spelled at once; symbols 1 are left out.  Raises ValueError, before the
+    file is opened, on what ``read_snapshots`` would refuse to read back: an
+    index outside the tensor, a symbol below 1 or a label outside 0 ..
+    2^63 - 2."""
+    data, values, N, T = array.data, array.values, array.N, array.T
+    if data.size and (data[0] < 0 or data[-1] >= T * N * N):
+        raise ValueError("index outside the T x N x N tensor")
+    if values is not None and values.min(initial=1) < 1:
+        raise ValueError("symbols must be at least 1")
+    head = f"{_MAGIC} {_VERSION} {N} {T}\n".encode()
+    if array.labels is not None:
+        head += _labels_line(array.labels)
+    step, top = _BLOCK // 8, 1 if values is None else values.max(initial=1)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for lo in range(0, data.size, step):
+            x = data[lo:lo + step]
+            t = x // (N * N)  # floor division by a scalar: 5x faster than np.divmod
+            x = x - t * (N * N)
+            i = x // N
+            parts = [b"e ", *_spell(t + 1, T), b" ", *_spell(i, N - 1), b" ",
+                     *_spell(x - i * N, N - 1)]
+            if values is not None:
+                shown = values[lo:lo + step] > 1
+                parts += [np.uint8(ord(" ")) * shown,
+                          *(g * shown for g in _spell(values[lo:lo + step], top))]
+            fh.write(_lines(x.size, parts + [b"\n"]))
 
 
 def read_snapshots(path):
@@ -432,8 +478,9 @@ def _edge_error(lineno, t, i, j, v, repeated, N, T):
 
 def write_labels(path, labels):
     """Write a sidecar file holding a single 1-based ``labels`` line."""
-    with open(path, "w") as fh:
-        fh.write(_labels_line(labels))
+    line = _labels_line(labels)
+    with open(path, "wb") as fh:
+        fh.write(line)
 
 
 def read_labels(path):

@@ -620,6 +620,19 @@ def _slot_arrays(draw):
 _NO_BIT = _from_upper(np.zeros((3, 4, 4)))
 
 
+def _from_entries(N, T, entries):
+    """The array that sets the given ``(t, i, j)`` entries, i < j."""
+    return SnapshotArray(sorted(t * N * N + i * N + j for t, i, j in entries), N, T)
+
+
+# four or five entries take 3 index bits: keys pair * (T + 1) + t then fill int64
+# exactly at N = 2^20, T = 2^20 - 1, and pass it at N = 2^25, T = 4000
+_TALL = _from_entries(2**20, 2**20 - 1, [(0, 2**20 - 2, 2**20 - 1), (2**20 - 3, 0, 1),
+                                         (2**20 - 2, 0, 1), (2**20 - 2, 2**20 - 2, 2**20 - 1)])
+_WIDE = _from_entries(2**25, 4000, [(0, 0, 1), (1, 0, 1), (3999, 2**25 - 2, 2**25 - 1),
+                                    (3998, 2**25 - 2, 2**25 - 1), (7, 5, 9)])
+
+
 class TestEntrySlots:
     @settings(max_examples=200, deadline=None)
     @given(arr=_slot_arrays())
@@ -628,6 +641,8 @@ class TestEntrySlots:
     @example(arr=_from_upper([[[0, 1, 1], [0, 0, 1], [0, 0, 0]], np.zeros((3, 3)),
                               [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]))  # an empty middle snapshot
     @example(arr=_from_upper(np.ones((4, 3, 3))))  # every pair set in every snapshot
+    @example(arr=_TALL)  # indices packed into the keys' low bits up to the int64 limit
+    @example(arr=_WIDE)  # past it: the argsort fallback
     def test_matches_dict_reference(self, arr):
         pairs, slots, stay, bounds = _entry_slots(arr)
         assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape

@@ -449,6 +449,23 @@ class TestSnapshotFiles:
         assert path.read_text() == "labels 1 3 2 2\n"
         assert np.array_equal(read_labels(path), labels)
 
+    @pytest.mark.parametrize("array", [
+        SnapshotArray([1, 5], 3, 2, labels=[0, -1, 1]),  # would be written "labels 1 0 2"
+        SnapshotArray([1, 5], 3, 2, labels=[0, 2**63 - 1, 1]),  # its 1-based label passes int64
+        SnapshotArray([1, 5], 3, 2, values=[2, 0]),  # an explicit zero symbol
+        SnapshotArray([1, 5], 3, 2, values=[-4, 2]),
+        SnapshotArray([1, 18], 3, 2),  # snapshot 3 of 2
+        SnapshotArray([-1, 5], 3, 2),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, array):
+        # refused before the file is opened: no partial file is left
+        with pytest.raises(ValueError):
+            write_snapshots(tmp_path / "bad.tsbm", array)
+        if array.labels is not None:
+            with pytest.raises(ValueError, match="^labels must lie in"):
+                write_labels(tmp_path / "bad.labels", array.labels)
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "record,error",
         [
@@ -781,6 +798,34 @@ def _sparse_arrays(draw):
     return x
 
 
+_GROUP_EDGES = [9, 10, 9999, 10000, 10001]  # one digit group more or less
+
+
+@st.composite
+def _wide_arrays(draw):
+    """Arrays built from flat indices, not a dense tensor, so that N reaches
+    about 10^6 and T 10^5: N - 1 and T near digit-group edges, node numbers
+    often 0 or N - 1, symbols up to the int64 limit, labels from K >= 10."""
+    digits = st.integers(1, 6).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d))
+    N = 1 + draw(st.sampled_from(_GROUP_EDGES) | digits)
+    T = draw(st.sampled_from(_GROUP_EDGES) | digits.filter(lambda t: t <= 10**5))
+    node = st.one_of(st.sampled_from([0, N - 1]), st.integers(0, N - 1))
+    edges = draw(st.lists(st.tuples(st.sampled_from([0, T - 1]) | st.integers(0, T - 1),
+                                    node, node), max_size=30))
+    data = sorted({t * N * N + min(i, j) * N + max(i, j) for t, i, j in edges if i != j})
+    values = None
+    if draw(st.booleans()):
+        symbol = st.sampled_from([1, 1, 9, 10, 9999, 10000, 10**8, 2**63 - 1])
+        values = draw(st.lists(symbol | st.integers(1, 2**63 - 1), min_size=len(data),
+                               max_size=len(data)))
+    labels = None
+    if draw(st.booleans()):
+        K = draw(st.sampled_from([10, 11] + _GROUP_EDGES[2:] + [10**6, 2**62]))
+        labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, K, N)
+        labels[-1] = K - 1
+    return SnapshotArray(data, N, T, values=values, labels=labels)
+
+
 class TestBulkReaderWriter:
     @settings(max_examples=400, deadline=None)
     @given(text=_messy_files(), block=st.sampled_from([1, 5, 64, sbm._BLOCK]))
@@ -818,6 +863,43 @@ class TestBulkReaderWriter:
         assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
         assert _outcome(read_snapshots, tmp / "a.tsbm") == _outcome(
             _reference_read_snapshots, tmp / "a.tsbm")
+
+    @settings(max_examples=100, deadline=None)
+    @given(arr=_wide_arrays(), block=st.sampled_from([8, 24, sbm._BLOCK]))
+    def test_writer_matches_per_line_reference_on_wide_numbers(self, tmp_path_factory, arr,
+                                                               block):
+        tmp = tmp_path_factory.mktemp("w")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_BLOCK", block)
+            write_snapshots(tmp / "a.tsbm", arr)
+        _reference_write_snapshots(tmp / "b.tsbm", arr)
+        assert (tmp / "a.tsbm").read_bytes() == (tmp / "b.tsbm").read_bytes()
+        back = read_snapshots(tmp / "a.tsbm")
+        assert back.data.tolist() == arr.data.tolist()
+        want = arr.values if arr.values is not None and (arr.values > 1).any() else None
+        assert (back.values is None) == (want is None)
+        assert want is None or back.values.tolist() == want.tolist()
+        assert (back.labels is None) == (arr.labels is None)
+        assert arr.labels is None or back.labels.tolist() == arr.labels.tolist()
+
+    @pytest.mark.parametrize("values", [None, [2**63 - 1, 1, 10**4]])
+    def test_writer_memory_follows_the_edges(self, tmp_path, values):
+        # a header-size tensor of 10^17 entries with three set bits: no
+        # temporary of the writer grows with N or T
+        N, T = 10**7, 1000
+        data = [1, (500 * N + 12345) * N + N - 1, ((T - 1) * N + N - 2) * N + N - 1]
+        arr = SnapshotArray(data, N, T, values=values)
+        tracemalloc.start()
+        try:
+            write_snapshots(tmp_path / "huge.tsbm", arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        back = read_snapshots(tmp_path / "huge.tsbm")
+        assert (back.N, back.T, back.data.tolist()) == (N, T, data)
+        assert (back.values is None) == (values is None)
+        assert values is None or back.values.tolist() == values
+        assert peak <= 1e6
 
     def test_reader_peak_memory_at_the_scale_point(self, tmp_path):
         # The benchmark's scale point: N=3000, T=10, about 270k edge lines
