@@ -13,24 +13,16 @@ import sys
 import numpy as np
 
 from . import harness
-from ._rng import derive_seed
 from .divergence import FiniteDistribution
 from .markov import ThresholdConvention, t_star
 from .metrics import accuracy
 from .recovery import CategoricalKernel
-from .sbm import (
-    read_labels,
-    read_snapshots,
-    sample_labelling,
-    balanced_labelling,
-    sample_markov_snapshots,
-    write_labels,
-    write_snapshots,
-)
+from .sbm import read_labels, read_snapshots, write_labels, write_snapshots
 from .spectral import EigenConvergenceError
 
 # unused here, but bench/tracing.py wraps them on this module, so they stay importable
 from .recovery import refine_recover  # noqa: F401
+from .sbm import sample_markov_snapshots  # noqa: F401
 from .spectral import binarize, spectral_cluster  # noqa: F401
 
 
@@ -68,6 +60,7 @@ def build_parser():
     g.add_argument("--balanced", action="store_true", help="equal block sizes")
     g.add_argument("--out", required=True, help="snapshot file path")
     g.add_argument("--labels-out", help="labels sidecar path (default: OUT.labels)")
+    g.set_defaults(run=_cmd_generate)
 
     d = sub.add_parser("divergence", help="divergence and threshold report")
     d.add_argument("--n", type=int, default=500)
@@ -76,6 +69,7 @@ def build_parser():
     _add_chain_args(d, required=True)
     d.add_argument("--t-max", type=int, default=10**6)
     d.add_argument("--json", dest="json_out", help="also write the report as JSON")
+    d.set_defaults(run=_cmd_divergence)
 
     th = sub.add_parser("threshold", help="T* for one configuration or a grid")
     th.add_argument("--n", type=int, default=500)
@@ -90,6 +84,7 @@ def build_parser():
     th.add_argument("--convention", choices=("exact", "itilde"), default="exact")
     th.add_argument("--t-max", type=int, default=10**6)
     th.add_argument("--out", help="CSV output path (default: stdout)")
+    th.set_defaults(run=_cmd_threshold)
 
     r = sub.add_parser("recover", help="run a recovery algorithm on a snapshot file")
     r.add_argument("--input", required=True)
@@ -102,6 +97,7 @@ def build_parser():
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--truth", help="labels sidecar with ground truth")
     r.add_argument("--out", help="write the estimated labels here")
+    r.set_defaults(run=_cmd_recover)
 
     e = sub.add_parser("experiment", help="run seeded trials and emit CSV")
     e.add_argument("--config", help="experiment config file")
@@ -109,7 +105,7 @@ def build_parser():
     e.add_argument("--k", type=int)
     e.add_argument("--t", type=int)
     _add_chain_args(e)
-    e.set_defaults(units=None)  # the config file's, else ExperimentConfig's
+    e.set_defaults(run=_cmd_experiment, units=None)  # units: the file's, else the default
     e.add_argument("--algorithm", choices=harness.ALGORITHMS)
     e.add_argument("--init", choices=("spectral", "random", "truth"))
     e.add_argument("--balanced", action="store_true", default=None)
@@ -126,6 +122,7 @@ def build_parser():
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--deterministic", action="store_true")
+    f.set_defaults(run=_cmd_replicate_figure)
 
     return parser
 
@@ -139,20 +136,16 @@ def _write_text(text, path):
         sys.stdout.write(text)
 
 
-def _cmd_generate(args):
-    intra, inter = _chains(args, args.n)
-    if args.balanced:
-        labels = balanced_labelling(args.n, args.k)
-    else:
-        labels = sample_labelling(args.n, args.k, seed=derive_seed(args.seed, 1))
-    array = sample_markov_snapshots(labels, intra, inter, args.t, seed=derive_seed(args.seed, 2))
+def _cmd_generate(parser, args):
+    labels, array = harness.sample_instance(args.n, args.k, args.t, *_chains(args, args.n),
+                                            args.seed, args.balanced)
     write_snapshots(args.out, array)
     write_labels(args.labels_out or args.out + ".labels", labels)
     print(f"wrote {args.out} (N={args.n}, T={args.t})")
     return 0
 
 
-def _cmd_divergence(args):
+def _cmd_divergence(parser, args):
     intra, inter = _chains(args, args.n)
     report = harness.divergence_report(intra, inter, args.n, args.k, args.t, args.t_max)
     sys.stdout.write(report.to_text())
@@ -221,18 +214,14 @@ def _cmd_recover(parser, args):
     return 0
 
 
-def _cmd_experiment(args):
+def _cmd_experiment(parser, args):
     values = {}
     if args.config:
         with open(args.config) as fh:
-            parsed = harness.parse_config_text(fh.read())
-        for section in parsed.values():
-            values.update(section)
-    for key in ("n", "k", "t", "mu1", "nu1", "p11", "q11", "units", "algorithm", "init",
-                "trials", "seed", "balanced"):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            values[key] = cli_value
+            values = harness.parse_config_text(fh.read())
+    for key in harness.ExperimentConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     config = harness.config_from_dict(values)
     records = harness.run_experiment(config, jobs=args.jobs)
     text = harness.records_to_csv(records, config, deterministic=args.deterministic)
@@ -240,7 +229,7 @@ def _cmd_experiment(args):
     return 0
 
 
-def _cmd_replicate_figure(args):
+def _cmd_replicate_figure(parser, args):
     kind, payload = harness.figure_bundle(args.figure, trials=args.trials, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     if kind == "threshold-grid":
@@ -268,23 +257,10 @@ def main(argv=None):
     if getattr(args, "jobs", 1) < 1:  # experiment and replicate-figure
         parser.exit(2, f"error: --jobs must be at least 1, got {args.jobs}\n")
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "divergence":
-            return _cmd_divergence(args)
-        if args.command == "threshold":
-            return _cmd_threshold(parser, args)
-        if args.command == "recover":
-            return _cmd_recover(parser, args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "replicate-figure":
-            return _cmd_replicate_figure(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(parser, args)
     except (ValueError, OSError, MemoryError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

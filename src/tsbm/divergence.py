@@ -51,12 +51,6 @@ class FiniteDistribution:
             raise ValueError("bernoulli parameter outside [0, 1]")
         return cls([1.0 - p, p])
 
-    @classmethod
-    def point_mass(cls, symbol, size):
-        probs = np.zeros(size)
-        probs[symbol] = 1.0
-        return cls(probs)
-
     def product(self, other):
         """Distribution of an independent pair, alphabet = cartesian product."""
         return FiniteDistribution(np.outer(self.probs, other.probs).ravel())

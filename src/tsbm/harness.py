@@ -217,15 +217,23 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def sample_instance(n, k, t, intra, inter, seed, balanced):
+    """The seeded instance ``(labels, array)``: labels split as evenly as
+    possible (``balanced``) or drawn from substream 1 of ``seed``, and T
+    snapshots of the chain pair drawn from substream 2."""
+    if balanced:
+        labels = balanced_labelling(n, k)
+    else:
+        labels = sample_labelling(n, k, seed=derive_seed(seed, 1))
+    return labels, sample_markov_snapshots(labels, intra, inter, t, seed=derive_seed(seed, 2))
+
+
 def run_trial(config, trial):
     """Run one seeded trial of an experiment; returns a TrialRecord."""
     trial_seed = derive_seed(config.seed, trial)
     intra, inter = config.chains()
-    if config.balanced:
-        truth = balanced_labelling(config.n, config.k)
-    else:
-        truth = sample_labelling(config.n, config.k, seed=derive_seed(trial_seed, 1))
-    array = sample_markov_snapshots(truth, intra, inter, config.t, seed=derive_seed(trial_seed, 2))
+    truth, array = sample_instance(config.n, config.k, config.t, intra, inter, trial_seed,
+                                   config.balanced)
 
     t0 = time.perf_counter()
     accuracies, ham_stars = [], []
@@ -278,7 +286,7 @@ def summarize(records):
     return mean, sem
 
 
-def records_to_csv(records, config=None, deterministic=False):
+def records_to_csv(records, config, deterministic=False):
     """Long-format CSV: ``trial,t,algorithm,accuracy,ham_star,seconds``.
 
     The header echoes the configuration as comment lines, sufficient to
@@ -289,9 +297,8 @@ def records_to_csv(records, config=None, deterministic=False):
     lines = []
     if not deterministic:
         lines.append(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    if config is not None:
-        for key, value in sorted(asdict(config).items()):
-            lines.append(f"# {key} = {value}")
+    for key, value in sorted(asdict(config).items()):
+        lines.append(f"# {key} = {value}")
     lines.append("trial,t,algorithm,accuracy,ham_star,seconds")
     for rec in sorted(records, key=lambda r: r.trial):
         n_steps = len(rec.accuracies)
@@ -492,7 +499,7 @@ def figure_bundle(figure, trials=None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing: [section] headers and key = value lines
+# Config file parsing: key = value lines, [section] headers for grouping
 # ---------------------------------------------------------------------------
 
 
@@ -512,21 +519,16 @@ def _coerce(text):
 
 
 def parse_config_text(text):
-    """Parse a nested key-value experiment file into a dict of dicts.
+    """Parse a key-value experiment file into one flat dict.
 
-    Keys outside any section land in the "" section.  Values are coerced to
-    bool/int/float where possible.  The sections are read as one config, so
-    a key may be set only once in the file.
+    ``[section]`` lines group keys for the reader and are otherwise
+    ignored, so a key may be set only once in the file.  Values are coerced
+    to bool/int/float where possible.
     """
-    out = {"": {}}
-    section, first_set = "", {}
+    out, first_set = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            out.setdefault(section, {})
+        if not line or line.startswith("[") and line.endswith("]"):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
@@ -534,7 +536,7 @@ def parse_config_text(text):
         if key in first_set:
             raise ValueError(f"line {lineno}: {key!r} already set on line {first_set[key]}")
         first_set[key] = lineno
-        out[section][key] = _coerce(value)
+        out[key] = _coerce(value)
     return out
 
 

@@ -55,16 +55,15 @@ _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
 
 
 def _entry_slots(array):
-    """The distinct pairs ``i*N + j`` the array sets, increasing; per entry
-    of ``data``, the int32 slot of its pair among them and whether it stays
-    (is set in the snapshot before); and the snapshots' T + 1 bounds.  One
-    sort of ``pair * (T + 1) + t`` puts an entry that stays right after its
-    predecessor, one above it.  The keys are distinct, so where int64 has
-    room each carries its entry's index in its low bits and they sort in
-    place, faster than the ``argsort`` taken otherwise."""
+    """The distinct pairs ``i*N + j`` the array sets, increasing; and per
+    entry of ``data``, the int32 slot of its pair among them and whether it
+    stays (is set in the snapshot before).  One sort of ``pair * (T + 1) +
+    t`` puts an entry that stays right after its predecessor, one above it.
+    The keys are distinct, so where int64 has room each carries its entry's
+    index in its low bits and they sort in place, faster than the
+    ``argsort`` taken otherwise.  Memory follows the entries, not T."""
     size, T = int(array.N) ** 2, int(array.T)
-    bounds = np.searchsorted(array.data, np.arange(T + 1) * size)
-    snap = np.repeat(np.arange(T), np.diff(bounds))
+    snap = array.data // size
     key = array.data - snap * size
     key *= T + 1
     key += snap
@@ -86,7 +85,7 @@ def _entry_slots(array):
     pairs, slots = key[first], np.empty(key.size, dtype=np.int32)
     del key
     slots[order] = np.cumsum(first, dtype=np.int32) - 1
-    return pairs, slots, stay, bounds
+    return pairs, slots, stay
 
 
 class _PairLogRatio:
@@ -116,7 +115,7 @@ class _PairLogRatio:
         at ``l_init[s]``: 1 in a binary array, its entry of ``values`` (where
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
-        self.array, (pairs, self.slots, self.stay, self.bounds) = array, _entry_slots(array)
+        self.array, (pairs, self.slots, self.stay) = array, _entry_slots(array)
         size = pairs.size
         self.place = np.full(size, -1, dtype=np.int32)
         self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
@@ -137,9 +136,7 @@ class _PairLogRatio:
     def _places(self, t):
         """The places of the pairs set in snapshot ``t``, read off their
         slots; those first set are appended at ``base``."""
-        if not 0 <= t < self.array.T:
-            raise IndexError(f"snapshot {t} outside 0..{self.array.T - 1}")
-        lo, hi = self.bounds[t], self.bounds[t + 1]
+        lo, hi = self.array.span(t)
         slots = self.slots[lo:hi]
         cur = self.place[slots].astype(np.int64)  # int32 indices would gather slower
         new = np.flatnonzero(cur < 0)
@@ -158,7 +155,7 @@ class _PairLogRatio:
         scalar add over the active pairs and O(pairs set + N K); the clip
         runs once the running bound ``_peak`` passes it."""
         on, last, cur = self.on, self.ends, self._places(t)
-        stay = self.stay[self.bounds[t]:self.bounds[t + 1]]
+        stay = self.stay[slice(*self.array.span(t))]
         again = np.zeros(self.m, dtype=bool)
         again[cur] = stay
         again = again[on]  # the pairs of the last snapshot set again
@@ -463,13 +460,14 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     step = OnlineLikelihood.step
 
     def _reestimate(self):
-        ratio, labels, (lo, hi) = self.ratio, self.labels, self.ratio.bounds[self.t - 1:self.t + 1]
+        ratio, labels, (lo, hi) = self.ratio, self.labels, self.array.span(self.t - 1)
         same = labels[ratio.ends[0]] == labels[ratio.ends[1]]  # snapshot t - 1's entries
         if np.array_equal(labels, self._pooled_under):
             pooled, ones, later = self._pooled, self._same, same
         else:  # every entry so far, through its pair's place
             every = (labels[ratio.rows] == labels[ratio.cols])[ratio.place[ratio.slots[:hi]]]
-            pooled, ones, later, lo = 0, every[:lo], every[ratio.bounds[1]:], ratio.bounds[1]
+            first = self.array.span(1)[0]
+            pooled, ones, later, lo = 0, every[:lo], every[first:], first
             self._pooled_under = labels.copy()
         into = np.bincount(2 * ratio.stay[lo:hi] + later, minlength=4)  # 0 -> 1, then 1 -> 1
         within, self._same = np.count_nonzero(ones), same
@@ -550,17 +548,18 @@ def transition_rate_clustering(array, P, Q):
 def _pair_transitions(array):
     """The pairs ``array`` sets (``_entry_slots``) and their transition
     counts ``n_1``, ``n_01`` and ``n_11``, counted from the entries."""
-    pairs, slots, stay, bounds = _entry_slots(array)
-    later, stay = slots[bounds[1]:], stay[bounds[1]:]
+    pairs, slots, stay = _entry_slots(array)
+    first, last = array.span(0)[1], array.span(array.T - 1)[0]
+    later, stay = slots[first:], stay[first:]
     return pairs, *(np.bincount(s, minlength=pairs.size)
-                    for s in (slots[:bounds[-2]], later[~stay], later[stay]))
+                    for s in (slots[:last], later[~stay], later[stay]))
 
 
 def _pair_graph(array, keep):
     """Sparse adjacency of the pairs whose number of snapshots set passes
     ``keep``; pairs never set are left out."""
     n = array.N
-    pairs, slots, _, _ = _entry_slots(array)
+    pairs, slots, _ = _entry_slots(array)
     pairs = pairs[keep(np.bincount(slots, minlength=pairs.size))]
     return csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, n)), shape=(n, n))
 

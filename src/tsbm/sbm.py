@@ -56,11 +56,10 @@ class SnapshotArray:
     nonzero entries.
 
     Each unordered pair is listed once, by its upper entry, so ``data`` is
-    ``np.flatnonzero(np.triu(x, 1))`` of the dense tensor ``x`` that
-    ``from_dense`` takes.  Entries are 0/1 bits for temporal graphs; for
-    categorical interactions (where ``T`` is typically 1), ``values`` holds
-    the symbol code of each listed entry, and it is None when every nonzero
-    symbol is 1.
+    ``np.flatnonzero(np.triu(x, 1))`` of the dense tensor ``x``.  Entries
+    are 0/1 bits for temporal graphs; for categorical interactions (where
+    ``T`` is typically 1), ``values`` holds the symbol code of each listed
+    entry, and it is None when every nonzero symbol is 1.
     """
 
     data: np.ndarray
@@ -82,32 +81,22 @@ class SnapshotArray:
             if self.labels.shape != (self.N,):
                 raise ValueError("labels length must match node count")
 
-    @classmethod
-    def from_dense(cls, x, labels=None):
-        """The sparse form of a symmetric ``(T, N, N)`` tensor of
-        non-negative codes with zero diagonal."""
-        x = np.asarray(x)
-        if x.ndim != 3 or x.shape[1] != x.shape[2]:
-            raise ValueError("data must have shape (T, N, N)")
-        if x.min(initial=0) < 0:
-            raise ValueError("symbols must be non-negative")
-        # only the upper triangle is kept: a lower one that differs would be lost
-        if (x != x.transpose(0, 2, 1)).any() or np.diagonal(x, axis1=1, axis2=2).any():
-            raise ValueError("data must be symmetric with a zero diagonal")
-        data = np.flatnonzero(np.triu(x, 1))
-        values = x.reshape(-1)[data] if x.max(initial=0) > 1 else None
-        return cls(data, x.shape[1], x.shape[0], values=values, labels=labels)
-
-    def snapshot(self, t):
-        """Sorted flat indices ``i*N + j``, ``i < j``, of the nonzero entries
-        of snapshot ``t`` (0-based).  Raises IndexError unless
-        ``0 <= t < T``, and TypeError for a ``t`` that is not an integer."""
+    def span(self, t):
+        """The bounds ``(lo, hi)`` of snapshot ``t``'s entries (0-based) in
+        ``data``.  Raises IndexError unless ``0 <= t < T``, and TypeError
+        for a ``t`` that is not an integer."""
         t = operator.index(t)
         if not 0 <= t < self.T:
             raise IndexError(f"snapshot {t} outside 0..{self.T - 1}")
         size = self.N * self.N
         lo, hi = np.searchsorted(self.data, (t * size, (t + 1) * size))
-        return self.data[lo:hi] - t * size
+        return int(lo), int(hi)
+
+    def snapshot(self, t):
+        """Sorted flat indices ``i*N + j``, ``i < j``, of the nonzero entries
+        of snapshot ``t``: those within ``span(t)``, which raises as it says."""
+        lo, hi = self.span(t)
+        return self.data[lo:hi] - t * self.N * self.N
 
     def validate(self):
         """Check index order and range and that each entry is an upper one,

@@ -29,6 +29,22 @@ def dense_tensor(array):
     return out | out.transpose(0, 2, 1)
 
 
+def from_dense(x, labels=None):
+    """The SnapshotArray of a symmetric ``(T, N, N)`` tensor of non-negative
+    codes with zero diagonal: the inverse of ``dense_tensor``."""
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise ValueError("data must have shape (T, N, N)")
+    if x.min(initial=0) < 0:
+        raise ValueError("symbols must be non-negative")
+    # only the upper triangle is kept: a lower one that differs would be lost
+    if (x != x.transpose(0, 2, 1)).any() or np.diagonal(x, axis1=1, axis2=2).any():
+        raise ValueError("data must be symmetric with a zero diagonal")
+    data = np.flatnonzero(np.triu(x, 1))
+    values = x.reshape(-1)[data] if x.max(initial=0) > 1 else None
+    return SnapshotArray(data, x.shape[1], x.shape[0], values=values, labels=labels)
+
+
 # ---------------------------------------------------------------------------
 # Kernels, refinement and the offline baselines
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ import numpy as np
 from tsbm.divergence import FiniteDistribution, _check_pair
 
 
+def point_mass(symbol, size):
+    """The distribution on ``{0, ..., size-1}`` that puts all mass on ``symbol``."""
+    probs = np.zeros(size)
+    probs[symbol] = 1.0
+    return FiniteDistribution(probs)
+
+
 def kl(f, g):
     """Kullback-Leibler divergence; inf when supp(f) is not inside supp(g)."""
     _check_pair(f, g)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from divergence_reference import geometric_mixture, kl, llr_moments, v_kl
+from divergence_reference import geometric_mixture, kl, llr_moments, point_mass, v_kl
 from tsbm.divergence import (
     BoundInputs,
     FiniteDistribution,
@@ -56,7 +56,7 @@ class TestFiniteDistribution:
         assert f.probs.sum() == 1.0
 
     def test_point_mass_and_product(self):
-        f = FiniteDistribution.point_mass(1, 3)
+        f = point_mass(1, 3)
         assert f.probs[1] == 1.0
         fg = B(0.3).product(B(0.6))
         assert len(fg) == 4

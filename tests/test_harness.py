@@ -30,8 +30,10 @@ from tsbm.harness import (
 )
 from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary, t_star
-from tsbm.sbm import SnapshotArray, read_labels, read_snapshots
+from tsbm.sbm import read_labels, read_snapshots
 from tsbm.spectral import spectral_cluster
+
+from dense_reference import from_dense
 
 
 SMALL = ExperimentConfig(
@@ -75,9 +77,8 @@ class TestConfigFile:
         trials = 7
         """
         parsed = parse_config_text(text)
-        assert parsed["model"]["n"] == 200
-        assert parsed["model"]["balanced"] is True
-        assert parsed["run"]["algorithm"] == "online"
+        assert parsed == {"n": 200, "mu1": 2.5, "balanced": True, "algorithm": "online",
+                          "trials": 7}
 
     def test_bad_line(self):
         with pytest.raises(ValueError):
@@ -271,19 +272,19 @@ class TestFigureBundles:
 class TestRecover:
     @pytest.mark.parametrize("algorithm", ["online", "rates", "refine", "refine-loo", "mle"])
     def test_needs_chain_pair(self, algorithm):
-        array = SnapshotArray.from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        array = from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="needs the chain pair"):
             recover(array, algorithm, 2, 0)
 
     @pytest.mark.parametrize("k", [0, -1])
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     def test_fewer_than_one_cluster_rejected(self, algorithm, k):
-        array = SnapshotArray.from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        array = from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="need at least one cluster"):
             recover(array, algorithm, k, 0, chains=SMALL.chains())
 
     def test_unknown_algorithm(self):
-        array = SnapshotArray.from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
+        array = from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="unknown algorithm"):
             recover(array, "louvain", 2, 0)
 
@@ -293,7 +294,7 @@ class TestSpectralMatrix:
         rng = np.random.default_rng(0)
         upper = np.triu(rng.random((3, 6, 6)) < 0.5, 1).astype(np.uint8)
         data = upper + upper.transpose(0, 2, 1)
-        arr = SnapshotArray.from_dense(data)
+        arr = from_dense(data)
         union = (data != 0).any(axis=0).astype(np.uint8)
         squared = sum(a @ a - np.diag(a.sum(axis=1)) for a in data.astype(np.float64))
         for algorithm, want in (("spectral", union), ("spectral-union", union),
@@ -711,6 +712,20 @@ class TestCLI:
         ])
         assert rc == 0
         assert "# units = logn" in out.read_text()
+
+    @pytest.mark.parametrize("key,value,shown", [
+        ("n", "60", "60"), ("k", "3", "3"), ("t", "4", "4"), ("mu1", "3", "3.0"),
+        ("nu1", "1", "1.0"), ("p11", "0.6", "0.6"), ("q11", "0.2", "0.2"),
+        ("units", "inv_n", "inv_n"), ("algorithm", "rates", "rates"),
+        ("init", "spectral", "spectral"), ("balanced", None, "True"), ("trials", "2", "2"),
+        ("seed", "3", "3"),
+    ])
+    def test_experiment_flag_alone_reaches_the_config(self, tmp_path, key, value, shown):
+        # each config flag, the others left at ExperimentConfig's defaults
+        out = tmp_path / "exp.csv"
+        flag = ["--" + key] if value is None else ["--" + key, value]
+        assert main(["experiment", *flag, "--deterministic", "--out", str(out)]) == 0
+        assert f"# {key} = {shown}\n" in out.read_text()
 
     @pytest.mark.parametrize("text,line", [
         ("[model]\nn = 60\n[run]\nalgorithm = friends\nn = 80\n", 5),

@@ -38,7 +38,7 @@ from tsbm.spectral import binarize, leave_one_out_cluster, spectral_cluster
 from tsbm._rng import derive_seed
 
 import dense_reference as dense_ref
-from dense_reference import _DenseLearned, _DenseOnline, _one_hot, dense_tensor
+from dense_reference import _DenseLearned, _DenseOnline, _one_hot, dense_tensor, from_dense
 
 
 INTRA = chain_from_stationary(0.35, 0.6)
@@ -203,7 +203,7 @@ class TestOnlineLikelihood:
         # the symbol sits in the second snapshot, which no run has reached
         data = np.zeros((2, 4, 4), dtype=np.int64)
         data[1, 0, 1] = data[1, 1, 0] = 2
-        arr, init = SnapshotArray.from_dense(data), np.array([0, 0, 1, 1])
+        arr, init = from_dense(data), np.array([0, 0, 1, 1])
         with pytest.raises(ValueError, match="needs 0/1 snapshots, got symbol 2"):
             if learned:
                 OnlineLikelihoodLearned(arr, init, 2)
@@ -241,7 +241,7 @@ class TestOnlineLikelihoodLearned:
         data = np.zeros((5, n, n), dtype=np.uint8)
         for t, bit in enumerate(pattern):
             data[t, 0, 1] = data[t, 1, 0] = bit
-        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), np.array([0, 0, 1, 1]), 2)
+        state = OnlineLikelihoodLearned(from_dense(data), np.array([0, 0, 1, 1]), 2)
         for t in range(1, 5):
             state.step()
         packed = _packed_counts(state)
@@ -392,13 +392,13 @@ class TestSparseOnlineMatchesDense:
         # before each step, so one near-tie cannot fork the two runs
         data, labels, K, synchronous = run
         if learned:
-            state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
+            state = OnlineLikelihoodLearned(from_dense(data), labels, K,
                                             synchronous=synchronous)
             ref = _DenseLearned(data[0], labels, K, synchronous=synchronous)
             assert np.array_equal(state.P_hat, ref.P_hat)
             assert np.array_equal(state.Q_hat, ref.Q_hat)
         else:
-            state = OnlineLikelihood(SnapshotArray.from_dense(data), labels, intra, inter, K,
+            state = OnlineLikelihood(from_dense(data), labels, intra, inter, K,
                                      synchronous=synchronous)
             ref = _DenseOnline(data[0], labels, intra, inter, K, synchronous=synchronous)
         assert np.array_equal(state.ratio.dense(), ref.M)
@@ -452,7 +452,7 @@ class TestSparseOnlineMatchesDense:
             for i, j in pairs:
                 data[t, i, j] = data[t, j, i] = 1
         labels = np.array([0, 0, 0, 1, 1, 1])
-        arr = SnapshotArray.from_dense(data)
+        arr = from_dense(data)
         if learned:
             state, ref = OnlineLikelihoodLearned(arr, labels, 2), _DenseLearned(data[0], labels, 2)
         else:
@@ -498,7 +498,7 @@ class TestPackedCounts:
         # whose two scores tie to rounding may take either label; the
         # reference then re-estimates under the sparse labels.
         data, labels = run
-        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, 2)
+        state = OnlineLikelihoodLearned(from_dense(data), labels, 2)
         ref = _DenseLearned(data[0], labels, 2)
         assert np.array_equal(state.P_hat, ref.P_hat) and np.array_equal(state.Q_hat, ref.Q_hat)
         iu = np.triu_indices(data.shape[1], 1)
@@ -568,7 +568,7 @@ class TestPooledReestimation:
         # label move, equal those of summing every pair afresh, and so give
         # bit for bit the same estimates
         data, labels, K, synchronous = run
-        state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
+        state = OnlineLikelihoodLearned(from_dense(data), labels, K,
                                         synchronous=synchronous)
         iu = np.triu_indices(data.shape[1], 1)
         counts = np.zeros((4, iu[0].size), dtype=np.uint32)
@@ -602,7 +602,7 @@ def _slots_by_dict(array):
 
 def _from_upper(upper):
     upper = np.triu(np.asarray(upper, dtype=np.uint8), 1)
-    return SnapshotArray.from_dense(upper + upper.transpose(0, 2, 1))
+    return from_dense(upper + upper.transpose(0, 2, 1))
 
 
 @st.composite
@@ -644,10 +644,32 @@ class TestEntrySlots:
     @example(arr=_TALL)  # indices packed into the keys' low bits up to the int64 limit
     @example(arr=_WIDE)  # past it: the argsort fallback
     def test_matches_dict_reference(self, arr):
-        pairs, slots, stay, bounds = _entry_slots(arr)
+        pairs, slots, stay = _entry_slots(arr)
         assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape
-        got = pairs.tolist(), slots.tolist(), stay.tolist(), bounds.tolist()
-        assert got == _slots_by_dict(arr)
+        *want, bounds = _slots_by_dict(arr)
+        assert [pairs.tolist(), slots.tolist(), stay.tolist()] == want
+        # every snapshot; of _TALL's million, those with entries, the ones before and the last
+        ts = range(arr.T) if arr.T <= 4000 else sorted(
+            {arr.T - 1} | {max(t - d, 0) for t in (arr.data // arr.N**2).tolist() for d in (0, 1)})
+        assert [arr.span(t) for t in ts] == [(bounds[t], bounds[t + 1]) for t in ts]
+
+    @pytest.mark.parametrize("build", [
+        lambda a: transition_rate_clustering(a, INTRA.transition, INTER.transition),
+        persistent_components,
+        enemy_paths,
+        lambda a: OnlineLikelihood(a, np.array([0, 1, 0]), INTRA, INTER, 2),
+        lambda a: OnlineLikelihoodLearned(a, np.array([0, 1, 0]), 2),
+    ], ids=["rates", "friends", "enemies", "online", "online-learn"])
+    def test_memory_follows_the_entries_not_the_header_T(self, build):
+        # two entries, in snapshots 0 and 5 of ten million
+        arr = SnapshotArray([1, 47], 3, 10**7)
+        tracemalloc.start()
+        try:
+            build(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
 
     def test_online_learners_and_rates_run_without_a_set_bit(self):
         labels = np.array([0, 1, 0, 1])
@@ -671,7 +693,7 @@ def _pattern_arrays(draw, max_symbol=1, min_t=1, max_t=6, min_n=1):
     density = draw(st.sampled_from([0.0, 0.1, 0.4, 0.8, 1.0]))
     sym = rng.integers(1, max_symbol + 1, (T, n, n)) * (rng.random((T, n, n)) < density)
     upper = np.triu(sym, 1)
-    return SnapshotArray.from_dense(upper + upper.transpose(0, 2, 1))
+    return from_dense(upper + upper.transpose(0, 2, 1))
 
 
 _distributions = st.integers(0, 2**32 - 1).map(
@@ -816,10 +838,10 @@ class TestOneScorer:
     def test_inplace_sweep_matches_node_loop(self, run, intra, inter, learned):
         data, labels, K, _ = run
         if learned:
-            state = OnlineLikelihoodLearned(SnapshotArray.from_dense(data), labels, K,
+            state = OnlineLikelihoodLearned(from_dense(data), labels, K,
                                             synchronous=False)
         else:
-            state = OnlineLikelihood(SnapshotArray.from_dense(data), labels, intra, inter, K,
+            state = OnlineLikelihood(from_dense(data), labels, intra, inter, K,
                                      synchronous=False)
         got = state.ratio.sweep(labels, K, synchronous=False)
         assert got.dtype == np.int64
@@ -885,7 +907,7 @@ class TestKeptBlockSums:
         # by its sweep) lie within a thousandth of the sweep's tolerance
         # of their exact values
         data, labels, K, synchronous = run
-        array = SnapshotArray.from_dense(data)
+        array = from_dense(data)
         if learned:
             state = OnlineLikelihoodLearned(array, labels, K, synchronous=synchronous)
         else:
@@ -906,7 +928,7 @@ class TestKeptBlockSums:
         n = 5
         data = np.zeros((1, n, n), dtype=np.uint8)
         data[0, 0, 1:] = data[0, 1:, 0] = 1
-        ratio = MarkovKernel(INTRA).log_ratio_matrix(SnapshotArray.from_dense(data),
+        ratio = MarkovKernel(INTRA).log_ratio_matrix(from_dense(data),
                                                      MarkovKernel(INTER))
         ratio.vals[:] = -70.0, 350.0, 70.0, 350.0  # pairs (0, 1) ... (0, 4)
         ratio.base, ratio._peak = -0.7, 350.0
@@ -979,7 +1001,7 @@ class TestTransitionRates:
 class TestPersistentComponents:
     def test_all_zero_array(self):
         data = np.zeros((4, 10, 10), dtype=np.uint8)
-        labels, k_hat = persistent_components(SnapshotArray.from_dense(data))
+        labels, k_hat = persistent_components(from_dense(data))
         assert k_hat == 0
         assert set(labels.tolist()) == {0}
 
@@ -999,7 +1021,7 @@ class TestPersistentComponents:
         labels = sample_labelling(50, 2, seed=1)
         arr = sample_markov_snapshots(labels, ones, noise, 10, seed=2)
         perm = np.random.default_rng(3).permutation(50)
-        moved = SnapshotArray.from_dense(dense_tensor(arr)[:, perm][:, :, perm])
+        moved = from_dense(dense_tensor(arr)[:, perm][:, :, perm])
         base, _ = persistent_components(arr)
         shuffled, _ = persistent_components(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
@@ -1009,7 +1031,7 @@ class TestEnemyPaths:
     def test_static_data_gives_singletons(self):
         data = np.zeros((5, 8, 8), dtype=np.uint8)
         data[:, 0, 1] = data[:, 1, 0] = 1  # constant pattern, never an enemy
-        labels, k_hat = enemy_paths(SnapshotArray.from_dense(data))
+        labels, k_hat = enemy_paths(from_dense(data))
         assert k_hat == 8
 
     def test_recovers_two_blocks(self):
@@ -1039,7 +1061,7 @@ class TestEnemyPaths:
         labels = sample_labelling(60, 2, seed=4)
         arr = sample_markov_snapshots(labels, ones, noise, 12, seed=5)
         perm = np.random.default_rng(6).permutation(60)
-        moved = SnapshotArray.from_dense(dense_tensor(arr)[:, perm][:, :, perm])
+        moved = from_dense(dense_tensor(arr)[:, perm][:, :, perm])
         base, _ = enemy_paths(arr)
         shuffled, _ = enemy_paths(moved)
         assert ham_star(shuffled, base[perm])[0] == 0
@@ -1119,14 +1141,14 @@ class TestMLE:
 
     def test_lexicographic_tie_break(self):
         # all-zero log ratios: every labelling ties, the smallest code wins
-        data = SnapshotArray.from_dense(np.zeros((1, 3, 3), dtype=np.uint8))
+        data = from_dense(np.zeros((1, 3, 3), dtype=np.uint8))
         f = FiniteDistribution([1.0])
         got = mle_brute_force(data, 2, CategoricalKernel(f), CategoricalKernel(f))
         assert got.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_counts_below_one_rejected(self, K):
-        data = SnapshotArray.from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
+        data = from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
         f = CategoricalKernel(FiniteDistribution([1.0]))
         with pytest.raises(ValueError, match="at least one cluster"):
             mle_brute_force(data, K, f, f)
@@ -1176,6 +1198,6 @@ class TestTransitionRateEdgeEvidence:
         data[:, 0, 1] = data[:, 1, 0] = 1
         P = np.array([[0.5, 0.5], [0.05, 0.95]])
         Q = np.array([[0.5, 0.5], [0.95, 0.05]])
-        labels, k_hat = transition_rate_clustering(SnapshotArray.from_dense(data), P, Q)
+        labels, k_hat = transition_rate_clustering(from_dense(data), P, Q)
         assert labels[0] == labels[1]  # empirical row 1 matches P exactly
         assert k_hat == 2  # node 2 isolated

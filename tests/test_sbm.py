@@ -33,7 +33,8 @@ from tsbm.sbm import (
     write_snapshots,
 )
 
-from dense_reference import dense_tensor
+from dense_reference import dense_tensor, from_dense
+from divergence_reference import point_mass
 
 
 class TestSampleLabelling:
@@ -328,7 +329,7 @@ class TestChunkedSampler:
 
 class TestCategoricalSampling:
     def test_point_mass(self):
-        f = FiniteDistribution.point_mass(0, 3)
+        f = point_mass(0, 3)
         lab = sample_labelling(20, 2, seed=0)
         arr = sample_categorical_snapshots(lab, f, f, seed=1)
         assert dense_tensor(arr).sum() == 0
@@ -536,7 +537,7 @@ class TestSnapshotFileProperties:
     def test_round_trip_and_rewrite(self, tmp_path_factory, data, with_labels):
         tmp = tmp_path_factory.mktemp("rt")
         labels = np.arange(data.shape[1]) % 3 if with_labels else None
-        write_snapshots(tmp / "a.tsbm", SnapshotArray.from_dense(data, labels=labels))
+        write_snapshots(tmp / "a.tsbm", from_dense(data, labels=labels))
         back = read_snapshots(tmp / "a.tsbm")
         assert dense_tensor(back).dtype == (np.int64 if data.max(initial=0) > 1 else np.uint8)
         assert np.array_equal(dense_tensor(back), data)
@@ -855,7 +856,7 @@ class TestBulkReaderWriter:
     def test_writer_matches_per_line_reference(self, tmp_path_factory, x, with_labels, block):
         tmp = tmp_path_factory.mktemp("w")
         labels = np.arange(x.shape[1]) % 3 if with_labels else None
-        arr = SnapshotArray.from_dense(x, labels=labels)
+        arr = from_dense(x, labels=labels)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sbm, "_BLOCK", block)  # 1 and 3 edge lines per block, or the default
             write_snapshots(tmp / "a.tsbm", arr)
@@ -934,7 +935,7 @@ class TestBulkReaderWriter:
 class TestSnapshotArray:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SnapshotArray.from_dense(np.zeros((3, 4, 5)))
+            from_dense(np.zeros((3, 4, 5)))
         with pytest.raises(ValueError):
             SnapshotArray(np.zeros((3, 4, 4)), 4, 3)
 
@@ -942,7 +943,7 @@ class TestSnapshotArray:
         data = np.zeros((1, 4, 4), dtype=np.uint8)
         data[0, 1, 2] = 1
         with pytest.raises(ValueError):
-            SnapshotArray.from_dense(data).validate()
+            from_dense(data).validate()
 
     def test_validate_catches_diagonal_order_and_values(self):
         with pytest.raises(ValueError, match=r"entry \(1, 1\), not i < j"):
@@ -965,9 +966,9 @@ class TestSnapshotArray:
         upper = np.triu(x, 1)
         if not np.array_equal(x, upper + upper.transpose(0, 2, 1)):
             with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
-                SnapshotArray.from_dense(x)
+                from_dense(x)
             return
-        arr = SnapshotArray.from_dense(x)
+        arr = from_dense(x)
         assert np.array_equal(arr.data, np.flatnonzero(upper))
         assert np.array_equal(dense_tensor(arr), x)
         assert dense_tensor(arr).dtype == (np.int64 if x.max(initial=0) > 1 else np.uint8)
@@ -977,7 +978,7 @@ class TestSnapshotArray:
     def test_snapshot_index_must_name_a_snapshot(self):
         data = np.zeros((3, 4, 4), dtype=np.uint8)
         data[2, 0, 1] = data[2, 1, 0] = 1
-        arr = SnapshotArray.from_dense(data)
+        arr = from_dense(data)
         assert arr.snapshot(np.int64(2)).tolist() == [1]
         for t in (3, -1):
             with pytest.raises(IndexError, match=r"snapshot -?\d outside 0\.\.2"):
@@ -990,4 +991,4 @@ class TestSnapshotArray:
         arr = sample_markov_snapshots(sample_labelling(30, 2, seed=1), ch, ch, 4, seed=2)
         arr.validate()
         assert np.array_equal(arr.data, np.flatnonzero(np.triu(dense_tensor(arr), 1)))
-        assert np.array_equal(SnapshotArray.from_dense(dense_tensor(arr)).data, arr.data)
+        assert np.array_equal(from_dense(dense_tensor(arr)).data, arr.data)

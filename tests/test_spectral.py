@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spectral_reference as spectral_ref
+from dense_reference import from_dense
 from tsbm import harness
 from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
-from tsbm.sbm import SnapshotArray, sample_labelling, sample_markov_snapshots
+from tsbm.sbm import sample_labelling, sample_markov_snapshots
 from tsbm import spectral
 from tsbm.spectral import (
     EigenConvergenceError,
@@ -89,17 +90,17 @@ def _embeddings(draw):
 
 class TestBinarize:
     def test_all_zero(self):
-        assert binarize(SnapshotArray.from_dense(np.zeros((3, 5, 5), dtype=np.uint8))).sum() == 0
+        assert binarize(from_dense(np.zeros((3, 5, 5), dtype=np.uint8))).sum() == 0
 
     def test_any_nonzero_pattern(self):
         data = np.zeros((3, 4, 4), dtype=np.uint8)
         data[1, 0, 1] = data[1, 1, 0] = 1
-        adj = binarize(SnapshotArray.from_dense(data))
+        adj = binarize(from_dense(data))
         assert adj[0, 1] == 1 and adj[1, 0] == 1
         assert adj.sum() == 2
-        assert binarize(SnapshotArray.from_dense(data), t=0).sum() == 0
+        assert binarize(from_dense(data), t=0).sum() == 0
         with pytest.raises(IndexError):
-            binarize(SnapshotArray.from_dense(data), t=3)
+            binarize(from_dense(data), t=3)
 
     def test_binarized_density_matches_closed_form(self):
         n, T = 300, 12
