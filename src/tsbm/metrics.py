@@ -30,9 +30,7 @@ def confusion_matrix(s1, s2):
     s1, s2 = _as_labels(s1), _as_labels(s2)
     _check_same_length(s1, s2)
     K = int(max(s1.max(initial=-1), s2.max(initial=-1))) + 1
-    out = np.zeros((K, K), dtype=np.int64)
-    np.add.at(out, (s1, s2), 1)
-    return out
+    return np.bincount(s1 * K + s2, minlength=K * K).reshape(K, K)
 
 
 @lru_cache(maxsize=16)

@@ -56,12 +56,12 @@ _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
 
 def _entry_slots(array):
     """The distinct pairs ``i*N + j`` the array sets, increasing; and per
-    entry of ``data``, the int32 slot of its pair among them and whether it
-    stays (is set in the snapshot before).  One sort of ``pair * (T + 1) +
-    t`` puts an entry that stays right after its predecessor, one above it.
-    The keys are distinct, so where int64 has room each carries its entry's
-    index in its low bits and they sort in place, faster than the
-    ``argsort`` taken otherwise.  Memory follows the entries, not T."""
+    entry of ``data``, the int32 slot of its pair, and whether it stays (is
+    set in the snapshot before) or leaves (is not set in the one after).
+    One sort of ``pair * (T + 1) + t`` puts each entry right before its
+    pair's next, one above it unless it leaves.  Where int64 has room, each
+    distinct key carries its entry's index in its low bits and they sort in
+    place, faster than ``argsort``.  Memory follows the entries, not T."""
     size, T = int(array.N) ** 2, int(array.T)
     snap = array.data // size
     key = array.data - snap * size
@@ -78,14 +78,15 @@ def _entry_slots(array):
     else:
         order = np.argsort(key)
         key = key[order]
-    stay, first = np.zeros(key.size, dtype=bool), np.ones(key.size, dtype=bool)
-    stay[order[1:]] = np.diff(key) == 1
+    stay, leaves, first = (np.full(key.size, v) for v in (False, True, True))
+    step = np.diff(key) == 1
+    stay[order[1:]], leaves[order[:-1]] = step, ~step
     key //= T + 1
     first[1:] = key[1:] != key[:-1]
-    pairs, slots = key[first], np.empty(key.size, dtype=np.int32)
+    pairs, slots = key[np.flatnonzero(first)], np.empty(key.size, np.int32)  # mask: 4x slower
     del key
     slots[order] = np.cumsum(first, dtype=np.int32) - 1
-    return pairs, slots, stay
+    return pairs, slots, stay, leaves
 
 
 class _PairLogRatio:
@@ -115,7 +116,7 @@ class _PairLogRatio:
         at ``l_init[s]``: 1 in a binary array, its entry of ``values`` (where
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
-        self.array, (pairs, self.slots, self.stay) = array, _entry_slots(array)
+        self.array, (pairs, self.slots, self.stay, self.leaves) = array, _entry_slots(array)
         size = pairs.size
         self.place = np.full(size, -1, dtype=np.int32)
         self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
@@ -142,7 +143,9 @@ class _PairLogRatio:
         new = np.flatnonzero(cur < 0)
         m, self.m = self.m, self.m + new.size
         self.place[slots[new]] = cur[new] = np.arange(m, self.m)
-        rows, cols = self.ends = np.divmod(self.array.data[lo:hi] - t * self.n * self.n, self.n)
+        x = self.array.data[lo:hi] - t * self.n * self.n
+        rows = x // self.n  # one floor division: np.divmod took 4x as long
+        rows, cols = self.ends = rows, x - rows * self.n
         self._rows[m:self.m], self._cols[m:self.m] = rows[new], cols[new]
         self._deg += np.bincount(self._rows[m:self.m], minlength=self.n)
         self._deg += np.bincount(self._cols[m:self.m], minlength=self.n)
@@ -153,29 +156,33 @@ class _PairLogRatio:
         """Consume snapshot ``t``, the one after the last taken: add
         ``increments[2a + b]`` to each pair moving from state a to b, in one
         scalar add over the active pairs and O(pairs set + N K); the clip
-        runs once the running bound ``_peak`` passes it."""
-        on, last, cur = self.on, self.ends, self._places(t)
+        runs once the running bound ``_peak`` passes it, kept sums patched."""
+        leave = np.flatnonzero(self.leaves[slice(*self.array.span(t - 1))])  # mask: 3x slower
+        last, cur = self.ends, self._places(t)
         stay = self.stay[slice(*self.array.span(t))]
-        again = np.zeros(self.m, dtype=bool)
-        again[cur] = stay
-        again = again[on]  # the pairs of the last snapshot set again
-        touched = np.concatenate((on, cur))  # a pair set in both is listed twice, coded 3 twice
-        code = np.concatenate((2 + again, 1 + 2 * stay))
+        touched = np.concatenate((self.on[leave], cur))  # each pair once, leavers first
+        step = np.concatenate((np.full(leave.size, increments[2]), increments[1 + 2 * stay]))
         vals, quiet = self.vals, increments[0]
         old = vals[touched]
         vals += quiet
-        vals[touched] = old + increments[code]
+        vals[touched] = old + step
         self.base = min(max(self.base + quiet, -LOG_RATIO_SATURATION), LOG_RATIO_SATURATION)
         self._peak += np.abs(increments).max()
-        if self._peak > LOG_RATIO_SATURATION:  # offsets may move by other than increments
-            self._peak, self._sums = LOG_RATIO_SATURATION, None
+        delta, moved = step - quiet, cur[:0]  # each offset's change, to rounding; no clip yet
+        if self._peak > LOG_RATIO_SATURATION:
+            self._peak = LOG_RATIO_SATURATION
+            if abs(self.base) == LOG_RATIO_SATURATION:  # base clipped: all offsets move
+                self._sums = None
+            elif self._sums is not None:  # what the clip moves, as one more round of updates
+                moved = np.flatnonzero(np.abs(vals) > LOG_RATIO_SATURATION)
+                delta = np.concatenate((delta, np.clip(vals[moved], -LOG_RATIO_SATURATION,
+                                                       LOG_RATIO_SATURATION) - vals[moved]))
+                self._age += 1
             np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         if self._sums is not None:
-            n, K = self._sums.shape
-            r, c = (np.concatenate(e) for e in zip(last, self.ends))
-            lab = self._under
-            delta = increments[code] - quiet  # each offset's change, to rounding
-            delta[:on.size][again] = 0.0  # counted once, in this snapshot
+            (n, K), lab = self._sums.shape, self._under
+            r, c = (np.concatenate((a[leave], b, e[moved]))  # gathered from the store: 2x slower
+                    for a, b, e in zip(last, self.ends, (self._rows, self._cols)))
             for ends, partners in ((r, c), (c, r)):
                 self._sums += np.bincount(ends * K + lab[partners], delta, n * K).reshape(n, K)
             self._age += 1
@@ -548,7 +555,7 @@ def transition_rate_clustering(array, P, Q):
 def _pair_transitions(array):
     """The pairs ``array`` sets (``_entry_slots``) and their transition
     counts ``n_1``, ``n_01`` and ``n_11``, counted from the entries."""
-    pairs, slots, stay = _entry_slots(array)
+    pairs, slots, stay, _ = _entry_slots(array)
     first, last = array.span(0)[1], array.span(array.T - 1)[0]
     later, stay = slots[first:], stay[first:]
     return pairs, *(np.bincount(s, minlength=pairs.size)
@@ -559,7 +566,7 @@ def _pair_graph(array, keep):
     """Sparse adjacency of the pairs whose number of snapshots set passes
     ``keep``; pairs never set are left out."""
     n = array.N
-    pairs, slots, _ = _entry_slots(array)
+    pairs, slots, *_ = _entry_slots(array)
     pairs = pairs[keep(np.bincount(slots, minlength=pairs.size))]
     return csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, n)), shape=(n, n))
 

@@ -14,14 +14,14 @@ class's rate (Batagelj and Brandes, Phys. Rev. E, 2005).  Its draws are
 keyed by (seed, block of pairs, step), the categorical sampler's by (seed,
 pair), so generation order never changes the output.
 
-The reader takes the file in blocks of whole lines.  Byte masks pick out
-the ``e t i j`` lines spelled with plain ASCII decimals, and numpy parses
-all their numbers at once; the few other lines (header, labels, comments,
-``e t i j v``, other spellings that ``int`` accepts) go through per-line
-code, which would read the bulk lines the same way.  The edges are then
-validated and sorted as arrays; nothing of the header's size is allocated.
-The writer spells each block of edge lines at once, every number from a
-fixed table of the 10^4 four-digit groups; its memory follows the edges too.
+The reader takes the file in blocks of whole lines, parsed whole by numpy
+if spelled as the writer spells them (bytes operations tell); else byte
+masks pick out the ``e t i j`` lines in plain ASCII decimals, parsed at
+once, and the few others (header, labels, comments, ``e t i j v``, other
+spellings that ``int`` accepts) go through per-line code, which would read
+the bulk lines alike.  Edges are validated and sorted as arrays; nothing of
+the header's size is allocated.  The writer spells each block of edge lines
+at once from a table of four-digit groups, in memory following the edges.
 """
 
 import operator
@@ -339,9 +339,9 @@ def write_snapshots(path, array):
 def read_snapshots(path):
     """Read a ``tsbm`` file; the result round-trips bit-exactly.
 
-    In each block of whole lines, byte masks find the plain ``e t i j``
-    lines, parsed at once; the others are parsed one by one.  Edges are
-    validated as arrays; an invalid file reports its first offending line.
+    Each block of whole lines is parsed at once if the writer spelled it;
+    else byte masks find its plain ``e t i j`` lines, and the others are
+    parsed one by one.  An invalid file reports its first offending line.
     Memory follows the number of edges, whatever the header's dimensions;
     ``values`` is kept only when some symbol exceeds 1."""
     header = labels = None
@@ -435,6 +435,8 @@ def _bulk_edges(block):
     buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
+    if (rows := _plain_rows(block, starts, ends)) is not None:
+        return starts, ends, np.ones(ends.size, dtype=bool), rows
     digit = (buf - np.uint8(ord("0"))) < 10
     sep = (buf == ord(" ")) | (buf == ord("\t"))
     minus = buf == ord("-")
@@ -448,6 +450,19 @@ def _bulk_edges(block):
     text = np.where(np.repeat(bulk, ends - starts + 1) & (digit | minus), buf, np.uint8(32))
     rows = np.fromstring(text, dtype=np.int64, sep=" ") if bulk.any() else np.empty(0, np.int64)
     return starts, ends, bulk, rows.reshape(-1, 3)
+
+
+def _plain_rows(block, starts, ends):
+    """The (n, 3) numbers of ``block`` if each of its n lines is ``e`` SP
+    digits SP digits SP digits in at most 24 bytes, as the writer spells it:
+    digits deleted, ``e   LF`` n times; 2nd bytes SP (not ``3e 1 0 1``,
+    ``e1 0 1 2``); 3n numbers (not ``e  1 2``, ``e 1 0 ``).  Else None."""
+    buf, n = np.frombuffer(block, dtype=np.uint8), ends.size
+    if (block.translate(None, b"0123456789") != b"e   \n" * n or (ends - starts).max() > 24
+            or not (buf[starts + 1] == ord(" ")).all()):
+        return None
+    rows = np.fromstring(block.translate(bytes.maketrans(b"e", b" ")), dtype=np.int64, sep=" ")
+    return rows.reshape(n, 3) if rows.size == 3 * n else None
 
 
 def _edge_error(lineno, t, i, j, v, repeated, N, T):

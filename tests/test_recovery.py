@@ -19,6 +19,7 @@ from tsbm.recovery import (
     MarkovKernel,
     OnlineLikelihood,
     OnlineLikelihoodLearned,
+    _PairLogRatio,
     _entry_slots,
     connected_components,
     enemy_paths,
@@ -27,7 +28,7 @@ from tsbm.recovery import (
     refine_recover,
     transition_rate_clustering,
 )
-from tsbm.harness import chains_in_units, figure_bundle, spectral_matrix
+from tsbm.harness import chains_in_units, figure_bundle, recover, sample_instance, spectral_matrix
 from tsbm.sbm import (
     SnapshotArray,
     sample_categorical_snapshots,
@@ -585,10 +586,12 @@ class TestPooledReestimation:
 
 def _slots_by_dict(array):
     """``_entry_slots`` in plain Python: each entry's pair ranked among the
-    distinct pairs, and whether the dict of each pair's last snapshot holds
-    the snapshot before."""
+    distinct pairs, whether the dict of each pair's last snapshot holds the
+    snapshot before, and whether the set of all entries lacks the pair in
+    the snapshot after."""
     size = array.N * array.N
-    pairs = sorted({e % size for e in array.data.tolist()})
+    entries = set(array.data.tolist())
+    pairs = sorted({e % size for e in entries})
     rank = {pair: k for k, pair in enumerate(pairs)}
     last, slots, stay, per_snapshot = {}, [], [], [0] * array.T
     for e in array.data.tolist():
@@ -597,7 +600,8 @@ def _slots_by_dict(array):
         stay.append(last.get(pair) == t - 1)
         last[pair] = t
         per_snapshot[t] += 1
-    return pairs, slots, stay, [0, *itertools.accumulate(per_snapshot)]
+    leaves = [e + size not in entries for e in array.data.tolist()]
+    return pairs, slots, stay, leaves, [0, *itertools.accumulate(per_snapshot)]
 
 
 def _from_upper(upper):
@@ -644,10 +648,11 @@ class TestEntrySlots:
     @example(arr=_TALL)  # indices packed into the keys' low bits up to the int64 limit
     @example(arr=_WIDE)  # past it: the argsort fallback
     def test_matches_dict_reference(self, arr):
-        pairs, slots, stay = _entry_slots(arr)
+        pairs, slots, stay, leaves = _entry_slots(arr)
         assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape
+        assert leaves.dtype == bool and leaves.shape == arr.data.shape
         *want, bounds = _slots_by_dict(arr)
-        assert [pairs.tolist(), slots.tolist(), stay.tolist()] == want
+        assert [pairs.tolist(), slots.tolist(), stay.tolist(), leaves.tolist()] == want
         # every snapshot; of _TALL's million, those with entries, the ones before and the last
         ts = range(arr.T) if arr.T <= 4000 else sorted(
             {arr.T - 1} | {max(t - d, 0) for t in (arr.data // arr.N**2).tolist() for d in (0, 1)})
@@ -950,6 +955,39 @@ class TestKeptBlockSums:
         got = ratio.sweep(labels, 2, synchronous=False)
         assert 0 in rescored[0] and got[0] == 0
         assert got.tobytes() == _inplace_sweep_by_node(ratio, labels, 2).tobytes()
+
+    def test_clips_keep_the_sums_at_figure_7(self, monkeypatch):
+        # fig7b_p1.0_online's static intra chain saturates the ratios, so
+        # every add from the first on clips.  The kept sums take what each
+        # clip moves: its 29 in-place sweeps rebuild them at most twice, and
+        # every step's labels are those of a run that rebuilds every sweep
+        config = next(c for c in figure_bundle(7)[1] if c.name == "fig7b_p1.0_online")
+        seed, chains = derive_seed(config.seed, 0), config.chains()
+        _, array = sample_instance(config.n, config.k, config.t, *chains, seed, config.balanced)
+
+        def labels_per_step():
+            seen = []
+            recover(array, "online", config.k, seed, chains=chains, init=config.init,
+                    synchronous=config.synchronous, record=lambda t, x: seen.append(x.tolist()))
+            return seen
+
+        rebuilt, block_sums, add = [], _PairLogRatio._block_sums, _PairLogRatio.add
+
+        def counted(ratio, labels, K):
+            before = ratio._sums
+            sums = block_sums(ratio, labels, K)
+            rebuilt.append(sums is not before)
+            return sums
+
+        def dropping(ratio, t, increments):
+            add(ratio, t, increments)
+            ratio._sums = None
+
+        monkeypatch.setattr(_PairLogRatio, "_block_sums", counted)
+        kept = labels_per_step()
+        assert len(rebuilt) == 29 and sum(rebuilt) <= 2
+        monkeypatch.setattr(_PairLogRatio, "add", dropping)
+        assert labels_per_step() == kept and rebuilt[29:] == [True] * 29
 
     def test_inplace_sweeps_across_chunks_equal_the_node_loop(self):
         # N = 300 from a random start on the scale chain, K = 3: the moves

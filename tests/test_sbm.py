@@ -675,6 +675,19 @@ def _reference_read_snapshots(path):
     return SnapshotArray(keys[order], N, T, values=v[order], labels=labels)
 
 
+# Edge lines beside the writer's, each read as the per-line reference reads
+# it.  The last seven pass a test that deletes the digits and compares the
+# rest with the writer's spelling: the rest of ``_plain_rows`` must refuse
+# the first six, and read the last, at the 24-byte limit, as the reference.
+_EDGE_SPELLINGS = [
+    "e 1 0 -", "e 1 --1 2", "e 1 0 1-", "e -1 0 1", "e 1 -0 1", "e 1 0 -1", "e1 0 1 2",
+    "e-1 0 1 2", "ee 1 0 1", " e 1 0 1", "e\t1\t0\t1\t", "e 1 0 1 ", "e 1 0 1e",
+    "e 1 0 1\x0b", "e 1 0 1\xa0", "e 1 0 \u0663", "e 1 0 1_0", "e 1 0 +1", "e 01 00 011",
+    "e 1 0 0000000000000000001", "e 1 0 9999999999999999999", "e 1 0 999999999999999999",
+    "e 1 0 -999999999999999999", "e 1 0 1 1", "e 1 0 1 0", "e 1 0", "e 1 0 1 # note",
+    "3e 1 0 1", "e 1 0 1\n3e 1 0 1", "e1 0 1 2\ne  1 2", "e  1 2", "e 1 0 ",
+    "e 1 0 1000000000000000000", "e 1 0 100000000000000000",
+]
 _STYLES = ["plain"] * 6 + ["zeros", "plus", "underscore", "arabic", "fullwidth"]
 _JUNK = ["x", "1e3", "--1", "1-", "_1", "-", "+", "0x1", "1.0", "\x00"]
 _WILD = [-1, 0, 7, 10**18, -(10**18), 10**19, 2**63 - 1, 2**63, 10**25]
@@ -838,17 +851,37 @@ class TestBulkReaderWriter:
             got = _outcome(read_snapshots, path)
         assert got == _outcome(_reference_read_snapshots, path)
 
-    @pytest.mark.parametrize("line", [
-        "e 1 0 -", "e 1 --1 2", "e 1 0 1-", "e -1 0 1", "e 1 -0 1", "e 1 0 -1", "e1 0 1 2",
-        "e-1 0 1 2", "ee 1 0 1", " e 1 0 1", "e\t1\t0\t1\t", "e 1 0 1 ", "e 1 0 1e",
-        "e 1 0 1\x0b", "e 1 0 1\xa0", "e 1 0 \u0663", "e 1 0 1_0", "e 1 0 +1", "e 01 00 011",
-        "e 1 0 0000000000000000001", "e 1 0 9999999999999999999", "e 1 0 999999999999999999",
-        "e 1 0 -999999999999999999", "e 1 0 1 1", "e 1 0 1 0", "e 1 0", "e 1 0 1 # note",
-    ])
+    @pytest.mark.parametrize("line", _EDGE_SPELLINGS)
     def test_reader_matches_per_line_reference_on_edge_spellings(self, tmp_path, line):
         path = tmp_path / "f.tsbm"
         path.write_bytes(f"tsbm 1 12 2\ne 1 2 3\n{line}\ne 2 3 4\n".encode())
         assert _outcome(read_snapshots, path) == _outcome(_reference_read_snapshots, path)
+
+    @pytest.mark.parametrize("line", _EDGE_SPELLINGS)
+    def test_reader_matches_per_line_reference_on_edge_spellings_in_a_block_alone(
+            self, tmp_path, line):
+        # the same file, read at the first block size that gives the line(s)
+        # a block of their own after the header's: the block that a test of
+        # the writer's spelling must refuse, or parse as the reference does
+        text = f"tsbm 1 12 2\ne 1 2 3\n{line}\ne 2 3 4\n"
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(text.encode())
+        blocks, bulk_edges = [], sbm._bulk_edges
+
+        def spy(block):
+            blocks.append(block)
+            return bulk_edges(block)
+
+        for size in range(1, len(text)):
+            blocks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sbm, "_BLOCK", size)
+                mp.setattr(sbm, "_bulk_edges", spy)
+                got = _outcome(read_snapshots, path)
+            if f"{line}\n".encode() in blocks[1:]:
+                break
+        assert f"{line}\n".encode() in blocks[1:]
+        assert got == _outcome(_reference_read_snapshots, path)
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.one_of(_symmetric_arrays(1), _symmetric_arrays(4), _sparse_arrays()),
@@ -917,6 +950,24 @@ class TestBulkReaderWriter:
             tracemalloc.stop()
         assert np.array_equal(back.data, arr.data) and back.values is None
         assert peak <= 48e6
+
+    def test_writer_blocks_after_the_first_are_plain_at_the_scale_point(self, tmp_path):
+        # every block but the header's is read without byte masks, so a
+        # writer change that leaves the plain spelling fails here
+        arr = _scale_sample(3000, 10)
+        write_snapshots(tmp_path / "scale.tsbm", arr)
+        plain, plain_rows = [], sbm._plain_rows
+
+        def spy(block, starts, ends):
+            rows = plain_rows(block, starts, ends)
+            plain.append(rows is not None)
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_plain_rows", spy)
+            back = read_snapshots(tmp_path / "scale.tsbm")
+        assert np.array_equal(back.data, arr.data)
+        assert len(plain) > 50 and plain == [False] + [True] * (len(plain) - 1)
 
     def test_writer_peak_memory_at_the_scale_point(self, tmp_path):
         # Decoding all 541k indices before formatting peaked at 25.1 MB;
