@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 _NORM_TOL = 1e-12
 
@@ -62,7 +61,8 @@ def _check_pair(f, g):
 
 
 def renyi(alpha, f, g):
-    """Renyi divergence of order ``alpha`` (> 0, != 1); may return inf."""
+    """Renyi divergence of order ``alpha`` (> 0, != 1); may return inf.
+    Its first call imports ``scipy.special`` for ``logsumexp``."""
     if not (alpha > 0 and alpha != 1):  # NaN fails it
         raise ValueError("order must be positive and different from 1")
     _check_pair(f, g)
@@ -78,6 +78,8 @@ def renyi(alpha, f, g):
         return math.inf
     with np.errstate(divide="ignore"):
         log_terms = alpha * np.log(p[joint]) + (1.0 - alpha) * np.log(q[joint])
+    from scipy.special import logsumexp
+
     value = logsumexp(log_terms) / (alpha - 1.0)
     return max(value, 0.0)
 

@@ -1,8 +1,8 @@
 """Binary Markov interaction chains: path-law divergences (exact, in
 O(log T) by one transfer-matrix engine on plain floats, a walk by the rungs
-of a lazily squared ladder that the T* search shares; brute-force
-enumeration; sparse closed forms), threshold constants, one search for the
-snapshot threshold T*, and on-period path combinatorics.
+of a lazily squared ladder that the T* search shares; sparse closed
+forms), threshold constants, one search for the snapshot threshold T*, and
+on-period path combinatorics.
 """
 
 import math
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -187,33 +186,6 @@ def markov_renyi_exact(alpha, chain_f, chain_g, T):
     if math.isinf(log_z):
         return math.inf  # orthogonal supports, or (alpha > 1) g = 0 under f
     return max(0.0, log_z / (alpha - 1.0))  # 0.0 first: max(-0.0, 0.0) is -0.0
-
-
-def markov_renyi_brute(alpha, chain_f, chain_g, T):
-    """Literal sum over all 2^T paths; test oracle, T capped at 20."""
-    if T > 20:
-        raise ValueError("brute-force enumeration capped at T = 20")
-    if T < 1:
-        raise ValueError("need at least one snapshot")
-    if not (alpha > 0 and alpha != 1):  # NaN fails it
-        raise ValueError("order must be positive and different from 1")
-    codes = np.arange(2**T, dtype=np.int64)
-    paths = (codes[:, None] >> np.arange(T)[None, :]) & 1
-    lf = chain_f.path_log_prob(paths)
-    lg = chain_g.path_log_prob(paths)
-    keep = lf > -math.inf  # zero-probability paths contribute nothing
-    lf, lg = lf[keep], lg[keep]
-    if lf.size == 0:
-        return math.inf
-    if alpha > 1 and np.any(np.isinf(lg)):
-        return math.inf
-    with np.errstate(invalid="ignore"):
-        log_terms = alpha * lf + (1.0 - alpha) * lg
-    finite = log_terms > -math.inf
-    if not finite.any():
-        return math.inf
-    log_z = logsumexp(log_terms[finite])
-    return max(0.0, log_z / (alpha - 1.0))
 
 
 def markov_hellinger_sq(chain_f, chain_g, T):

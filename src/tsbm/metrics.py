@@ -8,7 +8,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _as_labels(s):
@@ -51,7 +50,8 @@ def ham_star(s1, s2):
     Returns ``(distance, perm)`` where ``perm[k]`` is the new value given to
     label ``k``, so that ``ham(perm[s1], s2) == distance``.  Up to K = 8 it
     scans every permutation in lexicographic order, so ties resolve to the
-    lowest-index permutation; beyond, it solves the assignment problem.
+    lowest-index permutation; beyond, it solves the assignment problem by
+    ``scipy.optimize``, which it imports on that first call.
     """
     s1, s2 = _as_labels(s1), _as_labels(s2)
     _check_same_length(s1, s2)
@@ -63,6 +63,8 @@ def ham_star(s1, s2):
         agree = C[np.arange(K)[None, :], perms].sum(axis=1)
         best = int(np.argmax(agree))  # first max = lexicographically lowest
         return N - int(agree[best]), perms[best].copy()
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(C, maximize=True)
     perm = np.empty(K, dtype=np.int64)
     perm[rows] = cols

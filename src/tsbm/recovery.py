@@ -17,7 +17,7 @@ gracefully.
 import math
 
 import numpy as np
-from scipy.sparse import bmat, csgraph, csr_matrix, issparse
+from scipy.sparse import bmat, csr_matrix, issparse
 
 from .markov import BinaryMarkovChain
 from .spectral import binarize, spectral_cluster, leave_one_out_cluster
@@ -497,7 +497,10 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 def connected_components(adj):
     """Labels and count of connected components of a symmetric adjacency
     matrix, a boolean array or a scipy sparse matrix; components are
-    numbered in order of their smallest node."""
+    numbered in order of their smallest node.  The first call imports
+    ``scipy.sparse.csgraph``."""
+    from scipy.sparse import csgraph
+
     graph = adj if issparse(adj) else csr_matrix(np.asarray(adj, dtype=bool))
     count, labels = csgraph.connected_components(graph, directed=False)
     return labels.astype(np.int64), int(count)

@@ -174,15 +174,19 @@ def kmeans(X, k, rng=None):
         labels = np.zeros(n, dtype=np.int64)
         seen, it, stop = {}, 0, _KMEANS_ITERS
         while it < stop:
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
+            # squared distances, a row per centre; a running minimum over the
+            # rows keeps the first nearest centre (strict <), as argmin would
+            d2 = ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+            mind2, new_labels = d2[0].copy(), np.zeros(n, dtype=np.int64)
+            for c in range(1, k):
+                new_labels[d2[c] < mind2] = c
+                np.minimum(mind2, d2[c], out=mind2)
             sizes = np.bincount(new_labels, minlength=k)
             if X.shape[1] > 1 and sizes.all():
                 for d in range(X.shape[1]):
                     centers[:, d] = np.bincount(new_labels, weights=X[:, d], minlength=k)
                 centers /= sizes[:, None]
             else:
-                mind2 = d2[np.arange(n), new_labels]
                 for c in range(k):
                     mask = new_labels == c
                     if mask.any():

@@ -6,12 +6,14 @@ squaring ladder that ``tsbm.markov`` used before its engine moved to plain
 floats; ``t_star_exact`` walks those rungs by ``t_star``'s galloping search.
 The tests require the library's float weights to match these (bit for bit
 at order 1/2, within a few ulps elsewhere) and both searches to give the
-same T*.
+same T*.  ``markov_renyi_brute`` is the literal sum over all paths, the
+oracle for both engines at small T.
 """
 
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def geometric_weights(alpha, chain_f, chain_g):
@@ -88,3 +90,30 @@ def t_star_exact(chain_f, chain_g, N, K, t_max=10**6):
         if T + (1 << k) <= t_max and below(k):
             T += 1 << k
     return T + 1 if T < t_max else None
+
+
+def markov_renyi_brute(alpha, chain_f, chain_g, T):
+    """Literal sum over all 2^T paths; test oracle, T capped at 20."""
+    if T > 20:
+        raise ValueError("brute-force enumeration capped at T = 20")
+    if T < 1:
+        raise ValueError("need at least one snapshot")
+    if not (alpha > 0 and alpha != 1):  # NaN fails it
+        raise ValueError("order must be positive and different from 1")
+    codes = np.arange(2**T, dtype=np.int64)
+    paths = (codes[:, None] >> np.arange(T)[None, :]) & 1
+    lf = chain_f.path_log_prob(paths)
+    lg = chain_g.path_log_prob(paths)
+    keep = lf > -math.inf  # zero-probability paths contribute nothing
+    lf, lg = lf[keep], lg[keep]
+    if lf.size == 0:
+        return math.inf
+    if alpha > 1 and np.any(np.isinf(lg)):
+        return math.inf
+    with np.errstate(invalid="ignore"):
+        log_terms = alpha * lf + (1.0 - alpha) * lg
+    finite = log_terms > -math.inf
+    if not finite.any():
+        return math.inf
+    log_z = logsumexp(log_terms[finite])
+    return max(0.0, log_z / (alpha - 1.0))

@@ -21,7 +21,6 @@ from tsbm.markov import (
     chain_from_stationary,
     count_paths,
     high_order_bound,
-    markov_renyi_brute,
     markov_renyi_exact,
     path_stats,
     sparse_renyi_approx,
@@ -39,6 +38,8 @@ from tsbm.recovery import (
 from tsbm.harness import ExperimentConfig, run_experiment, summarize
 from tsbm.sbm import sample_categorical_snapshots, sample_labelling, sample_markov_snapshots
 from tsbm.spectral import binarize, spectral_cluster
+
+from markov_reference import markov_renyi_brute
 
 
 def report(number, name, detail):

@@ -808,6 +808,61 @@ def _run_child(code, timeout):
     return proc.stdout
 
 
+# scipy packages that only ham_star at K > 8, renyi and the component
+# baselines use; each is imported by its caller on first use
+FIRST_USE_MODULES = ("scipy.optimize", "scipy.special", "scipy.sparse.csgraph")
+
+
+def test_commands_leave_first_use_modules_unimported(tmp_path):
+    # the commands and a figure load none of them, and each first use
+    # loads its module and gives what this process computes
+    path = str(tmp_path / "g.tsbm")
+    chain = ["--mu1", "5", "--nu1", "1", "--p11", "1", "--q11", "0.1"]  # two persistent blocks
+    commands = [
+        ["generate", "--n", "60", "--k", "2", "--t", "4", *chain, "--out", path],
+        ["recover", "--input", path, "--algorithm", "online", *chain,
+         "--truth", path + ".labels"],
+        ["threshold", "--mu1", "3", "--nu1", "1", "--grid-steps", "1"],
+        ["divergence", "--t", "4", *chain],
+        ["replicate-figure", "--figure", "2", "--out", str(tmp_path)],
+    ]
+    rng = np.random.default_rng(5)
+    s1, s2 = rng.integers(0, 9, 200), rng.integers(0, 9, 200)
+    s1[0] = 8  # nine labels: the assignment branch
+    f, g = [0.5, 0.3, 0.2], [0.2, 0.2, 0.6]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from tsbm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        f"before = [m for m in {FIRST_USE_MODULES!r} if m in sys.modules]\n"
+        "from tsbm.divergence import FiniteDistribution, renyi\n"
+        "from tsbm.metrics import ham_star\n"
+        "from tsbm.recovery import persistent_components\n"
+        "from tsbm.sbm import read_snapshots\n"
+        f"d, perm = ham_star({s1.tolist()}, {s2.tolist()})\n"
+        f"r = renyi(0.5, FiniteDistribution({f}), FiniteDistribution({g}))\n"
+        f"labels, k_hat = persistent_components(read_snapshots({path!r}))\n"
+        f"after = [m for m in {FIRST_USE_MODULES!r} if m in sys.modules]\n"
+        "print(json.dumps([codes, before, after, d, perm.tolist(), r.hex(),\n"
+        "                  labels.tolist(), k_hat]))\n"
+    )
+    codes, before, after, d, perm, r, labels, k_hat = json.loads(_run_child(code, 120))
+    assert codes == [0] * len(commands)
+    assert before == []
+    assert after == list(FIRST_USE_MODULES)
+    from tsbm.divergence import FiniteDistribution, renyi
+    from tsbm.metrics import ham_star
+    from tsbm.recovery import persistent_components
+
+    want_d, want_perm = ham_star(s1, s2)
+    assert (d, perm) == (want_d, want_perm.tolist())
+    assert r == renyi(0.5, FiniteDistribution(f), FiniteDistribution(g)).hex()
+    want_labels, want_k = persistent_components(read_snapshots(path))
+    assert (labels, k_hat) == (want_labels.tolist(), want_k)
+    assert k_hat == 2
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
 def test_online_trial_at_n_20000(algorithm):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_reference import t_star_exact
+from markov_reference import markov_renyi_brute, t_star_exact
 from tsbm.divergence import FiniteDistribution, renyi
 from tsbm.markov import (
     BinaryMarkovChain,
@@ -21,7 +21,6 @@ from tsbm.markov import (
     i_tilde_short,
     markov_hellinger_sq,
     markov_j_quantity,
-    markov_renyi_brute,
     markov_renyi_exact,
     path_stats,
     sparse_renyi_approx,
