@@ -12,16 +12,19 @@ The Markov sampler's work follows the set bits, not the N(N-1)/2 pairs:
 it skips geometric gaps over the pair numbers and thins each hit to its
 class's rate (Batagelj and Brandes, Phys. Rev. E, 2005).  Its draws are
 keyed by (seed, block of pairs, step), the categorical sampler's by (seed,
-pair), so generation order never changes the output.
+pair), so generation order never changes the output.  Each step keeps its
+pairs in pair order, so the blocks join snapshot by snapshot with no sort.
 
 The reader takes the file in blocks of whole lines, parsed whole by numpy
 if spelled as the writer spells them (bytes operations tell); else byte
 masks pick out the ``e t i j`` lines in plain ASCII decimals, parsed at
 once, and the few others (header, labels, comments, ``e t i j v``, other
 spellings that ``int`` accepts) go through per-line code, which would read
-the bulk lines alike.  Edges are validated and sorted as arrays; nothing of
-the header's size is allocated.  The writer spells each block of edge lines
-at once from a table of four-digit groups, in memory following the edges.
+the bulk lines alike.  Each block's edges are range-checked and folded into
+one int64 flat index each, sorted only if the file lists them out of order;
+nothing of the header's size is allocated.  The writer spells each block of
+edge lines at once from a table of four-digit groups, in memory following
+the edges.
 """
 
 import operator
@@ -157,44 +160,56 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     found = [_block_snapshots(labels, row_start, (inter, intra), T, seed, lo,
                               min(lo + _BLOCK_PAIRS, n_pairs))
              for lo in range(0, n_pairs, _BLOCK_PAIRS)]
-    data = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-    data.sort()
-    return SnapshotArray(data, N, T, labels=labels)
+    if len(found) == 1:
+        return SnapshotArray(found[0], N, T, labels=labels)
+    # each block's entries are sorted: join the blocks snapshot by snapshot
+    cuts = [np.searchsorted(x, np.arange(T + 1) * N * N) for x in found]
+    data = [x[c[t]:c[t + 1]] for t in range(T) for x, c in zip(found, cuts)]
+    return SnapshotArray(np.concatenate([np.empty(0, dtype=np.int64), *data]), N, T, labels=labels)
 
 
 def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
     """Flat indices ``t*N*N + i*N + j`` of the set bits of pairs ``lo .. hi
-    - 1`` in all T snapshots; ``chains`` is (across, within) blocks.
+    - 1`` in all T snapshots, increasing; ``chains`` is (across, within)
+    blocks.
 
     Snapshot 0 skips over the pairs at the larger ``mu1`` and thins each hit
     to its class's.  At each later step a pair on stays on with its class's
     ``p11``; all pairs are skipped over at the larger ``p01``, and each hit
     is thinned to its class's and dropped if on, so each pair off turns on
-    at exactly its own rate.  Step t draws from the counters of ``(derive_seed(seed, block),
+    at exactly its own rate; the pairs kept on and the fresh ones are merged
+    in pair order.  Step t draws from the counters of ``(derive_seed(seed, block),
     t)``: counter p is the stay draw of the block's pair p, counters
     ``_BLOCK_PAIRS + 2k`` and ``+ 2k + 1`` the k-th hit's gap and thinning.
     """
     N, n = labels.size, hi - lo
     keys = stream_key(derive_seed(seed, lo // _BLOCK_PAIRS), np.arange(T))
-    rates = np.array([[c.mu1, c.p01, c.p11] for c in chains])
+    rates = np.array([[c.mu1, c.p01] for c in chains])
+    stay = np.array([c.p11 for c in chains])
     was = np.zeros(n, dtype=bool)  # on at the previous step
-    on = np.empty((4, 0), dtype=np.int64)  # of each pair on: position in the block, class, i, j
+    # of each pair on, in pair order: 2 * its position in the block + its class, and i*N + j
+    on = flat = np.empty(0, dtype=np.int64)
     part = []
     for t, key in enumerate(keys):
         rate = rates[:, min(t, 1)]  # mu1, then p01
         hit = _skip(key, rate.max(), n)
-        i = np.searchsorted(row_start, lo + hit, side="right") - 1
-        j = lo + hit - row_start[i] + i + 1
+        pair = lo + hit
+        i = np.searchsorted(row_start[1:], pair, side="right")
+        j = pair - row_start[i] + i + 1
         cls = (labels[i] == labels[j]).astype(np.int64)
         thin = step_uniform(key, _BLOCK_PAIRS + 2 * np.arange(hit.size) + 1)
         # integer indices: boolean-mask indexing was 3-5x slower on these arrays
         fresh = np.flatnonzero((thin < rate[cls] / rate.max()) & ~was[hit])
-        keep = step_uniform(key, on[0]) < rates[on[1], 2]
-        was[on[0]] = keep
+        pos = on >> 1
+        keep = step_uniform(key, pos) < stay[on & 1]
+        was[pos] = keep
         was[hit[fresh]] = True
         kept = np.flatnonzero(keep)
-        on = [np.concatenate((x[kept], y[fresh])) for x, y in zip(on, (hit, cls, i, j))]
-        part.append(t * N * N + on[2] * N + on[3])
+        on = np.concatenate((on[kept], (2 * hit + cls)[fresh]))
+        flat = np.concatenate((flat[kept], (i * N + j)[fresh]))
+        order = np.argsort(on, kind="stable")  # merges the kept and the fresh, each in pair order
+        on, flat = on[order], flat[order]
+        part.append(t * N * N + flat)
     return np.concatenate(part)
 
 
@@ -341,17 +356,22 @@ def read_snapshots(path):
 
     Each block of whole lines is parsed at once if the writer spelled it;
     else byte masks find its plain ``e t i j`` lines, and the others are
-    parsed one by one.  An invalid file reports its first offending line.
+    parsed one by one.  A block's bulk edges are range-checked and folded
+    into flat keys, one int64 each, and the keys are joined once; line
+    numbers are rebuilt only to name an invalid file's first offending line.
     Memory follows the number of edges, whatever the header's dimensions;
     ``values`` is kept only when some symbol exceeds 1."""
     header = labels = None
-    found, other = [], []  # line, t, i, j (, v) of the bulk and of the other edge lines
+    # the flat keys of the edges in range, and their lines as (first line,
+    # count or positions after it), each with an empty entry so that both join
+    keys, spans = [np.empty(0, dtype=np.int64)], [(1, 0)]
+    # (line, t, i, j, v) columns of each block with an invalid edge; the other edge lines
+    rejected, other = [], []
     first = 1  # number of the block's first line
     with open(path) as fh:  # universal newlines: CRLF and lone CR end lines too
         for chunk in iter(lambda: fh.read(_BLOCK) + fh.readline(), ""):  # whole lines
             block = (chunk if chunk.endswith("\n") else chunk + "\n").encode()
             starts, ends, bulk, rows = _bulk_edges(block)
-            found.append((first + np.flatnonzero(bulk), *rows.T))
             todo = ~bulk
             todo[np.argmax(bulk)] = True  # the first bulk line, in case it precedes the header
             todo = [c[todo].tolist() for c in (np.arange(bulk.size), starts, ends, bulk)]
@@ -359,36 +379,68 @@ def read_snapshots(path):
                 if header is None or not parsed:
                     raw = block[start:end].decode()
                     header, labels = _parse_line(first + k, raw, header, labels, other)
+            if rows.size:  # the header came first, or its line raised
+                N, T = header
+                at = np.flatnonzero(bulk)
+                if _in_range(*rows.T, N, T).all():
+                    keys.append(((rows[:, 0] - 1) * N + rows[:, 1]) * N + rows[:, 2])
+                    spans.append((first, at.size if at.size == ends.size else at))
+                else:  # the block's edges, kept as columns to name the first offence
+                    rejected.append((first + at, *rows.T, np.ones_like(at)))
             first += ends.size
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
-    found = [np.concatenate(c) for c in zip(*found)]  # frees the per-block arrays
-    edges = found + [np.broadcast_to(np.int64(1), found[0].size)]
-    if other:  # merge the other edge lines in, in file order
+    key, values = np.concatenate(keys), None
+    del keys  # frees the per-block keys
+    if other:
         try:  # values beyond int64 make object columns, which compare exactly
             other = [np.array(c, dtype=np.int64) for c in zip(*other)]
-        except OverflowError:
+        except OverflowError:  # and never pass the checks
             other = [np.array(c, dtype=object) for c in zip(*other)]
-        edges = [np.concatenate(c) for c in zip(edges, other)]
-        order = np.argsort(edges[0], kind="stable")
-        edges = [c[order] for c in edges]
+        lines, t, i, j, v = other
+        if (_in_range(t, i, j, N, T) & (v >= 1) & (v <= _INT64_MAX)).all():
+            spans.append((0, lines))
+            if (v > 1).any():
+                values = np.concatenate((np.ones_like(key), v))
+            key = np.concatenate((key, ((t - 1) * N + i) * N + j))
+        else:
+            rejected.append(other)
+    order = np.argsort(key) if (key[1:] <= key[:-1]).any() else slice(None)
+    data = key[order]  # keys strictly increase in files this module writes: a view
+    if rejected or (data[1:] == data[:-1]).any():
+        raise _first_offence(key, values, spans, rejected, N, T)
+    values = None if values is None else values[order]
+    return SnapshotArray(data, N, T, values=values, labels=labels)
+
+
+def _in_range(t, i, j, N, T):
+    """Whether each edge ``t i j`` names an upper entry of the tensor."""
+    return (t >= 1) & (t <= T) & (i >= 0) & (i < j) & (j < N)
+
+
+def _first_offence(key, values, spans, rejected, N, T):
+    """The error of the first invalid edge line, by line number, given
+    ``read_snapshots``' keys, their symbols (None: all 1), their lines as
+    spans, and the ``(line, t, i, j, v)`` columns of the other edges.  An
+    edge in range is repeated if an earlier line holds its key."""
+    lines = np.concatenate([first + (np.arange(at) if isinstance(at, int) else at)
+                            for first, at in spans])
+    t, rest = np.divmod(key, N * N)
+    i, j = np.divmod(rest, N)
+    edges = [lines, t + 1, i, j, np.ones_like(key) if values is None else values]
+    edges = [np.concatenate(c) for c in zip(edges, *rejected)]
+    order = np.argsort(edges[0])
+    edges = [c[order] for c in edges]  # file order
     lines, t, i, j, v = edges
-    ok = (t >= 1) & (t <= T) & (i >= 0) & (i < j) & (j < N)
-    keep = slice(None) if ok.all() else ok  # a view when every edge is in range
-    t, i, j = (c[keep].astype(np.int64, copy=False) for c in (t, i, j))
-    key = ((t - 1) * N + i) * N + j  # flat index of the upper entry
+    ok = _in_range(t, i, j, N, T)
+    t, i, j = (c[ok].astype(np.int64) for c in (t, i, j))
+    key = ((t - 1) * N + i) * N + j
+    order = np.argsort(key, kind="stable")  # equal keys stay in file order
     repeated = np.zeros(ok.size, dtype=bool)
-    order = slice(None)
-    if (key[1:] <= key[:-1]).any():  # keys strictly increase in files this module writes
-        order = np.argsort(key, kind="stable")  # equal keys stay in file order
-        repeated[np.flatnonzero(ok)[order[1:]]] = key[order[1:]] == key[order[:-1]]
-    bad = ~ok | repeated | (v < 1) | (v > _INT64_MAX)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise _edge_error(*(int(c[k]) for c in edges), repeated[k], N, T)
-    values = v[order].astype(np.int64) if (v > 1).any() else None
-    return SnapshotArray(key[order], N, T, values=values, labels=labels)
+    repeated[np.flatnonzero(ok)[order[1:]]] = key[order[1:]] == key[order[:-1]]
+    k = int(np.argmax(~ok | repeated | (v < 1) | (v > _INT64_MAX)))
+    return _edge_error(*(int(c[k]) for c in edges), repeated[k], N, T)
 
 
 def _parse_line(lineno, raw, header, labels, other):

@@ -69,9 +69,12 @@ def trim_high_degree(adj, K):
     input's dtype and is the input itself when no node is trimmed, so a 0/1
     uint8 matrix never becomes an N x N float array."""
     a = np.asarray(adj)
-    # degrees are float64 sums either way; only signed entries need abs
-    deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
-        axis=1, dtype=np.float64)
+    if a.dtype.kind in "bu" and a.itemsize <= 4:
+        # integer sums: every float64 partial sum is an integer below 2^53, so the same bits
+        deg = a.sum(axis=1, dtype=np.int64).astype(np.float64)
+    else:  # float64 sums; only signed entries need abs
+        deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
+            axis=1, dtype=np.float64)
     keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
         return a, keep

@@ -920,6 +920,32 @@ def test_offline_trial_at_n_20000(algorithm):
     assert rss_kb < 2 * 2**20
 
 
+@pytest.mark.slow
+def test_cli_online_at_n_100000_from_a_random_start(tmp_path):
+    # the scale chain at N = 100,000, T = 10 through a 13 M-edge file: the
+    # reader keeps one int64 key per edge, and the child peaked at 911 MB
+    # when it kept line numbers and three columns per edge
+    path = str(tmp_path / "big.tsbm")
+    chain = ["--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"]
+    code = (
+        "from tsbm.cli import main\n"
+        f"assert main(['generate', '--n', '100000', '--k', '2', '--t', '10', *{chain!r},\n"
+        f"             '--out', {path!r}]) == 0\n"
+        f"assert main(['recover', '--input', {path!r}, '--algorithm', 'online',\n"
+        f"             '--init', 'random', *{chain!r}, '--truth', {path + '.labels'!r}]) == 0\n"
+        + CHILD_PEAK_KB +
+        "print(rss)\n"
+    )
+    start = time.perf_counter()
+    out = _run_child(code, 1800).split("\n")
+    accuracy = float(next(line for line in out if line.startswith("accuracy ")).split()[1])
+    rss_kb = int(out[-2])
+    print(f"N=100000 T=10 generate and online recover: accuracy {accuracy}, "
+          f"{time.perf_counter() - start:.1f} s, peak RSS {rss_kb / 1024:.0f} MB")
+    assert accuracy >= 0.95
+    assert rss_kb < 800 * 2**10
+
+
 def test_rates_with_linked_quiet_pairs_stays_sparse():
     # at mu1 = 1.5, nu1 = 3 the pairs never set link (Q01 > 3 P01), so the
     # components come from the complement of the non-linked active pairs;

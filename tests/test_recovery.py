@@ -676,6 +676,23 @@ class TestEntrySlots:
             tracemalloc.stop()
         assert peak < 1e6, peak
 
+    def test_traced_peak_below_three_words_per_entry(self):
+        # the figure-6 config's 600k entries.  The pair key built with no
+        # snap * size temporary, the indices packed and neighbours compared
+        # in chunks, and an int32 order keep the peak near 2.7 words per
+        # entry.  Whole-array temporaries took 3.5.
+        intra, inter = chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, "absolute")
+        arr = sample_markov_snapshots(sample_labelling(1000, 2, seed=1), intra, inter, 30,
+                                      seed=2)
+        tracemalloc.start()
+        try:
+            slots = _entry_slots(arr)[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert slots.size == arr.data.size == 600687
+        assert peak <= 3 * arr.data.nbytes
+
     def test_online_learners_and_rates_run_without_a_set_bit(self):
         labels = np.array([0, 1, 0, 1])
         known = OnlineLikelihood(_NO_BIT, labels, INTRA, INTER, 2)

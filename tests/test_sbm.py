@@ -951,6 +951,22 @@ class TestBulkReaderWriter:
         assert np.array_equal(back.data, arr.data) and back.values is None
         assert peak <= 48e6
 
+    def test_reader_peak_per_edge_at_the_scale_point(self, tmp_path):
+        # each block's edges fold into one int64 key each, joined once: the
+        # reader peaks near 16 bytes per edge.  Keeping each edge's line
+        # number and three columns until the end took about 64.
+        arr = _scale_sample(3000, 10)
+        path = tmp_path / "scale.tsbm"
+        write_snapshots(path, arr)
+        tracemalloc.start()
+        try:
+            back = read_snapshots(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, arr.data) and back.values is None
+        assert peak <= 24 * arr.data.size
+
     def test_writer_blocks_after_the_first_are_plain_at_the_scale_point(self, tmp_path):
         # every block but the header's is read without byte masks, so a
         # writer change that leaves the plain spelling fails here
