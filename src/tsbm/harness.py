@@ -7,10 +7,11 @@ parallel and serial execution produce identical aggregates.
 """
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -84,6 +85,19 @@ def chains_in_units(n, mu1, nu1, p11, q11, units="logn"):
     return chain_from_stationary(pi_f, p11), chain_from_stationary(pi_g, q11)
 
 
+def _typed(key, kind, value):
+    """``value`` as a config field annotated ``kind``: ints by ``operator.index``,
+    floats from ints too, bools only as bools; else ValueError."""
+    if isinstance(value, bool) == (kind is bool):
+        if kind is int and hasattr(type(value), "__index__"):
+            return operator.index(value)
+        if kind is float and isinstance(value, (int, float)):
+            return float(value)
+        if kind in (bool, str) and isinstance(value, kind):
+            return value
+    raise ValueError(f"config key {key!r} needs {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a Markov block model plus an algorithm selection.
@@ -112,6 +126,8 @@ class ExperimentConfig:
     name: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.units not in UNITS:
@@ -507,14 +523,11 @@ def _coerce(text):
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
     return text.strip("\"'")
 
 

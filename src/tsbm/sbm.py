@@ -15,13 +15,12 @@ keyed by (seed, block of pairs, step), the categorical sampler's by (seed,
 pair), so generation order never changes the output.  Each step keeps its
 pairs in pair order, so the blocks join snapshot by snapshot with no sort.
 
-The reader takes the file in blocks of whole lines, parsed whole by numpy
-if spelled as the writer spells them (bytes operations tell); else byte
-masks pick out the ``e t i j`` lines in plain ASCII decimals, parsed at
-once, and the few others (header, labels, comments, ``e t i j v``, other
-spellings that ``int`` accepts) go through per-line code, which would read
-the bulk lines alike.  Each block's edges are range-checked and folded into
-one int64 flat index each, sorted only if the file lists them out of order;
+The reader parses the lines up to the first edge line one by one: comments,
+blanks, the header and labels.  It takes the rest in blocks of whole lines,
+each parsed whole by numpy if spelled as the writer spells it (bytes
+operations tell), else line by line with ``str.split`` and ``int``, as the
+header was.  Each bulk block's edges are range-checked and folded into one
+int64 flat index each, sorted only if the file lists them out of order;
 nothing of the header's size is allocated.  The writer spells each block of
 edge lines at once from a table of four-digit groups, in memory following
 the edges.
@@ -270,8 +269,9 @@ _MAGIC = "tsbm"
 _VERSION = "1"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Reader and writer work in blocks: _BLOCK characters of text, or _BLOCK / 8
-# edge lines.  Whole-file temporaries raised the peak RSS of a recovery run
-# after them: malloc kept their freed memory and served later arrays from it.
+# edge lines; the reader parses a block at once only if the writer spelled
+# it.  Whole-file temporaries raised the peak RSS of a recovery run after
+# them: malloc kept their freed memory and served later arrays from it.
 _BLOCK = 1 << 16
 # _GROUPS[g] spells g < 10^4 right-aligned in 4 bytes, 0 bytes (which writers
 # drop) for its leading zeros: all four for 0.  OR-ing _FILL into a group with
@@ -354,40 +354,42 @@ def write_snapshots(path, array):
 def read_snapshots(path):
     """Read a ``tsbm`` file; the result round-trips bit-exactly.
 
-    Each block of whole lines is parsed at once if the writer spelled it;
-    else byte masks find its plain ``e t i j`` lines, and the others are
-    parsed one by one.  A block's bulk edges are range-checked and folded
-    into flat keys, one int64 each, and the keys are joined once; line
-    numbers are rebuilt only to name an invalid file's first offending line.
-    Memory follows the number of edges, whatever the header's dimensions;
-    ``values`` is kept only when some symbol exceeds 1."""
+    The lines before the first edge line after the header are parsed one by
+    one.  That edge line is a block alone, and blocks of whole lines follow:
+    each is parsed at once if the writer spelled it, else line by line.  A
+    bulk block's edges are range-checked and folded into flat keys, one
+    int64 each, and the keys are joined once; line numbers are rebuilt only
+    to name an invalid file's first offending line.  Memory follows the
+    number of edges, whatever the header's dimensions; ``values`` is kept
+    only when some symbol exceeds 1."""
     header = labels = None
-    # the flat keys of the edges in range, and their lines as (first line,
-    # count or positions after it), each with an empty entry so that both join
+    # the flat keys of the bulk edges in range, and their lines as (first
+    # line, count), each with an empty entry so that both join
     keys, spans = [np.empty(0, dtype=np.int64)], [(1, 0)]
     # (line, t, i, j, v) columns of each block with an invalid edge; the other edge lines
     rejected, other = [], []
-    first = 1  # number of the block's first line
+    first = 1  # number of the next line
     with open(path) as fh:  # universal newlines: CRLF and lone CR end lines too
-        for chunk in iter(lambda: fh.read(_BLOCK) + fh.readline(), ""):  # whole lines
-            block = (chunk if chunk.endswith("\n") else chunk + "\n").encode()
-            starts, ends, bulk, rows = _bulk_edges(block)
-            todo = ~bulk
-            todo[np.argmax(bulk)] = True  # the first bulk line, in case it precedes the header
-            todo = [c[todo].tolist() for c in (np.arange(bulk.size), starts, ends, bulk)]
-            for k, start, end, parsed in zip(*todo):
-                if header is None or not parsed:
-                    raw = block[start:end].decode()
-                    header, labels = _parse_line(first + k, raw, header, labels, other)
-            if rows.size:  # the header came first, or its line raised
+        chunk = fh.readline()
+        while chunk and (header is None or not chunk.startswith("e")):
+            header, labels = _parse_line(first, chunk, header, labels, other)
+            chunk, first = fh.readline(), first + 1
+        while chunk:  # the first edge line after the header alone, then whole lines
+            chunk += "" if chunk.endswith("\n") else "\n"
+            if (rows := _bulk_edges(chunk.encode())) is None:
+                for raw in chunk.split("\n")[:-1]:
+                    header, labels = _parse_line(first, raw, header, labels, other)
+                    first += 1
+            else:
                 N, T = header
-                at = np.flatnonzero(bulk)
                 if _in_range(*rows.T, N, T).all():
                     keys.append(((rows[:, 0] - 1) * N + rows[:, 1]) * N + rows[:, 2])
-                    spans.append((first, at.size if at.size == ends.size else at))
+                    spans.append((first, len(rows)))
                 else:  # the block's edges, kept as columns to name the first offence
-                    rejected.append((first + at, *rows.T, np.ones_like(at)))
-            first += ends.size
+                    at = first + np.arange(len(rows))
+                    rejected.append((at, *rows.T, np.ones_like(at)))
+                first += len(rows)
+            chunk, rows = fh.read(_BLOCK) + fh.readline(), None  # frees this block before the join
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
@@ -422,8 +424,9 @@ def _in_range(t, i, j, N, T):
 def _first_offence(key, values, spans, rejected, N, T):
     """The error of the first invalid edge line, by line number, given
     ``read_snapshots``' keys, their symbols (None: all 1), their lines as
-    spans, and the ``(line, t, i, j, v)`` columns of the other edges.  An
-    edge in range is repeated if an earlier line holds its key."""
+    ``(first line, count)`` or ``(0, lines)`` spans, and the ``(line, t, i,
+    j, v)`` columns of the other edges.  An edge in range is repeated if an
+    earlier line holds its key."""
     lines = np.concatenate([first + (np.arange(at) if isinstance(at, int) else at)
                             for first, at in spans])
     t, rest = np.divmod(key, N * N)
@@ -444,7 +447,7 @@ def _first_offence(key, values, spans, rejected, N, T):
 
 
 def _parse_line(lineno, raw, header, labels, other):
-    """Parse one line outside the bulk grammar: returns the header and the
+    """Parse one line with ``str.split`` and ``int``: returns the header and the
     labels, and appends an edge line's ``(lineno, t, i, j, v)`` to ``other``."""
     tokens = raw.split()
     if not tokens or tokens[0].startswith("#"):
@@ -479,36 +482,19 @@ def _parse_line(lineno, raw, header, labels, other):
 
 
 def _bulk_edges(block):
-    """Start and end (newline) offsets of the lines of ``block``, the mask
-    of its bulk lines, and their numbers as an (n, 3) int64 array.  A bulk
-    line is ``e`` and three numbers ``-?[0-9]+``, separated (and perhaps
-    followed) by spaces or tabs, in at most 24 bytes, so no number exceeds
-    18 digits; ``str.split`` and ``int`` read it alike."""
-    buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if (rows := _plain_rows(block, starts, ends)) is not None:
-        return starts, ends, np.ones(ends.size, dtype=bool), rows
-    digit = (buf - np.uint8(ord("0"))) < 10
-    sep = (buf == ord(" ")) | (buf == ord("\t"))
-    minus = buf == ord("-")
-    # 1 per number start, 4 per byte outside the grammar or '-' not between a
-    # separator and a digit: a bulk line, whose only such byte is its 'e', sums to 7
-    score = (~(digit | sep | minus | (buf == ord("\n")))).view(np.uint8) * np.uint8(4)
-    score[1:] += minus[1:] | (digit[1:] & sep[:-1])
-    score[1:-1] += np.uint8(4) * (minus[1:-1] & ~(sep[:-2] & digit[2:]))
-    bulk = ((np.add.reduceat(score, starts, dtype=np.uint8) == 7) & (ends - starts <= 24)
-            & (buf[starts] == ord("e")) & sep[np.minimum(starts + 1, buf.size - 1)])
-    text = np.where(np.repeat(bulk, ends - starts + 1) & (digit | minus), buf, np.uint8(32))
-    rows = np.fromstring(text, dtype=np.int64, sep=" ") if bulk.any() else np.empty(0, np.int64)
-    return starts, ends, bulk, rows.reshape(-1, 3)
+    """The (n, 3) numbers of the n lines of ``block`` if the writer spelled
+    them, else None."""
+    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+    return _plain_rows(block, np.concatenate(([0], ends[:-1] + 1)), ends)
 
 
 def _plain_rows(block, starts, ends):
     """The (n, 3) numbers of ``block`` if each of its n lines is ``e`` SP
     digits SP digits SP digits in at most 24 bytes, as the writer spells it:
     digits deleted, ``e   LF`` n times; 2nd bytes SP (not ``3e 1 0 1``,
-    ``e1 0 1 2``); 3n numbers (not ``e  1 2``, ``e 1 0 ``).  Else None."""
+    ``e1 0 1 2``); 3n numbers (not ``e  1 2``, ``e 1 0 ``).  No number then
+    exceeds 18 digits, and ``str.split`` and ``int`` read the lines alike.
+    Else None."""
     buf, n = np.frombuffer(block, dtype=np.uint8), ends.size
     if (block.translate(None, b"0123456789") != b"e   \n" * n or (ends - starts).max() > 24
             or not (buf[starts + 1] == ord(" ")).all()):

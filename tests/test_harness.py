@@ -741,6 +741,33 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: line {line}: 'n' already set on line 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,value", [
+        ("n = abc", "'abc'"), ("trials = 1.5", "1.5"), ("k = 2.5", "2.5"),
+        ("balanced = no", "'no'"), ("synchronous = maybe", "'maybe'"), ("seed = 1e3", "1000.0"),
+        ("t = true", "True"), ("mu1 = false", "False"), ("mu1 = much", "'much'"),
+        ("units = 3", "3"),
+    ])
+    def test_experiment_config_value_of_the_wrong_type_exit_code(self, tmp_path, capsys, line,
+                                                                 value):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+        cfg.write_text(f"[run]\n{line}\n")
+        rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: config key {line.split()[0]!r}") and value in err
+        assert not out.exists()
+
+    def test_experiment_config_file_and_flags_give_the_same_csv(self, tmp_path):
+        # an integer-valued float from the file is stored as the flag's float
+        cfg, a, b = tmp_path / "exp.cfg", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text("n = 40\nt = 3\nmu1 = 3\nnu1 = 1\np11 = 1\ntrials = 1\n")
+        assert main(["experiment", "--config", str(cfg), "--deterministic", "--out", str(a)]) == 0
+        flags = ["--n", "40", "--t", "3", "--mu1", "3", "--nu1", "1", "--p11", "1",
+                 "--trials", "1"]
+        assert main(["experiment", *flags, "--deterministic", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "# mu1 = 3.0\n" in a.read_text()
+
     def test_replicate_figure_four_bundle(self, tmp_path):
         out_dir = tmp_path / "fig4"
         rc = main([

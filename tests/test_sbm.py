@@ -967,9 +967,9 @@ class TestBulkReaderWriter:
         assert np.array_equal(back.data, arr.data) and back.values is None
         assert peak <= 24 * arr.data.size
 
-    def test_writer_blocks_after_the_first_are_plain_at_the_scale_point(self, tmp_path):
-        # every block but the header's is read without byte masks, so a
-        # writer change that leaves the plain spelling fails here
+    def test_every_writer_block_is_plain_at_the_scale_point(self, tmp_path):
+        # the header is read before the blocks, so every block is parsed at
+        # once: a writer change that leaves the plain spelling fails here
         arr = _scale_sample(3000, 10)
         write_snapshots(tmp_path / "scale.tsbm", arr)
         plain, plain_rows = [], sbm._plain_rows
@@ -983,7 +983,28 @@ class TestBulkReaderWriter:
             mp.setattr(sbm, "_plain_rows", spy)
             back = read_snapshots(tmp_path / "scale.tsbm")
         assert np.array_equal(back.data, arr.data)
-        assert len(plain) > 50 and plain == [False] + [True] * (len(plain) - 1)
+        assert len(plain) > 50 and all(plain)
+
+    def test_tab_separated_copy_reads_line_by_line_at_the_scale_point(self, tmp_path):
+        # the same file with tabs for spaces: no block is the writer's, so
+        # every edge line goes through str.split and int, to the same array
+        arr = _scale_sample(3000, 10)
+        write_snapshots(tmp_path / "scale.tsbm", arr)
+        text = (tmp_path / "scale.tsbm").read_bytes()
+        (tmp_path / "tabs.tsbm").write_bytes(text.replace(b" ", b"\t"))
+        plain, plain_rows = [], sbm._plain_rows
+
+        def spy(block, starts, ends):
+            rows = plain_rows(block, starts, ends)
+            plain.append(rows is not None)
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_plain_rows", spy)
+            back = read_snapshots(tmp_path / "tabs.tsbm")
+        assert np.array_equal(back.data, arr.data) and back.values is None
+        assert np.array_equal(back.labels, arr.labels)
+        assert len(plain) > 50 and not any(plain)
 
     def test_writer_peak_memory_at_the_scale_point(self, tmp_path):
         # Decoding all 541k indices before formatting peaked at 25.1 MB;
