@@ -519,24 +519,25 @@ def figure_bundle(figure, trials=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _coerce(text):
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text.strip("\"'")
+def _from_text(key, text):
+    """A config file's value text as the type of the field ``key`` names:
+    ints and floats by their constructors, bools from true or false, strs
+    unquoted.  Other text stays text, for ExperimentConfig to refuse."""
+    kind = getattr(ExperimentConfig.__dataclass_fields__.get(key), "type", str)
+    if kind is bool:
+        return {"true": True, "false": False}.get(text.lower(), text)
+    try:
+        return text.strip("\"'") if kind is str else kind(text)
+    except ValueError:
+        return text
 
 
 def parse_config_text(text):
     """Parse a key-value experiment file into one flat dict.
 
     ``[section]`` lines group keys for the reader and are otherwise
-    ignored, so a key may be set only once in the file.  Values are coerced
-    to bool/int/float where possible.
+    ignored, so a key may be set only once in the file.  Values take their
+    fields' types where they can.
     """
     out, first_set = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -549,7 +550,7 @@ def parse_config_text(text):
         if key in first_set:
             raise ValueError(f"line {lineno}: {key!r} already set on line {first_set[key]}")
         first_set[key] = lineno
-        out[key] = _coerce(value)
+        out[key] = _from_text(key, value)
     return out
 
 

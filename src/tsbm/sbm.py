@@ -17,13 +17,13 @@ pairs in pair order, so the blocks join snapshot by snapshot with no sort.
 
 The reader parses the lines up to the first edge line one by one: comments,
 blanks, the header and labels.  It takes the rest in blocks of whole lines,
-each parsed whole by numpy if spelled as the writer spells it (bytes
-operations tell), else line by line with ``str.split`` and ``int``, as the
-header was.  Each bulk block's edges are range-checked and folded into one
-int64 flat index each, sorted only if the file lists them out of order;
-nothing of the header's size is allocated.  The writer spells each block of
-edge lines at once from a table of four-digit groups, in memory following
-the edges.
+each parsed whole by numpy if spelled as the writer spells it, symbols or
+not (bytes operations tell), else line by line with ``str.split`` and
+``int``, as the header was.  Each bulk block's edges are range-checked and
+folded into one int64 flat index each, sorted only if the file lists them
+out of order; nothing of the header's size is allocated.  The writer spells
+each block of edge lines at once from a table of four-digit groups, in
+memory following the edges.
 """
 
 import operator
@@ -358,14 +358,15 @@ def read_snapshots(path):
     one.  That edge line is a block alone, and blocks of whole lines follow:
     each is parsed at once if the writer spelled it, else line by line.  A
     bulk block's edges are range-checked and folded into flat keys, one
-    int64 each, and the keys are joined once; line numbers are rebuilt only
-    to name an invalid file's first offending line.  Memory follows the
-    number of edges, whatever the header's dimensions; ``values`` is kept
-    only when some symbol exceeds 1."""
+    int64 each, and the keys are joined once, then the symbols of the blocks
+    that list one above 1; line numbers are rebuilt only to name an invalid
+    file's first offending line.  Memory follows the number of edges,
+    whatever the header's dimensions; ``values`` is kept only when some
+    symbol exceeds 1."""
     header = labels = None
-    # the flat keys of the bulk edges in range, and their lines as (first
-    # line, count), each with an empty entry so that both join
-    keys, spans = [np.empty(0, dtype=np.int64)], [(1, 0)]
+    # the flat keys of the bulk edges in range, their symbols (None: all 1)
+    # and their lines as (first line, count), each with an empty entry to join
+    keys, symbols, spans = [np.empty(0, dtype=np.int64)], [None], [(1, 0)]
     # (line, t, i, j, v) columns of each block with an invalid edge; the other edge lines
     rejected, other = [], []
     first = 1  # number of the next line
@@ -382,32 +383,37 @@ def read_snapshots(path):
                     first += 1
             else:
                 N, T = header
-                if _in_range(*rows.T, N, T).all():
+                v = rows[:, 3] if rows.shape[1] > 3 else np.ones(1, dtype=np.int64)  # symbols
+                if _in_range(*rows.T[:3], N, T).all() and v.min() >= 1:
                     keys.append(((rows[:, 0] - 1) * N + rows[:, 1]) * N + rows[:, 2])
+                    symbols.append(v.copy() if v.max() > 1 else None)  # frees rows
                     spans.append((first, len(rows)))
                 else:  # the block's edges, kept as columns to name the first offence
                     at = first + np.arange(len(rows))
-                    rejected.append((at, *rows.T, np.ones_like(at)))
+                    rejected.append((at, *rows.T[:3], np.broadcast_to(v, at.shape)))
                 first += len(rows)
             chunk, rows = fh.read(_BLOCK) + fh.readline(), None  # frees this block before the join
     if header is None:
         raise MalformedHeaderError("missing header line")
     N, T = header
-    key, values = np.concatenate(keys), None
-    del keys  # frees the per-block keys
-    if other:
+    if other:  # the other edge lines join the keys only if all are valid
         try:  # values beyond int64 make object columns, which compare exactly
             other = [np.array(c, dtype=np.int64) for c in zip(*other)]
         except OverflowError:  # and never pass the checks
             other = [np.array(c, dtype=object) for c in zip(*other)]
         lines, t, i, j, v = other
         if (_in_range(t, i, j, N, T) & (v >= 1) & (v <= _INT64_MAX)).all():
+            keys.append(((t - 1) * N + i) * N + j)
+            symbols.append(v if (v > 1).any() else None)
             spans.append((0, lines))
-            if (v > 1).any():
-                values = np.concatenate((np.ones_like(key), v))
-            key = np.concatenate((key, ((t - 1) * N + i) * N + j))
         else:
             rejected.append(other)
+    sizes, key, values = [k.size for k in keys], np.concatenate(keys), None
+    del keys  # frees the per-block keys before the symbols join
+    if any(v is not None for v in symbols):
+        values = np.concatenate([np.ones(n, dtype=np.int64) if v is None else v
+                                 for n, v in zip(sizes, symbols)])
+    del symbols
     order = np.argsort(key) if (key[1:] <= key[:-1]).any() else slice(None)
     data = key[order]  # keys strictly increase in files this module writes: a view
     if rejected or (data[1:] == data[:-1]).any():
@@ -482,25 +488,39 @@ def _parse_line(lineno, raw, header, labels, other):
 
 
 def _bulk_edges(block):
-    """The (n, 3) numbers of the n lines of ``block`` if the writer spelled
-    them, else None."""
+    """The (n, 3) or (n, 4) numbers of the n lines of ``block`` if the
+    writer spelled them, else None."""
     ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
     return _plain_rows(block, np.concatenate(([0], ends[:-1] + 1)), ends)
 
 
 def _plain_rows(block, starts, ends):
-    """The (n, 3) numbers of ``block`` if each of its n lines is ``e`` SP
-    digits SP digits SP digits in at most 24 bytes, as the writer spells it:
-    digits deleted, ``e   LF`` n times; 2nd bytes SP (not ``3e 1 0 1``,
-    ``e1 0 1 2``); 3n numbers (not ``e  1 2``, ``e 1 0 ``).  No number then
-    exceeds 18 digits, and ``str.split`` and ``int`` read the lines alike.
-    Else None."""
-    buf, n = np.frombuffer(block, dtype=np.uint8), ends.size
-    if (block.translate(None, b"0123456789") != b"e   \n" * n or (ends - starts).max() > 24
-            or not (buf[starts + 1] == ord(" ")).all()):
+    """The numbers of ``block``'s n lines if the writer spelled each: ``e``
+    and three or four runs of digits, each after a single space.  Digits
+    deleted, each line is ``e``, 3 or 4 spaces and LF; each 2nd byte is SP
+    (not ``3e 1 0 1``, ``e1 0 1 2``); one number per space (not ``e  1 2``);
+    at most 18 bytes and 2 per space, so no number exceeds 18 digits.  Returns
+    (n, 3) rows, or (n, 4) with symbol 1 where a line lists none; else None."""
+    buf, rest = np.frombuffer(block, dtype=np.uint8), block.translate(None, b"0123456789")
+    k = np.full(ends.size, 3)  # the spaces of each line
+    if rest != b"e   \n" * ends.size:  # a symbol, or a line the writer did not spell
+        rest = np.frombuffer(rest, dtype=np.uint8)
+        lf = np.flatnonzero(rest == ord("\n"))
+        k = np.diff(lf, prepend=-1) - 2
+        if (((k != 3) & (k != 4)).any() or (rest[lf - k - 1] != ord("e")).any()
+                or np.count_nonzero(rest == ord(" ")) != k.sum()):
+            return None
+    if (ends - starts > 18 + 2 * k).any() or (buf[starts + 1] != ord(" ")).any():
         return None
-    rows = np.fromstring(block.translate(bytes.maketrans(b"e", b" ")), dtype=np.int64, sep=" ")
-    return rows.reshape(n, 3) if rows.size == 3 * n else None
+    nums = np.fromstring(block.translate(bytes.maketrans(b"e", b" ")), dtype=np.int64, sep=" ")
+    if nums.size != k.sum():
+        return None
+    if nums.size == 3 * k.size:
+        return nums.reshape(-1, 3)
+    first = np.cumsum(k) - k  # each line's first number
+    rows = np.append(nums, 1)[first[:, None] + np.arange(4)]
+    rows[k == 3, 3] = 1  # not the next line's first number, or the 1 appended
+    return rows
 
 
 def _edge_error(lineno, t, i, j, v, repeated, N, T):

@@ -742,10 +742,10 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("line,value", [
-        ("n = abc", "'abc'"), ("trials = 1.5", "1.5"), ("k = 2.5", "2.5"),
-        ("balanced = no", "'no'"), ("synchronous = maybe", "'maybe'"), ("seed = 1e3", "1000.0"),
-        ("t = true", "True"), ("mu1 = false", "False"), ("mu1 = much", "'much'"),
-        ("units = 3", "3"),
+        ("n = abc", "'abc'"), ("trials = 1.5", "'1.5'"), ("k = 2.5", "'2.5'"),
+        ("balanced = no", "'no'"), ("synchronous = maybe", "'maybe'"), ("seed = 1e3", "'1e3'"),
+        ("t = true", "'true'"), ("mu1 = false", "'false'"), ("mu1 = much", "'much'"),
+        ("balanced = 1", "'1'"),
     ])
     def test_experiment_config_value_of_the_wrong_type_exit_code(self, tmp_path, capsys, line,
                                                                  value):
@@ -767,6 +767,17 @@ class TestCLI:
         assert main(["experiment", *flags, "--deterministic", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert "# mu1 = 3.0\n" in a.read_text()
+        # a str field keeps the file's text, digits or not
+        cfg.write_text(cfg.read_text() + "name = 2024\n")
+        assert main(["experiment", "--config", str(cfg), "--deterministic", "--out", str(a)]) == 0
+        assert "# name = 2024\n" in a.read_text()
+
+    def test_experiment_config_checks_python_values(self):
+        assert ExperimentConfig(mu1=3, trials=np.int64(2)).mu1 == 3.0
+        assert type(ExperimentConfig(mu1=3).mu1) is float
+        for bad in (dict(n=True), dict(n=40.0), dict(balanced=1), dict(name=2024)):
+            with pytest.raises(ValueError, match=f"config key {next(iter(bad))!r} needs"):
+                ExperimentConfig(**bad)
 
     def test_replicate_figure_four_bundle(self, tmp_path):
         out_dir = tmp_path / "fig4"

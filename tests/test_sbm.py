@@ -688,6 +688,16 @@ _EDGE_SPELLINGS = [
     "3e 1 0 1", "e 1 0 1\n3e 1 0 1", "e1 0 1 2\ne  1 2", "e  1 2", "e 1 0 ",
     "e 1 0 1000000000000000000", "e 1 0 100000000000000000",
 ]
+# Edge lines with a symbol column, or spaced as if they had one, beside the
+# writer's: ``_plain_rows`` must read the writer's (up to 18-digit symbols)
+# as the reference does, and refuse the rest, which a count of spaces and
+# numbers per block alone would let through.
+_SYMBOL_SPELLINGS = [
+    "e 2 4 5 6", "e 2 4 5 1", "e 2 4 5 0", "e 2 4 5 999999999999999999",
+    "e 2 4 5 9999999999999999999", "e 2 4 5 1000000000000000000", "2 e 4 5", "2 e 4 5 6",
+    "e 2 4 5 6 7", "e 2 4 5  6", "e 2 4 5 6 ", "e 2 4 5 6\ne 2 4", "e 2 4 5 \ne 2 4 6 7",
+    "e2 4 5 6 7\ne  4 6", "e 2 4 5 6\n3e 2 4 6", "e 2 4 5 6\ne 2 4 5",
+]
 _STYLES = ["plain"] * 6 + ["zeros", "plus", "underscore", "arabic", "fullwidth"]
 _JUNK = ["x", "1e3", "--1", "1-", "_1", "-", "+", "0x1", "1.0", "\x00"]
 _WILD = [-1, 0, 7, 10**18, -(10**18), 10**19, 2**63 - 1, 2**63, 10**25]
@@ -857,6 +867,13 @@ class TestBulkReaderWriter:
         path.write_bytes(f"tsbm 1 12 2\ne 1 2 3\n{line}\ne 2 3 4\n".encode())
         assert _outcome(read_snapshots, path) == _outcome(_reference_read_snapshots, path)
 
+    @pytest.mark.parametrize("line", _SYMBOL_SPELLINGS)
+    def test_reader_matches_per_line_reference_on_symbol_spellings(self, tmp_path, line):
+        # the line(s) and the last share a block after the first edge line's
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(f"tsbm 1 12 2\ne 1 2 3\n{line}\ne 2 3 4\n".encode())
+        assert _outcome(read_snapshots, path) == _outcome(_reference_read_snapshots, path)
+
     @pytest.mark.parametrize("line", _EDGE_SPELLINGS)
     def test_reader_matches_per_line_reference_on_edge_spellings_in_a_block_alone(
             self, tmp_path, line):
@@ -984,6 +1001,36 @@ class TestBulkReaderWriter:
             back = read_snapshots(tmp_path / "scale.tsbm")
         assert np.array_equal(back.data, arr.data)
         assert len(plain) > 50 and all(plain)
+
+    def test_writer_symbol_file_is_read_in_bulk_at_the_scale_point(self, tmp_path):
+        # the scale point's edges with symbols 1, 2 and 3: the writer mixes
+        # 4- and 5-token lines in every block, and every block is still read
+        # at once.  Reading each 5-token line alone peaked near 195 bytes per
+        # edge, and every line of such a block alone near 283.
+        arr = _scale_sample(3000, 10)
+        arr = SnapshotArray(arr.data, 3000, 10, values=1 + arr.data % 3, labels=arr.labels)
+        path = tmp_path / "symbols.tsbm"
+        write_snapshots(path, arr)
+        plain, plain_rows = [], sbm._plain_rows
+
+        def spy(block, starts, ends):
+            rows = plain_rows(block, starts, ends)
+            plain.append(rows is not None)
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_plain_rows", spy)
+            read_snapshots(path)
+        assert len(plain) > 50 and all(plain)
+        tracemalloc.start()
+        try:
+            back = read_snapshots(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, arr.data) and np.array_equal(back.values, arr.values)
+        assert np.array_equal(back.labels, arr.labels)
+        assert peak <= 32 * arr.data.size
 
     def test_tab_separated_copy_reads_line_by_line_at_the_scale_point(self, tmp_path):
         # the same file with tabs for spaces: no block is the writer's, so
