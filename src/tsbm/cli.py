@@ -107,7 +107,7 @@ def build_parser():
     _add_chain_args(e)
     e.set_defaults(run=_cmd_experiment, units=None)  # units: the file's, else the default
     e.add_argument("--algorithm", choices=harness.ALGORITHMS)
-    e.add_argument("--init", choices=("spectral", "random", "truth"))
+    e.add_argument("--init", choices=harness.INITS)
     e.add_argument("--balanced", action="store_true", default=None)
     e.add_argument("--trials", type=int)
     e.add_argument("--seed", type=int)

@@ -43,13 +43,6 @@ class FiniteDistribution:
     def __repr__(self):
         return f"FiniteDistribution({self.probs.tolist()})"
 
-    @classmethod
-    def bernoulli(cls, p):
-        """Two-point distribution with mass ``p`` on symbol 1."""
-        if not 0 <= p <= 1:
-            raise ValueError("bernoulli parameter outside [0, 1]")
-        return cls([1.0 - p, p])
-
     def product(self, other):
         """Distribution of an independent pair, alphabet = cartesian product."""
         return FiniteDistribution(np.outer(self.probs, other.probs).ravel())

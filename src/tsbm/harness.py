@@ -51,15 +51,18 @@ ALGORITHMS = (ONLINE_ALGORITHMS + ("refine", "refine-loo") + SPECTRAL_ALGORITHMS
 MARKOV_ALGORITHMS = ("online", "rates")  # need the chain pair
 KERNEL_ALGORITHMS = ("refine", "refine-loo", "mle")  # need a kernel pair or the chains
 
-UNITS = ("absolute", "logn", "inv_n")
+# the density that mu1 = 1 or nu1 = 1 stands for at N nodes, by units
+_SCALES = {"absolute": lambda n: 1.0, "logn": lambda n: math.log(n) / n, "inv_n": lambda n: 1 / n}
+UNITS = tuple(_SCALES)
+INITS = ("spectral", "random", "truth")  # the online algorithms' starts
 
 
 def _stationary_densities(n, mu1, nu1, units):
-    """``mu1``/``nu1`` converted from ``units`` to densities, each checked to
-    lie strictly in (0, 1)."""
-    if units != "absolute" and n < 2:
+    """``mu1``/``nu1`` converted from ``units`` to densities at ``n >= 2``
+    nodes, each checked to lie strictly in (0, 1)."""
+    if not n >= 2:
         raise ValueError(f"need at least two nodes, got N={n}")
-    scale = {"logn": math.log(n) / n, "inv_n": 1.0 / n, "absolute": 1.0}[units]
+    scale = _SCALES[units](n)
     for name, mult in (("mu1", mu1), ("nu1", nu1)):
         if not 0 < mult * scale < 1:
             raise ValueError(
@@ -115,7 +118,7 @@ class ExperimentConfig:
     q11: float = 0.3
     units: str = "logn"
     algorithm: str = "online"
-    init: str = "random"  # spectral | random | truth
+    init: str = "random"  # one of INITS
     trials: int = 20
     seed: int = 0
     balanced: bool = False
@@ -134,7 +137,7 @@ class ExperimentConfig:
             raise ValueError(f"units must be one of {UNITS}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.init not in ("spectral", "random", "truth"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         # validate densities and chain feasibility before any trial runs
         self.chains()
@@ -204,6 +207,10 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
         raise ValueError(f"algorithm {algorithm!r} needs the chain pair")
     if not k >= 1:
         raise ValueError("need at least one cluster")
+    if init not in INITS:
+        raise ValueError(f"unknown init {init!r}, not one of {INITS}")
+    if init == "truth" and truth is None:
+        raise ValueError("init 'truth' needs the true labels")
     if algorithm in ONLINE_ALGORITHMS:
         if init == "spectral":
             start = spectral_cluster(binarize(array, t=0), k, derive_seed(seed, 4))
@@ -332,55 +339,43 @@ def records_to_csv(records, config, deterministic=False):
 # ---------------------------------------------------------------------------
 
 
+def _row(label, spec=""):
+    """A report field printed as ``label`` and its value formatted by ``spec``."""
+    return field(metadata={"label": label, "spec": spec})
+
+
 @dataclass
 class DivergenceReport:
-    """Divergence and threshold quantities for one parameter set."""
+    """Divergence and threshold quantities for one parameter set, each with
+    the label and format of its line in ``to_text``."""
 
-    n: int
-    k: int
-    t: int
-    exact: float
-    hellinger_sq: float
-    approx: float
-    approx_radius: float
-    approx_in_regime: bool
-    rho: float
-    j_quantity: float
-    beta_half: float
-    i_tilde_short: float
-    i_tilde_long: float
-    t_star_exact: object
-    t_star_itilde: object
-    lower_bound_quadratic: float
-    lower_bound_linear: float
-    upper_bound: float
+    n: int = _row("nodes N")
+    k: int = _row("blocks K")
+    t: int = _row("snapshots T")
+    exact: float = _row("exact divergence (order 1/2)", ".10g")
+    hellinger_sq: float = _row("exact squared Hellinger", ".10g")
+    approx: float = _row("sparse approximation", ".10g")
+    approx_radius: float = _row("approximation radius", ".4g")
+    approx_in_regime: bool = _row("sparse regime (rho T <= 0.01)")
+    rho: float = _row("rho", ".6g")
+    j_quantity: float = _row("log-ratio second moment J", ".10g")
+    beta_half: float = _row("beta ratio (r = 1/2)", ".6g")
+    i_tilde_short: float = _row("threshold constant (short horizon)", ".10g")
+    i_tilde_long: float = _row("threshold constant (long horizon)", ".10g")
+    t_star_exact: object = _row("T* (exact convention)")
+    t_star_itilde: object = _row("T* (itilde convention)")
+    lower_bound_quadratic: float = _row("lower bound (quadratic I21)", ".6g")
+    lower_bound_linear: float = _row("lower bound (linear I21)", ".6g")
+    upper_bound: float = _row("upper bound", ".6g")
 
     def to_dict(self):
         return asdict(self)
 
     def to_text(self):
-        rows = [
-            ("nodes N", self.n),
-            ("blocks K", self.k),
-            ("snapshots T", self.t),
-            ("exact divergence (order 1/2)", f"{self.exact:.10g}"),
-            ("exact squared Hellinger", f"{self.hellinger_sq:.10g}"),
-            ("sparse approximation", f"{self.approx:.10g}"),
-            ("approximation radius", f"{self.approx_radius:.4g}"),
-            ("sparse regime (rho T <= 0.01)", self.approx_in_regime),
-            ("rho", f"{self.rho:.6g}"),
-            ("log-ratio second moment J", f"{self.j_quantity:.10g}"),
-            ("beta ratio (r = 1/2)", f"{self.beta_half:.6g}"),
-            ("threshold constant (short horizon)", f"{self.i_tilde_short:.10g}"),
-            ("threshold constant (long horizon)", f"{self.i_tilde_long:.10g}"),
-            ("T* (exact convention)", self.t_star_exact),
-            ("T* (itilde convention)", self.t_star_itilde),
-            ("lower bound (quadratic I21)", f"{self.lower_bound_quadratic:.6g}"),
-            ("lower bound (linear I21)", f"{self.lower_bound_linear:.6g}"),
-            ("upper bound", f"{self.upper_bound:.6g}"),
-        ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows) + "\n"
+        rows = [(f.metadata["label"], format(getattr(self, f.name), f.metadata["spec"]))
+                for f in fields(self)]
+        width = max(len(label) for label, _ in rows)
+        return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows) + "\n"
 
 
 def divergence_report(intra, inter, n, k, t, t_max=10**6):

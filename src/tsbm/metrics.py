@@ -10,24 +10,22 @@ from functools import lru_cache
 import numpy as np
 
 
-def _as_labels(s):
-    a = np.asarray(s, dtype=np.int64)
-    if a.ndim != 1:
+def _labellings(s1, s2):
+    """Both labellings as int64 arrays, checked to be one-dimensional,
+    non-negative and of one length."""
+    s1, s2 = np.asarray(s1, dtype=np.int64), np.asarray(s2, dtype=np.int64)
+    if s1.ndim != 1 or s2.ndim != 1:
         raise ValueError("labelling must be one-dimensional")
-    if a.size and a.min() < 0:
+    if min(s1.min(initial=0), s2.min(initial=0)) < 0:
         raise ValueError("labels must be non-negative")
-    return a
-
-
-def _check_same_length(s1, s2):
     if s1.size != s2.size:
         raise ValueError(f"length mismatch: {s1.size} vs {s2.size}")
+    return s1, s2
 
 
 def confusion_matrix(s1, s2):
     """Counts ``C[k, l] = #{i : s1[i] = k, s2[i] = l}``, K x K for labels below K."""
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
+    s1, s2 = _labellings(s1, s2)
     K = int(max(s1.max(initial=-1), s2.max(initial=-1))) + 1
     return np.bincount(s1 * K + s2, minlength=K * K).reshape(K, K)
 
@@ -39,8 +37,7 @@ def _all_permutations(K):
 
 def ham(s1, s2):
     """Number of positions where the two labellings disagree."""
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
+    s1, s2 = _labellings(s1, s2)
     return int((s1 != s2).sum())
 
 
@@ -53,8 +50,7 @@ def ham_star(s1, s2):
     lowest-index permutation; beyond, it solves the assignment problem by
     ``scipy.optimize``, which it imports on that first call.
     """
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
+    s1, s2 = _labellings(s1, s2)
     C = confusion_matrix(s1, s2)
     K = C.shape[0]
     N = s1.size
@@ -71,31 +67,18 @@ def ham_star(s1, s2):
     return N - int(C[rows, cols].sum()), perm
 
 
-def _pair_counts(s1, s2):
-    """(|E1|, |E2|, |E1 & E2|) of within-block unordered pair sets,
-    computed from block intersection counts in O(N + K^2)."""
-    C = confusion_matrix(s1, s2)
-    n1 = C.sum(axis=1)
-    n2 = C.sum(axis=0)
-    e1 = int((n1 * (n1 - 1) // 2).sum())
-    e2 = int((n2 * (n2 - 1) // 2).sum())
-    both = int((C * (C - 1) // 2).sum())
-    return e1, e2, both
-
-
 def mirkin(s1, s2):
     """Pair-counting distance: twice the symmetric difference of the
-    within-block pair sets."""
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
-    e1, e2, both = _pair_counts(s1, s2)
+    within-block pair sets E1 and E2, counted from the block intersections
+    in O(N + K^2)."""
+    C = confusion_matrix(s1, s2)  # which checks the labellings
+    e1, e2, both = (int((c * (c - 1) // 2).sum()) for c in (C.sum(axis=1), C.sum(axis=0), C))
     return 2 * (e1 + e2 - 2 * both)
 
 
 def rand_index(s1, s2):
     """Rand index, related by ``mirkin = N(N-1)(1 - rand_index)``."""
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
+    s1, s2 = _labellings(s1, s2)
     n = s1.size
     if n < 2:
         return 1.0
@@ -111,8 +94,7 @@ def unique_alignment(s1, s2):
     ``rho[k] = argmax_l #{i: s1[i]=k, s2[i]=l}``; it is returned.  Otherwise
     returns None.
     """
-    s1, s2 = _as_labels(s1), _as_labels(s2)
-    _check_same_length(s1, s2)
+    s1, s2 = _labellings(s1, s2)
     C = confusion_matrix(s1, s2)
     sizes = C.sum(axis=1)
     n_min = int(sizes[sizes > 0].min()) if (sizes > 0).any() else 0
@@ -127,8 +109,7 @@ def unique_alignment(s1, s2):
 
 def accuracy(s_true, s_hat):
     """Fraction of correctly labelled nodes up to block relabeling."""
-    s_true, s_hat = _as_labels(s_true), _as_labels(s_hat)
-    _check_same_length(s_true, s_hat)
+    s_true, s_hat = _labellings(s_true, s_hat)
     if s_true.size == 0:
         return 1.0
     d, _ = ham_star(s_hat, s_true)

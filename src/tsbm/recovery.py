@@ -17,7 +17,7 @@ gracefully.
 import math
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, issparse
+from scipy.sparse import bmat, csr_matrix
 
 from .markov import BinaryMarkovChain
 from .spectral import binarize, spectral_cluster, leave_one_out_cluster
@@ -39,11 +39,6 @@ def _require_binary(array, name):
     """Reject an array holding a symbol above 1 (it then carries ``values``)."""
     if array.values is not None:
         raise ValueError(f"{name} needs 0/1 snapshots, got symbol {array.values.max()}")
-
-
-def _argmax_rows(L):
-    """Row argmax with lowest-index tie break."""
-    return L.argmax(axis=1).astype(np.int64)
 
 
 # The near-tie tolerance's floor per unit of score scale: 35 times the bound
@@ -111,17 +106,16 @@ class _PairLogRatio:
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
     Every pair that has never interacted holds the same value, ``base``.
-    Pairs that have interacted (``keys``: flat indices ``i*N + j``, ``i <
-    j``, with ``rows`` and ``cols``) hold explicit ``vals``; ``on`` holds
-    the places of the pairs set in the latest snapshot.  Each step adds the
-    increment of every pair's transition and clips, with the same float
-    operations a dense ``M`` would take, so ``dense()`` is bit-identical to
-    it.  The store is laid out in order of first interaction: its arrays
-    are allocated once, over the pairs the array ever sets, and ``place``
-    maps each pair's slot (``_entry_slots``) to its place, -1 until a
-    snapshot first sets it and appends it at ``m``.  The attributes above
-    read the prefix ``[:m]``, so ``keys`` is not sorted; no reader needs it
-    to be.
+    Pairs that have interacted (``rows`` and ``cols``, ``i < j``) hold
+    explicit ``vals``; ``on`` holds the places of the pairs set in the
+    latest snapshot.  Each step adds the increment of every pair's
+    transition and clips, with the same float operations a dense ``M``
+    would take, so ``dense()`` is bit-identical to it.  The store is laid
+    out in order of first interaction: its arrays are allocated once, over
+    the pairs the array ever sets, and ``place`` maps each pair's slot
+    (``_entry_slots``) to its place, -1 until a snapshot first sets it and
+    appends it at ``m``.  The attributes above read the prefix ``[:m]``, so
+    the pairs are not sorted; no reader needs them to be.
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
     base`` of node i's active partners in block k under labels ``_under``,
@@ -146,7 +140,6 @@ class _PairLogRatio:
         codes = np.ones(self.m, dtype=np.int64) if array.values is None else array.values[:self.m]
         self.vals[:] = np.asarray(l_init, dtype=np.float64)[codes]
 
-    keys = property(lambda self: self.rows * self.n + self.cols)
     rows = property(lambda self: self._rows[:self.m])
     cols = property(lambda self: self._cols[:self.m])
     vals = property(lambda self: self._vals[:self.m])
@@ -284,7 +277,7 @@ class _PairLogRatio:
                 if near.size:  # rescored from the exact rows
                     L[near] = (self.scores(labels, K)[near] if synchronous
                                else self.scores(out, K, start + near))
-            best = _argmax_rows(L)
+            best = L.argmax(axis=1)  # ties go to the lowest block
             at = np.arange(own.size)
             new = np.where(L[at, own] < L[at, best], best, own)
             if synchronous:
@@ -371,7 +364,7 @@ def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
     R = kernel_f.log_ratio_matrix(array, kernel_g)
 
     if mode == "fast":
-        return _argmax_rows(R.scores(spectral_cluster(adj, K, seed), K))
+        return R.scores(spectral_cluster(adj, K, seed), K).argmax(axis=1)
     if mode != "loo":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -513,13 +506,12 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 
 def connected_components(adj):
     """Labels and count of connected components of a symmetric adjacency
-    matrix, a boolean array or a scipy sparse matrix; components are
-    numbered in order of their smallest node.  The first call imports
+    matrix, sparse (or dense, which ``csgraph`` converts itself); components
+    are numbered in order of their smallest node.  The first call imports
     ``scipy.sparse.csgraph``."""
     from scipy.sparse import csgraph
 
-    graph = adj if issparse(adj) else csr_matrix(np.asarray(adj, dtype=bool))
-    count, labels = csgraph.connected_components(graph, directed=False)
+    count, labels = csgraph.connected_components(adj, directed=False)
     return labels.astype(np.int64), int(count)
 
 

@@ -23,7 +23,8 @@ not (bytes operations tell), else line by line with ``str.split`` and
 folded into one int64 flat index each, sorted only if the file lists them
 out of order; nothing of the header's size is allocated.  The writer spells
 each block of edge lines at once from a table of four-digit groups, in
-memory following the edges.
+memory following the edges, once ``SnapshotArray.validate`` passes: the one
+rule for what a file holds, which the reader's checks also apply.
 """
 
 import operator
@@ -101,18 +102,26 @@ class SnapshotArray:
         return self.data[lo:hi] - t * self.N * self.N
 
     def validate(self):
-        """Check index order and range and that each entry is an upper one,
-        ``i < j``; raises on violation."""
-        data, size = self.data, self.N * self.N
-        if data.size and (data[0] < 0 or data[-1] >= self.T * size):
-            raise ValueError("index outside the T x N x N tensor")
-        if (np.diff(data) <= 0).any():
-            raise ValueError("indices must be strictly increasing")
-        t, rest = np.divmod(data, size)
-        i, j = np.divmod(rest, self.N)
-        if (i >= j).any():
-            k = int(np.argmax(i >= j))
-            raise ValueError(f"snapshot {t[k] + 1} lists entry ({i[k]}, {j[k]}), not i < j")
+        """Check what a ``tsbm`` file holds, ``_BLOCK / 8`` indices at a time:
+        indices strictly increasing and inside the tensor, each of an upper
+        entry (``i < j``), and symbols of at least 1.  Raises ValueError
+        naming the first violation, else returns self."""
+        data, N, size, step = self.data, self.N, self.N * self.N, _BLOCK // 8
+        for lo in range(0, data.size, step):
+            x = data[lo:lo + step]
+            if (x[1:] <= x[:-1]).any() or lo and x[0] <= data[lo - 1]:
+                raise ValueError("indices must be strictly increasing")
+            if x[0] < 0 or x[-1] >= self.T * size:  # the block is sorted
+                raise ValueError("index outside the T x N x N tensor")
+            t = x // size  # floor division by a scalar: 5x faster than np.divmod
+            x = x - t * size
+            i = x // N
+            if (i >= x - i * N).any():
+                k = int(np.argmax(i >= x - i * N))
+                raise ValueError(f"snapshot {t[k] + 1} lists entry ({i[k]}, {x[k] - i[k] * N}), "
+                                 "not i < j")
+        if self.values is not None and self.values.min(initial=1) < 1:
+            raise ValueError("symbols must be at least 1")
         return self
 
 
@@ -323,14 +332,10 @@ def write_snapshots(path, array):
     """Write an array (and its labels line, if any) in ``tsbm`` format.  Each
     block of indices is decoded alone, by floor division, and its edge lines
     spelled at once; symbols 1 are left out.  Raises ValueError, before the
-    file is opened, on what ``read_snapshots`` would refuse to read back: an
-    index outside the tensor, a symbol below 1 or a label outside 0 ..
-    2^63 - 2."""
-    data, values, N, T = array.data, array.values, array.N, array.T
-    if data.size and (data[0] < 0 or data[-1] >= T * N * N):
-        raise ValueError("index outside the T x N x N tensor")
-    if values is not None and values.min(initial=1) < 1:
-        raise ValueError("symbols must be at least 1")
+    file is opened, on what ``read_snapshots`` would refuse to read back or
+    would read in another order: whatever ``array.validate()`` refuses, or a
+    label outside 0 .. 2^63 - 2."""
+    data, values, N, T = array.validate().data, array.values, array.N, array.T
     head = f"{_MAGIC} {_VERSION} {N} {T}\n".encode()
     if array.labels is not None:
         head += _labels_line(array.labels)

@@ -14,6 +14,13 @@ import numpy as np
 from tsbm.divergence import FiniteDistribution, _check_pair
 
 
+def bernoulli(p):
+    """Two-point distribution with mass ``p`` on symbol 1."""
+    if not 0 <= p <= 1:
+        raise ValueError("bernoulli parameter outside [0, 1]")
+    return FiniteDistribution([1.0 - p, p])
+
+
 def point_mass(symbol, size):
     """The distribution on ``{0, ..., size-1}`` that puts all mass on ``symbol``."""
     probs = np.zeros(size)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from divergence_reference import geometric_mixture, kl, llr_moments, point_mass, v_kl
+from divergence_reference import (bernoulli, geometric_mixture, kl, llr_moments, point_mass,
+                                  v_kl)
 from tsbm.divergence import (
     BoundInputs,
     FiniteDistribution,
@@ -21,7 +22,7 @@ from tsbm.divergence import (
 from tsbm.harness import divergence_report
 from tsbm.markov import BinaryMarkovChain, sparse_renyi_approx
 
-B = FiniteDistribution.bernoulli
+B = bernoulli
 
 
 def iid_chain(p):

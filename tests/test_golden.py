@@ -8,6 +8,7 @@ and says why in CHANGES.md.  The same script rewrites the sha256 digests of
 the figure CSVs (``figure_digests.json``), one per config of figures 3-7.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -82,6 +83,31 @@ for _conv in ("exact", "itilde"):
 # the figure-2 bundle writes one grid per multiplier under these names
 for _mult in ("1.51", "2.50", "4.00"):
     CASES[f"fig2_mu{_mult}.csv"] = [["replicate-figure", "--figure", "2", "--out", "{dir}"]]
+
+
+def _printed(name, argv):
+    """A step that runs ``tsbm argv`` and saves what it prints as ``{dir}/name``."""
+    def run(directory):
+        with open(os.path.join(directory, name), "w") as fh, contextlib.redirect_stdout(fh):
+            assert main(argv) == 0, argv
+    return run
+
+
+# the whole report, text and JSON: figure 4's chain pair at its T* (logn
+# units), figure 6's at nu1 = 0.04 (absolute) and a sparse pair at K = 3
+# whose T* both conventions cap (inv_n)
+_REPORTS = {
+    "fig4_mu1.5_t13": ["--n", "500", "--t", "13", "--mu1", "1.5", "--nu1", "1.5",
+                       "--p11", "0.7", "--q11", "0.3"],
+    "fig6_nu0.04_t30": ["--n", "1000", "--t", "30", "--mu1", "0.05", "--nu1", "0.04",
+                        "--p11", "0.6", "--q11", "0.3", "--units", "absolute"],
+    "sparse_k3_capped": ["--n", "100", "--k", "3", "--t", "5", "--mu1", "0.15", "--nu1", "0.1",
+                         "--p11", "0.4", "--q11", "0.3", "--units", "inv_n", "--t-max", "50"],
+}
+for _name, _args in _REPORTS.items():
+    CASES[f"divergence_{_name}.txt"] = [_printed(f"divergence_{_name}.txt",
+                                                 ["divergence", *_args])]
+    CASES[f"divergence_{_name}.json"] = [["divergence", *_args, "--json", "{out}"]]
 
 
 def _produce(name, directory):

@@ -288,6 +288,34 @@ class TestRecover:
         with pytest.raises(ValueError, match="unknown algorithm"):
             recover(array, "louvain", 2, 0)
 
+    @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
+    def test_init_refused_unless_known(self, algorithm):
+        # a typo must not run the random start in its place
+        array = from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="unknown init 'spectal'"):
+            recover(array, algorithm, 2, 0, chains=SMALL.chains(), init="spectal")
+        with pytest.raises(ValueError, match="unknown init 'spectal'"):
+            ExperimentConfig(algorithm=algorithm, init="spectal")
+
+    @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
+    def test_truth_init_needs_the_truth(self, algorithm):
+        array = from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="init 'truth' needs the true labels"):
+            recover(array, algorithm, 2, 0, chains=SMALL.chains(), init="truth")
+        labels, _ = recover(array, algorithm, 2, 0, chains=SMALL.chains(), init="truth",
+                            truth=np.array([0, 1, 0, 1]))
+        assert labels.shape == (4,)
+
+    def test_experiment_init_choices_are_the_harness_inits(self, capsys):
+        for init in harness.INITS:
+            assert ExperimentConfig(init=init).init == init
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--init", "spectal"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'spectal'" in err
+        assert all(repr(init) in err.split("choose from")[1] for init in harness.INITS)
+
 
 class TestSpectralMatrix:
     def test_builders_match_their_dense_definitions(self):
@@ -306,6 +334,16 @@ class TestSpectralMatrix:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_experiment_absolute_units_need_two_nodes(self, capsys, n):
+        # every unit needs two nodes, and the message names N, whatever the units
+        rc = main(["experiment", "--n", n, "--units", "absolute", "--mu1", "0.1", "--nu1",
+                   "0.05", "--p11", "0.7", "--q11", "0.3", "--trials", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: need at least two nodes, got N={n}\n"
+        assert "Traceback" not in err
+
     def test_generate_recover_round_trip(self, tmp_path, capsys):
         out = tmp_path / "demo.tsbm"
         rc = main([

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divergence_reference import bernoulli
 from markov_reference import markov_renyi_brute, t_star_exact
-from tsbm.divergence import FiniteDistribution, renyi
+from tsbm.divergence import renyi
 from tsbm.markov import (
     BinaryMarkovChain,
     ThresholdConvention,
@@ -116,7 +117,7 @@ class TestExactDivergence:
     def test_single_snapshot_reduces_to_bernoulli(self):
         cf = BinaryMarkovChain(0.3, 0.2, 0.6)
         cg = BinaryMarkovChain(0.1, 0.15, 0.5)
-        want = renyi(0.5, FiniteDistribution.bernoulli(0.3), FiniteDistribution.bernoulli(0.1))
+        want = renyi(0.5, bernoulli(0.3), bernoulli(0.1))
         assert markov_renyi_exact(0.5, cf, cg, 1) == pytest.approx(want, abs=1e-13)
 
     def test_identical_chains_zero(self):

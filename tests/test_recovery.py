@@ -470,14 +470,14 @@ class TestSparseOnlineMatchesDense:
                 ref.step(data[t])
             seen |= {i * n + j for i, j in pairs}
             ratio = state.ratio
-            assert np.array_equal(ratio.keys, ratio.rows * n + ratio.cols)
+            keys = ratio.rows * n + ratio.cols
             assert (ratio.rows < ratio.cols).all()
-            assert np.unique(ratio.keys).size == ratio.keys.size
-            assert set(ratio.keys.tolist()) == seen
+            assert np.unique(keys).size == keys.size
+            assert set(keys.tolist()) == seen
             assert np.array_equal(ratio.dense(), ref.M)
             if learned:
                 assert np.array_equal(_packed_counts(state), ref.counts[:, iu[0], iu[1]])
-        assert ratio.keys.tolist()[:3] == [3 * n + 4, 4 * n + 5, 1]  # first set, not sorted
+        assert keys.tolist()[:3] == [3 * n + 4, 4 * n + 5, 1]  # first set, not sorted
 
 
 @st.composite
@@ -1024,6 +1024,41 @@ class TestKeptBlockSums:
                                                                     K).tobytes()
             moved += int((state.labels != before).sum())
         assert moved > 50
+
+
+def _tie_instance():
+    """Blocks {0, 1, 2} and {3, 4, 5, 6}, in 4 snapshots; node 6 never
+    interacts.  In whichever block node 6 sits with one node more than the
+    other, its two block scores are exactly equal."""
+    n, t = 7, 4
+    within = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    steps = [within, within[:4] + [(2, 3)], within[1:], within]
+    data = sorted(s * n * n + i * n + j for s, pairs in enumerate(steps) for i, j in pairs)
+    return np.array([0, 0, 0, 1, 1, 1, 1]), SnapshotArray(data, n, t)
+
+
+class TestSweepTieRule:
+    # per-step labels of recover(..., "online"): a node whose own block ties
+    # with another keeps its own.  Truth starts tie node 6 in block 1 at
+    # every step; from the random start, the in-place sweep ties it in
+    # block 0, and the synchronous one moves it, then ties it in block 1.
+    TRUTH = [[0, 0, 0, 1, 1, 1, 1]] * 4
+    RANDOM = [0, 0, 0, 0, 0, 1, 0]
+    PINNED = {
+        (True, "truth"): TRUTH,
+        (False, "truth"): TRUTH,
+        (True, "random"): [RANDOM] + [[0, 0, 0, 1, 1, 1, 1]] * 3,
+        (False, "random"): [RANDOM] + [[0, 0, 0, 1, 1, 1, 0]] * 3,
+    }
+
+    @pytest.mark.parametrize("synchronous,init", sorted(PINNED))
+    def test_ties_keep_the_own_block(self, synchronous, init):
+        truth, arr = _tie_instance()
+        chains = chain_from_stationary(0.5, 0.7), chain_from_stationary(0.1, 0.3)
+        seen = []
+        recover(arr, "online", 2, 0, chains=chains, init=init, truth=truth,
+                synchronous=synchronous, record=lambda t, labels: seen.append(labels.tolist()))
+        assert seen == self.PINNED[synchronous, init]
 
 
 class TestTransitionRates:

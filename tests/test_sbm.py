@@ -467,6 +467,52 @@ class TestSnapshotFiles:
                 write_labels(tmp_path / "bad.labels", array.labels)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("data,message", [
+        ([1, 9], r"snapshot 1 lists entry \(2, 1\), not i < j"),  # a lower entry
+        ([1, 21], r"snapshot 2 lists entry \(1, 1\), not i < j"),  # a diagonal entry
+        ([1, 6, 6], "strictly increasing"),  # a repeated index
+        ([6, 1], "strictly increasing"),  # indices out of order
+    ], ids=["lower", "diagonal", "repeated", "unsorted"])
+    def test_writer_refuses_what_the_reader_reads_otherwise(self, tmp_path, data, message):
+        # the reader refuses each file's edge line (or, unsorted, reorders
+        # it): the writer refuses the array before it creates the file
+        path = tmp_path / "bad.tsbm"
+        with pytest.raises(ValueError, match=message):
+            write_snapshots(path, SnapshotArray(data, 4, 2))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fault", ["repeated", "swapped", "lower"])
+    def test_validate_checks_every_block_and_their_joins(self, fault):
+        # validate takes 8192 indices at a time: faults where the first two
+        # blocks join, and in the last block, are found
+        data = np.flatnonzero(np.triu(np.ones((200, 200), dtype=bool), 1))[:10000]
+        SnapshotArray(data, 200, 1).validate()
+        if fault == "repeated":
+            data[8192] = data[8191]
+        elif fault == "swapped":
+            data[[8191, 8192]] = data[[8192, 8191]]
+        else:
+            data[-1] = 199 * 200 + 198
+        message = r"entry \(199, 198\), not i < j" if fault == "lower" else "strictly increasing"
+        with pytest.raises(ValueError, match=message):
+            SnapshotArray(data, 200, 1).validate()
+
+    @pytest.mark.parametrize("sampled", ["markov", "categorical"])
+    def test_sampled_arrays_written_and_read_back_unchanged(self, tmp_path, sampled):
+        labels = sample_labelling(60, 3, seed=7)
+        if sampled == "markov":
+            ch = chain_from_stationary(0.15, 0.6)
+            arr = sample_markov_snapshots(labels, ch, chain_from_stationary(0.05, 0.3), 5, seed=8)
+        else:
+            f, g = FiniteDistribution([0.4, 0.3, 0.3]), FiniteDistribution([0.7, 0.2, 0.1])
+            arr = sample_categorical_snapshots(labels, f, g, seed=9)
+        write_snapshots(tmp_path / "s.tsbm", arr)
+        back = read_snapshots(tmp_path / "s.tsbm")
+        assert (back.N, back.T) == (arr.N, arr.T)
+        for name in ("data", "values", "labels"):
+            want, got = getattr(arr, name), getattr(back, name)
+            assert (got is None) if want is None else np.array_equal(got, want)
+
     @pytest.mark.parametrize(
         "record,error",
         [
