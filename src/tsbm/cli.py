@@ -196,17 +196,17 @@ def _cmd_recover(parser, args):
                         f"and {len(g)} symbols\n")
         kernels = CategoricalKernel(f), CategoricalKernel(g)
     array = read_snapshots(args.input)
+    truth = array.labels
+    if args.truth:
+        truth = read_labels(args.truth)
+        if truth.size != array.N:
+            raise ValueError(f"--truth {args.truth} gives {truth.size} labels for "
+                             f"{array.N} nodes")
     chains = _chains(args, array.N) if has_markov else None
     labels, k_hat = harness.recover(array, args.algorithm, args.k, args.seed, chains=chains,
                                     kernels=kernels, init=args.init)
     if k_hat is not None:
         print(f"estimated blocks: {k_hat}")
-
-    truth = None
-    if args.truth:
-        truth = read_labels(args.truth)
-    elif array.labels is not None:
-        truth = array.labels
     if truth is not None:
         print(f"accuracy {accuracy(truth, labels):.4f}")
     if args.out:

@@ -35,19 +35,6 @@ class BinaryMarkovChain:
     def transition(self):
         return np.array([[1.0 - self.p01, self.p01], [1.0 - self.p11, self.p11]])
 
-    def path_log_prob(self, paths):
-        """Log probability of each row of a (m, T) 0/1 array; -inf allowed."""
-        x = np.asarray(paths, dtype=np.int64)
-        if x.ndim == 1:
-            x = x[None, :]
-        with np.errstate(divide="ignore"):
-            log_mu = np.log(self.mu)
-            log_p = np.log(self.transition).ravel()  # index 2*a + b
-        out = log_mu[x[:, 0]]
-        for t in range(1, x.shape[1]):
-            out = out + log_p[2 * x[:, t - 1] + x[:, t]]
-        return out
-
 
 def chain_from_stationary(pi1, p11):
     """Chain started from its stationary law ``(1-pi1, pi1)`` with the given

@@ -125,19 +125,13 @@ class SnapshotArray:
         return self
 
 
-def sample_labelling(N, K, weights=None, seed=0):
-    """I.i.d. block labels in ``{0, ..., K-1}``: uniform by default or from
-    the given weight vector.  Deterministic given the seed."""
+def sample_labelling(N, K, seed=0):
+    """I.i.d. uniform block labels in ``{0, ..., K-1}``.  Deterministic
+    given the seed."""
     if K < 1 or K > N:
         raise ValueError("need 1 <= K <= N")
     u = counter_uniform(seed, 0, np.arange(N))
-    if weights is None:
-        return np.minimum((u * K).astype(np.int64), K - 1)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (K,) or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
-        raise ValueError("degenerate weight vector")
-    cdf = np.cumsum(w / w.sum())
-    return np.minimum(np.searchsorted(cdf, u, side="right"), K - 1).astype(np.int64)
+    return np.minimum((u * K).astype(np.int64), K - 1)
 
 
 def balanced_labelling(N, K):
@@ -293,6 +287,12 @@ _GROUPS = _GROUPS.view(np.uint32)[:, 0]
 _FILL, _LAST = np.frombuffer(b"0000\0\0\0" b"0", dtype=np.uint32)
 
 
+def _dimensions_ok(N, T):
+    """Whether a file's header may give ``N`` nodes and ``T`` snapshots: at
+    least one of each, and every flat index ``t*N*N + i*N + j`` an int64."""
+    return N >= 1 and T >= 1 and T * N * N - 1 <= _INT64_MAX
+
+
 def _spell(x, top):
     """The non-negative int64 numbers ``x`` as uint32 columns of digit
     groups, most significant first, as many as ``top`` (at least ``x.max()``)
@@ -333,9 +333,12 @@ def write_snapshots(path, array):
     block of indices is decoded alone, by floor division, and its edge lines
     spelled at once; symbols 1 are left out.  Raises ValueError, before the
     file is opened, on what ``read_snapshots`` would refuse to read back or
-    would read in another order: whatever ``array.validate()`` refuses, or a
-    label outside 0 .. 2^63 - 2."""
-    data, values, N, T = array.validate().data, array.values, array.N, array.T
+    would read in another order: dimensions its header may not give,
+    whatever ``array.validate()`` refuses, or a label outside 0 .. 2^63 - 2."""
+    N, T = array.N, array.T
+    if not _dimensions_ok(N, T):
+        raise ValueError(f"bad dimensions N={N}, T={T}")
+    data, values = array.validate().data, array.values
     head = f"{_MAGIC} {_VERSION} {N} {T}\n".encode()
     if array.labels is not None:
         head += _labels_line(array.labels)
@@ -471,7 +474,7 @@ def _parse_line(lineno, raw, header, labels, other):
             N, T = int(tokens[2]), int(tokens[3])
         except ValueError:
             raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
-        if N < 1 or T < 1 or T * N * N - 1 > _INT64_MAX:
+        if not _dimensions_ok(N, T):
             raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
         return (N, T), labels
     if tokens[0] == "e":

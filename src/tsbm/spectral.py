@@ -9,7 +9,6 @@ its centres from one weighted ``bincount`` per column.
 """
 
 import inspect
-import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,17 +37,6 @@ _ARPACK_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 class EigenConvergenceError(RuntimeError):
     """Raised when the iterative eigensolver fails to converge."""
-
-    def __init__(self, iterations, residual):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"eigensolver did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-
-    def __reduce__(self):  # rebuilt from its fields, as a worker process sends it back
-        return type(self), (self.iterations, self.residual)
 
 
 def binarize(array, t=None):
@@ -110,8 +98,9 @@ def top_eigenpairs(A, k, rng=None):
     ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form, which a
     scan of blocks of rows of about 1 MB builds from the dense ``A``: it
     equals ``csr_matrix(A, dtype=np.float64)`` without a whole-matrix
-    ``nonzero``.  Dense ``eigh`` covers what ARPACK cannot (``k >= n - 1``,
-    an all-zero matrix).  Raises ValueError unless ``1 <= k <= n``, and
+    ``nonzero``.  Dense ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.
+    An all-zero matrix gives what ``eigh`` would, zeros and the first ``k``
+    unit vectors, without it.  Raises ValueError unless ``1 <= k <= n``, and
     EigenConvergenceError when ARPACK does not converge.  ``A`` may have
     any numeric dtype: only the CSR values are made float64, and a dense
     float64 copy is made only for the ``eigh`` fallback.
@@ -124,15 +113,17 @@ def top_eigenpairs(A, k, rng=None):
     # draw k start vectors though ARPACK takes one: k-means reads this rng
     # next, and seeded outputs rely on it advancing by exactly k * n normals
     v0 = rng.standard_normal((k, n))[0]
-    sparse = None if k >= n - 1 else _dense_to_csr(A)
-    if sparse is None or sparse.nnz == 0:
+    if k >= n - 1:
         vals, vecs = np.linalg.eigh(np.asarray(A, dtype=np.float64))
+    elif (sparse := _dense_to_csr(A)).nnz == 0:  # eigh's result and layout, without eigh
+        return np.zeros(k), np.eye(n, k, order="F")
     else:
         try:
             vals, vecs = eigsh(sparse, k, which="LM", v0=v0, tol=_EIG_TOL,
                                maxiter=_EIG_MAX_ITER, **_ARPACK_RNG)
         except ArpackNoConvergence as exc:
-            raise EigenConvergenceError(_EIG_MAX_ITER, math.inf) from exc
+            raise EigenConvergenceError(
+                f"eigensolver did not converge in {_EIG_MAX_ITER} iterations") from exc
     order = np.argsort(-np.abs(vals), kind="stable")[:k]
     return vals[order], vecs[:, order]
 
@@ -204,7 +195,10 @@ def kmeans(X, k, rng=None):
                 break
             labels = new_labels
             # the loop draws nothing, so a repeated (centres, labels) state
-            # starts a cycle: stop at the state the last iteration would reach
+            # starts a cycle: stop at the state the last iteration would reach.
+            # Both make the state: the next labels follow from these centres,
+            # but the fixpoint test compares them with these labels, so a key
+            # on centres alone could place the stop one step off.
             key = labels.tobytes() + centers.tobytes()
             if key in seen:
                 stop = it + 1 + (stop - 1 - it) % (it - seen[key])

@@ -7,6 +7,7 @@ import pytest
 
 from divergence_reference import (bernoulli, geometric_mixture, kl, llr_moments, point_mass,
                                   v_kl)
+from markov_reference import path_log_prob
 from tsbm.divergence import (
     BoundInputs,
     FiniteDistribution,
@@ -239,8 +240,8 @@ class TestZeroInflated:
                 for _ in range(2)
             )
             paths = (np.arange(2**T)[:, None] >> np.arange(T)) & 1
-            f = FiniteDistribution(np.exp(cf.path_log_prob(paths)))
-            g = FiniteDistribution(np.exp(cg.path_log_prob(paths)))
+            f = FiniteDistribution(np.exp(path_log_prob(cf, paths)))
+            g = FiniteDistribution(np.exp(path_log_prob(cg, paths)))
             approx = sparse_renyi_approx(0.5, cf, cg, T)
             assert abs(renyi(0.5, f, g) - approx.value) <= approx.error_radius
 

@@ -592,7 +592,26 @@ class TestCLI:
         assert rc == 1
         captured = capsys.readouterr()
         assert "accuracy" not in captured.out
-        assert captured.err == "error: length mismatch: 0 vs 3\n"
+        assert captured.err == f"error: --truth {truth} gives 0 labels for 3 nodes\n"
+
+    def test_recover_checks_truth_length_before_recovering(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a wrong-length --truth is refused before the recovery runs, in a
+        # line naming the flag, the file and both counts
+        path, truth = tmp_path / "g.tsbm", tmp_path / "t.labels"
+        path.write_text("tsbm 1 10 1\ne 1 0 1\n")
+        truth.write_text("labels 1 2 1\n")
+
+        def recover(*args, **kwargs):
+            raise AssertionError("recovery ran")
+
+        monkeypatch.setattr(harness, "recover", recover)
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends",
+                   "--truth", str(truth)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --truth {truth} gives 3 labels for 10 nodes\n"
 
     @pytest.mark.parametrize(
         "extra",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divergence_reference import bernoulli
-from markov_reference import markov_renyi_brute, t_star_exact
+from markov_reference import markov_renyi_brute, path_log_prob, t_star_exact
 from tsbm.divergence import renyi
 from tsbm.markov import (
     BinaryMarkovChain,
@@ -251,8 +251,8 @@ class TestJQuantityRecursion:
             for T in (1, 2, 6, 10):
                 codes = np.arange(2**T)
                 paths = (codes[:, None] >> np.arange(T)[None, :]) & 1
-                pf = np.exp(cf.path_log_prob(paths))
-                pg = np.exp(cg.path_log_prob(paths))
+                pf = np.exp(path_log_prob(cf, paths))
+                pg = np.exp(path_log_prob(cg, paths))
                 w = np.sqrt(pf * pg)
                 lr = np.log(pf) - np.log(pg)
                 want = float(w @ lr**2 / w.sum())

@@ -40,6 +40,7 @@ from tsbm._rng import derive_seed
 
 import dense_reference as dense_ref
 from dense_reference import _DenseLearned, _DenseOnline, _one_hot, dense_tensor, from_dense
+from markov_reference import path_log_prob
 
 
 INTRA = chain_from_stationary(0.35, 0.6)
@@ -58,7 +59,7 @@ class TestKernels:
         ratio = MarkovKernel(INTRA).log_ratio_matrix(arr, MarkovKernel(INTER)).dense()
         iu, ju = np.triu_indices(25, 1)
         pats = dense_tensor(arr)[:, iu, ju].T
-        want = INTRA.path_log_prob(pats) - INTER.path_log_prob(pats)
+        want = path_log_prob(INTRA, pats) - path_log_prob(INTER, pats)
         assert np.allclose(ratio[iu, ju], want, atol=1e-10)
         assert np.allclose(ratio, ratio.T)
         assert np.all(np.diagonal(ratio) == 0)

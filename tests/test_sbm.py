@@ -56,20 +56,6 @@ class TestSampleLabelling:
                 hits += 1
         assert hits >= 99
 
-    def test_degenerate_weight_on_first_block(self):
-        assert set(sample_labelling(50, 2, weights=[1, 0], seed=1).tolist()) == {0}
-
-    def test_bad_weights(self):
-        with pytest.raises(ValueError):
-            sample_labelling(10, 2, weights=[0.0, 0.0])
-        with pytest.raises(ValueError):
-            sample_labelling(10, 2, weights=[1.0, -0.5])
-
-    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
-    def test_nan_or_infinite_weights_rejected(self, weights):
-        with pytest.raises(ValueError):
-            sample_labelling(10, 2, weights=weights)
-
     def test_balanced(self):
         lab = balanced_labelling(10, 3)
         assert np.bincount(lab).tolist() in ([4, 3, 3], [3, 3, 4], [3, 4, 3])
@@ -466,6 +452,18 @@ class TestSnapshotFiles:
             with pytest.raises(ValueError, match="^labels must lie in"):
                 write_labels(tmp_path / "bad.labels", array.labels)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("N,T", [(0, 1), (3, 0), (2**32, 1)])
+    def test_writer_refuses_dimensions_the_reader_refuses(self, tmp_path, N, T):
+        # no node, no snapshot, or a flat index T*N*N - 1 beyond int64
+        head = tmp_path / "head.tsbm"
+        head.write_text(f"tsbm 1 {N} {T}\n")
+        with pytest.raises(MalformedHeaderError, match="bad dimensions"):
+            read_snapshots(head)
+        path = tmp_path / "bad.tsbm"
+        with pytest.raises(ValueError, match=f"^bad dimensions N={N}, T={T}$"):
+            write_snapshots(path, SnapshotArray(np.empty(0, dtype=np.int64), N, T))
+        assert not path.exists()
 
     @pytest.mark.parametrize("data,message", [
         ([1, 9], r"snapshot 1 lists entry \(2, 1\), not i < j"),  # a lower entry
