@@ -198,7 +198,10 @@ def _cmd_recover(parser, args):
     array = read_snapshots(args.input)
     truth = array.labels
     if args.truth:
-        truth = read_labels(args.truth)
+        try:
+            truth = read_labels(args.truth)
+        except ValueError as exc:  # a format error names a line, not the file
+            raise ValueError(f"--truth {args.truth}: {exc}") from None
         if truth.size != array.N:
             raise ValueError(f"--truth {args.truth} gives {truth.size} labels for "
                              f"{array.N} nodes")

@@ -21,6 +21,7 @@ from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_r
 from .markov import (
     ThresholdConvention,
     _i_tilde_args,
+    _stationary_p01,
     chain_from_stationary,
     i_tilde_long,
     i_tilde_short,
@@ -29,6 +30,7 @@ from .markov import (
     markov_renyi_exact,
     sparse_renyi_approx,
     t_star,
+    t_star_cells,
 )
 from .metrics import ham_star
 from .recovery import (
@@ -417,27 +419,20 @@ def divergence_report(intra, inter, n, k, t, t_max=10**6):
 
 def threshold_grid(n, k, mu1_mult, nu1_mult, p11_values, q11_values,
                    convention=ThresholdConvention.EXACT, t_max=10**6):
-    """log10(T*) over a grid of persistence parameters; cells where the
-    search cap is reached or the chain pair is infeasible (implied p01 > 1)
-    come out inf.  Any other bad input raises ValueError before the search."""
+    """log10(T*) over a grid of persistence parameters, all cells in one
+    ``t_star_cells`` search; cells where the search cap is reached or the
+    chain pair is infeasible (implied p01 > 1) come out inf.  Any other bad
+    input raises ValueError before the search."""
     pi_f, pi_g = _stationary_densities(n, mu1_mult, nu1_mult, "logn")
     _check_persistences(p11_values, q11_values)
-    out = np.full((len(p11_values), len(q11_values)), math.inf)
-    inter = [_feasible_chain(pi_g, q11) for q11 in q11_values]
-    for i, f in enumerate(_feasible_chain(pi_f, p11) for p11 in p11_values):
-        for jdx, g in enumerate(inter):
-            ts = None if f is None or g is None else t_star(f, g, n, k, convention, t_max)
-            if ts is not None:
-                out[i, jdx] = math.log10(ts)
-    return out
-
-
-def _feasible_chain(pi1, p11):
-    """The stationary chain, or None where the implied p01 exceeds 1."""
-    try:
-        return chain_from_stationary(pi1, p11)
-    except ValueError:
-        return None
+    p11, q11 = np.asarray(p11_values, float)[:, None], np.asarray(q11_values, float)[None, :]
+    (p01, bad_f), (q01, bad_g) = _stationary_p01(pi_f, p11), _stationary_p01(pi_g, q11)
+    ts = t_star_cells((pi_f, np.minimum(p01, 1.0), p11), (pi_g, np.minimum(q01, 1.0), q11),
+                      n, k, convention, t_max)
+    ts[bad_f | bad_g] = 0
+    # math.log10: numpy's log10 differs from it in the last bit
+    return np.fromiter((math.log10(t) if t else math.inf for t in ts.flat),
+                       float, ts.size).reshape(ts.shape)
 
 
 def threshold_grid_csv(grid, p11_values, q11_values):

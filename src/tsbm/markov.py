@@ -1,12 +1,13 @@
 """Binary Markov interaction chains: path-law divergences (exact, in
-O(log T) by one transfer-matrix engine on plain floats, a walk by the rungs
-of a lazily squared ladder that the T* search shares; sparse closed
-forms), threshold constants, one search for the snapshot threshold T*, and
-on-period path combinatorics.
+O(log T) by one transfer-matrix engine on plain floats that folds a lazily
+squared ladder of rungs over the bits of T - 1; sparse closed forms),
+threshold constants, one search for the snapshot threshold T* that runs
+the same rungs, or the closed form, on arrays for every cell of a grid at
+once, and on-period path combinatorics.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,10 +42,17 @@ def chain_from_stationary(pi1, p11):
     persistence ``p11``; infeasible pairs (implied p01 > 1) are rejected."""
     if not 0 < pi1 < 1:
         raise ValueError("stationary probability must lie strictly in (0, 1)")
-    p01 = pi1 * (1.0 - p11) / (1.0 - pi1)
-    if p01 > 1.0 + 1e-15:
+    p01, infeasible = _stationary_p01(pi1, p11)
+    if infeasible:
         raise ValueError(f"no stationary chain: implied p01={p01:.6g} > 1")
     return BinaryMarkovChain(mu1=pi1, p01=min(p01, 1.0), p11=p11)
+
+
+def _stationary_p01(pi1, p11):
+    """The p01 that keeps ``(1-pi1, pi1)`` stationary under persistence
+    ``p11`` (floats or arrays), and whether it exceeds 1 beyond rounding."""
+    p01 = pi1 * (1.0 - p11) / (1.0 - pi1)
+    return p01, p01 > 1.0 + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +60,31 @@ def chain_from_stationary(pi1, p11):
 # ---------------------------------------------------------------------------
 
 
-def _law(chain):
-    """``(mu_0, mu_1, P_00, P_01, P_10, P_11)`` of a chain, as plain floats."""
-    return (1.0 - chain.mu1, chain.mu1, 1.0 - chain.p01, chain.p01, 1.0 - chain.p11, chain.p11)
+def _law(mu1, p01, p11):
+    """``(mu_0, mu_1, P_00, P_01, P_10, P_11)`` of a chain, as floats or arrays."""
+    return (1.0 - mu1, mu1, 1.0 - p01, p01, 1.0 - p11, p11)
 
 
 def _geometric_weights(alpha, chain_f, chain_g):
     """Initial weights ``r`` and transfer matrix ``R = [R00, R01, R10, R11]``
     of elementwise geometric means ``x^alpha y^(1-alpha)``, and the flags of
     these six entries that are infinite (alpha > 1, x > 0 = y; weighted 0)."""
+    pairs = list(zip(_law(*astuple(chain_f)), _law(*astuple(chain_g))))
     if alpha == 0.5:  # math.sqrt, as numpy's power takes; x ** 0.5 can round otherwise
-        sqrt, f, g = math.sqrt, chain_f, chain_g
-        w = [sqrt(1.0 - f.mu1) * sqrt(1.0 - g.mu1), sqrt(f.mu1) * sqrt(g.mu1),
-             sqrt(1.0 - f.p01) * sqrt(1.0 - g.p01), sqrt(f.p01) * sqrt(g.p01),
-             sqrt(1.0 - f.p11) * sqrt(1.0 - g.p11), sqrt(f.p11) * sqrt(g.p11)]
-        inf = (False,) * 6
+        w, inf = [math.sqrt(x) * math.sqrt(y) for x, y in pairs], (False,) * 6
     else:
-        pairs = list(zip(_law(chain_f), _law(chain_g)))
         w = [x**alpha * y ** (1.0 - alpha) if x > 0 and y > 0 else 0.0 for x, y in pairs]
         inf = [alpha > 1 and x > 0 and y == 0 for x, y in pairs]
-    r, R = w[:2], w[2:]
-    # zero the rows of states no weighted path visits, so that rescaling a
-    # power of R by its largest entry cannot drown the states that matter
+    return w[:2], _visited_rows(w[:2], w[2:]), inf
+
+
+def _visited_rows(r, R):
+    """``R`` (floats or arrays) with the rows of states no weighted path visits
+    zeroed, lest rescaling a power of R by its largest entry drown the rest."""
     for a in (0, 1):
-        if not (r[a] > 0 or r[0] * R[a] + r[1] * R[2 + a] > 0):
-            R[2 * a] = R[2 * a + 1] = 0.0
-    return r, R, inf
+        live = (r[a] > 0) | (r[0] * R[a] + r[1] * R[2 + a] > 0)
+        R[2 * a:2 * a + 2] = [x * live for x in R[2 * a:2 * a + 2]]
+    return R
 
 
 class _Jet(tuple):
@@ -106,46 +113,30 @@ class _Jet(tuple):
         return self[0] != 0.0
 
 
-def _walk(r, R, threshold=math.inf):
-    """A walk along the row ``r R^(T-1)`` (floats or ``_Jet``s) from T = 1:
-    ``state = [z, log Z]``, ``r R^(T-1) = z Z`` with ``z`` summing to one (or
-    zero, log Z = -inf), and ``move(k)``, which takes T to T + 2^k by rung k,
-    ``R^(2^k)`` rescaled by its largest entry, unless 1 - Z would reach
-    ``threshold`` (T*'s test), and says whether it moved.  Rungs are squared
-    as needed and kept; after one vanishes, the rest are zero, scale -inf."""
-    rungs = [(R, 0.0)]
-    s = r[0] + r[1]
-    state = [(r[0] / s, r[1] / s), math.log(s)] if s else [(r[0], r[1]), -math.inf]
-
-    def move(k):
-        while len(rungs) <= k:  # square the last rung [[a, b], [c, d]]
-            (a, b, c, d), scale = rungs[-1]
-            sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
-            s = max(sq)  # the weights are non-negative
-            rungs.append(([x / s for x in sq], 2 * scale + math.log(s)) if s else (sq, -math.inf))
-        (a, b, c, d), scale = rungs[k]
-        (z0, z1), log_scale = state
-        y0, y1 = z0 * a + z1 * c, z0 * b + z1 * d
-        s = y0 + y1
-        log_total = log_scale + scale + math.log(s) if s else -math.inf
-        if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
-            return False
-        state[:] = ((y0 / s, y1 / s) if s else (y0, y1)), log_total
-        return True
-
-    return state, move
-
-
 def _log_path_sum(r, R, T):
-    """``r R^(T-1)`` as ``_walk``'s state ``[z, log Z]``, by the rungs that
-    the bits of ``T - 1`` select: O(log T) products."""
+    """``r R^(T-1) = z Z`` (floats or ``_Jet``s) as ``[z, log Z]``, ``z``
+    summing to one (or zero, log Z = -inf), by the rungs that the bits of
+    ``T - 1`` select: O(log T) products.  Rung k is ``R^(2^k)`` rescaled by
+    its largest entry, rung k - 1 squared; after one vanishes, the rest are
+    zero, scale -inf.  ``t_star_cells`` runs the same rungs on arrays."""
     if T < 1:
         raise ValueError("need at least one snapshot")
-    state, move = _walk(r, R)
+    s = r[0] + r[1]
+    log_z = math.log(s) if s else -math.inf
+    z0, z1 = (r[0] / s, r[1] / s) if s else r
+    (a, b, c, d), scale = R, 0.0
     for k in range((T - 1).bit_length()):
+        if k:  # square the last rung [[a, b], [c, d]]
+            sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
+            s = max(sq)  # the weights are non-negative
+            scale = 2 * scale + math.log(s) if s else -math.inf
+            a, b, c, d = [x / s for x in sq] if s else sq
         if (T - 1) >> k & 1:
-            move(k)
-    return state
+            y0, y1 = z0 * a + z1 * c, z0 * b + z1 * d
+            s = y0 + y1
+            log_z = log_z + scale + math.log(s) if s else -math.inf
+            z0, z1 = (y0 / s, y1 / s) if s else (y0, y1)
+    return [(z0, z1), log_z]
 
 
 def _log_hellinger_sum(alpha, chain_f, chain_g, T):
@@ -189,7 +180,7 @@ def markov_j_quantity(chain_f, chain_g, T):
     ``_Jet`` entries."""
     r, R, _ = _geometric_weights(0.5, chain_f, chain_g)
     jets = []
-    for w, p, q in zip(r + R, _law(chain_f), _law(chain_g)):
+    for w, p, q in zip(r + R, _law(*astuple(chain_f)), _law(*astuple(chain_g))):
         # log(p / q); for close p and q, log1p of their exact difference over q
         l = (math.log1p((p - q) / q) if abs(p - q) < q / 2 else math.log(p / q)) if w else 0.0
         jets.append(_Jet((w, w * l, w * l * l)))
@@ -308,18 +299,6 @@ def h11_sq(p11, q11):
     return 1.0 - math.sqrt((1.0 - p11) * (1.0 - q11)) / (1.0 - math.sqrt(p11 * q11))
 
 
-def _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma):
-    """``(base, per, transient_coef)`` of ``i_tilde_short``, validated."""
-    if not all(x >= 0 for x in (u, v, p01, q01, h11_sq_value)):  # each, so NaN fails
-        raise ValueError("rate arguments must be non-negative")
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    base = (math.sqrt(u) - math.sqrt(v)) ** 2
-    per = i_tilde_long(p01, q01, h11_sq_value)
-    transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
-    return base, per, transient_coef
-
-
 def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     """Threshold constant for a bounded horizon: first-snapshot term, a
     per-snapshot term, and a geometrically damped transient.
@@ -327,17 +306,18 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     All rate arguments are densities expressed in units of the sparsity
     scale; ``gamma`` is the effective spectral gap, in (0, 1].
     """
-    base, per, transient_coef = _i_tilde_terms(u, v, p01, q01, h11_sq_value, gamma)
+    if not all(x >= 0 for x in (u, v, p01, q01, h11_sq_value)):  # each, so NaN fails
+        raise ValueError("rate arguments must be non-negative")
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
     if T < 1:
         raise ValueError("need at least one snapshot")
-    return base + per * (T - 1) + transient_coef * _geo_sum(gamma, T)
-
-
-def _geo_sum(gamma, T):
-    """``sum_{t < T-1} (1 - gamma)^t`` in closed form; gamma in (0, 1]."""
-    if gamma == 1.0:
-        return 1.0 if T > 1 else 0.0
-    return -math.expm1((T - 1) * math.log1p(-gamma)) / gamma
+    base = (math.sqrt(u) - math.sqrt(v)) ** 2
+    per = i_tilde_long(p01, q01, h11_sq_value)
+    transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
+    # sum_{t < T-1} (1 - gamma)^t in closed form
+    geo = -math.expm1((T - 1) * math.log1p(-gamma)) / gamma if gamma < 1 else float(T > 1)
+    return base + per * (T - 1) + transient_coef * geo
 
 
 def i_tilde_long(p01, q01, h11_sq_value):
@@ -378,64 +358,115 @@ def _i_tilde_args(chain_f, chain_g, rho):
 def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=10**6):
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
+    The search is ``t_star_cells``, on one cell."""
+    t = t_star_cells(astuple(chain_f), astuple(chain_g), N, K, convention, t_max)
+    return int(t) or None
 
-    One search serves both conventions.  From T = 1 it tries spans of 2^k
-    snapshots, growing k while each span leaves the threshold uncrossed,
-    then shrinking it, and takes every span that leaves it uncrossed.  The
-    exact convention is the path-sum engine's ``_walk`` on the order-1/2
-    weights: its state, two floats, moves by the rungs of their squaring
-    ladder, each rung the last squared as a 2 x 2 matrix and rescaled by its
-    largest entry; the itilde convention evaluates ``i_tilde_short``'s
-    closed form at the span's end.  A search costs O(log T*) rungs and
-    four-product moves.
-    """
+
+_CELLS_PER_PASS = 1 << 14  # bounds the search's temporaries, whatever the grid
+
+
+def t_star_cells(f, g, N, K, convention=ThresholdConvention.EXACT, t_max=10**6):
+    """``t_star`` for every cell of chain pairs given as arrays: ``f`` and
+    ``g`` are ``(mu1, p01, p11)`` tuples of arrays that broadcast together.
+    Returns T* as int64 in their broadcast shape, 0 where ``t_max`` is hit
+    (a ``t_max`` above 2^62 counts as 2^62).  Binary lifting, for all cells
+    in lockstep: phase one tries the span 2^k at step k for every cell still
+    growing (each at T = 2^k), phase two each span 2^k from the top down for
+    the cells that grew past step k; a cell takes every span that leaves
+    the threshold uncrossed.  Both divergences are nondecreasing in T: the
+    length-T path law is a marginal of the length-(T+1) one, and an itilde
+    step adds per + transient_coef (1-gamma)^(T-1) >= 0."""
     if not K >= 2:  # NaN fails this and the next check
         raise ValueError("need at least two blocks")
     if not N >= 2:
         raise ValueError(f"need at least two nodes, got N={N}")
-    if isinstance(convention, str):
-        convention = ThresholdConvention(convention)
+    convention = ThresholdConvention(convention)
+    test = _exact_test if convention is ThresholdConvention.EXACT else _itilde_test
     rho = math.log(N) / N
-    t_max = int(t_max)  # a float or numpy integer bound counts whole snapshots
+    t_max = min(int(t_max), 1 << 62)  # a float or numpy integer bound counts whole snapshots
+    shape = np.broadcast_shapes(*map(np.shape, f + g))
+    out = np.zeros(math.prod(shape), np.int64)
+    for lo in range(0, out.size if t_max >= 1 else 0, _CELLS_PER_PASS):
+        cells = [np.broadcast_to(np.asarray(x, float), shape).flat[lo:lo + _CELLS_PER_PASS]
+                 for x in f + g]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[lo:lo + _CELLS_PER_PASS] = _lift(*test(cells, rho, K), t_max)
+    return out.reshape(shape)
 
-    if convention is ThresholdConvention.EXACT:
-        threshold = K * rho
-        r, R, _ = _geometric_weights(0.5, chain_f, chain_g)  # finite at alpha = 1/2
-        # below(k): uncrossed at T + 2^k? then the walk moves there; orthogonal
-        # supports (log Z = -inf) sit at 1 - Z = 1, short of a threshold above 1
-        state, below = _walk(r, R, threshold)
-        crossed_at_1 = 1.0 - math.exp(min(state[1], 0.0)) >= threshold
-    else:
-        threshold = float(K)
-        args = _i_tilde_args(chain_f, chain_g, rho)
-        base, per, transient_coef = _i_tilde_terms(*args)
-        gamma = args[-1]
 
-        def crossed(T):  # i_tilde_short(*args, T) > threshold, bit for bit
-            return base + per * (T - 1) + transient_coef * _geo_sum(gamma, T) > threshold
+def _lift(crossed_at_1, below, rung, square, t_max):
+    """T* of each cell, 0 past ``t_max``: ``below(i, T, rung)`` says which of
+    the cells ``i`` stay uncrossed at T, moving those there by ``rung``, and
+    ``square`` makes the next rung from the last."""
+    T = np.ones(crossed_at_1.size, np.int64)  # each cell's last T known uncrossed
+    i, levels = np.flatnonzero(~crossed_at_1), []
+    while i.size and 2 << len(levels) <= t_max:
+        if levels:
+            rung = square(rung)
+        ok = below(i, 2 << len(levels), rung)
+        i, rung = i[ok], [x[ok] for x in rung]
+        T[i] = 2 << len(levels)
+        levels.append((i, rung))  # the cells that grew past this step, and its rung
+    for k, (i, rung) in reversed(list(enumerate(levels))):
+        fit = T[i] + (1 << k) <= t_max
+        i, rung = i[fit], [x[fit] for x in rung]
+        T[i[below(i, T[i] + (1 << k), rung)]] += 1 << k
+    return np.where(crossed_at_1, 1, np.where(T < t_max, T + 1, 0))
 
-        crossed_at_1 = crossed(1)
 
-        def below(k):  # reads the search's T, set below
-            return not crossed(T + (1 << k))
+def _rescaled(v, s):
+    """``v[:-1]`` divided by ``s`` where positive, and ``v[-1] + log s``."""
+    positive = np.where(s > 0, s, 1.0)
+    return [x / positive for x in v[:-1]] + [v[-1] + np.log(s)]
 
-    if t_max < 1:
-        return None
-    if crossed_at_1:
-        return 1
-    # binary lifting; relies on the divergence being nondecreasing in T for
-    # every chain pair: the exact length-T path law is a marginal of the
-    # length-(T+1) one, and an itilde step adds per + transient_coef
-    # (1-gamma)^(T-1) >= 2 h11^2 sqrt(p01 q01) (1 - (1-gamma)^(T-1)) >= 0
-    T, k = 1, 0  # T is known not crossed; the next span tried is 2^k
-    while T + (1 << k) <= t_max and below(k):
-        T += 1 << k
-        k += 1
-    # the last uncrossed T <= t_max is now below T + 2^k: add its bits
-    for k in reversed(range(k)):
-        if T + (1 << k) <= t_max and below(k):
-            T += 1 << k
-    return T + 1 if T < t_max else None
+
+def _exact_test(cells, rho, K):
+    """``_lift``'s arguments before ``t_max``, exact convention: each cell's
+    state ``[z0, z1, log Z]`` and rung ``[a, b, c, d, log scale]`` as arrays."""
+    r0, r1, *R = (np.sqrt(x) * np.sqrt(y) for x, y in zip(_law(*cells[:3]), _law(*cells[3:])))
+    R = _visited_rows([r0, r1], R)
+    state = _rescaled([r0, r1, 0.0], r0 + r1)
+
+    def crossed(log_z):  # orthogonal supports, log Z = -inf: 1 - Z = 1, short of K rho > 1
+        return 1.0 - np.exp(np.minimum(log_z, 0.0)) >= K * rho
+
+    def below(i, T, rung):
+        (a, b, c, d, scale), (z0, z1, log_z) = rung, (x[i] for x in state)
+        y = [z0 * a + z1 * c, z0 * b + z1 * d]
+        y = _rescaled(y + [log_z + scale], y[0] + y[1])
+        ok = ~crossed(y[2])
+        for x, new, moves in zip(state, y, [i[ok]] * 3):
+            x[moves] = new[ok]
+        return ok
+
+    def square(rung):
+        a, b, c, d, scale = rung
+        sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
+        return _rescaled(sq + [2 * scale], np.maximum(*map(np.maximum, sq[:2], sq[2:])))
+
+    return crossed(state[2]), below, R + [np.zeros_like(r0)], square
+
+
+def _itilde_test(cells, rho, K):
+    """``_lift``'s arguments before ``t_max``, itilde convention: the terms
+    of ``i_tilde_short`` as it and ``_i_tilde_args`` form them, as arrays;
+    no rung is carried."""
+    mu1, nu1, p01, q01 = (x / rho for x in (cells[0], cells[3], cells[1], cells[4]))
+    root = np.sqrt(cells[2] * cells[5])
+    static = root == 1.0  # both persistences one
+    gamma = np.where(static, 1e-300, 1.0 - root)
+    h11 = np.where(static, 0.0, 1.0 - np.sqrt((1.0 - cells[2]) * (1.0 - cells[5])) / (1.0 - root))
+    base = (np.sqrt(mu1) - np.sqrt(nu1)) ** 2
+    per = (np.sqrt(p01) - np.sqrt(q01)) ** 2 + 2.0 * h11 * np.sqrt(p01 * q01)
+    coef = 2.0 * h11 * (gamma * np.sqrt(mu1 * nu1) - np.sqrt(p01 * q01))
+    log1p = np.log1p(-gamma)
+
+    def below(i, T, rung):  # not i_tilde_short > K, term by term
+        geo = np.where(gamma[i] == 1.0, T > 1, -np.expm1((T - 1) * log1p[i]) / gamma[i])
+        return ~(base[i] + per[i] * (T - 1) + coef[i] * geo > float(K))
+
+    return ~below(slice(None), 1, []), below, [], lambda rung: rung
 
 
 # ---------------------------------------------------------------------------

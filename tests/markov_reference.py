@@ -1,19 +1,24 @@
-"""The path-sum engine on numpy arrays, as the library once ran it: an
-independent reference for the library's plain-float engine.
+"""Independent references for ``tsbm.markov``: the path-sum engine on numpy
+arrays, the scalar T* search, and the literal sum over paths.
 
 ``geometric_weights`` and ``squaring_ladder`` are the numpy weights and
 squaring ladder that ``tsbm.markov`` used before its engine moved to plain
 floats; ``t_star_exact`` walks those rungs by ``t_star``'s galloping search.
 The tests require the library's float weights to match these (bit for bit
 at order 1/2, within a few ulps elsewhere) and both searches to give the
-same T*.  ``markov_renyi_brute`` is the literal sum over all paths, the
-oracle for both engines at small T, from each path's ``path_log_prob``.
+same T*.  ``t_star_scalar`` is the per-cell search, both conventions, that
+the library ran before its search took all cells of a grid at once: the
+oracle for ``t_star_cells``, cell by cell.  ``markov_renyi_brute`` is the
+literal sum over all paths, the oracle for both engines at small T, from
+each path's ``path_log_prob``.
 """
 
 import math
 
 import numpy as np
 from scipy.special import logsumexp
+
+from tsbm.markov import ThresholdConvention, _geometric_weights, _i_tilde_args, i_tilde_short
 
 
 def path_log_prob(chain, paths):
@@ -96,6 +101,66 @@ def t_star_exact(chain_f, chain_g, N, K, t_max=10**6):
     if t_max < 1:
         return None
     if not moves(*r.tolist(), 0.0):
+        return 1
+    T, k = 1, 0
+    while T + (1 << k) <= t_max and below(k):
+        T += 1 << k
+        k += 1
+    for k in reversed(range(k)):
+        if T + (1 << k) <= t_max and below(k):
+            T += 1 << k
+    return T + 1 if T < t_max else None
+
+
+def t_star_scalar(chain_f, chain_g, N, K, convention="exact", t_max=10**6):
+    """``t_star`` one cell at a time.  From T = 1 it tries spans of 2^k
+    snapshots, growing k while each span leaves the threshold uncrossed,
+    then shrinking it, and takes every span that leaves it uncrossed.  The
+    exact convention moves ``r R^(T-1) = z Z``, two floats and log Z, by the
+    rungs of the order-1/2 weights' squaring ladder, each the last squared
+    as a 2 x 2 matrix and rescaled by its largest entry; the itilde
+    convention evaluates ``i_tilde_short`` at the span's end."""
+    if not K >= 2:
+        raise ValueError("need at least two blocks")
+    if not N >= 2:
+        raise ValueError(f"need at least two nodes, got N={N}")
+    rho = math.log(N) / N
+    t_max = int(t_max)
+    if ThresholdConvention(convention) is ThresholdConvention.EXACT:
+        threshold = K * rho
+        r, R, _ = _geometric_weights(0.5, chain_f, chain_g)
+        rungs = [(R, 0.0)]
+        s = r[0] + r[1]
+        state = [(r[0] / s, r[1] / s), math.log(s)] if s else [(r[0], r[1]), -math.inf]
+        crossed_at_1 = 1.0 - math.exp(min(state[1], 0.0)) >= threshold
+
+        def below(k):  # uncrossed at T + 2^k? then the state moves there
+            while len(rungs) <= k:
+                (a, b, c, d), scale = rungs[-1]
+                sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
+                s = max(sq)
+                rungs.append(([x / s for x in sq], 2 * scale + math.log(s)) if s
+                             else (sq, -math.inf))
+            (a, b, c, d), scale = rungs[k]
+            (z0, z1), log_scale = state
+            y0, y1 = z0 * a + z1 * c, z0 * b + z1 * d
+            s = y0 + y1
+            log_total = log_scale + scale + math.log(s) if s else -math.inf
+            if 1.0 - math.exp(min(log_total, 0.0)) >= threshold:
+                return False
+            state[:] = ((y0 / s, y1 / s) if s else (y0, y1)), log_total
+            return True
+    else:
+        threshold = float(K)
+        args = _i_tilde_args(chain_f, chain_g, rho)
+        crossed_at_1 = i_tilde_short(*args, 1) > threshold
+
+        def below(k):  # reads the search's T, set below
+            return not i_tilde_short(*args, T + (1 << k)) > threshold
+
+    if t_max < 1:
+        return None
+    if crossed_at_1:
         return 1
     T, k = 1, 0
     while T + (1 << k) <= t_max and below(k):

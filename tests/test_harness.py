@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestReports:
                 ts = t_star(chain_from_stationary(3.0 * rho, p11),
                             chain_from_stationary(2.5 * rho, q11), 10, 2)
                 assert grid[i, j] == math.log10(ts)
+
+    def test_threshold_grid_memory_does_not_grow_with_the_search(self):
+        # the search takes 2^14 cells a pass: one pass, a 128 x 128 grid of
+        # this figure-2 map, traced 8.4 MB, so a 401 x 401 grid may add only
+        # its 8-byte T* and log10 T* per cell, 2.6 MB.  In one pass it traced
+        # 81 MB.
+        values = np.linspace(0.05, 0.95, 401)
+        tracemalloc.start()
+        try:
+            grid = threshold_grid(500, 2, 1.51, 1.5, values, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (401, 401) and np.isfinite(grid[0, -1])
+        assert peak < 12e6, f"{peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize(
         "args,match",
@@ -593,6 +609,23 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "accuracy" not in captured.out
         assert captured.err == f"error: --truth {truth} gives 0 labels for 3 nodes\n"
+
+    @pytest.mark.parametrize("text,reason", [
+        ("tsbm 1 4 1\ne 1 0 1\n", "line 1: expected a labels line, got 'tsbm'"),
+        ("labels 1 x 2 1\n", "line 1: label 'x' is not an integer"),
+    ], ids=["snapshot-file", "non-integer-label"])
+    def test_recover_bad_truth_names_flag_and_file(self, tmp_path, capsys, text, reason):
+        # the truth file's format errors name --truth and the file, since
+        # --input is a file with a line 1 too
+        path, truth = tmp_path / "g.tsbm", tmp_path / "t.labels"
+        path.write_text("tsbm 1 4 1\ne 1 0 1\n")
+        truth.write_text(text)
+        rc = main(["recover", "--input", str(path), "--algorithm", "friends",
+                   "--truth", str(truth)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --truth {truth}: {reason}\n"
 
     def test_recover_checks_truth_length_before_recovering(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divergence_reference import bernoulli
-from markov_reference import markov_renyi_brute, path_log_prob, t_star_exact
+from markov_reference import markov_renyi_brute, path_log_prob, t_star_exact, t_star_scalar
 from tsbm.divergence import renyi
+from tsbm.harness import threshold_grid
 from tsbm.markov import (
     BinaryMarkovChain,
     ThresholdConvention,
@@ -606,6 +607,32 @@ class TestTStar:
         f, g = raw or (chain_from_stationary(min(max(m * rho * 10**log_scale, 1e-300), 0.5), p)
                        for m, p in zip(mults, persist))
         assert t_star(f, g, n, k, "exact", t_max) == t_star_exact(f, g, n, k, t_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 5000),
+        k=st.sampled_from([2, 3, 5]),
+        mults=st.tuples(st.floats(1e-4, 5.0), st.floats(1e-4, 5.0)),
+        persist=st.tuples(*[st.lists(_UNIT, min_size=1, max_size=4)] * 2),
+        t_max=st.sampled_from([0, 1, 2, 3, 7, 13, 100, 10**6]),
+    )
+    def test_grid_and_one_cell_match_scalar_oracle(self, n, k, mults, persist, t_max):
+        # every cell of a grid, infeasible (inf) and uncrossed (None, inf) too,
+        # and each feasible cell searched alone, equal the per-cell search
+        rho = math.log(n) / n
+        assume(max(mults) * rho < 1)
+        for convention in ("exact", "itilde"):
+            grid = threshold_grid(n, k, *mults, *persist, convention, t_max)
+            for (i, p11), (j, q11) in itertools.product(*map(enumerate, persist)):
+                try:
+                    f = chain_from_stationary(mults[0] * rho, p11)
+                    g = chain_from_stationary(mults[1] * rho, q11)
+                except ValueError:  # implied p01 > 1
+                    assert grid[i, j] == math.inf
+                    continue
+                want = t_star_scalar(f, g, n, k, convention, t_max)
+                assert t_star(f, g, n, k, convention, t_max) == want, convention
+                assert grid[i, j] == (math.inf if want is None else math.log10(want))
 
     def test_float_search_matches_numpy_reference_on_edge_chains(self):
         # every chain with mu1, p01, p11 in {0, 1/2, 1}: rungs with a single
