@@ -175,8 +175,11 @@ def _cmd_threshold(parser, args):
     return 0
 
 
-def _parse_dist(text):
-    return FiniteDistribution([float(x) for x in text.split(",")])
+def _parse_dist(flag, text):
+    try:
+        return FiniteDistribution([float(x) for x in text.split(",")])
+    except ValueError as exc:  # the message names neither the flag nor its text
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
 
 
 def _cmd_recover(parser, args):
@@ -190,7 +193,7 @@ def _cmd_recover(parser, args):
                     "(--mu1/--nu1/--p11/--q11 or --f/--g)\n")
     kernels = None
     if has_categorical and args.algorithm in harness.KERNEL_ALGORITHMS:
-        f, g = _parse_dist(args.f), _parse_dist(args.g)
+        f, g = _parse_dist("--f", args.f), _parse_dist("--g", args.g)
         if len(f) != len(g):
             parser.exit(2, f"error: --f and --g need alphabets of one size, got {len(f)} "
                         f"and {len(g)} symbols\n")

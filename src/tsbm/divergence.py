@@ -33,7 +33,7 @@ class FiniteDistribution:
             raise ValueError("probability entry negative or NaN")
         total = p.sum()
         if not abs(total - 1.0) <= _NORM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
         self.probs = p / total
         self.probs.flags.writeable = False
 

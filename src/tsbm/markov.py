@@ -7,10 +7,13 @@ once, and on-period path combinatorics.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
+
+_fields = attrgetter("mu1", "p01", "p11")  # a chain's fields: astuple deep-copies
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def _geometric_weights(alpha, chain_f, chain_g):
     """Initial weights ``r`` and transfer matrix ``R = [R00, R01, R10, R11]``
     of elementwise geometric means ``x^alpha y^(1-alpha)``, and the flags of
     these six entries that are infinite (alpha > 1, x > 0 = y; weighted 0)."""
-    pairs = list(zip(_law(*astuple(chain_f)), _law(*astuple(chain_g))))
+    pairs = list(zip(_law(*_fields(chain_f)), _law(*_fields(chain_g))))
     if alpha == 0.5:  # math.sqrt, as numpy's power takes; x ** 0.5 can round otherwise
         w, inf = [math.sqrt(x) * math.sqrt(y) for x, y in pairs], (False,) * 6
     else:
@@ -180,7 +183,7 @@ def markov_j_quantity(chain_f, chain_g, T):
     ``_Jet`` entries."""
     r, R, _ = _geometric_weights(0.5, chain_f, chain_g)
     jets = []
-    for w, p, q in zip(r + R, _law(*astuple(chain_f)), _law(*astuple(chain_g))):
+    for w, p, q in zip(r + R, _law(*_fields(chain_f)), _law(*_fields(chain_g))):
         # log(p / q); for close p and q, log1p of their exact difference over q
         l = (math.log1p((p - q) / q) if abs(p - q) < q / 2 else math.log(p / q)) if w else 0.0
         jets.append(_Jet((w, w * l, w * l * l)))
@@ -359,7 +362,7 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
     The search is ``t_star_cells``, on one cell."""
-    t = t_star_cells(astuple(chain_f), astuple(chain_g), N, K, convention, t_max)
+    t = t_star_cells(_fields(chain_f), _fields(chain_g), N, K, convention, t_max)
     return int(t) or None
 
 
@@ -401,6 +404,7 @@ def _lift(crossed_at_1, below, rung, square, t_max):
     ``square`` makes the next rung from the last."""
     T = np.ones(crossed_at_1.size, np.int64)  # each cell's last T known uncrossed
     i, levels = np.flatnonzero(~crossed_at_1), []
+    rung = [x[i] for x in rung]  # each array holds the cells i, as below reads them
     while i.size and 2 << len(levels) <= t_max:
         if levels:
             rung = square(rung)

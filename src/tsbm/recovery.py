@@ -49,9 +49,9 @@ _TIE_TOL = 1e-9
 _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
 
 
-# _entry_slots packs the entries' indices and compares sorted neighbours in
-# chunks of this many entries, so no temporary of those steps follows them.
-_SLOT_CHUNK = 1 << 16
+# _entry_slots and the kept sums' keys take per-entry arrays in chunks of this
+# many entries, so no temporary of those steps follows the entries.
+_SLOT_CHUNK = 1 << 14
 
 
 def _entry_slots(array):
@@ -61,21 +61,19 @@ def _entry_slots(array):
     One sort of ``pair * (T + 1) + t`` puts each entry right before its
     pair's next, one above it unless it leaves.  Where int64 has room, each
     distinct key carries its entry's index in its low bits and they sort in
-    place, faster than ``argsort``.  Memory follows the entries, not T: under
-    three words per entry at once."""
-    size, T = int(array.N) ** 2, int(array.T)
-    snap = array.data // size
-    key = snap * -size  # the pair, with no snap * size temporary
-    key += array.data
-    key *= T + 1
-    key += snap
-    del snap  # temporaries go as soon as used
-    n = key.size
+    place, faster than ``argsort``.  Memory follows the entries, not T: the
+    keys are built and the pairs compacted in place, chunk by chunk, so that
+    about two words per entry are held at once, beside chunk-sized temporaries."""
+    size, T, n = int(array.N) ** 2, int(array.T), array.data.size
     shift = n.bit_length()
-    if (size * (T + 1)) << shift <= 2**63:
-        key <<= shift
-        for lo in range(0, n, _SLOT_CHUNK):
-            key[lo:lo + _SLOT_CHUNK] |= np.arange(lo, min(lo + _SLOT_CHUNK, n))
+    packed = (size * (T + 1)) << shift <= 2**63
+    key = np.empty(n, np.int64)
+    for lo in range(0, n, _SLOT_CHUNK):
+        x = array.data[lo:lo + _SLOT_CHUNK]
+        snap = x // size
+        x = (x - snap * size) * (T + 1) + snap
+        key[lo:lo + x.size] = x << shift | np.arange(lo, lo + x.size) if packed else x
+    if packed:
         key.sort()
         order = np.empty(n, np.int32 if n < 2**31 else np.int64)
         np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
@@ -91,14 +89,25 @@ def _entry_slots(array):
         stay[at[1:]], leaves[at[:-1]] = step, ~step
     key //= T + 1
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    pairs = key[np.flatnonzero(first)]  # mask: 4x slower
-    del key
-    ranks = np.cumsum(first, dtype=np.int32)
-    ranks -= 1
-    slots = np.empty(n, np.int32)
-    for lo in range(0, n, _SLOT_CHUNK):
-        slots[order[lo:lo + _SLOT_CHUNK].astype(np.intp)] = ranks[lo:lo + _SLOT_CHUNK]
-    return pairs, slots, stay, leaves
+    p = 0
+    for lo in range(0, n, _SLOT_CHUNK):  # pairs land at or before their chunk (masks: 3x slower)
+        got = key[lo:lo + _SLOT_CHUNK][np.flatnonzero(first[lo:lo + _SLOT_CHUNK])]
+        key[p:p + got.size] = got
+        p += got.size
+    key.resize(p, refcheck=False)  # the slices above are gone
+    slots, ranks = np.empty(n, np.int32), [-1]
+    for lo in range(0, n, _SLOT_CHUNK):  # each rank goes on from the last chunk's
+        ranks = np.cumsum(first[lo:lo + _SLOT_CHUNK], dtype=np.int32) + ranks[-1]
+        slots[order[lo:lo + _SLOT_CHUNK].astype(np.intp)] = ranks
+    return key, slots, stay, leaves
+
+
+def _block_keys(ends, K, labels, partners):
+    """``ends * K + labels[partners]`` in int64; chunked intp gathers (int32: 3x slower)."""
+    key = np.multiply(ends, K, dtype=np.int64)
+    for lo in range(0, key.size, _SLOT_CHUNK):
+        key[lo:lo + _SLOT_CHUNK] += labels[partners[lo:lo + _SLOT_CHUNK].astype(np.intp)]
+    return key
 
 
 class _PairLogRatio:
@@ -106,9 +115,10 @@ class _PairLogRatio:
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
     Every pair that has never interacted holds the same value, ``base``.
-    Pairs that have interacted (``rows`` and ``cols``, ``i < j``) hold
-    explicit ``vals``; ``on`` holds the places of the pairs set in the
-    latest snapshot.  Each step adds the increment of every pair's
+    Pairs that have interacted (``rows`` and ``cols``, ``i < j``; int32
+    while N < 2^31, widened before any product) hold explicit ``vals``;
+    ``on`` and ``ends`` hold the int32 places and the ends of the pairs set
+    in the latest snapshot.  Each step adds the increment of every pair's
     transition and clips, with the same float operations a dense ``M``
     would take, so ``dense()`` is bit-identical to it.  The store is laid
     out in order of first interaction: its arrays are allocated once, over
@@ -128,9 +138,10 @@ class _PairLogRatio:
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
         self.array, (pairs, self.slots, self.stay, self.leaves) = array, _entry_slots(array)
-        size = pairs.size
+        size, ends = pairs.size, np.int32 if n < 2**31 else np.int64  # widened before * N
+        del pairs  # only its size is kept
         self.place = np.full(size, -1, dtype=np.int32)
-        self._rows, self._cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        self._rows, self._cols = np.empty(size, dtype=ends), np.empty(size, dtype=ends)
         self._vals = np.empty(size)
         self._deg = np.zeros(n, dtype=np.int64)  # active partners per node
         self._peak = float(np.abs(l_init).max())  # a bound on |vals| and |base|
@@ -149,13 +160,13 @@ class _PairLogRatio:
         slots; those first set are appended at ``base``."""
         lo, hi = self.array.span(t)
         slots = self.slots[lo:hi]
-        cur = self.place[slots].astype(np.int64)  # int32 indices would gather slower
+        cur = self.place[slots]
         new = np.flatnonzero(cur < 0)
         m, self.m = self.m, self.m + new.size
         self.place[slots[new]] = cur[new] = np.arange(m, self.m)
         x = self.array.data[lo:hi] - t * self.n * self.n
         rows = x // self.n  # one floor division: np.divmod took 4x as long
-        rows, cols = self.ends = rows, x - rows * self.n
+        rows, cols = self.ends = [e.astype(self._rows.dtype) for e in (rows, x - rows * self.n)]
         self._rows[m:self.m], self._cols[m:self.m] = rows[new], cols[new]
         self._deg += np.bincount(self._rows[m:self.m], minlength=self.n)
         self._deg += np.bincount(self._cols[m:self.m], minlength=self.n)
@@ -168,17 +179,19 @@ class _PairLogRatio:
         scalar add over the active pairs and O(pairs set + N K); the clip
         runs once the running bound ``_peak`` passes it, kept sums patched."""
         leave = np.flatnonzero(self.leaves[slice(*self.array.span(t - 1))])  # mask: 3x slower
-        last, cur = self.ends, self._places(t)
+        gone = [a[leave] for a in (self.on, *self.ends)]  # the leavers' places and ends
+        cur = self.on = self._places(t)
         stay = self.stay[slice(*self.array.span(t))]
-        touched = np.concatenate((self.on[leave], cur))  # each pair once, leavers first
+        touched = np.concatenate((gone[0], cur), dtype=np.intp)  # each pair once, leavers first
         step = np.concatenate((np.full(leave.size, increments[2]), increments[1 + 2 * stay]))
         vals, quiet = self.vals, increments[0]
         old = vals[touched]
         vals += quiet
         vals[touched] = old + step
+        delta, moved = step - quiet, cur[:0]  # each offset's change, to rounding; no clip yet
+        del touched, old, step  # temporaries go as soon as used
         self.base = min(max(self.base + quiet, -LOG_RATIO_SATURATION), LOG_RATIO_SATURATION)
         self._peak += np.abs(increments).max()
-        delta, moved = step - quiet, cur[:0]  # each offset's change, to rounding; no clip yet
         if self._peak > LOG_RATIO_SATURATION:
             self._peak = LOG_RATIO_SATURATION
             if abs(self.base) == LOG_RATIO_SATURATION:  # base clipped: all offsets move
@@ -191,12 +204,12 @@ class _PairLogRatio:
             np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         if self._sums is not None:
             (n, K), lab = self._sums.shape, self._under
-            r, c = (np.concatenate((a[leave], b, e[moved]))  # gathered from the store: 2x slower
-                    for a, b, e in zip(last, self.ends, (self._rows, self._cols)))
+            r, c = (np.concatenate((a, b, e[moved]))  # gathered from the store: 2x slower
+                    for a, b, e in zip(gone[1:], self.ends, (self._rows, self._cols)))
             for ends, partners in ((r, c), (c, r)):
-                self._sums += np.bincount(ends * K + lab[partners], delta, n * K).reshape(n, K)
+                self._sums += np.bincount(_block_keys(ends, K, lab, partners), delta,
+                                          n * K).reshape(n, K)
             self._age += 1
-        self.on = cur
 
     def scores(self, labels, K, nodes=None):
         """The ``N x K`` matrix of each node's summed ratio with the other
@@ -234,7 +247,7 @@ class _PairLogRatio:
             n, offsets = self.n, self.vals - self.base
             sums = np.zeros(n * K)
             for ends, partners in ((self.rows, self.cols), (self.cols, self.rows)):
-                sums += np.bincount(ends * K + labels[partners], offsets, n * K)
+                sums += np.bincount(_block_keys(ends, K, labels, partners), offsets, n * K)
             self._sums, self._under, self._age = sums.reshape(n, K), labels.copy(), 0
         return self._sums
 
@@ -463,11 +476,11 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 
     def __init__(self, array, init_labels, K, synchronous=True):
         labels = np.asarray(init_labels, dtype=np.int64)
-        rows, cols = np.divmod(array.snapshot(0), array.N)
-        ones_same = int((labels[rows] == labels[cols]).sum())
+        same0 = np.equal(*(labels[e] for e in np.divmod(array.snapshot(0), array.N)))
+        ones_same, ones = int(same0.sum()), same0.size
         same, pairs = _pair_totals(labels)
         mu1 = self.mu1_hat = ones_same / same if same else 0.5
-        nu1 = self.nu1_hat = (rows.size - ones_same) / (pairs - same) if pairs > same else 0.5
+        nu1 = self.nu1_hat = (ones - ones_same) / (pairs - same) if pairs > same else 0.5
         super().__init__(array, labels, BinaryMarkovChain(mu1, mu1, mu1),
                          BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
         self._pooled_under = None  # the labels the sums were taken under
@@ -478,7 +491,7 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
 
     def _reestimate(self):
         ratio, labels, (lo, hi) = self.ratio, self.labels, self.array.span(self.t - 1)
-        same = labels[ratio.ends[0]] == labels[ratio.ends[1]]  # snapshot t - 1's entries
+        same = np.equal(*(labels[e.astype(np.intp)] for e in ratio.ends))  # snapshot t - 1's
         if np.array_equal(labels, self._pooled_under):
             pooled, ones, later = self._pooled, self._same, same
         else:  # every entry so far, through its pair's place

@@ -591,6 +591,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,text,reason", [
+        ("--f", ",,", "could not convert string to float: ''"),
+        ("--f", "0.2,0.2", "probabilities sum to 0.4, not 1"),
+        ("--f", "0.5,nan", "probability entry negative or NaN"),
+        ("--g", "0.3", "probabilities sum to 0.3, not 1"),
+    ])
+    def test_recover_bad_distribution_names_the_flag(self, tmp_path, capsys, flag, text,
+                                                     reason):
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 4 1\ne 1 0 1\ne 1 2 3\n")
+        dists = {"--f": "0.5,0.5", "--g": "0.9,0.1", flag: text}
+        rc = main(["recover", "--input", str(path), "--algorithm", "refine",
+                   *(x for item in dists.items() for x in item)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag} {text!r}: {reason}\n"
+
     def test_recover_duplicate_labels_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.tsbm"
         path.write_text("tsbm 1 3 1\nlabels 1 2 1\nlabels 2 2 2\n")

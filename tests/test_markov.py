@@ -27,6 +27,7 @@ from tsbm.markov import (
     path_stats,
     sparse_renyi_approx,
     t_star,
+    t_star_cells,
 )
 
 
@@ -637,10 +638,18 @@ class TestTStar:
     def test_float_search_matches_numpy_reference_on_edge_chains(self):
         # every chain with mu1, p01, p11 in {0, 1/2, 1}: rungs with a single
         # nonzero entry, rows zeroed, laws orthogonal at once or later
-        chains = [BinaryMarkovChain(*x) for x in itertools.product((0.0, 0.5, 1.0), repeat=3)]
-        for f, g in itertools.product(chains, repeat=2):
-            for n, k, t_max in itertools.product((2, 500), (2, 3), (3, 10**6)):
-                assert t_star(f, g, n, k, "exact", t_max) == t_star_exact(f, g, n, k, t_max)
+        # 27 x 27 chain pairs, one array search per (n, k, t_max); the
+        # one-cell search on the diagonal pairs
+        fields = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=3)))
+        chains = [BinaryMarkovChain(*x) for x in fields.tolist()]
+        f = tuple(fields[:, None, c] for c in range(3))  # chain i of f down the rows,
+        g = tuple(fields[None, :, c] for c in range(3))  # chain j of g across the columns
+        for n, k, t_max in itertools.product((2, 500), (2, 3), (3, 10**6)):
+            got = t_star_cells(f, g, n, k, "exact", t_max)
+            for (i, cf), (j, cg) in itertools.product(enumerate(chains), repeat=2):
+                assert (int(got[i, j]) or None) == t_star_exact(cf, cg, n, k, t_max), (cf, cg)
+            for c in chains:
+                assert t_star(c, c, n, k, "exact", t_max) == t_star_exact(c, c, n, k, t_max)
 
     def test_requires_two_blocks(self):
         c = chain_from_stationary(0.02, 0.5)

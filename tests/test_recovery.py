@@ -707,6 +707,73 @@ class TestEntrySlots:
         assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
+@pytest.fixture(scope="module")
+def figure6_trial0():
+    """Trial 0 of the benchmark's figure-6 online-learn config (seed 1):
+    599,289 entries over 243,036 pairs, and its spectral start."""
+    seed = derive_seed(1, 0)
+    intra, inter = chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, "absolute")
+    _, arr = sample_instance(1000, 2, 30, intra, inter, seed, False)
+    return arr, spectral_cluster(binarize(arr, t=0), 2, derive_seed(seed, 4))
+
+
+class TestStoreBytes:
+    """The online store's traced memory at the figure-6 config.  Each bound
+    was fixed from the layout before int32 ends, a compacting
+    ``_entry_slots`` and leaner steps, measured with numpy 2.4."""
+
+    def test_entry_slots_peak_at_most_two_words_per_entry(self, figure6_trial0):
+        # 21.6 bytes per entry before (the pairs gathered beside the live
+        # keys); 15.7 with the pairs compacted in place
+        arr = figure6_trial0[0]
+        tracemalloc.start()
+        try:
+            pairs = _entry_slots(arr)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (arr.data.size, pairs.size) == (599289, 243036)
+        assert peak <= 2 * arr.data.nbytes, peak / arr.data.size
+
+    def test_store_and_step_bytes(self, figure6_trial0):
+        # held after construction: 44.8 bytes per pair before, 8 of them
+        # the int64 ends; a step's peak above what it starts with: 2,759,624
+        # bytes before (step 3, at the kept sums' keys), 1.17 MB now
+        arr, start = figure6_trial0
+        tracemalloc.start()
+        try:
+            state = OnlineLikelihoodLearned(arr, start, 2)
+            held, peaks = tracemalloc.get_traced_memory()[0], []
+            while state.t < arr.T:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                state.step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert state.ratio._rows.dtype == state.ratio._cols.dtype == np.int32
+        assert held / state.ratio.m <= 44.84 - 8, held / state.ratio.m
+        assert max(peaks) <= 2_759_624 / 2, max(peaks)
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_int32_ends_past_46341_nodes(self, learned):
+        # at N = 70,000, i * N passes int32 from i = 30,679: the ends are
+        # widened before any product with N
+        n = 70_000
+        arr = _from_entries(n, 4, [(0, 1, 69_999), (0, 46_341, 46_342), (1, 50_000, 69_998),
+                                   (1, 46_341, 46_342), (2, 0, 2), (2, 69_998, 69_999),
+                                   (3, 1, 69_999), (3, 46_341, 46_342)])
+        labels = np.arange(n) % 2
+        state = (OnlineLikelihoodLearned(arr, labels, 2) if learned
+                 else OnlineLikelihood(arr, labels, INTRA, INTER, 2, synchronous=False))
+        state.run()
+        ratio, pairs = state.ratio, _entry_slots(arr)[0]
+        assert ratio._rows.dtype == ratio._cols.dtype == np.int32 and ratio.m == pairs.size
+        in_store_order = pairs[np.argsort(ratio.place)]
+        assert np.array_equal(ratio.rows.astype(np.int64) * n + ratio.cols, in_store_order)
+        assert [e.tolist() for e in ratio.ends] == [[1, 46_341], [69_999, 46_342]]
+
+
 @st.composite
 def _pattern_arrays(draw, max_symbol=1, min_t=1, max_t=6, min_n=1):
     """Random symmetric snapshot arrays, symbols 1..max_symbol, with
