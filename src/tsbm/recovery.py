@@ -49,8 +49,8 @@ _TIE_TOL = 1e-9
 _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
 
 
-# _entry_slots and the kept sums' keys take per-entry arrays in chunks of this
-# many entries, so no temporary of those steps follows the entries.
+# _entry_slots, the block keys and every pass over all pairs take their arrays
+# in chunks of this many, so no temporary of those steps follows the entries.
 _SLOT_CHUNK = 1 << 14
 
 
@@ -102,11 +102,16 @@ def _entry_slots(array):
     return key, slots, stay, leaves
 
 
+def _chunks(size):
+    """``range(size)`` as slices of at most ``_SLOT_CHUNK``."""
+    return [slice(lo, min(lo + _SLOT_CHUNK, size)) for lo in range(0, size, _SLOT_CHUNK)]
+
+
 def _block_keys(ends, K, labels, partners):
     """``ends * K + labels[partners]`` in int64; chunked intp gathers (int32: 3x slower)."""
     key = np.multiply(ends, K, dtype=np.int64)
-    for lo in range(0, key.size, _SLOT_CHUNK):
-        key[lo:lo + _SLOT_CHUNK] += labels[partners[lo:lo + _SLOT_CHUNK].astype(np.intp)]
+    for at in _chunks(key.size):
+        key[at] += labels[partners[at].astype(np.intp)]
     return key
 
 
@@ -114,22 +119,19 @@ class _PairLogRatio:
     """A pairwise log-likelihood ratio accumulated over snapshots (the
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
-    Every pair that has never interacted holds the same value, ``base``.
-    Pairs that have interacted (``rows`` and ``cols``, ``i < j``; int32
-    while N < 2^31, widened before any product) hold explicit ``vals``;
-    ``on`` and ``ends`` hold the int32 places and the ends of the pairs set
-    in the latest snapshot.  Each step adds the increment of every pair's
-    transition and clips, with the same float operations a dense ``M``
-    would take, so ``dense()`` is bit-identical to it.  The store is laid
-    out in order of first interaction: its arrays are allocated once, over
-    the pairs the array ever sets, and ``place`` maps each pair's slot
-    (``_entry_slots``) to its place, -1 until a snapshot first sets it and
-    appends it at ``m``.  The attributes above read the prefix ``[:m]``, so
-    the pairs are not sorted; no reader needs them to be.
+    It lists every pair the array sets, from the start, in increasing ``i*N
+    + j`` order (``_entry_slots``' pairs: a pair's slot is its place), with
+    ``vals`` and ends ``rows``, ``cols`` (``i < j``; int32 while N < 2^31,
+    widened before any product); ``ends`` are those of the pairs the latest
+    snapshot sets.  Every other pair holds ``base``, and so does a listed
+    pair until a snapshot sets it, bit for bit: both take the same float
+    operations a dense ``M`` would, so ``dense()`` is bit-identical to it.
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
-    base`` of node i's active partners in block k under labels ``_under``,
-    which ``add`` updates and a sweep under other labels rebuilds.
+    base`` of node i's listed partners in block k under labels ``_under``,
+    which ``add`` updates and a sweep under other labels rebuilds.  Passes
+    over every pair add a chunk at a time into a zeroed array (``np.add.at``,
+    the bits of one ``bincount``), so that no temporary follows the pairs.
     """
 
     def __init__(self, array, l_init):
@@ -138,58 +140,40 @@ class _PairLogRatio:
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
         self.array, (pairs, self.slots, self.stay, self.leaves) = array, _entry_slots(array)
-        size, ends = pairs.size, np.int32 if n < 2**31 else np.int64  # widened before * N
-        del pairs  # only its size is kept
-        self.place = np.full(size, -1, dtype=np.int32)
-        self._rows, self._cols = np.empty(size, dtype=ends), np.empty(size, dtype=ends)
-        self._vals = np.empty(size)
-        self._deg = np.zeros(n, dtype=np.int64)  # active partners per node
+        ends = np.int32 if n < 2**31 else np.int64  # widened before * N
+        self.rows, self.cols = np.empty(pairs.size, ends), np.empty(pairs.size, ends)
+        self._deg = np.zeros(n, dtype=np.int64)  # listed partners per node
+        for at in _chunks(pairs.size):
+            rows = pairs[at] // n  # one floor division: np.divmod took 4x as long
+            self.rows[at], self.cols[at] = rows, pairs[at] - rows * n
+            np.add.at(self._deg, np.concatenate((rows, self.cols[at])), 1)
+        del pairs
+        self.base = float(l_init[0])
+        self.vals = np.full(self.rows.size, self.base)
         self._peak = float(np.abs(l_init).max())  # a bound on |vals| and |base|
         self._sums = self._under = self._incidence = None  # built on first use
-        self.m, self.base = 0, float(l_init[0])
-        self.on = self._places(0)
-        codes = np.ones(self.m, dtype=np.int64) if array.values is None else array.values[:self.m]
-        self.vals[:] = np.asarray(l_init, dtype=np.float64)[codes]
-
-    rows = property(lambda self: self._rows[:self.m])
-    cols = property(lambda self: self._cols[:self.m])
-    vals = property(lambda self: self._vals[:self.m])
-
-    def _places(self, t):
-        """The places of the pairs set in snapshot ``t``, read off their
-        slots; those first set are appended at ``base``."""
-        lo, hi = self.array.span(t)
-        slots = self.slots[lo:hi]
-        cur = self.place[slots]
-        new = np.flatnonzero(cur < 0)
-        m, self.m = self.m, self.m + new.size
-        self.place[slots[new]] = cur[new] = np.arange(m, self.m)
-        x = self.array.data[lo:hi] - t * self.n * self.n
-        rows = x // self.n  # one floor division: np.divmod took 4x as long
-        rows, cols = self.ends = [e.astype(self._rows.dtype) for e in (rows, x - rows * self.n)]
-        self._rows[m:self.m], self._cols[m:self.m] = rows[new], cols[new]
-        self._deg += np.bincount(self._rows[m:self.m], minlength=self.n)
-        self._deg += np.bincount(self._cols[m:self.m], minlength=self.n)
-        self._vals[m:self.m] = self.base
-        return cur
+        hi = array.span(0)[1]
+        codes = np.ones(hi, dtype=np.int64) if array.values is None else array.values[:hi]
+        self.vals[self.slots[:hi]] = l_init[codes]
 
     def add(self, t, increments):
         """Consume snapshot ``t``, the one after the last taken: add
         ``increments[2a + b]`` to each pair moving from state a to b, in one
-        scalar add over the active pairs and O(pairs set + N K); the clip
+        scalar add over the listed pairs and O(pairs set + N K); the clip
         runs once the running bound ``_peak`` passes it, kept sums patched."""
-        leave = np.flatnonzero(self.leaves[slice(*self.array.span(t - 1))])  # mask: 3x slower
-        gone = [a[leave] for a in (self.on, *self.ends)]  # the leavers' places and ends
-        cur = self.on = self._places(t)
-        stay = self.stay[slice(*self.array.span(t))]
-        touched = np.concatenate((gone[0], cur), dtype=np.intp)  # each pair once, leavers first
-        step = np.concatenate((np.full(leave.size, increments[2]), increments[1 + 2 * stay]))
+        (a, b), (lo, hi) = self.array.span(t - 1), self.array.span(t)
+        gone = self.slots[a:b][np.flatnonzero(self.leaves[a:b])]  # mask: 3x slower
+        touched = np.concatenate((gone, self.slots[lo:hi]), dtype=np.intp)  # leavers first
+        delta = np.concatenate((np.full(gone.size, increments[2]),
+                                increments[1 + 2 * self.stay[lo:hi]]))
         vals, quiet = self.vals, increments[0]
         old = vals[touched]
         vals += quiet
-        vals[touched] = old + step
-        delta, moved = step - quiet, cur[:0]  # each offset's change, to rounding; no clip yet
-        del touched, old, step  # temporaries go as soon as used
+        vals[touched] = old + delta
+        delta -= quiet  # each offset's change, to rounding; no clip yet
+        r, c = self.rows[touched], self.cols[touched]
+        self.ends = r[gone.size:], c[gone.size:]  # snapshot t's
+        del old, touched  # temporaries go as soon as used
         self.base = min(max(self.base + quiet, -LOG_RATIO_SATURATION), LOG_RATIO_SATURATION)
         self._peak += np.abs(increments).max()
         if self._peak > LOG_RATIO_SATURATION:
@@ -200,23 +184,22 @@ class _PairLogRatio:
                 moved = np.flatnonzero(np.abs(vals) > LOG_RATIO_SATURATION)
                 delta = np.concatenate((delta, np.clip(vals[moved], -LOG_RATIO_SATURATION,
                                                        LOG_RATIO_SATURATION) - vals[moved]))
+                r, c = np.concatenate((r, self.rows[moved])), np.concatenate((c, self.cols[moved]))
                 self._age += 1
             np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         if self._sums is not None:
-            (n, K), lab = self._sums.shape, self._under
-            r, c = (np.concatenate((a, b, e[moved]))  # gathered from the store: 2x slower
-                    for a, b, e in zip(gone[1:], self.ends, (self._rows, self._cols)))
             for ends, partners in ((r, c), (c, r)):
-                self._sums += np.bincount(_block_keys(ends, K, lab, partners), delta,
-                                          n * K).reshape(n, K)
+                np.add.at(self._sums.reshape(-1),
+                          _block_keys(ends, self._sums.shape[1], self._under, partners), delta)
             self._age += 1
 
     def scores(self, labels, K, nodes=None):
         """The ``N x K`` matrix of each node's summed ratio with the other
-        nodes of each block under ``labels``, in O(active pairs + N K); or
-        rows ``nodes`` alone, bit for bit (the same float operations on the
-        same pairs in store order), in O(N + their degrees)."""
-        places = (slice(None),) * 2 if nodes is None else self._incident(nodes)
+        nodes of each block under ``labels``, in O(pairs + N K); or rows
+        ``nodes`` alone, bit for bit (the same float operations on the same
+        pairs in pair order), in O(N + their degrees)."""
+        chunks = [(at, at) for at in _chunks(self.vals.size)] if nodes is None else [
+            self._incident(nodes)]
         nodes = np.arange(labels.size) if nodes is None else nodes
         h = len(nodes)
         slot = np.zeros(self.n, dtype=np.int64)
@@ -224,44 +207,47 @@ class _PairLogRatio:
         others = np.tile(np.bincount(labels, minlength=K), h)
         others[np.arange(h) * K + labels[nodes]] -= 1
         summed = np.zeros(h * K)
-        for ends, partners, at in zip((self.rows, self.cols), (self.cols, self.rows), places):
-            key = slot[ends[at]] * K + labels[partners[at]]
-            others -= np.bincount(key, minlength=h * K)
-            summed += np.bincount(key, weights=self.vals[at], minlength=h * K)
+        for e, (ends, partners) in enumerate(((self.rows, self.cols), (self.cols, self.rows))):
+            for at in chunks:
+                key = _block_keys(slot[ends[at[e]]], K, labels, partners[at[e]])
+                np.subtract.at(others, key, 1)
+                np.add.at(summed, key, self.vals[at[e]])
         return (self.base * others + summed).reshape(h, K)
 
     def _incident(self, nodes):
         """The places of the pairs with their row end in ``nodes``, then of
-        those with their col end, each node's in store order (an incidence
-        built in O(active pairs log), kept until the store grows)."""
-        if self._incidence is None or self._incidence[0] != self.m:
-            self._incidence = [self.m] + [
-                (order, np.searchsorted(ends[order], np.arange(self.n + 1)))
-                for ends in (self.rows, self.cols) for order in [np.argsort(ends, kind="stable")]]
+        those with their col end, each node's in pair order (an incidence
+        built in O(pairs log) on first use)."""
+        if self._incidence is None:
+            self._incidence = [(order, np.searchsorted(ends[order], np.arange(self.n + 1)))
+                               for ends in (self.rows, self.cols)
+                               for order in [np.argsort(ends, kind="stable")]]
         return tuple(np.concatenate([order[ptr[i]:ptr[i + 1]] for i in nodes])
-                     for order, ptr in self._incidence[1:])
+                     for order, ptr in self._incidence)
 
     def _block_sums(self, labels, K):
-        """The kept sums under ``labels``, rebuilt in O(active pairs) if stale."""
+        """The kept sums under ``labels``, rebuilt in O(pairs) if stale."""
         if self._sums is None or self._sums.shape[1] != K or np.any(labels != self._under):
-            n, offsets = self.n, self.vals - self.base
-            sums = np.zeros(n * K)
-            for ends, partners in ((self.rows, self.cols), (self.cols, self.rows)):
-                sums += np.bincount(_block_keys(ends, K, labels, partners), offsets, n * K)
-            self._sums, self._under, self._age = sums.reshape(n, K), labels.copy(), 0
+            sums = np.zeros(self.n * K)
+            for at in _chunks(self.vals.size):  # a pair at base (as any not yet set) adds 0
+                apart = at.start + np.flatnonzero(self.vals[at] != self.base)
+                r, c, offsets = self.rows[apart], self.cols[apart], self.vals[apart] - self.base
+                for ends, partners in ((r, c), (c, r)):
+                    np.add.at(sums, _block_keys(ends, K, labels, partners), offsets)
+            self._sums, self._under, self._age = sums.reshape(self.n, K), labels.copy(), 0
         return self._sums
 
     def _tolerance(self):
         """Per node, the lead of its best block below which the kept sums may
-        rank its blocks otherwise than ``scores``.  With u = eps / 2, degree
-        n_i < N, ``_peak`` P and B_i = |base| N + P n_i, an entry errs, to
-        first order, by at most (n_i + 3) u B_i in ``scores`` (n_i values
-        summed in turn), 2 (n_i + 1) u B_i in a rebuilt sum (n_i offsets of
-        at most 2P), 2 (n_i + 4) u B_i per round of updates since (``_age``
-        a: n_i changes, each offset drifting 2 u P in the scalar add) and 3
-        u B_i forming the score: by (2a + 3)(n_i + 5) u B_i <= eps (a + 2)
-        (N + 4) B_i in all.  Twice that, doubled for second-order terms, and
-        at least ``_TIE_TOL B_i``."""
+        rank its blocks otherwise than ``scores``.  With u = eps / 2, n_i the
+        node's degree in the store (< N), ``_peak`` P and B_i = |base| N + P
+        n_i, an entry errs, to first order, by at most (n_i + 3) u B_i in
+        ``scores`` (n_i values summed in turn), 2 (n_i + 1) u B_i in a rebuilt
+        sum (n_i offsets of at most 2P), 2 (n_i + 4) u B_i per round of updates
+        since (``_age`` a: n_i changes, each offset drifting 2 u P in the
+        scalar add) and 3 u B_i forming the score: by (2a + 3)(n_i + 5) u B_i
+        <= eps (a + 2) (N + 4) B_i in all.  Twice that, doubled for
+        second-order terms, and at least ``_TIE_TOL B_i``."""
         bound = 4 * np.finfo(np.float64).eps * (self._age + 2) * (self.n + 4)
         return max(_TIE_TOL, bound) * (abs(self.base) * self.n + self._peak * self._deg)
 
@@ -405,7 +391,7 @@ class OnlineLikelihood:
     over the snapshots of one binary SnapshotArray, of which it has taken
     the first ``t``.  Each snapshot adds one of the four increments ``log
     P_hat / Q_hat`` (intra over inter transitions) per pair and triggers one
-    relabeling sweep: a scalar add over the active pairs plus O(pairs set +
+    relabeling sweep: a scalar add over the listed pairs plus O(pairs set +
     N K) while no node moves.  A class that ``learns`` re-estimates
     ``P_hat`` and ``Q_hat`` after every step from the transitions seen.
     """
@@ -469,7 +455,8 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     do stay (``ratio.stay``); ``n_0`` follows, as each pair has made ``t -
     1`` transitions.  While the labels stay, a step counts the entries of
     its two snapshots, in O(pairs set); after a sweep that moved a node,
-    every entry so far.  Being integers, the sums equal those taken afresh.
+    every entry so far, a chunk at a time, each classed through its pair's
+    ends in the store.  Being integers, the sums equal those taken afresh.
     """
 
     learns = True
@@ -492,16 +479,19 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     def _reestimate(self):
         ratio, labels, (lo, hi) = self.ratio, self.labels, self.array.span(self.t - 1)
         same = np.equal(*(labels[e.astype(np.intp)] for e in ratio.ends))  # snapshot t - 1's
+        into = np.bincount(2 * ratio.stay[lo:hi] + same, minlength=4)  # 0 -> 1, then 1 -> 1
         if np.array_equal(labels, self._pooled_under):
-            pooled, ones, later = self._pooled, self._same, same
-        else:  # every entry so far, through its pair's place
-            every = (labels[ratio.rows] == labels[ratio.cols])[ratio.place[ratio.slots[:hi]]]
-            first = self.array.span(1)[0]
-            pooled, ones, later, lo = 0, every[:lo], every[first:], first
-            self._pooled_under = labels.copy()
-        into = np.bincount(2 * ratio.stay[lo:hi] + later, minlength=4)  # 0 -> 1, then 1 -> 1
-        within, self._same = np.count_nonzero(ones), same
-        self._pooled = pooled + np.array([(ones.size - within, within), into[:2], into[2:]])
+            self._pooled[0] += self._last  # snapshot t - 2's
+        else:  # every entry before snapshot t - 1 again, a chunk at a time
+            self._pooled, self._pooled_under = np.zeros((3, 2), dtype=np.int64), labels.copy()
+            for e in _chunks(lo):
+                at = ratio.slots[e].astype(np.intp)
+                was = np.equal(*(labels[x[at].astype(np.intp)] for x in (ratio.rows, ratio.cols)))
+                later = max(self.array.span(1)[0] - e.start, 0)
+                self._pooled[0] += np.bincount(was, minlength=2)
+                into += np.bincount(2 * ratio.stay[e][later:] + was[later:], minlength=4)
+        self._pooled[1:] += into.reshape(2, 2)
+        self._last = np.bincount(same, minlength=2)
         n1, n01, n11 = self._pooled
         same_pairs, pairs = _pair_totals(labels)
         n0 = np.array((pairs - same_pairs, same_pairs)) * (self.t - 1) - n1
