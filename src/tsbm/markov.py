@@ -1,9 +1,9 @@
 """Binary Markov interaction chains: path-law divergences (exact, in
 O(log T) by one transfer-matrix engine on plain floats that folds a lazily
 squared ladder of rungs over the bits of T - 1; sparse closed forms),
-threshold constants, one search for the snapshot threshold T* that runs
-the same rungs, or the closed form, on arrays for every cell of a grid at
-once, and on-period path combinatorics.
+threshold constants, one search for the snapshot threshold T* whose kernels
+run the same rungs, or the closed form, on arrays for a whole grid or on
+floats for one cell, and on-period path combinatorics.
 """
 
 import math
@@ -361,9 +361,20 @@ def _i_tilde_args(chain_f, chain_g, rho):
 def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=10**6):
     """Smallest number of snapshots at which the interaction divergence
     crosses the strong-consistency threshold; None if ``t_max`` is hit.
-    The search is ``t_star_cells``, on one cell."""
-    t = t_star_cells(_fields(chain_f), _fields(chain_g), N, K, convention, t_max)
-    return int(t) or None
+    ``t_star_cells``' search on one cell, in floats (``_lift_one``)."""
+    kernels, rho, t_max = _search(N, K, convention, t_max)
+    with np.errstate(all="ignore"):
+        return _lift_one(*kernels(_fields(chain_f) + _fields(chain_g), rho, K), t_max) or None
+
+
+def _search(N, K, convention, t_max):
+    """The kernels of ``convention``, rho, and ``t_max`` in whole snapshots (2^62 at most)."""
+    if not K >= 2:  # NaN fails this and the next check
+        raise ValueError("need at least two blocks")
+    if not N >= 2:
+        raise ValueError(f"need at least two nodes, got N={N}")
+    exact = ThresholdConvention(convention) is ThresholdConvention.EXACT
+    return _exact_kernels if exact else _itilde_kernels, math.log(N) / N, min(int(t_max), 1 << 62)
 
 
 _CELLS_PER_PASS = 1 << 14  # bounds the search's temporaries, whatever the grid
@@ -372,42 +383,38 @@ _CELLS_PER_PASS = 1 << 14  # bounds the search's temporaries, whatever the grid
 def t_star_cells(f, g, N, K, convention=ThresholdConvention.EXACT, t_max=10**6):
     """``t_star`` for every cell of chain pairs given as arrays: ``f`` and
     ``g`` are ``(mu1, p01, p11)`` tuples of arrays that broadcast together.
-    Returns T* as int64 in their broadcast shape, 0 where ``t_max`` is hit
-    (a ``t_max`` above 2^62 counts as 2^62).  Binary lifting, for all cells
-    in lockstep: phase one tries the span 2^k at step k for every cell still
-    growing (each at T = 2^k), phase two each span 2^k from the top down for
-    the cells that grew past step k; a cell takes every span that leaves
-    the threshold uncrossed.  Both divergences are nondecreasing in T: the
-    length-T path law is a marginal of the length-(T+1) one, and an itilde
-    step adds per + transient_coef (1-gamma)^(T-1) >= 0."""
-    if not K >= 2:  # NaN fails this and the next check
-        raise ValueError("need at least two blocks")
-    if not N >= 2:
-        raise ValueError(f"need at least two nodes, got N={N}")
-    convention = ThresholdConvention(convention)
-    test = _exact_test if convention is ThresholdConvention.EXACT else _itilde_test
-    rho = math.log(N) / N
-    t_max = min(int(t_max), 1 << 62)  # a float or numpy integer bound counts whole snapshots
+    Returns T* as int64 in their broadcast shape, 0 where ``t_max`` (2^62 at
+    most) is hit, by binary lifting in lockstep (``_lift``).  Both divergences
+    grow with T: the length-T path law is a marginal of the length-(T+1)
+    one, and an itilde step adds per + transient_coef (1-gamma)^(T-1) >= 0."""
+    kernels, rho, t_max = _search(N, K, convention, t_max)
     shape = np.broadcast_shapes(*map(np.shape, f + g))
     out = np.zeros(math.prod(shape), np.int64)
     for lo in range(0, out.size if t_max >= 1 else 0, _CELLS_PER_PASS):
         cells = [np.broadcast_to(np.asarray(x, float), shape).flat[lo:lo + _CELLS_PER_PASS]
                  for x in f + g]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[lo:lo + _CELLS_PER_PASS] = _lift(*test(cells, rho, K), t_max)
+        with np.errstate(all="ignore"):
+            out[lo:lo + _CELLS_PER_PASS] = _lift(*kernels(cells, rho, K), t_max)
     return out.reshape(shape)
 
 
-def _lift(crossed_at_1, below, rung, square, t_max):
-    """T* of each cell, 0 past ``t_max``: ``below(i, T, rung)`` says which of
-    the cells ``i`` stay uncrossed at T, moving those there by ``rung``, and
-    ``square`` makes the next rung from the last."""
+def _lift(crossed_at_1, state, rung, step, square, t_max):
+    """T* of each cell of the kernels' arrays, 0 past ``t_max``.  Phase one
+    tries the span 2^k at step k for every cell still growing (each at T =
+    2^k), phase two each span 2^k from the top down for the cells that grew
+    past step k; a cell takes every span that leaves it uncrossed."""
     T = np.ones(crossed_at_1.size, np.int64)  # each cell's last T known uncrossed
     i, levels = np.flatnonzero(~crossed_at_1), []
     rung = [x[i] for x in rung]  # each array holds the cells i, as below reads them
+
+    def below(i, T, rung):  # which of the cells i stay uncrossed at T; those move there
+        moved, crossed = step([x[i] for x in state], rung, T)
+        for x, y in zip(state, moved):
+            x[i[~crossed]] = y[~crossed]
+        return ~crossed
+
     while i.size and 2 << len(levels) <= t_max:
-        if levels:
-            rung = square(rung)
+        rung = square(rung) if levels else rung
         ok = below(i, 2 << len(levels), rung)
         i, rung = i[ok], [x[ok] for x in rung]
         T[i] = 2 << len(levels)
@@ -419,58 +426,80 @@ def _lift(crossed_at_1, below, rung, square, t_max):
     return np.where(crossed_at_1, 1, np.where(T < t_max, T + 1, 0))
 
 
+def _lift_one(crossed_at_1, state, rung, step, square, t_max):
+    """``_lift`` on one cell of floats: the same steps through the same
+    kernels; phase one stops at the first crossing."""
+    if crossed_at_1:
+        return int(t_max >= 1)
+    T, rungs = 1, []
+    while 2 << len(rungs) <= t_max:
+        rung = square(rung) if rungs else rung
+        moved, crossed = step(state, rung, 2 << len(rungs))
+        if crossed:
+            break
+        state[:len(moved)], T = moved, 2 << len(rungs)
+        rungs.append(rung)
+    for k in reversed(range(len(rungs))):
+        if T + (1 << k) <= t_max:
+            moved, crossed = step(state, rungs[k], T + (1 << k))
+            if not crossed:
+                state[:len(moved)], T = moved, T + (1 << k)
+    return T + 1 if T < t_max else 0
+
+
+# The kernels take floats or arrays alike: a cell searched alone meets its grid cell's floats.
+# numpy's exp, log, log1p and expm1 on Python floats equal its array loops on all of 40-60,000
+# inputs each (math's miss on 0.1-4%); a numpy float's ** 2 missed x * x on 50 of 60,000.
 def _rescaled(v, s):
-    """``v[:-1]`` divided by ``s`` where positive, and ``v[-1] + log s``."""
-    positive = np.where(s > 0, s, 1.0)
+    """``v[:-1]`` over ``s`` where ``s > 0`` (else all 0), and ``v[-1] + log s``."""
+    positive = s + (s == 0)  # s or 1
     return [x / positive for x in v[:-1]] + [v[-1] + np.log(s)]
 
 
-def _exact_test(cells, rho, K):
-    """``_lift``'s arguments before ``t_max``, exact convention: each cell's
-    state ``[z0, z1, log Z]`` and rung ``[a, b, c, d, log scale]`` as arrays."""
+def _exact_kernels(cells, rho, K):
+    """``_lift``'s arguments but ``t_max``, exact convention: state ``[z0, z1,
+    log Z]`` and rung ``[a, b, c, d, log scale]`` of the order-1/2 weights."""
     r0, r1, *R = (np.sqrt(x) * np.sqrt(y) for x, y in zip(_law(*cells[:3]), _law(*cells[3:])))
     R = _visited_rows([r0, r1], R)
     state = _rescaled([r0, r1, 0.0], r0 + r1)
 
     def crossed(log_z):  # orthogonal supports, log Z = -inf: 1 - Z = 1, short of K rho > 1
-        return 1.0 - np.exp(np.minimum(log_z, 0.0)) >= K * rho
+        return 1.0 - np.exp(log_z) >= K * rho  # log Z > 0 by rounding (inf too): uncrossed
 
-    def below(i, T, rung):
-        (a, b, c, d, scale), (z0, z1, log_z) = rung, (x[i] for x in state)
+    def step(state, rung, T):  # the state moved by the rung, to T, and crossed there?
+        (z0, z1, log_z), (a, b, c, d, scale) = state, rung
         y = [z0 * a + z1 * c, z0 * b + z1 * d]
         y = _rescaled(y + [log_z + scale], y[0] + y[1])
-        ok = ~crossed(y[2])
-        for x, new, moves in zip(state, y, [i[ok]] * 3):
-            x[moves] = new[ok]
-        return ok
+        return y, crossed(y[2])
 
-    def square(rung):
+    def square(rung):  # [[a, b], [c, d]] squared, rescaled by its largest entry
         a, b, c, d, scale = rung
         sq = [a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d]
         return _rescaled(sq + [2 * scale], np.maximum(*map(np.maximum, sq[:2], sq[2:])))
 
-    return crossed(state[2]), below, R + [np.zeros_like(r0)], square
+    return crossed(state[2]), state, R + [np.zeros_like(r0)], step, square
 
 
-def _itilde_test(cells, rho, K):
-    """``_lift``'s arguments before ``t_max``, itilde convention: the terms
-    of ``i_tilde_short`` as it and ``_i_tilde_args`` form them, as arrays;
-    no rung is carried."""
+def _itilde_kernels(cells, rho, K):
+    """``_lift``'s arguments but ``t_max``, itilde convention: the terms of
+    ``i_tilde_short``, as it and ``_i_tilde_args`` form them, and no rung."""
     mu1, nu1, p01, q01 = (x / rho for x in (cells[0], cells[3], cells[1], cells[4]))
     root = np.sqrt(cells[2] * cells[5])
     static = root == 1.0  # both persistences one
     gamma = np.where(static, 1e-300, 1.0 - root)
     h11 = np.where(static, 0.0, 1.0 - np.sqrt((1.0 - cells[2]) * (1.0 - cells[5])) / (1.0 - root))
-    base = (np.sqrt(mu1) - np.sqrt(nu1)) ** 2
-    per = (np.sqrt(p01) - np.sqrt(q01)) ** 2 + 2.0 * h11 * np.sqrt(p01 * q01)
+    base, mixed = np.sqrt(mu1) - np.sqrt(nu1), np.sqrt(p01) - np.sqrt(q01)
+    per = mixed * mixed + 2.0 * h11 * np.sqrt(p01 * q01)
     coef = 2.0 * h11 * (gamma * np.sqrt(mu1 * nu1) - np.sqrt(p01 * q01))
-    log1p = np.log1p(-gamma)
+    # log(1 - gamma) > -38 where gamma < 1; at 1, -1000 makes geo float(T > 1)
+    terms = [base * base, per, coef, gamma, np.maximum(np.log1p(-gamma), -1000.0)]
 
-    def below(i, T, rung):  # not i_tilde_short > K, term by term
-        geo = np.where(gamma[i] == 1.0, T > 1, -np.expm1((T - 1) * log1p[i]) / gamma[i])
-        return ~(base[i] + per[i] * (T - 1) + coef[i] * geo > float(K))
+    def step(terms, rung, T):  # no move; i_tilde_short > K at T?
+        base, per, coef, gamma, log1p = terms
+        geo = -np.expm1((T - 1) * log1p) / gamma
+        return [], base + per * (T - 1) + coef * geo > float(K)
 
-    return ~below(slice(None), 1, []), below, [], lambda rung: rung
+    return step(terms, [], 1)[1], terms, [], step, lambda rung: rung
 
 
 # ---------------------------------------------------------------------------

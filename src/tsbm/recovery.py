@@ -215,15 +215,16 @@ class _PairLogRatio:
         return (self.base * others + summed).reshape(h, K)
 
     def _incident(self, nodes):
-        """The places of the pairs with their row end in ``nodes``, then of
-        those with their col end, each node's in pair order (an incidence
-        built in O(pairs log) on first use)."""
-        if self._incidence is None:
-            self._incidence = [(order, np.searchsorted(ends[order], np.arange(self.n + 1)))
-                               for ends in (self.rows, self.cols)
-                               for order in [np.argsort(ends, kind="stable")]]
-        return tuple(np.concatenate([order[ptr[i]:ptr[i + 1]] for i in nodes])
-                     for order, ptr in self._incidence)
+        """The places of the pairs with their row end in ``nodes`` (ranges: rows
+        are sorted), then of those with their col end (an argsort of ``cols``,
+        built in O(pairs log) on first use), each node's in pair order."""
+        if self._incidence is None:  # node ids searched in the ends' dtype: no cast of the ends
+            order = np.argsort(self.cols, kind="stable")
+            self._incidence = order, *(np.searchsorted(e, np.arange(self.n + 1, dtype=e.dtype))
+                                       for e in (self.rows, self.cols[order]))
+        order, row_ptr, col_ptr = self._incidence
+        return (np.concatenate([np.arange(row_ptr[i], row_ptr[i + 1]) for i in nodes]),
+                np.concatenate([order[col_ptr[i]:col_ptr[i + 1]] for i in nodes]))
 
     def _block_sums(self, labels, K):
         """The kept sums under ``labels``, rebuilt in O(pairs) if stale."""

@@ -638,8 +638,8 @@ class TestTStar:
     def test_float_search_matches_numpy_reference_on_edge_chains(self):
         # every chain with mu1, p01, p11 in {0, 1/2, 1}: rungs with a single
         # nonzero entry, rows zeroed, laws orthogonal at once or later
-        # 27 x 27 chain pairs, one array search per (n, k, t_max); the
-        # one-cell search on the diagonal pairs
+        # 27 x 27 chain pairs, one array search per (n, k, t_max), and each
+        # pair searched alone against its cell of that array
         fields = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=3)))
         chains = [BinaryMarkovChain(*x) for x in fields.tolist()]
         f = tuple(fields[:, None, c] for c in range(3))  # chain i of f down the rows,
@@ -647,9 +647,31 @@ class TestTStar:
         for n, k, t_max in itertools.product((2, 500), (2, 3), (3, 10**6)):
             got = t_star_cells(f, g, n, k, "exact", t_max)
             for (i, cf), (j, cg) in itertools.product(enumerate(chains), repeat=2):
-                assert (int(got[i, j]) or None) == t_star_exact(cf, cg, n, k, t_max), (cf, cg)
-            for c in chains:
-                assert t_star(c, c, n, k, "exact", t_max) == t_star_exact(c, c, n, k, t_max)
+                want = int(got[i, j]) or None
+                assert want == t_star_exact(cf, cg, n, k, t_max), (cf, cg)
+                assert t_star(cf, cg, n, k, "exact", t_max) == want, (cf, cg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 5000),
+        k=st.sampled_from([2, 3, 5]),
+        mults=st.tuples(st.floats(1e-4, 5.0), st.floats(1e-4, 5.0)),
+        persist=st.tuples(*[st.sampled_from([0.0, 1.0, 1 - 1e-12]) | st.floats(0.0, 1.0)] * 2),
+        raw=st.none() | st.tuples(RAW_CHAIN, RAW_CHAIN),
+        t_max=st.sampled_from([0, 1, 2, 3, 7, 13, 100, 10**6, 2**62 + 1]),
+    )
+    def test_one_cell_equals_its_grid_cell(self, n, k, mults, persist, raw, t_max):
+        # a cell searched alone takes its grid cell's steps on floats through
+        # the same kernels, so it meets the same floats and the same T*
+        rho = math.log(n) / n
+        try:
+            raw = raw or [chain_from_stationary(m * rho, p) for m, p in zip(mults, persist)]
+        except ValueError:  # density of 1 or more, or implied p01 > 1
+            assume(False)
+        f, g = ((c.mu1, c.p01, c.p11) for c in raw)
+        for convention in ("exact", "itilde"):
+            want = int(t_star_cells(f, g, n, k, convention, t_max)) or None
+            assert t_star(*raw, n, k, convention, t_max) == want, convention
 
     def test_requires_two_blocks(self):
         c = chain_from_stationary(0.02, 0.5)

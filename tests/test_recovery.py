@@ -771,6 +771,24 @@ class TestStoreBytes:
             tracemalloc.stop()
         assert peak <= 1.3e6, peak
 
+    def test_incidence_bytes(self, figure6_trial0):
+        # the in-place sweeps' incidence held 16 bytes per pair with an
+        # argsort of the rows too, which the store keeps sorted; now a
+        # node's row places are a range and only cols is argsorted
+        ratio = _PairLogRatio(figure6_trial0[0], np.array([-0.5, 1.25]))
+        tracemalloc.start()
+        try:
+            ratio._incident([0])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pairs, pointers = ratio.vals.size, 2 * 8 * (ratio.n + 1)
+        assert held <= 8 * pairs + pointers + 1024, held / pairs
+        for v in (0, 1, 500, 999):  # each node's places, in pair order
+            rows, cols = ratio._incident([v])
+            assert np.array_equal(rows, np.flatnonzero(ratio.rows == v))
+            assert np.array_equal(cols, np.flatnonzero(ratio.cols == v))
+
     @pytest.mark.parametrize("learned", [False, True])
     def test_int32_ends_past_46341_nodes(self, learned):
         # at N = 70,000, i * N passes int32 from i = 30,679: the ends are
