@@ -84,10 +84,19 @@ def _check_persistences(p11_values, q11_values):
 def chains_in_units(n, mu1, nu1, p11, q11, units="logn"):
     """Intra and inter chains with stationary densities ``mu1``/``nu1`` given
     as raw probabilities (``absolute``), multiples of ``log(N)/N``
-    (``logn``), or multiples of ``1/N`` (``inv_n``)."""
+    (``logn``), or multiples of ``1/N`` (``inv_n``).  An infeasible chain
+    is refused naming its keys, units and density."""
     pi_f, pi_g = _stationary_densities(n, mu1, nu1, units)
     _check_persistences([p11], [q11])
-    return chain_from_stationary(pi_f, p11), chain_from_stationary(pi_g, q11)
+    chains = []
+    for key, mult, pi, pkey, persistence in (("mu1", mu1, pi_f, "p11", p11),
+                                             ("nu1", nu1, pi_g, "q11", q11)):
+        try:
+            chains.append(chain_from_stationary(pi, persistence))
+        except ValueError as err:
+            raise ValueError(f"{key}={mult:g} ({units}, density {pi:.6g}) with "
+                             f"{pkey}={persistence:g}: {err}") from None
+    return tuple(chains)
 
 
 def _typed(key, kind, value):

@@ -128,10 +128,10 @@ class _PairLogRatio:
     operations a dense ``M`` would, so ``dense()`` is bit-identical to it.
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
-    base`` of node i's listed partners in block k under labels ``_under``,
-    which ``add`` updates and a sweep under other labels rebuilds.  Passes
-    over every pair add a chunk at a time into a zeroed array (``np.add.at``,
-    the bits of one ``bincount``), so that no temporary follows the pairs.
+    base`` of node i's listed partners in block k under ``_under``, the
+    last sweep's labels; ``add`` updates them, a synchronous move drops
+    them.  Passes over every pair add a chunk at a time into a zeroed array
+    (``np.add.at``, one ``bincount``'s bits), so no temporary follows the pairs.
     """
 
     def __init__(self, array, l_init):
@@ -217,7 +217,8 @@ class _PairLogRatio:
     def _incident(self, nodes):
         """The places of the pairs with their row end in ``nodes`` (ranges: rows
         are sorted), then of those with their col end (an argsort of ``cols``,
-        built in O(pairs log) on first use), each node's in pair order."""
+        built in O(pairs log) on first use: an in-place move, either sweep's
+        near tie or refine-loo's row), each node's in pair order."""
         if self._incidence is None:  # node ids searched in the ends' dtype: no cast of the ends
             order = np.argsort(self.cols, kind="stable")
             self._incidence = order, *(np.searchsorted(e, np.arange(self.n + 1, dtype=e.dtype))
@@ -259,7 +260,7 @@ class _PairLogRatio:
         within ``_tolerance`` of a tie from their exact rows, so the labels
         are those that ``scores`` gives, tie for tie.  Synchronous sweeps
         score every node against the labelling frozen at entry, in O(N K)
-        when the sums are current.  The asynchronous variant reads in-place
+        when the sums are current; a move drops them.  In-place sweeps read
         updates in node order: a move updates its partners' sums, and the
         sweep rescores forward from it in growing chunks, so m moves cost
         O(N K + m K log N) plus the movers' degrees and the incidence."""
@@ -275,14 +276,15 @@ class _PairLogRatio:
                 top = np.sort(L, axis=1)
                 near = np.flatnonzero(top[:, -1] - top[:, -2] <= tol[start:stop])
                 if near.size:  # rescored from the exact rows
-                    L[near] = (self.scores(labels, K)[near] if synchronous
-                               else self.scores(out, K, start + near))
+                    L[near] = self.scores(out, K, start + near)
             best = L.argmax(axis=1)  # ties go to the lowest block
             at = np.arange(own.size)
             new = np.where(L[at, own] < L[at, best], best, own)
-            if synchronous:
-                return new
             movers = np.flatnonzero(new != own)
+            if synchronous:
+                if movers.size:  # the kept sums were taken under the old labels
+                    self._sums = None
+                return new
             if movers.size == 0:
                 start, chunk = stop, chunk * _CHUNK_GROWTH
                 continue
@@ -393,11 +395,9 @@ class OnlineLikelihood:
     the first ``t``.  Each snapshot adds one of the four increments ``log
     P_hat / Q_hat`` (intra over inter transitions) per pair and triggers one
     relabeling sweep: a scalar add over the listed pairs plus O(pairs set +
-    N K) while no node moves.  A class that ``learns`` re-estimates
-    ``P_hat`` and ``Q_hat`` after every step from the transitions seen.
+    N K) while no node moves.  The learner's ``step`` runs the same body,
+    then re-estimates; neither class's ``step`` calls the other's.
     """
-
-    learns = False
 
     def __init__(self, array, init_labels, intra, inter, K, synchronous=True):
         _require_binary(array, "online recovery")
@@ -411,13 +411,13 @@ class OnlineLikelihood:
 
     def step(self):
         """Consume snapshot ``t`` (0-based; IndexError past the last): update
-        ``M``, run a relabeling sweep, then re-estimate the transition
-        matrices if the class learns them."""
+        ``M``, then run a relabeling sweep."""
+        return self._step()
+
+    def _step(self):
         self.ratio.add(self.t, _sat_log_ratio(self.P_hat, self.Q_hat).ravel())
         self.labels = self.ratio.sweep(self.labels, self.K, self.synchronous)
         self.t += 1
-        if self.learns:
-            self._reestimate()
         return self
 
     def run(self, record=None):
@@ -440,12 +440,20 @@ def _pair_totals(labels):
     return int((sizes * (sizes - 1) // 2).sum()), n * (n - 1) // 2
 
 
+def _tally(same, stay):
+    """``np.bincount(2 * stay + same, minlength=4).reshape(2, 2)`` for bool
+    arrays of one length, from three ``count_nonzero`` calls: several times
+    faster."""
+    both, ones, stays = (np.count_nonzero(x) for x in (same & stay, same, stay))
+    return np.array(((same.size - ones - stays + both, ones - both), (stays - both, both)))
+
+
 class OnlineLikelihoodLearned(OnlineLikelihood):
     """Online clustering with interaction parameters estimated on the fly.
 
     Initial laws are estimated from the first snapshot under the initial
-    labelling; the run starts from the i.i.d. chains of those laws, and its
-    transition matrices are re-estimated after every step by maximum
+    labelling; the run starts from the i.i.d. chains of those laws, and
+    ``step`` re-estimates its transition matrices after each sweep by maximum
     likelihood, pooling the transitions of all pairs within (and across)
     the predicted blocks: ``p_a1 = sum n_a1 / sum n_a`` (Anderson & Goodman,
     1957).  A class that has not yet visited state ``a`` keeps its row.
@@ -460,12 +468,10 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     ends in the store.  Being integers, the sums equal those taken afresh.
     """
 
-    learns = True
-
     def __init__(self, array, init_labels, K, synchronous=True):
         labels = np.asarray(init_labels, dtype=np.int64)
         same0 = np.equal(*(labels[e] for e in np.divmod(array.snapshot(0), array.N)))
-        ones_same, ones = int(same0.sum()), same0.size
+        ones_same, ones = np.count_nonzero(same0), same0.size
         same, pairs = _pair_totals(labels)
         mu1 = self.mu1_hat = ones_same / same if same else 0.5
         nu1 = self.nu1_hat = (ones - ones_same) / (pairs - same) if pairs > same else 0.5
@@ -473,14 +479,16 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
                          BinaryMarkovChain(nu1, nu1, nu1), K, synchronous)
         self._pooled_under = None  # the labels the sums were taken under
 
-    # its own attribute, so a tracer wrapping one class's ``step`` by name
-    # leaves the other's alone
-    step = OnlineLikelihood.step
+    def step(self):
+        """Consume snapshot ``t`` as the known-parameter step does, then
+        re-estimate ``P_hat`` and ``Q_hat`` from the transitions seen."""
+        self._step()._reestimate()
+        return self
 
     def _reestimate(self):
         ratio, labels, (lo, hi) = self.ratio, self.labels, self.array.span(self.t - 1)
         same = np.equal(*(labels[e.astype(np.intp)] for e in ratio.ends))  # snapshot t - 1's
-        into = np.bincount(2 * ratio.stay[lo:hi] + same, minlength=4)  # 0 -> 1, then 1 -> 1
+        into = _tally(same, ratio.stay[lo:hi])  # rows 0 -> 1, then 1 -> 1
         if np.array_equal(labels, self._pooled_under):
             self._pooled[0] += self._last  # snapshot t - 2's
         else:  # every entry before snapshot t - 1 again, a chunk at a time
@@ -489,10 +497,11 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
                 at = ratio.slots[e].astype(np.intp)
                 was = np.equal(*(labels[x[at].astype(np.intp)] for x in (ratio.rows, ratio.cols)))
                 later = max(self.array.span(1)[0] - e.start, 0)
-                self._pooled[0] += np.bincount(was, minlength=2)
-                into += np.bincount(2 * ratio.stay[e][later:] + was[later:], minlength=4)
-        self._pooled[1:] += into.reshape(2, 2)
-        self._last = np.bincount(same, minlength=2)
+                ones = np.count_nonzero(was)
+                self._pooled[0] += was.size - ones, ones
+                self._pooled[1:] += _tally(was[later:], ratio.stay[e][later:])
+        self._pooled[1:] += into
+        self._last = into.sum(axis=0)
         n1, n01, n11 = self._pooled
         same_pairs, pairs = _pair_totals(labels)
         n0 = np.array((pairs - same_pairs, same_pairs)) * (self.t - 1) - n1

@@ -129,7 +129,7 @@ def sample_labelling(N, K, seed=0):
     """I.i.d. uniform block labels in ``{0, ..., K-1}``.  Deterministic
     given the seed."""
     if K < 1 or K > N:
-        raise ValueError("need 1 <= K <= N")
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     u = counter_uniform(seed, 0, np.arange(N))
     return np.minimum((u * K).astype(np.int64), K - 1)
 
@@ -137,7 +137,7 @@ def sample_labelling(N, K, seed=0):
 def balanced_labelling(N, K):
     """Deterministic labelling with block sizes as equal as possible."""
     if K < 1 or K > N:
-        raise ValueError("need 1 <= K <= N")
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     return (np.arange(N) * K // N).astype(np.int64)
 
 

@@ -212,7 +212,7 @@ def kmeans(X, k, rng=None):
 
 def _cluster(adj, K, seed, stream):
     if not 1 <= K <= len(adj):
-        raise ValueError("need 1 <= K <= N")
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={len(adj)}")
     rng = np.random.default_rng(derive_seed(seed, stream))
     trimmed, _ = trim_high_degree(adj, K)
     _, vecs = top_eigenpairs(trimmed, K, rng=rng)

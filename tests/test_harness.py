@@ -360,6 +360,19 @@ class TestCLI:
         assert err == f"error: need at least two nodes, got N={n}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,err", [
+        ([], "mu1=2.5 (logn, density 0.804719) with p11=0.7: no stationary chain: "
+             "implied p01=1.23625 > 1"),
+        (["--mu1", "0.5", "--nu1", "3", "--q11", "0.2"],
+         "nu1=3 (logn, density 0.965663) with q11=0.2: no stationary chain: "
+         "implied p01=22.4983 > 1"),
+    ], ids=["intra", "inter"])
+    def test_infeasible_chain_names_its_keys(self, capsys, argv, err):
+        # at N = 5 the default mu1 = 2.5 (log N / N units) with p11 = 0.7
+        # implies p01 > 1; the line names the chain's keys, units and density
+        assert main(["experiment", "--n", "5", "--trials", "1", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_generate_recover_round_trip(self, tmp_path, capsys):
         out = tmp_path / "demo.tsbm"
         rc = main([
@@ -496,7 +509,7 @@ class TestCLI:
         rc = main(["recover", "--input", str(path), "--algorithm", "online-learn",
                    "--init", "random", "--k", "4"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
+        assert capsys.readouterr().err == "error: need 1 <= K <= N, got K=4, N=3\n"
 
     @pytest.mark.parametrize("algorithm", [
         ["spectral"],
@@ -508,8 +521,14 @@ class TestCLI:
         rc = main(["recover", "--input", str(path), "--algorithm", *algorithm, "--k", "31",
                    "--out", str(tmp_path / "est.labels")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: need 1 <= K <= N\n"
+        assert capsys.readouterr().err == "error: need 1 <= K <= N, got K=31, N=30\n"
         assert not (tmp_path / "est.labels").exists()
+
+    def test_generate_needs_k_at_most_n(self, tmp_path, capsys):
+        rc = main(["generate", "--n", "60", "--k", "61", "--t", "3", "--mu1", "5", "--nu1",
+                   "1", "--p11", "0.7", "--q11", "0.3", "--out", str(tmp_path / "g.tsbm")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need 1 <= K <= N, got K=61, N=60\n"
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)

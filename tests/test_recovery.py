@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsbm import recovery
 from tsbm.divergence import FiniteDistribution
 from tsbm.markov import BinaryMarkovChain, chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
@@ -22,6 +23,7 @@ from tsbm.recovery import (
     _PairLogRatio,
     _entry_slots,
     _sat_log_ratio,
+    _tally,
     connected_components,
     enemy_paths,
     mle_brute_force,
@@ -313,6 +315,23 @@ class TestOnlineLikelihoodLearned:
         assert built < 4 * arr.data.nbytes, built / arr.data.nbytes
         assert ran < 4 * arr.data.nbytes, ran / arr.data.nbytes
 
+    def test_each_class_steps_through_its_own_step(self, monkeypatch):
+        # a tracer wraps each class's ``step`` by name: the learner's is its
+        # own, and a learned run never goes through the known-parameter one
+        assert OnlineLikelihoodLearned.step is not OnlineLikelihood.step
+        labels, arr = markov_instance(30, 5, 3)
+        calls, step = [], OnlineLikelihood.step
+
+        def spy(state):
+            calls.append(type(state))
+            return step(state)
+
+        monkeypatch.setattr(OnlineLikelihood, "step", spy)
+        OnlineLikelihoodLearned(arr, labels, 2).run()
+        assert calls == []
+        OnlineLikelihood(arr, labels, INTRA, INTER, 2).run()
+        assert calls == [OnlineLikelihood] * (arr.T - 1)
+
     def test_figure6_stall_from_spectral_start(self):
         """Documents a known failure, not a wanted behaviour: trial 0 of the
         figure-6 config at nu1 = 0.04 starts from a spectral labelling whose
@@ -582,6 +601,16 @@ class TestPooledReestimation:
             assert state.Q_hat.tobytes() == Q_hat.tobytes()
             counts[2 * data[t - 1][iu] + data[t][iu], np.arange(iu[0].size)] += 1
             assert np.array_equal(_packed_counts(state), counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(flags=arrays(np.bool_, st.tuples(st.integers(0, 300), st.just(2))))
+    def test_tally_equals_bincount(self, flags):
+        # the learner's three-count table of (stay, same) against the bincount
+        # it replaces, empty arrays included
+        same, stay = flags.T
+        want = np.bincount(2 * stay + same, minlength=4).reshape(2, 2)
+        got = _tally(same, stay)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _slots_by_dict(array):
@@ -1043,6 +1072,24 @@ def _sweep_by_scores(ratio, labels, K):
     return np.where(L[at, labels] < L[at, best], best, labels)
 
 
+def _labels_per_step(figure, name):
+    """Trial 0 of a built-in figure's config: its labels at entry and after
+    each step."""
+    config = next(c for c in figure_bundle(figure)[1] if c.name == name)
+    seed, chains = derive_seed(config.seed, 0), config.chains()
+    _, array = sample_instance(config.n, config.k, config.t, *chains, seed, config.balanced)
+    seen = []
+    recover(array, config.algorithm, config.k, seed, chains=chains, init=config.init,
+            synchronous=config.synchronous, record=lambda t, x: seen.append(x.tolist()))
+    return seen
+
+
+def _dropping(ratio, t, increments, add=_PairLogRatio.add):
+    """``_PairLogRatio.add`` that drops the kept sums after every snapshot."""
+    add(ratio, t, increments)
+    ratio._sums = None
+
+
 class TestKeptBlockSums:
     """Sweeps score from block sums kept across steps, and settle near-ties
     from exact rows."""
@@ -1091,8 +1138,8 @@ class TestKeptBlockSums:
             return scores(labels, K, nodes)
 
         monkeypatch.setattr(ratio, "scores", spy)
-        got = ratio.sweep(labels, 2)
-        assert 0 in rescored[0] and got[0] == 0
+        got = ratio.sweep(labels, 2)  # rows alone, as the in-place sweep asks
+        assert isinstance(rescored[0], list) and 0 in rescored[0] and got[0] == 0
         assert got.tobytes() == _sweep_by_scores(ratio, labels, 2).tobytes()
         rescored.clear()
         got = ratio.sweep(labels, 2, synchronous=False)
@@ -1104,17 +1151,7 @@ class TestKeptBlockSums:
         # every add from the first on clips.  The kept sums take what each
         # clip moves: its 29 in-place sweeps rebuild them at most twice, and
         # every step's labels are those of a run that rebuilds every sweep
-        config = next(c for c in figure_bundle(7)[1] if c.name == "fig7b_p1.0_online")
-        seed, chains = derive_seed(config.seed, 0), config.chains()
-        _, array = sample_instance(config.n, config.k, config.t, *chains, seed, config.balanced)
-
-        def labels_per_step():
-            seen = []
-            recover(array, "online", config.k, seed, chains=chains, init=config.init,
-                    synchronous=config.synchronous, record=lambda t, x: seen.append(x.tolist()))
-            return seen
-
-        rebuilt, block_sums, add = [], _PairLogRatio._block_sums, _PairLogRatio.add
+        rebuilt, block_sums = [], _PairLogRatio._block_sums
 
         def counted(ratio, labels, K):
             before = ratio._sums
@@ -1122,15 +1159,54 @@ class TestKeptBlockSums:
             rebuilt.append(sums is not before)
             return sums
 
-        def dropping(ratio, t, increments):
-            add(ratio, t, increments)
-            ratio._sums = None
-
         monkeypatch.setattr(_PairLogRatio, "_block_sums", counted)
-        kept = labels_per_step()
+        kept = _labels_per_step(7, "fig7b_p1.0_online")
         assert len(rebuilt) == 29 and sum(rebuilt) <= 2
-        monkeypatch.setattr(_PairLogRatio, "add", dropping)
-        assert labels_per_step() == kept and rebuilt[29:] == [True] * 29
+        monkeypatch.setattr(_PairLogRatio, "add", _dropping)
+        assert _labels_per_step(7, "fig7b_p1.0_online") == kept and rebuilt[29:] == [True] * 29
+
+    def test_a_synchronous_move_drops_the_sums(self, monkeypatch):
+        # the sums were taken under the labels the sweep was given, so a
+        # synchronous sweep that moves a node drops them, and the next add
+        # patches none; sums a sweep left in place are patched
+        _, arr = markov_instance(40, 4, 0)
+        state = OnlineLikelihood(arr, sample_labelling(40, 2, seed=9), INTRA, INTER, 2)
+        keyed, block_keys = [], recovery._block_keys
+
+        def spy(*args):
+            keyed.append(args)
+            return block_keys(*args)
+
+        monkeypatch.setattr(recovery, "_block_keys", spy)
+        increments = _sat_log_ratio(INTRA.transition, INTER.transition).ravel()
+        before = state.labels.copy()
+        state.step()
+        assert (state.labels != before).any() and state.ratio._sums is None
+        keyed.clear()
+        state.ratio.add(2, increments)
+        assert keyed == []
+        state.ratio._block_sums(state.labels, 2)
+        keyed.clear()
+        state.ratio.add(3, increments)
+        assert keyed
+
+    def test_synchronous_moves_drop_the_sums_at_figure_6(self, monkeypatch):
+        # the benchmark's figure-6 learner sweeps synchronously: a sweep
+        # leaves sums exactly when it moves no node, and every step's labels
+        # are those of a run that drops the sums after every add
+        dropped, sweep = [], _PairLogRatio.sweep
+
+        def watched(ratio, labels, K, synchronous=True):
+            out = sweep(ratio, labels, K, synchronous)
+            dropped.append(ratio._sums is None)
+            return out
+
+        monkeypatch.setattr(_PairLogRatio, "sweep", watched)
+        kept = _labels_per_step(6, "fig6_nu0.03_online-learn")
+        moved = [a != b for a, b in zip(kept, kept[1:])]
+        assert dropped == moved and any(moved)
+        monkeypatch.setattr(_PairLogRatio, "add", _dropping)
+        assert _labels_per_step(6, "fig6_nu0.03_online-learn") == kept
 
     def test_inplace_sweeps_across_chunks_equal_the_node_loop(self):
         # N = 300 from a random start on the scale chain, K = 3: the moves
