@@ -944,6 +944,54 @@ class TestBulkReaderWriter:
         assert f"{line}\n".encode() in blocks[1:]
         assert got == _outcome(_reference_read_snapshots, path)
 
+    @pytest.mark.parametrize("text, want", [
+        ("tsbm 1 3 1\n e 1 0 1\n", (3, 1, [1], None, None)),
+        ("tsbm 1 3 1\n\te 1 0 1\n  e 1 1 2 5\nlabels 1 2 2\n", (3, 1, [1, 5], [1, 5], [0, 1, 1])),
+        ("tsbm 1 3 1\n e 1 0 1\ne 1 0 2\n", (3, 1, [1, 2], None, None)),
+    ])
+    def test_reader_keeps_indented_edge_lines_after_the_header(self, tmp_path, text, want):
+        # no line starts with "e": the edge lines come before any block
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(text.encode())
+        assert _outcome(read_snapshots, path) == want
+        assert _outcome(_reference_read_snapshots, path) == want
+
+    @staticmethod
+    def _read_spying(path, block):
+        """What ``read_snapshots`` makes of ``path`` at block size ``block``,
+        and whether ``_plain_rows`` read each block after the header's."""
+        plain, plain_rows = [], sbm._plain_rows
+
+        def spy(block, starts, ends):
+            rows = plain_rows(block, starts, ends)
+            plain.append(rows is not None)
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbm, "_BLOCK", block)
+            mp.setattr(sbm, "_plain_rows", spy)
+            return _outcome(read_snapshots, path), plain
+
+    def test_symbol_beyond_int64_in_a_per_line_block_after_bulk_blocks(self, tmp_path):
+        lines = [f"e 1 {i} {i + 1}" for i in range(40)] + ["e\t2\t0\t1\t9223372036854775808"]
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(("tsbm 1 50 2\n" + "\n".join(lines) + "\n").encode())
+        got, plain = self._read_spying(path, 64)
+        assert plain[:4] == [True] * 4 and plain[-1] is False
+        assert got == (IndexRangeError, f"line 42: symbol {2**63} outside 1..{2**63 - 1}")
+        assert got == _outcome(_reference_read_snapshots, path)
+
+    def test_per_line_offence_after_a_duplicate_in_a_bulk_block(self, tmp_path):
+        # the bulk block holding the repeat passes its own checks; the later
+        # per-line block fails them, and the error still names line 4
+        lines = ["e 1 2 3", "e 1 2 4", "e 1 2 3"] + [f"e 2 {i} {i + 1}" for i in range(40)]
+        path = tmp_path / "f.tsbm"
+        path.write_bytes(("tsbm 1 50 2\n" + "\n".join(lines + ["e\t1\t5\t5"]) + "\n").encode())
+        got, plain = self._read_spying(path, 64)
+        assert plain[:2] == [True, True] and plain[-1] is False
+        assert got == (DuplicateEdgeError, "line 4: duplicate edge 1 2 3")
+        assert got == _outcome(_reference_read_snapshots, path)
+
     @settings(max_examples=100, deadline=None)
     @given(x=st.one_of(_symmetric_arrays(1), _symmetric_arrays(4), _sparse_arrays()),
            with_labels=st.booleans(), block=st.sampled_from([8, 24, sbm._BLOCK]))
