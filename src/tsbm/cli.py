@@ -166,6 +166,7 @@ def _cmd_threshold(parser, args):
         ts = t_star(intra, inter, args.n, args.k, conv, args.t_max)
         print("inf" if ts is None else ts)
         return 0
+    harness._check_persistences([args.grid_min, args.grid_max], [])  # before linspace meets inf
     values = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     grid = harness.threshold_grid(
         args.n, args.k, args.mu1, args.nu1, values, values, conv, args.t_max

@@ -217,7 +217,7 @@ def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral
                            or algorithm in KERNEL_ALGORITHMS and kernels is None):
         raise ValueError(f"algorithm {algorithm!r} needs the chain pair")
     if not k >= 1:
-        raise ValueError("need at least one cluster")
+        raise ValueError(f"need at least one cluster, got K={k}")
     if init not in INITS:
         raise ValueError(f"unknown init {init!r}, not one of {INITS}")
     if init == "truth" and truth is None:

@@ -123,7 +123,7 @@ def _log_path_sum(r, R, T):
     its largest entry, rung k - 1 squared; after one vanishes, the rest are
     zero, scale -inf.  ``t_star_cells`` runs the same rungs on arrays."""
     if T < 1:
-        raise ValueError("need at least one snapshot")
+        raise ValueError(f"need at least one snapshot, got T={T}")
     s = r[0] + r[1]
     log_z = math.log(s) if s else -math.inf
     z0, z1 = (r[0] / s, r[1] / s) if s else r
@@ -170,9 +170,9 @@ def markov_renyi_exact(alpha, chain_f, chain_g, T):
 
 
 def markov_hellinger_sq(chain_f, chain_g, T):
-    """Squared Hellinger distance between path laws: ``1 - Z_{1/2}``,
-    clamped at 0 (``log Z`` of equal chains rounds to just above 0)."""
-    return max(1.0 - math.exp(_log_hellinger_sum(0.5, chain_f, chain_g, T)), 0.0)
+    """Squared Hellinger distance between path laws: ``1 - Z_{1/2}``, with
+    ``log Z`` clamped at 0 (for equal chains it rounds up, by up to T ulps)."""
+    return 1.0 - math.exp(min(_log_hellinger_sum(0.5, chain_f, chain_g, T), 0.0))
 
 
 def markov_j_quantity(chain_f, chain_g, T):
@@ -219,7 +219,7 @@ def sparse_renyi_approx(alpha, chain_f, chain_g, T):
     if not 0 < alpha < 1:
         raise ValueError("sparse closed form covers orders in (0, 1)")
     if T < 1:
-        raise ValueError("need at least one snapshot")
+        raise ValueError(f"need at least one snapshot, got T={T}")
     mu1, nu1 = chain_f.mu1, chain_g.mu1
     p01, q01 = chain_f.p01, chain_g.p01
     p11, q11 = chain_f.p11, chain_g.p11
@@ -314,7 +314,7 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     if T < 1:
-        raise ValueError("need at least one snapshot")
+        raise ValueError(f"need at least one snapshot, got T={T}")
     base = (math.sqrt(u) - math.sqrt(v)) ** 2
     per = i_tilde_long(p01, q01, h11_sq_value)
     transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
@@ -370,7 +370,7 @@ def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=1
 def _search(N, K, convention, t_max):
     """The kernels of ``convention``, rho, and ``t_max`` in whole snapshots (2^62 at most)."""
     if not K >= 2:  # NaN fails this and the next check
-        raise ValueError("need at least two blocks")
+        raise ValueError(f"need at least two blocks, got K={K}")
     if not N >= 2:
         raise ValueError(f"need at least two nodes, got N={N}")
     exact = ThresholdConvention(convention) is ThresholdConvention.EXACT

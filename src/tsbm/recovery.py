@@ -404,7 +404,7 @@ class OnlineLikelihood:
         self.array = array
         self.K = K
         self.synchronous = synchronous
-        self.labels = np.asarray(init_labels, dtype=np.int64).copy()
+        self.labels = _start_labels(init_labels, array.N, K)
         self.P_hat, self.Q_hat = intra.transition, inter.transition
         self.ratio = _PairLogRatio(array, _sat_log_ratio(intra.mu, inter.mu))
         self.t = 1
@@ -431,6 +431,16 @@ class OnlineLikelihood:
             if record is not None:
                 record(self.t, self.labels)
         return self.labels
+
+
+def _start_labels(init_labels, N, K):
+    """A checked int64 copy of ``init_labels``: one label in ``0 .. K - 1`` per node."""
+    labels = np.array(init_labels, dtype=np.int64)
+    if labels.shape != (N,):
+        raise ValueError(f"need {N} start labels, got shape {labels.shape}")
+    if (outside := labels[(labels < 0) | (labels >= K)]).size:
+        raise ValueError(f"start label {outside[0]} outside 0..{K - 1} for K={K}")
+    return labels
 
 
 def _pair_totals(labels):
@@ -469,7 +479,7 @@ class OnlineLikelihoodLearned(OnlineLikelihood):
     """
 
     def __init__(self, array, init_labels, K, synchronous=True):
-        labels = np.asarray(init_labels, dtype=np.int64)
+        labels = _start_labels(init_labels, array.N, K)
         same0 = np.equal(*(labels[e] for e in np.divmod(array.snapshot(0), array.N)))
         ones_same, ones = np.count_nonzero(same0), same0.size
         same, pairs = _pair_totals(labels)
@@ -543,7 +553,7 @@ def transition_rate_clustering(array, P, Q):
         raise ValueError("P = Q: transition rates carry no block information")
     _require_binary(array, "transition-rate clustering")
     if array.T < 2:
-        raise ValueError("need at least two snapshots")
+        raise ValueError(f"need at least two snapshots, got T={array.T}")
     pairs, n1, n01, n11 = _pair_transitions(array)
     # counts[2a + b] per active pair, then one column for the pairs never set
     counts = np.zeros((4, pairs.size + 1))
@@ -635,7 +645,7 @@ def mle_brute_force(array, K, kernel_f, kernel_g):
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
     Only feasible at toy sizes (``K^N`` capped at ``_MLE_BUDGET``)."""
     if K < 1:
-        raise ValueError("need at least one cluster")
+        raise ValueError(f"need at least one cluster, got K={K}")
     n = array.N
     total = K**n
     if total > _MLE_BUDGET:

@@ -19,12 +19,12 @@ The reader parses the lines up to the first edge line one by one: comments,
 blanks, the header and labels.  It takes the rest in blocks of whole lines,
 each parsed whole by numpy if spelled as the writer spells it, symbols or
 not (bytes operations tell), else line by line with ``str.split`` and
-``int``, as the header was.  Each bulk block's edges are range-checked and
-folded into one int64 flat index each, sorted only if the file lists them
-out of order; nothing of the header's size is allocated.  The writer spells
-each block of edge lines at once from a table of four-digit groups, in
-memory following the edges, once ``SnapshotArray.validate`` passes: the one
-rule for what a file holds, which the reader's checks also apply.
+``int``, as the header was.  Each block, bulk or per-line, is checked and
+folded once, when it ends: one int64 flat index per edge, sorted only if the
+file lists them out of order; nothing of the header's size is allocated.
+The writer spells each block of edge lines at once from a table of
+four-digit groups, in memory following the edges, once ``SnapshotArray.validate``
+passes: the one rule for what a file holds, which the reader's checks also apply.
 """
 
 import operator
@@ -153,7 +153,7 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     Pairs are numbered in row-major ``i < j`` order and drawn in blocks of
     ``_BLOCK_PAIRS`` pair numbers."""
     if T < 1:
-        raise ValueError("need at least one snapshot")
+        raise ValueError(f"need at least one snapshot, got T={T}")
     labels = np.asarray(labels, dtype=np.int64)
     N = labels.size
     n_pairs = N * (N - 1) // 2
@@ -364,58 +364,50 @@ def read_snapshots(path):
 
     The lines before the first edge line after the header are parsed one by
     one.  That edge line is a block alone, and blocks of whole lines follow:
-    each is parsed at once if the writer spelled it, else line by line.  A
-    bulk block's edges are range-checked and folded into flat keys, one
-    int64 each, and the keys are joined once, then the symbols of the blocks
-    that list one above 1; line numbers are rebuilt only to name an invalid
-    file's first offending line.  Memory follows the number of edges,
-    whatever the header's dimensions; ``values`` is kept only when some
-    symbol exceeds 1."""
-    header = labels = None
-    # the flat keys of the bulk edges in range, their symbols (None: all 1)
-    # and their lines as (first line, count), each with an empty entry to join
-    keys, symbols, spans = [np.empty(0, dtype=np.int64)], [None], [(1, 0)]
-    # (line, t, i, j, v) columns of each block with an invalid edge; the other edge lines
-    rejected, other = [], []
-    first = 1  # number of the next line
+    each is parsed at once if the writer spelled it, else line by line into
+    ``(line, t, i, j, v)`` columns.  Either way the block's edges are
+    range-checked and folded into flat keys, one int64 each, when it ends;
+    the keys are joined once, then the symbols of the blocks that list one
+    above 1.  Line numbers are rebuilt only to name an invalid file's first
+    offending line.  Memory follows the number of edges, whatever the
+    header's dimensions; ``values`` is kept only when some symbol exceeds 1."""
+    header, labels, first = None, None, 1  # first: the number of the next line
+    # per block of valid edges: flat keys, symbols (None: all 1) and lines, a
+    # range or an array; keys and symbols start with an empty entry to join
+    keys, symbols, spans = [np.empty(0, dtype=np.int64)], [None], []
+    rejected = []  # the (lines, t, i, j, v) columns of each block with an invalid edge
     with open(path) as fh:  # universal newlines: CRLF and lone CR end lines too
         chunk = fh.readline()
-        while chunk and (header is None or not chunk.startswith("e")):
-            header, labels = _parse_line(first, chunk, header, labels, other)
+        while chunk and (header is None or not chunk.lstrip().startswith("e")):
+            header, labels = _parse_line(first, chunk, header, labels, None)  # no edge line comes
             chunk, first = fh.readline(), first + 1
+        if header is None:
+            raise MalformedHeaderError("missing header line")
+        N, T = header
         while chunk:  # the first edge line after the header alone, then whole lines
             chunk += "" if chunk.endswith("\n") else "\n"
-            if (rows := _bulk_edges(chunk.encode())) is None:
-                for raw in chunk.split("\n")[:-1]:
-                    header, labels = _parse_line(first, raw, header, labels, other)
-                    first += 1
+            if (rows := _bulk_edges(chunk.encode())) is not None:
+                lines, first = range(first, first + len(rows)), first + len(rows)
+                t, i, j, v = [*rows.T, np.ones(1, dtype=np.int64)][:4]  # symbol 1 if none listed
             else:
-                N, T = header
-                v = rows[:, 3] if rows.shape[1] > 3 else np.ones(1, dtype=np.int64)  # symbols
-                if _in_range(*rows.T[:3], N, T).all() and v.min() >= 1:
-                    keys.append(((rows[:, 0] - 1) * N + rows[:, 1]) * N + rows[:, 2])
-                    symbols.append(v.copy() if v.max() > 1 else None)  # frees rows
-                    spans.append((first, len(rows)))
-                else:  # the block's edges, kept as columns to name the first offence
-                    at = first + np.arange(len(rows))
-                    rejected.append((at, *rows.T[:3], np.broadcast_to(v, at.shape)))
-                first += len(rows)
-            chunk, rows = fh.read(_BLOCK) + fh.readline(), None  # frees this block before the join
-    if header is None:
-        raise MalformedHeaderError("missing header line")
-    N, T = header
-    if other:  # the other edge lines join the keys only if all are valid
-        try:  # values beyond int64 make object columns, which compare exactly
-            other = [np.array(c, dtype=np.int64) for c in zip(*other)]
-        except OverflowError:  # and never pass the checks
-            other = [np.array(c, dtype=object) for c in zip(*other)]
-        lines, t, i, j, v = other
-        if (_in_range(t, i, j, N, T) & (v >= 1) & (v <= _INT64_MAX)).all():
-            keys.append(((t - 1) * N + i) * N + j)
-            symbols.append(v if (v > 1).any() else None)
-            spans.append((0, lines))
-        else:
-            rejected.append(other)
+                rows = []
+                for raw in chunk.split("\n")[:-1]:
+                    header, labels = _parse_line(first, raw, header, labels, rows)
+                    first += 1
+                rows = list(zip(*rows)) or [()] * 5  # the block's columns
+                try:  # numbers beyond int64 make object columns, which compare exactly
+                    lines, t, i, j, v = (np.array(c, dtype=np.int64) for c in rows)
+                except OverflowError:  # and never pass the checks
+                    lines, t, i, j, v = (np.array(c, dtype=object) for c in rows)
+            if (_in_range(t, i, j, N, T).all()
+                    and 1 <= v.min(initial=1) and v.max(initial=1) <= _INT64_MAX):
+                keys.append(((t - 1) * N + i) * N + j)
+                symbols.append(v.copy() if v.max(initial=1) > 1 else None)
+                spans.append(lines)
+            else:  # the block's edges, kept as columns to name the first offence
+                rejected.append((lines, t, i, j, np.broadcast_to(v, t.shape)))
+            del rows, t, i, j, v  # frees this block before the join
+            chunk = fh.read(_BLOCK) + fh.readline()
     sizes, key, values = [k.size for k in keys], np.concatenate(keys), None
     del keys  # frees the per-block keys before the symbols join
     if any(v is not None for v in symbols):
@@ -437,16 +429,15 @@ def _in_range(t, i, j, N, T):
 
 def _first_offence(key, values, spans, rejected, N, T):
     """The error of the first invalid edge line, by line number, given
-    ``read_snapshots``' keys, their symbols (None: all 1), their lines as
-    ``(first line, count)`` or ``(0, lines)`` spans, and the ``(line, t, i,
-    j, v)`` columns of the other edges.  An edge in range is repeated if an
-    earlier line holds its key."""
-    lines = np.concatenate([first + (np.arange(at) if isinstance(at, int) else at)
-                            for first, at in spans])
+    ``read_snapshots``' keys, their symbols (None: all 1), the lines of their
+    blocks, each a range or an array, and the ``(lines, t, i, j, v)`` columns
+    of each block with an invalid edge, its lines given alike.  An edge in
+    range is repeated if an earlier line holds its key."""
+    lines = np.concatenate(spans + [r[0] for r in rejected])
     t, rest = np.divmod(key, N * N)
     i, j = np.divmod(rest, N)
-    edges = [lines, t + 1, i, j, np.ones_like(key) if values is None else values]
-    edges = [np.concatenate(c) for c in zip(edges, *rejected)]
+    edges = [t + 1, i, j, np.ones_like(key) if values is None else values]
+    edges = [lines, *map(np.concatenate, zip(edges, *(r[1:] for r in rejected)))]
     order = np.argsort(edges[0])
     edges = [c[order] for c in edges]  # file order
     lines, t, i, j, v = edges
@@ -460,28 +451,25 @@ def _first_offence(key, values, spans, rejected, N, T):
     return _edge_error(*(int(c[k]) for c in edges), repeated[k], N, T)
 
 
-def _parse_line(lineno, raw, header, labels, other):
+def _parse_line(lineno, raw, header, labels, edges):
     """Parse one line with ``str.split`` and ``int``: returns the header and the
-    labels, and appends an edge line's ``(lineno, t, i, j, v)`` to ``other``."""
+    labels, and appends an edge line's ``(lineno, t, i, j, v)`` to ``edges``."""
     tokens = raw.split()
     if not tokens or tokens[0].startswith("#"):
         return header, labels
     if header is None:
-        line = raw.strip()
-        if len(tokens) != 4 or tokens[0] != _MAGIC or tokens[1] != _VERSION:
-            raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
-        try:
-            N, T = int(tokens[2]), int(tokens[3])
+        try:  # the magic, the version and two numbers: any other count fails the unpacking
+            N, T = map(int, tokens[2:]) if tokens[:2] == [_MAGIC, _VERSION] else ()
         except ValueError:
-            raise MalformedHeaderError(f"line {lineno}: bad header {line!r}")
+            raise MalformedHeaderError(f"line {lineno}: bad header {raw.strip()!r}")
         if not _dimensions_ok(N, T):
-            raise MalformedHeaderError(f"line {lineno}: bad dimensions {line!r}")
+            raise MalformedHeaderError(f"line {lineno}: bad dimensions {raw.strip()!r}")
         return (N, T), labels
     if tokens[0] == "e":
         if len(tokens) not in (4, 5):
             raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")
         try:
-            other.append((lineno, int(tokens[1]), int(tokens[2]), int(tokens[3]),
+            edges.append((lineno, int(tokens[1]), int(tokens[2]), int(tokens[3]),
                           int(tokens[4]) if len(tokens) == 5 else 1))
         except ValueError:
             raise MalformedHeaderError(f"line {lineno}: bad edge line {raw.strip()!r}")

@@ -156,7 +156,7 @@ def kmeans(X, k, rng=None):
     states, as reseeding can, stops at the state its last iteration would
     reach.  Raises ValueError unless ``k >= 1``."""
     if not k >= 1:
-        raise ValueError("need at least one cluster")
+        raise ValueError(f"need at least one cluster, got K={k}")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     rng = rng or np.random.default_rng(0)

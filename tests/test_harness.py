@@ -1,5 +1,7 @@
 """Tests for the experiment harness and the command line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import tsbm
@@ -296,7 +301,7 @@ class TestRecover:
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     def test_fewer_than_one_cluster_rejected(self, algorithm, k):
         array = from_dense(np.zeros((2, 4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError, match="need at least one cluster"):
+        with pytest.raises(ValueError, match=f"^need at least one cluster, got K={k}$"):
             recover(array, algorithm, k, 0, chains=SMALL.chains())
 
     def test_unknown_algorithm(self):
@@ -524,6 +529,30 @@ class TestCLI:
         assert capsys.readouterr().err == "error: need 1 <= K <= N, got K=31, N=30\n"
         assert not (tmp_path / "est.labels").exists()
 
+    @pytest.mark.parametrize("t", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["divergence"],
+        ["generate", "--n", "10", "--k", "2", "--out", "g.tsbm"],
+        ["experiment", "--n", "10", "--k", "2", "--trials", "1", "--algorithm", "online"],
+    ], ids=["divergence", "generate", "experiment"])
+    def test_commands_need_a_snapshot(self, tmp_path, capsys, monkeypatch, command, t):
+        monkeypatch.chdir(tmp_path)
+        rc = main([*command, "--t", t, "--mu1", "3", "--nu1", "1.5", "--p11", "0.7",
+                   "--q11", "0.3"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: need at least one snapshot, got T={t}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--mu1", "3", "--nu1", "1.5", "--grid-steps", "3"],
+        ["threshold", "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"],
+        ["divergence", "--t", "5", "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"],
+    ], ids=["threshold-grid", "threshold", "divergence"])
+    def test_commands_need_two_blocks(self, capsys, command):
+        assert main([*command, "--k", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: need at least two blocks, got K=1\n")
+
     def test_generate_needs_k_at_most_n(self, tmp_path, capsys):
         rc = main(["generate", "--n", "60", "--k", "61", "--t", "3", "--mu1", "5", "--nu1",
                    "1", "--p11", "0.7", "--q11", "0.3", "--out", str(tmp_path / "g.tsbm")])
@@ -538,7 +567,7 @@ class TestCLI:
         rc = main(["recover", "--input", str(path), "--algorithm", algorithm, "--k", k,
                    "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: need at least one cluster\n"
+        assert capsys.readouterr().err == f"error: need at least one cluster, got K={k}\n"
 
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse
@@ -1122,6 +1151,62 @@ def test_rates_with_linked_quiet_pairs_stays_sparse():
         "print(rss)\n"
     )
     assert int(_run_child(code, 600)) < 200 * 2**10
+
+
+# Values for the numeric flags of ``threshold`` and ``divergence``: valid,
+# boundary and invalid, as a user might type them.
+_INT_VALUES = ["0", "-1", "1", "2", "3", "500", "nan", "inf", "x", "1.5", "1e3", str(10**30),
+               str(2**63), "-" + str(10**30)]
+_FLOAT_VALUES = ["0", "-1", "0.05", "0.3", "0.5", "0.7", "0.95", "1", "1.5", "3", "nan", "inf",
+                 "-inf", "x", "1e308", "1e-300", "1e400", str(10**30)]
+_GRID_STEPS = ["-1", "0", "1", "2", "19", "25", "nan", "x", "1.5"]  # at most 25 cells a side
+
+
+def _flag(name, values, required=False):
+    given_ = st.sampled_from(values).map(lambda v: [name, v])
+    return given_ if required else st.one_of(st.just([]), given_)
+
+
+def _argv(command):
+    common = [_flag("--n", _INT_VALUES), _flag("--k", _INT_VALUES), _flag("--t-max", _INT_VALUES),
+              _flag("--mu1", _FLOAT_VALUES, True), _flag("--nu1", _FLOAT_VALUES, True)]
+    if command == "threshold":
+        rest = [_flag("--p11", _FLOAT_VALUES), _flag("--q11", _FLOAT_VALUES),
+                _flag("--grid-min", _FLOAT_VALUES), _flag("--grid-max", _FLOAT_VALUES),
+                _flag("--grid-steps", _GRID_STEPS), _flag("--convention", ["exact", "itilde"])]
+    else:
+        rest = [_flag("--t", _INT_VALUES, True), _flag("--p11", _FLOAT_VALUES, True),
+                _flag("--q11", _FLOAT_VALUES, True), _flag("--units", list(harness.UNITS))]
+    return st.tuples(*common, *rest).map(lambda parts: [command, *sum(parts, [])])
+
+
+class TestCLIFlagValues:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=st.sampled_from(["threshold", "divergence"]).flatmap(_argv))
+    @example(argv=["threshold", "--mu1", "3", "--nu1", "1.5", "--grid-max", "inf"])
+    @example(argv=["divergence", "--t", str(10**30), "--mu1", "1", "--nu1", "1", "--p11",
+                   "0.99", "--q11", "0.99"])
+    def test_numeric_flags_exit_cleanly(self, argv):
+        # in-process: an exit code of 0, 1 or 2, no traceback and no warning,
+        # and on failure one error line (argparse's usage lines may precede it)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        err = err.getvalue()
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err and not caught, (argv, err, [str(w.message) for w in caught])
+        if rc == 0:
+            assert err == "" and out.getvalue(), argv
+        else:
+            lines = err.splitlines()
+            assert err.count("error:") == 1 and "error:" in lines[-1], (argv, err)
+            assert rc == 2 or len(lines) == 1, (argv, err)
 
 
 class TestSeedDerivationContract:

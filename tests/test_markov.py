@@ -217,8 +217,16 @@ class TestExactDivergence:
     ], ids=["renyi", "hellinger", "j"])
     def test_rejects_empty_horizon(self, path_law, T):
         f, g = BinaryMarkovChain(0.3, 0.2, 0.6), BinaryMarkovChain(0.1, 0.15, 0.5)
-        with pytest.raises(ValueError, match="need at least one snapshot"):
+        with pytest.raises(ValueError, match=f"^need at least one snapshot, got T={T}$"):
             path_law(f, g, T)
+
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_closed_forms_reject_empty_horizon(self, T):
+        f, g = BinaryMarkovChain(0.3, 0.2, 0.6), BinaryMarkovChain(0.1, 0.15, 0.5)
+        with pytest.raises(ValueError, match=f"^need at least one snapshot, got T={T}$"):
+            sparse_renyi_approx(0.5, f, g, T)
+        with pytest.raises(ValueError, match=f"^need at least one snapshot, got T={T}$"):
+            i_tilde_short(2.0, 1.0, 0.4, 0.3, 0.2, 0.5, T)
 
     @settings(max_examples=200, deadline=None)
     @given(f=st.builds(BinaryMarkovChain, unit, unit, edge_or_unit),
@@ -673,10 +681,11 @@ class TestTStar:
             want = int(t_star_cells(f, g, n, k, convention, t_max)) or None
             assert t_star(*raw, n, k, convention, t_max) == want, convention
 
-    def test_requires_two_blocks(self):
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_requires_two_blocks(self, k):
         c = chain_from_stationary(0.02, 0.5)
-        with pytest.raises(ValueError):
-            t_star(c, c, 100, 1)
+        with pytest.raises(ValueError, match=f"^need at least two blocks, got K={k}$"):
+            t_star(c, c, 100, k)
 
     @pytest.mark.parametrize("n", [1, 0, -5])
     @pytest.mark.parametrize("convention", ["exact", "itilde"])

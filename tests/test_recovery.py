@@ -239,6 +239,43 @@ class TestOnlineLikelihood:
         assert not np.array_equal(whole[0][1], whole[-1][1])  # the run moved labels
 
 
+class TestStartLabels:
+    @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
+    def test_recover_refuses_a_truth_start_of_more_blocks(self, algorithm):
+        _, arr = markov_instance(60, 4, 3)
+        truth = np.arange(60) % 3  # three blocks, two asked for
+        spy = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recovery, "_PairLogRatio", lambda *a: spy.append(a))
+            with pytest.raises(ValueError, match="^start label 2 outside 0..1 for K=2$"):
+                recover(arr, algorithm, 2, 0, chains=(INTRA, INTER), init="truth", truth=truth)
+        assert spy == []  # refused before the store is built
+
+    @pytest.mark.parametrize("make", [
+        lambda arr, init, K: OnlineLikelihood(arr, init, INTRA, INTER, K),
+        lambda arr, init, K: OnlineLikelihoodLearned(arr, init, K),
+    ], ids=["online", "online-learn"])
+    @pytest.mark.parametrize("init, K, message", [
+        ([0, 1, 0, 1, 1, 3], 3, "^start label 3 outside 0..2 for K=3$"),
+        ([0, -1, 0, 1, 2, 0], 3, "^start label -1 outside 0..2 for K=3$"),
+        ([0, 1, 0, 1, 0, 1], 1, "^start label 1 outside 0..0 for K=1$"),
+        ([0, 1, 0, 1, 0], 2, r"^need 6 start labels, got shape \(5,\)$"),
+        ([[0, 1, 0, 1, 0, 1]], 2, r"^need 6 start labels, got shape \(1, 6\)$"),
+    ])
+    def test_start_labels_outside_the_blocks_refused(self, make, init, K, message):
+        _, arr = markov_instance(6, 3, 1)
+        with pytest.raises(ValueError, match=message):
+            make(arr, np.array(init), K)
+
+    def test_start_labels_are_copied(self):
+        labels, arr = markov_instance(20, 3, 2)
+        init = labels.copy()
+        for state in (OnlineLikelihood(arr, init, INTRA, INTER, 2),
+                      OnlineLikelihoodLearned(arr, init, 2)):
+            state.labels[:] = 1 - state.labels
+            assert np.array_equal(init, labels)
+
+
 class TestOnlineLikelihoodLearned:
     def test_transition_counter_hand_example(self):
         n = 4
@@ -1271,7 +1308,7 @@ class TestTransitionRates:
 
     def test_needs_two_snapshots(self):
         arr = sample_markov_snapshots(np.zeros(4, dtype=int), INTRA, INTER, 1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least two snapshots, got T=1$"):
             transition_rate_clustering(arr, INTRA.transition, INTER.transition)
 
     def test_long_horizon_exact(self):
@@ -1442,7 +1479,7 @@ class TestMLE:
     def test_counts_below_one_rejected(self, K):
         data = from_dense(np.zeros((1, 4, 4), dtype=np.uint8))
         f = CategoricalKernel(FiniteDistribution([1.0]))
-        with pytest.raises(ValueError, match="at least one cluster"):
+        with pytest.raises(ValueError, match=f"^need at least one cluster, got K={K}$"):
             mle_brute_force(data, K, f, f)
 
 

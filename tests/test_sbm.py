@@ -84,6 +84,12 @@ class TestMarkovSampling:
         assert abs(p01_hat - 0.3) <= 0.02
         assert abs(p11_hat - 0.6) <= 0.02
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_needs_a_snapshot(self, T):
+        ch = BinaryMarkovChain(0.3, 0.2, 0.6)
+        with pytest.raises(ValueError, match=f"^need at least one snapshot, got T={T}$"):
+            sample_markov_snapshots(np.zeros(4, dtype=int), ch, ch, T)
+
     def test_all_zero_chain(self):
         silent = BinaryMarkovChain(0.0, 0.0, 0.5)
         noisy = BinaryMarkovChain(0.5, 0.5, 0.5)
@@ -1144,6 +1150,27 @@ class TestBulkReaderWriter:
         assert np.array_equal(back.data, arr.data) and back.values is None
         assert np.array_equal(back.labels, arr.labels)
         assert len(plain) > 50 and not any(plain)
+
+    def test_tab_separated_copy_peak_per_edge_at_the_scale_point(self, tmp_path):
+        # each block read line by line folds its edges into keys when it
+        # ends, as a bulk block does: about 25 bytes per edge, the line
+        # numbers kept beside the keys.  Holding every such edge as a Python
+        # tuple until the end of the file peaked near 283.
+        arr = _scale_sample(3000, 10)
+        write_snapshots(tmp_path / "scale.tsbm", arr)
+        text = (tmp_path / "scale.tsbm").read_bytes()
+        (tmp_path / "tabs.tsbm").write_bytes(text.replace(b" ", b"\t"))
+        tracemalloc.start()
+        try:
+            back = read_snapshots(tmp_path / "tabs.tsbm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = read_snapshots(tmp_path / "scale.tsbm")
+        assert (back.N, back.T, back.values, want.values) == (3000, 10, None, None)
+        assert np.array_equal(back.data, want.data) and np.array_equal(back.data, arr.data)
+        assert np.array_equal(back.labels, want.labels)
+        assert peak <= 32 * arr.data.size
 
     def test_writer_peak_memory_at_the_scale_point(self, tmp_path):
         # Decoding all 541k indices before formatting peaked at 25.1 MB;

@@ -313,7 +313,7 @@ class TestKMeans:
 
     @pytest.mark.parametrize("kwargs", [dict(k=0)])
     def test_counts_below_one_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="at least one cluster"):
+        with pytest.raises(ValueError, match=f"^need at least one cluster, got K={kwargs['k']}$"):
             kmeans(np.zeros((4, 2)), **kwargs)
 
 
