@@ -160,13 +160,15 @@ def _cmd_threshold(parser, args):
         parser.exit(2, "error: give both --p11 and --q11 for one value, or neither for the grid\n")
     if args.grid_steps < 1:
         parser.exit(2, f"error: --grid-steps must be at least 1, got {args.grid_steps}\n")
+    for flag, end in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if not 0 <= end <= 1:  # NaN too, and before linspace meets inf
+            parser.exit(2, f"error: {flag} must lie in [0, 1], got {end:g}\n")
     conv = ThresholdConvention(args.convention)
     if args.p11 is not None:
         intra, inter = harness.chains_in_units(args.n, args.mu1, args.nu1, args.p11, args.q11)
         ts = t_star(intra, inter, args.n, args.k, conv, args.t_max)
         print("inf" if ts is None else ts)
         return 0
-    harness._check_persistences([args.grid_min, args.grid_max], [])  # before linspace meets inf
     values = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     grid = harness.threshold_grid(
         args.n, args.k, args.mu1, args.nu1, values, values, conv, args.t_max

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, diags_array
 
 from ._rng import derive_seed
 from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_rate
@@ -44,7 +44,7 @@ from .recovery import (
     transition_rate_clustering,
 )
 from .sbm import balanced_labelling, sample_labelling, sample_markov_snapshots
-from .spectral import binarize, spectral_cluster
+from .spectral import Graph, aggregate, binarize, spectral_cluster
 
 ONLINE_ALGORITHMS = ("online", "online-learn")
 SPECTRAL_ALGORITHMS = ("spectral", "spectral-union", "spectral-aggregate", "spectral-squared")
@@ -176,27 +176,29 @@ class TrialRecord:
 
 
 def spectral_matrix(array, algorithm):
-    """The symmetric matrix a spectral algorithm clusters: the union graph
-    (``spectral``, ``spectral-union``), the sum of the snapshots
-    (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
-    (``spectral-squared``).  The last two are dense float64 matrices of
-    integers, summed from the array's upper indices and their mirrors."""
+    """The symmetric float64 CSR ``Graph`` a spectral algorithm clusters:
+    the union graph (``spectral``, ``spectral-union``), the sum of the
+    snapshots (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
+    (``spectral-squared``), built from the array's upper indices and their
+    mirrors.  The last is ``S^T S - D`` for the snapshots stacked as the
+    rows of one sparse ``S``, with its zero diagonal dropped."""
     if algorithm in ("spectral", "spectral-union"):
         return binarize(array)
-    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
     if algorithm == "spectral-aggregate":
-        summed = np.bincount(array.data % (n * n), weights=w, minlength=n * n)
-        upper = summed.astype(np.float64, copy=False).reshape(n, n)  # int64 when empty
-        return upper + upper.T
+        return aggregate(array)
     if algorithm != "spectral-squared":
         raise ValueError(f"{algorithm!r} is not a spectral algorithm")
+    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
     rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
     rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
-    w = np.concatenate((w, w))
-    stacked = csr_matrix((w.astype(np.float64), (rows, cols)), shape=(array.T * n, n))
-    out = (stacked.T @ stacked).toarray()
-    out[np.diag_indices(n)] -= np.bincount(rows % n, weights=w, minlength=n)
-    return out
+    w = np.concatenate((w, w)).astype(np.float64)
+    degrees = diags_array(np.bincount(cols, weights=w, minlength=n), dtype=np.float64)
+    stacked = csr_array((w, (rows, cols)), shape=(array.T * n, n))
+    del rows, cols, w  # freed before the product, the largest array here
+    squared = (stacked.T @ stacked).tocsr()
+    squared.sort_indices()
+    # a canonical difference stores no zero, so the zero diagonal of 0/1 snapshots goes
+    return Graph(squared - degrees)
 
 
 def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral",

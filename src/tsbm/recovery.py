@@ -361,15 +361,14 @@ def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
     if mode == "loo" and K > array.N - 1:
         raise ValueError(f"leave-one-out refinement needs K <= N - 1: each minor has "
                          f"{array.N - 1} nodes, got K = {K}")
-    adj = binarize(array)
-    N = adj.shape[0]
-    R = kernel_f.log_ratio_matrix(array, kernel_g)
-
-    if mode == "fast":
-        return R.scores(spectral_cluster(adj, K, seed), K).argmax(axis=1)
-    if mode != "loo":
+    if mode not in ("fast", "loo"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "fast":  # the union graph is gone before the ratio is built
+        start = spectral_cluster(binarize(array), K, seed)
+        return kernel_f.log_ratio_matrix(array, kernel_g).scores(start, K).argmax(axis=1)
 
+    adj, N = binarize(array), array.N
+    R = kernel_f.log_ratio_matrix(array, kernel_g)
     out = np.empty(N, dtype=np.int64)
     for i in range(N):
         full = np.zeros(N, dtype=np.int64)  # run i's labels; its own entry is not scored

@@ -365,12 +365,14 @@ def read_snapshots(path):
     The lines before the first edge line after the header are parsed one by
     one.  That edge line is a block alone, and blocks of whole lines follow:
     each is parsed at once if the writer spelled it, else line by line into
-    ``(line, t, i, j, v)`` columns.  Either way the block's edges are
-    range-checked and folded into flat keys, one int64 each, when it ends;
-    the keys are joined once, then the symbols of the blocks that list one
-    above 1.  Line numbers are rebuilt only to name an invalid file's first
-    offending line.  Memory follows the number of edges, whatever the
-    header's dimensions; ``values`` is kept only when some symbol exceeds 1."""
+    ``(line, t, i, j, v)`` columns, its lines kept as a range, as a bulk
+    block's are, when every line of the block is an edge line.  Either way
+    the block's edges are range-checked and folded into flat keys, one
+    int64 each, when it ends; the keys are joined once, then the symbols of
+    the blocks that list one above 1.  Line numbers are rebuilt only to
+    name an invalid file's first offending line.  Memory follows the number
+    of edges, whatever the header's dimensions; ``values`` is kept only when
+    some symbol exceeds 1."""
     header, labels, first = None, None, 1  # first: the number of the next line
     # per block of valid edges: flat keys, symbols (None: all 1) and lines, a
     # range or an array; keys and symbols start with an empty entry to join
@@ -390,7 +392,7 @@ def read_snapshots(path):
                 lines, first = range(first, first + len(rows)), first + len(rows)
                 t, i, j, v = [*rows.T, np.ones(1, dtype=np.int64)][:4]  # symbol 1 if none listed
             else:
-                rows = []
+                rows, start = [], first
                 for raw in chunk.split("\n")[:-1]:
                     header, labels = _parse_line(first, raw, header, labels, rows)
                     first += 1
@@ -399,6 +401,8 @@ def read_snapshots(path):
                     lines, t, i, j, v = (np.array(c, dtype=np.int64) for c in rows)
                 except OverflowError:  # and never pass the checks
                     lines, t, i, j, v = (np.array(c, dtype=object) for c in rows)
+                if len(lines) == first - start:  # every line an edge: a range, as in bulk
+                    lines = range(start, first)
             if (_in_range(t, i, j, N, T).all()
                     and 1 <= v.min(initial=1) and v.max(initial=1) <= _INT64_MAX):
                 keys.append(((t - 1) * N + i) * N + j)

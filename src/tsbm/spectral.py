@@ -2,16 +2,20 @@
 ARPACK through scipy's ``eigsh``, and seeded k-means on the eigen embedding.
 
 Used as the coarse initial clustering of the recovery algorithms; also
-accepts weighted symmetric matrices (aggregate graphs and similar).  The
-dense input reaches ARPACK as a CSR matrix built by a scan of blocks of
-rows, so no N x N mask is made, and each Lloyd iteration of k-means takes
-its centres from one weighted ``bincount`` per column.
+accepts weighted symmetric matrices (aggregate graphs and similar).  Every
+graph is a symmetric float64 CSR ``Graph`` built from a SnapshotArray's
+entries (``binarize``, ``aggregate``), so no N x N matrix is made before
+ARPACK, which needs only products with it.  ``np.asarray(graph)`` is the
+one dense conversion; library code touches graphs only through sparse
+methods (``abs(g)``, ``g.sum(axis=1)``, slicing), since any numpy call on a
+graph would make it dense.  Each Lloyd iteration of k-means takes its
+centres from one weighted ``bincount`` per column.
 """
 
 import inspect
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
@@ -25,9 +29,6 @@ _KMEANS_ITERS = 100
 # ARPACK's relative residual tolerance and its cap on Lanczos restarts
 _EIG_TOL = 1e-8
 _EIG_MAX_ITER = 1000
-# entries per block of rows in the dense-to-CSR scan: the block's mask is
-# about 1 MB where a whole-matrix one would take N^2 bytes
-_SCAN_BLOCK = 1 << 20
 # ARPACK asks for a fresh random vector when Lanczos breaks down (few
 # distinct eigenvalues, as on star-like or very small graphs).  scipy versions
 # that draw it in Python take ``rng`` and use OS entropy without it, which
@@ -39,73 +40,98 @@ class EigenConvergenceError(RuntimeError):
     """Raised when the iterative eigensolver fails to converge."""
 
 
+class Graph(csr_array):
+    """A symmetric float64 CSR matrix in canonical form (sorted column
+    indices, no explicit zeros), as every spectral function takes and gives
+    it; slicing and sparse arithmetic keep the class.  ``np.asarray(graph)``
+    gives the dense matrix, for callers that multiply densely (the
+    eigen-residual hook of ``bench/tracing.py``); it is the only dense
+    conversion, and no library code makes it."""
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.toarray()
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def _graph(adj):
+    """``adj`` as a ``Graph``: itself when it is one, else scipy's float64
+    CSR form of the (dense or sparse) matrix."""
+    return adj if isinstance(adj, Graph) else Graph(adj, dtype=np.float64)
+
+
+def _symmetric(n, pairs, weights):
+    """The n x n Graph with ``weights`` at the upper entries ``pairs``
+    (distinct flat indices ``i*n + j``, ``i < j``, increasing) and at their
+    mirrors: a canonical sum, which stores each entry once."""
+    index = np.int32 if max(n, 2 * pairs.size) < 2**31 else np.int64  # as scipy would pick
+    rows = np.searchsorted(pairs, np.arange(0, n * n + 1, n)).astype(index)  # the upper indptr
+    upper = Graph((np.asarray(weights, dtype=np.float64), (pairs % n).astype(index), rows),
+                  shape=(n, n))
+    return upper + upper.T
+
+
+def _pair_sums(array, weighted):
+    """The distinct pairs ``i*N + j`` the array sets over all snapshots,
+    increasing, by a sort and a neighbour mask; with ``weighted``, also
+    each pair's sum of ``values`` (1 per entry when None) in entry order."""
+    x = array.data % (array.N * array.N)
+    if weighted and array.values is not None:
+        order = np.argsort(x, kind="stable")
+        x, w = x[order], array.values[order]
+    else:
+        x.sort()
+        w = None
+    first = np.ones(x.size, dtype=bool)  # each pair's first entry
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    if not weighted:
+        return x[first], None
+    first = np.flatnonzero(first)
+    return x[first], np.diff(first, append=x.size) if w is None else np.add.reduceat(w, first)
+
+
 def binarize(array, t=None):
-    """0/1 uint8 adjacency matrix of a SnapshotArray, marking node pairs with
-    any nonzero interaction over all snapshots, or over snapshot ``t`` alone
-    when given (IndexError unless ``0 <= t < T``); each of the array's upper
-    indices ``i*N + j`` is scattered into it with its mirror ``j*N + i``."""
-    n = array.N
-    out = np.zeros(n * n, dtype=np.uint8)
-    x = array.data % (n * n) if t is None else array.snapshot(t)
-    out[x] = out[x % n * n + x // n] = 1
-    return out.reshape(n, n)
+    """The 0/1 union graph of a SnapshotArray as a float64 ``Graph``:
+    node pairs with any nonzero interaction over all snapshots, or over
+    snapshot ``t`` alone when given (IndexError unless ``0 <= t < T``),
+    from the array's upper indices and their mirrors."""
+    pairs = _pair_sums(array, False)[0] if t is None else array.snapshot(t)
+    return _symmetric(array.N, pairs, np.ones(pairs.size))
+
+
+def aggregate(array):
+    """The sum of the snapshots as a float64 ``Graph``: each pair's count
+    of snapshots that set it, each weighted by its symbol in ``values``."""
+    return _symmetric(array.N, *_pair_sums(array, True))
 
 
 def trim_high_degree(adj, K):
-    """Zero out rows/columns of nodes whose degree exceeds ``_TRIM_FACTOR * K
-    * mean_degree``.  Returns (matrix, kept_mask); the matrix keeps the
-    input's dtype and is the input itself when no node is trimmed, so a 0/1
-    uint8 matrix never becomes an N x N float array."""
-    a = np.asarray(adj)
-    if a.dtype.kind in "bu" and a.itemsize <= 4:
-        # integer sums: every float64 partial sum is an integer below 2^53, so the same bits
-        deg = a.sum(axis=1, dtype=np.int64).astype(np.float64)
-    else:  # float64 sums; only signed entries need abs
-        deg = (np.abs(a, dtype=np.float64) if a.dtype.kind in "if" else a).sum(
-            axis=1, dtype=np.float64)
+    """Drop the entries of the rows and columns of nodes whose degree (sum
+    of absolute weights) exceeds ``_TRIM_FACTOR * K * mean_degree``.
+    Returns (Graph, kept_mask); the Graph is the input's own when no node
+    is trimmed."""
+    g = _graph(adj)
+    deg = abs(g).sum(axis=1)
     keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
-        return a, keep
-    out = a.copy()
-    out[~keep, :] = 0
-    out[:, ~keep] = 0
-    return out, keep
-
-
-def _dense_to_csr(A):
-    """``csr_matrix(A, dtype=np.float64)`` of a dense n x n matrix, with the
-    same ``indptr``, ``indices`` and ``data``: the nonzeros are found block
-    by block of about ``_SCAN_BLOCK`` entries as flat indices ``i*n + j``,
-    and one ``searchsorted`` of the row starts gives ``indptr``."""
-    n = A.shape[0]
-    rows = max(1, _SCAN_BLOCK // n)
-    flat, values = [], []
-    for r in range(0, n, rows):
-        block = A[r:r + rows].reshape(-1)
-        hit = np.flatnonzero(block != 0)
-        flat.append(hit + r * n)
-        values.append(block[hit])
-    flat = np.concatenate(flat)
-    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
-    data = np.concatenate(values).astype(np.float64)
-    return csr_matrix((data, flat % n, indptr), shape=(n, n))
+        return g, keep
+    hit = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
+    before = np.zeros(hit.size + 1, dtype=g.indptr.dtype)  # kept entries ahead of each
+    np.cumsum(hit, out=before[1:])
+    return Graph((g.data[hit], g.indices[hit], before[g.indptr]), shape=g.shape), keep
 
 
 def top_eigenpairs(A, k, rng=None):
     """Top-``k`` eigenpairs of a symmetric matrix by magnitude, largest
     first; pairs of equal magnitude keep ascending value order.
 
-    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR form, which a
-    scan of blocks of rows of about 1 MB builds from the dense ``A``: it
-    equals ``csr_matrix(A, dtype=np.float64)`` without a whole-matrix
-    ``nonzero``.  Dense ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.
-    An all-zero matrix gives what ``eigh`` would, zeros and the first ``k``
-    unit vectors, without it.  Raises ValueError unless ``1 <= k <= n``, and
-    EigenConvergenceError when ARPACK does not converge.  ``A`` may have
-    any numeric dtype: only the CSR values are made float64, and a dense
-    float64 copy is made only for the ``eigh`` fallback.
+    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the float64 CSR
+    ``Graph`` (a dense or other sparse ``A`` is converted to one).  Dense
+    ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.  An all-zero matrix
+    gives what ``eigh`` would, zeros and the first ``k`` unit vectors,
+    without it.  Raises ValueError unless ``1 <= k <= n``, and
+    EigenConvergenceError when ARPACK does not converge.
     """
-    A = np.asarray(A)
+    A = _graph(A)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -114,12 +140,12 @@ def top_eigenpairs(A, k, rng=None):
     # next, and seeded outputs rely on it advancing by exactly k * n normals
     v0 = rng.standard_normal((k, n))[0]
     if k >= n - 1:
-        vals, vecs = np.linalg.eigh(np.asarray(A, dtype=np.float64))
-    elif (sparse := _dense_to_csr(A)).nnz == 0:  # eigh's result and layout, without eigh
+        vals, vecs = np.linalg.eigh(A.toarray())
+    elif A.count_nonzero() == 0:  # eigh's result and layout, without eigh
         return np.zeros(k), np.eye(n, k, order="F")
     else:
         try:
-            vals, vecs = eigsh(sparse, k, which="LM", v0=v0, tol=_EIG_TOL,
+            vals, vecs = eigsh(A, k, which="LM", v0=v0, tol=_EIG_TOL,
                                maxiter=_EIG_MAX_ITER, **_ARPACK_RNG)
         except ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -210,31 +236,32 @@ def kmeans(X, k, rng=None):
     return best_labels
 
 
-def _cluster(adj, K, seed, stream):
-    if not 1 <= K <= len(adj):
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={len(adj)}")
+def _cluster(graph, K, seed, stream):
+    if not 1 <= K <= graph.shape[0]:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={graph.shape[0]}")
     rng = np.random.default_rng(derive_seed(seed, stream))
-    trimmed, _ = trim_high_degree(adj, K)
+    trimmed, _ = trim_high_degree(graph, K)
     _, vecs = top_eigenpairs(trimmed, K, rng=rng)
     return kmeans(vecs, K, rng=rng)
 
 
 def spectral_cluster(adj, K, seed=0):
-    """Cluster nodes of a symmetric (weighted) adjacency matrix into ``K``
-    blocks: trim, embed on the top-K eigenvectors, then k-means the
-    embedding rows, drawing from substream 0 of ``seed``."""
-    return _cluster(adj, K, seed, 0)
+    """Cluster nodes of a symmetric (weighted) adjacency matrix, a ``Graph``
+    or any matrix ``Graph`` converts, into ``K`` blocks: trim, embed on the
+    top-K eigenvectors, then k-means the embedding rows, drawing from
+    substream 0 of ``seed``."""
+    return _cluster(_graph(adj), K, seed, 0)
 
 
 def leave_one_out_cluster(adj, i, K, seed=0):
     """Spectral clustering of the minor with row/column ``i`` removed;
     deterministic given (seed, i).  Returns labels on the remaining nodes
-    in their original order."""
-    adj = np.asarray(adj)
-    n = adj.shape[0]
+    in their original order.  The minor is a CSR slice of the ``Graph``."""
+    graph = _graph(adj)
+    n = graph.shape[0]
     if n < 3:
         raise ValueError("need at least three nodes")
     if not 0 <= i < n:
         raise ValueError("node index out of range")
-    keep = np.arange(n) != i
-    return _cluster(adj[np.ix_(keep, keep)], K, seed, i + 1)
+    keep = np.flatnonzero(np.arange(n) != i)
+    return _cluster(graph[keep][:, keep], K, seed, i + 1)

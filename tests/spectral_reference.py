@@ -1,8 +1,10 @@
 """Direct references for the spectral pipeline.
 
-``top_eigenpairs`` builds its CSR matrix by a blocked scan and ``kmeans``
-takes its centres from weighted bincounts; the functions here do both the
-direct way, as the library once did, and the tests require equal results.
+The library builds each graph as a CSR matrix from a SnapshotArray's
+entries, trims it by masking its entries, and ``kmeans`` takes its centres
+from weighted bincounts; the functions here take scipy's CSR form of the
+dense matrices, trim them densely and gather each cluster's mean, as the
+library once did, and the tests require equal results.
 """
 
 import numpy as np
@@ -14,6 +16,18 @@ from tsbm.spectral import _kmeans_pp_init
 def dense_to_csr(A):
     """scipy's own CSR form of a dense matrix, values made float64."""
     return csr_matrix(np.asarray(A), dtype=np.float64)
+
+
+def trim_high_degree(A, K, factor):
+    """The dense trim: zero the rows and columns of nodes whose sum of
+    absolute weights exceeds ``factor * K`` times the mean; returns
+    (float64 matrix, kept mask)."""
+    out = np.array(A, dtype=np.float64)
+    deg = np.abs(out).sum(axis=1)
+    keep = deg <= factor * K * deg.mean()
+    out[~keep, :] = 0
+    out[:, ~keep] = 0
+    return out, keep
 
 
 def kmeans(X, k, restarts=8, iters=100, rng=None):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -593,15 +594,19 @@ class TestCLI:
         assert peak < 64 * 2**20
         assert read_labels(tmp_path / "est.labels").shape == (50000,)
 
-    def test_recover_header_beyond_memory_exit_code(self, tmp_path, capsys):
-        # spectral clusters a dense N x N matrix: numpy refuses this 8.9 PiB
-        # request up front, beyond any address space, and touches no memory
+    def test_recover_header_beyond_memory_exit_code(self, tmp_path):
+        # the spectral graph of a 10^8-node header takes O(N) memory, several
+        # GB; in a child under a 1 GB address-space limit numpy refuses its
+        # first such array up front, and the command exits 1 with one line
         path = tmp_path / "huge.tsbm"
         path.write_text("tsbm 1 100000000 100\n")
-        rc = main(["recover", "--input", str(path), "--algorithm", "spectral"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        src = os.path.dirname(os.path.dirname(tsbm.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsbm", "recover", "--input", str(path), "--algorithm",
+             "spectral"], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("algorithm,blocks", [("friends", 0), ("enemies", 10**6)])
     def test_recover_header_only_file_at_n_million(self, tmp_path, capsys, algorithm, blocks):
@@ -715,8 +720,6 @@ class TestCLI:
         [
             ["--n", "1"],
             ["--n", "0", "--p11", "0.7", "--q11", "0.3"],
-            ["--grid-min", "-0.5"],
-            ["--grid-max", "1.5"],
             ["--mu1", "0"],
             ["--p11", "1.5", "--q11", "0.3"],
             ["--q11", "nan", "--p11", "0.7"],
@@ -739,6 +742,8 @@ class TestCLI:
         ["--grid-steps", "-2"],
         ["--t-max", "0"],
         ["--p11", "0.7", "--q11", "0.3", "--t-max", "-3"],
+        ["--grid-min", "-0.5"],
+        ["--grid-max", "1.5"],
     ])
     def test_threshold_usage_error(self, capsys, extra):
         # a lone --p11 or --q11 would silently print the whole grid, no grid
@@ -749,6 +754,17 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--grid-min", "-1", "-1"), ("--grid-max", "inf", "inf"), ("--grid-max", "nan", "nan"),
+    ])
+    def test_threshold_grid_ends_are_named_by_their_flag(self, capsys, flag, value, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--mu1", "2.5", "--nu1", "1.5", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must lie in [0, 1], got {shown}\n"
 
     @pytest.mark.parametrize("t_max", ["0", "-3"])
     def test_divergence_t_max_usage_error(self, capsys, t_max):
@@ -1058,7 +1074,7 @@ def test_commands_leave_first_use_modules_unimported(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("algorithm", ["online", "online-learn"])
 def test_online_trial_at_n_20000(algorithm):
-    # spectral init on binarize's uint8 matrix and the sparse online step
+    # spectral init on binarize's CSR graph and the sparse online step
     # keep an N=20,000, T=30 trial far below the 3.2 GB of one dense
     # float64 N x N matrix; a subprocess gives the trial its own peak RSS.
     # The learner is gated on memory alone, as the offline trials below
@@ -1138,6 +1154,31 @@ def test_cli_online_at_n_100000_from_a_random_start(tmp_path):
     assert rss_kb < 800 * 2**10
 
 
+@pytest.mark.slow
+def test_cli_online_at_n_100000_from_the_spectral_start(tmp_path):
+    # the default start clusters snapshot 0 as a CSR graph built from its
+    # entries; binarize's dense N x N matrix asked 9.31 GiB here
+    path = str(tmp_path / "big.tsbm")
+    chain = ["--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"]
+    code = (
+        "from tsbm.cli import main\n"
+        f"assert main(['generate', '--n', '100000', '--k', '2', '--t', '10', *{chain!r},\n"
+        f"             '--out', {path!r}]) == 0\n"
+        f"assert main(['recover', '--input', {path!r}, '--algorithm', 'online', *{chain!r},\n"
+        f"             '--truth', {path + '.labels'!r}]) == 0\n"
+        + CHILD_PEAK_KB +
+        "print(rss)\n"
+    )
+    start = time.perf_counter()
+    out = _run_child(code, 1800).split("\n")
+    accuracy = float(next(line for line in out if line.startswith("accuracy ")).split()[1])
+    rss_kb = int(out[-2])
+    print(f"N=100000 T=10 generate and online recover from the spectral start: accuracy "
+          f"{accuracy}, {time.perf_counter() - start:.1f} s, peak RSS {rss_kb / 1024:.0f} MB")
+    assert accuracy >= 0.95
+    assert rss_kb < 2 * 2**20
+
+
 def test_rates_with_linked_quiet_pairs_stays_sparse():
     # at mu1 = 1.5, nu1 = 3 the pairs never set link (Q01 > 3 P01), so the
     # components come from the complement of the non-linked active pairs;
@@ -1180,6 +1221,59 @@ def _argv(command):
     return st.tuples(*common, *rest).map(lambda parts: [command, *sum(parts, [])])
 
 
+def _assert_clean_exit(argv):
+    # in-process: an exit code of 0, 1 or 2, no traceback and no warning,
+    # and on failure one error line (argparse's usage lines may precede it)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, err)
+    assert "Traceback" not in err and not caught, (argv, err, [str(w.message) for w in caught])
+    if rc == 0:
+        assert err == "" and out.getvalue(), argv
+    else:
+        lines = err.splitlines()
+        assert err.count("error:") == 1 and "error:" in lines[-1], (argv, err)
+        assert rc == 2 or len(lines) == 1, (argv, err)
+
+
+# ``recover``'s file: N = 20 nodes, T = 4 snapshots, two blocks
+_RECOVER_N = 20
+_RECOVER_CHAIN = ["--mu1", "0.3", "--nu1", "0.1", "--p11", "0.7", "--q11", "0.3",
+                  "--units", "absolute"]
+_K_VALUES = ["0", "1", "2", "3", str(_RECOVER_N - 1), str(_RECOVER_N), str(_RECOVER_N + 1),
+             "-1", str(10**30), "x", "nan"]
+
+
+@pytest.fixture(scope="module")
+def recover_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("recover") / "g.tsbm")
+    assert main(["generate", "--n", str(_RECOVER_N), "--k", "2", "--t", "4", *_RECOVER_CHAIN,
+                 "--seed", "3", "--out", path]) == 0
+    return path
+
+
+def _recover_argv(path):
+    # the chain flags are the file's own or drawn one by one; --truth is the
+    # sidecar, so accuracy lines are printed too
+    chain = st.one_of(st.just(_RECOVER_CHAIN), st.tuples(
+        _flag("--mu1", _FLOAT_VALUES), _flag("--nu1", _FLOAT_VALUES),
+        _flag("--p11", _FLOAT_VALUES), _flag("--q11", _FLOAT_VALUES),
+        _flag("--units", list(harness.UNITS))).map(lambda parts: sum(parts, [])))
+    return st.tuples(
+        st.sampled_from(harness.ALGORITHMS).map(lambda a: ["--algorithm", a]),
+        _flag("--k", _K_VALUES), _flag("--init", ["spectral", "random", "spectal"]),
+        _flag("--seed", _INT_VALUES), chain,
+        st.sampled_from([[], ["--truth", path + ".labels"]]),
+    ).map(lambda parts: ["recover", "--input", path, *sum(parts, [])])
+
+
 class TestCLIFlagValues:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1188,25 +1282,15 @@ class TestCLIFlagValues:
     @example(argv=["divergence", "--t", str(10**30), "--mu1", "1", "--nu1", "1", "--p11",
                    "0.99", "--q11", "0.99"])
     def test_numeric_flags_exit_cleanly(self, argv):
-        # in-process: an exit code of 0, 1 or 2, no traceback and no warning,
-        # and on failure one error line (argparse's usage lines may precede it)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        err = err.getvalue()
-        assert rc in (0, 1, 2), (argv, rc, err)
-        assert "Traceback" not in err and not caught, (argv, err, [str(w.message) for w in caught])
-        if rc == 0:
-            assert err == "" and out.getvalue(), argv
-        else:
-            lines = err.splitlines()
-            assert err.count("error:") == 1 and "error:" in lines[-1], (argv, err)
-            assert rc == 2 or len(lines) == 1, (argv, err)
+        _assert_clean_exit(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_recover_flags_exit_cleanly(self, recover_file, data):
+        # every algorithm, the four spectral ones included, at K from 0 to
+        # beyond N, under each start, seed and chain
+        _assert_clean_exit(data.draw(_recover_argv(recover_file)))
 
 
 class TestSeedDerivationContract:

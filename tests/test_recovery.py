@@ -965,7 +965,7 @@ class TestSparseConsumersMatchDense:
         got = spectral_matrix(arr, algorithm)
         want = dense_ref.spectral_matrix(arr, algorithm)
         assert got.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert np.asarray(got).tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(arr=_pattern_arrays(min_n=4), f=_any_chain, g=_any_chain, K=st.integers(2, 3),

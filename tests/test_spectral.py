@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dense_reference as dense_ref
 import spectral_reference as spectral_ref
 from dense_reference import from_dense
+from test_recovery import _pattern_arrays
+from test_tracer_wraps import _tracing
 from tsbm import harness
 from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary
@@ -22,6 +25,7 @@ from tsbm.sbm import sample_labelling, sample_markov_snapshots
 from tsbm import spectral
 from tsbm.spectral import (
     EigenConvergenceError,
+    Graph,
     binarize,
     kmeans,
     leave_one_out_cluster,
@@ -54,25 +58,6 @@ def _zero_one_graphs(draw):
         adj[hub, :] = adj[:, hub] = True
         adj[hub, hub] = False
     return adj
-
-
-@st.composite
-def _dense_matrices(draw):
-    """Square matrices, mostly zero, of the dtypes the spectral inputs
-    take; some all zero, some transposed views that are not C-contiguous."""
-    n = draw(st.integers(1, 30))
-    dtype = draw(st.sampled_from([np.bool_, np.uint8, np.int64, np.float64]))
-    values = {
-        np.bool_: st.booleans(),
-        np.uint8: st.integers(0, 255),
-        np.int64: st.integers(-2**63, 2**63 - 1),
-        np.float64: st.floats(allow_nan=False),
-    }[dtype]
-    zeros = st.sampled_from([0.0, -0.0]) if dtype is np.float64 else st.just(dtype(0))
-    a = draw(arrays(dtype, (n, n), elements=st.one_of(zeros, values)))
-    if draw(st.booleans()):
-        a[:] = 0
-    return a.T if draw(st.booleans()) else a
 
 
 @st.composite
@@ -242,27 +227,61 @@ class TestEigensolver:
 
 
 def _assert_same_csr(got, want):
+    # index values alike (their width does not enter ARPACK's products), data to the bit
     assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        have, ref = getattr(got, name), getattr(want, name)
-        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
-class TestDenseToCsr:
-    @settings(max_examples=300, deadline=None)
-    @given(a=_dense_matrices(), block=st.integers(1, 100))
-    def test_matches_scipy_conversion(self, a, block):
-        # small blocks, so the scan runs one row per block, several rows
-        # per block, and a last block shorter than the others
-        with mock.patch.object(spectral, "_SCAN_BLOCK", block):
-            got = spectral._dense_to_csr(a)
-        _assert_same_csr(got, spectral_ref.dense_to_csr(a))
+# 0/1 arrays and arrays with symbols up to 3, from empty to full
+_snapshot_arrays = st.sampled_from([1, 3]).flatmap(lambda top: _pattern_arrays(top, max_t=4))
 
-    def test_matches_scipy_conversion_at_the_default_block(self):
-        # 953 rows per block at n = 1100, so the second block is short
-        rng = np.random.default_rng(14)
-        a = (rng.random((1100, 1100)) < 0.01).astype(np.uint8)
-        _assert_same_csr(spectral._dense_to_csr(a), spectral_ref.dense_to_csr(a))
+
+class TestGraphs:
+    """Each graph, trimmed or not, and each leave-one-out minor is scipy's
+    CSR form of its dense matrix: the same ``indptr``, ``indices`` and
+    ``data``, so ARPACK gets the matrix that a scan of the dense one gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_snapshot_arrays, K=st.integers(1, 3), factor=st.sampled_from([0.5, 1.0, 40.0]))
+    def test_graphs_are_the_csr_form_of_their_dense_matrices(self, arr, K, factor):
+        x = dense_ref.dense_tensor(arr)
+        wants = [(binarize(arr), (x != 0).any(axis=0))]
+        wants += [(binarize(arr, t), x[t] != 0) for t in range(arr.T)]
+        wants += [(harness.spectral_matrix(arr, a), dense_ref.spectral_matrix(arr, a))
+                  for a in ("spectral-aggregate", "spectral-squared")]
+        for graph, want in wants:
+            assert type(graph) is Graph
+            _assert_same_csr(graph, spectral_ref.dense_to_csr(want))
+            with mock.patch.object(spectral, "_TRIM_FACTOR", factor):
+                trimmed, keep = trim_high_degree(graph, K)
+            want, want_keep = spectral_ref.trim_high_degree(want, K, factor)
+            assert type(trimmed) is Graph and np.array_equal(keep, want_keep)
+            _assert_same_csr(trimmed, spectral_ref.dense_to_csr(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arr=_snapshot_arrays, data=st.data(), factor=st.sampled_from([0.5, 40.0]))
+    def test_eigensolver_gets_graphs_whose_array_is_the_dense_matrix(self, arr, data, factor):
+        # the benchmark's eigen-residual hook reads top_eigenpairs' matrix
+        # through np.asarray; a leave-one-out minor is a slice, then trimmed
+        seen, solve = [], spectral.top_eigenpairs
+        graph, dense = binarize(arr), (dense_ref.dense_tensor(arr) != 0).any(axis=0)
+        with mock.patch.object(spectral, "_TRIM_FACTOR", factor), \
+                mock.patch.object(spectral, "top_eigenpairs",
+                                  lambda A, *a, **kw: seen.append(A) or solve(A, *a, **kw)):
+            spectral_cluster(graph, 1, 0)
+            wants = [spectral_ref.trim_high_degree(dense, 1, factor)[0]]
+            if arr.N >= 3:
+                i = data.draw(st.integers(0, arr.N - 1))
+                leave_one_out_cluster(graph, i, 1, 0)
+                keep = np.arange(arr.N) != i
+                wants.append(spectral_ref.trim_high_degree(dense[np.ix_(keep, keep)], 1,
+                                                           factor)[0])
+        assert len(seen) == len(wants)
+        for got, want in zip(seen, wants):
+            assert type(got) is Graph
+            _assert_same_csr(got, spectral_ref.dense_to_csr(want))
+            assert np.asarray(got, dtype=np.float64).tobytes() == want.tobytes()
 
 
 class TestKMeans:
@@ -341,7 +360,8 @@ class TestTrim:
         adj[5, 6] = adj[6, 5] = 1
         trimmed, keep = trim_high_degree(adj, 1)
         assert keep.tolist() == [False] + [True] * 99
-        assert trimmed.dtype == dtype and not trimmed[0].any() and trimmed[5, 6] == 1
+        dense = trimmed.toarray()
+        assert trimmed.dtype == np.float64 and not dense[0].any() and dense[5, 6] == 1
 
 
 class TestInputDtype:
@@ -355,7 +375,7 @@ class TestInputDtype:
             adj = graph.astype(dtype)
             with mock.patch.object(spectral, "_TRIM_FACTOR", trim_factor):
                 trimmed, keep = trim_high_degree(adj, K)
-                assert trimmed.dtype == dtype
+                assert type(trimmed) is Graph and trimmed.dtype == np.float64
                 vals, vecs = top_eigenpairs(trimmed, K, rng=np.random.default_rng(seed))
                 labels = spectral_cluster(adj, K, seed)
             results.append((keep, vals, vecs, labels))
@@ -492,3 +512,49 @@ def test_spectral_start_digests(N, seed):
     arr = sample_markov_snapshots(truth, intra, inter, 1, seed=derive_seed(seed, 2))
     labels = spectral_cluster(binarize(arr, t=0), 2, derive_seed(seed, 4))
     assert hashlib.sha256(labels.tobytes()).hexdigest() == _START_DIGESTS[N, seed]
+
+
+@pytest.mark.parametrize("graph", ["start", "spectral-union", "spectral-aggregate",
+                                   "spectral-squared", "refine"])
+def test_spectral_init_stays_below_n_squared_bytes(graph):
+    # N = 3000, T = 10: the online start on snapshot 0, the spectral
+    # algorithms and refine (whose start clusters the union), graph built
+    # and clustered.  Dense graphs alone took 9 MB (uint8) to 72 MB
+    # (float64): traced peaks were 10.8 to 252.6 MB.  On the scale chain a
+    # snapshot's square holds about N d^2 entries at mean degree d near 18,
+    # millions of them, so the squared graph is gated at constant degree.
+    n = 3000
+    units = ("inv_n", 4.0, 2.0) if graph == "spectral-squared" else ("logn", 3.0, 1.5)
+    intra, inter = harness.chains_in_units(n, *units[1:], 0.7, 0.3, units[0])
+    arr = sample_markov_snapshots(sample_labelling(n, 2, seed=1), intra, inter, 10, seed=2)
+    tracemalloc.start()
+    try:
+        if graph == "start":
+            labels = spectral_cluster(binarize(arr, t=0), 2, 0)
+        else:
+            labels, _ = harness.recover(arr, graph, 2, 0, chains=(intra, inter))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (n,)
+    assert peak < n * n
+
+
+@pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate",
+                                       "spectral-squared", "refine"])
+def test_eigen_residual_hook_sees_every_graph(algorithm):
+    # the benchmark's tracer densifies top_eigenpairs' matrix through
+    # np.asarray and checks the returned pairs against it
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    intra, inter = harness.chains_in_units(300, 3.0, 1.5, 0.7, 0.3)
+    arr = sample_markov_snapshots(sample_labelling(300, 2, seed=3), intra, inter, 5, seed=4)
+    try:
+        tracing.install(tracer)
+        labels, _ = harness.recover(arr, algorithm, 2, 5, chains=(intra, inter))
+    finally:
+        tracer.restore()
+    assert labels.shape == (300,)
+    assert "spectral.top_eigenpairs" in {span[0] for span in tracer.spans}
+    resid = tracer.maxima["spectral.top_eigenpairs.resid_max"]
+    assert math.isfinite(resid) and resid < 1e-6
