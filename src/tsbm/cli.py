@@ -137,8 +137,14 @@ def _write_text(text, path):
 
 
 def _cmd_generate(parser, args):
-    labels, array = harness.sample_instance(args.n, args.k, args.t, *_chains(args, args.n),
-                                            args.seed, args.balanced)
+    sizes = f"--n {args.n} and --t {args.t}"
+    if args.t * args.n * args.n > 2**63:  # the file's flat indices t*N*N + i*N + j are int64
+        raise ValueError(f"{sizes} give flat indices beyond int64")
+    try:
+        labels, array = harness.sample_instance(args.n, args.k, args.t, *_chains(args, args.n),
+                                                args.seed, args.balanced)
+    except MemoryError as exc:  # numpy's message names no flag
+        raise MemoryError(f"{sizes} take more memory than this process has: {exc}") from None
     write_snapshots(args.out, array)
     write_labels(args.labels_out or args.out + ".labels", labels)
     print(f"wrote {args.out} (N={args.n}, T={args.t})")

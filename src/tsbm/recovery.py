@@ -356,13 +356,13 @@ def refine_recover(array, kernel_f, kernel_g, K, seed=0, mode="fast"):
     per-node labellings by maximal block overlap against the first one, in
     O(N) per node.
     """
+    if mode not in ("fast", "loo"):
+        raise ValueError(f"unknown mode {mode!r}")
     if K == 1:
         return np.zeros(array.N, dtype=np.int64)
     if mode == "loo" and K > array.N - 1:
         raise ValueError(f"leave-one-out refinement needs K <= N - 1: each minor has "
                          f"{array.N - 1} nodes, got K = {K}")
-    if mode not in ("fast", "loo"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "fast":  # the union graph is gone before the ratio is built
         start = spectral_cluster(binarize(array), K, seed)
         return kernel_f.log_ratio_matrix(array, kernel_g).scores(start, K).argmax(axis=1)
@@ -642,13 +642,17 @@ def enemy_paths(array):
 def mle_brute_force(array, K, kernel_f, kernel_g):
     """Exhaustive maximiser of the block-model log likelihood over all
     ``K^N`` labellings; ties resolve to the lexicographically smallest.
-    Only feasible at toy sizes (``K^N`` capped at ``_MLE_BUDGET``)."""
+    Only feasible at toy sizes (``K^N`` capped at ``_MLE_BUDGET``, checked
+    without forming ``K^N``); K = 1 gives the one labelling at any N."""
     if K < 1:
         raise ValueError(f"need at least one cluster, got K={K}")
     n = array.N
-    total = K**n
+    if K == 1:
+        return np.zeros(n, dtype=np.int64)
+    total = K ** min(n, _MLE_BUDGET.bit_length())  # past that exponent, 2^e alone is over
     if total > _MLE_BUDGET:
-        raise ValueError(f"K^N = {total} exceeds budget {_MLE_BUDGET}")
+        raise ValueError(f"mle enumerates K^N labellings, more than its budget of "
+                         f"{_MLE_BUDGET} at K={K}, N={n}")
     R = kernel_f.log_ratio_matrix(array, kernel_g).dense()
     powers = K ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best_score = -math.inf

@@ -178,9 +178,7 @@ def kmeans(X, k, rng=None):
     sums that ``X[labels == c].mean(axis=0)`` makes on two or more columns.
     Otherwise, and for a single column (whose ``mean`` sums pairwise), each
     centre is that ``mean``, and an empty cluster is reseeded at the point
-    farthest from its centre.  A run that cycles through (centres, labels)
-    states, as reseeding can, stops at the state its last iteration would
-    reach.  Raises ValueError unless ``k >= 1``."""
+    farthest from its centre.  Raises ValueError unless ``k >= 1``."""
     if not k >= 1:
         raise ValueError(f"need at least one cluster, got K={k}")
     X = np.asarray(X, dtype=np.float64)
@@ -192,15 +190,14 @@ def kmeans(X, k, rng=None):
     for _ in range(_KMEANS_RESTARTS):
         centers = _kmeans_pp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
-        seen, it, stop = {}, 0, _KMEANS_ITERS
-        while it < stop:
-            # squared distances, a row per centre; a running minimum over the
-            # rows keeps the first nearest centre (strict <), as argmin would
-            d2 = ((X[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
-            mind2, new_labels = d2[0].copy(), np.zeros(n, dtype=np.int64)
+        for _ in range(_KMEANS_ITERS):
+            # squared distances one centre at a time; a running minimum keeps
+            # the first nearest centre (strict <), as argmin would
+            mind2, new_labels = ((X - centers[0]) ** 2).sum(axis=1), np.zeros(n, dtype=np.int64)
             for c in range(1, k):
-                new_labels[d2[c] < mind2] = c
-                np.minimum(mind2, d2[c], out=mind2)
+                d2 = ((X - centers[c]) ** 2).sum(axis=1)
+                new_labels[d2 < mind2] = c
+                np.minimum(mind2, d2, out=mind2)
             sizes = np.bincount(new_labels, minlength=k)
             if X.shape[1] > 1 and sizes.all():
                 for d in range(X.shape[1]):
@@ -220,16 +217,6 @@ def kmeans(X, k, rng=None):
                 labels = new_labels
                 break
             labels = new_labels
-            # the loop draws nothing, so a repeated (centres, labels) state
-            # starts a cycle: stop at the state the last iteration would reach.
-            # Both make the state: the next labels follow from these centres,
-            # but the fixpoint test compares them with these labels, so a key
-            # on centres alone could place the stop one step off.
-            key = labels.tobytes() + centers.tobytes()
-            if key in seen:
-                stop = it + 1 + (stop - 1 - it) % (it - seen[key])
-            seen[key] = it
-            it += 1
         inertia = float(((X - centers[labels]) ** 2).sum())
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels.copy()
@@ -262,6 +249,6 @@ def leave_one_out_cluster(adj, i, K, seed=0):
     if n < 3:
         raise ValueError("need at least three nodes")
     if not 0 <= i < n:
-        raise ValueError("node index out of range")
+        raise ValueError(f"node index {i} outside 0..{n - 1}")
     keep = np.flatnonzero(np.arange(n) != i)
     return _cluster(graph[keep][:, keep], K, seed, i + 1)

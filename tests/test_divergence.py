@@ -57,6 +57,15 @@ class TestFiniteDistribution:
         f = FiniteDistribution([0.5, 0.5 + 5e-13])
         assert f.probs.sum() == 1.0
 
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]])
+    def test_rejects_empty_or_two_dimensional(self, probs):
+        with pytest.raises(ValueError,
+                           match="^distribution needs a 1-d vector with at least one entry$"):
+            FiniteDistribution(probs)
+
+    def test_repr_lists_the_probabilities(self):
+        assert repr(FiniteDistribution([0.25, 0.75])) == "FiniteDistribution([0.25, 0.75])"
+
     def test_point_mass_and_product(self):
         f = point_mass(1, 3)
         assert f.probs[1] == 1.0
@@ -277,6 +286,14 @@ class TestBounds:
     def test_i21_conventions_differ_beyond_two_blocks(self):
         assert i21_term(0.5, 0.1, 2, "quadratic") == i21_term(0.5, 0.1, 2, "linear")
         assert i21_term(0.5, 0.1, 3, "quadratic") != i21_term(0.5, 0.1, 3, "linear")
+
+    def test_i21_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="^unknown convention 'cubic'$"):
+            i21_term(0.5, 0.1, 2, "cubic")
+
+    def test_lower_bound_needs_two_blocks(self):
+        with pytest.raises(ValueError, match="^lower bound needs at least two blocks$"):
+            lower_bound_error_rate(BoundInputs(N=500, K=1, I=0.01, J=0.0))
 
     def test_upper_bound_vacuous_at_zero(self):
         inputs = BoundInputs(N=500, K=2, I=0.0, J=0.0, eps=0.01, zeta=0.01)

@@ -560,6 +560,29 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err == "error: need 1 <= K <= N, got K=61, N=60\n"
 
+    def test_generate_names_sizes_past_int64_indices_or_memory(self, tmp_path, capsys,
+                                                               monkeypatch):
+        argv = ["generate", "--k", "2", "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11",
+                "0.3", "--out", str(tmp_path / "g.tsbm")]
+        assert main([*argv, "--n", "3037000500", "--t", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --n 3037000500 and --t 1 give flat indices beyond int64\n")
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(harness, "sample_instance", out_of_memory)
+        assert main([*argv, "--n", "10", "--t", str(10**12)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --n 10 and --t 1000000000000 take more memory than this process has: "
+            "Unable to allocate 7.28 TiB\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_package_runs_the_command_line(self):
+        import tsbm.__main__
+
+        assert tsbm.__main__.main is main
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     def test_recover_needs_at_least_one_cluster(self, tmp_path, capsys, algorithm, k):
@@ -569,6 +592,20 @@ class TestCLI:
                    "--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: need at least one cluster, got K={k}\n"
+
+    def test_recover_mle_refuses_a_huge_header_by_k_and_n(self, tmp_path, capsys):
+        # K^N at N = 20,000 has 6,021 digits, over Python's limit for
+        # formatting an int; the budget check neither forms nor formats it
+        path = tmp_path / "g.tsbm"
+        path.write_text("tsbm 1 20000 10\n")
+        start = time.perf_counter()
+        rc = main(["recover", "--input", str(path), "--algorithm", "mle", "--mu1", "3",
+                   "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: mle enumerates K^N labellings, more than its budget of 1000000 "
+            "at K=2, N=20000\n")
 
     def test_recover_large_sparse_file_in_small_memory(self, tmp_path, capsys):
         # N = 50,000 and T = 5 would be a 12.5 GB dense tensor; the sparse
@@ -1274,6 +1311,29 @@ def _recover_argv(path):
     ).map(lambda parts: ["recover", "--input", path, *sum(parts, [])])
 
 
+# ``generate``'s sizes: valid draws keep N <= 50 and T <= 20, and each huge
+# size is run alone in a child (``_HUGE_GENERATE``)
+_GEN_N = ["0", "-1", "1", "2", "3", "50", "nan", "x", "1.5", "1e3"]
+_GEN_K = ["0", "-1", "1", "2", "3", "50", "51", str(10**30), "x", "1.5"]
+_GEN_T = ["0", "-1", "1", "2", "20", "x", "1.5", "nan"]
+
+
+def _generate_argv(out):
+    return st.tuples(
+        _flag("--n", _GEN_N, True), _flag("--k", _GEN_K, True), _flag("--t", _GEN_T, True),
+        _flag("--mu1", _FLOAT_VALUES, True), _flag("--nu1", _FLOAT_VALUES, True),
+        _flag("--p11", _FLOAT_VALUES, True), _flag("--q11", _FLOAT_VALUES, True),
+        _flag("--units", list(harness.UNITS)), _flag("--seed", _INT_VALUES),
+        st.sampled_from([[], ["--balanced"]]),
+    ).map(lambda parts: ["generate", *sum(parts, []), "--out", out])
+
+
+# too large to hold, then too large to index (3037000500^2 > 2^63 > 3037000499^2)
+_HUGE_GENERATE = [["--n", "10", "--t", str(10**12)], ["--n", str(10**9), "--t", "1"],
+                  ["--n", "3037000499", "--t", "1"], ["--n", "3037000500", "--t", "1"],
+                  ["--n", "10", "--t", str(10**30)], ["--n", str(10**30), "--t", "3"]]
+
+
 class TestCLIFlagValues:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1291,6 +1351,28 @@ class TestCLIFlagValues:
         # every algorithm, the four spectral ones included, at K from 0 to
         # beyond N, under each start, seed and chain
         _assert_clean_exit(data.draw(_recover_argv(recover_file)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_generate_flags_exit_cleanly(self, tmp_path_factory, data):
+        out = str(tmp_path_factory.getbasetemp() / "generated.tsbm")
+        _assert_clean_exit(data.draw(_generate_argv(out)))
+
+    @pytest.mark.parametrize("sizes", _HUGE_GENERATE, ids=lambda sizes: "x".join(sizes[1::2]))
+    def test_generate_huge_sizes_name_their_flags(self, tmp_path, sizes):
+        # in a child under a 1 GB address-space limit: a size past what the
+        # process can hold or a file can index ends in one line naming it
+        src = os.path.dirname(os.path.dirname(tsbm.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsbm", "generate", *sizes, "--k", "2", "--mu1", "3",
+             "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3", "--out", str(tmp_path / "g.tsbm")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: --n ") and proc.stderr.count("\n") == 1
+        assert f"--t {sizes[3]}" in proc.stderr
+        assert not (tmp_path / "g.tsbm").exists()
 
 
 class TestSeedDerivationContract:

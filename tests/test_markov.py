@@ -367,6 +367,12 @@ class TestSparseApprox:
         cg = BinaryMarkovChain(0.03, 0.03, 0.5)
         assert not sparse_renyi_approx(0.5, cf, cg, 10).in_regime
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_order_outside_zero_one_rejected(self, alpha):
+        c = BinaryMarkovChain(0.001, 0.001, 0.2)
+        with pytest.raises(ValueError, match=r"^sparse closed form covers orders in \(0, 1\)$"):
+            sparse_renyi_approx(alpha, c, c, 5)
+
 
 class TestHighOrderBound:
     def test_dominates_exact(self):
@@ -421,6 +427,34 @@ class TestHighOrderBound:
         with pytest.raises(ValueError):
             high_order_bound(alpha, c, c, 5, M, 0.001)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.1, 0.51, math.nan])
+    def test_rho_outside_zero_half_rejected(self, rho):
+        c = BinaryMarkovChain(0.001, 0.001, 0.2)
+        with pytest.raises(ValueError, match="^need 0 < rho <= 1/2$"):
+            high_order_bound(1.5, c, c, 5, 1.0, rho)
+
+    @pytest.mark.parametrize("cg", [BinaryMarkovChain(0.002, 0.001, 0.2),
+                                    BinaryMarkovChain(0.001, 0.002, 0.2)])
+    def test_inter_on_probabilities_above_rho_rejected(self, cg):
+        with pytest.raises(ValueError, match="^inter-chain on-probabilities exceed rho$"):
+            high_order_bound(1.5, cg, cg, 5, 1.0, 0.0015)
+
+    @pytest.mark.parametrize("q11", [0.5, 0.0])
+    def test_never_persistent_intra_chain_has_lambda_zero(self, q11):
+        # p11 = 0 gives Lambda = 0 whatever q11, though 0^a q11^(1-a) is NaN at q11 = 0
+        cf = BinaryMarkovChain(0.001, 0.001, 0.0)
+        cg = BinaryMarkovChain(0.001, 0.001, q11)
+        x = 2.0**4 * 0.001 * 5  # C rho T with C = M^(2a) / (1 - 0)
+        assert high_order_bound(2.0, cf, cg, 5, 2.0, 0.001) == pytest.approx(
+            5.0 * x * math.exp(5.0 * x), rel=1e-12)
+
+    def test_never_persistent_inter_chain_is_inapplicable(self):
+        # q11 = 0 under p11 > 0: Lambda = p11^a q11^(1-a) is infinite for a > 1
+        cf = BinaryMarkovChain(0.001, 0.001, 0.5)
+        cg = BinaryMarkovChain(0.001, 0.001, 0.0)
+        with pytest.raises(ValueError, match="^bound inapplicable: Lambda = inf >= 1$"):
+            high_order_bound(1.5, cf, cg, 5, 2.0, 0.001)
+
 
 class TestThresholdConstants:
     def test_h11_known_value(self):
@@ -428,6 +462,11 @@ class TestThresholdConstants:
         assert h11_sq(0.7, 0.3) == pytest.approx(want, rel=1e-12)
         assert h11_sq(1.0, 1.0) == 0.0
         assert h11_sq(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("p11,q11", [(-0.1, 0.5), (0.5, 1.1), (math.nan, 0.5)])
+    def test_h11_persistences_outside_unit_interval_rejected(self, p11, q11):
+        with pytest.raises(ValueError, match=r"^persistence probabilities must lie in \[0, 1\]$"):
+            h11_sq(p11, q11)
 
     def test_short_form_single_snapshot(self):
         got = i_tilde_short(2.0, 1.0, 0.4, 0.3, 0.2, 0.5, 1)
@@ -757,6 +796,20 @@ class TestPathCombinatorics:
             assert s.on_periods == s.n10 + s.last
             assert s.ones == s.on_periods + s.n11
             assert s.n00 + s.n01 + s.n10 + s.n11 == T - 1
+
+    @pytest.mark.parametrize("path", [[], [0, 2, 1], [[0, 1], [1, 0]]])
+    def test_path_stats_rejects_bad_paths(self, path):
+        with pytest.raises(ValueError, match="^path must be a non-empty 0/1 sequence$"):
+            path_stats(path)
+
+    @pytest.mark.parametrize("args", [(1, 1, 0, 0, 0), (1, 1, 2, 0, 5), (1, 1, 0, -1, 5)])
+    def test_count_paths_rejects_bad_length_or_endpoints(self, args):
+        with pytest.raises(ValueError, match="^need T >= 1 and binary endpoints$"):
+            count_paths(*args)
+
+    @pytest.mark.parametrize("j,t", [(-1, 2), (1, -1), (-2, -2)])
+    def test_count_paths_negative_periods_or_ones_count_none(self, j, t):
+        assert count_paths(j, t, 0, 0, 5) == 0
 
     def test_count_zero_period_path(self):
         assert count_paths(0, 0, 0, 0, 7) == 1

@@ -17,6 +17,18 @@ from tsbm.metrics import (
 )
 
 
+class TestLabellings:
+    @pytest.mark.parametrize("s1,s2", [([[0, 1]], [0, 1]), ([0, 1], 1)])
+    def test_rejects_labellings_not_one_dimensional(self, s1, s2):
+        with pytest.raises(ValueError, match="^labelling must be one-dimensional$"):
+            ham(s1, s2)
+
+    @pytest.mark.parametrize("s1,s2", [([0, -1], [0, 1]), ([0, 1], [-3, 1])])
+    def test_rejects_negative_labels(self, s1, s2):
+        with pytest.raises(ValueError, match="^labels must be non-negative$"):
+            ham(s1, s2)
+
+
 class TestHam:
     def test_counts_disagreements(self):
         assert ham([0, 1, 1, 0], [0, 1, 0, 0]) == 1
@@ -96,6 +108,11 @@ class TestMirkinRand:
     def test_worked_example(self):
         assert mirkin([0, 0, 1], [0, 1, 1]) == 4
 
+    @pytest.mark.parametrize("s", [[], [3]])
+    def test_rand_index_of_fewer_than_two_nodes_is_one(self, s):
+        # no pair to disagree on
+        assert rand_index(s, s) == 1.0
+
     def test_rand_identity(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
@@ -164,6 +181,11 @@ class TestUniqueAlignment:
         s1 = np.repeat([0, 1], 50)
         s2 = np.tile([0, 1], 50)
         assert unique_alignment(s1, s2) is None
+
+    def test_distinct_argmax_too_far_returns_none(self):
+        # the row maxima pick distinct blocks, but 2 disagreements are not
+        # below half the smallest block (3)
+        assert unique_alignment([0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 0]) is None
 
 
 class TestAccuracy:

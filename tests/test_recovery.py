@@ -85,6 +85,12 @@ class TestKernels:
         iu, ju = np.triu_indices(15, 1)
         assert np.allclose(ratio[iu, ju], lr[dense_tensor(arr)[0, iu, ju]])
 
+    def test_categorical_kernel_needs_one_snapshot(self):
+        f = CategoricalKernel(FiniteDistribution([0.5, 0.5]))
+        _, arr = markov_instance(10, 2, 0)
+        with pytest.raises(ValueError, match="^categorical kernel expects a single snapshot$"):
+            f.log_ratio_matrix(arr, f)
+
 
 class TestRefineRecover:
     def test_noiseless_separable(self):
@@ -103,6 +109,13 @@ class TestRefineRecover:
         labels, arr = markov_instance(12, 3, 4)
         got = refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), 1)
         assert np.array_equal(got, np.zeros(12, dtype=np.int64))
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_unknown_mode_rejected(self, K):
+        # at K = 1 too, where no mode runs
+        labels, arr = markov_instance(12, 3, 4)
+        with pytest.raises(ValueError, match="^unknown mode 'slow'$"):
+            refine_recover(arr, MarkovKernel(INTRA), MarkovKernel(INTER), K, mode="slow")
 
     def test_loo_mode_strong_signal(self):
         for seed in range(3):
@@ -1481,6 +1494,29 @@ class TestMLE:
         f = CategoricalKernel(FiniteDistribution([1.0]))
         with pytest.raises(ValueError, match=f"^need at least one cluster, got K={K}$"):
             mle_brute_force(data, K, f, f)
+
+    def test_budget_admits_exactly_k_to_the_n(self):
+        # 10^6 labellings, the whole budget
+        data = from_dense(np.zeros((1, 6, 6), dtype=np.uint8))
+        f = CategoricalKernel(FiniteDistribution([1.0]))
+        assert mle_brute_force(data, 10, f, f).tolist() == [0] * 6
+
+    @pytest.mark.parametrize("K, N", [(10, 7), (2, 20), (2, 20_000), (10**30, 3)])
+    def test_over_budget_refused_naming_k_and_n(self, K, N):
+        data = SnapshotArray(np.zeros(0, dtype=np.int64), N, 1)
+        f = CategoricalKernel(FiniteDistribution([1.0]))
+        with pytest.raises(ValueError, match=rf"^mle enumerates K\^N labellings, more than its "
+                           rf"budget of 1000000 at K={K}, N={N}$"):
+            mle_brute_force(data, K, f, f)
+
+    def test_one_cluster_builds_no_ratio(self):
+        class NoRatio:
+            def log_ratio_matrix(self, array, other):
+                raise AssertionError("the one labelling needs no ratio")
+
+        data = SnapshotArray(np.zeros(0, dtype=np.int64), 100_000, 1)
+        got = mle_brute_force(data, 1, NoRatio(), NoRatio())
+        assert got.dtype == np.int64 and got.shape == (100_000,) and not got.any()
 
 
 class TestStrongSignalGates:

@@ -60,6 +60,11 @@ class TestSampleLabelling:
         lab = balanced_labelling(10, 3)
         assert np.bincount(lab).tolist() in ([4, 3, 3], [3, 3, 4], [3, 4, 3])
 
+    @pytest.mark.parametrize("K", [0, -1, 11])
+    def test_balanced_needs_k_from_one_to_n(self, K):
+        with pytest.raises(ValueError, match=f"^need 1 <= K <= N, got K={K}, N=10$"):
+            balanced_labelling(10, K)
+
 
 class TestMarkovSampling:
     def test_symmetry_zero_diagonal(self):
@@ -531,6 +536,20 @@ class TestSnapshotFiles:
         path.write_text(f"# truth\n{record}\n")
         with pytest.raises(error, match="^line 2: "):
             read_labels(path)
+
+    @pytest.mark.parametrize("text", ["", "# truth\n\n"])
+    def test_labels_sidecar_without_labels_line(self, tmp_path, text):
+        path = tmp_path / "l.labels"
+        path.write_text(text)
+        with pytest.raises(MalformedHeaderError, match="^missing labels line$"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("record", ["labels 1 2", "labels 1 2 1 2"])
+    def test_labels_record_needs_one_label_per_node(self, tmp_path, record):
+        path = tmp_path / "g.tsbm"
+        path.write_text(f"tsbm 1 3 1\n{record}\n")
+        with pytest.raises(MalformedHeaderError, match="^line 2: labels line needs 3 entries$"):
+            read_snapshots(path)
 
 
 @st.composite
@@ -1210,6 +1229,12 @@ class TestSnapshotArray:
             from_dense(np.zeros((3, 4, 5)))
         with pytest.raises(ValueError):
             SnapshotArray(np.zeros((3, 4, 4)), 4, 3)
+
+    def test_values_and_labels_lengths_checked(self):
+        with pytest.raises(ValueError, match="^values must match data in length$"):
+            SnapshotArray(np.array([1, 2]), 4, 1, values=np.array([2]))
+        with pytest.raises(ValueError, match="^labels length must match node count$"):
+            SnapshotArray(np.array([1, 2]), 4, 1, labels=np.zeros(3))
 
     def test_validate_catches_asymmetry(self):
         data = np.zeros((1, 4, 4), dtype=np.uint8)

@@ -330,6 +330,22 @@ class TestKMeans:
         means = np.array([x[want == c].mean(axis=0)[0] for c in range(2)])
         assert (sums != means).any()
 
+    def test_peak_stays_below_one_k_n_d_temporary(self):
+        # distances one centre at a time hold (n, d) arrays: 0.55 MB traced
+        # here, where a (k, n, d) array of differences alone is 1.5 MB and
+        # the loop that built it peaked at 2.8 MB
+        rng = np.random.default_rng(0)
+        n, k = 3000, 8
+        x = rng.normal(0, 3, (k, k))[rng.integers(0, k, n)] + rng.normal(0, 1, (n, k))
+        tracemalloc.start()
+        try:
+            labels = kmeans(np.asfortranarray(x), k, rng=np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (n,)
+        assert peak < k * n * k * 8
+
     @pytest.mark.parametrize("kwargs", [dict(k=0)])
     def test_counts_below_one_rejected(self, kwargs):
         with pytest.raises(ValueError, match=f"^need at least one cluster, got K={kwargs['k']}$"):
@@ -479,6 +495,11 @@ class TestLeaveOneOut:
         common[[3, 9]] = False
         d, _ = ham_star(full_i[common], full_j[common])
         assert 1 - d / common.sum() >= 0.9
+
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_node_index_must_name_a_node(self, i):
+        with pytest.raises(ValueError, match=f"^node index {i} outside 0..4$"):
+            leave_one_out_cluster(np.ones((5, 5)) - np.eye(5), i, 2)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
