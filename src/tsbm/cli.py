@@ -2,7 +2,7 @@
 
 Subcommands: ``generate``, ``divergence``, ``threshold``, ``recover``,
 ``experiment``, ``replicate-figure``.  Exit codes: 0 on success, 1 on
-runtime failure, 2 on usage errors.
+runtime failure, 2 on usage errors; out of memory, 1 naming the size flags.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def build_parser():
     g.add_argument("--balanced", action="store_true", help="equal block sizes")
     g.add_argument("--out", required=True, help="snapshot file path")
     g.add_argument("--labels-out", help="labels sidecar path (default: OUT.labels)")
-    g.set_defaults(run=_cmd_generate)
+    g.set_defaults(run=_cmd_generate, sizes=("n", "t"))  # the flags that size its work
 
     d = sub.add_parser("divergence", help="divergence and threshold report")
     d.add_argument("--n", type=int, default=500)
@@ -69,7 +69,7 @@ def build_parser():
     _add_chain_args(d, required=True)
     d.add_argument("--t-max", type=int, default=10**6)
     d.add_argument("--json", dest="json_out", help="also write the report as JSON")
-    d.set_defaults(run=_cmd_divergence)
+    d.set_defaults(run=_cmd_divergence, sizes=())
 
     th = sub.add_parser("threshold", help="T* for one configuration or a grid")
     th.add_argument("--n", type=int, default=500)
@@ -84,7 +84,7 @@ def build_parser():
     th.add_argument("--convention", choices=("exact", "itilde"), default="exact")
     th.add_argument("--t-max", type=int, default=10**6)
     th.add_argument("--out", help="CSV output path (default: stdout)")
-    th.set_defaults(run=_cmd_threshold)
+    th.set_defaults(run=_cmd_threshold, sizes=("grid_steps",))
 
     r = sub.add_parser("recover", help="run a recovery algorithm on a snapshot file")
     r.add_argument("--input", required=True)
@@ -97,7 +97,7 @@ def build_parser():
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--truth", help="labels sidecar with ground truth")
     r.add_argument("--out", help="write the estimated labels here")
-    r.set_defaults(run=_cmd_recover)
+    r.set_defaults(run=_cmd_recover, sizes=("input",))
 
     e = sub.add_parser("experiment", help="run seeded trials and emit CSV")
     e.add_argument("--config", help="experiment config file")
@@ -105,7 +105,8 @@ def build_parser():
     e.add_argument("--k", type=int)
     e.add_argument("--t", type=int)
     _add_chain_args(e)
-    e.set_defaults(run=_cmd_experiment, units=None)  # units: the file's, else the default
+    # units: the file's, else the default
+    e.set_defaults(run=_cmd_experiment, units=None, sizes=("config", "n", "t", "trials"))
     e.add_argument("--algorithm", choices=harness.ALGORITHMS)
     e.add_argument("--init", choices=harness.INITS)
     e.add_argument("--balanced", action="store_true", default=None)
@@ -122,7 +123,7 @@ def build_parser():
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--deterministic", action="store_true")
-    f.set_defaults(run=_cmd_replicate_figure)
+    f.set_defaults(run=_cmd_replicate_figure, sizes=("trials",))
 
     return parser
 
@@ -136,15 +137,23 @@ def _write_text(text, path):
         sys.stdout.write(text)
 
 
+def _sizes(args, verb, keys=None):
+    """The flags ``keys`` (by default the command's ``sizes``) that were given,
+    and ``verb`` agreeing with them: '--n 10 and --t 5 take'."""
+    *rest, last = [f"--{key.replace('_', '-')} {getattr(args, key)}" for key in keys or args.sizes
+                   if getattr(args, key, None) is not None] or [f"tsbm {args.command}"]
+    return f"{', '.join(rest)} and {last} {verb}" if rest else f"{last} {verb}s"
+
+
+def _check_flat_indices(args, n, t):
+    if max(t, 1) * n * n > 2**63:  # int64 flat indices t*N*N + i*N + j; T < 1 fails later
+        raise ValueError(f"{_sizes(args, 'give', ('config', 'n', 't'))} flat indices beyond int64")
+
+
 def _cmd_generate(parser, args):
-    sizes = f"--n {args.n} and --t {args.t}"
-    if args.t * args.n * args.n > 2**63:  # the file's flat indices t*N*N + i*N + j are int64
-        raise ValueError(f"{sizes} give flat indices beyond int64")
-    try:
-        labels, array = harness.sample_instance(args.n, args.k, args.t, *_chains(args, args.n),
-                                                args.seed, args.balanced)
-    except MemoryError as exc:  # numpy's message names no flag
-        raise MemoryError(f"{sizes} take more memory than this process has: {exc}") from None
+    _check_flat_indices(args, args.n, args.t)
+    labels, array = harness.sample_instance(args.n, args.k, args.t, *_chains(args, args.n),
+                                            args.seed, args.balanced)
     write_snapshots(args.out, array)
     write_labels(args.labels_out or args.out + ".labels", labels)
     print(f"wrote {args.out} (N={args.n}, T={args.t})")
@@ -232,12 +241,16 @@ def _cmd_recover(parser, args):
 def _cmd_experiment(parser, args):
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            values = harness.parse_config_text(fh.read())
+        try:
+            with open(args.config) as fh:
+                values = harness.parse_config_text(fh.read())
+        except (OSError, UnicodeError) as exc:  # a decoding error names no file
+            raise ValueError(f"--config {args.config}: {exc}") from None
     for key in harness.ExperimentConfig.__dataclass_fields__:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     config = harness.config_from_dict(values)
+    _check_flat_indices(args, config.n, config.t)
     records = harness.run_experiment(config, jobs=args.jobs)
     text = harness.records_to_csv(records, config, deterministic=args.deterministic)
     _write_text(text, args.out)
@@ -273,7 +286,11 @@ def main(argv=None):
         parser.exit(2, f"error: --jobs must be at least 1, got {args.jobs}\n")
     try:
         return args.run(parser, args)
-    except (ValueError, OSError, MemoryError, EigenConvergenceError) as exc:
+    except MemoryError as exc:  # numpy's message names no flag, and Python's is empty
+        print(f"error: {_sizes(args, 'take')} more memory than this process has"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
+    except (ValueError, OSError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

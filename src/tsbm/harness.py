@@ -9,12 +9,12 @@ parallel and serial execution produce identical aggregates.
 import math
 import operator
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_array, diags_array
 
 from ._rng import derive_seed
 from .divergence import BoundInputs, lower_bound_error_rate, upper_bound_error_rate
@@ -44,7 +44,7 @@ from .recovery import (
     transition_rate_clustering,
 )
 from .sbm import balanced_labelling, sample_labelling, sample_markov_snapshots
-from .spectral import Graph, aggregate, binarize, spectral_cluster
+from .spectral import aggregate, binarize, spectral_cluster, squared
 
 ONLINE_ALGORITHMS = ("online", "online-learn")
 SPECTRAL_ALGORITHMS = ("spectral", "spectral-union", "spectral-aggregate", "spectral-squared")
@@ -176,29 +176,14 @@ class TrialRecord:
 
 
 def spectral_matrix(array, algorithm):
-    """The symmetric float64 CSR ``Graph`` a spectral algorithm clusters:
-    the union graph (``spectral``, ``spectral-union``), the sum of the
-    snapshots (``spectral-aggregate``), or the sum of ``A_t A_t - D_t``
-    (``spectral-squared``), built from the array's upper indices and their
-    mirrors.  The last is ``S^T S - D`` for the snapshots stacked as the
-    rows of one sparse ``S``, with its zero diagonal dropped."""
-    if algorithm in ("spectral", "spectral-union"):
-        return binarize(array)
-    if algorithm == "spectral-aggregate":
-        return aggregate(array)
-    if algorithm != "spectral-squared":
+    """The ``Graph`` a spectral algorithm clusters, as ``spectral``'s
+    ``binarize``, ``aggregate`` or ``squared`` builds it."""
+    # looked up per call, so that a wrapper set on this module's names sees the call
+    builders = {"spectral": binarize, "spectral-union": binarize,
+                "spectral-aggregate": aggregate, "spectral-squared": squared}
+    if algorithm not in builders:
         raise ValueError(f"{algorithm!r} is not a spectral algorithm")
-    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
-    rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
-    rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
-    w = np.concatenate((w, w)).astype(np.float64)
-    degrees = diags_array(np.bincount(cols, weights=w, minlength=n), dtype=np.float64)
-    stacked = csr_array((w, (rows, cols)), shape=(array.T * n, n))
-    del rows, cols, w  # freed before the product, the largest array here
-    squared = (stacked.T @ stacked).tocsr()
-    squared.sort_indices()
-    # a canonical difference stores no zero, so the zero diagonal of 0/1 snapshots goes
-    return Graph(squared - degrees)
+    return builders[algorithm](array)
 
 
 def recover(array, algorithm, k, seed, chains=None, kernels=None, init="spectral",
@@ -296,22 +281,16 @@ def run_trial(config, trial):
     )
 
 
-def _trial_job(args):
-    config, trial = args
-    return run_trial(config, trial)
-
-
 def run_experiment(config, jobs=1):
     """All trials, on up to ``jobs`` pool workers (no more than trials or
     CPUs).  Results are ordered by trial index regardless of scheduling."""
-    tasks = [(config, trial) for trial in range(config.trials)]
+    # a pointer per trial up front: a count memory cannot hold fails here at once
+    configs = [config] * min(config.trials, sys.maxsize)
     workers = min(jobs, config.trials, os.cpu_count() or 1)
     if workers <= 1:
-        records = [run_trial(config, trial) for _, trial in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_job, tasks))
-    return sorted(records, key=lambda r: r.trial)
+        return list(map(run_trial, configs, range(config.trials)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_trial, configs, range(config.trials)))
 
 
 def summarize(records):

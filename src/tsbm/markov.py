@@ -3,7 +3,9 @@ O(log T) by one transfer-matrix engine on plain floats that folds a lazily
 squared ladder of rungs over the bits of T - 1; sparse closed forms),
 threshold constants, one search for the snapshot threshold T* whose kernels
 run the same rungs, or the closed form, on arrays for a whole grid or on
-floats for one cell, and on-period path combinatorics.
+floats for one cell, and on-period path combinatorics.  The threshold
+constants evaluate the itilde kernels' own elementwise terms, so each equals
+the search's value to the bit.
 """
 
 import math
@@ -292,14 +294,35 @@ def high_order_bound(alpha, chain_f, chain_g, T, M, rho):
 # ---------------------------------------------------------------------------
 
 
+def _h11_and_gap(p11, q11):
+    """``h11_sq`` and the gap ``1 - sqrt(p11 q11)``, elementwise (0 and 1e-300 if both are 1)."""
+    root = np.sqrt(p11 * q11)
+    gamma = np.maximum(1.0 - root, 1e-300)
+    return np.where(root == 1.0, 0.0, 1.0 - np.sqrt((1.0 - p11) * (1.0 - q11)) / gamma), gamma
+
+
+def _itilde_terms(u, v, p01, q01, h11, gamma):
+    """``i_tilde_short``'s terms, elementwise: first-snapshot, per-snapshot
+    (``i_tilde_long``), transient coefficient, gamma and ``log(1 - gamma)``."""
+    base, mixed = np.sqrt(u) - np.sqrt(v), np.sqrt(p01) - np.sqrt(q01)
+    per = mixed * mixed + 2.0 * h11 * np.sqrt(p01 * q01)
+    coef = 2.0 * h11 * (gamma * np.sqrt(u * v) - np.sqrt(p01 * q01))
+    # log(1 - gamma) > -38 where gamma < 1; at 1, -1000 makes the transient's sum T > 1
+    return [base * base, per, coef, gamma, np.maximum(np.log1p(-gamma), -1000.0)]
+
+
+def _itilde_at(terms, T):
+    """``i_tilde_short`` at ``T`` from its terms, its geometric sum in closed form."""
+    base, per, coef, gamma, log1p = terms
+    return base + per * (T - 1) + coef * (-np.expm1((T - 1) * log1p) / gamma)
+
+
 def h11_sq(p11, q11):
     """Squared Hellinger distance between the geometric on-period lengths:
     ``1 - sqrt(1-p11) sqrt(1-q11) / (1 - sqrt(p11 q11))``."""
     if not (0 <= p11 <= 1 and 0 <= q11 <= 1):
         raise ValueError("persistence probabilities must lie in [0, 1]")
-    if p11 == 1.0 and q11 == 1.0:
-        return 0.0  # identical degenerate on-periods
-    return 1.0 - math.sqrt((1.0 - p11) * (1.0 - q11)) / (1.0 - math.sqrt(p11 * q11))
+    return float(_h11_and_gap(p11, q11)[0])
 
 
 def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
@@ -315,12 +338,8 @@ def i_tilde_short(u, v, p01, q01, h11_sq_value, gamma, T):
         raise ValueError("gamma must lie in (0, 1]")
     if T < 1:
         raise ValueError(f"need at least one snapshot, got T={T}")
-    base = (math.sqrt(u) - math.sqrt(v)) ** 2
-    per = i_tilde_long(p01, q01, h11_sq_value)
-    transient_coef = 2.0 * h11_sq_value * (gamma * math.sqrt(u * v) - math.sqrt(p01 * q01))
-    # sum_{t < T-1} (1 - gamma)^t in closed form
-    geo = -math.expm1((T - 1) * math.log1p(-gamma)) / gamma if gamma < 1 else float(T > 1)
-    return base + per * (T - 1) + transient_coef * geo
+    with np.errstate(all="ignore"):  # log1p(-1) at gamma = 1; infinite rates give NaN
+        return float(_itilde_at(_itilde_terms(u, v, p01, q01, h11_sq_value, gamma), T))
 
 
 def i_tilde_long(p01, q01, h11_sq_value):
@@ -328,7 +347,8 @@ def i_tilde_long(p01, q01, h11_sq_value):
     forgotten): ``(sqrt(p01)-sqrt(q01))^2 + 2 h11^2 sqrt(p01 q01)``."""
     if not all(x >= 0 for x in (p01, q01, h11_sq_value)):  # each, so NaN fails
         raise ValueError("rate arguments must be non-negative")
-    return (math.sqrt(p01) - math.sqrt(q01)) ** 2 + 2.0 * h11_sq_value * math.sqrt(p01 * q01)
+    with np.errstate(all="ignore"):  # the short form's per-snapshot term, from any start
+        return float(_itilde_terms(0.0, 0.0, p01, q01, h11_sq_value, 1.0)[1])
 
 
 class ThresholdConvention(Enum):
@@ -345,17 +365,8 @@ class ThresholdConvention(Enum):
 
 def _i_tilde_args(chain_f, chain_g, rho):
     """``i_tilde_short`` arguments, all but T, for a chain pair at scale ``rho``."""
-    gamma = 1.0 - math.sqrt(chain_f.p11 * chain_g.p11)
-    if gamma == 0.0:
-        gamma = 1e-300  # both persistences equal to one: fully static
-    return (
-        chain_f.mu1 / rho,
-        chain_g.mu1 / rho,
-        chain_f.p01 / rho,
-        chain_g.p01 / rho,
-        h11_sq(chain_f.p11, chain_g.p11),
-        gamma,
-    )
+    return (chain_f.mu1 / rho, chain_g.mu1 / rho, chain_f.p01 / rho, chain_g.p01 / rho,
+            *map(float, _h11_and_gap(chain_f.p11, chain_g.p11)))
 
 
 def t_star(chain_f, chain_g, N, K, convention=ThresholdConvention.EXACT, t_max=10**6):
@@ -482,22 +493,12 @@ def _exact_kernels(cells, rho, K):
 
 def _itilde_kernels(cells, rho, K):
     """``_lift``'s arguments but ``t_max``, itilde convention: the terms of
-    ``i_tilde_short``, as it and ``_i_tilde_args`` form them, and no rung."""
+    ``i_tilde_short`` at ``_i_tilde_args``' arguments, and no rung."""
     mu1, nu1, p01, q01 = (x / rho for x in (cells[0], cells[3], cells[1], cells[4]))
-    root = np.sqrt(cells[2] * cells[5])
-    static = root == 1.0  # both persistences one
-    gamma = np.where(static, 1e-300, 1.0 - root)
-    h11 = np.where(static, 0.0, 1.0 - np.sqrt((1.0 - cells[2]) * (1.0 - cells[5])) / (1.0 - root))
-    base, mixed = np.sqrt(mu1) - np.sqrt(nu1), np.sqrt(p01) - np.sqrt(q01)
-    per = mixed * mixed + 2.0 * h11 * np.sqrt(p01 * q01)
-    coef = 2.0 * h11 * (gamma * np.sqrt(mu1 * nu1) - np.sqrt(p01 * q01))
-    # log(1 - gamma) > -38 where gamma < 1; at 1, -1000 makes geo float(T > 1)
-    terms = [base * base, per, coef, gamma, np.maximum(np.log1p(-gamma), -1000.0)]
+    terms = _itilde_terms(mu1, nu1, p01, q01, *_h11_and_gap(cells[2], cells[5]))
 
     def step(terms, rung, T):  # no move; i_tilde_short > K at T?
-        base, per, coef, gamma, log1p = terms
-        geo = -np.expm1((T - 1) * log1p) / gamma
-        return [], base + per * (T - 1) + coef * geo > float(K)
+        return [], _itilde_at(terms, T) > float(K)
 
     return step(terms, [], 1)[1], terms, [], step, lambda rung: rung
 

@@ -1,10 +1,10 @@
-"""Adjacency spectral clustering: degree trimming, top-K eigenpairs by
-ARPACK through scipy's ``eigsh``, and seeded k-means on the eigen embedding.
+"""Adjacency spectral clustering: its graphs, degree trimming, top-K
+eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
-Used as the coarse initial clustering of the recovery algorithms; also
-accepts weighted symmetric matrices (aggregate graphs and similar).  Every
-graph is a symmetric float64 CSR ``Graph`` built from a SnapshotArray's
-entries (``binarize``, ``aggregate``), so no N x N matrix is made before
+Used as the coarse initial clustering of the recovery algorithms.  Every
+graph is a symmetric float64 CSR ``Graph`` built here from a SnapshotArray's
+entries (``binarize``, ``aggregate``, ``squared``), and the spectral
+functions take only such a ``Graph``, so no N x N matrix is made before
 ARPACK, which needs only products with it.  ``np.asarray(graph)`` is the
 one dense conversion; library code touches graphs only through sparse
 methods (``abs(g)``, ``g.sum(axis=1)``, slicing), since any numpy call on a
@@ -15,7 +15,7 @@ centres from one weighted ``bincount`` per column.
 import inspect
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, diags_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
@@ -53,12 +53,6 @@ class Graph(csr_array):
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
-def _graph(adj):
-    """``adj`` as a ``Graph``: itself when it is one, else scipy's float64
-    CSR form of the (dense or sparse) matrix."""
-    return adj if isinstance(adj, Graph) else Graph(adj, dtype=np.float64)
-
-
 def _symmetric(n, pairs, weights):
     """The n x n Graph with ``weights`` at the upper entries ``pairs``
     (distinct flat indices ``i*n + j``, ``i < j``, increasing) and at their
@@ -70,21 +64,18 @@ def _symmetric(n, pairs, weights):
     return upper + upper.T
 
 
-def _pair_sums(array, weighted):
+def _pair_sums(array):
     """The distinct pairs ``i*N + j`` the array sets over all snapshots,
-    increasing, by a sort and a neighbour mask; with ``weighted``, also
-    each pair's sum of ``values`` (1 per entry when None) in entry order."""
-    x = array.data % (array.N * array.N)
-    if weighted and array.values is not None:
-        order = np.argsort(x, kind="stable")
-        x, w = x[order], array.values[order]
-    else:
+    increasing, by a sort and a neighbour mask, and each pair's sum of
+    ``values`` (1 per entry when None) in entry order."""
+    x, w = array.data % (array.N * array.N), array.values
+    if w is None:
         x.sort()
-        w = None
+    else:
+        order = np.argsort(x, kind="stable")
+        x, w = x[order], w[order]
     first = np.ones(x.size, dtype=bool)  # each pair's first entry
     np.not_equal(x[1:], x[:-1], out=first[1:])
-    if not weighted:
-        return x[first], None
     first = np.flatnonzero(first)
     return x[first], np.diff(first, append=x.size) if w is None else np.add.reduceat(w, first)
 
@@ -94,44 +85,57 @@ def binarize(array, t=None):
     node pairs with any nonzero interaction over all snapshots, or over
     snapshot ``t`` alone when given (IndexError unless ``0 <= t < T``),
     from the array's upper indices and their mirrors."""
-    pairs = _pair_sums(array, False)[0] if t is None else array.snapshot(t)
+    pairs = np.unique(array.data % (array.N * array.N)) if t is None else array.snapshot(t)
     return _symmetric(array.N, pairs, np.ones(pairs.size))
 
 
 def aggregate(array):
     """The sum of the snapshots as a float64 ``Graph``: each pair's count
     of snapshots that set it, each weighted by its symbol in ``values``."""
-    return _symmetric(array.N, *_pair_sums(array, True))
+    return _symmetric(array.N, *_pair_sums(array))
 
 
-def trim_high_degree(adj, K):
-    """Drop the entries of the rows and columns of nodes whose degree (sum
-    of absolute weights) exceeds ``_TRIM_FACTOR * K * mean_degree``.
-    Returns (Graph, kept_mask); the Graph is the input's own when no node
-    is trimmed."""
-    g = _graph(adj)
-    deg = abs(g).sum(axis=1)
+def squared(array):
+    """The sum of ``A_t A_t - D_t`` over the snapshots as a float64 ``Graph``:
+    ``S^T S - D`` for the snapshots stacked as the rows of one sparse ``S``,
+    each weighted by its symbol in ``values``, with its zero diagonal dropped."""
+    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
+    rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
+    rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
+    w = np.concatenate((w, w)).astype(np.float64)
+    degrees = diags_array(np.bincount(cols, weights=w, minlength=n), dtype=np.float64)
+    stacked = csr_array((w, (rows, cols)), shape=(array.T * n, n))
+    del rows, cols, w  # freed before the product, the largest array here
+    product = (stacked.T @ stacked).tocsr()
+    product.sort_indices()
+    # a canonical difference stores no zero, so the zero diagonal of 0/1 snapshots goes
+    return Graph(product - degrees)
+
+
+def trim_high_degree(graph, K):
+    """The ``Graph`` without the entries of the rows and columns of nodes
+    whose degree (sum of absolute weights) exceeds ``_TRIM_FACTOR * K *
+    mean_degree``: the input itself when no node is trimmed."""
+    deg = abs(graph).sum(axis=1)
     keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
-        return g, keep
-    hit = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
-    before = np.zeros(hit.size + 1, dtype=g.indptr.dtype)  # kept entries ahead of each
+        return graph
+    hit = np.repeat(keep, np.diff(graph.indptr)) & keep[graph.indices]
+    before = np.zeros(hit.size + 1, dtype=graph.indptr.dtype)  # kept entries ahead of each
     np.cumsum(hit, out=before[1:])
-    return Graph((g.data[hit], g.indices[hit], before[g.indptr]), shape=g.shape), keep
+    return Graph((graph.data[hit], graph.indices[hit], before[graph.indptr]), shape=graph.shape)
 
 
 def top_eigenpairs(A, k, rng=None):
-    """Top-``k`` eigenpairs of a symmetric matrix by magnitude, largest
+    """Top-``k`` eigenpairs of a symmetric ``Graph`` by magnitude, largest
     first; pairs of equal magnitude keep ascending value order.
 
-    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the float64 CSR
-    ``Graph`` (a dense or other sparse ``A`` is converted to one).  Dense
+    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR matrix.  Dense
     ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.  An all-zero matrix
     gives what ``eigh`` would, zeros and the first ``k`` unit vectors,
     without it.  Raises ValueError unless ``1 <= k <= n``, and
     EigenConvergenceError when ARPACK does not converge.
     """
-    A = _graph(A)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -227,24 +231,21 @@ def _cluster(graph, K, seed, stream):
     if not 1 <= K <= graph.shape[0]:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={graph.shape[0]}")
     rng = np.random.default_rng(derive_seed(seed, stream))
-    trimmed, _ = trim_high_degree(graph, K)
-    _, vecs = top_eigenpairs(trimmed, K, rng=rng)
+    _, vecs = top_eigenpairs(trim_high_degree(graph, K), K, rng=rng)
     return kmeans(vecs, K, rng=rng)
 
 
-def spectral_cluster(adj, K, seed=0):
-    """Cluster nodes of a symmetric (weighted) adjacency matrix, a ``Graph``
-    or any matrix ``Graph`` converts, into ``K`` blocks: trim, embed on the
-    top-K eigenvectors, then k-means the embedding rows, drawing from
-    substream 0 of ``seed``."""
-    return _cluster(_graph(adj), K, seed, 0)
+def spectral_cluster(graph, K, seed=0):
+    """Cluster the nodes of a symmetric (weighted) ``Graph`` into ``K``
+    blocks: trim, embed on the top-K eigenvectors, then k-means the
+    embedding rows, drawing from substream 0 of ``seed``."""
+    return _cluster(graph, K, seed, 0)
 
 
-def leave_one_out_cluster(adj, i, K, seed=0):
+def leave_one_out_cluster(graph, i, K, seed=0):
     """Spectral clustering of the minor with row/column ``i`` removed;
     deterministic given (seed, i).  Returns labels on the remaining nodes
     in their original order.  The minor is a CSR slice of the ``Graph``."""
-    graph = _graph(adj)
     n = graph.shape[0]
     if n < 3:
         raise ValueError("need at least three nodes")

@@ -136,8 +136,8 @@ class TestTrials:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -1334,6 +1334,114 @@ _HUGE_GENERATE = [["--n", "10", "--t", str(10**12)], ["--n", str(10**9), "--t", 
                   ["--n", "10", "--t", str(10**30)], ["--n", str(10**30), "--t", "3"]]
 
 
+def _limited_cli(argv, cwd):
+    # the command line in a child under a 1 GB address-space limit
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "tsbm", *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+
+
+# ``experiment``'s flags: --n, --t and --trials are always given, so valid
+# draws keep N <= 50, T <= 20, trials <= 3 and --jobs <= 2; each huge size
+# runs alone in a child (``_HUGE_EXPERIMENT``).  Half the draws take every
+# flag from its valid and boundary values, the rest mix in invalid ones.
+_EXP_VALID = {"--n": ["2", "3", "20", "50"], "--k": ["1", "2", "3", "50"],
+              "--t": ["1", "2", "20"], "--mu1": ["0.05", "0.3", "1", "3"],
+              "--nu1": ["0.05", "0.1", "1", "1.5"], "--p11": ["0", "0.3", "0.7", "1"],
+              "--q11": ["0", "0.3", "0.7", "1"], "--units": list(harness.UNITS),
+              "--algorithm": list(harness.ALGORITHMS), "--init": list(harness.INITS),
+              "--trials": ["1", "3"], "--seed": ["0", "7", str(2**63), str(10**30)],
+              "--jobs": ["1", "2"]}
+_EXP_INVALID = {"--n": ["0", "-1", "1", "nan", "x", "1.5", "1e3"], "--k": ["0", "-1", "x", "1.5"],
+                "--t": ["0", "-1", "x", "1.5"], "--mu1": _FLOAT_VALUES, "--nu1": _FLOAT_VALUES,
+                "--p11": _FLOAT_VALUES, "--q11": _FLOAT_VALUES, "--units": ["furlongs"],
+                "--algorithm": ["spectal"], "--init": ["spectal"],
+                "--trials": ["0", "-1", "nan", "x", "1.5"], "--seed": _INT_VALUES,
+                "--jobs": ["0", "-1", "x", "1.5"]}
+_JOBS = _EXP_VALID["--jobs"] + _EXP_INVALID["--jobs"]
+_TRIALS = _EXP_VALID["--trials"] + _EXP_INVALID["--trials"]
+
+
+def _experiment_argv():
+    # no --out: the CSV goes to stdout
+    def flags(values):
+        return st.tuples(*(_flag(name, values[name], name in ("--n", "--t", "--trials"))
+                           for name in _EXP_VALID))
+
+    mixed = {name: _EXP_VALID[name] + _EXP_INVALID[name] for name in _EXP_VALID}
+    return st.tuples(st.one_of(flags(_EXP_VALID), flags(mixed)),
+                     st.sampled_from([[], ["--balanced"]]),
+                     st.sampled_from([[], ["--deterministic"]])).map(
+        lambda parts: ["experiment", *sum(parts[0], []), *parts[1], *parts[2]])
+
+
+def _figure_argv(out):
+    # figures 3-7 run 100 to 1,000 nodes, so they are drawn only with a
+    # trial count that is refused before any trial runs; figure 2's
+    # threshold grids run whole, and a third of the draws are valid for it
+    def flags(figures, trials, seeds, jobs, refused=False):
+        return st.tuples(_flag("--figure", figures, True), _flag("--trials", trials, refused),
+                         _flag("--seed", seeds), _flag("--jobs", jobs),
+                         st.sampled_from([[], ["--deterministic"]]))
+
+    seeds = ["0", "7", str(10**30)]
+    return st.one_of(
+        flags(["2"], _EXP_VALID["--trials"], seeds, _EXP_VALID["--jobs"]),
+        flags(["2", "8", "x"], _TRIALS, seeds + ["-1", "x"], _JOBS),
+        flags(["3", "4", "5", "6", "7"], _EXP_INVALID["--trials"], seeds, _EXP_VALID["--jobs"],
+              refused=True),
+    ).map(lambda parts: ["replicate-figure", *sum(parts, []), "--out", out])
+
+
+# a small valid config file; a draw replaces some values by wrong types or
+# huge values that are refused before anything is allocated, inserts
+# duplicated, unknown or malformed lines, and may add bytes that are not UTF-8
+_CONFIG_BASE = dict(n="20", k="2", t="3", mu1="0.3", nu1="0.1", p11="0.7", q11="0.3",
+                    units="absolute", algorithm="online", trials="1")
+_CONFIG_VALUES = dict(
+    n=["abc", "1.5", "", "-1", "3037000500", str(10**30)], t=["x", "0", "99999999999999999999"],
+    k=["2.5", "0", str(10**30)], mu1=["much", "nan", "1e400", "true"], p11=["1.5", "-0"],
+    trials=["1.5", "0", str(10**30)], units=["furlongs", "'logn'"], algorithm=["spectal", "3"],
+    init=["truth", "spectral", "spectal"], balanced=["maybe", "1", "true"],
+    seed=["1e3", "-5", str(10**30)], synchronous=["no", "false"], name=["a b", "2024"])
+_CONFIG_LINES = ["n = 40", "trials = 2", "nodes = 20", "colour = blue", "n 20", "[run",
+                 "= 3", "t =", "# a comment", "[section]"]
+
+
+@st.composite
+def _config_bytes(draw):
+    values = dict(_CONFIG_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=2)):
+        values[key] = draw(st.sampled_from(_CONFIG_VALUES[key]))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    for line in draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    data = "\n".join(lines).encode() + b"\n"
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+# each exits 1 naming its flags or file: too large to hold, too large to
+# index, or a trial count no list can hold
+_HUGE_EXPERIMENT = [
+    (["--n", "20", "--t", str(10**12), "--trials", "1"],
+     "--n 20, --t 1000000000000 and --trials 1 take more memory than this process has: "),
+    (["--n", str(10**9), "--trials", "1"], "--n 1000000000 gives flat indices beyond int64"),
+    (["--n", "3037000499", "--t", "1", "--trials", "1"],
+     "--n 3037000499, --t 1 and --trials 1 take more memory than this process has: "),
+    (["--n", "20", "--trials", str(10**11)],
+     "--n 20 and --trials 100000000000 take more memory than this process has"),
+    (["--n", "20", "--trials", str(10**30), "--jobs", "2"],
+     f"--n 20 and --trials {10**30} take more memory than this process has"),
+    (["--config", "t.cfg"], "--config t.cfg gives flat indices beyond int64"),
+    (["--config", "trials.cfg"], "--config trials.cfg takes more memory than this process has"),
+]
+
+
 class TestCLIFlagValues:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1373,6 +1481,61 @@ class TestCLIFlagValues:
         assert proc.stderr.startswith("error: --n ") and proc.stderr.count("\n") == 1
         assert f"--t {sizes[3]}" in proc.stderr
         assert not (tmp_path / "g.tsbm").exists()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_experiment_argv())
+    @example(argv=["experiment", "--n", "20", "--t", "2", "--trials", "3", "--jobs", "2",
+                   "--algorithm", "spectral-squared", "--deterministic"])
+    def test_experiment_flags_exit_cleanly(self, argv):
+        _assert_clean_exit(argv)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_replicate_figure_flags_exit_cleanly(self, tmp_path_factory, data):
+        out = str(tmp_path_factory.getbasetemp() / "figure")
+        _assert_clean_exit(data.draw(_figure_argv(out)))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_config_bytes(), flags=st.sampled_from([[], ["--trials", "2"], ["--n", "3"],
+                                                        ["--jobs", "2"], ["--deterministic"]]))
+    @example(text=b"\xffn = 5\n", flags=[])
+    @example(text=b"t = 99999999999999999999\n", flags=[])
+    @example(text=f"n = {10**30}\nt = 0\n".encode(), flags=[])
+    def test_experiment_config_files_exit_cleanly(self, tmp_path_factory, text, flags):
+        cfg = tmp_path_factory.getbasetemp() / "mutated.cfg"
+        cfg.write_bytes(text)
+        _assert_clean_exit(["experiment", "--config", str(cfg), *flags])
+
+    def test_experiment_config_read_errors_name_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffn = 5\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --config {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n")
+        assert main(["experiment", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --config {tmp_path}: ")
+
+    @pytest.mark.parametrize("argv,want", _HUGE_EXPERIMENT,
+                             ids=[" ".join(argv) for argv, _ in _HUGE_EXPERIMENT])
+    def test_experiment_huge_sizes_name_their_flags(self, tmp_path, argv, want):
+        (tmp_path / "t.cfg").write_text("n = 20\nt = 99999999999999999999\n")
+        (tmp_path / "trials.cfg").write_text("n = 20\ntrials = 100000000000\n")
+        proc = _limited_cli(["experiment", *argv, "--out", "exp.csv"], tmp_path)
+        assert proc.returncode == 1 and proc.stderr.startswith(f"error: {want}"), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "exp.csv").exists()
+
+    def test_replicate_figure_huge_trials_names_the_flag(self, tmp_path):
+        proc = _limited_cli(["replicate-figure", "--figure", "3", "--trials", str(10**11),
+                             "--out", "figure"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ("error: --trials 100000000000 takes more memory than this "
+                               "process has\n")
+        assert os.listdir(tmp_path / "figure") == []
 
 
 class TestSeedDerivationContract:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from tsbm.harness import threshold_grid
 from tsbm.markov import (
     BinaryMarkovChain,
     ThresholdConvention,
+    _i_tilde_args,
+    _itilde_kernels,
     chain_from_stationary,
     count_paths,
     h11_sq,
@@ -517,6 +520,32 @@ class TestThresholdConstants:
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
             i_tilde_short(1.0, 1.0, 1.0, 1.0, 0.1, 0.0, 5)
+
+    def test_constants_equal_the_search_kernel_to_the_bit(self):
+        # T* under the itilde convention compares the kernel's value with K,
+        # so i_tilde_short must give that value itself: for K = its value
+        # the kernel does not cross at T, for the next float down it does.
+        # Persistences reach 1 - 10^-6, where the transient decays slowly; a
+        # copy of the formula in the math module missed on 8 and 2 of these cells
+        rng = np.random.default_rng(47)
+        for _ in range(2000):
+            n = int(rng.choice([100, 500, 1000, 3000]))
+            rho = math.log(n) / n
+            persistences = 1 - 10.0 ** -rng.uniform(0, 6, 2)
+            persistences = np.where(rng.random(2) < 0.1, rng.integers(0, 2, 2), persistences)
+            f, g = (chain_from_stationary(mult * rho, p)
+                    for mult, p in zip(rng.uniform(0.1, 5, 2), persistences))
+            T = int(rng.integers(1, 123_458))
+            cells = (f.mu1, f.p01, f.p11, g.mu1, g.p01, g.p11)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # gamma = 1 included, numpy warns of nothing
+                args = _i_tilde_args(f, g, rho)
+                short, long = i_tilde_short(*args, T), i_tilde_long(*args[2:5])
+            for K, crosses in ((short, False), (np.nextafter(short, -math.inf), True)):
+                with np.errstate(all="ignore"):  # as the search runs its kernels
+                    _, terms, _, step, _ = _itilde_kernels(cells, rho, K)
+                    assert step(terms, [], T)[1] == crosses, (cells, n, T)
+            assert long == terms[1], (cells, n)
 
     def test_long_form_link_persistence_model(self):
         # two-block model with persistence xi and assortativity a
