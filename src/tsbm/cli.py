@@ -3,6 +3,7 @@
 Subcommands: ``generate``, ``divergence``, ``threshold``, ``recover``,
 ``experiment``, ``replicate-figure``.  Exit codes: 0 on success, 1 on
 runtime failure, 2 on usage errors; out of memory, 1 naming the size flags.
+An integer flag or config value past the float range is refused, named.
 """
 
 import argparse
@@ -145,6 +146,15 @@ def _sizes(args, verb, keys=None):
     return f"{', '.join(rest)} and {last} {verb}" if rest else f"{last} {verb}s"
 
 
+def _check_float_range(values, name):
+    """Refuse an integer that no float holds, naming it ``name(key)``: every
+    size and count meets float arithmetic; a seed is taken mod 2^64."""
+    for key, value in values.items():
+        if key != "seed" and type(value) is int and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name(key)} has {len(str(abs(value)))} digits, "
+                             "beyond the float range")
+
+
 def _check_flat_indices(args, n, t):
     if max(t, 1) * n * n > 2**63:  # int64 flat indices t*N*N + i*N + j; T < 1 fails later
         raise ValueError(f"{_sizes(args, 'give', ('config', 'n', 't'))} flat indices beyond int64")
@@ -246,6 +256,7 @@ def _cmd_experiment(parser, args):
                 values = harness.parse_config_text(fh.read())
         except (OSError, UnicodeError) as exc:  # a decoding error names no file
             raise ValueError(f"--config {args.config}: {exc}") from None
+        _check_float_range(values, lambda key: f"--config {args.config}: {key}")
     for key in harness.ExperimentConfig.__dataclass_fields__:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
@@ -285,12 +296,15 @@ def main(argv=None):
     if getattr(args, "jobs", 1) < 1:  # experiment and replicate-figure
         parser.exit(2, f"error: --jobs must be at least 1, got {args.jobs}\n")
     try:
+        _check_float_range(vars(args), lambda key: "--" + key.replace("_", "-"))
         return args.run(parser, args)
-    except MemoryError as exc:  # numpy's message names no flag, and Python's is empty
-        print(f"error: {_sizes(args, 'take')} more memory than this process has"
-              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 1
-    except (ValueError, OSError, EigenConvergenceError) as exc:
+    except (MemoryError, ValueError, OSError, EigenConvergenceError) as exc:
+        # numpy's message names no flag, Python's is empty, and numpy refuses
+        # an array past any address space with a ValueError
+        if isinstance(exc, MemoryError) or str(exc).startswith(
+                ("array is too big", "Maximum allowed size exceeded")):
+            exc = f"{_sizes(args, 'take')} more memory than this process has" + (
+                f": {exc}" if str(exc) else "")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

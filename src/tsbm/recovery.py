@@ -129,9 +129,10 @@ class _PairLogRatio:
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
     base`` of node i's listed partners in block k under ``_under``, the
-    last sweep's labels; ``add`` updates them, a synchronous move drops
-    them.  Passes over every pair add a chunk at a time into a zeroed array
-    (``np.add.at``, one ``bincount``'s bits), so no temporary follows the pairs.
+    last sweep's labels; ``add`` updates them, a clip or a synchronous
+    move drops them.  Passes over every pair add a chunk at a time into a
+    zeroed array (``np.add.at``, one ``bincount``'s bits), so no temporary
+    follows the pairs.
     """
 
     def __init__(self, array, l_init):
@@ -142,11 +143,9 @@ class _PairLogRatio:
         self.array, (pairs, self.slots, self.stay, self.leaves) = array, _entry_slots(array)
         ends = np.int32 if n < 2**31 else np.int64  # widened before * N
         self.rows, self.cols = np.empty(pairs.size, ends), np.empty(pairs.size, ends)
-        self._deg = np.zeros(n, dtype=np.int64)  # listed partners per node
         for at in _chunks(pairs.size):
             rows = pairs[at] // n  # one floor division: np.divmod took 4x as long
             self.rows[at], self.cols[at] = rows, pairs[at] - rows * n
-            np.add.at(self._deg, np.concatenate((rows, self.cols[at])), 1)
         del pairs
         self.base = float(l_init[0])
         self.vals = np.full(self.rows.size, self.base)
@@ -160,7 +159,8 @@ class _PairLogRatio:
         """Consume snapshot ``t``, the one after the last taken: add
         ``increments[2a + b]`` to each pair moving from state a to b, in one
         scalar add over the listed pairs and O(pairs set + N K); the clip
-        runs once the running bound ``_peak`` passes it, kept sums patched."""
+        runs once the running bound ``_peak`` passes it, and drops the kept
+        sums, so the next sweep rebuilds them."""
         (a, b), (lo, hi) = self.array.span(t - 1), self.array.span(t)
         gone = self.slots[a:b][np.flatnonzero(self.leaves[a:b])]  # mask: 3x slower
         touched = np.concatenate((gone, self.slots[lo:hi]), dtype=np.intp)  # leavers first
@@ -170,22 +170,14 @@ class _PairLogRatio:
         old = vals[touched]
         vals += quiet
         vals[touched] = old + delta
-        delta -= quiet  # each offset's change, to rounding; no clip yet
+        delta -= quiet  # each offset's change, to rounding
         r, c = self.rows[touched], self.cols[touched]
         self.ends = r[gone.size:], c[gone.size:]  # snapshot t's
         del old, touched  # temporaries go as soon as used
         self.base = min(max(self.base + quiet, -LOG_RATIO_SATURATION), LOG_RATIO_SATURATION)
         self._peak += np.abs(increments).max()
         if self._peak > LOG_RATIO_SATURATION:
-            self._peak = LOG_RATIO_SATURATION
-            if abs(self.base) == LOG_RATIO_SATURATION:  # base clipped: all offsets move
-                self._sums = None
-            elif self._sums is not None:  # what the clip moves, as one more round of updates
-                moved = np.flatnonzero(np.abs(vals) > LOG_RATIO_SATURATION)
-                delta = np.concatenate((delta, np.clip(vals[moved], -LOG_RATIO_SATURATION,
-                                                       LOG_RATIO_SATURATION) - vals[moved]))
-                r, c = np.concatenate((r, self.rows[moved])), np.concatenate((c, self.cols[moved]))
-                self._age += 1
+            self._peak, self._sums = LOG_RATIO_SATURATION, None
             np.clip(vals, -LOG_RATIO_SATURATION, LOG_RATIO_SATURATION, out=vals)
         if self._sums is not None:
             for ends, partners in ((r, c), (c, r)):
@@ -240,18 +232,19 @@ class _PairLogRatio:
         return self._sums
 
     def _tolerance(self):
-        """Per node, the lead of its best block below which the kept sums may
-        rank its blocks otherwise than ``scores``.  With u = eps / 2, n_i the
-        node's degree in the store (< N), ``_peak`` P and B_i = |base| N + P
-        n_i, an entry errs, to first order, by at most (n_i + 3) u B_i in
-        ``scores`` (n_i values summed in turn), 2 (n_i + 1) u B_i in a rebuilt
-        sum (n_i offsets of at most 2P), 2 (n_i + 4) u B_i per round of updates
-        since (``_age`` a: n_i changes, each offset drifting 2 u P in the
-        scalar add) and 3 u B_i forming the score: by (2a + 3)(n_i + 5) u B_i
-        <= eps (a + 2) (N + 4) B_i in all.  Twice that, doubled for
-        second-order terms, and at least ``_TIE_TOL B_i``."""
+        """The lead of a node's best block below which the kept sums may rank
+        its blocks otherwise than ``scores``, one bound for every node.  With
+        u = eps / 2, n_i node i's degree in the store (< N), ``_peak`` P and
+        B = (|base| + P) N >= |base| N + P n_i, an entry errs, to first order,
+        by at most (n_i + 3) u B in ``scores`` (n_i values summed in turn),
+        2 (n_i + 1) u B in a rebuilt sum (n_i offsets of at most 2P),
+        2 (n_i + 4) u B per round of updates since (``_age`` a: n_i changes,
+        each offset drifting 2 u P in the scalar add) and 3 u B forming the
+        score: by (2a + 3)(n_i + 5) u B <= eps (a + 2) (N + 4) B in all.
+        Twice that, doubled for second-order terms, and at least
+        ``_TIE_TOL B``."""
         bound = 4 * np.finfo(np.float64).eps * (self._age + 2) * (self.n + 4)
-        return max(_TIE_TOL, bound) * (abs(self.base) * self.n + self._peak * self._deg)
+        return max(_TIE_TOL, bound) * (abs(self.base) + self._peak) * self.n
 
     def sweep(self, labels, K, synchronous=True):
         """One relabeling pass: each node moves to the block maximising its
@@ -274,7 +267,7 @@ class _PairLogRatio:
             L = self.base * (sizes - (own[:, None] == np.arange(K))) + sums[start:stop]
             if K > 1:
                 top = np.sort(L, axis=1)
-                near = np.flatnonzero(top[:, -1] - top[:, -2] <= tol[start:stop])
+                near = np.flatnonzero(top[:, -1] - top[:, -2] <= tol)
                 if near.size:  # rescored from the exact rows
                     L[near] = self.scores(out, K, start + near)
             best = L.argmax(axis=1)  # ties go to the lowest block

@@ -1,14 +1,18 @@
 """Tests for the experiment harness and the command line interface."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
+import re
 import resource
+import shutil
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 import warnings
 
@@ -1258,9 +1262,9 @@ def _argv(command):
     return st.tuples(*common, *rest).map(lambda parts: [command, *sum(parts, [])])
 
 
-def _assert_clean_exit(argv):
-    # in-process: an exit code of 0, 1 or 2, no traceback and no warning,
-    # and on failure one error line (argparse's usage lines may precede it)
+def _run_main(argv):
+    # main in-process: its exit code, stdout, stderr (with the traceback of
+    # an exception it let through) and warning messages
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -1269,15 +1273,42 @@ def _assert_clean_exit(argv):
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
-    err = err.getvalue()
+        except Exception:
+            rc = None
+            err.write(traceback.format_exc())
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_clean(argv, rc, out, err, caught):
+    # an exit code of 0, 1 or 2, no traceback and no warning, and on failure
+    # one error line (argparse's usage lines may precede it)
     assert rc in (0, 1, 2), (argv, rc, err)
-    assert "Traceback" not in err and not caught, (argv, err, [str(w.message) for w in caught])
+    assert "Traceback" not in err and not caught, (argv, err, caught)
     if rc == 0:
-        assert err == "" and out.getvalue(), argv
+        assert err == "" and out, argv
     else:
         lines = err.splitlines()
         assert err.count("error:") == 1 and "error:" in lines[-1], (argv, err)
         assert rc == 2 or len(lines) == 1, (argv, err)
+
+
+def _assert_clean_exit(argv):
+    _assert_clean(argv, *_run_main(argv))
+
+
+def _limited_mains(argvs, cwd):
+    # ``_run_main`` on each command line in turn, in one child under a 1 GB
+    # address-space limit, so that a huge allocation fails there
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    code = ("import contextlib, io, json, sys, traceback, warnings\n"
+            "from tsbm.cli import main\n" + inspect.getsource(_run_main)
+            + "json.dump([_run_main(argv) for argv in json.load(sys.stdin)], sys.stdout)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(argvs), cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 # ``recover``'s file: N = 20 nodes, T = 4 snapshots, two blocks
@@ -1442,6 +1473,61 @@ _HUGE_EXPERIMENT = [
 ]
 
 
+# Every integer flag of every command gets integers past the float range,
+# one at a time, beside valid values for the rest; --t gets sizes around
+# int64 with --n 2.  A seed is taken mod 2^64, so any integer runs.
+_PAST_FLOAT = [str(10**309), str(10**400), str(-10**400)]
+_NEAR_INT64 = [str(2**60), str(2**61), str(2**62), str(2**63)]
+_LOW_CHAIN = ["--mu1", "1", "--nu1", "0.5", "--p11", "0.7", "--q11", "0.3"]  # valid from N = 2
+_INT_FLAGS = [  # a valid command line, and the integer flags drawn on it
+    (["generate", "--n", "20", "--k", "2", "--t", "3", *_LOW_CHAIN, "--out", "g.tsbm"],
+     ["--n", "--k", "--t", "--seed"]),
+    (["divergence", "--t", "3", *_LOW_CHAIN], ["--n", "--k", "--t", "--t-max"]),
+    (["threshold", *_LOW_CHAIN], ["--n", "--k", "--t-max"]),
+    (["threshold", *_LOW_CHAIN[:4], "--grid-steps", "3"],
+     ["--n", "--k", "--t-max", "--grid-steps"]),
+    (["recover", "--input", "r.tsbm", "--algorithm", "online", *_RECOVER_CHAIN],
+     ["--k", "--seed"]),
+    (["experiment", "--n", "20", "--t", "3", "--trials", "1", *_LOW_CHAIN],
+     ["--n", "--k", "--t", "--trials", "--seed", "--jobs"]),
+    (["replicate-figure", "--figure", "2", "--out", "figure"],
+     ["--figure", "--trials", "--seed", "--jobs"]),
+]
+
+
+def _set(argv, flag, value):
+    # argv with ``flag`` given ``value``, in place of its own if it has one
+    if flag not in argv:
+        return [*argv, flag, value]
+    at = argv.index(flag) + 1
+    return [*argv[:at], value, *argv[at + 1:]]
+
+
+@st.composite
+def _mutated_lines(draw, lines):
+    # a snapshot file's lines, each ending in a newline, cut mid-line, with
+    # a line duplicated, two lines swapped, a token replaced, or a short
+    # labels line (the second)
+    lines = list(lines)
+    kind = draw(st.sampled_from(["truncate", "duplicate", "swap", "token", "labels"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "truncate":
+        return "".join(lines[:at]) + lines[at][:draw(st.integers(1, len(lines[at]) - 2))]
+    if kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        other = draw(st.integers(0, len(lines) - 1).filter(lambda i: i != at))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "token":
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(["1e3", "x", str(10**20)]))
+        lines[at] = " ".join(tokens) + "\n"
+    else:
+        lines[1] = " ".join(lines[1].split()[:draw(st.integers(1, _RECOVER_N))]) + "\n"
+    return "".join(lines)
+
+
 class TestCLIFlagValues:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1528,6 +1614,76 @@ class TestCLIFlagValues:
         assert proc.returncode == 1 and proc.stderr.startswith(f"error: {want}"), proc.stderr
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "exp.csv").exists()
+
+    def test_integers_past_float_range_name_their_flag(self, tmp_path, recover_file):
+        # each exits 1 or 2 with one line naming its flag, key or file, a
+        # seed exits 0, and --n 2 with a T near int64 exits cleanly, naming
+        # --t if it fails
+        shutil.copy(recover_file, tmp_path / "r.tsbm")
+        drawn = [(argv, flag, value) for argv, flags in _INT_FLAGS for flag in flags
+                 for value in _PAST_FLOAT]
+        drawn += [(_set(argv, "--n", "2"), "--t", value) for argv, _ in _INT_FLAGS
+                  if argv[0] in ("generate", "divergence", "experiment") for value in _NEAR_INT64]
+        named = {}
+        for key in ("n", "k", "t", "trials", "seed"):
+            for value in _PAST_FLOAT:
+                cfg = f"{key}{len(named)}.cfg"
+                (tmp_path / cfg).write_text("".join(
+                    f"{k} = {v}\n" for k, v in dict(_CONFIG_BASE, **{key: value}).items()))
+                named[cfg] = key
+        argvs = [_set(argv, flag, value) for argv, flag, value in drawn]
+        argvs += [["experiment", "--config", cfg] for cfg in named]
+        results = _limited_mains(argvs, tmp_path)
+        assert len(results) == len(argvs)
+        for (argv, flag, value), (rc, out, err, caught) in zip(drawn, results):
+            _assert_clean(_set(argv, flag, value), rc, out, err, caught)
+            if value in _NEAR_INT64:
+                assert rc == 0 or flag in err.splitlines()[-1], (argv, value, err)
+            elif flag == "--seed":
+                assert rc == 0, (argv, err)
+            else:
+                assert rc in (1, 2) and flag in err.splitlines()[-1], (argv, flag, err)
+        for (cfg, key), (rc, out, err, caught) in zip(named.items(), results[len(drawn):]):
+            _assert_clean(cfg, rc, out, err, caught)
+            if key == "seed":
+                assert rc == 0, (cfg, err)
+            else:
+                assert rc == 1 and err.startswith(f"error: --config {cfg}: {key} "), (cfg, err)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), algorithm=st.sampled_from(["online", "spectral", "friends"]))
+    def test_recover_on_mutated_files_names_the_line(self, recover_file, tmp_path_factory,
+                                                     data, algorithm):
+        # a clean exit, and a failure's one line names a line of the file
+        with open(recover_file) as fh:
+            text = data.draw(_mutated_lines(fh.readlines()))
+        path = tmp_path_factory.getbasetemp() / "mutated.tsbm"
+        path.write_text(text)
+        argv = ["recover", "--input", str(path), "--algorithm", algorithm, *_RECOVER_CHAIN]
+        rc, out, err, caught = _run_main(argv)
+        _assert_clean(argv, rc, out, err, caught)
+        assert rc == 0 or re.match(r"error: line \d+: ", err), (argv, err)
+
+    def test_recover_on_a_huge_header_names_the_line_or_file(self, tmp_path, recover_file):
+        # N = 10^8 in the header: the labels line is short of it, or with
+        # no line after the header the start runs out of memory
+        with open(recover_file) as fh:
+            body = fh.readlines()[1:]
+        (tmp_path / "labelled.tsbm").write_text("tsbm 1 100000000 4\n" + "".join(body))
+        (tmp_path / "bare.tsbm").write_text("tsbm 1 100000000 4\n")
+        argvs = [["recover", "--input", name, "--algorithm", algorithm, *_RECOVER_CHAIN]
+                 for name in ("labelled.tsbm", "bare.tsbm")
+                 for algorithm in ("online", "spectral", "friends")]
+        results = _limited_mains(argvs, tmp_path)
+        assert len(results) == len(argvs)
+        for argv, (rc, out, err, caught) in zip(argvs, results):
+            _assert_clean(argv, rc, out, err, caught)
+            if argv[2] == "labelled.tsbm":
+                assert err == "error: line 2: labels line needs 100000000 entries\n", err
+            else:
+                assert rc == 1 and err.startswith(
+                    "error: --input bare.tsbm takes more memory than this process has"), err
 
     def test_replicate_figure_huge_trials_names_the_flag(self, tmp_path):
         proc = _limited_cli(["replicate-figure", "--figure", "3", "--trials", str(10**11),

@@ -1149,8 +1149,10 @@ class TestKeptBlockSums:
            inter=_any_chain, learned=st.booleans())
     def test_within_the_tie_tolerance(self, run, intra, inter, learned):
         # after every step, the kept sums (updated by the step, or rebuilt
-        # by its sweep) lie within a thousandth of the sweep's tolerance
-        # of their exact values
+        # by its sweep) lie within a thousandth of a per-node tolerance of
+        # their exact values: the sweep's factor times |base| N + P n_i, n_i
+        # the node's degree in the store, a bound no looser than the sweep's
+        # one for all nodes, (|base| + P) N
         data, labels, K, synchronous = run
         array = from_dense(data)
         if learned:
@@ -1163,7 +1165,12 @@ class TestKeptBlockSums:
             if ratio._sums is None:  # dropped at the saturation
                 ratio._block_sums(state.labels, K)
             error = np.abs(ratio._sums - _exact_block_sums(ratio))
-            assert (error <= 1e-3 * ratio._tolerance()[:, None]).all()
+            bound = 4 * np.finfo(np.float64).eps * (ratio._age + 2) * (ratio.n + 4)
+            degree = np.bincount(np.concatenate((ratio.rows, ratio.cols)), minlength=ratio.n)
+            per_node = max(recovery._TIE_TOL, bound) * (abs(ratio.base) * ratio.n
+                                                        + ratio._peak * degree)
+            assert (per_node <= ratio._tolerance()).all()
+            assert (error <= 1e-3 * per_node[:, None]).all()
 
     def test_exact_tie_with_rounded_sums_apart(self, monkeypatch):
         # node 0's partners hold -70, 350 and 70 in its block and 350 in
@@ -1196,24 +1203,25 @@ class TestKeptBlockSums:
         assert 0 in rescored[0] and got[0] == 0
         assert got.tobytes() == _inplace_sweep_by_node(ratio, labels, 2).tobytes()
 
-    def test_clips_keep_the_sums_at_figure_7(self, monkeypatch):
+    def test_clips_drop_the_sums_at_figure_7(self, monkeypatch):
         # fig7b_p1.0_online's static intra chain saturates the ratios, so
-        # every add from the first on clips.  The kept sums take what each
-        # clip moves: its 29 in-place sweeps rebuild them at most twice, and
-        # every step's labels are those of a run that rebuilds every sweep
-        rebuilt, block_sums = [], _PairLogRatio._block_sums
+        # every add from the first on clips, and each clip drops the sums
+        # that the last in-place sweep left (the first add finds none yet).
+        # Every step's labels are those of a run that drops them after
+        # every add
+        seen, add = [], _PairLogRatio.add
 
-        def counted(ratio, labels, K):
-            before = ratio._sums
-            sums = block_sums(ratio, labels, K)
-            rebuilt.append(sums is not before)
-            return sums
+        def watched(ratio, t, increments):
+            clips = ratio._peak + np.abs(increments).max() > LOG_RATIO_SATURATION
+            held = ratio._sums is not None
+            add(ratio, t, increments)
+            seen.append((clips, held, ratio._sums is None))
 
-        monkeypatch.setattr(_PairLogRatio, "_block_sums", counted)
+        monkeypatch.setattr(_PairLogRatio, "add", watched)
         kept = _labels_per_step(7, "fig7b_p1.0_online")
-        assert len(rebuilt) == 29 and sum(rebuilt) <= 2
+        assert seen == [(True, t > 0, True) for t in range(29)]
         monkeypatch.setattr(_PairLogRatio, "add", _dropping)
-        assert _labels_per_step(7, "fig7b_p1.0_online") == kept and rebuilt[29:] == [True] * 29
+        assert _labels_per_step(7, "fig7b_p1.0_online") == kept
 
     def test_a_synchronous_move_drops_the_sums(self, monkeypatch):
         # the sums were taken under the labels the sweep was given, so a
