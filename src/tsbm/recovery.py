@@ -1,6 +1,7 @@
 """Community recovery algorithms on snapshot arrays.  Each reads the node
-pairs' interaction patterns from the array's sorted indices; one sparse
-per-pair accumulator, ``_PairLogRatio``, serves every likelihood.
+pairs' interaction patterns from the array's sorted indices, whose pairs
+``sbm._entry_slots`` finds; one sparse per-pair accumulator,
+``_PairLogRatio``, serves every likelihood.
 
 Offline: spectral initialisation with likelihood refinement (optionally the
 leave-one-out variant with a consensus step), and an exhaustive maximum
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.sparse import bmat, csr_matrix
 
 from .markov import BinaryMarkovChain
+from .sbm import _SLOT_CHUNK, _entry_slots
 from .spectral import binarize, spectral_cluster, leave_one_out_cluster
 
 LOG_RATIO_SATURATION = 700.0
@@ -47,59 +49,6 @@ _TIE_TOL = 1e-9
 # In-place sweeps rescore the rows after a move in chunks of 8, 16, 32, ...:
 # 8 rows cost about what one does, and r quiet rows take O(log r) chunks.
 _FIRST_CHUNK, _CHUNK_GROWTH = 8, 2
-
-
-# _entry_slots, the block keys and every pass over all pairs take their arrays
-# in chunks of this many, so no temporary of those steps follows the entries.
-_SLOT_CHUNK = 1 << 14
-
-
-def _entry_slots(array):
-    """The distinct pairs ``i*N + j`` the array sets, increasing; and per
-    entry of ``data``, the int32 slot of its pair, and whether it stays (is
-    set in the snapshot before) or leaves (is not set in the one after).
-    One sort of ``pair * (T + 1) + t`` puts each entry right before its
-    pair's next, one above it unless it leaves.  Where int64 has room, each
-    distinct key carries its entry's index in its low bits and they sort in
-    place, faster than ``argsort``.  Memory follows the entries, not T: the
-    keys are built and the pairs compacted in place, chunk by chunk, so that
-    about two words per entry are held at once, beside chunk-sized temporaries."""
-    size, T, n = int(array.N) ** 2, int(array.T), array.data.size
-    shift = n.bit_length()
-    packed = (size * (T + 1)) << shift <= 2**63
-    key = np.empty(n, np.int64)
-    for lo in range(0, n, _SLOT_CHUNK):
-        x = array.data[lo:lo + _SLOT_CHUNK]
-        snap = x // size
-        x = (x - snap * size) * (T + 1) + snap
-        key[lo:lo + x.size] = x << shift | np.arange(lo, lo + x.size) if packed else x
-    if packed:
-        key.sort()
-        order = np.empty(n, np.int32 if n < 2**31 else np.int64)
-        np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
-        key >>= shift
-    else:
-        order = np.argsort(key)
-        key = key[order]
-    stay, leaves, first = (np.full(n, v) for v in (False, True, True))
-    for lo in range(0, n - 1, _SLOT_CHUNK):
-        hi = min(lo + _SLOT_CHUNK, n - 1)
-        at = order[lo:hi + 1].astype(np.intp)  # int32 indices scatter 1.6x slower
-        step = key[lo + 1:hi + 1] - key[lo:hi] == 1
-        stay[at[1:]], leaves[at[:-1]] = step, ~step
-    key //= T + 1
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    p = 0
-    for lo in range(0, n, _SLOT_CHUNK):  # pairs land at or before their chunk (masks: 3x slower)
-        got = key[lo:lo + _SLOT_CHUNK][np.flatnonzero(first[lo:lo + _SLOT_CHUNK])]
-        key[p:p + got.size] = got
-        p += got.size
-    key.resize(p, refcheck=False)  # the slices above are gone
-    slots, ranks = np.empty(n, np.int32), [-1]
-    for lo in range(0, n, _SLOT_CHUNK):  # each rank goes on from the last chunk's
-        ranks = np.cumsum(first[lo:lo + _SLOT_CHUNK], dtype=np.int32) + ranks[-1]
-        slots[order[lo:lo + _SLOT_CHUNK].astype(np.intp)] = ranks
-    return key, slots, stay, leaves
 
 
 def _chunks(size):

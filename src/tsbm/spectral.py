@@ -3,7 +3,8 @@ eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
 Used as the coarse initial clustering of the recovery algorithms.  Every
 graph is a symmetric float64 CSR ``Graph`` built here from a SnapshotArray's
-entries (``binarize``, ``aggregate``, ``squared``), and the spectral
+entries (``binarize``, ``aggregate``, ``squared``; the union and aggregate
+graphs take their distinct pairs from ``sbm._entry_slots``), and the spectral
 functions take only such a ``Graph``, so no N x N matrix is made before
 ARPACK, which needs only products with it.  ``np.asarray(graph)`` is the
 one dense conversion; library code touches graphs only through sparse
@@ -19,6 +20,7 @@ from scipy.sparse import csr_array, diags_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._rng import derive_seed
+from .sbm import _entry_slots
 
 
 # the degree trim's factor (see trim_high_degree); k-means restarts and Lloyd
@@ -64,35 +66,23 @@ def _symmetric(n, pairs, weights):
     return upper + upper.T
 
 
-def _pair_sums(array):
-    """The distinct pairs ``i*N + j`` the array sets over all snapshots,
-    increasing, by a sort and a neighbour mask, and each pair's sum of
-    ``values`` (1 per entry when None) in entry order."""
-    x, w = array.data % (array.N * array.N), array.values
-    if w is None:
-        x.sort()
-    else:
-        order = np.argsort(x, kind="stable")
-        x, w = x[order], w[order]
-    first = np.ones(x.size, dtype=bool)  # each pair's first entry
-    np.not_equal(x[1:], x[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return x[first], np.diff(first, append=x.size) if w is None else np.add.reduceat(w, first)
-
-
 def binarize(array, t=None):
     """The 0/1 union graph of a SnapshotArray as a float64 ``Graph``:
-    node pairs with any nonzero interaction over all snapshots, or over
-    snapshot ``t`` alone when given (IndexError unless ``0 <= t < T``),
-    from the array's upper indices and their mirrors."""
-    pairs = np.unique(array.data % (array.N * array.N)) if t is None else array.snapshot(t)
+    node pairs with any nonzero interaction over all snapshots (the pairs
+    of ``_entry_slots``), or over snapshot ``t`` alone when given
+    (IndexError unless ``0 <= t < T``), with their mirrors."""
+    pairs = _entry_slots(array)[0] if t is None else array.snapshot(t)
     return _symmetric(array.N, pairs, np.ones(pairs.size))
 
 
 def aggregate(array):
     """The sum of the snapshots as a float64 ``Graph``: each pair's count
-    of snapshots that set it, each weighted by its symbol in ``values``."""
-    return _symmetric(array.N, *_pair_sums(array))
+    of snapshots that set it, each weighted by its symbol in ``values``,
+    tallied over ``_entry_slots``' slots in float64."""
+    pairs, slots = _entry_slots(array)[:2]
+    weights = np.bincount(slots, weights=array.values, minlength=pairs.size)
+    del slots  # freed before the graph is built
+    return _symmetric(array.N, pairs, weights)
 
 
 def squared(array):

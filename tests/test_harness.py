@@ -1220,6 +1220,35 @@ def test_cli_online_at_n_100000_from_the_spectral_start(tmp_path):
     assert rss_kb < 2 * 2**20
 
 
+@pytest.fixture(scope="module")
+def scale_file(tmp_path_factory):
+    """``tsbm generate --seed 1`` on the scale chain at N = 100,000, T = 10."""
+    path = str(tmp_path_factory.mktemp("scale") / "big.tsbm")
+    chain = ["--mu1", "3", "--nu1", "1.5", "--p11", "0.7", "--q11", "0.3"]
+    _run_child("from tsbm.cli import main\n"
+               f"assert main(['generate', '--n', '100000', '--k', '2', '--t', '10', *{chain!r},\n"
+               f"             '--seed', '1', '--out', {path!r}]) == 0\n", 600)
+    return path
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate"])
+def test_cli_union_and_aggregate_graphs_at_n_100000(scale_file, algorithm):
+    # each recover runs in a fresh child under a 4 GB address-space limit
+    # and must exit 0 within 60 s.  On a 2-vCPU VM spectral-union took 37 s
+    # when np.unique found its pairs, 10 s of them in building the graph,
+    # and 32 s since; spectral-aggregate takes about 5 s
+    src = os.path.dirname(os.path.dirname(tsbm.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsbm", "recover", "--input", scale_file, "--algorithm", algorithm],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30,) * 2))
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr[-2000:]}"
+    print(f"N=100000 T=10 recover --algorithm {algorithm}: {proc.stdout.split()[-1]} accuracy, "
+          f"{time.perf_counter() - start:.1f} s")
+
+
 def test_rates_with_linked_quiet_pairs_stays_sparse():
     # at mu1 = 1.5, nu1 = 3 the pairs never set link (Q01 > 3 P01), so the
     # components come from the complement of the non-linked active pairs;

@@ -38,7 +38,7 @@ from tsbm.sbm import (
     sample_labelling,
     sample_markov_snapshots,
 )
-from tsbm.spectral import binarize, leave_one_out_cluster, spectral_cluster
+from tsbm.spectral import aggregate, binarize, leave_one_out_cluster, spectral_cluster
 from tsbm._rng import derive_seed
 
 import dense_reference as dense_ref
@@ -689,15 +689,29 @@ def _from_upper(upper):
 
 
 @st.composite
-def _slot_arrays(draw):
+def _slot_arrays(draw, symbols=False):
     """Arrays from N = 2 and T = 1 up, each snapshot empty, complete or
-    random, and pair (0, 1) set in every snapshot or not."""
+    random, and pair (0, 1) set in every snapshot or not; with ``symbols``,
+    each entry carries one from 1 up to 2, 255 or 2^47 (six of them sum
+    exactly in float64)."""
     n, T = draw(st.integers(2, 7)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = [draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])) for _ in range(T)]
     upper = rng.random((T, n, n)) < np.array(density)[:, None, None]
     upper[:, 0, 1] |= draw(st.booleans())
-    return _from_upper(upper)
+    arr = _from_upper(upper)
+    if symbols:
+        top = draw(st.sampled_from([2, 255, 2**47]))
+        arr = SnapshotArray(arr.data, n, T, rng.integers(1, top, arr.data.size, endpoint=True))
+    return arr
+
+
+def _upper_weights(graph):
+    """A symmetric graph's upper entries as ``{i*N + j: weight}``."""
+    upper = graph.tocoo()
+    keep = upper.row < upper.col
+    flat = upper.row[keep].astype(np.int64) * graph.shape[0] + upper.col[keep]
+    return dict(zip(flat.tolist(), upper.data[keep].tolist()))
 
 
 _NO_BIT = _from_upper(np.zeros((3, 4, 4)))
@@ -718,7 +732,7 @@ _WIDE = _from_entries(2**25, 4000, [(0, 0, 1), (1, 0, 1), (3999, 2**25 - 2, 2**2
 
 class TestEntrySlots:
     @settings(max_examples=200, deadline=None)
-    @given(arr=_slot_arrays())
+    @given(arr=st.one_of(_slot_arrays(), _slot_arrays(symbols=True)))
     @example(arr=_from_upper([[[0, 1], [0, 0]]]))  # N = 2, T = 1
     @example(arr=_NO_BIT)
     @example(arr=_from_upper([[[0, 1, 1], [0, 0, 1], [0, 0, 0]], np.zeros((3, 3)),
@@ -736,6 +750,20 @@ class TestEntrySlots:
         ts = range(arr.T) if arr.T <= 4000 else sorted(
             {arr.T - 1} | {max(t - d, 0) for t in (arr.data // arr.N**2).tolist() for d in (0, 1)})
         assert [arr.span(t) for t in ts] == [(bounds[t], bounds[t + 1]) for t in ts]
+        if arr.N >= 2**20:  # _TALL and _WIDE: a graph of theirs holds an N + 1 row index
+            return
+        # the pair consumers: each pair's count of snapshots, and its symbol sum
+        counts, sums = [0] * len(want[0]), [0] * len(want[0])
+        symbols = [1] * arr.data.size if arr.values is None else arr.values.tolist()
+        for slot, symbol in zip(want[1], symbols):
+            counts[slot] += 1
+            sums[slot] += symbol
+        assert _upper_weights(binarize(arr)) == dict.fromkeys(want[0], 1.0)
+        assert _upper_weights(aggregate(arr)) == dict(zip(want[0], map(float, sums)))
+        seen = []
+        graph = recovery._pair_graph(arr, lambda c: seen.append(c) or c > 0)
+        assert [c.tolist() for c in seen] == [counts]
+        assert _upper_weights(graph) == dict.fromkeys(want[0], True)
 
     @pytest.mark.parametrize("build", [
         lambda a: transition_rate_clustering(a, INTRA.transition, INTER.transition),

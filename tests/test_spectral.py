@@ -21,11 +21,12 @@ from tsbm import harness
 from tsbm._rng import derive_seed
 from tsbm.markov import chain_from_stationary
 from tsbm.metrics import accuracy, ham_star
-from tsbm.sbm import sample_labelling, sample_markov_snapshots
+from tsbm.sbm import SnapshotArray, sample_labelling, sample_markov_snapshots
 from tsbm import spectral
 from tsbm.spectral import (
     EigenConvergenceError,
     Graph,
+    aggregate,
     binarize,
     kmeans,
     leave_one_out_cluster,
@@ -264,6 +265,13 @@ class TestGraphs:
             want, keep = spectral_ref.trim_high_degree(want, K, factor)
             assert type(trimmed) is Graph and (trimmed is graph) == keep.all()
             _assert_same_csr(trimmed, spectral_ref.dense_to_csr(want))
+
+    def test_aggregate_sums_symbols_past_int64(self):
+        # pair (0, 1) holds symbol 2^62 in three snapshots: an int64 sum
+        # wraps to -4.61e18, and float64 holds 3 * 2^62 exactly
+        arr = SnapshotArray([1, 10, 19], 3, 3, values=[2**62] * 3)
+        weight = aggregate(arr)[0, 1]
+        assert weight > 0 and abs(weight - 3 * 2.0**62) <= 3 * math.ulp(3 * 2.0**62)
 
     @settings(max_examples=100, deadline=None)
     @given(arr=_snapshot_arrays, data=st.data(), factor=st.sampled_from([0.5, 40.0]))
