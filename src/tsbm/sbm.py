@@ -15,8 +15,8 @@ The Markov sampler's work follows the set bits, not the N(N-1)/2 pairs:
 it skips geometric gaps over the pair numbers and thins each hit to its
 class's rate (Batagelj and Brandes, Phys. Rev. E, 2005).  Its draws are
 keyed by (seed, block of pairs, step), the categorical sampler's by (seed,
-pair), so generation order never changes the output.  Each step keeps its
-pairs in pair order, so the blocks join snapshot by snapshot with no sort.
+pair), so generation order never changes the output.  A block gives one
+array per step, in pair order, so one join, step by step, sorts them all.
 
 The reader parses the lines up to the first edge line one by one: comments,
 blanks, the header and labels.  It takes the rest in blocks of whole lines,
@@ -138,9 +138,9 @@ def _entry_slots(array):
     entry of ``data``, the int32 slot of its pair, and whether it stays (is
     set in the snapshot before) or leaves (is not set in the one after).
     One sort of ``pair * (T + 1) + t`` puts each entry right before its
-    pair's next, one above it unless it leaves.  Where int64 has room, each
-    distinct key carries its entry's index in its low bits and they sort in
-    place, faster than ``argsort``.  Memory follows the entries, not T: the
+    pair's next, one above it unless it leaves.  The keys sort in place,
+    each carrying its entry's index in its low bits where int64 has room,
+    else beside an ``argsort``.  Memory follows the entries, not T: the
     keys are built and the pairs compacted in place, chunk by chunk, so that
     about two words per entry are held at once, beside chunk-sized temporaries."""
     size, T, n = int(array.N) ** 2, int(array.T), array.data.size
@@ -159,7 +159,7 @@ def _entry_slots(array):
         key >>= shift
     else:
         order = np.argsort(key)
-        key = key[order]
+        key.sort()
     stay, leaves, first = (np.full(n, v) for v in (False, True, True))
     for lo in range(0, n - 1, _SLOT_CHUNK):
         hi = min(lo + _SLOT_CHUNK, n - 1)
@@ -215,21 +215,18 @@ def sample_markov_snapshots(labels, intra, inter, T, seed=0):
     n_pairs = N * (N - 1) // 2
     # pairs (i, i+1), ..., (i, N-1) are numbered from row_start[i] on
     row_start = np.arange(N + 1) * (2 * N - np.arange(N + 1) - 1) // 2
-    found = [_block_snapshots(labels, row_start, (inter, intra), T, seed, lo,
+    steps = [_block_snapshots(labels, row_start, (inter, intra), T, seed, lo,
                               min(lo + _BLOCK_PAIRS, n_pairs))
              for lo in range(0, n_pairs, _BLOCK_PAIRS)]
-    if len(found) == 1:
-        return SnapshotArray(found[0], N, T, labels=labels)
-    # each block's entries are sorted: join the blocks snapshot by snapshot
-    cuts = [np.searchsorted(x, np.arange(T + 1) * N * N) for x in found]
-    data = [x[c[t]:c[t + 1]] for t in range(T) for x, c in zip(found, cuts)]
+    # each block's steps are in pair order: joined step by step, they are sorted
+    data = [block[t] for t in range(T) for block in steps]
     return SnapshotArray(np.concatenate([np.empty(0, dtype=np.int64), *data]), N, T, labels=labels)
 
 
 def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
-    """Flat indices ``t*N*N + i*N + j`` of the set bits of pairs ``lo .. hi
-    - 1`` in all T snapshots, increasing; ``chains`` is (across, within)
-    blocks.
+    """Per snapshot t, the flat indices ``t*N*N + i*N + j`` of the set bits
+    of pairs ``lo .. hi - 1``, increasing: a list of T arrays; ``chains`` is
+    (across, within) blocks.
 
     Snapshot 0 skips over the pairs at the larger ``mu1`` and thins each hit
     to its class's.  At each later step a pair on stays on with its class's
@@ -268,7 +265,7 @@ def _block_snapshots(labels, row_start, chains, T, seed, lo, hi):
         order = np.argsort(on, kind="stable")  # merges the kept and the fresh, each in pair order
         on, flat = on[order], flat[order]
         part.append(t * N * N + flat)
-    return np.concatenate(part)
+    return part
 
 
 def _skip(key, rate, n):
@@ -425,10 +422,11 @@ def read_snapshots(path):
     block's are, when every line of the block is an edge line.  Either way
     the block's edges are range-checked and folded into flat keys, one
     int64 each, when it ends; the keys are joined once, then the symbols of
-    the blocks that list one above 1.  Line numbers are rebuilt only to
-    name an invalid file's first offending line.  Memory follows the number
-    of edges, whatever the header's dimensions; ``values`` is kept only when
-    some symbol exceeds 1."""
+    the blocks that list one above 1.  A malformed record raises at once,
+    wherever it stands; else line numbers are rebuilt to name the first line
+    whose edge is out of range, a self-loop, repeated or of a bad symbol.
+    Memory follows the number of edges, whatever the header's dimensions;
+    ``values`` is kept only when some symbol exceeds 1."""
     header, labels, first = None, None, 1  # first: the number of the next line
     # per block of valid edges: flat keys, symbols (None: all 1) and lines, a
     # range or an array; keys and symbols start with an empty entry to join

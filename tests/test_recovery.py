@@ -728,6 +728,12 @@ _TALL = _from_entries(2**20, 2**20 - 1, [(0, 2**20 - 2, 2**20 - 1), (2**20 - 3, 
                                          (2**20 - 2, 0, 1), (2**20 - 2, 2**20 - 2, 2**20 - 1)])
 _WIDE = _from_entries(2**25, 4000, [(0, 0, 1), (1, 0, 1), (3999, 2**25 - 2, 2**25 - 1),
                                     (3998, 2**25 - 2, 2**25 - 1), (7, 5, 9)])
+# 300 entries past the limit: two pairs set in runs of 100 snapshots, one at
+# each end, and a third set in every other snapshot, so each of its entries
+# leaves and none stays
+_WIDE_RUNS = _from_entries(2**25, 4000, [*((t, 0, 1) for t in range(100)),
+                                         *((t, 2**25 - 2, 2**25 - 1) for t in range(3900, 4000)),
+                                         *((t, 5, 9) for t in range(0, 200, 2))])
 
 
 class TestEntrySlots:
@@ -740,6 +746,7 @@ class TestEntrySlots:
     @example(arr=_from_upper(np.ones((4, 3, 3))))  # every pair set in every snapshot
     @example(arr=_TALL)  # indices packed into the keys' low bits up to the int64 limit
     @example(arr=_WIDE)  # past it: the argsort fallback
+    @example(arr=_WIDE_RUNS)
     def test_matches_dict_reference(self, arr):
         pairs, slots, stay, leaves = _entry_slots(arr)
         assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape
@@ -799,6 +806,23 @@ class TestEntrySlots:
             tracemalloc.stop()
         assert slots.size == arr.data.size == 600687
         assert peak <= 3 * arr.data.nbytes
+
+    def test_argsort_path_peak_below_twenty_bytes_per_entry(self):
+        # 2^21 entries at N = 2^20, T = 2^20 - 1, whose packed keys would
+        # need 82 bits: 2048 pairs, each set in a run of 1024 snapshots.
+        # The argsort path peaked at 24.1 bytes per entry with the sorted
+        # keys gathered beside the unsorted ones, 19.3 sorting them in place.
+        N, T, p = 2**20, 2**20 - 1, np.arange(2048)
+        t = p[:, None] * 511 + np.arange(1024)
+        arr = SnapshotArray(np.sort((t * N * N + (p * N + N - 1 - p)[:, None]).ravel()), N, T)
+        tracemalloc.start()
+        try:
+            pairs, _, stay, leaves = _entry_slots(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pairs.size, stay.sum(), leaves.sum()) == (2048, 2048 * 1023, 2048)
+        assert peak <= 20 * arr.data.size, peak / arr.data.size
 
     def test_online_learners_and_rates_run_without_a_set_bit(self):
         labels = np.array([0, 1, 0, 1])

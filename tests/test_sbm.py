@@ -245,14 +245,16 @@ class TestSamplerLaw:
 _SCALE_DIGESTS = {
     (3000, 10): "74efe5d0f98414ef77e02b7282a260162f1ecf5b771ae5b82fcc07e31e582419",
     (1000, 30): "4438d925b4123b430081faa350347b7f927fa0ff15dda802f308012151da4124",
+    # recorded with the blocks joined through per-block searchsorted cuts
+    (30000, 10): "82f6a13f7d47e503fef7255d889244999a3262a7c247e4225251841c55686956",
 }
 
 
 def _scale_sample(N, T):
-    """The benchmark's scale point at N=3000, T=10, or the figure-6
-    online-learn config at N=1000, T=30."""
-    if N == 3000:
-        intra, inter = harness.chains_in_units(3000, 3.0, 1.5, 0.7, 0.3)
+    """The scale chain at N=3000, T=10 (the benchmark's scale point) or
+    N=30000, T=10; or the figure-6 online-learn config at N=1000, T=30."""
+    if N != 1000:
+        intra, inter = harness.chains_in_units(N, 3.0, 1.5, 0.7, 0.3)
     else:
         intra, inter = harness.chains_in_units(1000, 0.05, 0.03, 0.6, 0.3, "absolute")
     return sample_markov_snapshots(sample_labelling(N, 2, seed=1), intra, inter, T, seed=2)
@@ -261,8 +263,9 @@ def _scale_sample(N, T):
 class TestChunkedSampler:
     @pytest.mark.parametrize("N, T", sorted(_SCALE_DIGESTS))
     def test_scale_point_digests(self, N, T):
-        # 5 blocks and 1 (at N=3000 four start mid-row and the last is
-        # short), at sizes the per-pair reference cannot reach
+        # 5 blocks, 1 and 430 (at N=3000 four start mid-row and the last
+        # is short; at N=30000 most do), at sizes the per-pair reference
+        # cannot reach
         data = _scale_sample(N, T).data
         t, rest = np.divmod(data, N * N)
         both = np.sort(np.concatenate((data, t * N * N + rest % N * N + rest // N)))
@@ -302,8 +305,8 @@ class TestChunkedSampler:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sbm, "_BLOCK_PAIRS", 7)  # 118 blocks, most starting and ending mid-row
             want = sample_markov_snapshots(labels, intra, inter, 3, seed=12)
-            got = [sbm._block_snapshots(labels, row_start, (inter, intra), 3, 12, lo,
-                                        min(lo + 7, n_pairs))
+            got = [np.concatenate(sbm._block_snapshots(labels, row_start, (inter, intra), 3,
+                                                       12, lo, min(lo + 7, n_pairs)))
                    for lo in reversed(range(0, n_pairs, 7))]
         assert np.array_equal(np.sort(np.concatenate(got)), want.data)
 
