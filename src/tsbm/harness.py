@@ -176,8 +176,8 @@ class TrialRecord:
 
 
 def spectral_matrix(array, algorithm):
-    """The ``Graph`` a spectral algorithm clusters, as ``spectral``'s
-    ``binarize``, ``aggregate`` or ``squared`` builds it."""
+    """The graph a spectral algorithm clusters: ``spectral``'s ``Graph`` from
+    ``binarize`` or ``aggregate``, or its ``SquaredOperator`` from ``squared``."""
     # looked up per call, so that a wrapper set on this module's names sees the call
     builders = {"spectral": binarize, "spectral-union": binarize,
                 "spectral-aggregate": aggregate, "spectral-squared": squared}

@@ -2,22 +2,21 @@
 eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
 Used as the coarse initial clustering of the recovery algorithms.  Every
-graph is a symmetric float64 CSR ``Graph`` built here from a SnapshotArray's
-entries (``binarize``, ``aggregate``, ``squared``; the union and aggregate
-graphs take their distinct pairs from ``sbm._entry_slots``), and the spectral
-functions take only such a ``Graph``, so no N x N matrix is made before
-ARPACK, which needs only products with it.  ``np.asarray(graph)`` is the
-one dense conversion; library code touches graphs only through sparse
-methods (``abs(g)``, ``g.sum(axis=1)``, slicing), since any numpy call on a
-graph would make it dense.  Each Lloyd iteration of k-means takes its
-centres from one weighted ``bincount`` per column.
+graph is built here from a SnapshotArray's entries: a symmetric float64 CSR
+``Graph`` (``binarize``, ``aggregate``, from ``sbm._entry_slots``' pairs), or
+the ``SquaredOperator`` ``S^T S - D`` of the stacked snapshots ``S``
+(``squared``).  The spectral functions take either, so no N x N matrix or
+product is made before ARPACK, which needs only products with the graph.
+``np.asarray(graph)`` is the one dense conversion: library code touches
+graphs only through sparse methods and products.  Each Lloyd iteration of
+k-means takes its centres from one weighted ``bincount`` per column.
 """
 
 import inspect
 
 import numpy as np
-from scipy.sparse import csr_array, diags_array
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._rng import derive_seed
 from .sbm import _entry_slots
@@ -44,15 +43,28 @@ class EigenConvergenceError(RuntimeError):
 
 class Graph(csr_array):
     """A symmetric float64 CSR matrix in canonical form (sorted column
-    indices, no explicit zeros), as every spectral function takes and gives
-    it; slicing and sparse arithmetic keep the class.  ``np.asarray(graph)``
-    gives the dense matrix, for callers that multiply densely (the
-    eigen-residual hook of ``bench/tracing.py``); it is the only dense
-    conversion, and no library code makes it."""
+    indices, no explicit zeros); slicing and sparse arithmetic keep the
+    class.  ``np.asarray(graph)`` gives the dense matrix, for callers that
+    multiply densely (the eigen-residual hook of ``bench/tracing.py``); it
+    is the only dense conversion, and no library code makes it."""
 
     def __array__(self, dtype=None, copy=None):
-        dense = self.toarray()
-        return dense if dtype is None else dense.astype(dtype, copy=False)
+        return np.asarray(self.toarray(), dtype=dtype)
+
+
+class SquaredOperator(LinearOperator):
+    """``S^T S - diag(d)`` as the products ``v -> S^T (S v) - d v``: symmetric
+    float64, non-negative for integer symbols; ``np.asarray`` as for a ``Graph``."""
+
+    def __init__(self, stacked, d):
+        super().__init__(np.float64, (stacked.shape[1],) * 2)
+        self.stacked, self.d, self._transposed = stacked, d, stacked.T  # not one per product
+
+    def _matmat(self, x):
+        return self._transposed @ (self.stacked @ x) - self.d[:, None] * x
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self @ np.eye(self.shape[0]), dtype=dtype)
 
 
 def _symmetric(n, pairs, weights):
@@ -86,42 +98,48 @@ def aggregate(array):
 
 
 def squared(array):
-    """The sum of ``A_t A_t - D_t`` over the snapshots as a float64 ``Graph``:
+    """The sum of ``A_t A_t - D_t`` over the snapshots as a ``SquaredOperator``:
     ``S^T S - D`` for the snapshots stacked as the rows of one sparse ``S``,
-    each weighted by its symbol in ``values``, with its zero diagonal dropped."""
+    each weighted by its symbol in ``values``, and ``D`` their summed degrees."""
     n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
     rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
     rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
     w = np.concatenate((w, w)).astype(np.float64)
-    degrees = diags_array(np.bincount(cols, weights=w, minlength=n), dtype=np.float64)
-    stacked = csr_array((w, (rows, cols)), shape=(array.T * n, n))
-    del rows, cols, w  # freed before the product, the largest array here
-    product = (stacked.T @ stacked).tocsr()
-    product.sort_indices()
-    # a canonical difference stores no zero, so the zero diagonal of 0/1 snapshots goes
-    return Graph(product - degrees)
+    return SquaredOperator(csr_array((w, (rows, cols)), shape=(array.T * n, n)),
+                           np.bincount(cols, weights=w, minlength=n))
+
+
+def _degrees(graph):
+    """Row sums of ``abs(graph)``, or of a ``SquaredOperator``: its entries are non-negative."""
+    if isinstance(graph, SquaredOperator):
+        return graph @ np.ones(graph.shape[0])
+    return abs(graph).sum(axis=1)
 
 
 def trim_high_degree(graph, K):
-    """The ``Graph`` without the entries of the rows and columns of nodes
-    whose degree (sum of absolute weights) exceeds ``_TRIM_FACTOR * K *
-    mean_degree``: the input itself when no node is trimmed."""
-    deg = abs(graph).sum(axis=1)
+    """The graph without the entries of the rows and columns of nodes whose
+    degree (sum of absolute weights) exceeds ``_TRIM_FACTOR * K *
+    mean_degree``: the input itself when no node is trimmed.  Of ``S`` only
+    the columns go, with their degrees: ``P (S^T S - D) P = (S P)^T (S P) - P D``."""
+    deg = _degrees(graph)
     keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
         return graph
-    hit = np.repeat(keep, np.diff(graph.indptr)) & keep[graph.indices]
-    before = np.zeros(hit.size + 1, dtype=graph.indptr.dtype)  # kept entries ahead of each
+    square = isinstance(graph, SquaredOperator)
+    m = graph.stacked if square else graph
+    hit = keep[m.indices] if square else np.repeat(keep, np.diff(m.indptr)) & keep[m.indices]
+    before = np.zeros(hit.size + 1, dtype=m.indptr.dtype)  # kept entries ahead of each
     np.cumsum(hit, out=before[1:])
-    return Graph((graph.data[hit], graph.indices[hit], before[graph.indptr]), shape=graph.shape)
+    m = type(m)((m.data[hit], m.indices[hit], before[m.indptr]), shape=m.shape)
+    return SquaredOperator(m, graph.d * keep) if square else m
 
 
 def top_eigenpairs(A, k, rng=None):
-    """Top-``k`` eigenpairs of a symmetric ``Graph`` by magnitude, largest
+    """Top-``k`` eigenpairs of a symmetric graph by magnitude, largest
     first; pairs of equal magnitude keep ascending value order.
 
-    ARPACK (``scipy.sparse.linalg.eigsh``) runs on the CSR matrix.  Dense
-    ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.  An all-zero matrix
+    ARPACK (``scipy.sparse.linalg.eigsh``) runs on products with the graph.
+    Dense ``eigh`` covers what ARPACK cannot: ``k >= n - 1``.  An all-zero graph
     gives what ``eigh`` would, zeros and the first ``k`` unit vectors,
     without it.  Raises ValueError unless ``1 <= k <= n``, and
     EigenConvergenceError when ARPACK does not converge.
@@ -134,8 +152,8 @@ def top_eigenpairs(A, k, rng=None):
     # next, and seeded outputs rely on it advancing by exactly k * n normals
     v0 = rng.standard_normal((k, n))[0]
     if k >= n - 1:
-        vals, vecs = np.linalg.eigh(A.toarray())
-    elif A.count_nonzero() == 0:  # eigh's result and layout, without eigh
+        vals, vecs = np.linalg.eigh(A @ np.eye(n))
+    elif not _degrees(A).any():  # all zero: eigh's result and layout, without eigh
         return np.zeros(k), np.eye(n, k, order="F")
     else:
         try:
@@ -226,9 +244,9 @@ def _cluster(graph, K, seed, stream):
 
 
 def spectral_cluster(graph, K, seed=0):
-    """Cluster the nodes of a symmetric (weighted) ``Graph`` into ``K``
-    blocks: trim, embed on the top-K eigenvectors, then k-means the
-    embedding rows, drawing from substream 0 of ``seed``."""
+    """Cluster the nodes of a symmetric (weighted) graph into ``K`` blocks:
+    trim, embed on the top-K eigenvectors, then k-means the embedding rows,
+    drawing from substream 0 of ``seed``."""
     return _cluster(graph, K, seed, 0)
 
 

@@ -1232,12 +1232,15 @@ def scale_file(tmp_path_factory):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate"])
+@pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate", "spectral-squared"])
 def test_cli_union_and_aggregate_graphs_at_n_100000(scale_file, algorithm):
     # each recover runs in a fresh child under a 4 GB address-space limit
     # and must exit 0 within 60 s.  On a 2-vCPU VM spectral-union took 37 s
     # when np.unique found its pairs, 10 s of them in building the graph,
-    # and 32 s since; spectral-aggregate takes about 5 s
+    # and 32 s since; spectral-aggregate takes about 5 s.  spectral-squared
+    # exited 1 after 18.7 s asking 3.47 GiB when it formed S^T S; products
+    # with the stacked snapshots take about 7 s.  The union graph sees no
+    # blocks on this chain (0.50), the other two score 0.99 or more
     src = os.path.dirname(os.path.dirname(tsbm.__file__))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -1245,8 +1248,11 @@ def test_cli_union_and_aggregate_graphs_at_n_100000(scale_file, algorithm):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30,) * 2))
     assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr[-2000:]}"
-    print(f"N=100000 T=10 recover --algorithm {algorithm}: {proc.stdout.split()[-1]} accuracy, "
+    accuracy = float(proc.stdout.split()[-1])
+    print(f"N=100000 T=10 recover --algorithm {algorithm}: {accuracy} accuracy, "
           f"{time.perf_counter() - start:.1f} s")
+    if algorithm != "spectral-union":
+        assert accuracy >= 0.95
 
 
 def test_rates_with_linked_quiet_pairs_stays_sparse():

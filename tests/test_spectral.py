@@ -26,11 +26,13 @@ from tsbm import spectral
 from tsbm.spectral import (
     EigenConvergenceError,
     Graph,
+    SquaredOperator,
     aggregate,
     binarize,
     kmeans,
     leave_one_out_cluster,
     spectral_cluster,
+    squared,
     top_eigenpairs,
     trim_high_degree,
 )
@@ -255,8 +257,8 @@ class TestGraphs:
         x = dense_ref.dense_tensor(arr)
         wants = [(binarize(arr), (x != 0).any(axis=0))]
         wants += [(binarize(arr, t), x[t] != 0) for t in range(arr.T)]
-        wants += [(harness.spectral_matrix(arr, a), dense_ref.spectral_matrix(arr, a))
-                  for a in ("spectral-aggregate", "spectral-squared")]
+        wants += [(harness.spectral_matrix(arr, "spectral-aggregate"),
+                   dense_ref.spectral_matrix(arr, "spectral-aggregate"))]
         for graph, want in wants:
             assert type(graph) is Graph
             _assert_same_csr(graph, spectral_ref.dense_to_csr(want))
@@ -296,6 +298,43 @@ class TestGraphs:
             assert type(got) is Graph
             _assert_same_csr(got, spectral_ref.dense_to_csr(want))
             assert np.asarray(got, dtype=np.float64).tobytes() == want.tobytes()
+
+
+class TestSquaredOperator:
+    """``squared`` keeps ``S^T S - D`` as products with the stacked
+    snapshots ``S``: its dense form, trimmed or not, is the dense matrix to
+    the bit (every entry an integer), and its products agree to rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_snapshot_arrays, K=st.integers(1, 3), factor=st.sampled_from([0.5, 1.0, 40.0]),
+           data=st.data())
+    def test_operator_is_the_dense_matrix(self, arr, K, factor, data):
+        want = dense_ref.spectral_matrix(arr, "spectral-squared")
+        op = squared(arr)
+        assert type(op) is SquaredOperator and op.shape == want.shape
+        assert np.asarray(op).tobytes() == want.tobytes()
+        v = data.draw(arrays(np.float64, arr.N, elements=st.floats(-1e3, 1e3)))
+        # S^T S = want + D, so these bound the magnitudes of every term summed
+        degrees = dense_ref.dense_tensor(arr).sum(axis=(0, 2)).astype(np.float64)
+        scale = (np.abs(want) + 2 * np.diag(degrees)) @ np.abs(v)
+        assert (np.abs(op @ v - want @ v) <= 4 * np.finfo(np.float64).eps * scale).all()
+        with mock.patch.object(spectral, "_TRIM_FACTOR", factor):
+            trimmed = trim_high_degree(op, K)
+        want, keep = spectral_ref.trim_high_degree(want, K, factor)
+        assert type(trimmed) is SquaredOperator and (trimmed is op) == keep.all()
+        assert np.asarray(trimmed).tobytes() == want.tobytes()
+
+    def test_matchings_square_to_zero_without_arpack(self):
+        # each snapshot is a matching, so A_t A_t = D_t: S holds entries, but
+        # S^T S - D is zero, and ARPACK must not run on it
+        op = squared(SnapshotArray([1, 15, 44, 58], 6, 2))
+        assert op.stacked.nnz == 8 and not np.asarray(op).any()
+        with mock.patch.object(spectral, "eigsh", side_effect=AssertionError("eigsh ran")):
+            vals, vecs = top_eigenpairs(op, 2)
+            labels = spectral_cluster(op, 2, 0)
+        assert vals.tobytes() == np.zeros(2).tobytes()
+        assert vecs.tobytes() == np.eye(6, 2).tobytes() and vecs.flags.f_contiguous
+        assert labels.tolist() == [0, 1, 0, 0, 0, 0]
 
 
 class TestKMeans:
@@ -576,6 +615,23 @@ def test_spectral_init_stays_below_n_squared_bytes(graph):
         tracemalloc.stop()
     assert labels.shape == (n,)
     assert peak < n * n
+
+
+def test_squared_start_on_the_scale_chain_stays_below_40_mib():
+    # N = 3000, T = 10 on the scale chain, where the snapshots' squares hold
+    # millions of entries: forming S^T S peaked at 155.3 MiB traced, and
+    # products with the stacked snapshots at about 21 MiB
+    n = 3000
+    intra, inter = harness.chains_in_units(n, 3.0, 1.5, 0.7, 0.3, "logn")
+    arr = sample_markov_snapshots(sample_labelling(n, 2, seed=1), intra, inter, 10, seed=2)
+    tracemalloc.start()
+    try:
+        labels, _ = harness.recover(arr, "spectral-squared", 2, 0, chains=(intra, inter))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (n,)
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate",
