@@ -176,8 +176,8 @@ class TrialRecord:
 
 
 def spectral_matrix(array, algorithm):
-    """The graph a spectral algorithm clusters: ``spectral``'s ``Graph`` from
-    ``binarize`` or ``aggregate``, or its ``SquaredOperator`` from ``squared``."""
+    """The graph a spectral algorithm clusters: ``binarize``'s or ``aggregate``'s ``Graph``,
+    or ``squared``'s operator of ``S``, the snapshot graphs stacked, and S's column sums."""
     # looked up per call, so that a wrapper set on this module's names sees the call
     builders = {"spectral": binarize, "spectral-union": binarize,
                 "spectral-aggregate": aggregate, "spectral-squared": squared}

@@ -135,7 +135,7 @@ _SLOT_CHUNK = 1 << 14
 
 def _entry_slots(array):
     """The distinct pairs ``i*N + j`` the array sets, increasing; and per
-    entry of ``data``, the int32 slot of its pair, and whether it stays (is
+    entry of ``data``, the slot of its pair, and whether it stays (is
     set in the snapshot before) or leaves (is not set in the one after).
     One sort of ``pair * (T + 1) + t`` puts each entry right before its
     pair's next, one above it unless it leaves.  The keys sort in place,
@@ -144,7 +144,7 @@ def _entry_slots(array):
     keys are built and the pairs compacted in place, chunk by chunk, so that
     about two words per entry are held at once, beside chunk-sized temporaries."""
     size, T, n = int(array.N) ** 2, int(array.T), array.data.size
-    shift = n.bit_length()
+    shift, index = n.bit_length(), np.int32 if n < 2**31 else np.int64  # pairs <= entries
     packed = (size * (T + 1)) << shift <= 2**63
     key = np.empty(n, np.int64)
     for lo in range(0, n, _SLOT_CHUNK):
@@ -154,7 +154,7 @@ def _entry_slots(array):
         key[lo:lo + x.size] = x << shift | np.arange(lo, lo + x.size) if packed else x
     if packed:
         key.sort()
-        order = np.empty(n, np.int32 if n < 2**31 else np.int64)
+        order = np.empty(n, index)
         np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
         key >>= shift
     else:
@@ -174,9 +174,9 @@ def _entry_slots(array):
         key[p:p + got.size] = got
         p += got.size
     key.resize(p, refcheck=False)  # the slices above are gone
-    slots, ranks = np.empty(n, np.int32), [-1]
+    slots, ranks = np.empty(n, index), [-1]
     for lo in range(0, n, _SLOT_CHUNK):  # each rank goes on from the last chunk's
-        ranks = np.cumsum(first[lo:lo + _SLOT_CHUNK], dtype=np.int32) + ranks[-1]
+        ranks = np.cumsum(first[lo:lo + _SLOT_CHUNK], dtype=index) + ranks[-1]
         slots[order[lo:lo + _SLOT_CHUNK].astype(np.intp)] = ranks
     return key, slots, stay, leaves
 

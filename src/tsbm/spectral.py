@@ -2,20 +2,19 @@
 eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
 Used as the coarse initial clustering of the recovery algorithms.  Every
-graph is built here from a SnapshotArray's entries: a symmetric float64 CSR
-``Graph`` (``binarize``, ``aggregate``, from ``sbm._entry_slots``' pairs), or
-the ``SquaredOperator`` ``S^T S - D`` of the stacked snapshots ``S``
-(``squared``).  The spectral functions take either, so no N x N matrix or
-product is made before ARPACK, which needs only products with the graph.
-``np.asarray(graph)`` is the one dense conversion: library code touches
-graphs only through sparse methods and products.  Each Lloyd iteration of
-k-means takes its centres from one weighted ``bincount`` per column.
+graph is a symmetric float64 CSR ``Graph`` from ``_symmetric``, of
+``sbm._entry_slots``' pairs (``binarize``, ``aggregate``) or of one snapshot;
+``squared`` stacks the snapshots' graphs as ``S`` for the ``SquaredOperator``
+``S^T S - D``, ``D`` being S's column sums.  ARPACK needs only products, so
+no N x N product is made; ``np.asarray(graph)`` is the one dense conversion,
+and no library code makes it.  Each Lloyd iteration of k-means takes its
+centres from one weighted ``bincount`` per column.
 """
 
 import inspect
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, vstack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._rng import derive_seed
@@ -44,21 +43,22 @@ class EigenConvergenceError(RuntimeError):
 class Graph(csr_array):
     """A symmetric float64 CSR matrix in canonical form (sorted column
     indices, no explicit zeros); slicing and sparse arithmetic keep the
-    class.  ``np.asarray(graph)`` gives the dense matrix, for callers that
-    multiply densely (the eigen-residual hook of ``bench/tracing.py``); it
-    is the only dense conversion, and no library code makes it."""
+    class.  ``np.asarray(graph)`` gives the dense matrix for the eigen-residual
+    hook of ``bench/tracing.py``; no library code makes it, and scipy's block
+    constructors (``vstack``, ``bmat``) fail on it, trying it as dense."""
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.toarray(), dtype=dtype)
 
 
 class SquaredOperator(LinearOperator):
-    """``S^T S - diag(d)`` as the products ``v -> S^T (S v) - d v``: symmetric
-    float64, non-negative for integer symbols; ``np.asarray`` as for a ``Graph``."""
+    """``S^T S - diag(d)``, ``d`` the column sums of the CSR ``S``, as ``v -> S^T (S v) - d v``:
+    symmetric float64, non-negative for integer symbols; ``np.asarray`` as for a ``Graph``."""
 
-    def __init__(self, stacked, d):
+    def __init__(self, stacked):
         super().__init__(np.float64, (stacked.shape[1],) * 2)
-        self.stacked, self.d, self._transposed = stacked, d, stacked.T  # not one per product
+        self.stacked, self._transposed = stacked, stacked.T  # not one per product
+        self.d = self._transposed @ np.ones(stacked.shape[0])
 
     def _matmat(self, x):
         return self._transposed @ (self.stacked @ x) - self.d[:, None] * x
@@ -98,15 +98,14 @@ def aggregate(array):
 
 
 def squared(array):
-    """The sum of ``A_t A_t - D_t`` over the snapshots as a ``SquaredOperator``:
-    ``S^T S - D`` for the snapshots stacked as the rows of one sparse ``S``,
-    each weighted by its symbol in ``values``, and ``D`` their summed degrees."""
-    n, w = array.N, np.ones(array.data.size) if array.values is None else array.values
-    rows, cols = np.divmod(array.data, n)  # the snapshots stacked: sum_t A_t A_t = S^T S
-    rows, cols = np.concatenate((rows, rows - rows % n + cols)), np.concatenate((cols, rows % n))
-    w = np.concatenate((w, w)).astype(np.float64)
-    return SquaredOperator(csr_array((w, (rows, cols)), shape=(array.T * n, n)),
-                           np.bincount(cols, weights=w, minlength=n))
+    """The sum of ``A_t A_t - D_t`` over the snapshots as the ``SquaredOperator``
+    of ``S``, the snapshots' ``_symmetric`` graphs (weighted by ``values``) stacked."""
+    blocks = [csr_array((0, array.N))]  # so that T = 0 gives the zero operator
+    for t in range(array.T):
+        lo, hi = array.span(t)
+        w = np.ones(hi - lo) if array.values is None else array.values[lo:hi]
+        blocks.append(csr_array(_symmetric(array.N, array.snapshot(t), w)))  # plain CSR: see Graph
+    return SquaredOperator(vstack(blocks, format="csr"))
 
 
 def _degrees(graph):
@@ -119,8 +118,8 @@ def _degrees(graph):
 def trim_high_degree(graph, K):
     """The graph without the entries of the rows and columns of nodes whose
     degree (sum of absolute weights) exceeds ``_TRIM_FACTOR * K *
-    mean_degree``: the input itself when no node is trimmed.  Of ``S`` only
-    the columns go, with their degrees: ``P (S^T S - D) P = (S P)^T (S P) - P D``."""
+    mean_degree``: the input itself when no node is trimmed.  Of ``S`` only the
+    columns go: ``P (S^T S - D) P`` is the operator of ``S P``."""
     deg = _degrees(graph)
     keep = deg <= _TRIM_FACTOR * K * deg.mean()
     if keep.all():
@@ -131,7 +130,7 @@ def trim_high_degree(graph, K):
     before = np.zeros(hit.size + 1, dtype=m.indptr.dtype)  # kept entries ahead of each
     np.cumsum(hit, out=before[1:])
     m = type(m)((m.data[hit], m.indices[hit], before[m.indptr]), shape=m.shape)
-    return SquaredOperator(m, graph.d * keep) if square else m
+    return SquaredOperator(m) if square else m
 
 
 def top_eigenpairs(A, k, rng=None):

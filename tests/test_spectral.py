@@ -16,6 +16,7 @@ import dense_reference as dense_ref
 import spectral_reference as spectral_ref
 from dense_reference import from_dense
 from test_recovery import _pattern_arrays
+from test_sbm import _scale_sample
 from test_tracer_wraps import _tracing
 from tsbm import harness
 from tsbm._rng import derive_seed
@@ -313,9 +314,14 @@ class TestSquaredOperator:
         op = squared(arr)
         assert type(op) is SquaredOperator and op.shape == want.shape
         assert np.asarray(op).tobytes() == want.tobytes()
+        # S is scipy's CSR of the weighted snapshots stacked, and d its column
+        # sums: each row's layout sets the summation order of every product
+        stacked = dense_ref.dense_tensor(arr).reshape(arr.T * arr.N, arr.N)
+        _assert_same_csr(op.stacked, spectral_ref.dense_to_csr(stacked))
+        degrees = stacked.sum(axis=0).astype(np.float64)
+        assert op.d.tobytes() == degrees.tobytes()
         v = data.draw(arrays(np.float64, arr.N, elements=st.floats(-1e3, 1e3)))
         # S^T S = want + D, so these bound the magnitudes of every term summed
-        degrees = dense_ref.dense_tensor(arr).sum(axis=(0, 2)).astype(np.float64)
         scale = (np.abs(want) + 2 * np.diag(degrees)) @ np.abs(v)
         assert (np.abs(op @ v - want @ v) <= 4 * np.finfo(np.float64).eps * scale).all()
         with mock.patch.object(spectral, "_TRIM_FACTOR", factor):
@@ -323,6 +329,8 @@ class TestSquaredOperator:
         want, keep = spectral_ref.trim_high_degree(want, K, factor)
         assert type(trimmed) is SquaredOperator and (trimmed is op) == keep.all()
         assert np.asarray(trimmed).tobytes() == want.tobytes()
+        _assert_same_csr(trimmed.stacked, spectral_ref.dense_to_csr(stacked * keep))
+        assert trimmed.d.tobytes() == (degrees * keep).tobytes()
 
     def test_matchings_square_to_zero_without_arpack(self):
         # each snapshot is a matching, so A_t A_t = D_t: S holds entries, but
@@ -335,6 +343,15 @@ class TestSquaredOperator:
         assert vals.tobytes() == np.zeros(2).tobytes()
         assert vecs.tobytes() == np.eye(6, 2).tobytes() and vecs.flags.f_contiguous
         assert labels.tolist() == [0, 1, 0, 0, 0, 0]
+
+    def test_no_snapshots_square_to_zero(self):
+        # files and the sampler refuse T = 0, but a hand-built array of no
+        # snapshots has an empty union graph and a zero squared operator
+        arr = SnapshotArray([], 6, 0)
+        op = squared(arr)
+        assert op.stacked.shape == (0, 6) and not np.asarray(op).any()
+        labels = spectral_cluster(op, 2, 0)
+        assert labels.tolist() == spectral_cluster(binarize(arr), 2, 0).tolist()
 
 
 class TestKMeans:
@@ -632,6 +649,21 @@ def test_squared_start_on_the_scale_chain_stays_below_40_mib():
         tracemalloc.stop()
     assert labels.shape == (n,)
     assert peak < 40 * 2**20
+
+
+def test_squared_build_on_the_scale_chain_stays_below_230_mib():
+    # N = 30000, T = 10 (3.48 million entries): stacking the snapshots through
+    # COO coordinates and scipy's duplicate sum traced 268.1 MiB; each
+    # snapshot's symmetric CSR, stacked, 166.8 MiB
+    arr = _scale_sample(30000, 10)
+    tracemalloc.start()
+    try:
+        op = squared(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.stacked.nnz == 2 * arr.data.size
+    assert peak < 230 * 2**20
 
 
 @pytest.mark.parametrize("algorithm", ["spectral-union", "spectral-aggregate",
