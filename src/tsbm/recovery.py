@@ -18,11 +18,11 @@ gracefully.
 import math
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix
+from scipy.sparse import bmat
 
 from .markov import BinaryMarkovChain
 from .sbm import _SLOT_CHUNK, _entry_slots
-from .spectral import binarize, spectral_cluster, leave_one_out_cluster
+from .spectral import _csr, binarize, spectral_cluster, leave_one_out_cluster
 
 LOG_RATIO_SATURATION = 700.0
 _MLE_BUDGET = 10**6  # labellings that mle_brute_force may enumerate
@@ -487,7 +487,7 @@ def transition_rate_clustering(array, P, Q):
     Returns ``(labels, K_hat)`` with blocks the connected components of the
     similarity graph.  Requires ``P != Q`` and at least two snapshots.  The
     pairs that never interact share one decision: ``T - 1`` steps ``0 -> 0``.
-    The components come from a sparse graph in O(N + active pairs).
+    The components come from a ``spectral._csr`` graph in O(N + active pairs).
     """
     P, Q = np.asarray(P, dtype=np.float64), np.asarray(Q, dtype=np.float64)
     if np.allclose(P, Q):
@@ -501,22 +501,19 @@ def transition_rate_clustering(array, P, Q):
     counts[1:, :-1] = n01, n1 - n11, n11
     counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
     linked = np.zeros(counts.shape[1], dtype=bool)
-    for a in (0, 1):
-        n_a = counts[2 * a] + counts[2 * a + 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for b in (0, 1):
-                est = counts[2 * a + b] / n_a
-                close = np.abs(est - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
-                linked |= (n_a > 0) & np.where(np.isnan(est), False, close)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where no step starts in a: NaN, never close
+        for a, b in np.ndindex(2, 2):
+            n_a = counts[2 * a] + counts[2 * a + 1]
+            linked |= np.abs(counts[2 * a + b] / n_a - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
     n = array.N
-    odd = linked[:-1] != linked[-1]  # the active pairs deciding against the rest
-    i, j = np.divmod(pairs[odd], n)
+    codes = pairs[linked[:-1] != linked[-1]]  # the active pairs deciding against the rest
     if linked[-1]:
         # the complement of the sparse graph H of these pairs: a node v of
         # least H-degree links to every node but its H-neighbours S, so the
         # rows of v and of S (|S| <= 2 |H| / N) span the same components
+        i, j = np.divmod(codes, n)
         v = int(np.bincount(np.concatenate((i, j)), minlength=n).argmin())
-        src = np.concatenate(([v], j[i == v], i[j == v]))
+        src = np.sort(np.concatenate(([v], j[i == v], i[j == v])))  # so the codes increase
         slot = np.full(n, -1)
         slot[src] = np.arange(src.size)
         rows = np.ones((src.size, n), dtype=bool)
@@ -524,8 +521,8 @@ def transition_rate_clustering(array, P, Q):
             mine = slot[a] >= 0
             rows[slot[a[mine]], b[mine]] = False
         at, j = np.nonzero(rows)
-        i = src[at]
-    return connected_components(csr_matrix((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n)))
+        codes = src[at] * n + j
+    return connected_components(_csr(n, codes, np.ones(codes.size, dtype=bool)))
 
 
 def _pair_transitions(array):
@@ -539,12 +536,11 @@ def _pair_transitions(array):
 
 
 def _pair_graph(array, keep):
-    """Sparse adjacency of the pairs whose number of snapshots set passes
-    ``keep``; pairs never set are left out."""
-    n = array.N
+    """The upper bool CSR (``spectral._csr``) of the pairs whose number of
+    snapshots set passes ``keep``; pairs never set are left out."""
     pairs, slots, *_ = _entry_slots(array)
     pairs = pairs[keep(np.bincount(slots, minlength=pairs.size))]
-    return csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, n)), shape=(n, n))
+    return _csr(array.N, pairs, np.ones(pairs.size, dtype=bool))
 
 
 def persistent_components(array):

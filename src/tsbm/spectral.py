@@ -1,14 +1,14 @@
 """Adjacency spectral clustering: its graphs, degree trimming, top-K
 eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
-Used as the coarse initial clustering of the recovery algorithms.  Every
-graph is a symmetric float64 CSR ``Graph`` from ``_symmetric``, of
-``sbm._entry_slots``' pairs (``binarize``, ``aggregate``) or of one snapshot;
-``squared`` stacks the snapshots' graphs as ``S`` for the ``SquaredOperator``
-``S^T S - D``, ``D`` being S's column sums.  ARPACK needs only products, so
-no N x N product is made; ``np.asarray(graph)`` is the one dense conversion,
-and no library code makes it.  Each Lloyd iteration of k-means takes its
-centres from one weighted ``bincount`` per column.
+Used as the coarse initial clustering of the recovery algorithms.  ``_csr``
+lays out every graph of sorted pair codes, ``recovery``'s too; ``_symmetric``
+mirrors it in float64, for ``sbm._entry_slots``' pairs (a ``Graph`` from
+``binarize`` or ``aggregate``) or a snapshot's; ``squared`` stacks the
+snapshots' as ``S`` of the ``SquaredOperator`` ``S^T S - D``, D being S's
+column sums.  ARPACK needs only products, so no N x N product is made; no
+library code makes ``np.asarray(graph)``, the one dense conversion.  A Lloyd
+iteration of k-means takes its centres from one ``bincount`` per column.
 """
 
 import inspect
@@ -41,11 +41,11 @@ class EigenConvergenceError(RuntimeError):
 
 
 class Graph(csr_array):
-    """A symmetric float64 CSR matrix in canonical form (sorted column
-    indices, no explicit zeros); slicing and sparse arithmetic keep the
-    class.  ``np.asarray(graph)`` gives the dense matrix for the eigen-residual
-    hook of ``bench/tracing.py``; no library code makes it, and scipy's block
-    constructors (``vstack``, ``bmat``) fail on it, trying it as dense."""
+    """``binarize``'s or ``aggregate``'s symmetric float64 CSR matrix, canonical
+    (sorted indices, no explicit zeros); slicing and arithmetic keep the class.
+    ``np.asarray(graph)`` gives the dense matrix for the eigen-residual hook of
+    ``bench/tracing.py``.  scipy's block constructors (``vstack``, ``bmat``) would
+    try a Graph as dense, so ``squared`` stacks ``_symmetric``'s plain CSR."""
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.toarray(), dtype=dtype)
@@ -67,14 +67,18 @@ class SquaredOperator(LinearOperator):
         return np.asarray(self @ np.eye(self.shape[0]), dtype=dtype)
 
 
+def _csr(n, codes, data):
+    """The n x n CSR array with ``data`` at ``codes``, distinct increasing flat
+    indices ``i*n + j``, laid out as they are: no COO sort or duplicate sum."""
+    index = np.int32 if max(n, 2 * codes.size) < 2**31 else np.int64  # as scipy would pick
+    indptr = np.searchsorted(codes, np.arange(0, n * n + 1, n)).astype(index)
+    return csr_array((data, (codes % n).astype(index), indptr), shape=(n, n))
+
+
 def _symmetric(n, pairs, weights):
-    """The n x n Graph with ``weights`` at the upper entries ``pairs``
-    (distinct flat indices ``i*n + j``, ``i < j``, increasing) and at their
-    mirrors: a canonical sum, which stores each entry once."""
-    index = np.int32 if max(n, 2 * pairs.size) < 2**31 else np.int64  # as scipy would pick
-    rows = np.searchsorted(pairs, np.arange(0, n * n + 1, n)).astype(index)  # the upper indptr
-    upper = Graph((np.asarray(weights, dtype=np.float64), (pairs % n).astype(index), rows),
-                  shape=(n, n))
+    """The n x n float64 CSR array of ``weights`` at ``pairs``, ``_csr``'s codes
+    with ``i < j``, and at their mirrors: a canonical sum, each entry stored once."""
+    upper = _csr(n, pairs, np.asarray(weights, dtype=np.float64))
     return upper + upper.T
 
 
@@ -84,7 +88,7 @@ def binarize(array, t=None):
     of ``_entry_slots``), or over snapshot ``t`` alone when given
     (IndexError unless ``0 <= t < T``), with their mirrors."""
     pairs = _entry_slots(array)[0] if t is None else array.snapshot(t)
-    return _symmetric(array.N, pairs, np.ones(pairs.size))
+    return Graph(_symmetric(array.N, pairs, np.ones(pairs.size)))
 
 
 def aggregate(array):
@@ -94,7 +98,7 @@ def aggregate(array):
     pairs, slots = _entry_slots(array)[:2]
     weights = np.bincount(slots, weights=array.values, minlength=pairs.size)
     del slots  # freed before the graph is built
-    return _symmetric(array.N, pairs, weights)
+    return Graph(_symmetric(array.N, pairs, weights))
 
 
 def squared(array):
@@ -104,7 +108,7 @@ def squared(array):
     for t in range(array.T):
         lo, hi = array.span(t)
         w = np.ones(hi - lo) if array.values is None else array.values[lo:hi]
-        blocks.append(csr_array(_symmetric(array.N, array.snapshot(t), w)))  # plain CSR: see Graph
+        blocks.append(_symmetric(array.N, array.snapshot(t), w))
     return SquaredOperator(vstack(blocks, format="csr"))
 
 

@@ -1685,6 +1685,19 @@ class TestCLIFlagValues:
             else:
                 assert rc == 1 and err.startswith(f"error: --config {cfg}: {key} "), (cfg, err)
 
+    def test_float_range_refusal_in_process(self, tmp_path, monkeypatch):
+        # the refusal itself, run in this process (the test above runs it in
+        # a child): a 401-digit flag, and a 401-digit key in a config file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "n.cfg").write_text(f"n = {10**400}\nt = 3\n")
+        for argv, named in (
+                (["threshold", *_LOW_CHAIN[:4], "--grid-steps", str(10**400)], "--grid-steps"),
+                (["experiment", "--config", "n.cfg"], "--config n.cfg: n")):
+            rc, out, err, caught = _run_main(argv)
+            _assert_clean(argv, rc, out, err, caught)
+            assert rc == 1 and out == "", (argv, out)
+            assert err == f"error: {named} has 401 digits, beyond the float range\n", err
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(data=st.data(), algorithm=st.sampled_from(["online", "spectral", "friends"]))

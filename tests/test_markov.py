@@ -117,6 +117,12 @@ class TestChainConstruction:
         with pytest.raises(ValueError):
             chain_from_stationary(0.9, 0.0)
 
+    @pytest.mark.parametrize("pi1", [0.0, 1.0, -0.25, 1.5, math.nan])
+    def test_stationary_probability_outside_the_open_unit_interval(self, pi1):
+        # NaN fails the range check as the endpoints do, before any p01 is formed
+        with pytest.raises(ValueError, match=r"^stationary probability must lie strictly in"):
+            chain_from_stationary(pi1, 0.5)
+
 
 class TestExactDivergence:
     def test_single_snapshot_reduces_to_bernoulli(self):

@@ -8,9 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_array, csr_matrix
 
 import dense_reference as dense_ref
 import spectral_reference as spectral_ref
@@ -241,6 +242,39 @@ def _assert_same_csr(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+
+
+# n, then sorted distinct pair codes of an n x n matrix, below or above its
+# diagonal (``recovery``'s complement graph sets both)
+_codes = st.integers(1, 300).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n * n - 1), max_size=60).map(
+        lambda c: np.array(sorted(c), dtype=np.int64))))
+
+
+class TestCsrLayout:
+    """``_csr`` lays out sorted, distinct pair codes as scipy's COO
+    conversion of the same entries does: ``indptr``, ``indices`` and
+    ``data`` alike in values and dtype.  ``spectral``'s graphs, ``squared``'s
+    stack and ``recovery``'s baseline graphs all rely on this one layout.
+    The reference is ``csr_matrix``, which picks the index width from the
+    size; ``csr_array`` keeps the int64 of ``np.divmod``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_codes, dtype=st.sampled_from([np.bool_, np.float64]), data=st.data())
+    @example(case=(1, np.zeros(0, dtype=np.int64)), dtype=np.float64, data=None)
+    @example(case=(1, np.zeros(1, dtype=np.int64)), dtype=np.bool_, data=None)
+    @example(case=(7, np.zeros(0, dtype=np.int64)), dtype=np.bool_, data=None)
+    def test_matches_the_coo_conversion(self, case, dtype, data):
+        n, codes = case
+        values = (np.ones(codes.size, dtype=dtype) if data is None
+                  else data.draw(arrays(dtype, codes.size)))
+        got = spectral._csr(n, codes, values)
+        want = csr_matrix((values, np.divmod(codes, n)), shape=(n, n))
+        assert type(got) is csr_array and got.shape == (n, n)
+        for field in ("indptr", "indices", "data"):
+            have, expected = getattr(got, field), getattr(want, field)
+            assert have.dtype == expected.dtype, field
+            assert have.tobytes() == expected.tobytes(), field
 
 
 # 0/1 arrays and arrays with symbols up to 3, from empty to full
