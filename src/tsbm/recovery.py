@@ -69,12 +69,13 @@ class _PairLogRatio:
     online ``M``, the kernels' whole-pattern ratio), stored sparsely.
 
     It lists every pair the array sets, from the start, in increasing ``i*N
-    + j`` order (``_entry_slots``' pairs: a pair's slot is its place), with
-    ``vals`` and ends ``rows``, ``cols`` (``i < j``; int32 while N < 2^31,
-    widened before any product); ``ends`` are those of the pairs the latest
-    snapshot sets.  Every other pair holds ``base``, and so does a listed
-    pair until a snapshot sets it, bit for bit: both take the same float
-    operations a dense ``M`` would, so ``dense()`` is bit-identical to it.
+    + j`` order (``_entry_slots``' pairs: a pair's slot is its place) as
+    ``spectral._csr`` lays them out: ``vals``, ends ``cols`` and row starts
+    ``_row_ptr``, and ``rows`` (``i < j``; widened before any product);
+    ``ends`` are those the latest snapshot sets.  Every other pair holds
+    ``base``, and so does a listed pair until a snapshot sets it, bit for
+    bit: both take the same float operations a dense ``M`` would, so
+    ``dense()`` is bit-identical to it.
 
     Sweeps read kept block sums: ``_sums[i, k]`` sums the offsets ``vals -
     base`` of node i's listed partners in block k under ``_under``, the
@@ -90,14 +91,11 @@ class _PairLogRatio:
         snapshot 0 leads) in a categorical one."""
         n = self.n = array.N
         self.array, (pairs, self.slots, self.stay, self.leaves) = array, _entry_slots(array)
-        ends = np.int32 if n < 2**31 else np.int64  # widened before * N
-        self.rows, self.cols = np.empty(pairs.size, ends), np.empty(pairs.size, ends)
-        for at in _chunks(pairs.size):
-            rows = pairs[at] // n  # one floor division: np.divmod took 4x as long
-            self.rows[at], self.cols[at] = rows, pairs[at] - rows * n
-        del pairs
         self.base = float(l_init[0])
-        self.vals = np.full(self.rows.size, self.base)
+        upper = _csr(n, pairs, np.full(pairs.size, self.base))
+        del pairs
+        self.vals, self.cols, self._row_ptr = upper.data, upper.indices, upper.indptr
+        self.rows = np.repeat(np.arange(n, dtype=self.cols.dtype), np.diff(self._row_ptr))
         self._peak = float(np.abs(l_init).max())  # a bound on |vals| and |base|
         self._sums = self._under = self._incidence = None  # built on first use
         hi = array.span(0)[1]
@@ -156,15 +154,15 @@ class _PairLogRatio:
         return (self.base * others + summed).reshape(h, K)
 
     def _incident(self, nodes):
-        """The places of the pairs with their row end in ``nodes`` (ranges: rows
-        are sorted), then of those with their col end (an argsort of ``cols``,
+        """The places of the pairs with their row end in ``nodes`` (ranges of
+        ``_row_ptr``), then of those with their col end (an argsort of ``cols``,
         built in O(pairs log) on first use: an in-place move, either sweep's
         near tie or refine-loo's row), each node's in pair order."""
         if self._incidence is None:  # node ids searched in the ends' dtype: no cast of the ends
             order = np.argsort(self.cols, kind="stable")
-            self._incidence = order, *(np.searchsorted(e, np.arange(self.n + 1, dtype=e.dtype))
-                                       for e in (self.rows, self.cols[order]))
-        order, row_ptr, col_ptr = self._incidence
+            self._incidence = order, np.searchsorted(
+                self.cols[order], np.arange(self.n + 1, dtype=self.cols.dtype))
+        (order, col_ptr), row_ptr = self._incidence, self._row_ptr
         return (np.concatenate([np.arange(row_ptr[i], row_ptr[i + 1]) for i in nodes]),
                 np.concatenate([order[col_ptr[i]:col_ptr[i + 1]] for i in nodes]))
 
@@ -496,15 +494,15 @@ def transition_rate_clustering(array, P, Q):
     if array.T < 2:
         raise ValueError(f"need at least two snapshots, got T={array.T}")
     pairs, n1, n01, n11 = _pair_transitions(array)
-    # counts[2a + b] per active pair, then one column for the pairs never set
-    counts = np.zeros((4, pairs.size + 1))
-    counts[1:, :-1] = n01, n1 - n11, n11
-    counts[0] = (array.T - 1) - counts[1:].sum(axis=0)
-    linked = np.zeros(counts.shape[1], dtype=bool)
+    n1, n01, n11 = (np.append(c, 0) for c in (n1, n01, n11))  # then the pairs never set
+    linked = np.zeros(n1.size, dtype=bool)
     with np.errstate(invalid="ignore"):  # 0 / 0 where no step starts in a: NaN, never close
-        for a, b in np.ndindex(2, 2):
-            n_a = counts[2 * a] + counts[2 * a + 1]
-            linked |= np.abs(counts[2 * a + b] / n_a - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
+        for at in _chunks(n1.size):  # integer counts, each n_ab / n_a one float division
+            n_a = (array.T - 1) - n1[at], n1[at]
+            n_ab = n_a[0] - n01[at], n01[at], n_a[1] - n11[at], n11[at]
+            for a, b in np.ndindex(2, 2):
+                rate = n_ab[2 * a + b] / n_a[a]
+                linked[at] |= np.abs(rate - P[a, b]) <= 0.5 * abs(P[a, b] - Q[a, b])
     n = array.N
     codes = pairs[linked[:-1] != linked[-1]]  # the active pairs deciding against the rest
     if linked[-1]:
@@ -569,7 +567,7 @@ def enemy_paths(array):
     G = _pair_graph(array, lambda t: t < array.T)
     labels, _ = connected_components(bmat([[None, G], [G, None]]))
     labels = labels[:array.N]  # the first copies' components are numbered first
-    return labels, int(labels.max()) + 1
+    return labels, int(labels.max(initial=-1)) + 1  # no node, no block
 
 
 # ---------------------------------------------------------------------------

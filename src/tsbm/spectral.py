@@ -2,7 +2,7 @@
 eigenpairs by ARPACK through scipy's ``eigsh``, and seeded k-means.
 
 Used as the coarse initial clustering of the recovery algorithms.  ``_csr``
-lays out every graph of sorted pair codes, ``recovery``'s too; ``_symmetric``
+lays out sorted pair codes, ``recovery``'s graphs and store too; ``_symmetric``
 mirrors it in float64, for ``sbm._entry_slots``' pairs (a ``Graph`` from
 ``binarize`` or ``aggregate``) or a snapshot's; ``squared`` stacks the
 snapshots' as ``S`` of the ``SquaredOperator`` ``S^T S - D``, D being S's
@@ -68,11 +68,12 @@ class SquaredOperator(LinearOperator):
 
 
 def _csr(n, codes, data):
-    """The n x n CSR array with ``data`` at ``codes``, distinct increasing flat
-    indices ``i*n + j``, laid out as they are: no COO sort or duplicate sum."""
+    """The n x n CSR array with ``data`` at ``codes``, distinct increasing ``i*n + j``, as
+    they are: no COO sort, no int64 copy of the indices; every graph's and the store's layout."""
     index = np.int32 if max(n, 2 * codes.size) < 2**31 else np.int64  # as scipy would pick
-    indptr = np.searchsorted(codes, np.arange(0, n * n + 1, n)).astype(index)
-    return csr_array((data, (codes % n).astype(index), indptr), shape=(n, n))
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n).astype(index)
+    indices = np.remainder(codes, n, out=np.empty(codes.size, index), casting="unsafe")
+    return csr_array((data, indices, indptr), shape=(n, n))
 
 
 def _symmetric(n, pairs, weights):

@@ -44,6 +44,7 @@ from tsbm._rng import derive_seed
 import dense_reference as dense_ref
 from dense_reference import _DenseLearned, _DenseOnline, _one_hot, dense_tensor, from_dense
 from markov_reference import path_log_prob
+from test_sbm import _scale_sample
 
 
 INTRA = chain_from_stationary(0.35, 0.6)
@@ -747,6 +748,7 @@ class TestEntrySlots:
     @example(arr=_TALL)  # indices packed into the keys' low bits up to the int64 limit
     @example(arr=_WIDE)  # past it: the argsort fallback
     @example(arr=_WIDE_RUNS)
+    @example(arr=SnapshotArray([], 0, 3))  # no node: 0 x 0 graphs and an empty store
     def test_matches_dict_reference(self, arr):
         pairs, slots, stay, leaves = _entry_slots(arr)
         assert slots.dtype == np.int32 and slots.shape == stay.shape == arr.data.shape
@@ -771,6 +773,13 @@ class TestEntrySlots:
         graph = recovery._pair_graph(arr, lambda c: seen.append(c) or c > 0)
         assert [c.tolist() for c in seen] == [counts]
         assert _upper_weights(graph) == dict.fromkeys(want[0], True)
+        # the online store's ends and row starts: _csr's layout, in the width it picks
+        store = _PairLogRatio(SnapshotArray(arr.data, arr.N, arr.T), np.zeros(2))
+        rows, cols = np.divmod(pairs, arr.N)
+        assert store.rows.dtype == store.cols.dtype == graph.indices.dtype
+        assert store.rows.tolist() == rows.tolist() and store.cols.tolist() == cols.tolist()
+        assert store._row_ptr.dtype == graph.indptr.dtype
+        assert store._row_ptr.tolist() == np.searchsorted(rows, np.arange(arr.N + 1)).tolist()
 
     @pytest.mark.parametrize("build", [
         lambda a: transition_rate_clustering(a, INTRA.transition, INTER.transition),
@@ -825,16 +834,17 @@ class TestEntrySlots:
         assert peak <= 20 * arr.data.size, peak / arr.data.size
 
     def test_online_learners_and_rates_run_without_a_set_bit(self):
-        labels = np.array([0, 1, 0, 1])
-        known = OnlineLikelihood(_NO_BIT, labels, INTRA, INTER, 2)
-        learned = OnlineLikelihoodLearned(_NO_BIT, labels, 2)
-        known.run()
-        learned.run()
-        assert known.t == learned.t == _NO_BIT.T and learned.ratio.vals.size == 0
-        assert learned._pooled.tolist() == [[0, 0]] * 3
-        got = transition_rate_clustering(_NO_BIT, INTRA.transition, INTER.transition)
-        want = dense_ref.transition_rates(_NO_BIT, INTRA.transition, INTER.transition)
-        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        for arr in (_NO_BIT, SnapshotArray([], 0, 3)):  # N = 4, and no node at all
+            labels = np.array([0, 1, 0, 1])[:arr.N]
+            known = OnlineLikelihood(arr, labels, INTRA, INTER, 2)
+            learned = OnlineLikelihoodLearned(arr, labels, 2)
+            known.run()
+            learned.run()
+            assert known.t == learned.t == arr.T and learned.ratio.vals.size == 0
+            assert learned._pooled.tolist() == [[0, 0]] * 3
+            got = transition_rate_clustering(arr, INTRA.transition, INTER.transition)
+            want = dense_ref.transition_rates(arr, INTRA.transition, INTER.transition)
+            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 @pytest.fixture(scope="module")
@@ -920,6 +930,19 @@ class TestStoreBytes:
             assert np.array_equal(rows, np.flatnonzero(ratio.rows == v))
             assert np.array_equal(cols, np.flatnonzero(ratio.cols == v))
 
+    def test_store_build_peak(self, figure6_trial0):
+        # 9.44 MB traced, _entry_slots' own peak, with the ends split by a
+        # divmod loop of the store's or laid out by _csr; 10.41 MB with
+        # _csr's indices formed as an int64 remainder, then narrowed
+        arr = figure6_trial0[0]
+        tracemalloc.start()
+        try:
+            _PairLogRatio(arr, np.array([-0.5, 1.25]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.6e6, peak
+
     @pytest.mark.parametrize("learned", [False, True])
     def test_int32_ends_past_46341_nodes(self, learned):
         # at N = 70,000, i * N passes int32 from i = 30,679: the ends are
@@ -939,6 +962,23 @@ class TestStoreBytes:
         if learned:
             pooled = dense_ref.reestimate_from_scratch(state, state.P_hat, state.Q_hat)[2]
             assert np.array_equal(state._pooled, pooled)
+
+
+def test_rates_on_the_scale_chain_stays_below_110_mib():
+    # N = 30000, T = 10 (1,704,245 pairs): a float64 table of the counts
+    # beside the integer ones, divided a whole row at a time, traced
+    # 144.7 MiB; the integer counts a chunk at a time, 97.4 MiB, the peak
+    # of _pair_transitions itself
+    arr = _scale_sample(30000, 10)
+    intra, inter = chains_in_units(30000, 3.0, 1.5, 0.7, 0.3)
+    tracemalloc.start()
+    try:
+        labels, _ = transition_rate_clustering(arr, intra.transition, inter.transition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (30000,)
+    assert peak < 110 * 2**20, peak / 2**20
 
 
 @st.composite
@@ -1017,6 +1057,7 @@ class TestSparseConsumersMatchDense:
 
     @settings(max_examples=150, deadline=None)
     @given(arr=_pattern_arrays(max_symbol=3))
+    @example(arr=SnapshotArray([], 0, 3))  # no node: no block
     def test_friends_and_enemies(self, arr):
         for got, want in ((persistent_components(arr), dense_ref.persistent(arr)),
                           (enemy_paths(arr), dense_ref.enemies(arr))):

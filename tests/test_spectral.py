@@ -255,15 +255,16 @@ class TestCsrLayout:
     """``_csr`` lays out sorted, distinct pair codes as scipy's COO
     conversion of the same entries does: ``indptr``, ``indices`` and
     ``data`` alike in values and dtype.  ``spectral``'s graphs, ``squared``'s
-    stack and ``recovery``'s baseline graphs all rely on this one layout.
-    The reference is ``csr_matrix``, which picks the index width from the
-    size; ``csr_array`` keeps the int64 of ``np.divmod``."""
+    stack, ``recovery``'s baseline graphs and its store all rely on this one
+    layout.  The reference is ``csr_matrix``, which picks the index width
+    from the size; ``csr_array`` keeps the int64 of ``np.divmod``."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_codes, dtype=st.sampled_from([np.bool_, np.float64]), data=st.data())
     @example(case=(1, np.zeros(0, dtype=np.int64)), dtype=np.float64, data=None)
     @example(case=(1, np.zeros(1, dtype=np.int64)), dtype=np.bool_, data=None)
     @example(case=(7, np.zeros(0, dtype=np.int64)), dtype=np.bool_, data=None)
+    @example(case=(0, np.zeros(0, dtype=np.int64)), dtype=np.float64, data=None)  # 0 x 0
     def test_matches_the_coo_conversion(self, case, dtype, data):
         n, codes = case
         values = (np.ones(codes.size, dtype=dtype) if data is None
